@@ -4,8 +4,8 @@ The paper's premise is that levelised NEAT graphs pack into matrix-vector
 waves that evaluate far faster than a node-by-node graph walk (Section
 IV-A).  This bench demonstrates the software version of that claim: one
 full 150-genome CartPole generation — the paper's population size — is
-evaluated by the scalar :class:`repro.envs.FitnessEvaluator` and by the
-compiled :class:`repro.neat.BatchedEvaluator`, on identical derived
+evaluated by :class:`repro.envs.FitnessEvaluator` on the scalar walk and
+on compiled numpy lanes (``vectorizer="numpy"``), on identical derived
 episode seeds.  The vectorized path must be >= 5x faster *and* produce
 bit-identical fitnesses.
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.runner import config_for_env
 from repro.envs.evaluate import FitnessEvaluator
-from repro.neat.compiled import BatchedEvaluator, compile_network
+from repro.neat.compiled import compile_network
 from repro.neat.network import FeedForwardNetwork
 from repro.neat.population import Population
 
@@ -77,7 +77,9 @@ def test_batched_generation_speedup(emit):
         genomes, config,
     )
     batched_fit, batched_t = _best_time(
-        lambda: BatchedEvaluator(ENV_ID, episodes=EPISODES, seed=0),
+        lambda: FitnessEvaluator(
+            ENV_ID, episodes=EPISODES, seed=0, vectorizer="numpy"
+        ),
         genomes, config,
     )
     speedup = scalar_t / batched_t

@@ -32,7 +32,6 @@ from repro import obs
 from repro.api.parallel import ParallelFitnessEvaluator
 from repro.core.runner import config_for_env
 from repro.envs.evaluate import FitnessEvaluator
-from repro.neat.compiled import BatchedEvaluator
 from repro.neat.population import Population
 
 ENV_ID = "CartPole-v0"
@@ -76,8 +75,8 @@ def _evaluators():
             ENV_ID, max_steps=MAX_STEPS, seed=0)),
         ("workers2", lambda: ParallelFitnessEvaluator(
             ENV_ID, max_steps=MAX_STEPS, seed=0, workers=2)),
-        ("vectorized", lambda: BatchedEvaluator(
-            ENV_ID, max_steps=MAX_STEPS, seed=0)),
+        ("vectorized", lambda: FitnessEvaluator(
+            ENV_ID, max_steps=MAX_STEPS, seed=0, vectorizer="numpy")),
     ]
 
 

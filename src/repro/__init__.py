@@ -21,8 +21,8 @@ Public API tour:
   logs, full-state checkpoints, bit-identical resume
   (``repro run --resume``) and artifact-only reporting
   (``repro report``).
-* :mod:`repro.core` — the GeneSys SoC walkthrough loop and legacy
-  closed-loop runner shims.
+* :mod:`repro.core` — the GeneSys SoC walkthrough loop and workload
+  traces.
 * :mod:`repro.platforms` — analytical CPU/GPU/GENESYS platform models for
   the paper's evaluation sweeps.
 * :mod:`repro.baselines` — DQN with exact op accounting (Table II).

@@ -177,7 +177,7 @@ def _run_software_loop(
 
     This is :meth:`repro.neat.Population.run` with observability: the
     loop, the stop criterion and the evaluator seeding are identical, so
-    a fixed seed reproduces the legacy ``evolve_software`` path exactly.
+    a fixed seed reproduces ``Population.run`` exactly.
     ``decorate_metrics`` lets the analytical backend attach modelled
     costs before the ``on_generation`` observer fires.
 
@@ -278,10 +278,10 @@ def _run_software_loop(
                     metrics.generation, metrics.best_fitness, metrics
                 )
             if collect:
-                # The batched evaluator levelises every genome anyway, so
-                # reuse its depths (exactly the feed_forward_layers counts
+                # The numpy lanes levelise every genome anyway, so reuse
+                # their depths (exactly the feed_forward_layers counts
                 # _mean_depth would re-derive) when they are available.
-                depth = getattr(evaluator, "last_mean_depth", None)
+                depth = evaluator.last_mean_depth
                 if depth is None:
                     depth = _mean_depth(snapshot, config.genome)
                 workload = GenerationWorkload(
@@ -319,14 +319,10 @@ def _run_software_loop(
                     generation=population.generation,
                 ):
                     obs.incr("scenario.stage_advance")
-                    close = getattr(evaluator, "close", None)
-                    if close is not None:
-                        close()
+                    evaluator.close()
                     evaluator = make_evaluator(population.generation)
     finally:
-        close = getattr(evaluator, "close", None)
-        if close is not None:
-            close()
+        evaluator.close()
     if population.best_genome is None:
         raise RuntimeError("no generations were evaluated")
     return out

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
+from ..envs.evaluate import VECTORIZERS
 from ..platforms.spec import (
     PlatformSpec,
     PlatformSpecError,
@@ -27,12 +28,6 @@ from ..platforms.spec import (
 
 class SpecError(ValueError):
     """Raised for invalid or inconsistent experiment specifications."""
-
-
-#: The inference strategies the software evolution loop understands —
-#: the single source of truth for spec validation and evaluator
-#: construction (:func:`repro.api.build_evaluator`).
-VECTORIZERS = ("scalar", "numpy")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,7 @@
-"""GeneSys core: the SoC model and closed-loop runners."""
+"""GeneSys core: the SoC model and workload traces."""
 
 from .config import GeneSysConfig
-from .runner import (
-    HardwareRunResult,
-    SoftwareRunResult,
-    config_for_env,
-    evolve_on_hardware,
-    evolve_software,
-)
+from .runner import config_for_env
 from .soc import GenerationReport, GeneSysSoC
 from .trace import (
     GenerationWorkload,
@@ -21,12 +15,8 @@ __all__ = [
     "GeneSysSoC",
     "GenerationReport",
     "GenerationWorkload",
-    "HardwareRunResult",
-    "SoftwareRunResult",
     "TraceLine",
     "TraceRecorder",
     "WorkloadTrace",
     "config_for_env",
-    "evolve_on_hardware",
-    "evolve_software",
 ]

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .. import obs as telemetry
-from ..envs.base import Environment
-from ..envs.evaluate import action_from_outputs, run_episodes_batched
-from ..envs.registry import make
+from ..envs.evaluate import EvaluationTotals, Executor, reduce_outcomes
 from ..envs.seeding import derive_seed
 from ..hw.adam import (
     ADAM,
+    AdamNetwork,
     InferenceStats,
     StackedAdamEnvelope,
     build_inference_plan,
@@ -42,8 +41,6 @@ from ..hw.sram import GenomeBuffer
 from ..neat.genome import Genome
 from ..neat.reproduction import Reproduction
 from .config import GeneSysConfig
-
-EnvFactory = Callable[[], Environment]
 
 
 @dataclass
@@ -94,7 +91,7 @@ class GeneSysSoC:
         #: :class:`repro.hw.adam.StackedAdamEnvelope` — bit-identical to
         #: the serial per-genome walk, just vectorised.
         self.vectorize = vectorize
-        self._env_batch = None
+        self._executor = Executor(env_id, max_steps=max_steps)
         self.buffer = GenomeBuffer(config.sram)
         self.adam = ADAM(config.adam)
         eve_config = config.eve
@@ -119,165 +116,61 @@ class GeneSysSoC:
     # -- steps 1-6: inference + fitness -----------------------------------
 
     def evaluate_population(self) -> int:
-        """Run every genome against the environment; returns env steps."""
+        """Run every genome against the environment; returns env steps.
+
+        Genomes are read from the Genome Buffer and mapped on ADAM (step
+        1), then rolled out through the shared evaluation core (steps
+        2-5, :class:`repro.envs.evaluate.Executor`).  With ``vectorize``
+        the rollouts run on compiled lockstep lanes and ADAM's counters
+        are charged exactly through one :class:`StackedAdamEnvelope`
+        (per-pass costs are static per plan, so cost = per-pass x steps
+        in pure integer arithmetic).  Without it — and for genomes the
+        dense compiler rejects — the scalar walk drives each plan on
+        ADAM itself, charging pass by pass.  Both are bit-identical.
+        """
+        genome_cfg = self.config.neat.genome
+        keys = sorted(self.population)
+        # Step 1: genomes are read from the buffer and mapped on ADAM.
+        residents = [
+            decode_genome(self.buffer.read_genome(key), key, genome_cfg)
+            for key in keys
+        ]
+        plans = [build_inference_plan(g, genome_cfg) for g in residents]
+        plan_of = dict(zip(keys, plans))
+
+        def network(genome, _config):
+            return AdamNetwork(self.adam, plan_of[genome.key])
+
+        tasks = [
+            (g, [self._episode_seed(g.key, e) for e in range(self.episodes)])
+            for g in residents
+        ]
         if self.vectorize:
-            return self._evaluate_population_batched()
-        return self._evaluate_population_serial()
+            outcomes, compiled = self._executor.lanes(tasks, genome_cfg, network)
+            lanes = [i for i, plan in enumerate(compiled) if plan is not None]
+            if lanes:
+                with telemetry.span("soc.envelope_charge", genomes=len(lanes)):
+                    envelope = StackedAdamEnvelope(
+                        [plans[i] for i in lanes], self.adam.config
+                    )
+                    envelope.charge(
+                        self.adam.stats, [outcomes[i][2] for i in lanes]
+                    )
+        else:
+            outcomes = self._executor.scalar(tasks, genome_cfg, network)
+        totals = EvaluationTotals()
+        genomes = [self.population[key] for key in keys]
+        reduce_outcomes(genomes, outcomes, totals)
+        for genome in genomes:
+            # Step 6: fitness augmented to the genome in SRAM.
+            self.buffer.set_fitness(genome.key, genome.fitness)
+        return totals.steps
 
     def _episode_seed(self, key: int, episode: int) -> int:
-        # The one canonical SoC derivation — serial and batched paths
-        # must see identical episode streams.
         return derive_seed(
             self.config.seed,
             (self.generation * 1_000_003 + key) * 17 + episode,
         )
-
-    def _evaluate_population_serial(self) -> int:
-        with telemetry.span(
-            "soc.evaluate_serial",
-            generation=self.generation,
-            genomes=len(self.population),
-        ):
-            return self._evaluate_population_serial_inner()
-
-    def _evaluate_population_serial_inner(self) -> int:
-        env = make(self.env_id)
-        genome_cfg = self.config.neat.genome
-        total_steps = 0
-        for key in sorted(self.population):
-            genome = self.population[key]
-            # Step 1: genomes are read from the buffer and mapped on ADAM.
-            stream = self.buffer.read_genome(key)
-            resident = decode_genome(stream, key, genome_cfg)
-            plan = build_inference_plan(resident, genome_cfg)
-            rewards = []
-            for episode in range(self.episodes):
-                env.seed(self._episode_seed(key, episode))
-                rewards.append(self._run_episode(plan, env))
-                total_steps += self._episode_steps
-            fitness = sum(rewards) / len(rewards)
-            # Step 6: fitness augmented to the genome in SRAM.
-            self.buffer.set_fitness(key, fitness)
-            genome.fitness = fitness
-        return total_steps
-
-    def _evaluate_population_batched(self) -> int:
-        """Steps 1-6 for the whole population at once.
-
-        Functional rollouts go through the compiled lockstep lanes
-        (:mod:`repro.neat.compiled`) — every (genome, episode) pair is a
-        lane of one batched environment — while the hardware counters are
-        charged exactly through a :class:`StackedAdamEnvelope` (per-pass
-        costs are static per plan, so cost = per-pass x steps in pure
-        integer arithmetic).  Genomes the dense compiler cannot express
-        fall back to the serial ADAM walk on the same seeds.
-        """
-        from ..neat.compiled import CompileError, StackedPlans, compile_network
-
-        genome_cfg = self.config.neat.genome
-        keys = sorted(self.population)
-        plans = {}
-        compiled = {}
-        with telemetry.span(
-            "soc.compile", generation=self.generation, genomes=len(keys)
-        ) as sp:
-            for key in keys:
-                # Step 1: genomes are read from the buffer and mapped on
-                # ADAM.
-                stream = self.buffer.read_genome(key)
-                resident = decode_genome(stream, key, genome_cfg)
-                plans[key] = build_inference_plan(resident, genome_cfg)
-                try:
-                    compiled[key] = compile_network(resident, genome_cfg)
-                except CompileError:
-                    pass
-            sp.set(compiled=len(compiled))
-
-        rewards_by_key: Dict[int, List[float]] = {}
-        steps_by_key: Dict[int, List[int]] = {}
-        batched_keys = [k for k in keys if k in compiled]
-        if batched_keys:
-            if self._env_batch is None:
-                from ..envs.batched import make_batched
-
-                self._env_batch = make_batched(self.env_id)
-            stacked = StackedPlans([compiled[k] for k in batched_keys])
-            lane_plans: List[int] = []
-            lane_seeds: List[int] = []
-            for slot, key in enumerate(batched_keys):
-                for episode in range(self.episodes):
-                    lane_plans.append(slot)
-                    lane_seeds.append(self._episode_seed(key, episode))
-            with telemetry.span(
-                "soc.rollout",
-                genomes=len(batched_keys),
-                lanes=len(lane_seeds),
-            ):
-                episodes = run_episodes_batched(
-                    stacked.lane_runner(lane_plans),
-                    self._env_batch,
-                    lane_seeds,
-                    max_steps=self.max_steps,
-                )
-            cursor = 0
-            for key in batched_keys:
-                lane_results = episodes[cursor : cursor + self.episodes]
-                cursor += self.episodes
-                rewards_by_key[key] = [r.total_reward for r in lane_results]
-                steps_by_key[key] = [r.steps for r in lane_results]
-            # Steps 2-5 cost accounting: every env step is one forward
-            # pass of that genome's plan.
-            with telemetry.span(
-                "soc.envelope_charge", genomes=len(batched_keys)
-            ):
-                envelope = StackedAdamEnvelope(
-                    [plans[k] for k in batched_keys], self.adam.config
-                )
-                envelope.charge(
-                    self.adam.stats,
-                    [sum(steps_by_key[k]) for k in batched_keys],
-                )
-
-        fallback_keys = [k for k in keys if k not in compiled]
-        if fallback_keys:
-            env = make(self.env_id)
-            with telemetry.span("soc.fallback", genomes=len(fallback_keys)):
-                for key in fallback_keys:
-                    rewards: List[float] = []
-                    steps: List[int] = []
-                    for episode in range(self.episodes):
-                        env.seed(self._episode_seed(key, episode))
-                        rewards.append(self._run_episode(plans[key], env))
-                        steps.append(self._episode_steps)
-                    rewards_by_key[key] = rewards
-                    steps_by_key[key] = steps
-
-        total_steps = 0
-        for key in keys:
-            rewards = rewards_by_key[key]
-            fitness = sum(rewards) / len(rewards)
-            # Step 6: fitness augmented to the genome in SRAM.
-            self.buffer.set_fitness(key, fitness)
-            self.population[key].fitness = fitness
-            total_steps += sum(steps_by_key[key])
-        return total_steps
-
-    def _run_episode(self, plan, env: Environment) -> float:
-        """Steps 2-5 for one episode; tracks steps in _episode_steps."""
-        obs = env.reset()
-        total_reward = 0.0
-        steps = 0
-        limit = self.max_steps if self.max_steps is not None else env.max_episode_steps
-        for _ in range(limit):
-            outputs = self.adam.run(plan, obs.ravel().tolist())
-            action = action_from_outputs(outputs, env)
-            obs, reward, done, _info = env.step(action)
-            total_reward += reward
-            steps += 1
-            if done:
-                break
-        self._episode_steps = steps
-        return total_reward
 
     # -- steps 7-10: selection + evolution ------------------------------------
 

@@ -243,9 +243,9 @@ class TraceRecorder:
                 macs = evaluator.totals.macs - prev_macs
                 prev_steps = evaluator.totals.steps
                 prev_macs = evaluator.totals.macs
-                # Reuse the batched evaluator's levelisation by-product
-                # when it ran; identical to re-deriving per genome.
-                depth = getattr(evaluator, "last_mean_depth", None)
+                # Reuse the numpy lanes' levelisation by-product when
+                # they ran; identical to re-deriving per genome.
+                depth = evaluator.last_mean_depth
                 if depth is None:
                     depth = _mean_depth(pop_snapshot, self.config.genome)
                 trace.workloads.append(
@@ -288,7 +288,5 @@ class TraceRecorder:
                 if threshold is not None and population.fitness_summary() >= threshold:
                     break
         finally:
-            close = getattr(evaluator, "close", None)
-            if close is not None:
-                close()
+            evaluator.close()
         return trace

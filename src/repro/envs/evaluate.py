@@ -1,25 +1,68 @@
 """Fitness evaluation: run genome phenotypes against an environment.
 
-This is the software path of walkthrough steps 2-6 (Section IV-B): read
-environment state, run inference, translate output activations to actions,
-repeat until the episode completes, convert the cumulative reward into a
-fitness value attached to the genome.
+This is the software path of walkthrough steps 1-6 (Section IV-B): map
+each genome to a network, read environment state, run inference,
+translate output activations to actions, repeat until the episode
+completes, convert the cumulative reward into a fitness value attached
+to the genome.  One core serves every execution shape:
+
+* **seeds** — a *task* is ``(genome, episode_seeds)``; every episode
+  seed derives from ``(experiment seed, generation, genome key,
+  episode)``, so a task's outcome does not depend on where it runs.
+* **lanes** — an :class:`Executor` runs tasks on the *scalar* walk
+  (:func:`run_episode` over one network per genome) or on compiled
+  lockstep *lanes* (:func:`run_episodes_batched` over
+  :class:`repro.neat.compiled.StackedPlans`, one lane per (genome,
+  episode) pair, with a per-genome scalar fallback for genomes the
+  dense compiler rejects).  Either returns one :data:`Outcome` per task,
+  in task order.
+* **reduce** — :func:`reduce_outcomes` turns each outcome's rewards into
+  the genome's fitness and accumulates :class:`EvaluationTotals`.
+
+:class:`FitnessEvaluator` runs the executor in-process;
+:class:`repro.api.ParallelFitnessEvaluator` ships the same executor to
+pool workers; :class:`repro.core.GeneSysSoC` runs it on genomes decoded
+from the Genome Buffer, with ADAM-backed networks on the scalar walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..neat.config import NEATConfig
+from .. import obs
+from ..neat.compiled import (
+    CompiledNetwork,
+    CompileError,
+    StackedPlans,
+    compile_network,
+)
+from ..neat.config import GenomeConfig, NEATConfig
 from ..neat.genome import Genome
 from ..neat.network import FeedForwardNetwork
 from .base import Environment
+from .batched import make_batched
 from .registry import make
 from .seeding import episode_seed
 from .spaces import Box, Discrete, MultiBinary
+
+#: The inference strategies an evaluator can run tasks on: the scalar
+#: node-by-node walk or compiled numpy lanes.
+VECTORIZERS = ("scalar", "numpy")
+
+#: One unit of work: a genome and the seeds of its episodes.
+Task = Tuple[Genome, Sequence[int]]
+#: One task's result: ``(genome_key, episode rewards, env steps,
+#: inference MACs)``.
+Outcome = Tuple[int, List[float], int, int]
+#: Builds the network the scalar walk drives for a genome
+#: (``activate``/``reset``/``num_macs``); defaults to
+#: :meth:`FeedForwardNetwork.create`.
+NetworkFactory = Callable[[Genome, GenomeConfig], Any]
+
+_NEG_INF = float("-inf")
 
 
 def action_from_outputs(outputs: Sequence[float], env: Environment):
@@ -30,10 +73,11 @@ def action_from_outputs(outputs: Sequence[float], env: Environment):
     translated as actions").
 
     Tie-breaking is part of the contract: when several output units share
-    the maximum activation, the *lowest-index* unit wins.  This keeps the
-    scalar, vectorized and hardware inference paths action-identical on
-    tied outputs instead of depending on whichever argmax an evaluation
-    backend happens to use.
+    the maximum activation, the *lowest-index* unit wins, and a NaN
+    activation counts as ``-inf`` (it never wins; an all-NaN head picks
+    unit 0).  This keeps the scalar, vectorized and hardware inference
+    paths action-identical on tied or NaN outputs instead of depending
+    on whichever argmax an evaluation backend happens to use.
     """
     space = env.action_space
     if isinstance(space, Discrete):
@@ -43,11 +87,13 @@ def action_from_outputs(outputs: Sequence[float], env: Environment):
                 return int(outputs[0] > 0.5 if 0.0 <= outputs[0] <= 1.0 else outputs[0] > 0.0)
             scaled = int(abs(outputs[0]) * space.n) % space.n
             return scaled
-        head = outputs[: space.n]
         best = 0
-        for i in range(1, len(head)):
-            if head[i] > head[best]:  # strict: ties keep the lowest index
-                best = i
+        best_value = _NEG_INF
+        for i, value in enumerate(outputs[: space.n]):
+            # strict: ties keep the lowest index, and NaN never compares
+            # greater, so it ranks as -inf
+            if value > best_value:
+                best, best_value = i, value
         return best
     if isinstance(space, Box):
         arr = np.asarray(outputs[: space.flat_dim], dtype=np.float64)
@@ -67,9 +113,9 @@ def actions_from_outputs_batch(outputs: np.ndarray, space) -> np.ndarray:
 
     ``outputs`` is ``(lanes, num_outputs)``; the result holds one action
     per row with semantics identical to the scalar translator, including
-    lowest-index tie-breaking for Discrete argmax.  Discrete returns an
-    int array, Box a ``(lanes, flat_dim)`` float array, MultiBinary a
-    ``(lanes, n)`` int array.
+    lowest-index tie-breaking and NaN-as-``-inf`` for Discrete argmax.
+    Discrete returns an int array, Box a ``(lanes, flat_dim)`` float
+    array, MultiBinary a ``(lanes, n)`` int array.
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     if isinstance(space, Discrete):
@@ -85,8 +131,12 @@ def actions_from_outputs_batch(outputs: np.ndarray, space) -> np.ndarray:
             # for huge activations.
             return np.fmod(np.floor(np.abs(o) * space.n), space.n).astype(np.intp)
         # np.argmax returns the first (lowest-index) maximum, matching the
-        # scalar tie-break contract.
-        return np.argmax(outputs[:, : space.n], axis=1)
+        # scalar tie-break contract; it also returns the first NaN, so
+        # NaNs are ranked as -inf first.
+        head = outputs[:, : space.n]
+        if np.isnan(head).any():
+            head = np.where(np.isnan(head), -np.inf, head)
+        return np.argmax(head, axis=1)
     if isinstance(space, Box):
         arr = outputs[:, : space.flat_dim]
         if arr.shape[1] < space.flat_dim:
@@ -115,11 +165,6 @@ class EvaluationTotals:
     episodes: int = 0
     steps: int = 0
     macs: int = 0
-
-    def add(self, result: EpisodeResult) -> None:
-        self.episodes += 1
-        self.steps += result.steps
-        self.macs += result.inference_macs
 
 
 def run_episode(
@@ -188,6 +233,175 @@ def run_episodes_batched(
     ]
 
 
+class Executor:
+    """Runs :data:`Task` lists on one environment configuration.
+
+    :meth:`scalar` walks each genome's network through
+    :func:`run_episode`, one episode per seed.  :meth:`lanes` compiles
+    the genomes into stacked dense plans and steps every (genome,
+    episode) pair as a lane of one batched environment; genomes the
+    dense compiler rejects run on the scalar walk on the same seeds.
+    Both return one :data:`Outcome` per task, in task order, and agree
+    exactly on the golden environments.
+
+    Environments are built on first use — from ``scenario`` when given,
+    so a perturbed scenario's lanes run on the lockstep fallback and its
+    scalar walk on the same wrapped env — and kept: every episode
+    re-seeds its environment, so reuse carries no state between
+    episodes.  Pool workers receive the parent's executor through the
+    pool initializer and build their own environments.
+    """
+
+    def __init__(
+        self, env_id: str, max_steps: Optional[int] = None, scenario=None
+    ) -> None:
+        self.env_id = env_id
+        self.max_steps = max_steps
+        #: frozen dataclass — pickles into pool initializers cleanly
+        self.scenario = scenario
+        self._env: Optional[Environment] = None
+        self._env_batch = None
+
+    @property
+    def env(self) -> Environment:
+        if self._env is None:
+            if self.scenario is not None:
+                from ..scenarios import build_env  # lazy: avoids a package cycle
+
+                self._env = build_env(self.scenario)
+            else:
+                self._env = make(self.env_id)
+        return self._env
+
+    @property
+    def env_batch(self):
+        if self._env_batch is None:
+            if self.scenario is not None:
+                from ..scenarios import build_batched_env
+
+                self._env_batch = build_batched_env(self.scenario)
+            else:
+                self._env_batch = make_batched(self.env_id)
+        return self._env_batch
+
+    def scalar(
+        self,
+        tasks: Sequence[Task],
+        genome_config: GenomeConfig,
+        network: Optional[NetworkFactory] = None,
+    ) -> List[Outcome]:
+        """Every task's episodes on the scalar walk, genome by genome."""
+        create = network if network is not None else FeedForwardNetwork.create
+        env = self.env
+        outcomes: List[Outcome] = []
+        for genome, seeds in tasks:
+            net = create(genome, genome_config)
+            rewards: List[float] = []
+            steps = 0
+            macs = 0
+            for seed in seeds:
+                env.seed(seed)
+                result = run_episode(net, env, self.max_steps)
+                rewards.append(result.total_reward)
+                steps += result.steps
+                macs += result.inference_macs
+            outcomes.append((genome.key, rewards, steps, macs))
+        return outcomes
+
+    def lanes(
+        self,
+        tasks: Sequence[Task],
+        genome_config: GenomeConfig,
+        network: Optional[NetworkFactory] = None,
+    ) -> Tuple[List[Outcome], List[Optional[CompiledNetwork]]]:
+        """Every task's episodes as lockstep lanes of stacked plans.
+
+        Returns the outcomes and, per task, its compiled plan — ``None``
+        where the genome did not compile and ran on the scalar walk
+        (built by ``network``) instead.  Compiled genomes stack in task
+        order: the envelope's padded width sets each dot product's
+        length, so callers keep their order to keep their rounding.
+        """
+        plans: List[Optional[CompiledNetwork]] = []
+        with obs.span("compile", genomes=len(tasks)) as sp:
+            for genome, _seeds in tasks:
+                try:
+                    plans.append(compile_network(genome, genome_config))
+                except CompileError:
+                    plans.append(None)
+            sp.set(compiled=sum(1 for p in plans if p is not None))
+
+        outcomes: List[Optional[Outcome]] = [None] * len(tasks)
+        compiled = [i for i, p in enumerate(plans) if p is not None]
+        if compiled:
+            stacked = StackedPlans([plans[i] for i in compiled])
+            lane_plans: List[int] = []
+            lane_seeds: List[int] = []
+            lane_macs: List[int] = []
+            for slot, i in enumerate(compiled):
+                for seed in tasks[i][1]:
+                    lane_plans.append(slot)
+                    lane_seeds.append(seed)
+                    lane_macs.append(stacked.macs[slot])
+            with obs.span(
+                "rollout", genomes=len(compiled), lanes=len(lane_seeds)
+            ):
+                episodes = run_episodes_batched(
+                    stacked.lane_runner(lane_plans),
+                    self.env_batch,
+                    lane_seeds,
+                    max_steps=self.max_steps,
+                    macs_per_pass=lane_macs,
+                )
+            cursor = 0
+            for i in compiled:
+                genome, seeds = tasks[i]
+                lane_results = episodes[cursor : cursor + len(seeds)]
+                cursor += len(seeds)
+                outcomes[i] = (
+                    genome.key,
+                    [r.total_reward for r in lane_results],
+                    sum(r.steps for r in lane_results),
+                    sum(r.inference_macs for r in lane_results),
+                )
+
+        fallback = [i for i, p in enumerate(plans) if p is None]
+        if fallback:
+            with obs.span("fallback", genomes=len(fallback)):
+                walked = self.scalar(
+                    [tasks[i] for i in fallback], genome_config, network
+                )
+            for i, outcome in zip(fallback, walked):
+                outcomes[i] = outcome
+        return outcomes, plans
+
+
+def reduce_outcomes(
+    genomes: Sequence[Genome],
+    outcomes: Sequence[Outcome],
+    totals: EvaluationTotals,
+    fitness_transform: Optional[Callable[[float], float]] = None,
+) -> None:
+    """Step 6: each genome's fitness is its mean episode reward.
+
+    ``genomes[i]`` receives ``outcomes[i]``'s fitness (after the
+    optional ``fitness_transform``) and the outcomes' episodes, steps
+    and MACs accumulate into ``totals``.
+    """
+    for genome, (key, rewards, steps, macs) in zip(genomes, outcomes):
+        if key != genome.key:  # executors keep task order; belt and braces
+            raise RuntimeError(
+                f"evaluation order mismatch: {key} != {genome.key}"
+            )
+        fitness = sum(rewards) / len(rewards)
+        if fitness_transform is not None:
+            fitness = fitness_transform(fitness)
+        genome.fitness = fitness
+        totals.episodes += len(rewards)
+        totals.steps += steps
+        totals.macs += macs
+
+
 class FitnessEvaluator:
     """Callable fitness function for :class:`repro.neat.Population`.
 
@@ -196,6 +410,10 @@ class FitnessEvaluator:
     (step 6: "The reward value is then translated into a fitness value").
     A custom ``fitness_transform`` supports the paper's observation that
     only the fitness function changes between workloads.
+
+    ``vectorizer`` picks the executor path: ``"scalar"`` walks each
+    network node by node, ``"numpy"`` rolls the population out on
+    compiled lanes.  Both assign identical fitnesses for a fixed seed.
     """
 
     def __init__(
@@ -207,39 +425,55 @@ class FitnessEvaluator:
         fitness_transform: Optional[Callable[[float], float]] = None,
         start_generation: int = 0,
         scenario=None,
+        vectorizer: str = "scalar",
     ) -> None:
-        self.env_id = env_id
+        if vectorizer not in VECTORIZERS:
+            raise ValueError(
+                f"unknown vectorizer {vectorizer!r}; known: {VECTORIZERS}"
+            )
         self.episodes = episodes
-        self.max_steps = max_steps
         self.seed = seed
         self.fitness_transform = fitness_transform
-        self.scenario = scenario
+        self.vectorizer = vectorizer
+        self.executor = Executor(env_id, max_steps=max_steps, scenario=scenario)
         self.totals = EvaluationTotals()
+        #: Mean levelised depth of the last generation the numpy lanes
+        #: compiled in full — the ``feed_forward_layers`` counts fall out
+        #: of compilation, so analytical cost models read this instead of
+        #: re-levelising every genome (None otherwise).
+        self.last_mean_depth: Optional[float] = None
         # Episode seeds derive from the generation index, so a resumed
         # run must restart the counter where the checkpoint left off.
         self._generation = start_generation
 
-    def _make_env(self) -> Environment:
-        if self.scenario is not None:
-            from ..scenarios import build_env  # lazy: avoids a package cycle
-
-            return build_env(self.scenario)
-        return make(self.env_id)
+    def _tasks(self, genomes: Sequence[Genome]) -> List[Task]:
+        # The one canonical derivation — serial, pooled and vectorized
+        # runs must see identical episode streams.
+        return [
+            (
+                genome,
+                [
+                    episode_seed(self.seed, self._generation, genome.key, episode)
+                    for episode in range(self.episodes)
+                ],
+            )
+            for genome in genomes
+        ]
 
     def __call__(self, genomes: List[Genome], config: NEATConfig) -> None:
-        env = self._make_env()
-        for genome in genomes:
-            network = FeedForwardNetwork.create(genome, config.genome)
-            rewards = []
-            for episode in range(self.episodes):
-                env.seed(
-                    episode_seed(self.seed, self._generation, genome.key, episode)
-                )
-                result = run_episode(network, env, self.max_steps)
-                rewards.append(result.total_reward)
-                self.totals.add(result)
-            fitness = sum(rewards) / len(rewards)
-            if self.fitness_transform is not None:
-                fitness = self.fitness_transform(fitness)
-            genome.fitness = fitness
+        tasks = self._tasks(genomes)
+        if self.vectorizer == "numpy":
+            outcomes, plans = self.executor.lanes(tasks, config.genome)
+            depths = [len(p.layers) for p in plans if p is not None]
+            self.last_mean_depth = (
+                sum(depths) / len(depths)
+                if depths and len(depths) == len(plans)
+                else None
+            )
+        else:
+            outcomes = self.executor.scalar(tasks, config.genome)
+        reduce_outcomes(genomes, outcomes, self.totals, self.fitness_transform)
         self._generation += 1
+
+    def close(self) -> None:
+        """Release execution resources; in-process there are none."""

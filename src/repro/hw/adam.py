@@ -315,3 +315,24 @@ class ADAM:
         stats = self.stats
         self.stats = InferenceStats()
         return stats
+
+
+class AdamNetwork:
+    """One genome's plan mapped on an :class:`ADAM`, driven like a network.
+
+    Speaks the ``activate``/``reset``/``num_macs`` protocol of
+    :class:`repro.neat.network.FeedForwardNetwork`, so the scalar episode
+    loop (:func:`repro.envs.evaluate.run_episode`) runs genomes on the
+    accelerator model; every forward pass charges the engine's counters.
+    """
+
+    def __init__(self, adam: ADAM, plan: InferencePlan) -> None:
+        self.adam = adam
+        self.plan = plan
+        self.num_macs = plan.macs_per_pass
+
+    def activate(self, inputs: Sequence[float]) -> List[float]:
+        return self.adam.run(self.plan, inputs)
+
+    def reset(self) -> None:
+        """Nothing to clear: vertex values live for one pass only."""

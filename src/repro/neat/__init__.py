@@ -43,7 +43,6 @@ from .serialize import (
     save_population,
 )
 from .compiled import (
-    BatchedEvaluator,
     CompileError,
     CompiledNetwork,
     StackedPlans,
@@ -71,7 +70,6 @@ __all__ = [
     "AGGREGATION_NAMES",
     "AggregationFunctionSet",
     "BaseGene",
-    "BatchedEvaluator",
     "CompileError",
     "CompiledNetwork",
     "CompleteExtinctionError",

@@ -16,14 +16,12 @@ Three levels compose:
 * :class:`StackedPlans` — pads a population's plans to a common
   ``(layers, nodes, columns)`` envelope and stacks them, giving each
   genome its own weight block but one shared execution shape.
-* :class:`BatchedEvaluator` — a drop-in
-  :class:`repro.envs.evaluate.FitnessEvaluator`: same constructor
-  surface, same callable protocol, same per-genome derived episode
-  seeds, but every (genome, episode) pair becomes a *lane* stepped in
-  lockstep through a batched environment.
+* :class:`LaneRunner` — one row per (genome, episode) *lane*, the
+  policy :meth:`repro.envs.evaluate.Executor.lanes` steps in lockstep
+  through a batched environment.
 
 Only sum-aggregation genomes with registered vectorizable activations
-compile; anything else raises :class:`CompileError` (the evaluator falls
+compile; anything else raises :class:`CompileError` (the executor falls
 back to the scalar network for those genomes, so mixed populations still
 evaluate correctly).
 """
@@ -37,7 +35,7 @@ import numpy as np
 
 from .config import GenomeConfig
 from .genome import Genome
-from .network import FeedForwardNetwork, feed_forward_layers
+from .network import feed_forward_layers
 
 
 class CompileError(ValueError):
@@ -425,216 +423,3 @@ class LaneRunner:
         self.response = self.response[keep]
         self.node_cols = self.node_cols[keep]
         self.act_codes = self.act_codes[keep]
-
-
-# ---------------------------------------------------------------------------
-# population-level batched evaluation
-
-
-def _levelised_depth(genome: Genome, config: GenomeConfig) -> int:
-    """Waves per forward pass — :func:`repro.core.trace._mean_depth`'s
-    per-genome term, for genomes that did not compile."""
-    enabled = [k for k, c in genome.connections.items() if c.enabled]
-    try:
-        return len(
-            feed_forward_layers(config.input_keys, config.output_keys, enabled)
-        )
-    except ValueError:
-        return 1
-
-
-def evaluate_genomes_batched(
-    tasks: Sequence[Tuple[Genome, Sequence[int]]],
-    genome_config: GenomeConfig,
-    env_batch,
-    max_steps: Optional[int] = None,
-    scalar_env=None,
-    plan_info: Optional[Dict] = None,
-) -> List[Tuple[int, List[float], int, int]]:
-    """Evaluate ``(genome, episode_seeds)`` tasks through stacked plans.
-
-    Returns ``(genome_key, rewards, env_steps, inference_macs)`` per task
-    in input order — the same contract the parallel workers use, so
-    serial, pooled and vectorized evaluation all assemble fitnesses
-    identically.  Genomes that fail to compile (exotic aggregation or
-    activation) are evaluated with the scalar network on the same seeds.
-
-    ``plan_info``, when given a dict, receives ``{"depths": {genome_key:
-    levelised depth}}`` as a by-product of compilation, so analytical
-    cost models can reuse the levelisation instead of re-deriving it per
-    genome (the depths are the exact ``feed_forward_layers`` counts).
-    """
-    # Imported here: repro.envs modules import repro.neat submodules, so
-    # a module-level import would be circular when this file is loaded
-    # from the repro.neat package __init__.
-    from ..envs.evaluate import run_episode, run_episodes_batched
-    from .. import obs
-
-    plans: List[Optional[CompiledNetwork]] = []
-    with obs.span("compile", genomes=len(tasks)) as sp:
-        for genome, _seeds in tasks:
-            try:
-                plans.append(compile_network(genome, genome_config))
-            except CompileError:
-                plans.append(None)
-        sp.set(compiled=sum(1 for p in plans if p is not None))
-
-    if plan_info is not None:
-        plan_info["depths"] = {
-            genome.key: (
-                len(plan.layers)
-                if plan is not None
-                else _levelised_depth(genome, genome_config)
-            )
-            for (genome, _seeds), plan in zip(tasks, plans)
-        }
-
-    results: List[Optional[Tuple[int, List[float], int, int]]] = [None] * len(tasks)
-
-    compiled_idx = [i for i, p in enumerate(plans) if p is not None]
-    if compiled_idx:
-        stacked = StackedPlans([plans[i] for i in compiled_idx])
-        lane_plans: List[int] = []
-        lane_seeds: List[int] = []
-        lane_macs: List[int] = []
-        lane_task: List[int] = []
-        for slot, i in enumerate(compiled_idx):
-            _genome, seeds = tasks[i]
-            for seed in seeds:
-                lane_plans.append(slot)
-                lane_seeds.append(seed)
-                lane_macs.append(stacked.macs[slot])
-                lane_task.append(i)
-        with obs.span(
-            "rollout", genomes=len(compiled_idx), lanes=len(lane_seeds)
-        ):
-            episodes = run_episodes_batched(
-                stacked.lane_runner(lane_plans),
-                env_batch,
-                lane_seeds,
-                max_steps=max_steps,
-                macs_per_pass=lane_macs,
-            )
-        lane_cursor = 0
-        for i in compiled_idx:
-            genome, seeds = tasks[i]
-            lane_results = episodes[lane_cursor : lane_cursor + len(seeds)]
-            lane_cursor += len(seeds)
-            results[i] = (
-                genome.key,
-                [r.total_reward for r in lane_results],
-                sum(r.steps for r in lane_results),
-                sum(r.inference_macs for r in lane_results),
-            )
-
-    fallback_idx = [i for i, p in enumerate(plans) if p is None]
-    if fallback_idx:
-        if scalar_env is None:
-            from ..envs.registry import make
-
-            scalar_env = make(env_batch.env_id)
-        with obs.span("fallback", genomes=len(fallback_idx)):
-            for i in fallback_idx:
-                genome, seeds = tasks[i]
-                network = FeedForwardNetwork.create(genome, genome_config)
-                rewards: List[float] = []
-                steps = 0
-                macs = 0
-                for seed in seeds:
-                    scalar_env.seed(seed)
-                    result = run_episode(network, scalar_env, max_steps)
-                    rewards.append(result.total_reward)
-                    steps += result.steps
-                    macs += result.inference_macs
-                results[i] = (genome.key, rewards, steps, macs)
-
-    return [r for r in results if r is not None]
-
-
-class BatchedEvaluator:
-    """Vectorized drop-in for :class:`repro.envs.evaluate.FitnessEvaluator`.
-
-    Same constructor surface, same callable protocol
-    (``evaluator(genomes, config)``), same ``totals`` accounting and —
-    crucially — the same per-genome derived episode seeds, so a fixed
-    experiment seed produces the same fitness trajectory whether a
-    generation is evaluated scalar, pooled or vectorized.
-    """
-
-    def __init__(
-        self,
-        env_id: str,
-        episodes: int = 1,
-        max_steps: Optional[int] = None,
-        seed: Optional[int] = 0,
-        fitness_transform: Optional[Callable[[float], float]] = None,
-        start_generation: int = 0,
-        scenario=None,
-    ) -> None:
-        from ..envs.evaluate import EvaluationTotals
-
-        self.env_id = env_id
-        self.episodes = episodes
-        self.max_steps = max_steps
-        self.seed = seed
-        self.fitness_transform = fitness_transform
-        self.scenario = scenario
-        self.totals = EvaluationTotals()
-        #: Mean levelised depth of the last evaluated generation — the
-        #: ``feed_forward_layers`` counts fall out of compilation, so
-        #: analytical cost models can read this instead of re-levelising
-        #: every genome (None until the first call).
-        self.last_mean_depth: Optional[float] = None
-        # Episode seeds derive from the generation index, so a resumed
-        # run must restart the counter where the checkpoint left off.
-        self._generation = start_generation
-        self._env_batch = None
-        self._scalar_env = None
-
-    def _episode_seeds(self, genome: Genome) -> List[int]:
-        # The one canonical derivation — parity is load-bearing.
-        from ..envs.seeding import episode_seed
-
-        return [
-            episode_seed(self.seed, self._generation, genome.key, episode)
-            for episode in range(self.episodes)
-        ]
-
-    def __call__(self, genomes: List[Genome], config) -> None:
-        if self._env_batch is None:
-            if self.scenario is not None:
-                # Scenario-aware construction: a perturbed/wrapped env is
-                # rejected by the vectorized template check and runs on
-                # the lockstep fallback; the non-compilable-genome scalar
-                # fallback below must replay the same wrapped env.
-                from ..scenarios import build_batched_env, build_env
-
-                self._env_batch = build_batched_env(self.scenario)
-                self._scalar_env = build_env(self.scenario)
-            else:
-                from ..envs.batched import make_batched
-
-                self._env_batch = make_batched(self.env_id)
-        tasks = [(genome, self._episode_seeds(genome)) for genome in genomes]
-        plan_info: Dict = {}
-        outcomes = evaluate_genomes_batched(
-            tasks, config.genome, self._env_batch, max_steps=self.max_steps,
-            scalar_env=self._scalar_env, plan_info=plan_info,
-        )
-        depths = plan_info.get("depths")
-        self.last_mean_depth = (
-            sum(depths.values()) / len(depths) if depths else None
-        )
-        for genome, (key, rewards, steps, macs) in zip(genomes, outcomes):
-            if key != genome.key:
-                raise RuntimeError(
-                    f"batched evaluation order mismatch: {key} != {genome.key}"
-                )
-            fitness = sum(rewards) / len(rewards)
-            if self.fitness_transform is not None:
-                fitness = self.fitness_transform(fitness)
-            genome.fitness = fitness
-            self.totals.episodes += len(rewards)
-            self.totals.steps += steps
-            self.totals.macs += macs
-        self._generation += 1

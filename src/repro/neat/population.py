@@ -63,9 +63,6 @@ class Population:
             return min(fitnesses)
         return sum(fitnesses) / len(fitnesses)
 
-    # Backwards-compatible alias (pre-1.1 private name).
-    _fitness_summary = fitness_summary
-
     def run_generation(self, fitness_function: FitnessFunction) -> GenerationStats:
         """Evaluate the current population and breed the next one."""
         genomes = list(self.population.values())

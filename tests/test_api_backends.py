@@ -14,7 +14,6 @@ from repro.api import (
     register_backend,
 )
 from repro.core.config import GeneSysConfig
-from repro.core.runner import evolve_on_hardware, evolve_software
 
 SMALL = dict(max_generations=3, pop_size=14, max_steps=40, seed=0)
 
@@ -198,47 +197,22 @@ class TestObservers:
 
 
 class TestLegacyShims:
-    def test_evolve_software_warns_and_matches_experiment(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = evolve_software(
-                "CartPole-v0", max_generations=3, pop_size=14,
-                max_steps=40, seed=0,
-            )
-        modern = Experiment(small_spec()).run()
-        assert legacy.best_genome.fitness == modern.best_fitness
-        assert legacy.generations == modern.generations
-        assert legacy.converged == modern.converged
-        legacy_series = [
-            s.best_fitness for s in legacy.population.statistics.generations
-        ]
-        modern_series = [m.best_fitness for m in modern.metrics]
-        assert legacy_series == modern_series
-
-    def test_evolve_on_hardware_warns_and_matches_experiment(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = evolve_on_hardware(
-                "CartPole-v0", max_generations=3, pop_size=14,
-                max_steps=40, seed=0,
-            )
-        modern = Experiment(small_spec(backend="soc")).run()
-        assert legacy.best_genome.fitness == modern.best_fitness
-        assert legacy.generations == modern.generations
-        assert legacy.total_energy_j == modern.total_energy_j
-        assert legacy.total_cycles == modern.total_cycles
+    """The ``soc_config`` option: a caller's design point is copied,
+    never edited."""
 
     def test_soc_config_not_mutated(self):
-        """Regression: evolve_on_hardware used to assign .neat/.seed on the
+        """Regression: the soc path used to assign .neat/.seed on the
         caller's GeneSysConfig in place."""
         config = GeneSysConfig.paper_design_point()
         original_neat = config.neat
         original_eve = config.eve
         original_pe = config.eve.pe
         original_seed = config.seed
-        with pytest.warns(DeprecationWarning):
-            result = evolve_on_hardware(
-                "CartPole-v0", max_generations=1, pop_size=10,
-                max_steps=30, seed=7, soc_config=config,
-            )
+        result = Experiment(
+            small_spec(backend="soc", max_generations=1, pop_size=10,
+                       max_steps=30, seed=7),
+            soc_config=config,
+        ).run()
         assert config.neat is original_neat
         assert config.neat.genome.num_inputs == 2  # default, not CartPole's 4
         assert config.seed == original_seed

@@ -41,12 +41,9 @@ class TestBuildEvaluator:
             ParallelFitnessEvaluator("CartPole-v0", workers=1)
 
     def test_batched_for_numpy_vectorizer(self):
-        from repro.neat.compiled import BatchedEvaluator
-
-        assert isinstance(
-            build_evaluator("CartPole-v0", workers=1, vectorizer="numpy"),
-            BatchedEvaluator,
-        )
+        evaluator = build_evaluator("CartPole-v0", workers=1, vectorizer="numpy")
+        assert type(evaluator) is FitnessEvaluator
+        assert evaluator.vectorizer == "numpy"
 
     def test_parallel_carries_vectorizer(self):
         evaluator = build_evaluator(
@@ -155,59 +152,3 @@ class TestLifecycle:
         _fitness_map(evaluator)
         evaluator.close()
         evaluator.__del__()  # nothing left to tear down
-
-
-class TestSharedMemoryTransport:
-    @pytest.mark.parametrize("vectorizer", ["scalar", "numpy"])
-    def test_shm_matches_serial_fitness_map(self, vectorizer):
-        serial_fits, serial_totals = _fitness_map(
-            FitnessEvaluator("CartPole-v0", episodes=2, max_steps=60, seed=11)
-        )
-        with ParallelFitnessEvaluator(
-            "CartPole-v0", episodes=2, max_steps=60, seed=11, workers=2,
-            vectorizer=vectorizer, task_transport="shm",
-        ) as shm:
-            shm_fits, shm_totals = _fitness_map(shm)
-        assert shm_fits == serial_fits
-        assert shm_totals.steps == serial_totals.steps
-        assert shm_totals.macs == serial_totals.macs
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="task transport"):
-            ParallelFitnessEvaluator(
-                "CartPole-v0", workers=2, task_transport="carrier-pigeon"
-            )
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_TRANSPORT", "shm")
-        evaluator = build_evaluator("CartPole-v0", workers=2)
-        assert evaluator.task_transport == "shm"
-        evaluator.close()
-        monkeypatch.delenv("REPRO_TASK_TRANSPORT")
-        evaluator = build_evaluator("CartPole-v0", workers=2)
-        assert evaluator.task_transport == "pickle"
-        evaluator.close()
-
-    def test_segment_unlinked_after_map(self, monkeypatch):
-        """The per-generation segment must not outlive the map call."""
-        from multiprocessing import shared_memory
-
-        created = []
-        original = shared_memory.SharedMemory
-
-        class Tracking(original):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                if kwargs.get("create"):
-                    created.append(self.name)
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", Tracking)
-        with ParallelFitnessEvaluator(
-            "CartPole-v0", max_steps=30, seed=0, workers=2,
-            task_transport="shm",
-        ) as evaluator:
-            _fitness_map(evaluator)
-        assert created, "shm transport never created a segment"
-        for name in created:
-            with pytest.raises(FileNotFoundError):
-                original(name=name)

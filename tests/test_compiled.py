@@ -5,9 +5,9 @@ Covers the three equivalence contracts the ISSUE demands:
 * compiled plans match the node-by-node :class:`FeedForwardNetwork`
   reference to 1e-9 on random genomes (hypothesis),
 * both match the :mod:`repro.hw.adam` systolic model on the same genome,
-* :class:`BatchedEvaluator` assigns fitnesses identical to the scalar
-  :class:`FitnessEvaluator` for vectorized and lockstep-fallback
-  environments, falling back per-genome when compilation fails.
+* ``FitnessEvaluator(vectorizer="numpy")`` assigns fitnesses identical
+  to the scalar walk for vectorized and lockstep-fallback environments,
+  falling back per-genome when compilation fails.
 """
 
 import random
@@ -22,7 +22,6 @@ from repro.hw.adam import ADAM, build_inference_plan
 from repro.neat import Genome, GenomeConfig, InnovationTracker
 from repro.neat.activations import ActivationFunctionSet
 from repro.neat.compiled import (
-    BatchedEvaluator,
     CompileError,
     StackedPlans,
     compile_network,
@@ -242,7 +241,9 @@ def test_batched_evaluator_matches_scalar(env_id):
     expected = [g.fitness for g in genomes]
     expected_totals = (scalar.totals.episodes, scalar.totals.steps, scalar.totals.macs)
 
-    batched = BatchedEvaluator(env_id, episodes=2, seed=5, max_steps=50)
+    batched = FitnessEvaluator(
+        env_id, episodes=2, seed=5, max_steps=50, vectorizer="numpy"
+    )
     batched(genomes, config)
     observed = [g.fitness for g in genomes]
     observed_totals = (
@@ -260,7 +261,9 @@ def test_batched_evaluator_generation_counter_advances_seeds():
     scalar(genomes, config)
     scalar(genomes, config)
     expected_gen2 = [g.fitness for g in genomes]
-    batched = BatchedEvaluator("CartPole-v0", episodes=1, seed=0, max_steps=40)
+    batched = FitnessEvaluator(
+        "CartPole-v0", episodes=1, seed=0, max_steps=40, vectorizer="numpy"
+    )
     batched(genomes, config)
     batched(genomes, config)
     assert [g.fitness for g in genomes] == expected_gen2
@@ -276,7 +279,9 @@ def test_batched_evaluator_falls_back_for_uncompilable_genomes():
     scalar = FitnessEvaluator("CartPole-v0", episodes=1, seed=9, max_steps=40)
     scalar(genomes, config)
     expected = [g.fitness for g in genomes]
-    batched = BatchedEvaluator("CartPole-v0", episodes=1, seed=9, max_steps=40)
+    batched = FitnessEvaluator(
+        "CartPole-v0", episodes=1, seed=9, max_steps=40, vectorizer="numpy"
+    )
     batched(genomes, config)
     assert [g.fitness for g in genomes] == expected
 
@@ -289,9 +294,9 @@ def test_batched_evaluator_fitness_transform():
     )
     scalar(genomes, config)
     expected = [g.fitness for g in genomes]
-    batched = BatchedEvaluator(
+    batched = FitnessEvaluator(
         "CartPole-v0", episodes=1, seed=1, max_steps=30,
-        fitness_transform=lambda f: -f,
+        fitness_transform=lambda f: -f, vectorizer="numpy",
     )
     batched(genomes, config)
     assert [g.fitness for g in genomes] == expected

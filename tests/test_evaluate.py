@@ -92,6 +92,27 @@ class TestBatchActionTranslation:
         batch = actions_from_outputs_batch(outputs, env.action_space)
         assert list(batch) == [0, 1]
 
+    @pytest.mark.parametrize(
+        "row, expected",
+        [
+            ([0.1, np.nan], 0),
+            ([np.nan, 0.1], 1),
+            ([np.nan, np.nan], 0),
+            ([np.nan, -np.inf], 0),
+            ([-np.inf, np.nan], 0),
+            ([np.nan, -0.4, 0.3, np.nan], 2),
+            ([0.2, np.nan, 0.2, np.nan], 0),
+            ([np.nan, np.nan, np.nan, -5.0], 3),
+        ],
+    )
+    def test_discrete_nan_ranks_as_negative_infinity(self, row, expected):
+        """Both translators rank NaN as -inf with lowest-index ties
+        (np.argmax alone would pick the first NaN)."""
+        env = CartPoleEnv(seed=0) if len(row) == 2 else LunarLanderEnv(seed=0)
+        batch = actions_from_outputs_batch(np.array([row]), env.action_space)
+        assert action_from_outputs(row, env) == expected
+        assert int(batch[0]) == expected
+
     def test_discrete_single_output_binary(self):
         env = CartPoleEnv(seed=0)
         outputs = self.rows(50, 1)

@@ -8,14 +8,8 @@ faithful, and software/hardware loops agree qualitatively.
 import numpy as np
 import pytest
 
-from repro.core import (
-    GeneSysConfig,
-    GeneSysSoC,
-    TraceRecorder,
-    config_for_env,
-    evolve_on_hardware,
-    evolve_software,
-)
+from repro.api import Experiment, ExperimentSpec
+from repro.core import GeneSysConfig, GeneSysSoC, TraceRecorder, config_for_env
 from repro.envs import EVALUATION_SUITE, make
 from repro.hw import (
     ADAM,
@@ -32,6 +26,10 @@ from repro.neat.network import FeedForwardNetwork
 pytestmark = pytest.mark.slow
 
 
+def run(env_id, **fields):
+    return Experiment(ExperimentSpec(env_id, **fields)).run()
+
+
 class TestSoftwareConvergence:
     """Section III-B: 'All environments reached the target fitness'.
 
@@ -41,7 +39,7 @@ class TestSoftwareConvergence:
     """
 
     def test_cartpole_reaches_target(self):
-        result = evolve_software(
+        result = run(
             "CartPole-v0", max_generations=20, pop_size=50, episodes=2, seed=0
         )
         assert result.converged
@@ -50,7 +48,7 @@ class TestSoftwareConvergence:
         "env_id", ["MountainCar-v0", "LunarLander-v2", "Asterix-ram-v0"]
     )
     def test_learning_progress(self, env_id):
-        result = evolve_software(
+        result = run(
             env_id,
             max_generations=8,
             pop_size=30,
@@ -67,7 +65,7 @@ class TestSoftwareConvergence:
         """The paper's robustness claim: identical algorithm, only the
         environment/fitness changes."""
         for env_id in ("CartPole-v0", "MountainCar-v0"):
-            result = evolve_software(
+            result = run(
                 env_id, max_generations=2, pop_size=15, seed=0, max_steps=50,
                 fitness_threshold=1e9,
             )
@@ -78,7 +76,7 @@ class TestHardwareFidelity:
     def test_encode_decode_identity_over_evolution(self):
         """Every genome of a real evolved population round-trips through
         the 64-bit encoding with only Q4.4 attribute loss."""
-        result = evolve_software(
+        result = run(
             "MountainCar-v0", max_generations=4, pop_size=20, seed=3,
             max_steps=60, fitness_threshold=1e9,
         )
@@ -89,7 +87,7 @@ class TestHardwareFidelity:
             assert set(decoded.connections) == set(genome.connections)
 
     def test_adam_equals_software_on_evolved_population(self):
-        result = evolve_software(
+        result = run(
             "CartPole-v0", max_generations=5, pop_size=20, seed=4, max_steps=60,
             fitness_threshold=1e9,
         )
@@ -107,11 +105,11 @@ class TestHardwareFidelity:
     def test_quantised_genome_behaviour_close(self):
         """Q4.4 quantisation ('Limit & Quantize') perturbs the phenotype
         only mildly: outputs stay within the quantisation error envelope."""
-        result = evolve_software(
+        result = run(
             "CartPole-v0", max_generations=6, pop_size=30, seed=5, max_steps=80
         )
         config = result.population.config.genome
-        genome = result.best_genome
+        genome = result.champion
         quantised = quantize_genome(genome, config)
         net_f = FeedForwardNetwork.create(genome, config)
         net_q = FeedForwardNetwork.create(quantised, config)
@@ -123,17 +121,21 @@ class TestHardwareFidelity:
         assert np.mean(diffs) < 0.5
 
     def test_hardware_loop_learns_cartpole(self):
-        result = evolve_on_hardware(
-            "CartPole-v0", max_generations=15, pop_size=40, seed=1
+        result = run(
+            "CartPole-v0", backend="soc", max_generations=15, pop_size=40,
+            seed=1,
         )
-        assert result.best_genome.fitness >= 100.0
+        assert result.champion.fitness >= 100.0
 
     def test_hw_and_sw_loops_comparable_quality(self):
         """HW reproduction (quantised, own PRNG) should reach a best
         fitness in the same league as software NEAT on CartPole."""
-        sw = evolve_software("CartPole-v0", max_generations=10, pop_size=30, seed=7)
-        hw = evolve_on_hardware("CartPole-v0", max_generations=10, pop_size=30, seed=7)
-        assert hw.best_genome.fitness >= 0.3 * sw.best_genome.fitness
+        sw = run("CartPole-v0", max_generations=10, pop_size=30, seed=7)
+        hw = run(
+            "CartPole-v0", backend="soc", max_generations=10, pop_size=30,
+            seed=7,
+        )
+        assert hw.best_fitness >= 0.3 * sw.best_fitness
 
 
 class TestWorkloadClasses:

@@ -1,12 +1,11 @@
-"""Unit tests for the closed-loop runners."""
+"""Unit tests for env-sized NEAT configs and closed-loop runs."""
 
-import pytest
+from repro.api import Experiment, ExperimentSpec
+from repro.core.runner import config_for_env
 
-from repro.core.runner import (
-    config_for_env,
-    evolve_on_hardware,
-    evolve_software,
-)
+
+def run(env_id, **fields):
+    return Experiment(ExperimentSpec(env_id, **fields)).run()
 
 
 def test_config_for_env_uses_env_spaces():
@@ -22,16 +21,16 @@ def test_config_for_env_explicit_threshold():
 
 
 def test_software_run_cartpole_converges():
-    result = evolve_software(
+    result = run(
         "CartPole-v0", max_generations=15, pop_size=40, episodes=1, seed=2
     )
-    assert result.best_genome.fitness >= 100.0
+    assert result.champion.fitness >= 100.0
     assert result.converged
     assert result.generations <= 15
 
 
 def test_software_run_records_statistics():
-    result = evolve_software(
+    result = run(
         "MountainCar-v0", max_generations=3, pop_size=20, seed=0, max_steps=100
     )
     stats = result.population.statistics.generations
@@ -41,17 +40,18 @@ def test_software_run_records_statistics():
 def test_hardware_run_cartpole_converges():
     """Closed-loop evolution through EvE/ADAM still learns (the headline
     functional claim: evolution entirely in hardware)."""
-    result = evolve_on_hardware(
-        "CartPole-v0", max_generations=15, pop_size=40, episodes=1, seed=2
+    result = run(
+        "CartPole-v0", backend="soc", max_generations=15, pop_size=40,
+        episodes=1, seed=2,
     )
-    assert result.best_genome.fitness >= 100.0
+    assert result.champion.fitness >= 100.0
     assert result.converged
 
 
 def test_hardware_run_accounting():
-    result = evolve_on_hardware(
-        "CartPole-v0", max_generations=3, pop_size=16, seed=0, max_steps=50,
-        fitness_threshold=1e9,
+    result = run(
+        "CartPole-v0", backend="soc", max_generations=3, pop_size=16, seed=0,
+        max_steps=50, fitness_threshold=1e9,
     )
     assert result.generations == 3
     assert result.total_energy_j > 0
@@ -60,12 +60,12 @@ def test_hardware_run_accounting():
 
 
 def test_hardware_run_energy_scales_with_generations():
-    short = evolve_on_hardware(
-        "CartPole-v0", max_generations=1, pop_size=16, seed=0, max_steps=50,
-        fitness_threshold=1e9,
+    short = run(
+        "CartPole-v0", backend="soc", max_generations=1, pop_size=16, seed=0,
+        max_steps=50, fitness_threshold=1e9,
     )
-    long = evolve_on_hardware(
-        "CartPole-v0", max_generations=4, pop_size=16, seed=0, max_steps=50,
-        fitness_threshold=1e9,
+    long = run(
+        "CartPole-v0", backend="soc", max_generations=4, pop_size=16, seed=0,
+        max_steps=50, fitness_threshold=1e9,
     )
     assert long.total_energy_j > short.total_energy_j

@@ -8,13 +8,17 @@ fitness everywhere, including the Box-action BipedalWalker.
 
 import pytest
 
-from repro.core import evolve_on_hardware, evolve_software
+from repro.api import Experiment, ExperimentSpec
 from repro.envs import CANONICAL_IDS
+
+
+def run(env_id, **fields):
+    return Experiment(ExperimentSpec(env_id, **fields)).run()
 
 
 @pytest.mark.parametrize("env_id", CANONICAL_IDS)
 def test_software_generation_on_every_env(env_id):
-    result = evolve_software(
+    result = run(
         env_id, max_generations=1, pop_size=8, seed=0, max_steps=15,
         fitness_threshold=1e9,
     )
@@ -27,9 +31,9 @@ def test_software_generation_on_every_env(env_id):
     "env_id", ["CartPole-v0", "Acrobot-v1", "LunarLander-v2", "Alien-ram-v0"]
 )
 def test_hardware_generation_on_representative_envs(env_id):
-    result = evolve_on_hardware(
-        env_id, max_generations=1, pop_size=8, seed=0, max_steps=15,
-        fitness_threshold=1e9,
+    result = run(
+        env_id, backend="soc", max_generations=1, pop_size=8, seed=0,
+        max_steps=15, fitness_threshold=1e9,
     )
     report = result.reports[0]
     assert report.env_steps > 0
@@ -43,7 +47,7 @@ def test_bipedal_box_actions_software_only():
     (ADAM's plan covers it too, but the hardware path is exercised above
     on Discrete spaces; here we pin the continuous-action translation.)
     """
-    result = evolve_software(
+    result = run(
         "BipedalWalker-v2", max_generations=1, pop_size=6, seed=0,
         max_steps=20, fitness_threshold=1e9,
     )
