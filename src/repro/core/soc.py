@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs as telemetry
 from ..envs.evaluate import EvaluationTotals, Executor, reduce_outcomes
-from ..envs.seeding import derive_seed
+from ..envs.seeding import episode_seed
 from ..hw.adam import (
     ADAM,
     AdamNetwork,
@@ -35,7 +35,7 @@ from ..hw.adam import (
 )
 from ..hw.energy import EnergyLedger, cycles_to_seconds
 from ..hw.eve import EvolutionEngine, EvolutionResult
-from ..hw.gene_encoding import decode_genome, encode_genome
+from ..hw.gene_encoding import PackedGene, decode_genome, encode_genome
 from ..hw.selector import GeneSelector
 from ..hw.sram import GenomeBuffer
 from ..neat.genome import Genome
@@ -100,6 +100,9 @@ class GeneSysSoC:
         self.selector = GeneSelector(config.neat, seed=config.seed)
         self.rng = random.Random(config.seed)
         self.population: Dict[int, Genome] = {}
+        #: Gene Merge's writeback of each child and the genome
+        #: :meth:`evolve_population` decoded from it.
+        self._decoded: Dict[int, Tuple[List[PackedGene], Genome]] = {}
         self.generation = 0
         self.best_genome: Optional[Genome] = None
         self.reports: List[GenerationReport] = []
@@ -120,7 +123,10 @@ class GeneSysSoC:
 
         Genomes are read from the Genome Buffer and mapped on ADAM (step
         1), then rolled out through the shared evaluation core (steps
-        2-5, :class:`repro.envs.evaluate.Executor`).  With ``vectorize``
+        2-5, :class:`repro.envs.evaluate.Executor`).  A genome whose
+        buffered stream is the one :meth:`evolve_population` decoded is
+        not decoded again; any other stream (generation 0, an extinction
+        re-seed, one written into the buffer since) is.  With ``vectorize``
         the rollouts run on compiled lockstep lanes and ADAM's counters
         are charged exactly through one :class:`StackedAdamEnvelope`
         (per-pass costs are static per plan, so cost = per-pass x steps
@@ -131,18 +137,17 @@ class GeneSysSoC:
         genome_cfg = self.config.neat.genome
         keys = sorted(self.population)
         # Step 1: genomes are read from the buffer and mapped on ADAM.
-        residents = [
-            decode_genome(self.buffer.read_genome(key), key, genome_cfg)
-            for key in keys
-        ]
+        residents = [self._resident(key) for key in keys]
         plans = [build_inference_plan(g, genome_cfg) for g in residents]
         plan_of = dict(zip(keys, plans))
 
         def network(genome, _config):
             return AdamNetwork(self.adam, plan_of[genome.key])
 
+        seed, generation = self.config.seed, self.generation
         tasks = [
-            (g, [self._episode_seed(g.key, e) for e in range(self.episodes)])
+            (g, [episode_seed(seed, generation, g.key, e)
+                 for e in range(self.episodes)])
             for g in residents
         ]
         if self.vectorize:
@@ -166,11 +171,15 @@ class GeneSysSoC:
             self.buffer.set_fitness(genome.key, genome.fitness)
         return totals.steps
 
-    def _episode_seed(self, key: int, episode: int) -> int:
-        return derive_seed(
-            self.config.seed,
-            (self.generation * 1_000_003 + key) * 17 + episode,
-        )
+    def _resident(self, key: int) -> Genome:
+        """Read genome ``key`` from the buffer and return its decoded view."""
+        stream = self.buffer.read_genome(key)
+        decoded = self._decoded.get(key)
+        # List equality compares the gene words (by identity first, so an
+        # untouched stream costs no per-word Python call).
+        if decoded is not None and decoded[0] == stream:
+            return decoded[1]
+        return decode_genome(stream, key, self.config.neat.genome)
 
     # -- steps 7-10: selection + evolution ------------------------------------
 
@@ -189,6 +198,10 @@ class GeneSysSoC:
         new_population: Dict[int, Genome] = {}
         for child_key, stream in result.children.items():
             new_population[child_key] = decode_genome(stream, child_key, genome_cfg)
+        self._decoded = {
+            key: (stream, new_population[key])
+            for key, stream in result.children.items()
+        }
         # Retire the previous generation from the buffer ("overwriting the
         # genomes from the previous generation", step 10).
         for old_key in list(self.buffer.resident_genomes()):

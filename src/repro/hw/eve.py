@@ -28,7 +28,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..neat.reproduction import ReproductionEvent
 from .allocator import make_scheduler
-from .gene_encoding import PackedGene
+from .gene_encoding import (
+    DEST_SHIFT,
+    GENE_TYPE_CONNECTION,
+    GENE_TYPE_NODE,
+    ID_MASK,
+    ID_OFFSET,
+    ID_SHIFT,
+    TYPE_MASK,
+    PackedGene,
+    split_key,
+)
 from .noc import BaseNoC, NoCStats, make_noc
 from .pe import CONFIG_LOAD_CYCLES, PIPELINE_DEPTH, PEConfig, PEStats, ProcessingElement
 from .sram import GenomeBuffer
@@ -80,10 +90,29 @@ def align_parent_streams(
     Homologous genes pair up; disjoint/excess genes of the *fitter* parent
     (stream1) pass through alone; the less-fit parent's disjoint genes are
     skipped, which is both the NEAT inheritance rule and what lets one PE
-    emit a child no longer than its fitter parent's stream.
+    emit a child no longer than its fitter parent's stream.  The join runs
+    on the key bits of the words (NEAT's innovation keys, Stanley &
+    Miikkulainen 2002), see :func:`.gene_encoding.split_key`.
     """
-    index2: Dict[tuple, PackedGene] = {g.key: g for g in stream2}
-    return [(gene, index2.get(gene.key)) for gene in stream1]
+    index2: Dict[int, PackedGene] = {split_key(g.word): g for g in stream2}
+    get = index2.get
+    return [(gene, get(split_key(gene.word))) for gene in stream1]
+
+
+def _conn_key(word: int) -> Tuple[int, int]:
+    """A connection word's (source, dest) node ids."""
+    return (
+        ((word >> ID_SHIFT) & ID_MASK) - ID_OFFSET,
+        ((word >> DEST_SHIFT) & ID_MASK) - ID_OFFSET,
+    )
+
+
+def _connection_keys(stream: Sequence[PackedGene]) -> set:
+    """(source, dest) of every connection gene in a stream."""
+    return {
+        _conn_key(g.word) for g in stream
+        if g.word & TYPE_MASK == GENE_TYPE_CONNECTION
+    }
 
 
 class GeneMerge:
@@ -108,34 +137,34 @@ class GeneMerge:
           (the two-cycle add mechanism guarantees valid endpoints but not
           acyclicity; validation happens here at merge),
         * emit nodes sorted by id, then connections sorted by key.
+
+        ``parent_conn_keys`` holds the (source, dest) keys of the
+        connections the child inherits; every other connection is an Add
+        Gene addition and is cycle-checked.
         """
         nodes: Dict[int, PackedGene] = {}
         conns: Dict[Tuple[int, int], PackedGene] = {}
-        order: List[Tuple[int, int]] = []
         for gene in produced:
-            if gene.is_node:
-                nodes.setdefault(gene.node_id, gene)
+            word = gene.word
+            if word & TYPE_MASK == GENE_TYPE_NODE:
+                nodes.setdefault(((word >> ID_SHIFT) & ID_MASK) - ID_OFFSET, gene)
             else:
-                key = (gene.source, gene.dest)
+                key = _conn_key(word)
                 if key not in conns:
                     conns[key] = gene
-                    order.append(key)
                 else:
                     self.dropped_invalid += 1
 
-        node_ids = set(nodes)
         valid_conns: Dict[Tuple[int, int], PackedGene] = {}
-        inherited: List[Tuple[int, int]] = []
         added: List[Tuple[int, int]] = []
-        for key in order:
+        for key in conns:
             src, dst = key
-            if dst not in node_ids or (src >= 0 and src not in node_ids):
+            if dst not in nodes or (src >= 0 and src not in nodes):
                 self.dropped_invalid += 1
-                continue
-            (inherited if key in parent_conn_keys else added).append(key)
-
-        for key in inherited:
-            valid_conns[key] = conns[key]
+            elif key in parent_conn_keys:
+                valid_conns[key] = conns[key]
+            else:
+                added.append(key)
         # Newly added connections are admitted one by one, rejecting any
         # that would close a cycle over the connections kept so far.
         for key in added:
@@ -248,33 +277,35 @@ class EvolutionEngine:
                 )
                 fitness1, fitness2 = fitness2, fitness1
             aligned_streams.append(align_parent_streams(stream1, stream2))
-            parent_conn_keys.append(
-                {
-                    (g.source, g.dest)
-                    for g in stream1 + stream2
-                    if g.is_connection
-                }
-            )
+            # The aligned stream carries only the fitter parent's genes, so
+            # only its connections are inherited; anything else the PE
+            # emits is an addition that Gene Merge must cycle-check.
+            parent_conn_keys.append(_connection_keys(stream1))
             pe.begin_child(self.config.pe, fitness1, fitness2)
             active.append((pe, event))
+
+        # PEs share no state, so walking each PE's whole stream in turn
+        # yields what cycle-by-cycle interleaving would.
+        produced: List[List[PackedGene]] = []
+        for (pe, _event), stream in zip(active, aligned_streams):
+            process = pe.process_pair
+            genes: List[PackedGene] = []
+            for gene1, gene2 in stream:
+                genes += process(gene1, gene2)
+            produced.append(genes)
 
         # Cycle-by-cycle distribution: at cycle i every still-active PE
         # demands word i of each parent stream; the NoC turns demands into
         # SRAM reads (deduplicated when multicasting).
         max_len = max((len(s) for s in aligned_streams), default=0)
-        produced: List[List[PackedGene]] = [[] for _ in active]
         for i in range(max_len):
             demands = []
-            for slot, ((pe, event), stream) in enumerate(zip(active, aligned_streams)):
-                if i >= len(stream):
-                    continue
-                gene1, gene2 = stream[i]
-                demands.append((pe.pe_index, event.parent1_key, i))
-                if gene2 is not None:
-                    demands.append((pe.pe_index, event.parent2_key, i))
-                produced[slot].extend(pe.process_pair(gene1, gene2))
-            reads = self.noc.distribute_cycle(demands)
-            buffer.stats.reads += reads
+            for (pe, event), stream in zip(active, aligned_streams):
+                if i < len(stream):
+                    demands.append((pe.pe_index, event.parent1_key, i))
+                    if stream[i][1] is not None:
+                        demands.append((pe.pe_index, event.parent2_key, i))
+            buffer.stats.reads += self.noc.distribute_cycle(demands)
 
         makespan = 0
         for slot, (pe, event) in enumerate(active):

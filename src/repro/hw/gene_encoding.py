@@ -47,8 +47,26 @@ NODE_TYPE_HIDDEN = 0b00
 NODE_TYPE_INPUT = 0b01
 NODE_TYPE_OUTPUT = 0b10
 
-_ID_OFFSET = 1 << 15  # node ids stored as value + 32768 in a 16-bit field
-_ID_MASK = 0xFFFF
+ID_OFFSET = 1 << 15  # node ids stored as value + 32768 in a 16-bit field
+ID_MASK = 0xFFFF
+
+# Field offsets of the table above.  The EvE kernels (:mod:`.pe`,
+# :mod:`.eve`) and :func:`decode_genome` read and write gene words by
+# shift and mask with these rather than through :class:`PackedGene`'s
+# properties.
+TYPE_MASK = 0b11
+ID_SHIFT = 2  # node id / connection source
+DEST_SHIFT = 18  # connection destination
+NODE_TYPE_SHIFT = 18
+VALUE_SHIFT = 34  # bias / weight
+RESPONSE_SHIFT = 42
+ENABLED_SHIFT = 42
+ACTIVATION_SHIFT = 50
+AGGREGATION_SHIFT = 54
+#: The bits :meth:`PackedGene.key` reads: a node's id, or a connection's
+#: source and destination.
+NODE_KEY_BITS = ID_MASK << ID_SHIFT
+CONN_KEY_BITS = NODE_KEY_BITS | (ID_MASK << DEST_SHIFT)
 
 # Q4.4 fixed point: 1 sign + 3 integer + 4 fraction bits.
 FIXED_POINT_SCALE = 16
@@ -83,15 +101,32 @@ def _decode_fixed(bits: int) -> float:
     return dequantize(raw)
 
 
+#: ``_decode_fixed`` of every 8-bit field value.
+_FIXED_VALUES = tuple(_decode_fixed(bits) for bits in range(256))
+
+
 def _encode_id(node_id: int) -> int:
-    shifted = node_id + _ID_OFFSET
-    if not 0 <= shifted <= _ID_MASK:
+    shifted = node_id + ID_OFFSET
+    if not 0 <= shifted <= ID_MASK:
         raise GeneEncodingError(f"node id {node_id} outside the 16-bit field")
     return shifted
 
 
 def _decode_id(bits: int) -> int:
-    return (bits & _ID_MASK) - _ID_OFFSET
+    return (bits & ID_MASK) - ID_OFFSET
+
+
+def split_key(word: int) -> int:
+    """:meth:`PackedGene.key` of a gene word as one int.
+
+    The key bits, tagged in bit 0: clear for a node gene, set for any
+    other gene type (which, like ``PackedGene.key``, keys as a
+    connection).  Two words have equal keys exactly when their
+    ``PackedGene.key`` tuples are equal.
+    """
+    if word & TYPE_MASK == GENE_TYPE_NODE:
+        return word & NODE_KEY_BITS
+    return (word & CONN_KEY_BITS) | 1
 
 
 @dataclass(frozen=True)
@@ -106,7 +141,7 @@ class PackedGene:
 
     @property
     def gene_type(self) -> int:
-        return self.word & 0b11
+        return self.word & TYPE_MASK
 
     @property
     def is_node(self) -> bool:
@@ -120,45 +155,45 @@ class PackedGene:
 
     @property
     def node_id(self) -> int:
-        return _decode_id(self.word >> 2)
+        return _decode_id(self.word >> ID_SHIFT)
 
     @property
     def node_type(self) -> int:
-        return (self.word >> 18) & 0b11
+        return (self.word >> NODE_TYPE_SHIFT) & 0b11
 
     @property
     def bias(self) -> float:
-        return _decode_fixed(self.word >> 34)
+        return _decode_fixed(self.word >> VALUE_SHIFT)
 
     @property
     def response(self) -> float:
-        return _decode_fixed(self.word >> 42)
+        return _decode_fixed(self.word >> RESPONSE_SHIFT)
 
     @property
     def activation(self) -> str:
-        return ACTIVATION_NAMES[(self.word >> 50) & 0xF]
+        return ACTIVATION_NAMES[(self.word >> ACTIVATION_SHIFT) & 0xF]
 
     @property
     def aggregation(self) -> str:
-        return AGGREGATION_NAMES[(self.word >> 54) & 0xF]
+        return AGGREGATION_NAMES[(self.word >> AGGREGATION_SHIFT) & 0xF]
 
     # -- connection fields ----------------------------------------------------
 
     @property
     def source(self) -> int:
-        return _decode_id(self.word >> 2)
+        return _decode_id(self.word >> ID_SHIFT)
 
     @property
     def dest(self) -> int:
-        return _decode_id(self.word >> 18)
+        return _decode_id(self.word >> DEST_SHIFT)
 
     @property
     def weight(self) -> float:
-        return _decode_fixed(self.word >> 34)
+        return _decode_fixed(self.word >> VALUE_SHIFT)
 
     @property
     def enabled(self) -> bool:
-        return bool((self.word >> 42) & 0b1)
+        return bool((self.word >> ENABLED_SHIFT) & 0b1)
 
     @property
     def key(self):
@@ -194,21 +229,21 @@ def pack_node(
     if node_type not in (NODE_TYPE_HIDDEN, NODE_TYPE_INPUT, NODE_TYPE_OUTPUT):
         raise GeneEncodingError(f"invalid node type {node_type}")
     word = GENE_TYPE_NODE
-    word |= _encode_id(node_id) << 2
-    word |= node_type << 18
-    word |= _encode_fixed(bias) << 34
-    word |= _encode_fixed(response) << 42
-    word |= ACTIVATION_CODES[activation] << 50
-    word |= AGGREGATION_CODES[aggregation] << 54
+    word |= _encode_id(node_id) << ID_SHIFT
+    word |= node_type << NODE_TYPE_SHIFT
+    word |= _encode_fixed(bias) << VALUE_SHIFT
+    word |= _encode_fixed(response) << RESPONSE_SHIFT
+    word |= ACTIVATION_CODES[activation] << ACTIVATION_SHIFT
+    word |= AGGREGATION_CODES[aggregation] << AGGREGATION_SHIFT
     return PackedGene(word)
 
 
 def pack_connection(source: int, dest: int, weight: float, enabled: bool) -> PackedGene:
     word = GENE_TYPE_CONNECTION
-    word |= _encode_id(source) << 2
-    word |= _encode_id(dest) << 18
-    word |= _encode_fixed(weight) << 34
-    word |= (1 if enabled else 0) << 42
+    word |= _encode_id(source) << ID_SHIFT
+    word |= _encode_id(dest) << DEST_SHIFT
+    word |= _encode_fixed(weight) << VALUE_SHIFT
+    word |= (1 if enabled else 0) << ENABLED_SHIFT
     return PackedGene(word)
 
 
@@ -240,24 +275,37 @@ def encode_genome(genome: Genome, config: GenomeConfig) -> List[PackedGene]:
 def decode_genome(
     stream: Iterable[PackedGene], key: int, config: GenomeConfig
 ) -> Genome:
-    """Hardware gene stream -> software genome (inverse of encode_genome)."""
+    """Hardware gene stream -> software genome (inverse of encode_genome).
+
+    Fields are read straight off each word by shift and mask.
+    """
     genome = Genome(key)
+    nodes = genome.nodes
+    connections = genome.connections
     for gene in stream:
-        if gene.is_node:
-            genome.nodes[gene.node_id] = NodeGene(
-                gene.node_id,
-                bias=gene.bias,
-                response=gene.response,
-                activation=gene.activation,
-                aggregation=gene.aggregation,
+        word = gene.word
+        gene_type = word & TYPE_MASK
+        if gene_type == GENE_TYPE_NODE:
+            node_id = ((word >> ID_SHIFT) & ID_MASK) - ID_OFFSET
+            nodes[node_id] = NodeGene(
+                node_id,
+                _FIXED_VALUES[(word >> VALUE_SHIFT) & 0xFF],
+                _FIXED_VALUES[(word >> RESPONSE_SHIFT) & 0xFF],
+                ACTIVATION_NAMES[(word >> ACTIVATION_SHIFT) & 0xF],
+                AGGREGATION_NAMES[(word >> AGGREGATION_SHIFT) & 0xF],
             )
-        elif gene.is_connection:
-            conn_key = (gene.source, gene.dest)
-            genome.connections[conn_key] = ConnectionGene(
-                conn_key, weight=gene.weight, enabled=gene.enabled
+        elif gene_type == GENE_TYPE_CONNECTION:
+            conn_key = (
+                ((word >> ID_SHIFT) & ID_MASK) - ID_OFFSET,
+                ((word >> DEST_SHIFT) & ID_MASK) - ID_OFFSET,
+            )
+            connections[conn_key] = ConnectionGene(
+                conn_key,
+                _FIXED_VALUES[(word >> VALUE_SHIFT) & 0xFF],
+                bool((word >> ENABLED_SHIFT) & 0b1),
             )
         else:
-            raise GeneEncodingError(f"unknown gene type {gene.gene_type}")
+            raise GeneEncodingError(f"unknown gene type {gene_type}")
     return genome
 
 

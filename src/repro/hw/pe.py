@@ -18,6 +18,15 @@ stream, applying — in pipeline order —
    store the source of one connection, pair it with the destination of the
    next.
 
+The stages work on the raw 64-bit gene word (:mod:`.gene_encoding`), as
+the hardware does: a crossover pick is an 8-bit compare and a field
+select, a perturbation is a Q4.4 add with saturation, and node ids stay
+in their offset 16-bit encoding throughout.  The probability registers
+are turned into 8-bit compare values once per child, at configuration
+load.  PRNG bytes come from read-ahead blocks of ``XorWow.bytes`` through
+a cursor; the PE's byte stream is exactly the generator's, so the
+unconsumed bytes of the current block are part of the PE's state.
+
 The PE is functional *and* cycle-accounted: it consumes one gene pair per
 cycle after a 2-cycle configuration load (Section IV-C5), plus the
 4-stage pipeline drain.
@@ -32,19 +41,29 @@ the PE still learns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set
 
 from .gene_encoding import (
-    FIXED_MAX,
-    FIXED_MIN,
+    ACTIVATION_SHIFT,
+    AGGREGATION_SHIFT,
+    CONN_KEY_BITS,
+    DEST_SHIFT,
+    ENABLED_SHIFT,
     GENE_TYPE_CONNECTION,
-    GENE_TYPE_NODE,
+    ID_MASK,
+    ID_OFFSET,
+    ID_SHIFT,
+    NODE_KEY_BITS,
     NODE_TYPE_HIDDEN,
+    NODE_TYPE_SHIFT,
+    RESPONSE_SHIFT,
+    TYPE_MASK,
+    VALUE_SHIFT,
+    GeneEncodingError,
     PackedGene,
     pack_connection,
     pack_node,
-    quantize,
 )
 from .prng import XorWow
 
@@ -56,6 +75,38 @@ CONFIG_LOAD_CYCLES = 2  # "it takes 2 cycles to load the parents' fitness
 DEFAULT_NODE_ACTIVATION = "tanh"
 DEFAULT_NODE_AGGREGATION = "sum"
 DEFAULT_CONN_WEIGHT = 1.0
+
+#: PRNG bytes fetched per read-ahead block.
+_PRNG_BLOCK_BYTES = 64
+#: Most PRNG bytes one gene pair consumes: a node gene takes 4 crossover
+#: picks, 2 x (gate + delta) perturbation bytes and 1 delete gate.
+_MAX_BYTES_PER_PAIR = 9
+
+_FIELD = 0xFF
+_VALUE_FIELD = _FIELD << VALUE_SHIFT  # a node's bias, a connection's weight
+_RESPONSE_FIELD = _FIELD << RESPONSE_SHIFT
+_ENABLED_BIT = 1 << ENABLED_SHIFT
+#: Attribute fields the crossover engine picks, in PRNG byte order.
+_NODE_ATTRIBUTES = (
+    _VALUE_FIELD, _RESPONSE_FIELD, 0xF << ACTIVATION_SHIFT, 0xF << AGGREGATION_SHIFT
+)
+_CONN_ATTRIBUTES = (_VALUE_FIELD, _ENABLED_BIT)
+#: Offsets of the Q4.4 fields the perturbation engine perturbs, in order.
+_NODE_VALUES = (VALUE_SHIFT, RESPONSE_SHIFT)
+_CONN_VALUES = (VALUE_SHIFT,)
+#: The bits ``pack_node`` / ``pack_connection`` write: re-packing a gene
+#: keeps these and clears the type and reserved bits.  (The attribute
+#: fields are disjoint, so their sum is their union.)
+_NODE_FIELDS = NODE_KEY_BITS | (0b11 << NODE_TYPE_SHIFT) | sum(_NODE_ATTRIBUTES)
+_CONN_FIELDS = CONN_KEY_BITS | _VALUE_FIELD | _ENABLED_BIT
+#: The Add Gene engine's minted genes, ids left zero.
+_NEW_NODE_WORD = pack_node(
+    -ID_OFFSET, NODE_TYPE_HIDDEN, 0.0, 1.0,
+    DEFAULT_NODE_ACTIVATION, DEFAULT_NODE_AGGREGATION,
+).word
+_NEW_CONN_WORD = pack_connection(
+    -ID_OFFSET, -ID_OFFSET, DEFAULT_CONN_WEIGHT, True
+).word
 
 
 @dataclass
@@ -108,27 +159,55 @@ class PEStats:
             setattr(self, attr, getattr(self, attr) + getattr(other, attr))
 
 
+def _perturbed(field: int, delta: int) -> int:
+    """Q4.4 add with saturation: ``field`` and the result are 8-bit
+    two's-complement fields, ``delta`` a signed raw step."""
+    raw = ((field ^ 0x80) - 0x80) + delta
+    if raw < -128:
+        raw = -128
+    elif raw > 127:
+        raw = 127
+    return raw & _FIELD
+
+
 class ProcessingElement:
     """One EvE PE.  Reusable: ``begin_child`` resets per-child state."""
 
     def __init__(self, pe_index: int = 0, seed: int = 0) -> None:
         self.pe_index = pe_index
         self.prng = XorWow(seed=seed ^ (0xA5A5A5A5 + pe_index * 0x9E3779B9))
-        self.config = PEConfig()
+        # Read-ahead bytes of self.prng; the PE's stream continues at
+        # _prng_bytes[_prng_pos], and self.prng already stands after them.
+        self._prng_bytes: List[int] = []
+        self._prng_pos = 0
         self.stats = PEStats()
         self._reset_child_state()
+        self._load_config(PEConfig())
 
     def _reset_child_state(self) -> None:
         # The "Node ID regs" of Fig. 7: deleted ids, intermediate state,
-        # and the running max id.
+        # and the running max id — all as encoded 16-bit id fields.
         self._deleted_nodes: Set[int] = set()
         self._valid_nodes: Set[int] = set()
-        self._max_node_id = -1
+        self._max_node_id = ID_OFFSET - 1
         self._nodes_deleted_count = 0
         self._pending_conn_source: Optional[int] = None
         self._fitness1 = 0.0
         self._fitness2 = 0.0
         self._cycles = 0
+
+    def _load_config(self, config: PEConfig) -> None:
+        """Latch the probability registers as 8-bit compare values."""
+        self.config = config
+        threshold = config.threshold
+        self._crossover_threshold = threshold(config.crossover_bias)
+        self._perturb_threshold = threshold(config.perturb_prob)
+        self._node_delete_threshold = threshold(config.node_delete_prob)
+        self._conn_delete_threshold = threshold(config.conn_delete_prob)
+        self._node_add_threshold = threshold(config.node_add_prob)
+        self._conn_add_threshold = threshold(config.conn_add_prob)
+        self._max_node_deletions = config.max_node_deletions
+        self._perturb_shift = config.perturb_shift
 
     # ------------------------------------------------------------------
 
@@ -137,10 +216,19 @@ class ProcessingElement:
     ) -> None:
         """Configuration load: 2 cycles of control information."""
         self._reset_child_state()
-        self.config = config
+        self._load_config(config)
         self._fitness1 = fitness1
         self._fitness2 = fitness2
         self._cycles = CONFIG_LOAD_CYCLES
+
+    def next_byte(self) -> int:
+        """Consume the next byte of this PE's PRNG stream."""
+        if self._prng_pos == len(self._prng_bytes):
+            self._prng_bytes = self.prng.bytes(_PRNG_BLOCK_BYTES)
+            self._prng_pos = 0
+        byte = self._prng_bytes[self._prng_pos]
+        self._prng_pos += 1
+        return byte
 
     def process_pair(
         self, gene1: Optional[PackedGene], gene2: Optional[PackedGene]
@@ -154,17 +242,157 @@ class ProcessingElement:
         if gene1 is None:
             raise ValueError("gene1 must be present (fitter parent's stream)")
         self._cycles += 1
-        self.stats.busy_cycles += 1
-        self.stats.genes_in += 1 if gene2 is None else 2
+        stats = self.stats
+        stats.busy_cycles += 1
+        rand = self._prng_bytes
+        pos = self._prng_pos
+        if pos > len(rand) - _MAX_BYTES_PER_PAIR:
+            rand = self._prng_bytes = rand[pos:] + self.prng.bytes(_PRNG_BLOCK_BYTES)
+            pos = 0
+        word = gene1.word
+        is_node = not word & TYPE_MASK
+        # Set when a stage re-packs the gene (pack_node / pack_connection
+        # in the object-level model): type and reserved bits are rebuilt.
+        repacked = False
 
-        child = self._crossover_stage(gene1, gene2)
-        child = self._perturbation_stage(child)
-        kept = self._delete_stage(child)
-        if kept is None:
+        # -- stage 1: crossover ---------------------------------------------
+        if gene2 is None:
+            stats.genes_in += 1
+        else:
+            stats.genes_in += 2
+            other = gene2.word
+            if (
+                (other & TYPE_MASK == 0) != is_node
+                or (word ^ other) & (NODE_KEY_BITS if is_node else CONN_KEY_BITS)
+            ):
+                raise ValueError(
+                    f"gene split misalignment: {gene1.key} vs {gene2.key}"
+                )
+            stats.crossovers += 1
+            bias = self._crossover_threshold
+            # A byte at or above the bias takes parent 2's field.
+            for field in _NODE_ATTRIBUTES if is_node else _CONN_ATTRIBUTES:
+                if rand[pos] >= bias:
+                    word = (word & ~field) | (other & field)
+                pos += 1
+            if is_node:
+                self._check_node_type(word, pos)
+            repacked = True
+
+        # -- stage 2: perturbation ------------------------------------------
+        threshold = self._perturb_threshold
+        perturbed = False
+        for shift in _NODE_VALUES if is_node else _CONN_VALUES:
+            if rand[pos] < threshold:
+                delta = ((rand[pos + 1] ^ 0x80) - 0x80) >> self._perturb_shift
+                field = _perturbed((word >> shift) & _FIELD, delta)
+                word = (word & ~(_FIELD << shift)) | (field << shift)
+                pos += 2
+                stats.perturbations += 1
+                perturbed = True
+            else:
+                pos += 1
+        if perturbed and is_node:
+            self._check_node_type(word, pos)
+        repacked = repacked or perturbed
+
+        if is_node:
+            if repacked:
+                word &= _NODE_FIELDS
+            # -- stage 3: delete gene (node) --------------------------------
+            node_id = (word >> ID_SHIFT) & ID_MASK
+            if (
+                (word >> NODE_TYPE_SHIFT) & 0b11 == NODE_TYPE_HIDDEN
+                and self._nodes_deleted_count < self._max_node_deletions
+            ):
+                byte = rand[pos]
+                pos += 1
+                if byte < self._node_delete_threshold:
+                    self._prng_pos = pos
+                    self._deleted_nodes.add(node_id)
+                    self._nodes_deleted_count += 1
+                    stats.node_deletions += 1
+                    return []
+            self._prng_pos = pos
+            self._valid_nodes.add(node_id)
+            if node_id > self._max_node_id:
+                self._max_node_id = node_id
+            # -- stage 4: add gene passes node genes through ----------------
+            stats.genes_out += 1
+            return [PackedGene(word) if word != gene1.word else gene1]
+
+        if repacked:
+            word = (word & _CONN_FIELDS) | GENE_TYPE_CONNECTION
+        # -- stage 3: delete gene (connection) ------------------------------
+        # Dangling prune takes priority over random delete.
+        source = (word >> ID_SHIFT) & ID_MASK
+        dest = (word >> DEST_SHIFT) & ID_MASK
+        deleted = self._deleted_nodes
+        if deleted and (source in deleted or dest in deleted):
+            self._prng_pos = pos
+            stats.dangling_prunes += 1
             return []
-        produced = self._add_stage(kept)
-        self.stats.genes_out += len(produced)
+        if rand[pos] < self._conn_delete_threshold:
+            self._prng_pos = pos + 1
+            stats.conn_deletions += 1
+            return []
+
+        # -- stage 4: add gene (connection) ---------------------------------
+        if rand[pos + 1] < self._node_add_threshold:
+            # Node addition: split the incoming connection, which is
+            # dropped (Section IV-C3).
+            self._prng_pos = pos + 2
+            new_id = self._max_node_id + 1
+            self._max_node_id = new_id
+            self._valid_nodes.add(new_id)
+            stats.node_additions += 1
+            if new_id > ID_MASK:
+                raise GeneEncodingError(
+                    f"node id {new_id - ID_OFFSET} outside the 16-bit field"
+                )
+            stats.genes_out += 3
+            return [
+                PackedGene(_NEW_NODE_WORD | new_id << ID_SHIFT),
+                PackedGene(
+                    _NEW_CONN_WORD | source << ID_SHIFT | new_id << DEST_SHIFT
+                ),
+                PackedGene(
+                    GENE_TYPE_CONNECTION | new_id << ID_SHIFT
+                    | dest << DEST_SHIFT | (word & _VALUE_FIELD) | _ENABLED_BIT
+                ),
+            ]
+        pos += 2
+
+        # Connection addition: the two-cycle store-source / pair-with-next-
+        # destination mechanism.
+        produced = [PackedGene(word) if word != gene1.word else gene1]
+        pending = self._pending_conn_source
+        if pending is not None:
+            self._pending_conn_source = None
+            # inputs (negative ids) are always valid sources; hidden/output
+            # sources must not have been deleted upstream
+            if pending != dest and (
+                pending < ID_OFFSET or pending in self._valid_nodes
+            ):
+                produced.append(PackedGene(
+                    _NEW_CONN_WORD | pending << ID_SHIFT | dest << DEST_SHIFT
+                ))
+                stats.conn_additions += 1
+        else:
+            if rand[pos] < self._conn_add_threshold:
+                self._pending_conn_source = source
+            pos += 1
+        self._prng_pos = pos
+        stats.genes_out += len(produced)
         return produced
+
+    def _check_node_type(self, word: int, pos: int) -> None:
+        """``pack_node``'s node-type check, for a node gene being
+        re-packed; ``pos`` is the read cursor to keep if it fails."""
+        node_type = (word >> NODE_TYPE_SHIFT) & 0b11
+        if node_type == 0b11:  # Fig. 6 defines 00, 01 and 10
+            self._prng_pos = pos
+            raise GeneEncodingError(f"invalid node type {node_type}")
 
     def finish_child(self) -> int:
         """Pipeline drain; returns total cycles spent on this child."""
@@ -174,136 +402,3 @@ class ProcessingElement:
     @property
     def cycles(self) -> int:
         return self._cycles
-
-    # -- stage 1: crossover ------------------------------------------------
-
-    def _crossover_stage(
-        self, gene1: PackedGene, gene2: Optional[PackedGene]
-    ) -> PackedGene:
-        if gene2 is None:
-            return gene1
-        if gene1.key != gene2.key:
-            raise ValueError(
-                f"gene split misalignment: {gene1.key} vs {gene2.key}"
-            )
-        self.stats.crossovers += 1
-        bias = self.config.threshold(self.config.crossover_bias)
-
-        def pick() -> bool:
-            """True -> take parent 1's attribute."""
-            return self.prng.next_byte() < bias
-
-        if gene1.is_node:
-            return pack_node(
-                gene1.node_id,
-                gene1.node_type,
-                gene1.bias if pick() else gene2.bias,
-                gene1.response if pick() else gene2.response,
-                gene1.activation if pick() else gene2.activation,
-                gene1.aggregation if pick() else gene2.aggregation,
-            )
-        return pack_connection(
-            gene1.source,
-            gene1.dest,
-            gene1.weight if pick() else gene2.weight,
-            gene1.enabled if pick() else gene2.enabled,
-        )
-
-    # -- stage 2: perturbation ------------------------------------------------
-
-    def _perturb_value(self, value: float) -> Tuple[float, bool]:
-        threshold = self.config.threshold(self.config.perturb_prob)
-        if self.prng.next_byte() >= threshold:
-            return value, False
-        delta_raw = self.prng.next_signed_byte() >> self.config.perturb_shift
-        raw = quantize(value) + delta_raw
-        raw = max(FIXED_MIN, min(FIXED_MAX, raw))  # Limit & Quantize
-        return raw / 16.0, True
-
-    def _perturbation_stage(self, gene: PackedGene) -> PackedGene:
-        if gene.is_node:
-            bias, hit1 = self._perturb_value(gene.bias)
-            response, hit2 = self._perturb_value(gene.response)
-            self.stats.perturbations += int(hit1) + int(hit2)
-            if not (hit1 or hit2):
-                return gene
-            return pack_node(
-                gene.node_id, gene.node_type, bias, response,
-                gene.activation, gene.aggregation,
-            )
-        weight, hit = self._perturb_value(gene.weight)
-        if hit:
-            self.stats.perturbations += 1
-            return pack_connection(gene.source, gene.dest, weight, gene.enabled)
-        return gene
-
-    # -- stage 3: delete gene -----------------------------------------------------
-
-    def _delete_stage(self, gene: PackedGene) -> Optional[PackedGene]:
-        if gene.is_node:
-            threshold = self.config.threshold(self.config.node_delete_prob)
-            deletable = (
-                gene.node_type == NODE_TYPE_HIDDEN
-                and self._nodes_deleted_count < self.config.max_node_deletions
-            )
-            if deletable and self.prng.next_byte() < threshold:
-                self._deleted_nodes.add(gene.node_id)
-                self._nodes_deleted_count += 1
-                self.stats.node_deletions += 1
-                return None
-            self._valid_nodes.add(gene.node_id)
-            self._max_node_id = max(self._max_node_id, gene.node_id)
-            return gene
-        # Connection gene: dangling prune takes priority over random delete.
-        if gene.source in self._deleted_nodes or gene.dest in self._deleted_nodes:
-            self.stats.dangling_prunes += 1
-            return None
-        threshold = self.config.threshold(self.config.conn_delete_prob)
-        if self.prng.next_byte() < threshold:
-            self.stats.conn_deletions += 1
-            return None
-        return gene
-
-    # -- stage 4: add gene ---------------------------------------------------------
-
-    def _add_stage(self, gene: PackedGene) -> List[PackedGene]:
-        if gene.is_node:
-            return [gene]
-
-        # Node addition: split the incoming connection.
-        threshold = self.config.threshold(self.config.node_add_prob)
-        if self.prng.next_byte() < threshold:
-            new_id = self._max_node_id + 1
-            self._max_node_id = new_id
-            self._valid_nodes.add(new_id)
-            self.stats.node_additions += 1
-            node = pack_node(
-                new_id,
-                NODE_TYPE_HIDDEN,
-                0.0,
-                1.0,
-                DEFAULT_NODE_ACTIVATION,
-                DEFAULT_NODE_AGGREGATION,
-            )
-            upstream = pack_connection(gene.source, new_id, DEFAULT_CONN_WEIGHT, True)
-            downstream = pack_connection(new_id, gene.dest, gene.weight, True)
-            # The incoming connection gene is dropped (Section IV-C3).
-            return [node, upstream, downstream]
-
-        # Connection addition: the two-cycle store-source / pair-with-next-
-        # destination mechanism.
-        produced = [gene]
-        threshold = self.config.threshold(self.config.conn_add_prob)
-        if self._pending_conn_source is not None:
-            source = self._pending_conn_source
-            self._pending_conn_source = None
-            # inputs (negative ids) are always valid sources; hidden/output
-            # sources must not have been deleted upstream
-            source_valid = source < 0 or source in self._valid_nodes
-            if source != gene.dest and source_valid:
-                new_conn = pack_connection(source, gene.dest, DEFAULT_CONN_WEIGHT, True)
-                self.stats.conn_additions += 1
-                produced.append(new_conn)
-        elif self.prng.next_byte() < threshold:
-            self._pending_conn_source = gene.source
-        return produced

@@ -61,7 +61,29 @@ class XorWow:
         return byte - 256 if byte >= 128 else byte
 
     def bytes(self, count: int) -> List[int]:
-        return [self.next_byte() for _ in range(count)]
+        """The next ``count`` values of the 8-bit port, in one call.
+
+        The same sequence as ``count`` calls of :meth:`next_byte`, stepped
+        with the state held in locals.
+        """
+        # The state words stay below 2**32, so one mask over the xor drops
+        # what next_u32's per-term masks drop; the Weyl counter is reduced
+        # once at the end, as only its low byte is output.
+        x, y, z, w, v, d = self._x, self._y, self._z, self._w, self._v, self._d
+        out: List[int] = []
+        append = out.append
+        for _ in range(count):
+            t = x ^ (x >> 2)
+            x = y
+            y = z
+            z = w
+            w = v
+            v = (v ^ (v << 4) ^ t ^ (t << 1)) & _MASK32
+            d += 362437
+            append((v + d) & 0xFF)
+        self._x, self._y, self._z, self._w, self._v = x, y, z, w, v
+        self._d = d & _MASK32
+        return out
 
     def stream(self) -> Iterator[int]:
         while True:

@@ -217,3 +217,44 @@ class TestEvolutionEngine:
             result = eve.reproduce_generation(buffer, events)
             outs.append({k: tuple(g.word for g in v) for k, v in result.children.items()})
         assert outs[0] == outs[1]
+
+
+class TestAddedConnectionCycleCheck:
+    """A connection the Add Gene engine mints must be cycle-checked even
+    when the less-fit parent happens to carry the same key: only the
+    fitter parent's genes reach the child through the aligned stream."""
+
+    @staticmethod
+    def _parent(conns):
+        nodes = [pack_node(0, NODE_TYPE_OUTPUT, 0, 1, "tanh", "sum")] + [
+            pack_node(i, NODE_TYPE_HIDDEN, 0, 1, "tanh", "sum") for i in (2, 3, 4)
+        ]
+        return nodes + [pack_connection(s, d, 1.0, True) for s, d in conns]
+
+    @pytest.mark.parametrize("parents", [(0, 1), (1, 0)])
+    def test_opposite_edge_in_other_parent_is_not_inherited(self, config, parents):
+        # The fitter parent has 2->3; with every connection addition
+        # taken, the PE stores source 3 at (3, 0) and pairs it with the
+        # destination of (4, 2), minting 3->2, which closes 2->3->2.  The
+        # less-fit parent carries 3->2 itself.
+        fitter = self._parent([(-1, 4), (2, 3), (3, 0), (4, 2)])
+        other = self._parent([(-1, 4), (3, 0), (3, 2), (4, 2)])
+        buffer = GenomeBuffer()
+        buffer.write_genome(0, fitter)
+        buffer.set_fitness(0, 2.0)
+        buffer.write_genome(1, other)
+        buffer.set_fitness(1, 1.0)
+        pe_cfg = PEConfig(
+            crossover_bias=1.0, perturb_prob=0.0, node_delete_prob=0.0,
+            conn_delete_prob=0.0, node_add_prob=0.0, conn_add_prob=1.0,
+        )
+        eve = EvolutionEngine(EvEConfig(num_pes=1, pe=pe_cfg))
+        result = eve.reproduce_generation(
+            buffer, [ReproductionEvent(10, parents[0], parents[1], 1)]
+        )
+        child = decode_genome(result.children[10], 10, config)
+        assert (2, 3) in child.connections
+        assert (3, 2) not in child.connections
+        assert (-1, 3) in child.connections  # the acyclic addition stays
+        assert not child.has_cycle()
+        assert result.dropped_invalid_additions == 1

@@ -93,6 +93,15 @@ class TestCrossoverStage:
         with pytest.raises(ValueError, match="misalignment"):
             pe.process_pair(node(1), node(2))
 
+    def test_node_paired_with_connection_raises(self):
+        # the connection's source equals the node's id: the key bits
+        # agree, the gene types do not
+        pe = make_pe()
+        with pytest.raises(ValueError, match="misalignment"):
+            pe.process_pair(node(3), conn(3, 5))
+        with pytest.raises(ValueError, match="misalignment"):
+            pe.process_pair(conn(3, 5), node(3))
+
     def test_missing_gene1_raises(self):
         pe = make_pe()
         with pytest.raises(ValueError):
@@ -194,6 +203,15 @@ class TestAddStage:
         added = out2[1]
         assert (added.source, added.dest) == (-1, 0)
         assert pe.stats.conn_additions == 1
+
+    def test_stored_source_must_be_input_or_seen_node(self):
+        pe = make_pe(perturb_prob=0.0, node_delete_prob=0.0, conn_delete_prob=0.0,
+                     node_add_prob=0.0, conn_add_prob=1.0)
+        pe.process_pair(conn(0, 1), None)  # stores source 0, never seen as a node
+        assert len(pe.process_pair(conn(2, 3), None)) == 1
+        pe.process_pair(conn(-1, 1), None)  # inputs are always valid sources
+        out = pe.process_pair(conn(2, 3), None)
+        assert [(g.source, g.dest) for g in out] == [(2, 3), (-1, 3)]
 
     def test_no_self_connection_added(self):
         pe = make_pe(perturb_prob=0.0, node_delete_prob=0.0, conn_delete_prob=0.0,

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.api import Experiment, ExperimentSpec
+from repro.core import soc as soc_module
 from repro.core.config import GeneSysConfig
 from repro.core.runner import config_for_env
 from repro.core.soc import GeneSysSoC
 from repro.hw.eve import EvEConfig
+from repro.hw.gene_encoding import decode_genome, pack_connection
+from repro.hw.selector import SelectionOutcome
 
 
 @pytest.fixture
@@ -101,7 +105,7 @@ class TestVectorizedEvaluation:
     counter, and the whole energy ledger."""
 
     @staticmethod
-    def _reports(env_id, vectorize, episodes=1, generations=3):
+    def _reports(env_id, vectorize, episodes=1, generations=6):
         from dataclasses import astuple
 
         neat = config_for_env(env_id, pop_size=14)
@@ -143,3 +147,93 @@ class TestVectorizedEvaluation:
 
     def test_vectorize_default_on(self, soc):
         assert soc.vectorize is True
+
+
+def test_eve_children_stay_acyclic_on_seed_26():
+    """Regression: on this seed EvE used to emit a cyclic child before
+    generation 18 (an added connection whose key only the less-fit parent
+    carried skipped Gene Merge's cycle check), and ADAM's plan builder
+    raised."""
+    spec = ExperimentSpec(
+        env_id="CartPole-v0", seed=26, max_generations=20,
+        fitness_threshold=1e9, pop_size=150, backend="soc",
+    )
+    assert Experiment(spec).run().generations == 20
+
+
+class TestSingleDecode:
+    """``evaluate_population`` maps on ADAM the genome ``evolve_population``
+    decoded from the same buffered stream, and decodes any other stream."""
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """Record decoded keys and the genomes mapped on ADAM."""
+        decoded, mapped = [], {}
+        decode, plan = soc_module.decode_genome, soc_module.build_inference_plan
+
+        def counting_decode(stream, key, config):
+            decoded.append(key)
+            return decode(stream, key, config)
+
+        def recording_plan(genome, config):
+            mapped[genome.key] = genome
+            return plan(genome, config)
+
+        monkeypatch.setattr(soc_module, "decode_genome", counting_decode)
+        monkeypatch.setattr(soc_module, "build_inference_plan", recording_plan)
+        return decoded, mapped
+
+    @staticmethod
+    def _fields(genome):
+        return (
+            {k: (n.bias, n.response, n.activation, n.aggregation)
+             for k, n in genome.nodes.items()},
+            {k: (c.weight, c.enabled) for k, c in genome.connections.items()},
+        )
+
+    def test_evolved_children_are_not_decoded_again(self, soc, monkeypatch):
+        soc.run_generation()
+        decoded, mapped = self._watch(monkeypatch)
+        reads = soc.buffer.stats.reads
+        soc.evaluate_population()
+        assert decoded == []
+        assert all(mapped[k] is g for k, g in soc.population.items())
+        # every word is still read from the buffer
+        assert soc.buffer.stats.reads - reads == sum(
+            soc.buffer.genome_length(k) for k in soc.population
+        )
+
+    def test_stream_written_outside_eve_is_decoded(self, soc, monkeypatch):
+        soc.run_generation()
+        key = sorted(soc.population)[0]
+        stream = soc.buffer.peek_genome(key)
+        i = next(i for i, g in enumerate(stream) if g.is_connection)
+        gene = stream[i]
+        stream[i] = pack_connection(
+            gene.source, gene.dest, gene.weight + 1.0, gene.enabled
+        )
+        soc.buffer.write_genome(key, stream)
+        decoded, mapped = self._watch(monkeypatch)
+        soc.evaluate_population()
+        assert decoded == [key]
+        cfg = soc.config.neat.genome
+        assert self._fields(mapped[key]) == self._fields(
+            decode_genome(stream, key, cfg)
+        )
+
+    def test_extinction_reseed_is_decoded(self, soc, monkeypatch):
+        soc.run_generation()
+        monkeypatch.setattr(
+            soc.selector, "select",
+            lambda *args: SelectionOutcome(plan=None, num_species=0, cpu_cycles=0),
+        )
+        soc.evolve_population()  # complete extinction: the CPU re-seeds
+        decoded, mapped = self._watch(monkeypatch)
+        soc.evaluate_population()
+        assert decoded == sorted(soc.population)
+        cfg = soc.config.neat.genome
+        for key in soc.population:
+            assert mapped[key] is not soc.population[key]
+            assert self._fields(mapped[key]) == self._fields(
+                decode_genome(soc.buffer.peek_genome(key), key, cfg)
+            )
