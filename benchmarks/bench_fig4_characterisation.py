@@ -24,7 +24,6 @@ def characterisation(env_id):
     if env_id not in _CHAR_CACHE:
         _CHAR_CACHE[env_id] = characterise_env(
             env_id, runs=2, generations=8, pop_size=20, max_steps=60, base_seed=0,
-            stop_at_solve=False,
         )
     return _CHAR_CACHE[env_id]
 

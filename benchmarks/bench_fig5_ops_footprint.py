@@ -27,7 +27,6 @@ def characterisation(env_id):
     if env_id not in _CACHE:
         _CACHE[env_id] = characterise_env(
             env_id, runs=2, generations=6, pop_size=20, max_steps=50, base_seed=0,
-            stop_at_solve=False,
         )
     return _CACHE[env_id]
 

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.trace import TraceRecorder, WorkloadTrace
 from ..envs.registry import make
-from ..neat.statistics import GENE_BYTES
+from ..neat.population import meets_threshold
 
 
 @dataclass
@@ -35,6 +35,14 @@ class RunCharacterisation:
     @property
     def generations(self) -> int:
         return len(self.best_fitness)
+
+
+def _mean_across_runs(series: List[List[float]]) -> List[float]:
+    """Per-generation mean over runs; a shorter run holds its last value."""
+    return [
+        sum(s[min(i, len(s) - 1)] for s in series) / len(series)
+        for i in range(max(len(s) for s in series))
+    ]
 
 
 @dataclass
@@ -64,26 +72,12 @@ class EnvCharacterisation:
         return curves
 
     def mean_normalised_fitness(self) -> List[float]:
-        curves = self.normalised_fitness_curves()
-        length = max(len(c) for c in curves)
-        out = []
-        for i in range(length):
-            vals = [c[i] if i < len(c) else c[-1] for c in curves]
-            out.append(sum(vals) / len(vals))
-        return out
+        return _mean_across_runs(self.normalised_fitness_curves())
 
     # -- Fig. 4(b)/(c), Fig. 5, Fig. 11(a) --------------------------------
 
     def gene_count_series(self) -> List[float]:
-        length = max(r.generations for r in self.runs)
-        out = []
-        for i in range(length):
-            vals = [
-                r.num_genes[i] if i < len(r.num_genes) else r.num_genes[-1]
-                for r in self.runs
-            ]
-            out.append(sum(vals) / len(vals))
-        return out
+        return _mean_across_runs([r.num_genes for r in self.runs])
 
     def ops_distribution(self) -> List[int]:
         """All per-generation op counts pooled across runs (Fig. 5a)."""
@@ -96,15 +90,7 @@ class EnvCharacterisation:
         return [r for run in self.runs for r in run.parent_reuse if r > 0]
 
     def reuse_series(self) -> List[float]:
-        length = max(r.generations for r in self.runs)
-        out = []
-        for i in range(length):
-            vals = [
-                r.parent_reuse[i] if i < len(r.parent_reuse) else r.parent_reuse[-1]
-                for r in self.runs
-            ]
-            out.append(sum(vals) / len(vals))
-        return out
+        return _mean_across_runs([r.parent_reuse for r in self.runs])
 
     def composition(self) -> Dict[str, float]:
         """Final node/connection split averaged over runs (Fig. 11a)."""
@@ -127,49 +113,43 @@ def characterise_env(
     episodes: int = 1,
     max_steps: Optional[int] = None,
     base_seed: int = 0,
-    stop_at_solve: bool = True,
 ) -> EnvCharacterisation:
     """Run NEAT ``runs`` times on ``env_id``, recording all Fig. 4/5 series.
 
     Scaled-down defaults (the paper uses pop 150 and 100 runs) keep the
     benches laptop-fast; the shapes are already stable at this scale.
-    ``stop_at_solve=False`` always runs the full generation budget, which
-    matters when ``max_steps`` caps make the solve threshold trivial.
+    Each run is a :class:`TraceRecorder` run over the whole generation
+    budget (``max_steps`` caps can make the solve threshold trivial);
+    ``converged_at`` marks the first generation whose best fitness met
+    the environment's solve threshold.
     """
-    from ..core.runner import config_for_env
-    from ..envs.evaluate import FitnessEvaluator
-    from ..neat.population import Population
-
-    env = make(env_id)
-    threshold = getattr(env, "solve_threshold", None)
+    threshold = getattr(make(env_id), "solve_threshold", None)
     result = EnvCharacterisation(env_id=env_id)
     for run_index in range(runs):
         seed = base_seed + 1000 * run_index
-        config = config_for_env(env_id, pop_size=pop_size)
-        population = Population(config, seed=seed)
-        evaluator = FitnessEvaluator(
-            env_id, episodes=episodes, max_steps=max_steps, seed=seed
-        )
-        run = RunCharacterisation(env_id=env_id, seed=seed)
-        for gen in range(generations):
-            stats = population.run_generation(evaluator)
-            run.best_fitness.append(stats.best_fitness)
-            run.mean_fitness.append(stats.mean_fitness)
-            run.num_genes.append(stats.num_genes)
-            run.num_nodes.append(stats.num_nodes)
-            run.num_connections.append(stats.num_connections)
-            run.ops.append(stats.ops.total)
-            run.footprint_bytes.append(stats.memory_footprint_bytes)
-            run.parent_reuse.append(stats.fittest_parent_reuse)
-            if (
-                run.converged_at is None
-                and threshold is not None
-                and stats.best_fitness >= threshold
-            ):
-                run.converged_at = gen
-                if stop_at_solve:
-                    break
-        result.runs.append(run)
+        trace = TraceRecorder(
+            env_id, pop_size=pop_size, episodes=episodes,
+            max_steps=max_steps, seed=seed,
+        ).record(generations)
+        best = [m.best_fitness for m in trace.metrics]
+        workloads = trace.workloads
+        result.runs.append(RunCharacterisation(
+            env_id=env_id,
+            seed=seed,
+            best_fitness=best,
+            mean_fitness=[m.mean_fitness for m in trace.metrics],
+            num_genes=[w.total_genes for w in workloads],
+            num_nodes=[w.total_nodes for w in workloads],
+            num_connections=[w.total_connections for w in workloads],
+            ops=[w.evolution_ops for w in workloads],
+            footprint_bytes=[w.footprint_bytes for w in workloads],
+            parent_reuse=[w.fittest_parent_reuse for w in workloads],
+            converged_at=next(
+                (gen for gen, fitness in enumerate(best)
+                 if meets_threshold(fitness, threshold)),
+                None,
+            ),
+        ))
     return result
 
 

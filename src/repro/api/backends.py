@@ -33,19 +33,19 @@ never reaches into :class:`repro.neat.Population` internals.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 from .. import obs
 from ..core.config import GeneSysConfig
 from ..core.runner import config_for_env
-from ..core.soc import GenerationReport, GeneSysSoC
+from ..core.soc import GeneSysSoC
 from ..core.trace import GenerationWorkload, _mean_depth
 from ..hw.allocator import SCHEDULERS
 from ..hw.energy import cycles_to_seconds
 from ..hw.noc import NOC_KINDS, canonical_noc_kind
+from ..neat.config import NEATConfig
 from ..neat.genome import Genome
-from ..neat.population import Population
+from ..neat.population import Population, meets_threshold
 from ..platforms import (
     Platform,
     PlatformSpec,
@@ -148,184 +148,272 @@ def available_backends() -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# the shared software loop
+# the generation loop
 
-
-@dataclass
-class _SoftwareLoopResult:
-    population: Population
-    metrics: List[GenerationMetrics] = field(default_factory=list)
-    workloads: List[GenerationWorkload] = field(default_factory=list)
-    stopped: bool = False
+#: One generation as a substrate reports it: the metrics row, the value
+#: the stop rule compares with the fitness threshold, and the number of
+#: completed generations (what ``should_stop`` is polled with).
+Generation = Tuple[GenerationMetrics, float, int]
 
 
 def _run_software_loop(
     spec: ExperimentSpec,
-    fitness_transform: Optional[Callable[[float], float]],
-    on_generation: Optional[GenerationObserver],
-    on_evaluation: Optional[EvaluationObserver],
-    decorate_metrics: Optional[
-        Callable[[GenerationMetrics, GenerationWorkload], None]
-    ] = None,
-    collect_workloads: bool = False,
+    substrate: Union[_SoftwareGenerations, _SoCGenerations],
+    backend: str,
+    on_generation: Optional[GenerationObserver] = None,
+    on_evaluation: Optional[EvaluationObserver] = None,
     on_state: Optional[StateObserver] = None,
-    resume_state: Optional[Dict] = None,
     should_stop: Optional[ShouldStop] = None,
-    resume_metrics: Optional[Sequence[Dict]] = None,
-) -> _SoftwareLoopResult:
-    """Run software NEAT for a spec, emitting metrics per generation.
+) -> RunResult:
+    """The one NEAT generation loop (Fig. 3(b)), over any substrate.
 
-    This is :meth:`repro.neat.Population.run` with observability: the
-    loop, the stop criterion and the evaluator seeding are identical, so
-    a fixed seed reproduces ``Population.run`` exactly.
-    ``decorate_metrics`` lets the analytical backend attach modelled
-    costs before the ``on_generation`` observer fires.
+    A substrate supplies its generations: ``generation(index,
+    on_evaluation)`` evaluates and breeds one, firing ``on_evaluation``
+    with the evaluated genomes, and returns a :data:`Generation`.  It
+    also carries ``config`` (the threshold), ``start``/``start_value``
+    (a resumed run's completed generations and stop value; ``0``/``None``
+    on a fresh run), ``population`` (for ``on_state``; ``None`` when
+    there is nothing to snapshot), ``champion``, ``between()`` and
+    ``close()``.
 
-    ``resume_state`` (a :func:`repro.neat.serialize.population_to_state`
-    payload) restores the population at its checkpointed generation
-    boundary and continues from there; combined with the evaluator's
-    ``start_generation`` seed-stream offset, the continued run is
-    bit-identical to one that was never interrupted.  ``on_state`` fires
-    after every generation with the live population so callers (the
-    :mod:`repro.runs` artifact writer) can checkpoint it.
-
-    ``should_stop`` is polled after each generation (after ``on_state``,
-    so the boundary is already checkpointable) with the completed
-    generation count; returning ``True`` ends the loop cooperatively —
-    the preemption mechanism of the :mod:`repro.serve` scheduler.
-
-    On a scenario run, ``resume_metrics`` (the metrics rows already on
-    disk, in generation order) replays the curriculum fold so the
-    resumed run holds exactly the stage/streak/forgetting state the
-    uninterrupted run would — the curriculum half of the byte-identity
-    guarantee.
+    After each generation, in order: ``on_generation``, ``on_state``,
+    the stop rule ("the system stops when the CPU detects that the
+    target fitness ... has been achieved", Section IV-B; ``converged``
+    applies it to the champion), ``should_stop`` (the :mod:`repro.serve`
+    preemption hook; ``True`` ends the run ``stopped_early``), then the
+    substrate's between-generation work.
     """
-    config = config_for_env(spec.env_id, spec.pop_size, spec.fitness_threshold)
-    if resume_state is not None:
-        population = Population.from_state(resume_state, config)
-        start_generation = population.generation
-    else:
-        population = Population(config, seed=spec.seed)
-        start_generation = 0
-    controller = None
-    if spec.scenario is not None:
-        from ..scenarios import CurriculumController
+    threshold = substrate.config.fitness_threshold
+    budget = range(substrate.start, spec.max_generations)
+    if meets_threshold(substrate.start_value, threshold):
+        # A resumed run that had already met the stop rule must not
+        # evolve further: the uninterrupted run stopped at that boundary.
+        budget = range(0)
+    metrics: List[GenerationMetrics] = []
+    completed = substrate.start
+    stopped = False
+    try:
+        for index in budget:
+            row, value, completed = substrate.generation(index, on_evaluation)
+            metrics.append(row)
+            if on_generation is not None:
+                on_generation(row)
+            if on_state is not None and substrate.population is not None:
+                on_state(substrate.population)
+            if meets_threshold(value, threshold):
+                break
+            if should_stop is not None and should_stop(completed):
+                stopped = True
+                break
+            substrate.between()
+    finally:
+        substrate.close()
+    champion = substrate.champion
+    if champion is None:
+        raise RuntimeError("no generations were evaluated")
+    return RunResult(
+        spec=spec,
+        backend=backend,
+        champion=champion,
+        generations=completed,
+        converged=meets_threshold(champion.fitness, threshold),
+        stopped_early=stopped,
+        metrics=metrics,
+        neat_config=substrate.config,
+        population=substrate.population,
+    )
 
-        controller = CurriculumController(spec.scenario)
-        if resume_metrics:
-            controller.restore(resume_metrics)
 
-    def make_evaluator(generation: int):
+class _SoftwareGenerations:
+    """Software NEAT as a loop substrate: each generation is
+    :meth:`repro.neat.Population.run_generation` through
+    :func:`build_evaluator`, its row carries the evaluator's env-step
+    and MAC deltas, and its stop value is ``fitness_summary()``.
+
+    ``config`` holds the caller's threshold; ``on_workload`` receives
+    each row with its :class:`GenerationWorkload` before the loop's
+    hooks fire.  ``resume_state`` (a ``Population.to_state()`` payload)
+    continues a run from its checkpoint, bit-identically thanks to the
+    evaluator's ``start_generation`` seed offset; on a scenario run
+    ``resume_metrics`` (the rows already on disk) replays the curriculum
+    fold to the same stage, streak and forgetting state.
+    """
+
+    def __init__(
+        self,
+        spec: ExperimentSpec,
+        config: NEATConfig,
+        fitness_transform: Optional[Callable[[float], float]] = None,
+        on_workload: Optional[
+            Callable[[GenerationMetrics, GenerationWorkload], None]
+        ] = None,
+        resume_state: Optional[Dict] = None,
+        resume_metrics: Optional[Sequence[Dict]] = None,
+    ) -> None:
+        self.spec = spec
+        self.config = config
+        self.fitness_transform = fitness_transform
+        self.on_workload = on_workload
+        self.start_value: Optional[float] = None
+        if resume_state is not None:
+            self.population = Population.from_state(resume_state, config)
+            self.start_value = self.population.fitness_summary()
+        else:
+            self.population = Population(config, seed=spec.seed)
+        self.start = self.population.generation
+        self.controller = None
+        if spec.scenario is not None:
+            from ..scenarios import CurriculumController
+
+            self.controller = CurriculumController(spec.scenario)
+            if resume_metrics:
+                self.controller.restore(resume_metrics)
+        self.switched_stage: Optional[int] = None
+        self.evaluator = self._evaluator(self.start)
+
+    @property
+    def champion(self) -> Optional[Genome]:
+        return self.population.best_genome
+
+    def _evaluator(self, generation: int):
+        spec = self.spec
         return build_evaluator(
             spec.env_id,
             episodes=spec.episodes,
             max_steps=spec.max_steps,
             seed=spec.seed,
-            fitness_transform=fitness_transform,
+            fitness_transform=self.fitness_transform,
             workers=spec.workers,
             vectorizer=spec.vectorizer,
             start_generation=generation,
             scenario=(
-                controller.active_scenario() if controller is not None else None
+                self.controller.active_scenario()
+                if self.controller is not None else None
             ),
         )
 
-    evaluator = make_evaluator(start_generation)
-    collect = collect_workloads or decorate_metrics is not None
-    threshold = config.fitness_threshold
-    out = _SoftwareLoopResult(population=population)
-    # A resumed run that had already met the stop criterion must not
-    # evolve further — the uninterrupted run would have stopped there.
-    already_converged = (
-        resume_state is not None
-        and threshold is not None
-        and population.fitness_summary() >= threshold
-    )
-    generation_range = (
-        range(0) if already_converged
-        else range(start_generation, spec.max_generations)
-    )
-    try:
-        for gen_index in generation_range:
-            snapshot = dict(population.population) if collect else None
+    def generation(
+        self, index: int, on_evaluation: Optional[EvaluationObserver]
+    ) -> Generation:
+        population, evaluator = self.population, self.evaluator
+        snapshot = dict(population.population) if self.on_workload else None
 
-            def fitness_function(genomes, cfg, _gen=gen_index):
-                evaluator(genomes, cfg)
-                if on_evaluation is not None:
-                    on_evaluation(_gen, genomes)
+        def fitness_function(genomes, config):
+            evaluator(genomes, config)
+            if on_evaluation is not None:
+                on_evaluation(index, genomes)
 
-            prev_steps = evaluator.totals.steps
-            prev_macs = evaluator.totals.macs
-            stats = population.run_generation(fitness_function)
-            env_steps = evaluator.totals.steps - prev_steps
-            macs = evaluator.totals.macs - prev_macs
-            metrics = GenerationMetrics(
+        prev_steps = evaluator.totals.steps
+        prev_macs = evaluator.totals.macs
+        stats = population.run_generation(fitness_function)
+        env_steps = evaluator.totals.steps - prev_steps
+        macs = evaluator.totals.macs - prev_macs
+        metrics = GenerationMetrics(
+            generation=stats.generation,
+            best_fitness=stats.best_fitness,
+            mean_fitness=stats.mean_fitness,
+            num_species=stats.num_species,
+            num_genes=stats.num_genes,
+            footprint_bytes=stats.memory_footprint_bytes,
+            env_steps=env_steps,
+            inference_macs=macs,
+        )
+        if self.controller is not None:
+            # Annotates the row with the stage it was evaluated under
+            # (plus forgetting/recovery) and folds the advancement rule;
+            # an advance only affects the *next* generation.
+            self.switched_stage = self.controller.step(
+                metrics.generation, metrics.best_fitness, metrics
+            )
+        if self.on_workload is not None:
+            # The numpy lanes levelise every genome anyway, so reuse
+            # their depths (exactly the feed_forward_layers counts
+            # _mean_depth would re-derive) when they are available.
+            depth = evaluator.last_mean_depth
+            if depth is None:
+                depth = _mean_depth(snapshot, self.config.genome)
+            self.on_workload(metrics, GenerationWorkload(
                 generation=stats.generation,
-                best_fitness=stats.best_fitness,
-                mean_fitness=stats.mean_fitness,
-                num_species=stats.num_species,
-                num_genes=stats.num_genes,
-                footprint_bytes=stats.memory_footprint_bytes,
+                population=stats.population_size,
+                total_nodes=stats.num_nodes,
+                total_connections=stats.num_connections,
+                ops=stats.ops,
                 env_steps=env_steps,
                 inference_macs=macs,
-            )
-            switched_stage = None
-            if controller is not None:
-                # Annotates the row with the stage it was evaluated under
-                # (plus forgetting/recovery) and folds the advancement
-                # rule; an advance only affects the *next* generation.
-                switched_stage = controller.step(
-                    metrics.generation, metrics.best_fitness, metrics
-                )
-            if collect:
-                # The numpy lanes levelise every genome anyway, so reuse
-                # their depths (exactly the feed_forward_layers counts
-                # _mean_depth would re-derive) when they are available.
-                depth = evaluator.last_mean_depth
-                if depth is None:
-                    depth = _mean_depth(snapshot, config.genome)
-                workload = GenerationWorkload(
-                    generation=stats.generation,
-                    population=stats.population_size,
-                    total_nodes=stats.num_nodes,
-                    total_connections=stats.num_connections,
-                    ops=stats.ops,
-                    env_steps=env_steps,
-                    inference_macs=macs,
-                    mean_network_depth=depth,
-                    fittest_parent_reuse=stats.fittest_parent_reuse,
-                )
-                out.workloads.append(workload)
-                if decorate_metrics is not None:
-                    decorate_metrics(metrics, workload)
-            out.metrics.append(metrics)
-            if on_generation is not None:
-                on_generation(metrics)
-            if on_state is not None:
-                on_state(population)
-            if threshold is not None and population.fitness_summary() >= threshold:
-                break
-            if should_stop is not None and should_stop(population.generation):
-                out.stopped = True
-                break
-            if switched_stage is not None:
-                # Rebuild the evaluator on the new stage's environment.
-                # The seed stream is a pure function of (seed, generation,
-                # genome, episode), so restarting at the current boundary
-                # keeps serial/pooled/vectorized bit-identity intact.
-                with obs.span(
-                    "scenario.switch",
-                    stage=switched_stage,
-                    generation=population.generation,
-                ):
-                    obs.incr("scenario.stage_advance")
-                    evaluator.close()
-                    evaluator = make_evaluator(population.generation)
-    finally:
-        evaluator.close()
-    if population.best_genome is None:
-        raise RuntimeError("no generations were evaluated")
-    return out
+                mean_network_depth=depth,
+                fittest_parent_reuse=stats.fittest_parent_reuse,
+            ))
+        return metrics, population.fitness_summary(), population.generation
+
+    def between(self) -> None:
+        """Rebuild the evaluator on a new curriculum stage's environment.
+
+        The seed stream is a pure function of (seed, generation, genome,
+        episode), so restarting at this boundary keeps serial, pooled and
+        vectorized runs bit-identical."""
+        if self.switched_stage is None:
+            return
+        generation = self.population.generation
+        with obs.span(
+            "scenario.switch", stage=self.switched_stage, generation=generation
+        ):
+            obs.incr("scenario.stage_advance")
+            self.evaluator.close()
+            self.evaluator = self._evaluator(generation)
+
+    def close(self) -> None:
+        self.evaluator.close()
+
+
+class _SoCGenerations:
+    """The chip model as a loop substrate: each generation is one
+    :meth:`repro.core.GeneSysSoC.run_generation`, its stop value the
+    report's best fitness.  The population lives inside the chip model,
+    so there is nothing to snapshot and nothing to resume from."""
+
+    start = 0
+    start_value = None
+    population = None
+
+    def __init__(self, soc: GeneSysSoC) -> None:
+        self.soc = soc
+        self.config = soc.config.neat
+
+    @property
+    def champion(self) -> Optional[Genome]:
+        return self.soc.best_genome
+
+    def generation(
+        self, index: int, on_evaluation: Optional[EvaluationObserver]
+    ) -> Generation:
+        soc = self.soc
+        if not soc.population:
+            soc.initialise_population()
+        evaluated = list(soc.population.values())
+        report = soc.run_generation()
+        if on_evaluation is not None:
+            on_evaluation(report.generation, evaluated)
+        cycles = report.inference_cycles + report.evolution_cycles
+        row = GenerationMetrics(
+            generation=report.generation,
+            best_fitness=report.best_fitness,
+            mean_fitness=report.mean_fitness,
+            num_species=report.num_species,
+            num_genes=report.num_genes,
+            footprint_bytes=report.footprint_bytes,
+            env_steps=report.env_steps,
+            inference_macs=report.inference.macs,
+            energy_j=report.energy.total_energy_j,
+            cycles=cycles,
+            runtime_s=cycles_to_seconds(cycles, soc.config.frequency_hz),
+        )
+        return row, report.best_fitness, soc.generation
+
+    def between(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +424,8 @@ class SoftwareBackend:
     """Pure-software NEAT: the paper's CPU/GPU baseline algorithm."""
 
     name = "software"
+    #: Prices each generation's workload into its row (analytical only).
+    _on_workload = None
 
     def __init__(self, arg: Optional[str] = None,
                  fitness_transform: Optional[Callable[[float], float]] = None) -> None:
@@ -355,30 +445,23 @@ class SoftwareBackend:
         should_stop: Optional[ShouldStop] = None,
         resume_metrics: Optional[Sequence[Dict]] = None,
     ) -> RunResult:
-        loop = _run_software_loop(
-            spec, self.fitness_transform, on_generation, on_evaluation,
-            on_state=on_state, resume_state=resume_state,
-            should_stop=should_stop, resume_metrics=resume_metrics,
+        config = config_for_env(spec.env_id, spec.pop_size, spec.fitness_threshold)
+        substrate = _SoftwareGenerations(
+            spec, config, fitness_transform=self.fitness_transform,
+            on_workload=self._on_workload, resume_state=resume_state,
+            resume_metrics=resume_metrics,
         )
-        population = loop.population
-        return RunResult(
-            spec=spec,
-            backend=self.name,
-            champion=population.best_genome,
-            generations=population.generation,
-            converged=population.converged,
-            stopped_early=loop.stopped,
-            metrics=loop.metrics,
-            neat_config=population.config,
-            population=population,
+        return _run_software_loop(
+            spec, substrate, self.name, on_generation, on_evaluation,
+            on_state, should_stop,
         )
 
 
-class AnalyticalBackend:
+class AnalyticalBackend(SoftwareBackend):
     """Software evolution costed through a registered platform model.
 
-    The loop (and therefore the champion) is identical to the software
-    backend; each generation's workload aggregates are fed to the chosen
+    The run (and therefore the champion) is the software backend's;
+    each generation's workload aggregates are fed to the chosen
     platform's inference/evolution cost models, so the run carries the
     modelled runtime and energy a real deployment on that platform would
     exhibit (the per-generation bars of Fig. 9).
@@ -424,42 +507,19 @@ class AnalyticalBackend:
         self.fitness_transform = fitness_transform
         self.name = f"analytical:{self.platform_name}"
 
-    def run(
-        self,
-        spec: ExperimentSpec,
-        on_generation: Optional[GenerationObserver] = None,
-        on_evaluation: Optional[EvaluationObserver] = None,
-        on_state: Optional[StateObserver] = None,
-        resume_state: Optional[Dict] = None,
-        should_stop: Optional[ShouldStop] = None,
-        resume_metrics: Optional[Sequence[Dict]] = None,
-    ) -> RunResult:
-        def decorate(metrics: GenerationMetrics, workload: GenerationWorkload) -> None:
-            inference = self.platform.inference_cost(workload)
-            evolution = self.platform.evolution_cost(workload)
-            metrics.energy_j = inference.energy_j + evolution.energy_j
-            metrics.runtime_s = inference.runtime_s + evolution.runtime_s
+    def _on_workload(
+        self, metrics: GenerationMetrics, workload: GenerationWorkload
+    ) -> None:
+        inference = self.platform.inference_cost(workload)
+        evolution = self.platform.evolution_cost(workload)
+        metrics.energy_j = inference.energy_j + evolution.energy_j
+        metrics.runtime_s = inference.runtime_s + evolution.runtime_s
 
-        loop = _run_software_loop(
-            spec, self.fitness_transform, on_generation, on_evaluation,
-            decorate_metrics=decorate,
-            on_state=on_state, resume_state=resume_state,
-            should_stop=should_stop, resume_metrics=resume_metrics,
-        )
-        population = loop.population
-        return RunResult(
-            spec=spec,
-            backend=self.name,
-            champion=population.best_genome,
-            generations=population.generation,
-            converged=population.converged,
-            stopped_early=loop.stopped,
-            metrics=loop.metrics,
-            neat_config=population.config,
-            total_energy_j=sum(m.energy_j for m in loop.metrics),
-            total_runtime_s=sum(m.runtime_s for m in loop.metrics),
-            population=population,
-        )
+    def run(self, spec: ExperimentSpec, *args, **kwargs) -> RunResult:
+        result = super().run(spec, *args, **kwargs)
+        result.total_energy_j = sum(m.energy_j for m in result.metrics)
+        result.total_runtime_s = sum(m.runtime_s for m in result.metrics)
+        return result
 
 
 def _parse_adam_shape(shape: Union[str, Sequence[int]]) -> Tuple[int, int]:
@@ -631,79 +691,23 @@ class SoCBackend:
                 "(use the software or analytical backends for resumable "
                 "runs)"
             )
-        # on_state is a software-loop capability; the SoC model exposes
-        # no Population object to snapshot, so the observer never fires.
         config = self._resolve_config(spec)
         soc = GeneSysSoC(
             config, spec.env_id, episodes=spec.episodes,
             max_steps=spec.max_steps, vectorize=self.vectorize,
         )
-        threshold = config.neat.fitness_threshold
-        metrics: List[GenerationMetrics] = []
-        stopped = False
-        for _ in range(spec.max_generations):
-            if not soc.population:
-                soc.initialise_population()
-            evaluated = list(soc.population.values())
-            report = soc.run_generation()
-            if on_evaluation is not None:
-                on_evaluation(report.generation, evaluated)
-            entry = self._metrics_from_report(report, config.frequency_hz)
-            metrics.append(entry)
-            if on_generation is not None:
-                on_generation(entry)
-            if threshold is not None and report.best_fitness >= threshold:
-                break
-            if should_stop is not None and should_stop(soc.generation):
-                # The chip model cannot resume, so stopping here just
-                # ends the run early (the caller decides what that means).
-                stopped = True
-                break
-        if soc.best_genome is None:
-            raise RuntimeError("no generations were evaluated")
-        champion = soc.best_genome
-        converged = (
-            threshold is not None
-            and champion.fitness is not None
-            and champion.fitness >= threshold
+        result = _run_software_loop(
+            spec, _SoCGenerations(soc), self.name, on_generation,
+            on_evaluation, on_state, should_stop,
         )
-        total_cycles = sum(
-            r.inference_cycles + r.evolution_cycles for r in soc.reports
+        result.total_energy_j = sum(m.energy_j for m in result.metrics)
+        result.total_cycles = sum(m.cycles for m in result.metrics)
+        result.total_runtime_s = cycles_to_seconds(
+            result.total_cycles, config.frequency_hz
         )
-        return RunResult(
-            spec=spec,
-            backend=self.name,
-            champion=champion,
-            generations=soc.generation,
-            converged=converged,
-            stopped_early=stopped,
-            metrics=metrics,
-            neat_config=config.neat,
-            total_energy_j=sum(r.energy.total_energy_j for r in soc.reports),
-            total_cycles=total_cycles,
-            total_runtime_s=cycles_to_seconds(total_cycles, config.frequency_hz),
-            reports=soc.reports,
-            soc=soc,
-        )
-
-    @staticmethod
-    def _metrics_from_report(
-        report: GenerationReport, frequency_hz: float
-    ) -> GenerationMetrics:
-        cycles = report.inference_cycles + report.evolution_cycles
-        return GenerationMetrics(
-            generation=report.generation,
-            best_fitness=report.best_fitness,
-            mean_fitness=report.mean_fitness,
-            num_species=report.num_species,
-            num_genes=report.num_genes,
-            footprint_bytes=report.footprint_bytes,
-            env_steps=report.env_steps,
-            inference_macs=report.inference.macs,
-            energy_j=report.energy.total_energy_j,
-            cycles=cycles,
-            runtime_s=cycles_to_seconds(cycles, frequency_hz),
-        )
+        result.reports = soc.reports
+        result.soc = soc
+        return result
 
 
 register_backend("software", SoftwareBackend)

@@ -1,9 +1,9 @@
 """The experiment runner: resolve a spec against a backend and go.
 
 :class:`Experiment` is the single entry point the CLI, the examples, the
-benchmarks and the legacy runner shims all share.  Rich, non-JSON
-arguments (a custom :class:`repro.core.GeneSysConfig`, a fitness
-transform callable) are passed to the constructor; everything
+benchmarks, :mod:`repro.runs` and :mod:`repro.dse` all share.  Rich,
+non-JSON arguments (a custom :class:`repro.core.GeneSysConfig`, a
+fitness transform callable) are passed to the constructor; everything
 serialisable lives on the spec.
 
 Durable, resumable runs layer on top of this module: pass ``run_dir``

@@ -78,8 +78,8 @@ class RunResult:
     """What :meth:`repro.api.Experiment.run` returns, for every backend.
 
     ``population``/``soc``/``reports`` expose the substrate objects for
-    callers that need them (the deprecation shims, hardware analyses);
-    they are not part of the serialisable summary.
+    callers that inspect them (hardware analyses, tests); they are not
+    part of the serialisable summary.
     """
 
     spec: "ExperimentSpec"

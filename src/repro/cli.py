@@ -1108,7 +1108,9 @@ def build_parser() -> argparse.ArgumentParser:
         "backends", help="list the registered experiment backends"
     ).set_defaults(func=_cmd_backends)
 
-    def add_workload_args(p: argparse.ArgumentParser) -> None:
+    def add_workload_args(p: argparse.ArgumentParser,
+                          threshold_default: str = "the environment's "
+                                                   "solve threshold") -> None:
         # Defaults are None so a --spec file only loses to flags the user
         # actually typed; fallbacks live in _SPEC_DEFAULTS.
         p.add_argument("env", nargs="?", default=None,
@@ -1135,8 +1137,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "scalar (default, node-by-node reference) or "
                             "numpy (compiled batch engine)")
         p.add_argument("--fitness-threshold", type=float, default=None,
-                       help="stop when this fitness is reached (defaults "
-                            "to the environment's solve threshold)")
+                       help="stop when this fitness is reached (default: "
+                            f"{threshold_default})")
 
     run = sub.add_parser("run", help="evolve an environment")
     add_workload_args(run)
@@ -1191,8 +1193,10 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--max-steps", type=int, default=None)
     infer.set_defaults(func=_cmd_infer)
 
+    # The trace recorder has no solve-threshold fallback.
+    whole_budget = "none, so the whole generation budget is recorded"
     char = sub.add_parser("characterise", help="workload characterisation")
-    add_workload_args(char)
+    add_workload_args(char, whole_budget)
     char.set_defaults(func=_cmd_characterise)
 
     plat = sub.add_parser(
@@ -1206,7 +1210,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "runtime/energy matrix across every registered "
                     "platform.",
     )
-    add_workload_args(plat)
+    add_workload_args(plat, whole_budget)
     plat.add_argument("--json", action="store_true",
                       help="print the registry as JSON (platform name -> "
                            "PlatformSpec dict; null for factory-backed "

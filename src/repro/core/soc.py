@@ -39,7 +39,6 @@ from ..hw.gene_encoding import PackedGene, decode_genome, encode_genome
 from ..hw.selector import GeneSelector
 from ..hw.sram import GenomeBuffer
 from ..neat.genome import Genome
-from ..neat.reproduction import Reproduction
 from .config import GeneSysConfig
 
 
@@ -225,10 +224,7 @@ class GeneSysSoC:
         best_key = max(fitnesses, key=fitnesses.get)
         best_fitness = fitnesses[best_key]
         mean_fitness = sum(fitnesses.values()) / len(fitnesses)
-        if (
-            self.best_genome is None
-            or (self.best_genome.fitness or float("-inf")) < best_fitness
-        ):
+        if self.best_genome is None or self.best_genome.fitness < best_fitness:
             self.best_genome = self.population[best_key].copy()
         num_genes = sum(g.num_genes for g in self.population.values())
 
@@ -268,23 +264,3 @@ class GeneSysSoC:
         self.reports.append(report)
         self.generation += 1
         return report
-
-    def run(
-        self,
-        max_generations: int = 50,
-        fitness_threshold: Optional[float] = None,
-    ) -> Genome:
-        """Closed-loop evolution until target fitness (the paper's stop
-        criterion) or the generation budget."""
-        threshold = (
-            fitness_threshold
-            if fitness_threshold is not None
-            else self.config.neat.fitness_threshold
-        )
-        for _ in range(max_generations):
-            report = self.run_generation()
-            if threshold is not None and report.best_fitness >= threshold:
-                break
-        if self.best_genome is None:
-            raise RuntimeError("no generations were evaluated")
-        return self.best_genome

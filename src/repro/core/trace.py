@@ -15,14 +15,17 @@ produce both the per-op trace lines and the workload aggregates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from ..envs.registry import make
 from ..neat.config import NEATConfig
 from ..neat.genome import MutationCounts
-from ..neat.network import FeedForwardNetwork, feed_forward_layers
+from ..neat.network import feed_forward_layers
 from ..neat.population import Population
 from ..neat.statistics import GENE_BYTES
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..api.result import GenerationMetrics
 
 
 @dataclass
@@ -77,6 +80,9 @@ class WorkloadTrace:
     env_id: str
     workloads: List[GenerationWorkload] = field(default_factory=list)
     lines: List[TraceLine] = field(default_factory=list)
+    #: the run's per-generation metrics rows (best/mean fitness and the
+    #: rest); like the workloads, not persisted by :meth:`save`
+    metrics: List["GenerationMetrics"] = field(default_factory=list)
 
     def iter_lines(self) -> Iterator[str]:
         for line in self.lines:
@@ -190,19 +196,22 @@ class TraceRecorder:
         vectorizer: str = "scalar",
         fitness_threshold: Optional[float] = None,
     ) -> None:
-        self.env_id = env_id
+        from ..api.spec import ExperimentSpec
+
         env = make(env_id)
+        # No solve-threshold fallback (unlike config_for_env): without a
+        # threshold a trace covers its whole generation budget.
         self.config = NEATConfig.for_env(
             env.num_observations,
             max(2, env.num_actions),
             pop_size=pop_size,
             fitness_threshold=fitness_threshold,
         )
-        self.episodes = episodes
-        self.max_steps = max_steps
-        self.seed = seed
-        self.workers = workers
-        self.vectorizer = vectorizer
+        self.spec = ExperimentSpec(
+            env_id, pop_size=pop_size, episodes=episodes,
+            max_steps=max_steps, seed=seed, workers=workers,
+            vectorizer=vectorizer, fitness_threshold=fitness_threshold,
+        )
 
     @classmethod
     def from_spec(cls, spec) -> "TraceRecorder":
@@ -219,74 +228,40 @@ class TraceRecorder:
         )
 
     def record(self, generations: int) -> WorkloadTrace:
-        from ..api.parallel import build_evaluator
+        """Run up to ``generations`` generations through the api
+        generation loop, collecting each generation's metrics row and
+        workload and turning each reproduction plan into op lines."""
+        from ..api.backends import _run_software_loop, _SoftwareGenerations
 
-        population = Population(self.config, seed=self.seed)
-        evaluator = build_evaluator(
-            self.env_id,
-            episodes=self.episodes,
-            max_steps=self.max_steps,
-            seed=self.seed,
-            workers=self.workers,
-            vectorizer=self.vectorizer,
+        spec = self.spec.replace(max_generations=generations)
+        trace = WorkloadTrace(env_id=spec.env_id)
+
+        def on_state(population: Population) -> None:
+            plan = population.last_plan
+            for event in plan.events:
+                counts = event.counts
+                for op, count in (
+                    ("crossover", counts.crossovers),
+                    ("perturb", counts.perturbations),
+                    ("add_node", counts.node_additions),
+                    ("del_node", counts.node_deletions),
+                    ("add_conn", counts.conn_additions),
+                    ("del_conn", counts.conn_deletions),
+                ):
+                    if count:
+                        trace.lines.append(TraceLine(
+                            generation=plan.generation,
+                            genome_id=event.child_key,
+                            op=op,
+                            count=count,
+                        ))
+
+        substrate = _SoftwareGenerations(
+            spec, self.config,
+            on_workload=lambda _row, workload: trace.workloads.append(workload),
         )
-        trace = WorkloadTrace(env_id=self.env_id)
-        threshold = self.config.fitness_threshold
-        prev_steps = 0
-        prev_macs = 0
-        try:
-            for _ in range(generations):
-                pop_snapshot = dict(population.population)
-                population.run_generation(evaluator)
-                stats = population.statistics.generations[-1]
-                env_steps = evaluator.totals.steps - prev_steps
-                macs = evaluator.totals.macs - prev_macs
-                prev_steps = evaluator.totals.steps
-                prev_macs = evaluator.totals.macs
-                # Reuse the numpy lanes' levelisation by-product when
-                # they ran; identical to re-deriving per genome.
-                depth = evaluator.last_mean_depth
-                if depth is None:
-                    depth = _mean_depth(pop_snapshot, self.config.genome)
-                trace.workloads.append(
-                    GenerationWorkload(
-                        generation=stats.generation,
-                        population=stats.population_size,
-                        total_nodes=stats.num_nodes,
-                        total_connections=stats.num_connections,
-                        ops=stats.ops,
-                        env_steps=env_steps,
-                        inference_macs=macs,
-                        mean_network_depth=depth,
-                        fittest_parent_reuse=stats.fittest_parent_reuse,
-                    )
-                )
-                plan = population.last_plan
-                if plan is not None:
-                    for event in plan.events:
-                        counts = event.counts
-                        for op, count in (
-                            ("crossover", counts.crossovers),
-                            ("perturb", counts.perturbations),
-                            ("add_node", counts.node_additions),
-                            ("del_node", counts.node_deletions),
-                            ("add_conn", counts.conn_additions),
-                            ("del_conn", counts.conn_deletions),
-                        ):
-                            if count:
-                                trace.lines.append(
-                                    TraceLine(
-                                        generation=plan.generation,
-                                        genome_id=event.child_key,
-                                        op=op,
-                                        count=count,
-                                    )
-                                )
-                # Same stop criterion as Population.run and the api
-                # backends: a spec-driven characterise run must cover the
-                # same generations as the equivalent `run` invocation.
-                if threshold is not None and population.fitness_summary() >= threshold:
-                    break
-        finally:
-            evaluator.close()
+        _run_software_loop(
+            spec, substrate, "software",
+            on_generation=trace.metrics.append, on_state=on_state,
+        )
         return trace

@@ -2,10 +2,9 @@
 
 Generate initial population -> evaluate fitness -> check completion ->
 reproduce -> repeat.  The population object is deliberately agnostic to
-*how* fitness is computed: callers hand in a fitness function (software
-network inference, or the full hardware-in-the-loop path through
-:mod:`repro.core.runner`), matching the paper's framing where only the
-fitness function changes between workloads (Section III-B).
+*how* fitness is computed: callers hand in a fitness function, matching
+the paper's framing where only the fitness function changes between
+workloads (Section III-B).
 """
 
 from __future__ import annotations
@@ -22,6 +21,12 @@ from .species import SpeciesSet
 from .statistics import GenerationStats, StatisticsReporter
 
 FitnessFunction = Callable[[List[Genome], NEATConfig], None]
+
+
+def meets_threshold(fitness: Optional[float], threshold: Optional[float]) -> bool:
+    """The stop and convergence rule.  A missing fitness or threshold
+    never meets it; 0.0 is a fitness like any other."""
+    return threshold is not None and fitness is not None and fitness >= threshold
 
 
 class Population:
@@ -114,7 +119,9 @@ class Population:
 
         Returns the best genome observed (the paper's stop criterion:
         "The system stops when the CPU detects that the target fitness for
-        that application has been achieved", Section IV-B).
+        that application has been achieved", Section IV-B).  This is the
+        loop for a caller-supplied fitness function (``evolve_hyperneat``);
+        environment-bound runs go through the :mod:`repro.api` loop.
         """
         threshold = (
             fitness_threshold
@@ -123,7 +130,7 @@ class Population:
         )
         for _ in range(max_generations):
             self.run_generation(fitness_function)
-            if threshold is not None and self.fitness_summary() >= threshold:
+            if meets_threshold(self.fitness_summary(), threshold):
                 break
         if self.best_genome is None:
             raise RuntimeError("no generations were evaluated")
@@ -131,10 +138,10 @@ class Population:
 
     @property
     def converged(self) -> bool:
-        threshold = self.config.fitness_threshold
-        if threshold is None or self.best_genome is None:
-            return False
-        return (self.best_genome.fitness or float("-inf")) >= threshold
+        best = self.best_genome
+        return best is not None and meets_threshold(
+            best.fitness, self.config.fitness_threshold
+        )
 
     # ------------------------------------------------------------------
     # checkpoint / resume

@@ -50,6 +50,15 @@ class TestCharacterisation:
     def test_convergence_tracked(self, cartpole_char):
         assert len(cartpole_char.convergence_generations()) == 2
 
+    def test_whole_budget_past_solve_threshold(self):
+        # Acrobot's solve threshold (-100) is met from generation 0 when
+        # episodes are capped at 20 steps; the runs still cover the budget.
+        char = characterise_env(
+            "Acrobot-v1", runs=2, generations=3, pop_size=10, max_steps=20,
+        )
+        assert [r.generations for r in char.runs] == [3, 3]
+        assert char.convergence_generations() == [0, 0]
+
 
 class TestRecordWorkload:
     def test_workloads(self):

@@ -169,31 +169,60 @@ class TestSoCHardwareOptions:
 
 
 class TestObservers:
-    def test_software_observers_fire(self):
-        generations, evaluations = [], []
-        spec = small_spec(fitness_threshold=1e9)
-        Experiment(spec).run(
-            on_generation=lambda m: generations.append(m.generation),
-            on_evaluation=lambda gen, genomes: evaluations.append(
-                (gen, len(genomes), all(g.fitness is not None for g in genomes))
-            ),
-        )
-        assert generations == [0, 1, 2]
-        assert [e[0] for e in evaluations] == [0, 1, 2]
-        # every evaluation observer saw a fully-evaluated population
-        assert all(ok for _gen, _n, ok in evaluations)
+    @pytest.mark.parametrize("backend", ["software", "analytical:GENESYS", "soc"])
+    def test_observers_fire(self, backend):
+        """The loop contract, the same on every substrate: per generation
+        on_evaluation -> on_generation -> on_state -> should_stop (on_state
+        only where there is a population to snapshot); should_stop sees
+        1, 2, ... and is not polled on the generation that meets the
+        threshold; only should_stop ends a run early."""
 
-    def test_soc_observers_fire(self):
-        generations, evaluations = [], []
-        spec = small_spec(backend="soc", fitness_threshold=1e9)
-        Experiment(spec).run(
-            on_generation=lambda m: generations.append(m.generation),
-            on_evaluation=lambda gen, genomes: evaluations.append(
-                all(g.fitness is not None for g in genomes)
-            ),
-        )
-        assert generations == [0, 1, 2]
-        assert all(evaluations)
+        def run(stop_at=None, **overrides):
+            events = []
+
+            def should_stop(done):
+                events.append(("should_stop", done))
+                return done == stop_at
+
+            result = Experiment(small_spec(backend=backend, **overrides)).run(
+                on_evaluation=lambda gen, genomes: events.append((
+                    "evaluation", gen,
+                    all(g.fitness is not None for g in genomes),
+                )),
+                on_generation=lambda m: events.append(
+                    ("generation", m.generation)
+                ),
+                on_state=lambda population: events.append(
+                    ("state", population.generation)
+                ),
+                should_stop=should_stop,
+            )
+            return result, events
+
+        def generation(gen, polled=True):
+            hooks = [("evaluation", gen, True), ("generation", gen)]
+            if backend != "soc":
+                hooks.append(("state", gen + 1))
+            if polled:
+                hooks.append(("should_stop", gen + 1))
+            return hooks
+
+        result, events = run(fitness_threshold=1e9)
+        assert events == generation(0) + generation(1) + generation(2)
+        assert result.generations == 3
+        assert not result.stopped_early and not result.converged
+
+        result, events = run(stop_at=2, fitness_threshold=1e9)
+        assert events == generation(0) + generation(1)
+        assert result.generations == len(result.metrics) == 2
+        assert result.stopped_early and not result.converged
+
+        # every CartPole genome scores at least 1, so generation 0 meets
+        # this threshold: the run ends there without polling should_stop
+        result, events = run(stop_at=1, fitness_threshold=1.0)
+        assert events == generation(0, polled=False)
+        assert result.generations == 1
+        assert result.converged and not result.stopped_early
 
 
 class TestLegacyShims:

@@ -135,6 +135,23 @@ class TestResume:
         ]
         assert again.generations == first.generations
 
+    def test_zero_fitness_run_at_zero_threshold_is_sealed(self, tmp_path):
+        """Regression: a champion fitness of exactly 0.0 used to read as
+        missing, so a run stopped by a 0.0 threshold reported
+        converged=False and was never sealed."""
+        run_dir = tmp_path / "run"
+        spec = small_spec(fitness_threshold=0.0, pop_size=10, max_steps=20)
+        result = run_in_dir(spec, run_dir, fitness_transform=lambda r: 0.0)
+        assert result.generations == 1
+        assert result.converged
+        assert RunDir(run_dir).is_complete
+        assert RunDir(run_dir).load_result()["converged"] is True
+        # A resumed run that already met its threshold evolves no further.
+        replayed = []
+        again = resume_run(run_dir, on_generation=replayed.append)
+        assert replayed == []
+        assert again.generations == 1 and again.converged
+
     def test_resume_extends_generation_budget(self, tmp_path):
         run_dir = tmp_path / "run"
         run_in_dir(small_spec(), run_dir)

@@ -69,17 +69,53 @@ def test_children_decode_valid(soc):
         genome.validate(soc.config.neat.genome)
 
 
-def test_run_until_threshold(soc):
-    best = soc.run(max_generations=8, fitness_threshold=30.0)
-    assert best.fitness is not None
-    assert soc.reports
-    assert soc.generation <= 8
+def _soc_run(max_generations, fitness_threshold, pop_size=16, num_pes=8,
+             seed=0, max_steps=60):
+    """A closed-loop soc run through the api generation loop."""
+    spec = ExperimentSpec(
+        "CartPole-v0", backend="soc", max_generations=max_generations,
+        fitness_threshold=fitness_threshold, pop_size=pop_size, seed=seed,
+        max_steps=max_steps,
+    )
+    config = GeneSysConfig(eve=EvEConfig(num_pes=num_pes))
+    return Experiment(spec, soc_config=config).run()
 
 
-def test_reports_accumulate(soc):
-    soc.run(max_generations=3, fitness_threshold=1e9)
-    assert len(soc.reports) == 3
-    assert [r.generation for r in soc.reports] == [0, 1, 2]
+def test_run_until_threshold():
+    result = _soc_run(max_generations=8, fitness_threshold=30.0)
+    assert result.champion.fitness is not None
+    assert result.reports
+    assert result.generations == len(result.reports) <= 8
+    assert result.converged == (result.champion.fitness >= 30.0)
+    if result.generations < 8:
+        assert result.converged
+
+
+def test_reports_accumulate():
+    result = _soc_run(max_generations=3, fitness_threshold=1e9)
+    assert len(result.reports) == 3
+    assert [r.generation for r in result.reports] == [0, 1, 2]
+
+
+def test_zero_fitness_champion_not_displaced_by_a_worse_one(soc, monkeypatch):
+    """Regression: a 0.0 champion used to count as missing, so the next
+    generation's best replaced it even when lower."""
+    evaluate = soc.evaluate_population
+    scores = iter([0.0, -1.0])
+
+    def scored_evaluation():
+        steps = evaluate()
+        score = next(scores)
+        for key, genome in soc.population.items():
+            genome.fitness = score
+            soc.buffer.set_fitness(key, score)
+        return steps
+
+    monkeypatch.setattr(soc, "evaluate_population", scored_evaluation)
+    soc.run_generation()
+    soc.run_generation()
+    assert [r.best_fitness for r in soc.reports] == [0.0, -1.0]
+    assert soc.best_genome.fitness == 0.0
 
 
 def test_seconds_properties(soc):
@@ -91,11 +127,9 @@ def test_seconds_properties(soc):
 def test_deterministic_given_seed():
     results = []
     for _ in range(2):
-        neat = config_for_env("CartPole-v0", pop_size=12)
-        config = GeneSysConfig(neat=neat, eve=EvEConfig(num_pes=4), seed=5)
-        soc = GeneSysSoC(config, "CartPole-v0", episodes=1, max_steps=40)
-        soc.run(max_generations=3, fitness_threshold=1e9)
-        results.append([r.best_fitness for r in soc.reports])
+        result = _soc_run(max_generations=3, fitness_threshold=1e9,
+                          pop_size=12, num_pes=4, seed=5, max_steps=40)
+        results.append([r.best_fitness for r in result.reports])
     assert results[0] == results[1]
 
 

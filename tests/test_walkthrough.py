@@ -7,6 +7,7 @@ audited against the paper text step by step.
 
 import pytest
 
+from repro.api import Experiment, ExperimentSpec
 from repro.core import GeneSysConfig, GeneSysSoC, config_for_env
 from repro.hw import EvEConfig, decode_genome
 
@@ -88,12 +89,21 @@ def test_children_ordered_in_two_sorted_clusters(soc):
         assert conn_keys == sorted(conn_keys)
 
 
-def test_stop_criterion_target_fitness(soc):
+def test_stop_criterion_target_fitness():
     """'The system stops when the CPU detects that the target fitness ...
     has been achieved.'"""
-    best = soc.run(max_generations=10, fitness_threshold=5.0)
-    assert best.fitness >= 5.0
-    assert soc.generation <= 10
+    spec = ExperimentSpec(
+        "CartPole-v0", backend="soc", max_generations=10,
+        fitness_threshold=5.0, pop_size=12, seed=1, max_steps=40,
+    )
+    result = Experiment(
+        spec, soc_config=GeneSysConfig(eve=EvEConfig(num_pes=4))
+    ).run()
+    assert result.converged
+    assert result.champion.fitness >= 5.0
+    assert result.generations == len(result.metrics) <= 10
+    assert result.metrics[-1].best_fitness >= 5.0
+    assert all(m.best_fitness < 5.0 for m in result.metrics[:-1])
 
 
 def test_plp_and_glp_phases_accounted_separately(soc):
