@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
@@ -87,6 +89,11 @@ class ExperimentSpec:
             raise SpecError("max_steps must be >= 1 when set")
         if self.workers < 1:
             raise SpecError("workers must be >= 1")
+        threshold = self.fitness_threshold
+        if threshold is not None and (
+            not isinstance(threshold, numbers.Real) or not math.isfinite(threshold)
+        ):
+            raise SpecError(f"fitness_threshold must be a finite number, got {threshold!r}")
         if self.vectorizer not in VECTORIZERS:
             raise SpecError(
                 f"vectorizer must be 'scalar' or 'numpy', got {self.vectorizer!r}"

@@ -25,14 +25,14 @@ evaluation requires a new input vector").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..neat.activations import ActivationFunctionSet
 from ..neat.config import GenomeConfig
 from ..neat.genome import Genome
-from ..neat.network import feed_forward_layers
+from ..neat.network import genome_levels
 
 _ACTIVATIONS = ActivationFunctionSet()
 
@@ -130,13 +130,7 @@ def build_inference_plan(genome: Genome, config: GenomeConfig) -> InferencePlan:
     actually used, so the matrices are compact (the GPU_a strategy the
     paper describes, done per wave).
     """
-    enabled = [key for key, conn in genome.connections.items() if conn.enabled]
-    layers = feed_forward_layers(config.input_keys, config.output_keys, enabled)
-    incoming: Dict[int, List[Tuple[int, float]]] = {}
-    for (src, dst), conn in genome.connections.items():
-        if conn.enabled:
-            incoming.setdefault(dst, []).append((src, conn.weight))
-
+    layers, incoming = genome_levels(genome, config)
     waves: List[WavePlan] = []
     for layer in layers:
         node_ids = list(layer)

@@ -1,9 +1,12 @@
 """Compiled batch inference: levelised genomes as dense numpy plans.
 
 This is the software twin of the paper's *vectorize routine* (Section
-IV-A): the same :func:`feed_forward_layers` levelisation that
-:class:`repro.hw.adam.ADAM` packs into systolic waves is compiled here
-into per-layer dense weight/bias/response arrays, and a whole
+IV-A): :func:`repro.neat.network.genome_levels` is the one levelisation
+pass every compiler of a genome shares — :func:`compile_network` here,
+:meth:`repro.neat.network.FeedForwardNetwork.create` and
+:func:`repro.hw.adam.build_inference_plan`, which packs the same waves
+into systolic matrix-vector products.  Here each wave is compiled into
+per-layer dense weight/bias/response arrays, and a whole
 population's same-shape plans are padded and stacked so one numpy call
 advances every in-flight episode of a generation at once.
 
@@ -35,7 +38,7 @@ import numpy as np
 
 from .config import GenomeConfig
 from .genome import Genome
-from .network import feed_forward_layers
+from .network import genome_levels
 
 
 class CompileError(ValueError):
@@ -241,12 +244,7 @@ def compile_network(genome: Genome, config: GenomeConfig) -> CompiledNetwork:
     express: non-sum aggregations and activations without a registered
     numpy twin (the same restriction the ADAM systolic model has).
     """
-    enabled = [key for key, conn in genome.connections.items() if conn.enabled]
-    layers = feed_forward_layers(config.input_keys, config.output_keys, enabled)
-    incoming: Dict[int, List[Tuple[int, float]]] = {}
-    for (src, dst), conn in genome.connections.items():
-        if conn.enabled:
-            incoming.setdefault(dst, []).append((src, conn.weight))
+    layers, incoming = genome_levels(genome, config)
 
     columns: Dict[int, int] = {key: i for i, key in enumerate(config.input_keys)}
     for key in config.output_keys:

@@ -150,23 +150,29 @@ class Genome:
             and parent2.fitness > parent1.fitness
         ):
             parent1, parent2 = parent2, parent1
+        bias = config.crossover_bias
+        crossovers = 0
         child = cls(key)
+        child_nodes = child.nodes
+        other_nodes = parent2.nodes
         for node_key, node1 in parent1.nodes.items():
-            node2 = parent2.nodes.get(node_key)
+            node2 = other_nodes.get(node_key)
             if node2 is None:
-                child.nodes[node_key] = node1.copy()
+                child_nodes[node_key] = node1.copy()
             else:
-                child.nodes[node_key] = node1.crossover(node2, rng, config.crossover_bias)
-                if counts is not None:
-                    counts.crossovers += 1
+                child_nodes[node_key] = node1.crossover(node2, rng, bias)
+                crossovers += 1
+        child_conns = child.connections
+        other_conns = parent2.connections
         for conn_key, conn1 in parent1.connections.items():
-            conn2 = parent2.connections.get(conn_key)
+            conn2 = other_conns.get(conn_key)
             if conn2 is None:
-                child.connections[conn_key] = conn1.copy()
+                child_conns[conn_key] = conn1.copy()
             else:
-                child.connections[conn_key] = conn1.crossover(conn2, rng, config.crossover_bias)
-                if counts is not None:
-                    counts.crossovers += 1
+                child_conns[conn_key] = conn1.crossover(conn2, rng, bias)
+                crossovers += 1
+        if counts is not None:
+            counts.crossovers += crossovers
         return child
 
     def copy(self, key: Optional[int] = None) -> "Genome":
@@ -219,10 +225,12 @@ class Genome:
             if rng.random() < config.conn_delete_prob:
                 self.mutate_delete_connection(rng, counts)
 
+        perturbations = 0
         for node in self.nodes.values():
-            counts.perturbations += node.mutate(config, rng)
+            perturbations += node.mutate(config, rng)
         for conn in self.connections.values():
-            counts.perturbations += conn.mutate(config, rng)
+            perturbations += conn.mutate(config, rng)
+        counts.perturbations += perturbations
         return counts
 
     def mutate_add_node(
@@ -318,8 +326,9 @@ class Genome:
             return None
         if dest in config.input_keys:
             return None
-        enabled_keys = [k for k, c in self.connections.items()]
-        if creates_cycle(enabled_keys, key):
+        # Every connection, disabled ones too: a disabled connection can be
+        # re-enabled later, and must not close a cycle when it is.
+        if creates_cycle(self.connections, key):
             return None
         self.connections[key] = ConnectionGene.random_init(key, config, rng)
         if counts is not None:
@@ -342,38 +351,55 @@ class Genome:
     # ------------------------------------------------------------------
 
     def distance(self, other: "Genome", config: GenomeConfig) -> float:
-        """NEAT compatibility distance between two genomes."""
+        """NEAT compatibility distance between two genomes.
+
+        Homologous gene distances are summed in ``self``'s gene order (the
+        order is part of the result's bits); genes present in only one
+        genome count as disjoint.
+        """
+        weight_coeff = config.compatibility_weight_coefficient
+        disjoint_coeff = config.compatibility_disjoint_coefficient
         node_distance = 0.0
-        if self.nodes or other.nodes:
-            disjoint = 0
+        nodes, other_nodes = self.nodes, other.nodes
+        if nodes or other_nodes:
             homologous = 0.0
-            for key, node in self.nodes.items():
-                other_node = other.nodes.get(key)
-                if other_node is None:
-                    disjoint += 1
-                else:
-                    homologous += node.distance(other_node, config)
-            disjoint += sum(1 for key in other.nodes if key not in self.nodes)
-            max_nodes = max(len(self.nodes), len(other.nodes))
-            node_distance = (
-                homologous + config.compatibility_disjoint_coefficient * disjoint
-            ) / max(1, max_nodes)
+            matched = 0
+            get = other_nodes.get
+            for key, node in nodes.items():
+                other_node = get(key)
+                if other_node is not None:
+                    matched += 1
+                    d = abs(node.bias - other_node.bias) + abs(
+                        node.response - other_node.response
+                    )
+                    if node.activation != other_node.activation:
+                        d += 1.0
+                    if node.aggregation != other_node.aggregation:
+                        d += 1.0
+                    homologous += d * weight_coeff
+            disjoint = len(nodes) + len(other_nodes) - 2 * matched
+            node_distance = (homologous + disjoint_coeff * disjoint) / max(
+                1, len(nodes), len(other_nodes)
+            )
 
         conn_distance = 0.0
-        if self.connections or other.connections:
-            disjoint = 0
+        conns, other_conns = self.connections, other.connections
+        if conns or other_conns:
             homologous = 0.0
-            for key, conn in self.connections.items():
-                other_conn = other.connections.get(key)
-                if other_conn is None:
-                    disjoint += 1
-                else:
-                    homologous += conn.distance(other_conn, config)
-            disjoint += sum(1 for key in other.connections if key not in self.connections)
-            max_conns = max(len(self.connections), len(other.connections))
-            conn_distance = (
-                homologous + config.compatibility_disjoint_coefficient * disjoint
-            ) / max(1, max_conns)
+            matched = 0
+            get = other_conns.get
+            for key, conn in conns.items():
+                other_conn = get(key)
+                if other_conn is not None:
+                    matched += 1
+                    d = abs(conn.weight - other_conn.weight)
+                    if conn.enabled != other_conn.enabled:
+                        d += 1.0
+                    homologous += d * weight_coeff
+            disjoint = len(conns) + len(other_conns) - 2 * matched
+            conn_distance = (homologous + disjoint_coeff * disjoint) / max(
+                1, len(conns), len(other_conns)
+            )
         return node_distance + conn_distance
 
     # ------------------------------------------------------------------

@@ -22,22 +22,80 @@ _ACTIVATIONS = ActivationFunctionSet()
 _AGGREGATIONS = AggregationFunctionSet()
 
 
+InLinks = Dict[int, List[Tuple]]
+
+
+def _in_links(connections: Sequence[Tuple[int, int]]) -> InLinks:
+    """Group ``(src, dst)`` edges by destination: ``dst -> [(src, dst), ...]``."""
+    incoming: InLinks = {}
+    for edge in connections:
+        incoming.setdefault(edge[1], []).append(edge)
+    return incoming
+
+
+def _walk(
+    inputs: Sequence[int], outputs: Sequence[int], incoming: InLinks
+) -> Tuple[Dict[int, int], Dict[int, List[int]]]:
+    """Walk the in-links back from the outputs, stopping at inputs.
+
+    Returns ``(waiting, dependents)``: every node required for an output,
+    mapped to its number of in-links from non-input sources, and every
+    such source mapped to the required nodes it feeds (once per link).
+    """
+    input_set = set(inputs)
+    waiting: Dict[int, int] = {}
+    dependents: Dict[int, List[int]] = {}
+    required = set(outputs)
+    frontier = list(required)
+    while frontier:
+        node = frontier.pop()
+        count = 0
+        for link in incoming.get(node, ()):
+            src = link[0]
+            if src in input_set:
+                continue
+            count += 1
+            dependents.setdefault(src, []).append(node)
+            if src not in required:
+                required.add(src)
+                frontier.append(src)
+        waiting[node] = count
+    return waiting, dependents
+
+
 def required_for_output(
     inputs: Sequence[int], outputs: Sequence[int], connections: Sequence[Tuple[int, int]]
 ) -> Set[int]:
     """Nodes whose value can influence an output (pruning dead subgraphs)."""
-    required = set(outputs)
-    frontier = set(outputs)
-    incoming: Dict[int, List[int]] = {}
-    for src, dst in connections:
-        incoming.setdefault(dst, []).append(src)
-    while frontier:
-        node = frontier.pop()
-        for src in incoming.get(node, ()):
-            if src not in required and src not in inputs:
-                required.add(src)
-                frontier.add(src)
-    return required
+    return set(_walk(inputs, outputs, _in_links(connections))[0])
+
+
+def _levelise(inputs: Sequence[int], outputs: Sequence[int], incoming: InLinks) -> List[List[int]]:
+    """Kahn waves over the nodes required for an output.
+
+    ``incoming`` maps each destination to its in-links, whose first item
+    is the source node.  A required node waits on one counter per in-link
+    from a non-input source; a wave is every node whose counter reached
+    zero on the previous wave, sorted.
+    """
+    waiting, dependents = _walk(inputs, outputs, incoming)
+    wave = [node for node, count in waiting.items() if not count]
+    layers: List[List[int]] = []
+    placed = 0
+    while wave:
+        wave.sort()
+        layers.append(wave)
+        placed += len(wave)
+        next_wave = []
+        for node in wave:
+            for dst in dependents.get(node, ()):
+                waiting[dst] -= 1
+                if not waiting[dst]:
+                    next_wave.append(dst)
+        wave = next_wave
+    if placed != len(waiting):
+        raise ValueError("graph is cyclic or has unreachable required nodes")
+    return layers
 
 
 def feed_forward_layers(
@@ -49,27 +107,28 @@ def feed_forward_layers(
     (or at an input).  This levelisation is exactly the "vectorize routine"
     the paper runs on the System CPU "to pack nodes into well formed input
     vectors" (Section IV-A) — each layer is one wave of concurrent vertex
-    updates.
+    updates.  Raises ``ValueError`` when a cycle feeds an output.
     """
-    required = required_for_output(inputs, outputs, connections)
-    evaluated: Set[int] = set(inputs)
-    pending = set(required)
-    layers: List[List[int]] = []
-    incoming: Dict[int, List[int]] = {}
-    for src, dst in connections:
-        incoming.setdefault(dst, []).append(src)
-    while pending:
-        ready = sorted(
-            node
-            for node in pending
-            if all(src in evaluated for src in incoming.get(node, ()))
-        )
-        if not ready:
-            raise ValueError("graph is cyclic or has unreachable required nodes")
-        layers.append(ready)
-        evaluated.update(ready)
-        pending.difference_update(ready)
-    return layers
+    return _levelise(inputs, outputs, _in_links(connections))
+
+
+def genome_levels(
+    genome: Genome, config: GenomeConfig
+) -> Tuple[List[List[int]], Dict[int, List[Tuple[int, float]]]]:
+    """The one levelisation pass every compiler of a genome shares.
+
+    Returns ``(layers, incoming)``: the :func:`feed_forward_layers` waves
+    of the genome's enabled connections, and its enabled in-links as
+    ``dest -> [(source, weight), ...]`` in connection order.
+    :func:`repro.neat.compiled.compile_network`,
+    :meth:`FeedForwardNetwork.create` and
+    :func:`repro.hw.adam.build_inference_plan` all build on it.
+    """
+    incoming: Dict[int, List[Tuple[int, float]]] = {}
+    for (src, dst), conn in genome.connections.items():
+        if conn.enabled:
+            incoming.setdefault(dst, []).append((src, conn.weight))
+    return _levelise(config.input_keys, config.output_keys, incoming), incoming
 
 
 class FeedForwardNetwork:
@@ -90,14 +149,7 @@ class FeedForwardNetwork:
 
     @classmethod
     def create(cls, genome: Genome, config: GenomeConfig) -> "FeedForwardNetwork":
-        enabled = [
-            key for key, conn in genome.connections.items() if conn.enabled
-        ]
-        layers = feed_forward_layers(config.input_keys, config.output_keys, enabled)
-        incoming: Dict[int, List[Tuple[int, float]]] = {}
-        for (src, dst), conn in genome.connections.items():
-            if conn.enabled:
-                incoming.setdefault(dst, []).append((src, conn.weight))
+        layers, incoming = genome_levels(genome, config)
         node_evals = []
         for layer in layers:
             for node_key in layer:

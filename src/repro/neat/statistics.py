@@ -52,7 +52,6 @@ class StatisticsReporter:
 
     def __init__(self) -> None:
         self.generations: List[GenerationStats] = []
-        self.best_genome: Optional[Genome] = None
 
     def record(
         self,
@@ -69,15 +68,6 @@ class StatisticsReporter:
         best_key = max(fitnesses, key=fitnesses.get) if fitnesses else None
         best_fitness = fitnesses[best_key] if best_key is not None else float("-inf")
         mean_fitness = sum(fitnesses.values()) / len(fitnesses) if fitnesses else 0.0
-        if best_key is not None:
-            candidate = population[best_key]
-            if (
-                self.best_genome is None
-                or self.best_genome.fitness is None
-                or (candidate.fitness or 0) > self.best_genome.fitness
-            ):
-                self.best_genome = candidate.copy()
-
         num_nodes = sum(len(g.nodes) for g in population.values())
         num_connections = sum(len(g.connections) for g in population.values())
         ops = plan.total_counts if plan is not None else MutationCounts()

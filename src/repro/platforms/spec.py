@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Type, Union
@@ -78,6 +79,8 @@ def _require_positive(name: str, value: Any, kind: type = float) -> None:
         raise PlatformSpecError(f"{name} must be a number, got {value!r}")
     if kind is int and not isinstance(value, int):
         raise PlatformSpecError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise PlatformSpecError(f"{name} must be finite, got {value!r}")
     if value <= 0:
         raise PlatformSpecError(f"{name} must be > 0, got {value!r}")
 

@@ -37,10 +37,18 @@ class TestConstruction:
         {"env_id": "CartPole-v0", "workers": 0},
         {"env_id": "CartPole-v0", "vectorizer": "cuda"},
         {"env_id": "CartPole-v0", "vectorizer": ""},
+        {"env_id": "CartPole-v0", "fitness_threshold": "high"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(SpecError):
             ExperimentSpec(**kwargs)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # A NaN threshold is never met and would be written to spec.json
+        # as the non-JSON token NaN.
+        with pytest.raises(SpecError, match="finite"):
+            ExperimentSpec("CartPole-v0", fitness_threshold=threshold)
 
     def test_vectorizer_default_scalar(self):
         assert ExperimentSpec("CartPole-v0").vectorizer == "scalar"

@@ -64,6 +64,11 @@ class TestSpecValidation:
         with pytest.raises((PlatformSpecError, ValueError)):
             PlatformSpec("soc", params=params)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_params_rejected(self, value):
+        with pytest.raises(PlatformSpecError, match="finite"):
+            PlatformSpec("soc", params={"frequency_hz": value})
+
     def test_noc_spelling_canonicalised(self):
         spec = PlatformSpec("soc", params={"noc": "Point-To-Point"})
         assert spec.params.noc == "p2p"

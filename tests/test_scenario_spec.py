@@ -53,6 +53,11 @@ class TestSpecValidation:
         with pytest.raises(ScenarioSpecError, match="must be a number"):
             ScenarioSpec(env_id="CartPole-v0", params={"length": True})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_param(self, value):
+        with pytest.raises(ScenarioSpecError, match="finite"):
+            ScenarioSpec(env_id="CartPole-v0", params={"gravity": value})
+
     def test_unknown_perturbation_kind(self):
         with pytest.raises(ScenarioSpecError, match="unknown perturbation"):
             ScenarioSpec(

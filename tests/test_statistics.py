@@ -62,15 +62,6 @@ def test_reuse_from_plan(population):
     assert stats.fittest_parent_reuse == 1
 
 
-def test_best_genome_tracked_across_generations(population):
-    reporter = StatisticsReporter()
-    reporter.record(0, population, 1, None)
-    first_best = reporter.best_genome.fitness
-    population[0].fitness = 100.0
-    reporter.record(1, population, 1, None)
-    assert reporter.best_genome.fitness == 100.0 > first_best
-
-
 def test_series_accessors(population):
     reporter = StatisticsReporter()
     for gen in range(3):
