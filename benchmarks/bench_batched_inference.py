@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.runner import config_for_env
 from repro.envs.evaluate import FitnessEvaluator
-from repro.neat.compiled import compile_network
+from repro.neat.compiled import StackedPlans, compile_network
 from repro.neat.network import FeedForwardNetwork
 from repro.neat.population import Population
 
@@ -101,24 +101,24 @@ def test_batched_generation_speedup(emit):
 
 
 def test_compiled_forward_throughput(benchmark, emit):
-    """Single-genome packed forward passes vs the node-by-node walk."""
+    """One genome on 256 lanes vs the node-by-node walk, bit for bit."""
     config, genomes = evolved_population()
     genome = max(genomes, key=lambda g: len(g.connections))
     network = FeedForwardNetwork.create(genome, config.genome)
-    plan = compile_network(genome, config.genome)
+    stacked = StackedPlans([compile_network(genome, config.genome)])
     rng = np.random.default_rng(0)
-    batch = rng.uniform(-1.0, 1.0, size=(256, plan.num_inputs))
+    batch = rng.uniform(-1.0, 1.0, size=(256, stacked.num_inputs))
 
     reference = np.array([network.activate(row.tolist()) for row in batch])
-    packed = plan.activate_batch(batch)
-    assert np.allclose(packed, reference, atol=1e-9)
+    packed = stacked.lane_runner([0] * len(batch)).step(batch)
+    assert np.array_equal(packed, reference)
 
     start = time.perf_counter()
     for row in batch:
         network.activate(row.tolist())
     scalar_t = time.perf_counter() - start
-    benchmark(lambda: plan.activate_batch(batch))
+    benchmark(lambda: stacked.lane_runner([0] * len(batch)).step(batch))
     emit(
-        f"Compiled forward (256-row batch, {len(genome.connections)} conns): "
-        f"scalar loop {scalar_t * 1e3:.2f} ms/batch; batched timing above"
+        f"Compiled forward (256 lanes, {len(genome.connections)} conns): "
+        f"scalar loop {scalar_t * 1e3:.2f} ms/batch; lane timing above"
     )

@@ -20,7 +20,7 @@ from repro.analysis.reporting import render_table
 from repro.api import ExperimentSpec
 from repro.dse import SweepRunner, SweepSpec, eve_replay_evaluator
 from repro.envs.registry import ATARI_SUITE, CLASSIC_SUITE
-from repro.hw.adam import ADAM, build_inference_plan
+from repro.hw.adam import InferenceStats, StackedAdamEnvelope, build_inference_plan
 
 PE_SWEEP = [2, 4, 8, 16, 32, 64]
 
@@ -102,13 +102,13 @@ def test_fig11b_noc_ablation(benchmark, emit):
 def test_fig11c_pe_sweep(benchmark, emit):
     config, population, plan = get_replay_workload()
 
-    # ADAM inference runtime for the same generation (constant line).
-    adam = ADAM()
+    # ADAM inference runtime for the same generation (constant line):
+    # every genome's plan charged for 40 forward passes.
     steps_per_genome = 40
-    for genome in population.values():
-        inference_plan = build_inference_plan(genome, config.genome)
-        adam.run(inference_plan, [0.0] * config.genome.num_inputs)
-    adam_cycles = adam.stats.total_cycles * steps_per_genome
+    plans = [build_inference_plan(g, config.genome) for g in population.values()]
+    adam = InferenceStats()
+    StackedAdamEnvelope(plans).charge(adam, [steps_per_genome] * len(plans))
+    adam_cycles = adam.total_cycles
 
     result = replay_sweep({"platform.eve_pes": PE_SWEEP, "platform.noc": ["multicast"]})
     rows = []

@@ -16,7 +16,7 @@ the code the in-process evaluator runs.
 ``vectorizer="scalar"`` maps one task per genome, letting ``Pool.map``'s
 chunking balance episodes of very different lengths across workers.
 ``vectorizer="numpy"`` maps one contiguous slice per worker: each worker
-compiles its slice into stacked dense plans
+compiles its slice into stacked plans
 (:mod:`repro.neat.compiled`) and rolls the slice's episodes out in
 lockstep, so large populations batch *within* processes while sharding
 *across* them.  All four paths (serial/pooled × scalar/numpy) agree.

@@ -32,6 +32,11 @@ class SpecError(ValueError):
     """Raised for invalid or inconsistent experiment specifications."""
 
 
+def is_integer(value: Any) -> bool:
+    """An integer spec field's value: integral, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to reproduce one experiment, JSON-serialisable.
@@ -53,10 +58,9 @@ class ExperimentSpec:
     fitness_threshold: Optional[float] = None
     workers: int = 1
     #: Inference strategy for the software evolution loop: ``scalar``
-    #: walks each genome's graph node by node (the bit-compatible
-    #: reference), ``numpy`` compiles the population into stacked dense
-    #: plans and steps whole generations per numpy call
-    #: (:mod:`repro.neat.compiled`).
+    #: walks each genome's compiled plan node by node, ``numpy`` stacks
+    #: the population's plans and steps whole generations per numpy call
+    #: (:mod:`repro.neat.compiled`); both give the same bits.
     vectorizer: str = "scalar"
     backend_options: Dict[str, Any] = field(default_factory=dict)
     #: Optional embedded :class:`repro.platforms.PlatformSpec` (or its
@@ -79,6 +83,10 @@ class ExperimentSpec:
             raise SpecError("env_id must be a non-empty string")
         if not self.backend or not isinstance(self.backend, str):
             raise SpecError("backend must be a non-empty string")
+        for name in ("max_generations", "pop_size", "episodes", "max_steps", "seed", "workers"):
+            value = getattr(self, name)
+            if not (value is None and name == "max_steps") and not is_integer(value):
+                raise SpecError(f"{name} must be an integer, got {value!r}")
         if self.max_generations < 1:
             raise SpecError("max_generations must be >= 1")
         if self.pop_size < 2:

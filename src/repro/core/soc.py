@@ -125,24 +125,21 @@ class GeneSysSoC:
         2-5, :class:`repro.envs.evaluate.Executor`).  A genome whose
         buffered stream is the one :meth:`evolve_population` decoded is
         not decoded again; any other stream (generation 0, an extinction
-        re-seed, one written into the buffer since) is.  With ``vectorize``
-        the rollouts run on compiled lockstep lanes and ADAM's counters
-        are charged exactly through one :class:`StackedAdamEnvelope`
-        (per-pass costs are static per plan, so cost = per-pass x steps
-        in pure integer arithmetic).  Without it — and for genomes the
-        dense compiler rejects — the scalar walk drives each plan on
-        ADAM itself, charging pass by pass.  Both are bit-identical.
+        re-seed, one written into the buffer since) is.  Each resident is
+        compiled once, by :func:`build_inference_plan`.  With
+        ``vectorize`` the rollouts run those plans on lockstep lanes and
+        ADAM's counters are charged exactly through one
+        :class:`StackedAdamEnvelope` (per-pass costs are static per plan,
+        so cost = per-pass x steps in pure integer arithmetic).  Without
+        it the scalar walk drives each plan on ADAM itself, charging pass
+        by pass.  Both compute the same plans with the same arithmetic,
+        so they are bit-identical.
         """
         genome_cfg = self.config.neat.genome
         keys = sorted(self.population)
         # Step 1: genomes are read from the buffer and mapped on ADAM.
         residents = [self._resident(key) for key in keys]
         plans = [build_inference_plan(g, genome_cfg) for g in residents]
-        plan_of = dict(zip(keys, plans))
-
-        def network(genome, _config):
-            return AdamNetwork(self.adam, plan_of[genome.key])
-
         seed, generation = self.config.seed, self.generation
         tasks = [
             (g, [episode_seed(seed, generation, g.key, e)
@@ -150,18 +147,18 @@ class GeneSysSoC:
             for g in residents
         ]
         if self.vectorize:
-            outcomes, compiled = self._executor.lanes(tasks, genome_cfg, network)
-            lanes = [i for i, plan in enumerate(compiled) if plan is not None]
-            if lanes:
-                with telemetry.span("soc.envelope_charge", genomes=len(lanes)):
-                    envelope = StackedAdamEnvelope(
-                        [plans[i] for i in lanes], self.adam.config
-                    )
-                    envelope.charge(
-                        self.adam.stats, [outcomes[i][2] for i in lanes]
-                    )
+            outcomes, _ = self._executor.lanes(
+                tasks, genome_cfg, plans=[plan.network for plan in plans]
+            )
+            with telemetry.span("soc.envelope_charge", genomes=len(plans)):
+                envelope = StackedAdamEnvelope(plans, self.adam.config)
+                envelope.charge(self.adam.stats, [steps for _, _, steps, _ in outcomes])
         else:
-            outcomes = self._executor.scalar(tasks, genome_cfg, network)
+            plan_of = dict(zip(keys, plans))
+            outcomes = self._executor.scalar(
+                tasks, genome_cfg,
+                lambda genome, _config: AdamNetwork(self.adam, plan_of[genome.key]),
+            )
         totals = EvaluationTotals()
         genomes = [self.population[key] for key in keys]
         reduce_outcomes(genomes, outcomes, totals)

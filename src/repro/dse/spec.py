@@ -27,13 +27,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import random
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..api.spec import ExperimentSpec, SpecError
+from ..api.spec import ExperimentSpec, SpecError, is_integer
 from ..platforms import (
     PLATFORM_KINDS,
     PlatformSpec,
@@ -100,7 +101,9 @@ def _is_scenario_axis(name: str) -> bool:
 
 
 def _is_json_scalar(value: Any) -> bool:
-    return value is None or isinstance(value, (bool, int, float, str))
+    if isinstance(value, float):
+        return math.isfinite(value)  # JSON has no NaN or infinity
+    return value is None or isinstance(value, (bool, int, str))
 
 
 @dataclass(frozen=True)
@@ -198,6 +201,12 @@ class SweepSpec:
                     )
             if len(set(values)) != len(values):
                 raise SweepSpecError(f"axis {name!r} has duplicate values")
+        if not is_integer(self.sample_seed):
+            raise SweepSpecError(
+                f"sample_seed must be an integer, got {self.sample_seed!r}"
+            )
+        if self.samples is not None and not is_integer(self.samples):
+            raise SweepSpecError(f"samples must be an integer, got {self.samples!r}")
         if self.strategy == "random":
             if self.samples is None or self.samples < 1:
                 raise SweepSpecError(

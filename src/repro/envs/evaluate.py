@@ -14,8 +14,9 @@ to the genome.  One core serves every execution shape:
   lockstep *lanes* (:func:`run_episodes_batched` over
   :class:`repro.neat.compiled.StackedPlans`, one lane per (genome,
   episode) pair, with a per-genome scalar fallback for genomes the
-  dense compiler rejects).  Either returns one :data:`Outcome` per task,
-  in task order.
+  lanes cannot run).  Both compute each genome's one compiled plan with
+  one arithmetic, so they give the same bits; either returns one
+  :data:`Outcome` per task, in task order.
 * **reduce** — :func:`reduce_outcomes` turns each outcome's rewards into
   the genome's fitness and accumulates :class:`EvaluationTotals`.
 
@@ -27,18 +28,14 @@ from the Genome Buffer, with ADAM-backed networks on the scalar walk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..neat.compiled import (
-    CompiledNetwork,
-    CompileError,
-    StackedPlans,
-    compile_network,
-)
+from ..neat.compiled import CompileError, StackedPlans, compile_network
 from ..neat.config import GenomeConfig, NEATConfig
 from ..neat.genome import Genome
 from ..neat.network import FeedForwardNetwork
@@ -75,9 +72,12 @@ def action_from_outputs(outputs: Sequence[float], env: Environment):
     Tie-breaking is part of the contract: when several output units share
     the maximum activation, the *lowest-index* unit wins, and a NaN
     activation counts as ``-inf`` (it never wins; an all-NaN head picks
-    unit 0).  This keeps the scalar, vectorized and hardware inference
-    paths action-identical on tied or NaN outputs instead of depending
-    on whichever argmax an evaluation backend happens to use.
+    unit 0).  A single output driving a ``Discrete(n > 2)`` space by
+    scaling picks action 0 when it is NaN or infinite, the action an
+    all-``-inf`` head picks.  This keeps the scalar, vectorized and
+    hardware inference paths action-identical on tied or non-finite
+    outputs instead of depending on whichever argmax an evaluation
+    backend happens to use.
     """
     space = env.action_space
     if isinstance(space, Discrete):
@@ -85,8 +85,8 @@ def action_from_outputs(outputs: Sequence[float], env: Environment):
             # Single-output binary convention for 2-action spaces.
             if space.n == 2:
                 return int(outputs[0] > 0.5 if 0.0 <= outputs[0] <= 1.0 else outputs[0] > 0.0)
-            scaled = int(abs(outputs[0]) * space.n) % space.n
-            return scaled
+            scaled = abs(outputs[0]) * space.n
+            return int(scaled) % space.n if math.isfinite(scaled) else 0
         best = 0
         best_value = _NEG_INF
         for i, value in enumerate(outputs[: space.n]):
@@ -113,7 +113,9 @@ def actions_from_outputs_batch(outputs: np.ndarray, space) -> np.ndarray:
 
     ``outputs`` is ``(lanes, num_outputs)``; the result holds one action
     per row with semantics identical to the scalar translator, including
-    lowest-index tie-breaking and NaN-as-``-inf`` for Discrete argmax.
+    lowest-index tie-breaking and NaN-as-``-inf`` for Discrete argmax,
+    and action 0 for a non-finite single output scaled onto
+    ``Discrete(n > 2)``.
     Discrete returns an int array, Box a ``(lanes, flat_dim)`` float
     array, MultiBinary a ``(lanes, n)`` int array.
     """
@@ -128,8 +130,10 @@ def actions_from_outputs_batch(outputs: np.ndarray, space) -> np.ndarray:
             # floor matches int() on the non-negative product, and fmod on
             # the (exactly representable) floored value matches Python's
             # integer modulo even where a direct int64 cast would overflow
-            # for huge activations.
-            return np.fmod(np.floor(np.abs(o) * space.n), space.n).astype(np.intp)
+            # for huge activations.  Non-finite products pick action 0.
+            scaled = np.abs(o) * space.n
+            scaled = np.where(np.isfinite(scaled), scaled, 0.0)
+            return np.fmod(np.floor(scaled), space.n).astype(np.intp)
         # np.argmax returns the first (lowest-index) maximum, matching the
         # scalar tie-break contract; it also returns the first NaN, so
         # NaNs are ranked as -inf first.
@@ -237,12 +241,12 @@ class Executor:
     """Runs :data:`Task` lists on one environment configuration.
 
     :meth:`scalar` walks each genome's network through
-    :func:`run_episode`, one episode per seed.  :meth:`lanes` compiles
-    the genomes into stacked dense plans and steps every (genome,
-    episode) pair as a lane of one batched environment; genomes the
-    dense compiler rejects run on the scalar walk on the same seeds.
-    Both return one :data:`Outcome` per task, in task order, and agree
-    exactly on the golden environments.
+    :func:`run_episode`, one episode per seed.  :meth:`lanes` stacks
+    the genomes' compiled plans and steps every (genome, episode) pair
+    as a lane of one batched environment; genomes the lanes cannot run
+    take the scalar walk on the same seeds.  Both return one
+    :data:`Outcome` per task, in task order, and agree exactly: they
+    compute the same plan with the same arithmetic.
 
     Environments are built on first use — from ``scenario`` when given,
     so a perturbed scenario's lanes run on the lockstep fallback and its
@@ -313,23 +317,25 @@ class Executor:
         tasks: Sequence[Task],
         genome_config: GenomeConfig,
         network: Optional[NetworkFactory] = None,
-    ) -> Tuple[List[Outcome], List[Optional[CompiledNetwork]]]:
+        plans: Optional[Sequence[Optional[FeedForwardNetwork]]] = None,
+    ) -> Tuple[List[Outcome], List[Optional[FeedForwardNetwork]]]:
         """Every task's episodes as lockstep lanes of stacked plans.
 
-        Returns the outcomes and, per task, its compiled plan — ``None``
-        where the genome did not compile and ran on the scalar walk
-        (built by ``network``) instead.  Compiled genomes stack in task
-        order: the envelope's padded width sets each dot product's
-        length, so callers keep their order to keep their rounding.
+        ``plans`` holds each task's compiled plan when the caller has
+        them (:func:`compile_network` runs here otherwise).  Returns the
+        outcomes and the plans — ``None`` where the genome did not
+        compile and ran on the scalar walk (built by ``network``)
+        instead.
         """
-        plans: List[Optional[CompiledNetwork]] = []
-        with obs.span("compile", genomes=len(tasks)) as sp:
-            for genome, _seeds in tasks:
-                try:
-                    plans.append(compile_network(genome, genome_config))
-                except CompileError:
-                    plans.append(None)
-            sp.set(compiled=sum(1 for p in plans if p is not None))
+        if plans is None:
+            plans = []
+            with obs.span("compile", genomes=len(tasks)) as sp:
+                for genome, _seeds in tasks:
+                    try:
+                        plans.append(compile_network(genome, genome_config))
+                    except CompileError:
+                        plans.append(None)
+                sp.set(compiled=sum(1 for p in plans if p is not None))
 
         outcomes: List[Optional[Outcome]] = [None] * len(tasks)
         compiled = [i for i, p in enumerate(plans) if p is not None]

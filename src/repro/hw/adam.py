@@ -8,33 +8,33 @@ create input vectors" — the *vectorize* routine — runs on the System CPU.
 
 The model here is functional plus cycle-accounted:
 
-* :func:`build_inference_plan` levelises the genome graph into waves of
-  concurrently-updatable vertices and builds each wave's packed weight
-  matrix (rows = vertices updated, columns = distinct source nodes).
-* :class:`ADAM.run` executes the plan as NumPy matrix-vector products —
-  functionally equivalent to :class:`repro.neat.FeedForwardNetwork` (an
-  equivalence the test suite checks) — while charging systolic cycles,
-  CPU vectorize cycles, MAC counts and array utilisation.
+* :func:`build_inference_plan` compiles the genome into the one plan
+  every engine runs (:func:`repro.neat.compiled.compile_network`) and
+  adds each wave's systolic shape: ``m`` vertices updated from ``k``
+  distinct sources, with ``macs`` nonzero weights.
+* :meth:`ADAM.run` takes a forward pass's values from the plan's scalar
+  walk (:meth:`repro.neat.FeedForwardNetwork.activate`), so it is
+  bit-identical to the software network and the numpy lanes by
+  construction, and charges systolic cycles, CPU vectorize cycles, MAC
+  counts and array utilisation wave by wave.
 
-Weight matrices are built once per genome per generation and reused for
-every environment step ("the weight matrices do not change within a given
+Plans are built once per genome per generation and reused for every
+environment step ("the weight matrices do not change within a given
 generation, and are reused for multiple inferences, while every new vertex
 evaluation requires a new input vector").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..neat.activations import ActivationFunctionSet
+from ..neat.compiled import CompileError, compile_network
 from ..neat.config import GenomeConfig
 from ..neat.genome import Genome
-from ..neat.network import genome_levels
-
-_ACTIVATIONS = ActivationFunctionSet()
+from ..neat.network import FeedForwardNetwork
 
 
 class UnsupportedGenomeError(ValueError):
@@ -53,31 +53,25 @@ class ADAMConfig:
 
 @dataclass
 class WavePlan:
-    """One packed matrix-vector wave: update ``node_ids`` from ``source_ids``."""
+    """One packed matrix-vector wave: ``m`` vertices from ``k`` sources."""
 
-    node_ids: List[int]
-    source_ids: List[int]
-    weights: np.ndarray  # (len(node_ids), len(source_ids))
-    biases: np.ndarray
-    responses: np.ndarray
-    activations: List[str]
-
-    @property
-    def macs(self) -> int:
-        return int(np.count_nonzero(self.weights))
+    m: int
+    k: int
+    #: Nonzero weights: Q4.4-quantised genomes carry many zero weights,
+    #: and only the nonzero ones spend a MAC's energy.
+    macs: int
 
     @property
     def dense_macs(self) -> int:
-        return self.weights.size
+        """MAC slots of the packed ``m x max(1, k)`` matrix."""
+        return self.m * max(1, self.k)
 
 
 @dataclass
 class InferencePlan:
     """Per-genome execution plan (built once per generation)."""
 
-    genome_key: int
-    input_keys: List[int]
-    output_keys: List[int]
+    network: FeedForwardNetwork
     waves: List[WavePlan]
 
     @property
@@ -123,51 +117,26 @@ class InferenceStats:
 
 
 def build_inference_plan(genome: Genome, config: GenomeConfig) -> InferencePlan:
-    """Levelise the genome and pack each level's vertex updates.
+    """Compile the genome and take each wave's packed shape.
 
     Mirrors the vectorize routine: every wave's rows are the vertices
-    whose inputs are all ready; columns are the distinct upstream sources
-    actually used, so the matrices are compact (the GPU_a strategy the
-    paper describes, done per wave).
+    whose inputs are all ready; its columns are the distinct upstream
+    sources actually used, so the matrices are compact (the GPU_a
+    strategy the paper describes, done per wave).
     """
-    layers, incoming = genome_levels(genome, config)
-    waves: List[WavePlan] = []
-    for layer in layers:
-        node_ids = list(layer)
-        sources = sorted({src for node in node_ids for src, _ in incoming.get(node, [])})
-        source_index = {src: i for i, src in enumerate(sources)}
-        weights = np.zeros((len(node_ids), max(1, len(sources))), dtype=np.float64)
-        biases = np.zeros(len(node_ids), dtype=np.float64)
-        responses = np.ones(len(node_ids), dtype=np.float64)
-        activations: List[str] = []
-        for row, node_id in enumerate(node_ids):
-            node = genome.nodes[node_id]
-            if node.aggregation != "sum":
-                raise UnsupportedGenomeError(
-                    f"node {node_id} uses aggregation {node.aggregation!r}; "
-                    "ADAM packs sum-aggregation genomes only"
-                )
-            biases[row] = node.bias
-            responses[row] = node.response
-            activations.append(node.activation)
-            for src, weight in incoming.get(node_id, []):
-                weights[row, source_index[src]] = weight
-        waves.append(
-            WavePlan(
-                node_ids=node_ids,
-                source_ids=sources,
-                weights=weights,
-                biases=biases,
-                responses=responses,
-                activations=activations,
-            )
+    try:
+        network = compile_network(genome, config)
+    except CompileError as exc:
+        raise UnsupportedGenomeError(str(exc)) from None
+    waves = [
+        WavePlan(
+            m=layer.num_nodes,
+            k=len({col for links in layer.links for col, _ in links}),
+            macs=sum(1 for links in layer.links for _, weight in links if weight != 0.0),
         )
-    return InferencePlan(
-        genome_key=genome.key,
-        input_keys=list(config.input_keys),
-        output_keys=list(config.output_keys),
-        waves=waves,
-    )
+        for layer in network.layers
+    ]
+    return InferencePlan(network=network, waves=waves)
 
 
 class StackedAdamEnvelope:
@@ -201,8 +170,8 @@ class StackedAdamEnvelope:
         dense = np.zeros(shape, dtype=np.int64)
         for g, plan in enumerate(self.plans):
             for l, wave in enumerate(plan.waves):
-                m[g, l] = len(wave.node_ids)
-                k[g, l] = len(wave.source_ids)
+                m[g, l] = wave.m
+                k[g, l] = wave.k
                 macs[g, l] = wave.macs
                 dense[g, l] = wave.dense_macs
         rows, cols = self.config.rows, self.config.cols
@@ -265,45 +234,20 @@ class ADAM:
     def run(self, plan: InferencePlan, inputs: Sequence[float]) -> List[float]:
         """One forward pass (walkthrough step 3).
 
-        Vertex values live in a scratch dict (the genome-buffer image of
-        node state); each wave packs its input vector (CPU vectorize, one
-        cycle per element — "a task with heavy serialization"), fires the
-        systolic array, and applies activations.
+        The values come from the plan's scalar walk; each wave charges
+        the CPU packing its input vector (one cycle per element — "a task
+        with heavy serialization") and one firing of the systolic array.
         """
-        if len(inputs) != len(plan.input_keys):
-            raise ValueError(
-                f"expected {len(plan.input_keys)} inputs, got {len(inputs)}"
-            )
-        values: Dict[int, float] = {
-            key: float(v) for key, v in zip(plan.input_keys, inputs)
-        }
-        for key in plan.output_keys:
-            values.setdefault(key, 0.0)
-
+        outputs = plan.network.activate(inputs)
+        stats = self.stats
         for wave in plan.waves:
-            vector = np.array(
-                [values.get(src, 0.0) for src in wave.source_ids], dtype=np.float64
-            )
-            if vector.size == 0:
-                pre = wave.biases.copy()
-            else:
-                pre = wave.biases + wave.responses * (
-                    wave.weights[:, : vector.size] @ vector
-                )
-            for row, node_id in enumerate(wave.node_ids):
-                act = _ACTIVATIONS.get(wave.activations[row])
-                values[node_id] = act(float(pre[row]))
-
-            self.stats.array_cycles += self.systolic_cycles(
-                len(wave.node_ids), len(wave.source_ids)
-            )
-            self.stats.vectorize_cycles += len(wave.source_ids)
-            self.stats.macs += wave.macs
-            self.stats.dense_macs += wave.dense_macs
-            self.stats.waves += 1
-
-        self.stats.passes += 1
-        return [values.get(key, 0.0) for key in plan.output_keys]
+            stats.array_cycles += self.systolic_cycles(wave.m, wave.k)
+            stats.vectorize_cycles += wave.k
+            stats.macs += wave.macs
+            stats.dense_macs += wave.dense_macs
+            stats.waves += 1
+        stats.passes += 1
+        return outputs
 
     def reset_stats(self) -> InferenceStats:
         stats = self.stats

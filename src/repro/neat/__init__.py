@@ -42,14 +42,7 @@ from .serialize import (
     save_genome,
     save_population,
 )
-from .compiled import (
-    CompileError,
-    CompiledNetwork,
-    StackedPlans,
-    compile_network,
-    register_vectorized_activation,
-    vectorized_activation_names,
-)
+from .compiled import CompileError, StackedPlans, compile_network
 from .network import FeedForwardNetwork, feed_forward_layers, required_for_output
 from .population import Population
 from .reproduction import (
@@ -71,7 +64,6 @@ __all__ = [
     "AggregationFunctionSet",
     "BaseGene",
     "CompileError",
-    "CompiledNetwork",
     "CompleteExtinctionError",
     "ConfigError",
     "ConnectionGene",
@@ -99,8 +91,6 @@ __all__ = [
     "creates_cycle",
     "feed_forward_layers",
     "gene_sort_key",
-    "register_vectorized_activation",
     "required_for_output",
     "sorted_genes",
-    "vectorized_activation_names",
 ]

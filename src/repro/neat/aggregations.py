@@ -16,7 +16,15 @@ AggregationFunction = Callable[[Iterable[float]], float]
 
 
 def sum_aggregation(values: Iterable[float]) -> float:
-    return sum(values)
+    """Left to right from ``-0.0``, the exact additive identity.
+
+    Not builtin ``sum``: from Python 3.12 it sums floats with
+    compensation, so a node value would depend on the interpreter.
+    """
+    total = -0.0
+    for value in values:
+        total += value
+    return total
 
 
 def product_aggregation(values: Iterable[float]) -> float:
@@ -40,7 +48,7 @@ def maxabs_aggregation(values: Iterable[float]) -> float:
 
 def mean_aggregation(values: Iterable[float]) -> float:
     values = list(values)
-    return sum(values) / len(values) if values else 0.0
+    return sum_aggregation(values) / len(values) if values else 0.0
 
 
 def median_aggregation(values: Iterable[float]) -> float:

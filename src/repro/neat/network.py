@@ -1,16 +1,33 @@
-"""Feed-forward network evaluation of an evolved genome.
+"""Feed-forward network evaluation of an evolved genome: the one plan.
 
-The software reference for inference: the genome's enabled connections
-form an acyclic directed graph (Section III-C2 — "Inference on such
-topologies is basically processing an acyclic directed graph"), which we
-topologically levelise and evaluate node-by-node.  The hardware inference
-engine model (:mod:`repro.hw.adam`) packs the same levelised vertex
-updates into systolic matrix-vector products and is tested for functional
-equivalence against this class.
+A genome's enabled connections form an acyclic directed graph (Section
+III-C2 — "Inference on such topologies is basically processing an
+acyclic directed graph").  :func:`genome_levels` levelises it into waves
+of concurrently-updatable nodes, the System CPU's *vectorize routine*
+(Section IV-A), and :meth:`FeedForwardNetwork.create` compiles the waves
+into the one plan every engine runs:
+
+* the scalar walk, :meth:`FeedForwardNetwork.activate`, one node at a
+  time;
+* the lanes, :class:`repro.neat.compiled.StackedPlans`, which step many
+  (genome, episode) pairs per numpy call;
+* ADAM, :func:`repro.hw.adam.build_inference_plan`, which adds each
+  wave's systolic shape and takes its values from the scalar walk.
+
+The arithmetic is part of the plan.  A node's value is ``acc = -0.0``,
+then ``acc += value[source] * weight`` over its links sorted by source
+key, then ``activation(bias + response * acc)`` with the activation's
+form from the one table in :mod:`repro.neat.activations`.  ``-0.0`` is
+the exact additive identity, so this equals summing from the first
+product.  The lanes do the same IEEE operations in the same order, so
+every engine gives the same bits by construction.  Non-sum aggregations
+run on the scalar walk only: it hands them the products in link order.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .activations import ActivationFunctionSet
@@ -120,9 +137,7 @@ def genome_levels(
     Returns ``(layers, incoming)``: the :func:`feed_forward_layers` waves
     of the genome's enabled connections, and its enabled in-links as
     ``dest -> [(source, weight), ...]`` in connection order.
-    :func:`repro.neat.compiled.compile_network`,
-    :meth:`FeedForwardNetwork.create` and
-    :func:`repro.hw.adam.build_inference_plan` all build on it.
+    :meth:`FeedForwardNetwork.create`, the one compiler, builds on it.
     """
     incoming: Dict[int, List[Tuple[int, float]]] = {}
     for (src, dst), conn in genome.connections.items():
@@ -131,62 +146,105 @@ def genome_levels(
     return _levelise(config.input_keys, config.output_keys, incoming), incoming
 
 
+@dataclass
+class LayerPlan:
+    """One wave of the plan: the nodes it updates, in key order."""
+
+    node_cols: List[int]  # value column each node writes
+    links: List[List[Tuple[int, float]]]  # per node, by source key: (column, weight)
+    bias: List[float]
+    response: List[float]
+    activations: List[str]
+    aggregations: List[str]
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.node_cols)
+
+
 class FeedForwardNetwork:
-    """Phenotype built from a genome, evaluated layer by layer."""
+    """A genome compiled into its levelised plan, run by the scalar walk.
+
+    The value buffer lays inputs out at columns ``0..num_inputs-1`` (in
+    ``config.input_keys`` order) and outputs at the next ``num_outputs``
+    columns, identically for every genome of a population, so stacked
+    plans share observation scatter and output gather; each wave's other
+    nodes follow in wave order.
+    """
 
     def __init__(
         self,
-        input_keys: Sequence[int],
-        output_keys: Sequence[int],
-        node_evals: List[Tuple[int, str, str, float, float, List[Tuple[int, float]]]],
+        genome_key: int,
+        num_inputs: int,
+        num_outputs: int,
+        num_columns: int,
+        layers: List[LayerPlan],
     ) -> None:
-        self.input_keys = list(input_keys)
-        self.output_keys = list(output_keys)
-        self.node_evals = node_evals
-        self.values: Dict[int, float] = {
-            key: 0.0 for key in list(input_keys) + list(output_keys)
-        }
+        self.genome_key = genome_key
+        self.num_inputs = num_inputs
+        self.num_outputs = num_outputs
+        self.num_columns = num_columns
+        self.layers = layers
+        #: Multiply-accumulate count of one forward pass (Table II metric).
+        self.num_macs = sum(len(links) for layer in layers for links in layer.links)
+        self.values: List[float] = [0.0] * num_columns
+
+    @cached_property
+    def _nodes(self):
+        """The walk: per node, its column, links, bias, response, float
+        activation and (None for sum) aggregation.  Built on the first
+        pass, so plans only ever stacked into lanes never pay for it."""
+        return [
+            (col, links, bias, response, _ACTIVATIONS.get(activation),
+             None if aggregation == "sum" else _AGGREGATIONS.get(aggregation))
+            for layer in self.layers
+            for col, links, bias, response, activation, aggregation in zip(
+                layer.node_cols, layer.links, layer.bias, layer.response,
+                layer.activations, layer.aggregations,
+            )
+        ]
 
     @classmethod
     def create(cls, genome: Genome, config: GenomeConfig) -> "FeedForwardNetwork":
-        layers, incoming = genome_levels(genome, config)
-        node_evals = []
-        for layer in layers:
-            for node_key in layer:
-                node = genome.nodes[node_key]
-                node_evals.append(
-                    (
-                        node_key,
-                        node.activation,
-                        node.aggregation,
-                        node.bias,
-                        node.response,
-                        sorted(incoming.get(node_key, [])),
-                    )
-                )
-        return cls(config.input_keys, config.output_keys, node_evals)
+        """Compile ``genome``: levelise it and lay each wave out on the
+        value buffer.  Every engine runs the plan this returns."""
+        waves, incoming = genome_levels(genome, config)
+        input_keys = config.input_keys
+        columns: Dict[int, int] = {key: i for i, key in enumerate(input_keys)}
+        for key in config.output_keys:
+            columns.setdefault(key, len(columns))
+        layers: List[LayerPlan] = []
+        for wave in waves:
+            nodes = [genome.nodes[key] for key in wave]
+            layers.append(LayerPlan(
+                node_cols=[columns.setdefault(key, len(columns)) for key in wave],
+                links=[
+                    [(columns[src], weight) for src, weight in sorted(incoming.get(key, ()))]
+                    for key in wave
+                ],
+                bias=[node.bias for node in nodes],
+                response=[node.response for node in nodes],
+                activations=[node.activation for node in nodes],
+                aggregations=[node.aggregation for node in nodes],
+            ))
+        return cls(genome.key, len(input_keys), config.num_outputs, len(columns), layers)
 
     def activate(self, inputs: Sequence[float]) -> List[float]:
-        """One forward pass.  ``inputs`` must match the input key count."""
-        if len(inputs) != len(self.input_keys):
-            raise ValueError(
-                f"expected {len(self.input_keys)} inputs, got {len(inputs)}"
-            )
+        """One forward pass.  ``inputs`` must match the input count."""
+        num_inputs = self.num_inputs
+        if len(inputs) != num_inputs:
+            raise ValueError(f"expected {num_inputs} inputs, got {len(inputs)}")
         values = self.values
-        for key, value in zip(self.input_keys, inputs):
-            values[key] = float(value)
-        for node_key, activation, aggregation, bias, response, links in self.node_evals:
-            agg_fn = _AGGREGATIONS.get(aggregation)
-            act_fn = _ACTIVATIONS.get(activation)
-            incoming = [values.get(src, 0.0) * weight for src, weight in links]
-            pre = bias + response * agg_fn(incoming)
-            values[node_key] = act_fn(pre)
-        return [values.get(key, 0.0) for key in self.output_keys]
-
-    @property
-    def num_macs(self) -> int:
-        """Multiply-accumulate count of one forward pass (Table II metric)."""
-        return sum(len(links) for *_rest, links in self.node_evals)
+        values[:num_inputs] = map(float, inputs)
+        for col, links, bias, response, activation, aggregation in self._nodes:
+            if aggregation is None:
+                acc = -0.0
+                for src, weight in links:
+                    acc += values[src] * weight
+            else:
+                acc = aggregation([values[src] * weight for src, weight in links])
+            values[col] = activation(bias + response * acc)
+        return values[num_inputs : num_inputs + self.num_outputs]
 
     def reset(self) -> None:
-        self.values = {key: 0.0 for key in self.input_keys + self.output_keys}
+        self.values = [0.0] * self.num_columns

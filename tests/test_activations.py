@@ -2,11 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.neat.activations import (
     ACTIVATION_CODES,
     ACTIVATION_NAMES,
+    ACTIVATIONS,
     ActivationFunctionSet,
     InvalidActivationError,
     clamped_activation,
@@ -100,3 +104,60 @@ def test_codes_are_stable_and_bijective():
 
 def test_registry_len_matches_codes(functions):
     assert len(functions) == len(ACTIVATION_CODES)
+
+
+# ---------------------------------------------------------------------------
+# the one table: float form == array form, bit for bit
+
+#: Where each activation's clamps (or branches) switch, in units of its
+#: input ``z``.
+CLAMP_EDGES = {
+    "sigmoid": [-12.0, 12.0],  # 5z at +-60
+    "tanh": [-24.0, 24.0],  # 2.5z at +-60
+    "sin": [-12.0, 12.0],
+    "gauss": [-3.4, 3.4],
+    "relu": [0.0],
+    "elu": [-60.0, 0.0],
+    "lelu": [0.0],
+    "identity": [],
+    "clamped": [-1.0, 1.0],
+    "inv": [-1e-7, 1e-7],
+    "log": [1e-7],
+    "exp": [-60.0, 60.0],
+    "abs": [0.0],
+    "hat": [-1.0, 0.0, 1.0],
+    "square": [-1e8, 1e8],
+    "cube": [-1e6, 1e6],
+}
+SPECIAL_POINTS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300]
+
+
+def edge_points(name):
+    points = list(SPECIAL_POINTS)
+    for edge in CLAMP_EDGES[name]:
+        points += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    return points
+
+
+def test_every_activation_has_clamp_edges():
+    assert set(CLAMP_EDGES) == set(ACTIVATIONS)
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+def test_float_and_array_forms_agree_at_edges(name):
+    """NaN passes every clamp in both forms, and each side of every clamp
+    edge gives the same bits one value at a time and as an array."""
+    scalar, array = ACTIVATIONS[name]
+    points = edge_points(name)
+    with np.errstate(all="ignore"):
+        lanes = array(np.array(points))
+    for z, lane in zip(points, lanes):
+        assert float(scalar(z)).hex() == float(lane).hex(), (name, z)
+
+
+@given(z=st.floats(allow_nan=True, allow_infinity=True))
+def test_float_and_array_forms_agree_anywhere(z):
+    for name, (scalar, array) in ACTIVATIONS.items():
+        with np.errstate(all="ignore"):
+            lane = array(np.array([z, z, z]))[1]
+        assert float(scalar(z)).hex() == float(lane).hex(), (name, z)

@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.hw.adam import (
@@ -39,13 +38,15 @@ class TestInferencePlan:
         genome = make_genome(config)
         plan = build_inference_plan(genome, config)
         assert plan.waves
-        seen = set(config.input_keys)
-        for wave in plan.waves:
-            for src in wave.source_ids:
-                assert src in seen
-            seen.update(wave.node_ids)
-        for out in config.output_keys:
-            assert out in seen
+        assert len(plan.waves) == len(plan.network.layers)
+        seen = set(range(config.num_inputs))  # the input columns
+        for wave, layer in zip(plan.waves, plan.network.layers):
+            sources = {col for links in layer.links for col, _ in links}
+            assert sources <= seen
+            assert (wave.m, wave.k) == (layer.num_nodes, len(sources))
+            seen.update(layer.node_cols)
+        outputs = range(config.num_inputs, config.num_inputs + config.num_outputs)
+        assert set(outputs) <= seen
 
     def test_macs_count_enabled_connections_only(self, config):
         genome = make_genome(config, mutations=0)
@@ -79,7 +80,9 @@ class TestFunctionalEquivalence:
         rng = random.Random(seed)
         for _ in range(5):
             x = [rng.uniform(-2, 2) for _ in range(4)]
-            assert np.allclose(net.activate(x), adam.run(plan, x), atol=1e-9)
+            assert [v.hex() for v in adam.run(plan, x)] == [
+                v.hex() for v in net.activate(x)
+            ]
 
     def test_wrong_input_count_raises(self, config):
         genome = make_genome(config)
@@ -198,14 +201,9 @@ class TestStackedAdamEnvelope:
         adam = ADAM(adam_config)
         plan = build_inference_plan(make_genome(config), config)
         envelope = StackedAdamEnvelope([plan], adam_config)
-        expected_array = sum(
-            adam.systolic_cycles(len(w.node_ids), len(w.source_ids))
-            for w in plan.waves
-        )
+        expected_array = sum(adam.systolic_cycles(w.m, w.k) for w in plan.waves)
         assert envelope.array_cycles_per_pass[0] == expected_array
-        assert envelope.vectorize_cycles_per_pass[0] == sum(
-            len(w.source_ids) for w in plan.waves
-        )
+        assert envelope.vectorize_cycles_per_pass[0] == sum(w.k for w in plan.waves)
         assert envelope.macs_per_pass[0] == plan.macs_per_pass
         assert envelope.waves_per_pass[0] == len(plan.waves)
 

@@ -1,13 +1,16 @@
-"""The compiled batch inference engine (:mod:`repro.neat.compiled`).
+"""The lanes (:mod:`repro.neat.compiled`) against the scalar walk.
 
-Covers the three equivalence contracts the ISSUE demands:
+Covers the equivalence contracts of the one forward pass:
 
-* compiled plans match the node-by-node :class:`FeedForwardNetwork`
-  reference to 1e-9 on random genomes (hypothesis),
-* both match the :mod:`repro.hw.adam` systolic model on the same genome,
+* a lane's outputs are the scalar walk's bits on random genomes
+  (hypothesis), whatever the lane is stacked with and after pruning,
+* both are ADAM's bits on the same genome,
 * ``FitnessEvaluator(vectorizer="numpy")`` assigns fitnesses identical
   to the scalar walk for vectorized and lockstep-fallback environments,
   falling back per-genome when compilation fails.
+
+``tests/test_forward_pass.py`` fuzzes the same contract over every
+activation and extreme genes.
 """
 
 import random
@@ -20,14 +23,7 @@ from hypothesis import strategies as st
 from repro.envs.evaluate import FitnessEvaluator
 from repro.hw.adam import ADAM, build_inference_plan
 from repro.neat import Genome, GenomeConfig, InnovationTracker
-from repro.neat.activations import ActivationFunctionSet
-from repro.neat.compiled import (
-    CompileError,
-    StackedPlans,
-    compile_network,
-    register_vectorized_activation,
-    vectorized_activation_names,
-)
+from repro.neat.compiled import CompileError, StackedPlans, compile_network
 from repro.neat.network import FeedForwardNetwork
 
 VARIED_ACTIVATIONS = ["tanh", "sigmoid", "relu", "clamped", "gauss", "abs", "sin"]
@@ -49,6 +45,16 @@ def evolved(seed, num_inputs=3, num_outputs=2, steps=25, activations=("tanh",)):
     return genome, config
 
 
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def lane_outputs(plans, observations):
+    """One lane per plan, one forward pass."""
+    runner = StackedPlans(plans).lane_runner(list(range(len(plans))))
+    return runner.step(np.asarray(observations, dtype=np.float64))
+
+
 # ---------------------------------------------------------------------------
 # compilation basics
 
@@ -58,7 +64,7 @@ def test_compiled_matches_reference_simple():
     plan = compile_network(genome, config)
     network = FeedForwardNetwork.create(genome, config)
     inputs = [0.3, -1.2, 0.8]
-    assert plan.activate(inputs) == pytest.approx(network.activate(inputs), abs=1e-9)
+    assert bits(lane_outputs([plan], [inputs])[0]) == bits(network.activate(inputs))
 
 
 def test_compiled_macs_match_reference():
@@ -67,13 +73,6 @@ def test_compiled_macs_match_reference():
         plan = compile_network(genome, config)
         network = FeedForwardNetwork.create(genome, config)
         assert plan.num_macs == network.num_macs
-
-
-def test_activate_batch_rejects_bad_shape():
-    genome, config = evolved(2)
-    plan = compile_network(genome, config)
-    with pytest.raises(ValueError, match="expected"):
-        plan.activate_batch(np.zeros((4, 7)))
 
 
 def test_compile_rejects_non_sum_aggregation():
@@ -86,39 +85,12 @@ def test_compile_rejects_non_sum_aggregation():
 def test_compile_rejects_unknown_activation():
     genome, config = evolved(4)
     next(iter(genome.nodes.values())).activation = "weird"
-    with pytest.raises(CompileError, match="vectorized twin"):
+    with pytest.raises(CompileError, match="weird"):
         compile_network(genome, config)
 
 
-def test_register_vectorized_activation():
-    register_vectorized_activation("doubled", lambda z: 2.0 * z)
-    assert "doubled" in vectorized_activation_names()
-    with pytest.raises(TypeError):
-        register_vectorized_activation("bad", None)
-
-
 # ---------------------------------------------------------------------------
-# vectorized activations mirror the scalar registry
-
-
-@settings(max_examples=40, deadline=None)
-@given(z=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
-def test_vectorized_activations_match_scalar(z):
-    scalar_set = ActivationFunctionSet()
-    from repro.neat.compiled import _VECTORIZED
-
-    for name, fn in _VECTORIZED.items():
-        if not scalar_set.is_valid(name):
-            continue  # test-registered extras
-        expected = scalar_set.get(name)(z)
-        observed = float(fn(np.array([z]))[0])
-        # abs for the bounded activations, rel for unbounded ones (exp,
-        # square, cube grow past where a 1e-9 absolute window is one ulp)
-        assert observed == pytest.approx(expected, rel=1e-12, abs=1e-9), name
-
-
-# ---------------------------------------------------------------------------
-# property: compiled == reference == ADAM systolic model
+# property: lanes == scalar walk == ADAM systolic model, bit for bit
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,15 +113,13 @@ def test_compiled_matches_network_and_adam(seed, num_inputs, num_outputs, steps,
         )
     )
     network = FeedForwardNetwork.create(genome, config)
-    reference = network.activate(inputs)
+    reference = bits(network.activate(inputs))
 
     plan = compile_network(genome, config)
-    compiled = plan.activate(inputs)
-    assert compiled == pytest.approx(reference, abs=1e-9)
+    assert bits(lane_outputs([plan], [inputs])[0]) == reference
 
     adam = ADAM()
-    systolic = adam.run(build_inference_plan(genome, config), inputs)
-    assert systolic == pytest.approx(reference, abs=1e-9)
+    assert bits(adam.run(build_inference_plan(genome, config), inputs)) == reference
 
 
 @settings(max_examples=15, deadline=None)
@@ -163,11 +133,9 @@ def test_batch_rows_match_row_at_a_time(seed, batch):
     network = FeedForwardNetwork.create(genome, config)
     rng = np.random.default_rng(seed)
     observations = rng.uniform(-5.0, 5.0, size=(batch, plan.num_inputs))
-    packed = plan.activate_batch(observations)
+    packed = lane_outputs([plan] * batch, observations)
     for row, obs in enumerate(observations):
-        assert list(packed[row]) == pytest.approx(
-            network.activate(obs.tolist()), abs=1e-9
-        )
+        assert bits(packed[row]) == bits(network.activate(obs.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +144,17 @@ def test_batch_rows_match_row_at_a_time(seed, batch):
 
 def test_stacked_plans_match_individual_plans():
     plans = []
-    config = None
-    genomes = []
+    networks = []
     for seed in range(10):
-        genome, config = evolved(seed, steps=20)
+        genome, config = evolved(seed, steps=20, activations=VARIED_ACTIVATIONS)
         genome.key = seed
-        genomes.append(genome)
         plans.append(compile_network(genome, config))
-    stacked = StackedPlans(plans)
-    runner = stacked.lane_runner(list(range(len(plans))))
+        networks.append(FeedForwardNetwork.create(genome, config))
     rng = np.random.default_rng(0)
     observations = rng.uniform(-2.0, 2.0, size=(len(plans), plans[0].num_inputs))
-    packed = runner.step(observations)
-    for i, plan in enumerate(plans):
-        expected = plan.activate_batch(observations[i : i + 1])[0]
-        assert list(packed[i]) == pytest.approx(list(expected), abs=1e-9)
+    packed = lane_outputs(plans, observations)
+    for i, network in enumerate(networks):
+        assert bits(packed[i]) == bits(network.activate(observations[i].tolist()))
 
 
 def test_stacked_plans_empty_rejected():
@@ -210,7 +174,7 @@ def test_lane_runner_prune_keeps_alignment():
     keep = np.array([True, False, True, True, False, True])
     expected = runner.step(observations)[keep]
     runner.prune(keep)
-    assert np.allclose(runner.step(observations[keep]), expected, atol=1e-12)
+    assert np.array_equal(runner.step(observations[keep]), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +235,7 @@ def test_batched_evaluator_generation_counter_advances_seeds():
 
 def test_batched_evaluator_falls_back_for_uncompilable_genomes():
     config, genomes = population_genomes("CartPole-v0", pop_size=10)
-    # poison two genomes with an aggregation dense plans cannot pack
+    # poison two genomes with an aggregation the lanes cannot run
     for genome in genomes[3:5]:
         next(iter(genome.nodes.values())).aggregation = "max"
         with pytest.raises(CompileError):

@@ -113,6 +113,20 @@ class TestBatchActionTranslation:
         assert action_from_outputs(row, env) == expected
         assert int(batch[0]) == expected
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("env_id", ["CartPole-v0", "MountainCar-v0"])
+    def test_discrete_single_output_non_finite(self, env_id, value):
+        """A non-finite single output drives both translators alike;
+        scaled onto Discrete(3) it picks action 0 (it used to raise in
+        the scalar translator and wrap to a huge negative int in the
+        batched one)."""
+        env = make(env_id)
+        batch = actions_from_outputs_batch(np.array([[value]]), env.action_space)
+        action = action_from_outputs([value], env)
+        assert int(batch[0]) == action
+        if env.action_space.n > 2:
+            assert action == 0
+
     def test_discrete_single_output_binary(self):
         env = CartPoleEnv(seed=0)
         outputs = self.rows(50, 1)

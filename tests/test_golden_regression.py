@@ -4,9 +4,12 @@ The committed JSON files under ``tests/golden/`` pin the per-generation
 best/mean fitness, environment step and inference MAC trajectories of
 fixed-seed software-backend runs.  Every evaluation path — serial,
 ``workers=2`` pooled, ``vectorizer="numpy"`` batched, and pooled+batched
-— must reproduce them *exactly*: the compiled inference engine and the
-multiprocessing shards are bit-compatible rewrites of the scalar loop,
-not approximations of it.
+— must reproduce them *exactly*: the scalar walk and the numpy lanes run
+each genome's one compiled plan with one arithmetic (see
+``docs/architecture.md``, "One forward pass"), and the multiprocessing
+shards only move that work between processes.  numpy's kernels depend
+on the CPU's SIMD level, so CI also runs this file with AVX-512, then
+AVX2 too, disabled.
 
 If an intentional algorithm change moves these trajectories, regenerate
 the goldens (see each file's ``description``) in the same commit.

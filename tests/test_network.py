@@ -130,7 +130,7 @@ class TestFeedForwardNetwork:
         net = FeedForwardNetwork.create(g, config)
         net.activate([1.0, 1.0])
         net.reset()
-        assert all(v == 0.0 for v in net.values.values())
+        assert all(v == 0.0 for v in net.values)
 
     def test_evolved_genome_runs(self, config):
         rng = random.Random(3)

@@ -179,6 +179,25 @@ class TestVectorizedEvaluation:
         assert steps >= 24
         assert steps == soc.adam.stats.passes
 
+    def test_bit_identical_on_seed_3_at_paper_design_point(self):
+        """Regression: the lanes once rounded differently from the
+        serial walk, and this run's generation 10 took 17538 env steps
+        serially but 17536 batched."""
+        from dataclasses import astuple
+
+        def reports(vectorize):
+            neat = config_for_env("CartPole-v0", pop_size=150)
+            config = GeneSysConfig.paper_design_point(neat=neat)
+            config.seed = 3
+            soc = GeneSysSoC(config, "CartPole-v0", vectorize=vectorize)
+            return [
+                (r.best_fitness, r.mean_fitness, r.env_steps,
+                 astuple(r.inference), astuple(r.energy), r.energy.total_energy_j)
+                for r in (soc.run_generation() for _ in range(11))
+            ]
+
+        assert reports(True) == reports(False)
+
     def test_vectorize_default_on(self, soc):
         assert soc.vectorize is True
 
