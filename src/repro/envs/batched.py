@@ -28,6 +28,7 @@ late steps only pay for live episodes.
 from __future__ import annotations
 
 import math
+import random
 from typing import Callable, Dict, List, Sequence, Tuple, Type
 
 import numpy as np
@@ -36,7 +37,6 @@ from .base import Environment
 from .cartpole import CartPoleEnv
 from .mountain_car import MountainCarEnv
 from .registry import make
-from .seeding import make_rng
 from .spaces import Box, Discrete, MultiBinary
 
 #: step() result: (observations, rewards, dones) for the live lanes.
@@ -148,6 +148,8 @@ class _StateMatrixEnv(BatchedEnv):
 
     #: scalar class mirrored (spaces / step limit / state sampler source)
     scalar_cls: Type[Environment] = Environment
+    #: ``rng.random()`` draws the scalar ``reset`` makes per episode
+    initial_draws: int = 0
 
     def __init__(self, env_id: str, template: Environment = None) -> None:
         self.env_id = env_id
@@ -171,10 +173,17 @@ class _StateMatrixEnv(BatchedEnv):
         self._elapsed = 0
 
     def start(self, seeds: Sequence[int]) -> np.ndarray:
-        rows = [self._initial_state(make_rng(seed)) for seed in seeds]
-        self.state = np.array(rows, dtype=np.float64).reshape(
-            len(rows), self.observation_space.flat_dim
-        )
+        # One generator re-seeded per lane gives each lane the draws a
+        # fresh ``make_rng(seed)`` would.
+        rng = random.Random()
+        draw = rng.random
+        draws: List[float] = []
+        for seed in seeds:
+            rng.seed(seed)
+            draws += [draw() for _ in range(self.initial_draws)]
+        self.state = self._initial_states(
+            np.array(draws, dtype=np.float64).reshape(len(seeds), self.initial_draws)
+        ).reshape(len(seeds), self.observation_space.flat_dim)
         self._elapsed = 0
         return self.state.copy()
 
@@ -198,7 +207,9 @@ class _StateMatrixEnv(BatchedEnv):
 
     # -- subclass hooks ---------------------------------------------------
 
-    def _initial_state(self, rng) -> List[float]:
+    def _initial_states(self, draws: np.ndarray) -> np.ndarray:
+        """Initial state rows from each lane's ``(lanes, initial_draws)``
+        draws; ``rng.uniform(a, b)`` is ``a + (b - a) * draw``."""
         raise NotImplementedError
 
     def _step_batch(
@@ -211,13 +222,13 @@ class VectorizedCartPole(_StateMatrixEnv):
     """CartPole physics over the lane axis; exact replay of the scalar port."""
 
     scalar_cls = CartPoleEnv
+    initial_draws = 4
 
-    def _initial_state(self, rng) -> List[float]:
-        return [rng.uniform(-0.05, 0.05) for _ in range(4)]
+    def _initial_states(self, draws):
+        return -0.05 + (0.05 - -0.05) * draws
 
     def _step_batch(self, state, actions):
         c = self._template
-        x, x_dot = state[:, 0], state[:, 1]
         theta, theta_dot = state[:, 2], state[:, 3]
         force = np.where(actions == 1, c.FORCE_MAG, -c.FORCE_MAG)
         cos_theta = np.cos(theta)
@@ -229,27 +240,29 @@ class VectorizedCartPole(_StateMatrixEnv):
             c.LENGTH * (4.0 / 3.0 - c.MASS_POLE * cos_theta ** 2 / c.TOTAL_MASS)
         )
         x_acc = temp - c.POLE_MASS_LENGTH * theta_acc * cos_theta / c.TOTAL_MASS
-        x = x + c.TAU * x_dot
-        x_dot = x_dot + c.TAU * x_acc
-        theta = theta + c.TAU * theta_dot
-        theta_dot = theta_dot + c.TAU * theta_acc
-        next_state = np.stack([x, x_dot, theta, theta_dot], axis=1)
-        done = (
-            (x < -c.X_THRESHOLD)
-            | (x > c.X_THRESHOLD)
-            | (theta < -c.THETA_THRESHOLD)
-            | (theta > c.THETA_THRESHOLD)
+        # x += TAU * x_dot, x_dot += TAU * x_acc, ...: one update of the
+        # whole state by its rates of change.
+        rates = np.empty_like(state)
+        rates[:, 0::2] = state[:, 1::2]
+        rates[:, 1] = x_acc
+        rates[:, 3] = theta_acc
+        next_state = state + c.TAU * rates
+        # |x| > t is exactly x < -t or x > t, NaN included.
+        done = (np.abs(next_state[:, 0]) > c.X_THRESHOLD) | (
+            np.abs(next_state[:, 2]) > c.THETA_THRESHOLD
         )
-        return next_state, np.full(len(x), c.REWARD_PER_STEP), done
+        return next_state, np.full(len(state), c.REWARD_PER_STEP), done
 
 
 class VectorizedMountainCar(_StateMatrixEnv):
     """MountainCar physics over the lane axis; exact replay of the scalar port."""
 
     scalar_cls = MountainCarEnv
+    initial_draws = 1
 
-    def _initial_state(self, rng) -> List[float]:
-        return [rng.uniform(-0.6, -0.4), 0.0]
+    def _initial_states(self, draws):
+        position = -0.6 + (-0.4 - -0.6) * draws[:, 0]
+        return np.stack([position, np.zeros_like(position)], axis=1)
 
     def _step_batch(self, state, actions):
         c = self._template

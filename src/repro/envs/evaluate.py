@@ -206,8 +206,9 @@ def run_episodes_batched(
     ``policy`` maps a packed observation matrix to a packed output matrix
     (``step(obs) -> outputs``) and is told when lanes finish
     (``prune(keep)``) so it can compact its per-lane state alongside
-    ``env_batch``.  Rewards accumulate per lane in step order, so each
-    lane's float arithmetic matches the scalar episode loop exactly.
+    ``env_batch``.  Rewards accumulate per live lane in step order, so
+    each lane's float arithmetic matches the scalar episode loop
+    exactly; a lane's totals are written out when it finishes.
     """
     n = len(seeds)
     obs = env_batch.start(seeds)
@@ -216,24 +217,30 @@ def run_episodes_batched(
     rewards = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
     live = np.arange(n)
-    for _ in range(limit):
-        if len(live) == 0:
-            break
+    live_rewards = np.zeros(n)
+    step = 0
+    while step < limit and len(live):
         outputs = policy.step(obs)
         actions = actions_from_outputs_batch(outputs, space)
         obs, step_rewards, dones = env_batch.step(actions)
-        rewards[live] += step_rewards
-        steps[live] += 1
+        live_rewards += step_rewards
+        step += 1
         if dones.any():
+            done = live[dones]
+            rewards[done] = live_rewards[dones]
+            steps[done] = step
             keep = ~dones
             live = live[keep]
+            live_rewards = live_rewards[keep]
             obs = obs[keep]
             env_batch.prune(keep)
             policy.prune(keep)
+    rewards[live] = live_rewards
+    steps[live] = step
     per_pass = macs_per_pass if macs_per_pass is not None else [0] * n
     return [
-        EpisodeResult(float(rewards[i]), int(steps[i]), int(per_pass[i]) * int(steps[i]))
-        for i in range(n)
+        EpisodeResult(reward, count, int(macs) * count)
+        for reward, count, macs in zip(rewards.tolist(), steps.tolist(), per_pass)
     ]
 
 
@@ -316,7 +323,6 @@ class Executor:
         self,
         tasks: Sequence[Task],
         genome_config: GenomeConfig,
-        network: Optional[NetworkFactory] = None,
         plans: Optional[Sequence[Optional[FeedForwardNetwork]]] = None,
     ) -> Tuple[List[Outcome], List[Optional[FeedForwardNetwork]]]:
         """Every task's episodes as lockstep lanes of stacked plans.
@@ -324,8 +330,7 @@ class Executor:
         ``plans`` holds each task's compiled plan when the caller has
         them (:func:`compile_network` runs here otherwise).  Returns the
         outcomes and the plans — ``None`` where the genome did not
-        compile and ran on the scalar walk (built by ``network``)
-        instead.
+        compile and ran on the scalar walk instead.
         """
         if plans is None:
             plans = []
@@ -374,9 +379,7 @@ class Executor:
         fallback = [i for i, p in enumerate(plans) if p is None]
         if fallback:
             with obs.span("fallback", genomes=len(fallback)):
-                walked = self.scalar(
-                    [tasks[i] for i in fallback], genome_config, network
-                )
+                walked = self.scalar([tasks[i] for i in fallback], genome_config)
             for i, outcome in zip(fallback, walked):
                 outcomes[i] = outcome
         return outcomes, plans

@@ -94,7 +94,7 @@ class StackedPlans:
         row = 0
         for l in range(max(len(p.layers) for p in plans)):
             layers = [p.layers[l] for p in plans if l < len(p.layers)]
-            nodes = max(layer.num_nodes for layer in layers)
+            nodes = max(len(layer.node_cols) for layer in layers)
             fan = max([1] + [len(links) for layer in layers for links in layer.links])
             shapes.append((row, fan, nodes))
             row += (fan + 2) * nodes
@@ -116,35 +116,35 @@ class StackedPlans:
         ints[io_row:] = np.arange(num_io)[:, None]
 
         # The real entries, as (row, plan, value) columns.
-        act_index: Dict[str, int] = {}
-        link_at, link_plan, link_col, link_weight = [], [], [], []
+        link_at, link_plan, links = [], [], []
         node_at, node_code_at, node_plan = [], [], []
-        node_col, node_bias, node_response, node_code = [], [], [], []
+        node_col, node_bias, node_response, node_act = [], [], [], []
         for g, plan in enumerate(plans):
+            first_link, first_node = len(link_at), len(node_at)
             for layer, (row, fan, nodes) in zip(plan.layers, shapes):
-                for at, links in enumerate(layer.links, row):
-                    if links:
-                        cols, weights = zip(*links)
-                        link_at += range(at, at + len(links) * nodes, nodes)
-                        link_plan += [g] * len(links)
-                        link_col += cols
-                        link_weight += weights
-                n = layer.num_nodes
+                for at, node_links in enumerate(layer.links, row):
+                    link_at += range(at, at + len(node_links) * nodes, nodes)
+                    links += node_links
+                n = len(layer.node_cols)
                 node_row = row + fan * nodes
                 node_at += range(node_row, node_row + n)
                 node_code_at += range(node_row + nodes, node_row + nodes + n)
-                node_plan += [g] * n
                 node_col += layer.node_cols
                 node_bias += layer.bias
                 node_response += layer.response
-                node_code += [
-                    act_index.setdefault(name, len(act_index)) for name in layer.activations
-                ]
-        ints[link_at, link_plan] = link_col
-        floats[link_at, link_plan] = link_weight
+                node_act += layer.activations
+            link_plan += [g] * (len(link_at) - first_link)
+            node_plan += [g] * (len(node_at) - first_node)
+        # (column, weight) pairs; columns are small ints, exact as floats
+        pairs = np.array(links, dtype=np.float64).reshape(len(links), 2)
+        ints[link_at, link_plan] = pairs[:, 0]
+        floats[link_at, link_plan] = pairs[:, 1]
         ints[node_at, node_plan] = node_col
         floats[node_at, node_plan] = node_bias
-        ints[node_code_at, node_plan] = node_code
+        act_index: Dict[str, int] = {}
+        ints[node_code_at, node_plan] = [
+            act_index.setdefault(name, len(act_index)) for name in node_act
+        ]
         floats[node_code_at, node_plan] = node_response
         self.ints, self.floats = ints, floats
         #: Array forms of every activation the population uses, by code.
@@ -186,9 +186,14 @@ class LaneRunner:
     protocol of :func:`repro.envs.evaluate.run_episodes_batched`.  Lane
     ``i`` keeps slot ``i`` of a ``(columns, lanes)`` value buffer for the
     whole rollout, and its int column holds flat buffer positions, so
-    pruning finished lanes is one column selection per table.  Every
+    dropping finished lanes is one column selection per table.  Every
     wave reads and writes contiguous row blocks of the tables; a node's
     products are added one fan slot at a time, left to right.
+
+    Lanes finish a few at a time, so :meth:`prune` only drops them from
+    the tables once a quarter of the tables' columns have finished;
+    until then finished lanes keep computing on their last inputs, and
+    only the live lanes' inputs are written and outputs read.
     """
 
     def __init__(self, stacked: StackedPlans, lane_plans: np.ndarray) -> None:
@@ -202,11 +207,16 @@ class LaneRunner:
         self.ints = ints
         self.floats = np.take(stacked.floats, lane_plans, axis=1)
         self._values = np.zeros(stacked.num_columns * lanes)
+        #: The live lanes' table columns, and their input and output
+        #: positions in the value buffer.
+        self._live = np.arange(lanes)
+        self._inputs = ints[stacked.inputs]
+        self._outputs = ints[stacked.outputs]
 
     def step(self, observations: np.ndarray) -> np.ndarray:
         stacked = self._stacked
         ints, floats, values = self.ints, self.floats, self._values
-        values[ints[stacked.inputs]] = observations.T
+        values[self._inputs] = observations.T
         for links, nodes, slots, targets, codes, act in stacked.waves:
             products = values[ints[links]]
             products *= floats[links]
@@ -225,8 +235,14 @@ class LaneRunner:
                     if mask.any():
                         post[mask] = fn(acc[mask])
             values[ints[targets]] = post
-        return values[ints[stacked.outputs]].T
+        return values[self._outputs].T
 
     def prune(self, keep: np.ndarray) -> None:
-        self.ints = np.compress(keep, self.ints, axis=1)
-        self.floats = np.compress(keep, self.floats, axis=1)
+        live = self._live[keep]
+        if 4 * len(live) <= 3 * self.ints.shape[1]:
+            self.ints = np.take(self.ints, live, axis=1)
+            self.floats = np.take(self.floats, live, axis=1)
+            live = np.arange(len(live))
+        self._live = live
+        self._inputs = self.ints[self._stacked.inputs][:, live]
+        self._outputs = self.ints[self._stacked.outputs][:, live]

@@ -213,20 +213,21 @@ class FeedForwardNetwork:
         columns: Dict[int, int] = {key: i for i, key in enumerate(input_keys)}
         for key in config.output_keys:
             columns.setdefault(key, len(columns))
+        genes = genome.nodes
         layers: List[LayerPlan] = []
         for wave in waves:
-            nodes = [genome.nodes[key] for key in wave]
-            layers.append(LayerPlan(
-                node_cols=[columns.setdefault(key, len(columns)) for key in wave],
-                links=[
+            layer = LayerPlan([], [], [], [], [], [])
+            for key in wave:
+                node = genes[key]
+                layer.node_cols.append(columns.setdefault(key, len(columns)))
+                layer.links.append(
                     [(columns[src], weight) for src, weight in sorted(incoming.get(key, ()))]
-                    for key in wave
-                ],
-                bias=[node.bias for node in nodes],
-                response=[node.response for node in nodes],
-                activations=[node.activation for node in nodes],
-                aggregations=[node.aggregation for node in nodes],
-            ))
+                )
+                layer.bias.append(node.bias)
+                layer.response.append(node.response)
+                layer.activations.append(node.activation)
+                layer.aggregations.append(node.aggregation)
+            layers.append(layer)
         return cls(genome.key, len(input_keys), config.num_outputs, len(columns), layers)
 
     def activate(self, inputs: Sequence[float]) -> List[float]:
