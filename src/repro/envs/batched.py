@@ -183,7 +183,7 @@ class _StateMatrixEnv(BatchedEnv):
             draws += [draw() for _ in range(self.initial_draws)]
         self.state = self._initial_states(
             np.array(draws, dtype=np.float64).reshape(len(seeds), self.initial_draws)
-        ).reshape(len(seeds), self.observation_space.flat_dim)
+        )
         self._elapsed = 0
         return self.state.copy()
 
@@ -199,7 +199,7 @@ class _StateMatrixEnv(BatchedEnv):
         return state, rewards, dones
 
     def prune(self, keep: np.ndarray) -> None:
-        self.state = self.state[keep]
+        self.state = np.compress(keep, self.state, axis=0)
 
     @property
     def num_lanes(self) -> int:

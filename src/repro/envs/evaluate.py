@@ -138,9 +138,9 @@ def actions_from_outputs_batch(outputs: np.ndarray, space) -> np.ndarray:
         # scalar tie-break contract; it also returns the first NaN, so
         # NaNs are ranked as -inf first.
         head = outputs[:, : space.n]
-        if np.isnan(head).any():
+        if np.count_nonzero(np.isnan(head)):
             head = np.where(np.isnan(head), -np.inf, head)
-        return np.argmax(head, axis=1)
+        return head.argmax(axis=1)
     if isinstance(space, Box):
         arr = outputs[:, : space.flat_dim]
         if arr.shape[1] < space.flat_dim:
@@ -225,14 +225,14 @@ def run_episodes_batched(
         obs, step_rewards, dones = env_batch.step(actions)
         live_rewards += step_rewards
         step += 1
-        if dones.any():
+        if np.count_nonzero(dones):
             done = live[dones]
             rewards[done] = live_rewards[dones]
             steps[done] = step
             keep = ~dones
             live = live[keep]
             live_rewards = live_rewards[keep]
-            obs = obs[keep]
+            obs = np.compress(keep, obs, axis=0)
             env_batch.prune(keep)
             policy.prune(keep)
     rewards[live] = live_rewards

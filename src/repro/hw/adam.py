@@ -128,12 +128,14 @@ def build_inference_plan(genome: Genome, config: GenomeConfig) -> InferencePlan:
         network = compile_network(genome, config)
     except CompileError as exc:
         raise UnsupportedGenomeError(str(exc)) from None
-    waves = []
-    for layer in network.layers:
-        links = [link for node_links in layer.links for link in node_links]
-        cols, weights = zip(*links) if links else ((), ())
-        # count() compares with ==, so -0.0 weights count as zero too
-        waves.append(WavePlan(len(layer.node_cols), len(set(cols)), len(weights) - weights.count(0.0)))
+    waves = [
+        WavePlan(
+            m=layer.num_nodes,
+            k=len({col for links in layer.links for col, _ in links}),
+            macs=sum(1 for links in layer.links for _, weight in links if weight != 0.0),
+        )
+        for layer in network.layers
+    ]
     return InferencePlan(network=network, waves=waves)
 
 

@@ -25,6 +25,7 @@ with.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
@@ -59,6 +60,10 @@ def compile_network(genome: Genome, config: GenomeConfig) -> FeedForwardNetwork:
     return plan
 
 
+def _joined(lists) -> list:
+    return list(chain.from_iterable(lists))
+
+
 class StackedPlans:
     """A population's plans as one int and one float table, lane-last.
 
@@ -89,14 +94,15 @@ class StackedPlans:
         zero_col = max(p.num_columns for p in plans)
         self.num_columns = zero_col + 2
 
-        # Per wave: (first row, fan-in, node count).
+        # Per wave: the plans reaching it, each with its layer there, and
+        # the wave's first row, fan-in and node count.
         shapes = []
         row = 0
         for l in range(max(len(p.layers) for p in plans)):
-            layers = [p.layers[l] for p in plans if l < len(p.layers)]
-            nodes = max(len(layer.node_cols) for layer in layers)
-            fan = max([1] + [len(links) for layer in layers for links in layer.links])
-            shapes.append((row, fan, nodes))
+            members = [(g, p.layers[l]) for g, p in enumerate(plans) if l < len(p.layers)]
+            nodes = max(layer.num_nodes for _, layer in members)
+            fan = max([1] + [len(links) for _, layer in members for links in layer.links])
+            shapes.append((members, row, fan, nodes))
             row += (fan + 2) * nodes
         io_row = row
         num_io = self.num_inputs + self.num_outputs
@@ -105,7 +111,9 @@ class StackedPlans:
         floats = np.zeros((io_row, len(plans)))
         #: Int rows holding value-buffer columns (all but the codes).
         self.column_rows = np.ones(len(ints), dtype=bool)
-        for row, fan, nodes in shapes:
+        ints[io_row:] = np.arange(num_io)[:, None]
+        act_index: Dict[str, int] = {}
+        for members, row, fan, nodes in shapes:
             node_row = row + fan * nodes
             code_row = node_row + nodes
             ints[row:node_row] = zero_col
@@ -113,39 +121,30 @@ class StackedPlans:
             ints[node_row:code_row] = zero_col + 1  # the trash column
             ints[code_row : code_row + nodes] = -1
             self.column_rows[code_row : code_row + nodes] = False
-        ints[io_row:] = np.arange(num_io)[:, None]
-
-        # The real entries, as (row, plan, value) columns.
-        link_at, link_plan, links = [], [], []
-        node_at, node_code_at, node_plan = [], [], []
-        node_col, node_bias, node_response, node_act = [], [], [], []
-        for g, plan in enumerate(plans):
-            first_link, first_node = len(link_at), len(node_at)
-            for layer, (row, fan, nodes) in zip(plan.layers, shapes):
-                for at, node_links in enumerate(layer.links, row):
-                    link_at += range(at, at + len(node_links) * nodes, nodes)
-                    links += node_links
-                n = len(layer.node_cols)
-                node_row = row + fan * nodes
-                node_at += range(node_row, node_row + n)
-                node_code_at += range(node_row + nodes, node_row + nodes + n)
-                node_col += layer.node_cols
-                node_bias += layer.bias
-                node_response += layer.response
-                node_act += layer.activations
-            link_plan += [g] * (len(link_at) - first_link)
-            node_plan += [g] * (len(node_at) - first_node)
-        # (column, weight) pairs; columns are small ints, exact as floats
-        pairs = np.array(links, dtype=np.float64).reshape(len(links), 2)
-        ints[link_at, link_plan] = pairs[:, 0]
-        floats[link_at, link_plan] = pairs[:, 1]
-        ints[node_at, node_plan] = node_col
-        floats[node_at, node_plan] = node_bias
-        act_index: Dict[str, int] = {}
-        ints[node_code_at, node_plan] = [
-            act_index.setdefault(name, len(act_index)) for name in node_act
-        ]
-        floats[node_code_at, node_plan] = node_response
+            # The real entries: one per (plan, node j), and one per link,
+            # whose fan slot s puts it on row ``row + s * nodes + j``.
+            layers = [layer for _, layer in members]
+            counts = np.array([layer.num_nodes for layer in layers], dtype=np.intp)
+            plan = np.repeat([g for g, _ in members], counts)
+            node = np.arange(len(plan)) - np.repeat(np.cumsum(counts) - counts, counts)
+            node_links = list(chain.from_iterable(layer.links for layer in layers))
+            fans = np.fromiter(map(len, node_links), dtype=np.intp, count=len(node_links))
+            slot = np.arange(fans.sum()) - np.repeat(np.cumsum(fans) - fans, fans)
+            link_row = row + slot * nodes + np.repeat(node, fans)
+            link_plan = np.repeat(plan, fans)
+            # (column, weight) pairs; columns are small ints, exact as floats
+            pairs = np.fromiter(
+                chain.from_iterable(chain.from_iterable(node_links)), dtype=np.float64
+            ).reshape(-1, 2)
+            ints[link_row, link_plan] = pairs[:, 0]
+            floats[link_row, link_plan] = pairs[:, 1]
+            ints[node_row + node, plan] = _joined(layer.node_cols for layer in layers)
+            floats[node_row + node, plan] = _joined(layer.bias for layer in layers)
+            ints[code_row + node, plan] = [
+                act_index.setdefault(name, len(act_index))
+                for name in _joined(layer.activations for layer in layers)
+            ]
+            floats[code_row + node, plan] = _joined(layer.response for layer in layers)
         self.ints, self.floats = ints, floats
         #: Array forms of every activation the population uses, by code.
         self.act_fns: List[Callable[[np.ndarray], np.ndarray]] = [
@@ -158,7 +157,7 @@ class StackedPlans:
         #: response), and the one activation serving every real node (the
         #: common single-option config), or None when the wave mixes.
         self.waves = []
-        for row, fan, nodes in shapes:
+        for _, row, fan, nodes in shapes:
             node_row = row + fan * nodes
             codes = slice(node_row + nodes, node_row + 2 * nodes)
             used = np.unique(ints[codes][ints[codes] >= 0])
@@ -199,24 +198,25 @@ class LaneRunner:
     def __init__(self, stacked: StackedPlans, lane_plans: np.ndarray) -> None:
         self._stacked = stacked
         lanes = len(lane_plans)
-        # np.take and np.compress keep the tables row-major; a[:, index]
-        # would not, and every wave's row block would be strided.
+        # np.take keeps the tables row-major; a[:, index] would not, and
+        # every wave's row block would be strided.
         ints = np.take(stacked.ints, lane_plans, axis=1)
         rows = stacked.column_rows
         ints[rows] = ints[rows] * lanes + np.arange(lanes)
         self.ints = ints
         self.floats = np.take(stacked.floats, lane_plans, axis=1)
         self._values = np.zeros(stacked.num_columns * lanes)
-        #: The live lanes' table columns, and their input and output
-        #: positions in the value buffer.
+        #: Per table column, its input and output positions in the value
+        #: buffer, and the live lanes' table columns.
+        self._column_inputs = ints[stacked.inputs].T.copy()
+        self._column_outputs = ints[stacked.outputs].T.copy()
         self._live = np.arange(lanes)
-        self._inputs = ints[stacked.inputs]
-        self._outputs = ints[stacked.outputs]
+        self._inputs, self._outputs = self._column_inputs, self._column_outputs
 
     def step(self, observations: np.ndarray) -> np.ndarray:
         stacked = self._stacked
         ints, floats, values = self.ints, self.floats, self._values
-        values[self._inputs] = observations.T
+        values[self._inputs] = observations
         for links, nodes, slots, targets, codes, act in stacked.waves:
             products = values[ints[links]]
             products *= floats[links]
@@ -235,14 +235,16 @@ class LaneRunner:
                     if mask.any():
                         post[mask] = fn(acc[mask])
             values[ints[targets]] = post
-        return values[self._outputs].T
+        return values[self._outputs]
 
     def prune(self, keep: np.ndarray) -> None:
         live = self._live[keep]
         if 4 * len(live) <= 3 * self.ints.shape[1]:
             self.ints = np.take(self.ints, live, axis=1)
             self.floats = np.take(self.floats, live, axis=1)
+            self._column_inputs = self._column_inputs.take(live, axis=0)
+            self._column_outputs = self._column_outputs.take(live, axis=0)
             live = np.arange(len(live))
         self._live = live
-        self._inputs = self.ints[self._stacked.inputs][:, live]
-        self._outputs = self.ints[self._stacked.outputs][:, live]
+        self._inputs = self._column_inputs.take(live, axis=0)
+        self._outputs = self._column_outputs.take(live, axis=0)
