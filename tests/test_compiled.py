@@ -163,18 +163,22 @@ def test_stacked_plans_empty_rejected():
 
 
 def test_lane_runner_prune_keeps_alignment():
+    """Lanes stay aligned over prunes that keep finished lanes in the
+    tables (7 of 8 live) and ones that drop them (5 of 7)."""
     plans = []
-    for seed in range(6):
+    for seed in range(8):
         genome, config = evolved(seed, steps=15)
         plans.append(compile_network(genome, config))
-    stacked = StackedPlans(plans)
-    runner = stacked.lane_runner(list(range(6)))
+    runner = StackedPlans(plans).lane_runner(list(range(8)))
     rng = np.random.default_rng(1)
-    observations = rng.uniform(-1.0, 1.0, size=(6, plans[0].num_inputs))
-    keep = np.array([True, False, True, True, False, True])
-    expected = runner.step(observations)[keep]
-    runner.prune(keep)
-    assert np.array_equal(runner.step(observations[keep]), expected)
+    observations = rng.uniform(-1.0, 1.0, size=(8, plans[0].num_inputs))
+    expected = runner.step(observations)
+    for keep in ([True, True, False, True, True, True, True, True],
+                 [True, False, True, True, False, True, True]):
+        keep = np.array(keep)
+        observations, expected = observations[keep], expected[keep]
+        runner.prune(keep)
+        assert np.array_equal(runner.step(observations), expected)
 
 
 # ---------------------------------------------------------------------------
