@@ -248,7 +248,8 @@ class ProcessingElement:
         pos = self._prng_pos
         if pos > len(rand) - _MAX_BYTES_PER_PAIR:
             rand = self._prng_bytes = rand[pos:] + self.prng.bytes(_PRNG_BLOCK_BYTES)
-            pos = 0
+            # the cursor moves with the buffer: a pair that raises keeps it
+            pos = self._prng_pos = 0
         word = gene1.word
         is_node = not word & TYPE_MASK
         # Set when a stage re-packs the gene (pack_node / pack_connection

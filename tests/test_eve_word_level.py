@@ -12,7 +12,7 @@ import random
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eve_reference import (
@@ -166,11 +166,27 @@ def _compare_pair(pe, ref, gene1, gene2):
     return out
 
 
+_NODE = pack_node(32767, 0, 0.0, 0.0, "abs", "max")
+_NODE_0 = pack_node(0, 0, 0.0, 0.0, "abs", "max")
+_CONN = pack_connection(0, 0, 0.0, False)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     pairs=st.lists(st.tuples(st.none() | genes, st.none() | genes), max_size=30),
     config=pe_configs,
     seed=st.integers(0, 2**32),
+)
+# A misaligned pair that raises right after the PE refilled its PRNG
+# read-ahead once left the read cursor pointing into the old buffer.
+@example(
+    pairs=[(_NODE, None), (_NODE, _NODE), (_CONN, None), (_NODE, None), (_NODE_0, None),
+           (_NODE, _NODE), (_CONN, None), (_NODE_0, None), (_NODE, None), (_CONN, None),
+           (_NODE, _CONN)],
+    config=PEConfig(crossover_bias=0.0, perturb_prob=1.0, node_delete_prob=0.0,
+                    conn_delete_prob=0.0, node_add_prob=0.0, conn_add_prob=0.0,
+                    max_node_deletions=1, perturb_shift=0),
+    seed=0,
 )
 def test_pe_matches_reference_on_any_pairs(pairs, config, seed):
     """Unaligned pairs too: a missing or misaligned gene raises in both
