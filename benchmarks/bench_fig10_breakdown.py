@@ -8,11 +8,13 @@ import pytest
 
 from repro.analysis.reporting import fmt_bytes, fmt_seconds, render_table
 from repro.envs.registry import EVALUATION_SUITE
-from repro.platforms import footprint_comparison, genesys, gpu_a, gpu_b
+from repro.platforms import footprint_comparison, make_platform
+
+GPU_A, GPU_B, GENESYS = map(make_platform, ("GPU_a", "GPU_b", "GENESYS"))
 
 
 def test_fig10abc_time_distribution(benchmark, emit, evaluation_traces):
-    platforms = [("GPU_a", gpu_a()), ("GPU_b", gpu_b()), ("GENESYS", genesys())]
+    platforms = [("GPU_a", GPU_A), ("GPU_b", GPU_B), ("GENESYS", GENESYS)]
     for label, platform in platforms:
         rows = []
         for env_id in EVALUATION_SUITE:
@@ -41,7 +43,7 @@ def test_fig10abc_time_distribution(benchmark, emit, evaluation_traces):
     assert fracs["GENESYS"] == pytest.approx(0.15, abs=0.02)
 
     w = evaluation_traces["Alien-ram-v0"].mean_workload()
-    benchmark(lambda: gpu_b().inference_cost(w))
+    benchmark(lambda: GPU_B.inference_cost(w))
 
 
 def test_fig10d_memory_footprint(benchmark, emit, evaluation_traces):
@@ -50,7 +52,7 @@ def test_fig10d_memory_footprint(benchmark, emit, evaluation_traces):
     checks = {}
     for env_id in ["MountainCar-v0", "Amidar-ram-v0"]:
         w = evaluation_traces[env_id].mean_workload()
-        foot = footprint_comparison(w, [gpu_a(), gpu_b(), genesys()])
+        foot = footprint_comparison(w, [GPU_A, GPU_B, GENESYS])
         rows.append([
             env_id,
             fmt_bytes(foot["GPU_a"]),
@@ -70,4 +72,4 @@ def test_fig10d_memory_footprint(benchmark, emit, evaluation_traces):
     assert amidar["GPU_a"] < amidar["GENESYS"] < amidar["GPU_b"]
 
     w = evaluation_traces["Amidar-ram-v0"].mean_workload()
-    benchmark(lambda: footprint_comparison(w, [gpu_a(), gpu_b(), genesys()]))
+    benchmark(lambda: footprint_comparison(w, [GPU_A, GPU_B, GENESYS]))

@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.reporting import fmt_joules, fmt_seconds, render_table
 from repro.envs.registry import EVALUATION_SUITE
-from repro.platforms import all_platforms, genesys, gpu_a, gpu_b, gpu_c, gpu_d, table3
+from repro.platforms import all_platforms, make_platform, table3
 
 
 def _phase_table(traces, phase):
@@ -46,12 +46,13 @@ def test_fig9ab_inference(benchmark, emit, evaluation_traces):
     emit(render_table(headers, energy_rows,
                       title="Fig 9(b): inference energy per generation"))
 
-    g = genesys()
+    g = make_platform("GENESYS")
+    gpus = list(map(make_platform, ("GPU_a", "GPU_b", "GPU_c", "GPU_d")))
     for env_id in EVALUATION_SUITE:
         w = evaluation_traces[env_id].mean_workload()
         ours = g.inference_cost(w)
         best_gpu = min(
-            (p.inference_cost(w) for p in (gpu_a(), gpu_b(), gpu_c(), gpu_d())),
+            (p.inference_cost(w) for p in gpus),
             key=lambda c: c.runtime_s,
         )
         # Paper: "Genesys outperforms the best GPU implementation by 100x
@@ -69,13 +70,13 @@ def test_fig9cd_evolution(benchmark, emit, evaluation_traces):
     emit(render_table(headers, energy_rows,
                       title="Fig 9(d): evolution energy per generation"))
 
-    g = genesys()
+    g, gpu_c = make_platform("GENESYS"), make_platform("GPU_c")
     for env_id in EVALUATION_SUITE:
         w = evaluation_traces[env_id].mean_workload()
         if w.evolution_ops == 0:
             continue
         ours = g.evolution_cost(w).energy_j
-        vs_gpu_c = gpu_c().evolution_cost(w).energy_j
+        vs_gpu_c = gpu_c.evolution_cost(w).energy_j
         orders = math.log10(vs_gpu_c / ours)
         # Paper: EvE is 4-5 orders more energy-efficient than GPU_c; the
         # gap shrinks with the scaled-down workloads, so assert >= 2.5.

@@ -24,7 +24,7 @@ from repro.analysis.reporting import (
 )
 from repro.api import Experiment, ExperimentSpec
 from repro.core import TraceRecorder
-from repro.platforms import cpu_c, gpu_c
+from repro.platforms import make_platform
 
 
 def main() -> None:
@@ -73,7 +73,7 @@ def main() -> None:
     genesys_energy = sum(r.energy.total_energy_j for r in result.reports) \
         / len(result.reports)
     rows = [["GENESYS (SoC model)", fmt_joules(genesys_energy), "-"]]
-    for platform in (cpu_c(), gpu_c()):
+    for platform in map(make_platform, ("CPU_c", "GPU_c")):
         energy = (
             platform.inference_cost(workload).energy_j
             + platform.evolution_cost(workload).energy_j

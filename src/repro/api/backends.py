@@ -32,17 +32,17 @@ never reaches into :class:`repro.neat.Population` internals.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
+import inspect
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple, Union,
+)
 
 from .. import obs
 from ..core.config import GeneSysConfig
 from ..core.runner import config_for_env
 from ..core.soc import GeneSysSoC
 from ..core.trace import GenerationWorkload, _mean_depth
-from ..hw.allocator import SCHEDULERS
 from ..hw.energy import cycles_to_seconds
-from ..hw.noc import NOC_KINDS, canonical_noc_kind
 from ..neat.config import NEATConfig
 from ..neat.genome import Genome
 from ..neat.population import Population, meets_threshold
@@ -53,7 +53,6 @@ from ..platforms import (
     SoCPlatform,
     UnknownPlatformError,
     make_platform,
-    parse_adam_shape,
     platform_names,
 )
 from .parallel import build_evaluator
@@ -127,13 +126,22 @@ def register_backend(name: str, factory: Callable[..., Backend]) -> None:
 
 
 def make_backend(name: str, **options) -> Backend:
-    """Instantiate a backend by registry key, e.g. ``analytical:GENESYS``."""
+    """Instantiate a backend by registry key, e.g. ``analytical:GENESYS``.
+
+    An option the factory does not take raises :class:`SpecError`
+    before the factory runs.
+    """
     base, _, arg = name.partition(":")
     if base not in _REGISTRY:
         raise UnknownBackendError(
             f"unknown backend {name!r}; known: {available_backends()}"
         )
-    return _REGISTRY[base](arg=arg or None, **options)
+    factory = _REGISTRY[base]
+    try:
+        inspect.signature(factory).bind(arg=arg or None, **options)
+    except TypeError as exc:
+        raise SpecError(f"invalid options for the {base} backend: {exc}") from None
+    return factory(arg=arg or None, **options)
 
 
 def available_backends() -> List[str]:
@@ -457,6 +465,25 @@ class SoftwareBackend:
         )
 
 
+def _platform_option(
+    backend: str, platform: Union[str, Mapping, PlatformSpec, Platform]
+) -> Platform:
+    """Build the platform a backend's ``platform`` option names: a
+    registered name, a :class:`repro.platforms.PlatformSpec` or its dict
+    form, or an already-built :class:`repro.platforms.Platform`."""
+    if isinstance(platform, Platform):
+        return platform
+    try:
+        return make_platform(platform)
+    except UnknownPlatformError as exc:
+        raise UnknownBackendError(
+            f"unknown {backend} platform {platform!r}; "
+            f"known: {platform_names()}"
+        ) from exc
+    except PlatformSpecError as exc:
+        raise SpecError(f"invalid platform spec: {exc}") from exc
+
+
 class AnalyticalBackend(SoftwareBackend):
     """Software evolution costed through a registered platform model.
 
@@ -477,7 +504,7 @@ class AnalyticalBackend(SoftwareBackend):
     name = "analytical"
 
     def __init__(self, arg: Optional[str] = None,
-                 platform: Optional[Union[str, Dict, PlatformSpec, Platform]] = None,
+                 platform: Optional[Union[str, Mapping, PlatformSpec, Platform]] = None,
                  fitness_transform: Optional[Callable[[float], float]] = None) -> None:
         if arg and platform is not None:
             raise UnknownBackendError(
@@ -491,18 +518,7 @@ class AnalyticalBackend(SoftwareBackend):
                 "'analytical:<platform>' (or embed a platform spec) "
                 f"with one of: {platform_names()}"
             )
-        if isinstance(platform, Platform):
-            self.platform = platform
-        else:
-            try:
-                self.platform = make_platform(platform)
-            except UnknownPlatformError as exc:
-                raise UnknownBackendError(
-                    f"unknown analytical platform {platform!r}; "
-                    f"known: {platform_names()}"
-                ) from exc
-            except PlatformSpecError as exc:
-                raise SpecError(f"invalid platform spec: {exc}") from exc
+        self.platform = _platform_option("analytical", platform)
         self.platform_name = self.platform.name
         self.fitness_transform = fitness_transform
         self.name = f"analytical:{self.platform_name}"
@@ -522,157 +538,52 @@ class AnalyticalBackend(SoftwareBackend):
         return result
 
 
-def _parse_adam_shape(shape: Union[str, Sequence[int]]) -> Tuple[int, int]:
-    """``"32x32"`` (or a 2-sequence) -> ``(rows, cols)``.
-
-    Thin wrapper over the shared :func:`repro.platforms.parse_adam_shape`
-    canonicaliser, re-raising as :class:`SpecError` for backend callers.
-    """
-    try:
-        return parse_adam_shape(shape)
-    except PlatformSpecError as exc:
-        raise SpecError(str(exc)) from None
-
-
-def _resolve_soc_platform(
-    platform: Optional[Union[str, Dict, PlatformSpec, SoCPlatform]],
-) -> Optional[SoCPlatform]:
-    """Coerce a platform option into a :class:`SoCPlatform` (or None)."""
-    if platform is None or isinstance(platform, SoCPlatform):
-        return platform
-    try:
-        if isinstance(platform, str):
-            resolved = make_platform(platform)
-            if not isinstance(resolved, SoCPlatform):
-                raise SpecError(
-                    f"the soc backend needs a 'soc'-kind platform, but "
-                    f"{platform!r} is {type(resolved).__name__}"
-                )
-            return resolved
-        spec = platform if isinstance(platform, PlatformSpec) else (
-            PlatformSpec.from_dict(platform)
-        )
-        if spec.kind != "soc":
-            raise SpecError(
-                f"the soc backend needs a 'soc'-kind platform spec, "
-                f"got kind {spec.kind!r}"
-            )
-        return SoCPlatform(spec)
-    except UnknownPlatformError as exc:
-        raise UnknownBackendError(
-            f"unknown platform {platform!r}; known: {platform_names()}"
-        ) from exc
-    except PlatformSpecError as exc:
-        raise SpecError(f"invalid platform spec: {exc}") from exc
-
-
 class SoCBackend:
     """Hardware-in-the-loop evolution on the EvE/ADAM SoC models.
 
     The SoC model is a serial chip simulation, so ``spec.workers`` does
-    not apply here.  A caller-provided :class:`GeneSysConfig` is never
-    mutated: the spec's NEAT sizing and seed are applied to a copy
-    (``dataclasses.replace``), including the nested EvE block whose PE
-    registers the SoC reprograms.
+    not apply here.
 
-    The hardware design point resolves through the platform registry: a
-    ``soc``-kind :class:`repro.platforms.PlatformSpec` — embedded on the
-    experiment spec (``spec.platform``), passed as the ``platform``
-    option (spec, dict, registered name or
-    :class:`repro.platforms.SoCPlatform`) — selects ``eve_pes``/``noc``/
-    ``scheduler``/``adam_shape``/``frequency_hz`` declaratively.  The
-    legacy JSON-friendly ``backend_options`` knobs (``eve_pes``, ``noc``,
-    ``scheduler``, ``adam_shape`` — the ``hw.*`` DSE axes) still apply
-    and override whatever the platform spec or a caller-provided
-    ``soc_config`` resolved.
+    The hardware design point is a ``soc``-kind
+    :class:`repro.platforms.PlatformSpec`: the ``platform`` option (a
+    spec, its dict form, a registered name or a
+    :class:`repro.platforms.SoCPlatform`; :class:`repro.api.Experiment`
+    passes the spec's embedded ``platform`` block), else
+    ``spec.platform``, else the paper's design point.
     """
 
     name = "soc"
 
     def __init__(self, arg: Optional[str] = None,
-                 soc_config: Optional[GeneSysConfig] = None,
-                 platform: Optional[Union[str, Dict, PlatformSpec, SoCPlatform]] = None,
-                 eve_pes: Optional[int] = None,
-                 noc: Optional[str] = None,
-                 scheduler: Optional[str] = None,
-                 adam_shape: Optional[str] = None,
+                 platform: Optional[Union[str, Mapping, PlatformSpec, SoCPlatform]] = None,
                  vectorize: Optional[bool] = None) -> None:
         if arg:
             raise UnknownBackendError(
                 f"the soc backend takes no ':{arg}' parameter"
             )
-        self.soc_config = soc_config
-        self.platform = _resolve_soc_platform(platform)
-        if eve_pes is not None and (not isinstance(eve_pes, int) or eve_pes < 1):
-            raise SpecError(f"eve_pes must be a positive int, got {eve_pes!r}")
-        if noc is not None:
-            try:
-                noc = canonical_noc_kind(noc)
-            except ValueError as exc:
-                raise SpecError(str(exc)) from None
-        if scheduler is not None and scheduler not in SCHEDULERS:
-            raise SpecError(
-                f"unknown scheduler {scheduler!r}; use one of "
-                f"{sorted(SCHEDULERS)}"
-            )
-        self.eve_pes = eve_pes
-        self.noc = noc
-        self.scheduler = scheduler
-        self.adam_shape = (
-            _parse_adam_shape(adam_shape) if adam_shape is not None else None
-        )
+        self.platform: Optional[Platform] = None
+        if platform is not None:
+            self.platform = _platform_option("soc", platform)
+            if not isinstance(self.platform, SoCPlatform):
+                raise SpecError(
+                    f"the soc backend needs a 'soc'-kind platform, but "
+                    f"{platform!r} is {type(self.platform).__name__}"
+                )
         # Population-batched evaluation is the default; the flag is an
         # escape hatch (and the bench's serial baseline).  Both paths are
         # bit-identical, so the choice never shows up in spec/cache keys.
         self.vectorize = True if vectorize is None else bool(vectorize)
 
     def _resolve_config(self, spec: ExperimentSpec) -> GeneSysConfig:
-        neat_config = config_for_env(
-            spec.env_id, spec.pop_size, spec.fitness_threshold
+        platform = self.platform or make_platform(
+            spec.platform or PlatformSpec("soc")
         )
-        platform = self.platform
-        if platform is None and spec.platform is not None:
-            # spec validation guarantees a soc-kind platform here
-            platform = SoCPlatform(spec.platform)
-        if self.soc_config is None:
-            if platform is not None:
-                config = platform.genesys_config(
-                    neat=neat_config, seed=spec.seed
-                )
-            else:
-                config = GeneSysConfig.paper_design_point(neat=neat_config)
-                config.seed = spec.seed
-        else:
-            config = dataclasses.replace(
-                self.soc_config,
-                neat=neat_config,
-                seed=spec.seed,
-                eve=dataclasses.replace(self.soc_config.eve),
-            )
-            if platform is not None:
-                # the declarative design point wins for the blocks it
-                # parameterises; soc_config still supplies the rest
-                # (SRAM geometry, PE registers).
-                config = platform.genesys_config(
-                    neat=neat_config, seed=spec.seed, base=config
-                )
-        eve_changes = {
-            key: value
-            for key, value in (
-                ("num_pes", self.eve_pes),
-                ("noc", self.noc),
-                ("scheduler", self.scheduler),
-            )
-            if value is not None
-        }
-        if eve_changes:
-            config.eve = dataclasses.replace(config.eve, **eve_changes)
-        if self.adam_shape is not None:
-            rows, cols = self.adam_shape
-            config.adam = dataclasses.replace(
-                config.adam, rows=rows, cols=cols
-            )
-        return config
+        return platform.genesys_config(
+            neat=config_for_env(
+                spec.env_id, spec.pop_size, spec.fitness_threshold
+            ),
+            seed=spec.seed,
+        )
 
     def run(
         self,

@@ -1,10 +1,9 @@
 """The experiment runner: resolve a spec against a backend and go.
 
 :class:`Experiment` is the single entry point the CLI, the examples, the
-benchmarks, :mod:`repro.runs` and :mod:`repro.dse` all share.  Rich,
-non-JSON arguments (a custom :class:`repro.core.GeneSysConfig`, a
-fitness transform callable) are passed to the constructor; everything
-serialisable lives on the spec.
+benchmarks, :mod:`repro.runs` and :mod:`repro.dse` all share.  The one
+non-JSON argument, a fitness transform callable, is passed to the
+constructor; everything else lives on the spec.
 
 Durable, resumable runs layer on top of this module: pass ``run_dir``
 to :func:`run_experiment` (or use :func:`repro.runs.run_in_dir`
@@ -37,9 +36,6 @@ class Experiment:
     ----------
     spec:
         The :class:`ExperimentSpec` to run.
-    soc_config:
-        Optional :class:`repro.core.GeneSysConfig` for the ``soc``
-        backend (never mutated; the spec's sizing is applied to a copy).
     fitness_transform:
         Optional callable applied to each genome's mean episode reward
         before it becomes fitness (the paper's "only the fitness
@@ -49,24 +45,16 @@ class Experiment:
     def __init__(
         self,
         spec: ExperimentSpec,
-        soc_config=None,
         fitness_transform: Optional[Callable[[float], float]] = None,
     ) -> None:
         self.spec = spec
         options: Dict[str, Any] = dict(spec.backend_options)
-        if soc_config is not None:
-            options["soc_config"] = soc_config
         if fitness_transform is not None:
             options["fitness_transform"] = fitness_transform
-        # An embedded platform spec reaches the built-in substrate
+        # The spec's platform block reaches the built-in substrate
         # factories as their 'platform' option; custom backends read
         # spec.platform themselves in run().
-        base = spec.backend.partition(":")[0]
-        if (
-            spec.platform is not None
-            and base in ("analytical", "soc")
-            and "platform" not in options
-        ):
+        if spec.backend.partition(":")[0] in ("analytical", "soc"):
             options["platform"] = spec.platform
         self.backend: Backend = make_backend(spec.backend, **options)
 

@@ -42,10 +42,10 @@ class ExperimentSpec:
     """Everything needed to reproduce one experiment, JSON-serialisable.
 
     ``backend`` is a registry key (``software``, ``soc``,
-    ``analytical:<platform>``); ``backend_options`` carries backend-
-    specific settings that must survive the JSON round-trip (anything
-    richer — e.g. a :class:`repro.core.GeneSysConfig` — is passed to
-    :class:`repro.api.Experiment` directly).
+    ``analytical:<platform>``); ``backend_options`` carries the backend
+    factory's JSON settings (e.g. the soc backend's ``vectorize``).  The
+    hardware design point is named only by the ``platform`` block, never
+    by an option.
     """
 
     env_id: str
@@ -106,6 +106,16 @@ class ExperimentSpec:
             raise SpecError(
                 f"vectorizer must be 'scalar' or 'numpy', got {self.vectorizer!r}"
             )
+        if not isinstance(self.backend_options, Mapping):
+            raise SpecError(
+                f"backend_options must be an object, got {self.backend_options!r}"
+            )
+        if "platform" in self.backend_options:
+            raise SpecError(
+                "backend_options cannot name a platform; embed it as the "
+                "spec's 'platform' block"
+            )
+        object.__setattr__(self, "backend_options", dict(self.backend_options))
         if self.platform is not None:
             try:
                 platform = as_platform_spec(self.platform)
@@ -170,7 +180,6 @@ class ExperimentSpec:
 
     def to_dict(self) -> Dict[str, Any]:
         data = dataclasses.asdict(self)
-        data["backend_options"] = dict(self.backend_options)
         # Omitted (not null) when unset: pre-platform spec dicts — and
         # therefore their DSE cache keys — are byte-identical.
         if self.platform is None:

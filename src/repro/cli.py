@@ -1243,8 +1243,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "memoisation, and tabulate/export the results.  Axes "
                     "span experiment-spec fields and unified platform-"
                     "spec fields (platform.eve_pes, platform.noc, "
-                    "platform.scheduler, platform.adam_shape, ...; the "
-                    "old hw.* spellings are deprecated aliases).",
+                    "platform.scheduler, platform.adam_shape, ...).",
     )
     dse.add_argument("--sweep", metavar="FILE", required=True,
                      help="SweepSpec JSON file (base spec + axes)")

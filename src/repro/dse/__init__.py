@@ -7,8 +7,7 @@ sweeps, NoC ablations, cross-platform runtime/energy comparisons
 * :class:`SweepSpec` — a frozen, JSON-round-trippable sweep description:
   a base :class:`repro.api.ExperimentSpec` plus axes over any spec field
   and over unified platform-spec fields (``platform.eve_pes``,
-  ``platform.noc``, ``platform.scheduler``, ``platform.adam_shape``, …;
-  the pre-redesign ``hw.*`` spellings remain as deprecated aliases),
+  ``platform.noc``, ``platform.scheduler``, ``platform.adam_shape``, …),
   expanded by ``grid`` or seeded ``random`` sampling.
 * :class:`SweepRunner` / :func:`run_sweep` — executes points through the
   registered backends with process-pool parallelism across points
@@ -82,7 +81,6 @@ from .runner import (
     run_sweep,
 )
 from .spec import (
-    HW_AXES,
     PLATFORM_AXES,
     SPEC_AXES,
     SweepPoint,
@@ -94,7 +92,6 @@ __all__ = [
     "CACHE_FORMAT",
     "EVE_REPLAY_EVALUATOR",
     "EXPERIMENT_EVALUATOR",
-    "HW_AXES",
     "METRIC_COLUMNS",
     "PLATFORM_AXES",
     "DistributedSweepError",

@@ -11,9 +11,8 @@ expansion and tabulation as full-experiment sweeps.
 
 The evaluator honours the unified platform axes that affect the EvE
 reproduction pass (``platform.eve_pes``, ``platform.noc``,
-``platform.scheduler``), plus their deprecated ``hw.*`` aliases;
-``platform.adam_shape`` parameterises inference, which a reproduction
-replay does not execute.
+``platform.scheduler``); ``platform.adam_shape`` parameterises
+inference, which a reproduction replay does not execute.
 """
 
 from __future__ import annotations
@@ -45,19 +44,14 @@ def eve_replay_evaluator(
     """
 
     def evaluate(point: SweepPoint) -> Dict[str, Any]:
-        axes = point.axes
-
-        def axis(field: str) -> Any:
-            # unified spelling first, then the deprecated hw.* alias
-            return axes.get(f"platform.{field}", axes.get(f"hw.{field}"))
-
-        eve_kwargs = {}
-        if axis("eve_pes") is not None:
-            eve_kwargs["num_pes"] = axis("eve_pes")
-        if axis("noc") is not None:
-            eve_kwargs["noc"] = axis("noc")
-        if axis("scheduler") is not None:
-            eve_kwargs["scheduler"] = axis("scheduler")
+        eve_kwargs = {
+            eve_field: point.axes[f"platform.{field}"]
+            for field, eve_field in (
+                ("eve_pes", "num_pes"), ("noc", "noc"),
+                ("scheduler", "scheduler"),
+            )
+            if point.axes.get(f"platform.{field}") is not None
+        }
         buffer = GenomeBuffer()
         for key, genome in population.items():
             buffer.write_genome(key, encode_genome(genome, config.genome))

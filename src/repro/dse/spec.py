@@ -16,10 +16,7 @@ points they update (or create) the embedded ``soc``-kind platform spec;
 on ``analytical:<name>`` points they derive a variant of the named
 registry platform; on other backends they do not change the executed
 experiment, so equivalent points collapse to one evaluation under the
-content-hash cache (:mod:`repro.dse.cache`).  The pre-redesign ``hw.*``
-axes remain as deprecated aliases with their original semantics
-(folding into ``soc`` ``backend_options``), so existing sweep files and
-their cache keys are untouched.
+content-hash cache (:mod:`repro.dse.cache`).
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import itertools
 import json
 import math
 import random
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -50,17 +46,6 @@ class SweepSpecError(SpecError):
 #: Sampling strategies ``expand()`` understands.
 STRATEGIES = ("grid", "random")
 
-#: Deprecated hardware axes -> the :class:`repro.api.SoCBackend` option
-#: they set.  Kept as aliases of the ``platform.*`` axes so existing
-#: sweep files (and their cache keys) keep working; new sweeps should
-#: spell them ``platform.eve_pes``, ``platform.noc``, ….
-HW_AXES = {
-    "hw.eve_pes": "eve_pes",
-    "hw.noc": "noc",
-    "hw.scheduler": "scheduler",
-    "hw.adam_shape": "adam_shape",
-}
-
 #: Every sweepable field of the unified platform spec, as
 #: ``platform.<field>`` axis names — the union of all platform kinds'
 #: parameter fields (validated per point against the actual kind).
@@ -74,9 +59,10 @@ PLATFORM_AXES = tuple(
     )
 )
 
-#: Experiment-spec fields an axis may sweep (``backend_options`` is
-#: reserved for the hardware-axis folding, ``platform`` for the
-#: ``platform.*`` axes, ``scenario`` for the ``scenario.*`` axes).
+#: Experiment-spec fields an axis may sweep (axis values are JSON
+#: scalars, so the ``backend_options`` object is not one; ``platform``
+#: is swept by the ``platform.*`` axes, ``scenario`` by the
+#: ``scenario.*`` axes).
 SPEC_AXES = tuple(
     sorted(
         f.name
@@ -112,7 +98,7 @@ class SweepPoint:
 
     ``axes`` records the value every axis took at this point; ``spec`` is
     the resolved :class:`ExperimentSpec` the default executor runs
-    (hardware axes folded into ``backend_options`` on ``soc`` points).
+    (``platform.*`` axes embedded in its ``platform`` block).
     """
 
     index: int
@@ -140,8 +126,7 @@ class SweepSpec:
     leaves other backends unchanged, a scenario axis (``scenario.name``
     sweeps registered environment scenarios — ``None`` meaning the
     unmodified base env — and ``scenario.params.<key>`` sweeps one
-    tunable environment parameter), or a deprecated ``hw.*`` alias
-    (:data:`HW_AXES`).  ``strategy`` is ``grid`` (full
+    tunable environment parameter).  ``strategy`` is ``grid`` (full
     cartesian product, the default) or ``random`` (``samples`` draws
     from the grid using ``sample_seed`` — duplicates collapse, so the
     expansion may be shorter than ``samples``).
@@ -169,15 +154,7 @@ class SweepSpec:
         if not self.axes:
             raise SweepSpecError("a sweep needs at least one axis")
         for name, values in self.axes.items():
-            if name in HW_AXES:
-                warnings.warn(
-                    f"sweep axis {name!r} is deprecated; use "
-                    f"'platform.{HW_AXES[name]}' (the unified "
-                    "PlatformSpec field)",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            elif (
+            if (
                 name not in SPEC_AXES
                 and name not in PLATFORM_AXES
                 and not _is_scenario_axis(name)
@@ -187,8 +164,7 @@ class SweepSpec:
                     f"{list(SPEC_AXES)}; platform axes: "
                     f"{list(PLATFORM_AXES)}; scenario axes: "
                     f"['{SCENARIO_NAME_AXIS}', "
-                    f"'{SCENARIO_PARAM_PREFIX}<key>'] "
-                    f"(deprecated aliases: {sorted(HW_AXES)})"
+                    f"'{SCENARIO_PARAM_PREFIX}<key>']"
                 )
             if not isinstance(values, (list, tuple)) or not values:
                 raise SweepSpecError(
@@ -247,13 +223,6 @@ class SweepSpec:
             spec = self.base.replace(**spec_fields) if spec_fields else self.base
         except SpecError as exc:
             raise SweepSpecError(f"point {dict(values)}: {exc}") from exc
-        hw = {
-            HW_AXES[k]: v for k, v in values.items() if k in HW_AXES
-        }
-        if hw and spec.backend == "soc":
-            spec = spec.replace(
-                backend_options={**spec.backend_options, **hw}
-            )
         platform_fields = {
             k.split(".", 1)[1]: v
             for k, v in values.items()
@@ -335,10 +304,10 @@ class SweepSpec:
         named registry platform.  Only the fields of the point's
         platform *kind* apply — a ``platform.eve_pes`` axis shapes the
         ``soc`` points of a mixed-backend sweep and leaves an
-        ``analytical:CPU_a`` point's spec untouched, so (exactly like
-        the legacy ``hw.*`` folding) the unaffected points collapse to
-        one evaluation in the cache.  Backends without a platform
-        notion (``software``, custom) are never touched.
+        ``analytical:CPU_a`` point's spec untouched, so the unaffected
+        points collapse to one evaluation in the cache.  Backends
+        without a platform notion (``software``, custom) are never
+        touched.
         """
         base_name, _, arg = spec.backend.partition(":")
         try:

@@ -6,7 +6,7 @@ phenotype evaluation, instrumented so every figure in the paper's
 characterisation (Figs. 4-5, 11a) can be regenerated.
 """
 
-from .activations import ACTIVATION_CODES, ACTIVATION_NAMES, ActivationFunctionSet
+from .activations import ACTIVATION_CODES, ACTIVATION_NAMES
 from .backprop import (
     DifferentiableNetwork,
     TrainResult,
@@ -21,7 +21,7 @@ from .hyperneat import (
     cppn_config,
     evolve_hyperneat,
 )
-from .aggregations import AGGREGATION_CODES, AGGREGATION_NAMES, AggregationFunctionSet
+from .aggregations import AGGREGATION_CODES, AGGREGATION_NAMES
 from .config import (
     ConfigError,
     GenomeConfig,
@@ -58,10 +58,8 @@ from .statistics import GENE_BYTES, GenerationStats, StatisticsReporter
 __all__ = [
     "ACTIVATION_CODES",
     "ACTIVATION_NAMES",
-    "ActivationFunctionSet",
     "AGGREGATION_CODES",
     "AGGREGATION_NAMES",
-    "AggregationFunctionSet",
     "BaseGene",
     "CompileError",
     "CompleteExtinctionError",

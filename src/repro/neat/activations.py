@@ -23,7 +23,7 @@ gives the kernel's NaN result on every path instead of a clamp edge.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -184,49 +184,6 @@ def cube_activation(z: float) -> float:
 def _cube_array(z):
     z = _clip(z, -1e6, 1e6)
     return z * z * z
-
-
-class InvalidActivationError(KeyError):
-    """Raised when a genome references an unregistered activation."""
-
-
-class ActivationFunctionSet:
-    """Registry mapping activation names to their float forms.
-
-    A mutable registry (rather than a module-level dict) lets users extend
-    NEAT with custom activations without monkey-patching, matching the
-    extension point neat-python exposes.
-    """
-
-    def __init__(self) -> None:
-        self._functions: Dict[str, ActivationFunction] = {}
-        for name, (function, _array) in ACTIVATIONS.items():
-            self.add(name, function)
-
-    def add(self, name: str, function: ActivationFunction) -> None:
-        if not callable(function):
-            raise TypeError(f"activation {name!r} is not callable")
-        self._functions[name] = function
-
-    def get(self, name: str) -> ActivationFunction:
-        try:
-            return self._functions[name]
-        except KeyError:
-            raise InvalidActivationError(
-                f"unknown activation {name!r}; known: {sorted(self._functions)}"
-            ) from None
-
-    def is_valid(self, name: str) -> bool:
-        return name in self._functions
-
-    def names(self) -> Iterator[str]:
-        return iter(sorted(self._functions))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._functions
-
-    def __len__(self) -> int:
-        return len(self._functions)
 
 
 #: The one activation table: name -> (float form, array form).

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import mul
-from typing import Callable, Dict, Iterable, Iterator
+from typing import Callable, Dict, Iterable
 
 AggregationFunction = Callable[[Iterable[float]], float]
 
@@ -62,45 +62,8 @@ def median_aggregation(values: Iterable[float]) -> float:
     return 0.5 * (values[mid - 1] + values[mid])
 
 
-class InvalidAggregationError(KeyError):
-    """Raised when a genome references an unregistered aggregation."""
-
-
-class AggregationFunctionSet:
-    """Registry mapping aggregation names to callables."""
-
-    def __init__(self) -> None:
-        self._functions: Dict[str, AggregationFunction] = {}
-        for name, fn in _BUILTINS.items():
-            self.add(name, fn)
-
-    def add(self, name: str, function: AggregationFunction) -> None:
-        if not callable(function):
-            raise TypeError(f"aggregation {name!r} is not callable")
-        self._functions[name] = function
-
-    def get(self, name: str) -> AggregationFunction:
-        try:
-            return self._functions[name]
-        except KeyError:
-            raise InvalidAggregationError(
-                f"unknown aggregation {name!r}; known: {sorted(self._functions)}"
-            ) from None
-
-    def is_valid(self, name: str) -> bool:
-        return name in self._functions
-
-    def names(self) -> Iterator[str]:
-        return iter(sorted(self._functions))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._functions
-
-    def __len__(self) -> int:
-        return len(self._functions)
-
-
-_BUILTINS: Dict[str, AggregationFunction] = {
+#: The one aggregation table: name -> function.
+AGGREGATIONS: Dict[str, AggregationFunction] = {
     "sum": sum_aggregation,
     "product": product_aggregation,
     "max": max_aggregation,
@@ -112,5 +75,5 @@ _BUILTINS: Dict[str, AggregationFunction] = {
 
 #: Stable integer codes for the 64-bit hardware gene word (Fig. 6 reserves
 #: an "Aggregation" field).  Order is frozen for serialisation stability.
-AGGREGATION_CODES: Dict[str, int] = {name: i for i, name in enumerate(sorted(_BUILTINS))}
+AGGREGATION_CODES: Dict[str, int] = {name: i for i, name in enumerate(sorted(AGGREGATIONS))}
 AGGREGATION_NAMES: Dict[int, str] = {i: name for name, i in AGGREGATION_CODES.items()}

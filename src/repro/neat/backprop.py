@@ -17,12 +17,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .activations import ActivationFunctionSet
+from .activations import ACTIVATIONS
 from .config import GenomeConfig
 from .genome import Genome
 from .network import feed_forward_layers
-
-_ACTIVATIONS = ActivationFunctionSet()
 
 
 def _sigmoid(z: float) -> float:
@@ -121,7 +119,7 @@ class DifferentiableNetwork:
                 )
                 z = self.biases[node_id] + self.responses[node_id] * total
                 pre[node_id] = z
-                values[node_id] = _ACTIVATIONS.get(self.activations[node_id])(z)
+                values[node_id] = ACTIVATIONS[self.activations[node_id]][0](z)
         outputs = [values.get(k, 0.0) for k in self.output_keys]
         return outputs, values, pre
 

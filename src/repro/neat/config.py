@@ -19,8 +19,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
-from .activations import ActivationFunctionSet
-from .aggregations import AggregationFunctionSet
+from .activations import ACTIVATIONS
+from .aggregations import AGGREGATIONS
 
 
 class ConfigError(ValueError):
@@ -127,13 +127,11 @@ class GenomeConfig:
         for pname, p in probs:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{pname} must be in [0, 1], got {p}")
-        activations = ActivationFunctionSet()
         for name in [self.activation_default, *self.activation_options]:
-            if name not in activations:
+            if name not in ACTIVATIONS:
                 raise ConfigError(f"unknown activation {name!r}")
-        aggregations = AggregationFunctionSet()
         for name in [self.aggregation_default, *self.aggregation_options]:
-            if name not in aggregations:
+            if name not in AGGREGATIONS:
                 raise ConfigError(f"unknown aggregation {name!r}")
 
     @property

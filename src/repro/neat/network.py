@@ -30,13 +30,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .activations import ActivationFunctionSet
-from .aggregations import AggregationFunctionSet
+from .activations import ACTIVATIONS
+from .aggregations import AGGREGATIONS
 from .config import GenomeConfig
 from .genome import Genome
-
-_ACTIVATIONS = ActivationFunctionSet()
-_AGGREGATIONS = AggregationFunctionSet()
 
 
 InLinks = Dict[int, List[Tuple]]
@@ -195,8 +192,8 @@ class FeedForwardNetwork:
         activation and (None for sum) aggregation.  Built on the first
         pass, so plans only ever stacked into lanes never pay for it."""
         return [
-            (col, links, bias, response, _ACTIVATIONS.get(activation),
-             None if aggregation == "sum" else _AGGREGATIONS.get(aggregation))
+            (col, links, bias, response, ACTIVATIONS[activation][0],
+             None if aggregation == "sum" else AGGREGATIONS[aggregation])
             for layer in self.layers
             for col, links, bias, response, activation, aggregation in zip(
                 layer.node_cols, layer.links, layer.bias, layer.response,

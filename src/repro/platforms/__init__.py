@@ -15,27 +15,16 @@ Two pieces compose here:
 
 ``make_platform`` accepts a registered name, a :class:`PlatformSpec`,
 or a raw spec dict; unknown names raise :class:`UnknownPlatformError`
-(a ``KeyError`` subclass) listing what is registered.  The legacy
-factory helpers (``cpu_a`` … ``gpu_d``, ``genesys``) remain for direct
-model construction.
+(a ``KeyError`` subclass) listing what is registered.  Each model class
+(:class:`CPUPlatform`, :class:`GPUPlatform`, :class:`GenesysPlatform`,
+:class:`SoCPlatform`) is built as ``Model(name, params)`` from its
+kind's parameter block.
 """
 
-from typing import Dict, List
-
 from .base import PhaseCost, Platform
-from .cpu import (
-    A57_PARAMS,
-    CPUParams,
-    CPUPlatform,
-    I7_PARAMS,
-    PLP_INFERENCE_SPEEDUP,
-    cpu_a,
-    cpu_b,
-    cpu_c,
-    cpu_d,
-)
-from .genesys import ONCHIP_TRANSFER_FRACTION, GenesysPlatform, genesys
-from .gpu import GPUParams, GPUPlatform, GTX1080_PARAMS, TEGRA_PARAMS, gpu_a, gpu_b, gpu_c, gpu_d
+from .cpu import A57_PARAMS, CPUPlatform, I7_PARAMS
+from .genesys import ONCHIP_TRANSFER_FRACTION, GenesysPlatform
+from .gpu import GPUPlatform, GTX1080_PARAMS, TEGRA_PARAMS
 from .memory_model import footprint_comparison, footprint_ratios
 from .registry import (
     all_platforms,
@@ -51,6 +40,7 @@ from .registry import (
 from .soc_platform import SoCPlatform
 from .spec import (
     PLATFORM_KINDS,
+    PLP_INFERENCE_SPEEDUP,
     CPUPlatformParams,
     GenesysPlatformParams,
     GPUPlatformParams,
@@ -64,10 +54,8 @@ from .spec import (
 
 __all__ = [
     "A57_PARAMS",
-    "CPUParams",
     "CPUPlatform",
     "CPUPlatformParams",
-    "GPUParams",
     "GPUPlatform",
     "GPUPlatformParams",
     "GTX1080_PARAMS",
@@ -88,17 +76,8 @@ __all__ = [
     "all_platforms",
     "as_platform_spec",
     "build_platform",
-    "cpu_a",
-    "cpu_b",
-    "cpu_c",
-    "cpu_d",
     "footprint_comparison",
     "footprint_ratios",
-    "genesys",
-    "gpu_a",
-    "gpu_b",
-    "gpu_c",
-    "gpu_d",
     "make_platform",
     "parse_adam_shape",
     "platform_names",

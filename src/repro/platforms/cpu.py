@@ -14,59 +14,41 @@ paper's measurement method (Intel power gadget / INA3221 sampling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core.trace import GenerationWorkload
 from ..neat.statistics import GENE_BYTES
 from .base import PhaseCost, Platform
-
-
-#: Paper: "Parallel inference on CPU is 3.5 times faster than the serial
-#: counterpart" (4 threads).
-PLP_INFERENCE_SPEEDUP = 3.5
-
-
-@dataclass
-class CPUParams:
-    """Calibration constants for one CPU."""
-
-    evolution_op_time_s: float  # one crossover/mutation op, interpreted
-    mac_time_s: float           # one MAC inside a network eval
-    step_overhead_s: float      # per env-step interpreter/dispatch cost
-    power_w: float              # package power while busy
-    #: PLP multithreading gain, applied only when the platform runs
-    #: parallel inference (CPU_b/d).
-    inference_speedup: float = PLP_INFERENCE_SPEEDUP
+from .spec import CPUPlatformParams
 
 
 #: 6th-gen Intel i7 (desktop), ~4 GHz, measured-package-power class.
-I7_PARAMS = CPUParams(
+I7_PARAMS = CPUPlatformParams(
     evolution_op_time_s=2.0e-6,
     mac_time_s=25e-9,
     step_overhead_s=12e-6,
     power_w=45.0,
+    desc="6th gen i7",
 )
 
 #: ARM Cortex-A57 on the Jetson TX2 (embedded), ~2 GHz.
-A57_PARAMS = CPUParams(
+A57_PARAMS = CPUPlatformParams(
     evolution_op_time_s=9.0e-6,
     mac_time_s=110e-9,
     step_overhead_s=55e-6,
     power_w=5.0,
+    desc="ARM Cortex A57",
 )
 
 
 class CPUPlatform(Platform):
     """Serial or PLP-threaded CPU execution of NEAT."""
 
-    def __init__(self, name: str, params: CPUParams, parallel_inference: bool,
-                 platform_desc: str) -> None:
+    evolution_strategy = "Serial"
+
+    def __init__(self, name: str, params: CPUPlatformParams) -> None:
         self.name = name
         self.params = params
-        self.parallel_inference = parallel_inference
-        self.inference_strategy = "PLP" if parallel_inference else "Serial"
-        self.evolution_strategy = "Serial"
-        self.platform_desc = platform_desc
+        self.inference_strategy = "PLP" if params.parallel_inference else "Serial"
+        self.platform_desc = params.desc
 
     def inference_cost(self, workload: GenerationWorkload) -> PhaseCost:
         params = self.params
@@ -74,7 +56,7 @@ class CPUPlatform(Platform):
             workload.env_steps * params.step_overhead_s
             + workload.inference_macs * params.mac_time_s
         )
-        speedup = params.inference_speedup if self.parallel_inference else 1.0
+        speedup = params.inference_speedup if params.parallel_inference else 1.0
         runtime = serial / speedup
         return PhaseCost(runtime_s=runtime, energy_j=runtime * params.power_w)
 
@@ -86,19 +68,3 @@ class CPUPlatform(Platform):
         # Host DRAM holds the full population's gene objects; Python object
         # overhead is ~8x the packed 64-bit representation.
         return workload.total_genes * GENE_BYTES * 8
-
-
-def cpu_a() -> CPUPlatform:
-    return CPUPlatform("CPU_a", I7_PARAMS, False, "6th gen i7")
-
-
-def cpu_b() -> CPUPlatform:
-    return CPUPlatform("CPU_b", I7_PARAMS, True, "6th gen i7")
-
-
-def cpu_c() -> CPUPlatform:
-    return CPUPlatform("CPU_c", A57_PARAMS, False, "ARM Cortex A57")
-
-
-def cpu_d() -> CPUPlatform:
-    return CPUPlatform("CPU_d", A57_PARAMS, True, "ARM Cortex A57")

@@ -19,12 +19,12 @@ from ..core.trace import GenerationWorkload
 from ..hw.energy import (
     ADAM_MAC_ENERGY_PJ,
     EVE_OP_ENERGY_PJ,
-    FREQUENCY_HZ,
     PAPER_TOTAL_POWER_MW,
     SRAM_ACCESS_ENERGY_PJ,
 )
 from ..neat.statistics import GENE_BYTES
 from .base import PhaseCost, Platform
+from .spec import GenesysPlatformParams
 
 #: fraction of runtime spent staging data between SRAM and the engines
 ONCHIP_TRANSFER_FRACTION = 0.15
@@ -35,38 +35,30 @@ _ACTIVE_POWER_W = PAPER_TOTAL_POWER_MW / 1e3
 
 
 class GenesysPlatform(Platform):
-    name = "GENESYS"
     inference_strategy = "PLP"
     evolution_strategy = "PLP + GLP"
     platform_desc = "GENESYS"
 
-    def __init__(
-        self,
-        num_eve_pes: int = 256,
-        adam_rows: int = 32,
-        adam_cols: int = 32,
-        frequency_hz: float = FREQUENCY_HZ,
-    ) -> None:
-        self.num_eve_pes = num_eve_pes
-        self.adam_rows = adam_rows
-        self.adam_cols = adam_cols
-        self.frequency_hz = frequency_hz
+    def __init__(self, name: str, params: GenesysPlatformParams) -> None:
+        self.name = name
+        self.params = params
 
     # -- inference ------------------------------------------------------
 
     def inference_cost(self, workload: GenerationWorkload) -> PhaseCost:
+        params = self.params
         depth = max(1.0, workload.mean_network_depth)
         mean_steps = workload.env_steps / max(1, workload.population)
-        num_macs = self.adam_rows * self.adam_cols
-        fill_drain = self.adam_rows + self.adam_cols
+        num_macs = params.adam_rows * params.adam_cols
+        fill_drain = params.adam_rows + params.adam_cols
         # Population-batched waves: each episode step fires `depth` packed
         # matrix-vector products covering all genomes' ready vertices.
         array_cycles = (
             workload.inference_macs / num_macs + mean_steps * depth * fill_drain
         )
-        vectorize_cycles = mean_steps * depth * self.adam_cols  # CPU packing
+        vectorize_cycles = mean_steps * depth * params.adam_cols  # CPU packing
         cycles = array_cycles + vectorize_cycles
-        compute = cycles / self.frequency_hz
+        compute = cycles / params.frequency_hz
         # staging is the Fig. 10(c) share of *total* runtime
         transfer = compute * ONCHIP_TRANSFER_FRACTION / (1 - ONCHIP_TRANSFER_FRACTION)
         runtime = compute + transfer
@@ -76,39 +68,16 @@ class GenesysPlatform(Platform):
         )
         return PhaseCost(runtime_s=runtime, energy_j=energy, transfer_s=transfer)
 
-    def inference_cost_from_envelope(self, envelope, passes) -> PhaseCost:
-        """Inference cost from a stacked ADAM envelope, exactly.
-
-        :meth:`inference_cost` approximates the array time from workload
-        aggregates (mean depth x mean steps); this variant consumes a
-        :class:`repro.hw.adam.StackedAdamEnvelope` — per-genome integer
-        per-pass cycle costs — plus per-genome forward-pass counts, so
-        the cycle count is the cycle-level simulator's, not an estimate.
-        Build the envelope with this platform's ADAM shape
-        (``ADAMConfig(rows=adam_rows, cols=adam_cols)``) for the costs to
-        correspond.
-        """
-        import numpy as np
-
-        p = np.asarray(passes, dtype=np.int64)
-        array_cycles = int((envelope.array_cycles_per_pass * p).sum())
-        vectorize_cycles = int((envelope.vectorize_cycles_per_pass * p).sum())
-        macs = int((envelope.macs_per_pass * p).sum())
-        compute = (array_cycles + vectorize_cycles) / self.frequency_hz
-        transfer = compute * ONCHIP_TRANSFER_FRACTION / (1 - ONCHIP_TRANSFER_FRACTION)
-        runtime = compute + transfer
-        energy = macs * ADAM_MAC_ENERGY_PJ * 1e-12 + runtime * _ACTIVE_POWER_W
-        return PhaseCost(runtime_s=runtime, energy_j=energy, transfer_s=transfer)
-
     # -- evolution --------------------------------------------------------
 
     def evolution_cost(self, workload: GenerationWorkload) -> PhaseCost:
+        num_pes = self.params.num_eve_pes
         mean_genes = workload.mean_genome_genes
         children = max(1, workload.population)
-        waves = -(-children // self.num_eve_pes)  # ceil
+        waves = -(-children // num_pes)  # ceil
         # One gene pair per cycle per PE, 2-cycle config + 4-stage drain.
         cycles = waves * (mean_genes + 6)
-        compute = cycles / self.frequency_hz
+        compute = cycles / self.params.frequency_hz
         transfer = compute * ONCHIP_TRANSFER_FRACTION / (1 - ONCHIP_TRANSFER_FRACTION)
         runtime = compute + transfer
 
@@ -116,7 +85,7 @@ class GenesysPlatform(Platform):
         # Multicast reuse: concurrent children sharing the fit parents are
         # served by single reads; the sharing factor saturates at the PE
         # count or the observed parent reuse, whichever is smaller.
-        sharing = max(1, min(self.num_eve_pes, workload.fittest_parent_reuse or 1))
+        sharing = max(1, min(num_pes, workload.fittest_parent_reuse or 1))
         sram_reads = 2 * genes_streamed / sharing
         sram_writes = genes_streamed
         energy = (
@@ -130,6 +99,3 @@ class GenesysPlatform(Platform):
         """The whole generation's genomes, 64 bits per gene (Fig. 10d)."""
         return workload.total_genes * GENE_BYTES
 
-
-def genesys() -> GenesysPlatform:
-    return GenesysPlatform()

@@ -19,29 +19,15 @@ Calibration targets from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core.trace import GenerationWorkload
 from ..neat.statistics import GENE_BYTES
 from .base import PhaseCost, Platform
-
-
-@dataclass
-class GPUParams:
-    """Calibration constants for one GPU."""
-
-    launch_overhead_s: float      # kernel launch + host sync
-    transfer_overhead_s: float    # latency of one small HtoD/DtoH copy
-    bandwidth_bytes_per_s: float  # PCIe/DMA effective bandwidth
-    compact_mac_rate: float       # MAC/s on small compacted kernels (GPU_a)
-    sparse_mac_rate: float        # MAC/s on uncompacted sparse tensors (GPU_b)
-    evolution_op_time_s: float    # effective per reproduction op (divergent)
-    power_w: float
+from .spec import GPUPlatformParams
 
 
 #: NVIDIA GTX 1080: 9 TFLOP/s peak, but tiny irregular kernels reach a
 #: sliver of it; PCIe 3.0 x16 ~12 GB/s effective.
-GTX1080_PARAMS = GPUParams(
+GTX1080_PARAMS = GPUPlatformParams(
     launch_overhead_s=10.0e-6,
     transfer_overhead_s=12.0e-6,
     bandwidth_bytes_per_s=12e9,
@@ -49,11 +35,12 @@ GTX1080_PARAMS = GPUParams(
     sparse_mac_rate=5e9,
     evolution_op_time_s=0.25e-6,
     power_w=180.0,
+    desc="Nvidia GTX 1080",
 )
 
 #: NVIDIA Tegra (Pascal, Jetson TX2): lower clocks, shared LPDDR4 (~20 GB/s
 #: raw, ~6 GB/s effective for small copies), ~10 W GPU rail.
-TEGRA_PARAMS = GPUParams(
+TEGRA_PARAMS = GPUPlatformParams(
     launch_overhead_s=20.0e-6,
     transfer_overhead_s=25.0e-6,
     bandwidth_bytes_per_s=6e9,
@@ -61,6 +48,7 @@ TEGRA_PARAMS = GPUParams(
     sparse_mac_rate=1.5e9,
     evolution_op_time_s=1.0e-6,
     power_w=10.0,
+    desc="Nvidia Tegra",
 )
 
 _FLOAT_BYTES = 4
@@ -83,26 +71,20 @@ def _nodes_per_genome(workload: GenerationWorkload) -> float:
 
 
 class GPUPlatform(Platform):
-    def __init__(
-        self,
-        name: str,
-        params: GPUParams,
-        batch_population: bool,
-        platform_desc: str,
-    ) -> None:
+    evolution_strategy = "PLP"
+
+    def __init__(self, name: str, params: GPUPlatformParams) -> None:
         self.name = name
         self.params = params
-        self.batch_population = batch_population  # GPU_b / GPU_d
-        self.inference_strategy = "BSP + PLP" if batch_population else "BSP"
-        self.evolution_strategy = "PLP"
-        self.platform_desc = platform_desc
+        self.inference_strategy = "BSP + PLP" if params.batch_population else "BSP"
+        self.platform_desc = params.desc
 
     # -- inference ------------------------------------------------------
 
     def inference_cost(self, workload: GenerationWorkload) -> PhaseCost:
         params = self.params
         depth = max(1.0, workload.mean_network_depth)
-        if not self.batch_population:
+        if not params.batch_population:
             # GPU_a/c: one genome at a time; every env step pays its own
             # wave-kernel launches and its own small HtoD/DtoH copies.
             kernel_s = (
@@ -164,7 +146,7 @@ class GPUPlatform(Platform):
         )
 
     def memory_footprint_bytes(self, workload: GenerationWorkload) -> int:
-        if not self.batch_population:
+        if not self.params.batch_population:
             # Compact matrices for one genome at a time (Fig. 10d GPU_a).
             per_genome = workload.total_connections / max(1, workload.population)
             return int(per_genome * _FLOAT_BYTES * 2 + 1024)
@@ -172,18 +154,3 @@ class GPUPlatform(Platform):
         nodes = _nodes_per_genome(workload)
         return int(workload.population * nodes * nodes * _FLOAT_BYTES * 2)
 
-
-def gpu_a() -> GPUPlatform:
-    return GPUPlatform("GPU_a", GTX1080_PARAMS, False, "Nvidia GTX 1080")
-
-
-def gpu_b() -> GPUPlatform:
-    return GPUPlatform("GPU_b", GTX1080_PARAMS, True, "Nvidia GTX 1080")
-
-
-def gpu_c() -> GPUPlatform:
-    return GPUPlatform("GPU_c", TEGRA_PARAMS, False, "Nvidia Tegra")
-
-
-def gpu_d() -> GPUPlatform:
-    return GPUPlatform("GPU_d", TEGRA_PARAMS, True, "Nvidia Tegra")

@@ -16,13 +16,13 @@ listing what is registered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
 from .base import Platform
-from .cpu import A57_PARAMS, CPUParams, CPUPlatform, I7_PARAMS
+from .cpu import A57_PARAMS, CPUPlatform, I7_PARAMS
 from .genesys import GenesysPlatform
-from .gpu import GPUParams, GPUPlatform, GTX1080_PARAMS, TEGRA_PARAMS
+from .gpu import GPUPlatform, GTX1080_PARAMS, TEGRA_PARAMS
 from .soc_platform import SoCPlatform
 from .spec import (
     PLATFORM_KINDS,
@@ -34,66 +34,12 @@ from .spec import (
 
 PlatformFactory = Callable[[], Platform]
 
-
-# ---------------------------------------------------------------------------
-# kind -> Platform builders
-
-
-def _build_cpu(spec: PlatformSpec) -> Platform:
-    p = spec.params
-    return CPUPlatform(
-        spec.name,
-        CPUParams(
-            evolution_op_time_s=p.evolution_op_time_s,
-            mac_time_s=p.mac_time_s,
-            step_overhead_s=p.step_overhead_s,
-            power_w=p.power_w,
-            inference_speedup=p.inference_speedup,
-        ),
-        p.parallel_inference,
-        p.desc,
-    )
-
-
-def _build_gpu(spec: PlatformSpec) -> Platform:
-    p = spec.params
-    return GPUPlatform(
-        spec.name,
-        GPUParams(
-            launch_overhead_s=p.launch_overhead_s,
-            transfer_overhead_s=p.transfer_overhead_s,
-            bandwidth_bytes_per_s=p.bandwidth_bytes_per_s,
-            compact_mac_rate=p.compact_mac_rate,
-            sparse_mac_rate=p.sparse_mac_rate,
-            evolution_op_time_s=p.evolution_op_time_s,
-            power_w=p.power_w,
-        ),
-        p.batch_population,
-        p.desc,
-    )
-
-
-def _build_genesys(spec: PlatformSpec) -> Platform:
-    p = spec.params
-    platform = GenesysPlatform(
-        num_eve_pes=p.num_eve_pes,
-        adam_rows=p.adam_rows,
-        adam_cols=p.adam_cols,
-        frequency_hz=p.frequency_hz,
-    )
-    platform.name = spec.name
-    return platform
-
-
-def _build_soc(spec: PlatformSpec) -> Platform:
-    return SoCPlatform(spec)
-
-
-_BUILDERS: Dict[str, Callable[[PlatformSpec], Platform]] = {
-    "cpu": _build_cpu,
-    "gpu": _build_gpu,
-    "genesys": _build_genesys,
-    "soc": _build_soc,
+#: kind -> the model family built as ``model(spec.name, spec.params)``.
+_MODELS: Dict[str, Callable[[str, object], Platform]] = {
+    "cpu": CPUPlatform,
+    "gpu": GPUPlatform,
+    "genesys": GenesysPlatform,
+    "soc": SoCPlatform,
 }
 
 
@@ -102,7 +48,7 @@ def build_platform(
 ) -> Platform:
     """Instantiate the platform a spec (or its dict form) describes."""
     spec = as_platform_spec(spec)
-    return _BUILDERS[spec.kind](spec)
+    return _MODELS[spec.kind](spec.name, spec.params)
 
 
 # ---------------------------------------------------------------------------
@@ -226,58 +172,15 @@ def table3() -> List[Dict[str, str]]:
 # ---------------------------------------------------------------------------
 # built-in entries: the nine Table III rows + the cycle-level SoC
 
-_CPU_COMMON_I7 = dict(
-    evolution_op_time_s=I7_PARAMS.evolution_op_time_s,
-    mac_time_s=I7_PARAMS.mac_time_s,
-    step_overhead_s=I7_PARAMS.step_overhead_s,
-    power_w=I7_PARAMS.power_w,
-    desc="6th gen i7",
-)
-_CPU_COMMON_A57 = dict(
-    evolution_op_time_s=A57_PARAMS.evolution_op_time_s,
-    mac_time_s=A57_PARAMS.mac_time_s,
-    step_overhead_s=A57_PARAMS.step_overhead_s,
-    power_w=A57_PARAMS.power_w,
-    desc="ARM Cortex A57",
-)
-_GPU_COMMON_GTX = dict(
-    launch_overhead_s=GTX1080_PARAMS.launch_overhead_s,
-    transfer_overhead_s=GTX1080_PARAMS.transfer_overhead_s,
-    bandwidth_bytes_per_s=GTX1080_PARAMS.bandwidth_bytes_per_s,
-    compact_mac_rate=GTX1080_PARAMS.compact_mac_rate,
-    sparse_mac_rate=GTX1080_PARAMS.sparse_mac_rate,
-    evolution_op_time_s=GTX1080_PARAMS.evolution_op_time_s,
-    power_w=GTX1080_PARAMS.power_w,
-    desc="Nvidia GTX 1080",
-)
-_GPU_COMMON_TEGRA = dict(
-    launch_overhead_s=TEGRA_PARAMS.launch_overhead_s,
-    transfer_overhead_s=TEGRA_PARAMS.transfer_overhead_s,
-    bandwidth_bytes_per_s=TEGRA_PARAMS.bandwidth_bytes_per_s,
-    compact_mac_rate=TEGRA_PARAMS.compact_mac_rate,
-    sparse_mac_rate=TEGRA_PARAMS.sparse_mac_rate,
-    evolution_op_time_s=TEGRA_PARAMS.evolution_op_time_s,
-    power_w=TEGRA_PARAMS.power_w,
-    desc="Nvidia Tegra",
-)
-
 _BUILTIN_SPECS = [
-    PlatformSpec("cpu", "CPU_a", {**_CPU_COMMON_I7,
-                                  "parallel_inference": False}),
-    PlatformSpec("cpu", "CPU_b", {**_CPU_COMMON_I7,
-                                  "parallel_inference": True}),
-    PlatformSpec("cpu", "CPU_c", {**_CPU_COMMON_A57,
-                                  "parallel_inference": False}),
-    PlatformSpec("cpu", "CPU_d", {**_CPU_COMMON_A57,
-                                  "parallel_inference": True}),
-    PlatformSpec("gpu", "GPU_a", {**_GPU_COMMON_GTX,
-                                  "batch_population": False}),
-    PlatformSpec("gpu", "GPU_b", {**_GPU_COMMON_GTX,
-                                  "batch_population": True}),
-    PlatformSpec("gpu", "GPU_c", {**_GPU_COMMON_TEGRA,
-                                  "batch_population": False}),
-    PlatformSpec("gpu", "GPU_d", {**_GPU_COMMON_TEGRA,
-                                  "batch_population": True}),
+    PlatformSpec("cpu", "CPU_a", I7_PARAMS),
+    PlatformSpec("cpu", "CPU_b", replace(I7_PARAMS, parallel_inference=True)),
+    PlatformSpec("cpu", "CPU_c", A57_PARAMS),
+    PlatformSpec("cpu", "CPU_d", replace(A57_PARAMS, parallel_inference=True)),
+    PlatformSpec("gpu", "GPU_a", GTX1080_PARAMS),
+    PlatformSpec("gpu", "GPU_b", replace(GTX1080_PARAMS, batch_population=True)),
+    PlatformSpec("gpu", "GPU_c", TEGRA_PARAMS),
+    PlatformSpec("gpu", "GPU_d", replace(TEGRA_PARAMS, batch_population=True)),
     PlatformSpec("genesys", "GENESYS"),
 ]
 
@@ -285,4 +188,4 @@ for _spec in _BUILTIN_SPECS:
     register_platform(_spec.name, _spec, table3=True)
 register_platform("soc", PlatformSpec("soc"))
 
-assert set(PLATFORM_KINDS) == set(_BUILDERS), "kind/builder tables diverged"
+assert set(PLATFORM_KINDS) == set(_MODELS), "kind/model tables diverged"

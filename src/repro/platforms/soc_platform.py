@@ -19,13 +19,13 @@ special backend:
 
 from __future__ import annotations
 
-from typing import Optional
+import dataclasses
 
 from ..core.config import GeneSysConfig
 from ..core.trace import GenerationWorkload
 from .base import PhaseCost, Platform
 from .genesys import GenesysPlatform
-from .spec import PlatformSpec, SoCPlatformParams
+from .spec import GenesysPlatformParams, SoCPlatformParams
 
 
 class SoCPlatform(Platform):
@@ -35,70 +35,44 @@ class SoCPlatform(Platform):
     evolution_strategy = "PLP + GLP"
     platform_desc = "GeneSys SoC (cycle-level)"
 
-    def __init__(self, spec: Optional[PlatformSpec] = None) -> None:
-        if spec is None:
-            spec = PlatformSpec(kind="soc")
-        if spec.kind != "soc":
-            raise ValueError(
-                f"SoCPlatform needs a 'soc'-kind spec, got {spec.kind!r}"
-            )
-        self.spec = spec
-        self.name = spec.name or "soc"
-
-    @property
-    def params(self) -> SoCPlatformParams:
-        return self.spec.params
+    def __init__(self, name: str, params: SoCPlatformParams) -> None:
+        self.name = name
+        self.params = params
 
     # -- the cycle-level design point -------------------------------------
 
-    def genesys_config(
-        self,
-        neat=None,
-        seed: int = 0,
-        base: Optional[GeneSysConfig] = None,
-    ) -> GeneSysConfig:
-        """The :class:`repro.core.GeneSysConfig` this spec describes.
+    def genesys_config(self, neat=None, seed: int = 0) -> GeneSysConfig:
+        """The :class:`repro.core.GeneSysConfig` this design point describes.
 
-        ``base`` (default: the paper design point) supplies everything
-        the spec does not parameterise — SRAM geometry, PE registers —
-        and is never mutated; the spec's design-point knobs and the
-        caller's NEAT sizing/seed are applied to a copy.
+        The paper design point supplies everything the params do not
+        cover (SRAM geometry, PE registers); the params and the caller's
+        NEAT sizing and seed apply on top.
         """
-        import dataclasses
-
         params = self.params
-        if base is None:
-            base = GeneSysConfig.paper_design_point()
-        config = dataclasses.replace(
-            base,
-            eve=dataclasses.replace(
-                base.eve,
-                num_pes=params.eve_pes,
-                noc=params.noc,
-                scheduler=params.scheduler,
-            ),
-            adam=dataclasses.replace(
-                base.adam,
-                rows=params.adam_rows,
-                cols=params.adam_cols,
-            ),
-            frequency_hz=params.frequency_hz,
-            seed=seed,
+        config = GeneSysConfig.paper_design_point(neat=neat)
+        config.eve = dataclasses.replace(
+            config.eve,
+            num_pes=params.eve_pes,
+            noc=params.noc,
+            scheduler=params.scheduler,
         )
-        if neat is not None:
-            config.neat = neat
+        config.adam = dataclasses.replace(
+            config.adam, rows=params.adam_rows, cols=params.adam_cols
+        )
+        config.frequency_hz = params.frequency_hz
+        config.seed = seed
         return config
 
     # -- analytical projection (Platform interface) -----------------------
 
     def _analytical(self) -> GenesysPlatform:
         params = self.params
-        return GenesysPlatform(
+        return GenesysPlatform(self.name, GenesysPlatformParams(
             num_eve_pes=params.eve_pes,
             adam_rows=params.adam_rows,
             adam_cols=params.adam_cols,
             frequency_hz=params.frequency_hz,
-        )
+        ))
 
     def inference_cost(self, workload: GenerationWorkload) -> PhaseCost:
         return self._analytical().inference_cost(workload)

@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+from ..api.backends import UnknownBackendError
+from ..api.experiment import Experiment
 from ..api.spec import ExperimentSpec, SpecError
 from ..runs.artifacts import RunDir
 from ..runs.runner import DEFAULT_CHECKPOINT_EVERY
@@ -208,6 +210,13 @@ class JobStore:
                 spec = ExperimentSpec.from_dict(spec)
             except (SpecError, TypeError) as exc:
                 raise JobStoreError(f"invalid job spec: {exc}") from exc
+        try:
+            # Resolving the backend now keeps a job no backend can run
+            # out of the queue (and out of the scheduler's retries).
+            Experiment(spec)
+        except (SpecError, UnknownBackendError) as exc:
+            message = exc.args[0] if exc.args else exc
+            raise JobStoreError(f"invalid job spec: {message}") from exc
         if checkpoint_every is None:
             checkpoint_every = DEFAULT_CHECKPOINT_EVERY
         if checkpoint_every < 1:

@@ -11,8 +11,6 @@ from repro.neat.activations import (
     ACTIVATION_CODES,
     ACTIVATION_NAMES,
     ACTIVATIONS,
-    ActivationFunctionSet,
-    InvalidActivationError,
     clamped_activation,
     gauss_activation,
     identity_activation,
@@ -22,12 +20,7 @@ from repro.neat.activations import (
 )
 
 
-@pytest.fixture
-def functions():
-    return ActivationFunctionSet()
-
-
-def test_sigmoid_range(functions):
+def test_sigmoid_range():
     for z in (-100.0, -1.0, 0.0, 1.0, 100.0):
         assert 0.0 <= sigmoid_activation(z) <= 1.0
 
@@ -65,33 +58,16 @@ def test_identity():
     assert identity_activation(3.3) == 3.3
 
 
-def test_no_overflow_on_extreme_inputs(functions):
-    for name in functions.names():
-        fn = functions.get(name)
+def test_no_overflow_on_extreme_inputs():
+    for name, (fn, _array) in ACTIVATIONS.items():
         for z in (-1e9, -60.0, 0.0, 60.0, 1e9):
             value = fn(z)
             assert math.isfinite(value), f"{name}({z}) not finite"
 
 
-def test_registry_contains_builtins(functions):
+def test_registry_contains_builtins():
     for name in ("sigmoid", "tanh", "relu", "identity"):
-        assert name in functions
-
-
-def test_registry_get_unknown_raises(functions):
-    with pytest.raises(InvalidActivationError):
-        functions.get("definitely-not-registered")
-
-
-def test_registry_add_custom(functions):
-    functions.add("double", lambda z: 2 * z)
-    assert functions.get("double")(2.0) == 4.0
-    assert functions.is_valid("double")
-
-
-def test_registry_add_non_callable_raises(functions):
-    with pytest.raises(TypeError):
-        functions.add("bad", 42)
+        assert name in ACTIVATIONS
 
 
 def test_codes_are_stable_and_bijective():
@@ -102,8 +78,8 @@ def test_codes_are_stable_and_bijective():
     assert max(ACTIVATION_CODES.values()) < 16
 
 
-def test_registry_len_matches_codes(functions):
-    assert len(functions) == len(ACTIVATION_CODES)
+def test_registry_len_matches_codes():
+    assert len(ACTIVATIONS) == len(ACTIVATION_CODES)
 
 
 # ---------------------------------------------------------------------------

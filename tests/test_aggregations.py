@@ -5,8 +5,7 @@ import pytest
 from repro.neat.aggregations import (
     AGGREGATION_CODES,
     AGGREGATION_NAMES,
-    AggregationFunctionSet,
-    InvalidAggregationError,
+    AGGREGATIONS,
     max_aggregation,
     maxabs_aggregation,
     mean_aggregation,
@@ -15,11 +14,6 @@ from repro.neat.aggregations import (
     product_aggregation,
     sum_aggregation,
 )
-
-
-@pytest.fixture
-def functions():
-    return AggregationFunctionSet()
 
 
 def test_sum():
@@ -56,20 +50,9 @@ def test_median_odd_even():
     assert median_aggregation([]) == 0.0
 
 
-def test_aggregations_accept_generators(functions):
-    for name in functions.names():
-        fn = functions.get(name)
+def test_aggregations_accept_generators():
+    for fn in AGGREGATIONS.values():
         assert fn(x for x in [1.0, 2.0]) is not None
-
-
-def test_registry_unknown_raises(functions):
-    with pytest.raises(InvalidAggregationError):
-        functions.get("nope")
-
-
-def test_registry_add_custom(functions):
-    functions.add("first", lambda vs: next(iter(vs), 0.0))
-    assert functions.get("first")([9.0, 1.0]) == 9.0
 
 
 def test_codes_fit_hardware_field():

@@ -1,7 +1,5 @@
 """Unit tests for repro.api backends, registry and the Experiment runner."""
 
-import dataclasses
-
 import pytest
 
 from repro.api import (
@@ -13,7 +11,7 @@ from repro.api import (
     make_backend,
     register_backend,
 )
-from repro.core.config import GeneSysConfig
+from repro.hw.energy import FREQUENCY_HZ
 
 SMALL = dict(max_generations=3, pop_size=14, max_steps=40, seed=0)
 
@@ -121,33 +119,48 @@ class TestBackendsRun:
 
 
 class TestSoCHardwareOptions:
-    """JSON-friendly hardware knobs on the soc backend (the DSE axes)."""
+    """The soc backend's design point is its ``platform`` option."""
 
     def test_options_reshape_the_design_point(self):
-        backend = make_backend(
-            "soc", eve_pes=8, noc="p2p", scheduler="round-robin",
-            adam_shape="16x8",
-        )
+        backend = make_backend("soc", platform={"kind": "soc", "params": {
+            "eve_pes": 8, "noc": "p2p", "scheduler": "round-robin",
+            "adam_shape": "16x8",
+        }})
         config = backend._resolve_config(small_spec(backend="soc"))
         assert config.eve.num_pes == 8
         assert config.eve.noc == "p2p"
         assert config.eve.scheduler == "round-robin"
         assert (config.adam.rows, config.adam.cols) == (16, 8)
 
-    def test_options_override_a_caller_config_copy(self):
-        soc_config = GeneSysConfig.paper_design_point()
-        backend = make_backend("soc", soc_config=soc_config, eve_pes=4)
-        config = backend._resolve_config(small_spec(backend="soc"))
-        assert config.eve.num_pes == 4
-        assert soc_config.eve.num_pes == 256  # caller's object untouched
-
     def test_run_through_backend_options(self):
-        spec = small_spec(
-            backend="soc", max_generations=1,
-            backend_options={"eve_pes": 8, "noc": "p2p"},
+        """The soc backend's one JSON option travels in backend_options;
+        its serial path gives the batched path's bits."""
+        spec = small_spec(backend="soc", max_generations=2)
+        serial = Experiment(
+            spec.replace(backend_options={"vectorize": False})
         )
-        result = Experiment(spec).run()
-        assert result.total_energy_j > 0
+        assert serial.backend.vectorize is False
+        batched = Experiment(spec).run()
+        result = serial.run()
+        assert [m.best_fitness for m in result.metrics] == \
+            [m.best_fitness for m in batched.metrics]
+        assert result.total_energy_j == batched.total_energy_j
+        assert result.total_cycles == batched.total_cycles
+
+    def test_soc_runtime_respects_platform_frequency(self):
+        """runtime_s must follow the design point's clock, not the module
+        default."""
+        spec = small_spec(backend="soc", max_generations=1)
+        slow_run = Experiment(spec).run()
+        fast = {"kind": "soc", "params": {"frequency_hz": 2 * FREQUENCY_HZ}}
+        fast_run = Experiment(spec.replace(platform=fast)).run()
+        assert slow_run.total_cycles == fast_run.total_cycles
+        assert fast_run.total_runtime_s == pytest.approx(
+            slow_run.total_runtime_s / 2
+        )
+        assert fast_run.metrics[0].runtime_s == pytest.approx(
+            slow_run.metrics[0].runtime_s / 2
+        )
 
     @pytest.mark.parametrize("options", [
         {"eve_pes": 0},
@@ -158,6 +171,8 @@ class TestSoCHardwareOptions:
         {"adam_shape": "0x8"},
     ])
     def test_invalid_options_raise_spec_errors(self, options):
+        """The design-point knobs are not options: each fails with a
+        SpecError before the factory runs."""
         from repro.api import SpecError
 
         with pytest.raises(SpecError):
@@ -224,56 +239,3 @@ class TestObservers:
         assert result.generations == 1
         assert result.converged and not result.stopped_early
 
-
-class TestLegacyShims:
-    """The ``soc_config`` option: a caller's design point is copied,
-    never edited."""
-
-    def test_soc_config_not_mutated(self):
-        """Regression: the soc path used to assign .neat/.seed on the
-        caller's GeneSysConfig in place."""
-        config = GeneSysConfig.paper_design_point()
-        original_neat = config.neat
-        original_eve = config.eve
-        original_pe = config.eve.pe
-        original_seed = config.seed
-        result = Experiment(
-            small_spec(backend="soc", max_generations=1, pop_size=10,
-                       max_steps=30, seed=7),
-            soc_config=config,
-        ).run()
-        assert config.neat is original_neat
-        assert config.neat.genome.num_inputs == 2  # default, not CartPole's 4
-        assert config.seed == original_seed
-        assert config.eve is original_eve
-        assert config.eve.pe is original_pe
-        # ... while the run itself used the spec's sizing and seed.
-        assert result.soc.config.neat.genome.num_inputs == 4
-        assert result.soc.config.seed == 7
-
-    def test_experiment_accepts_soc_config(self):
-        config = GeneSysConfig.paper_design_point()
-        result = Experiment(
-            small_spec(backend="soc", max_generations=1), soc_config=config
-        ).run()
-        assert result.soc.config is not config
-        assert result.best_fitness > 0
-
-    def test_soc_runtime_respects_config_frequency(self):
-        """runtime_s must follow the design point's clock, not the module
-        default."""
-        spec = small_spec(backend="soc", max_generations=1)
-        base = GeneSysConfig.paper_design_point()
-        fast = dataclasses.replace(
-            GeneSysConfig.paper_design_point(),
-            frequency_hz=base.frequency_hz * 2,
-        )
-        slow_run = Experiment(spec, soc_config=base).run()
-        fast_run = Experiment(spec, soc_config=fast).run()
-        assert slow_run.total_cycles == fast_run.total_cycles
-        assert fast_run.total_runtime_s == pytest.approx(
-            slow_run.total_runtime_s / 2
-        )
-        assert fast_run.metrics[0].runtime_s == pytest.approx(
-            slow_run.metrics[0].runtime_s / 2
-        )

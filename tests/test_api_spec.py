@@ -38,6 +38,9 @@ class TestConstruction:
         {"env_id": "CartPole-v0", "vectorizer": "cuda"},
         {"env_id": "CartPole-v0", "vectorizer": ""},
         {"env_id": "CartPole-v0", "fitness_threshold": "high"},
+        {"env_id": "CartPole-v0", "backend_options": "x"},
+        {"env_id": "CartPole-v0", "backend": "soc",
+         "backend_options": {"platform": "soc"}},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(SpecError):
@@ -58,10 +61,10 @@ class TestConstruction:
 class TestRoundTrip:
     def test_dict_round_trip(self):
         spec = ExperimentSpec(
-            "LunarLander-v2", backend="analytical:GENESYS",
+            "LunarLander-v2", backend="soc",
             max_generations=7, pop_size=24, episodes=2, max_steps=123,
             seed=9, fitness_threshold=200.0, workers=3, vectorizer="numpy",
-            backend_options={"platform": "GENESYS"},
+            backend_options={"vectorize": False},
         )
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
@@ -90,8 +93,10 @@ class TestRoundTrip:
             ExperimentSpec.from_json("[1, 2]")
 
     def test_backend_options_copied(self):
-        options = {"platform": "CPU_a"}
-        spec = ExperimentSpec("CartPole-v0", backend_options=options)
+        options = {"vectorize": False}
+        spec = ExperimentSpec("CartPole-v0", backend="soc",
+                              backend_options=options)
+        options["vectorize"] = True
         data = spec.to_dict()
-        data["backend_options"]["platform"] = "GPU_a"
-        assert spec.backend_options["platform"] == "CPU_a"
+        data["backend_options"]["vectorize"] = True
+        assert spec.backend_options == {"vectorize": False}

@@ -133,10 +133,13 @@ def test_platforms_json_rejects_env(capsys):
 
 def test_run_factory_platform_conflicting_backend_errors():
     from repro.platforms import (
-        GenesysPlatform, register_platform, unregister_platform,
+        GenesysPlatform, GenesysPlatformParams, register_platform,
+        unregister_platform,
     )
 
-    register_platform("FACTORY_ONLY", lambda: GenesysPlatform(num_eve_pes=2))
+    register_platform("FACTORY_ONLY", lambda: GenesysPlatform(
+        "FACTORY_ONLY", GenesysPlatformParams(num_eve_pes=2)
+    ))
     try:
         with pytest.raises(SystemExit, match="conflicts with"):
             main([
@@ -302,6 +305,18 @@ def test_spec_with_unknown_fields_clean_error(tmp_path, capsys):
     path.write_text('{"env_id": "CartPole-v0", "warp_factor": 9}')
     assert main(["run", "--spec", str(path)]) == 2
     assert "unknown spec fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options", ['"x"', '{"bogus": 1}'])
+def test_bad_backend_options_in_spec_file_clean_error(tmp_path, capsys, options):
+    path = tmp_path / "spec.json"
+    path.write_text(
+        '{"env_id": "CartPole-v0", "backend_options": ' + options + '}'
+    )
+    assert main(["run", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_unknown_environment_clean_error(capsys):

@@ -93,7 +93,7 @@ class TestKeyStability:
         even when the effective spec is identical (hardware axis on a
         non-soc backend)."""
         points = SweepSpec(
-            base=BASE, axes={"hw.eve_pes": [16, 64]}
+            base=BASE, axes={"platform.eve_pes": [16, 64]}
         ).expand()
         assert points[0].spec == points[1].spec
         assert point_key(points[0]) == point_key(points[1])

@@ -314,11 +314,7 @@ class TestGoldenSurvivors:
         """The final rung runs at the sweep's full budget, so surviving
         points must reproduce the unpruned golden rows exactly — same
         metrics, same cache keys."""
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sweep = SweepSpec.from_dict(hw_sweep_golden["sweep"])
+        sweep = SweepSpec.from_dict(hw_sweep_golden["sweep"])
         result = run_halving(
             sweep, {"fitness": "max", "energy_j": "min"}, reduction=2,
         )

@@ -110,7 +110,7 @@ class TestMemoisation:
         """A hardware axis on a non-soc backend leaves the effective spec
         unchanged — the default executor must evaluate it once."""
         sweep = SweepSpec(
-            base=BASE, axes={"hw.eve_pes": [16, 64, 256]}
+            base=BASE, axes={"platform.eve_pes": [16, 64, 256]}
         )
         result = run_sweep(sweep, cache_dir=tmp_path)
         assert result.points == 3
@@ -247,7 +247,7 @@ class TestReplayEvaluator:
 
         sweep = SweepSpec(
             base=BASE,
-            axes={"hw.eve_pes": [2, 8], "hw.noc": ["p2p", "multicast"]},
+            axes={"platform.eve_pes": [2, 8], "platform.noc": ["p2p", "multicast"]},
         )
 
         def run():
@@ -261,7 +261,7 @@ class TestReplayEvaluator:
         first, second = run(), run()
         assert [r["cycles"] for r in first.rows] == \
             [r["cycles"] for r in second.rows]
-        by = {(r["hw.eve_pes"], r["hw.noc"]): r for r in first.rows}
+        by = {(r["platform.eve_pes"], r["platform.noc"]): r for r in first.rows}
         # More PEs never slow reproduction down; multicast never reads
         # more SRAM than the point-to-point bus.
         assert by[(8, "multicast")]["cycles"] <= by[(2, "multicast")]["cycles"]

@@ -4,9 +4,8 @@ import warnings
 
 import pytest
 
-from repro.api import ExperimentSpec
+from repro.api import Experiment, ExperimentSpec, SpecError
 from repro.dse import (
-    HW_AXES,
     PLATFORM_AXES,
     SPEC_AXES,
     SweepSpec,
@@ -27,14 +26,15 @@ class TestValidation:
         assert "pop_size" in SPEC_AXES
         assert "backend_options" not in SPEC_AXES
         assert "platform" not in SPEC_AXES
-        assert "hw.eve_pes" in HW_AXES
         for axis in ("platform.eve_pes", "platform.noc",
                      "platform.scheduler", "platform.adam_shape",
                      "platform.num_eve_pes"):
             assert axis in PLATFORM_AXES
 
-    def test_hw_axes_warn_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="platform.eve_pes"):
+    def test_hw_axes_are_unknown(self):
+        """The old hw.* spellings are unknown axes; the error lists the
+        platform.* axes that replace them."""
+        with pytest.raises(SweepSpecError, match="'hw.eve_pes'.*platform.eve_pes"):
             sweep(axes={"hw.eve_pes": [8]})
 
     def test_platform_axes_do_not_warn(self):
@@ -94,32 +94,26 @@ class TestExpansion:
         assert point.spec.pop_size == 24
         assert point.spec.env_id == BASE.env_id
 
-    def test_hw_axes_fold_into_soc_backend_options(self):
-        s = sweep(axes={
-            "backend": ["soc", "software"],
-            "hw.eve_pes": [32],
-            "hw.noc": ["p2p"],
-            "hw.scheduler": ["greedy"],
-            "hw.adam_shape": ["16x16"],
-        })
-        by_backend = {p.spec.backend: p for p in s.expand()}
-        soc = by_backend["soc"].spec
-        assert soc.backend_options == {
-            "eve_pes": 32, "noc": "p2p", "scheduler": "greedy",
-            "adam_shape": "16x16",
-        }
-        # Hardware axes parameterise the SoC substrate only: on other
-        # backends the effective spec is untouched (points collapse in
-        # the cache instead of failing in the backend factory).
-        assert by_backend["software"].spec.backend_options == {}
-        assert by_backend["software"].axes["hw.eve_pes"] == 32
-
-    def test_hw_axes_merge_with_existing_backend_options(self):
-        base = BASE.replace(backend="soc", backend_options={"noc": "p2p"})
-        (point,) = SweepSpec(
-            base=base, axes={"hw.eve_pes": [8]}
-        ).expand()
-        assert point.spec.backend_options == {"noc": "p2p", "eve_pes": 8}
+    def test_each_point_simulates_its_design_point(self):
+        """Every platform.eve_pes x platform.noc point resolves to a chip
+        with that point's PE count and NoC; a base spec that names the
+        design point through backend_options is refused, not silently
+        overridden."""
+        base = BASE.replace(backend="soc")
+        points = SweepSpec(base=base, axes={
+            "platform.eve_pes": [8, 32],
+            "platform.noc": ["p2p", "multicast"],
+        }).expand()
+        assert len(points) == 4
+        for point in points:
+            experiment = Experiment(point.spec)
+            config = experiment.backend._resolve_config(point.spec)
+            assert config.eve.num_pes == point.axes["platform.eve_pes"]
+            assert config.eve.noc == point.axes["platform.noc"]
+        with pytest.raises(SpecError, match="noc"):
+            Experiment(base.replace(backend_options={"noc": "p2p"}))
+        with pytest.raises(SpecError, match="platform"):
+            base.replace(backend_options={"platform": "soc"})
 
     def test_platform_axes_embed_soc_platform_spec(self):
         s = sweep(axes={
@@ -133,7 +127,7 @@ class TestExpansion:
         assert soc.platform.kind == "soc"
         assert soc.platform.params.eve_pes == 32
         assert soc.platform.params.noc == "p2p"
-        assert soc.backend_options == {}  # declarative, not knob folding
+        assert soc.backend_options == {}
         # platform axes parameterise hardware substrates only: the
         # software point's effective spec is untouched and collapses in
         # the cache.
@@ -199,7 +193,7 @@ class TestExpansion:
 
 class TestRoundTrip:
     def test_json_round_trip(self):
-        s = sweep(axes={"seed": [0, 1], "hw.eve_pes": [16, 256]})
+        s = sweep(axes={"seed": [0, 1], "platform.eve_pes": [16, 256]})
         clone = SweepSpec.from_json(s.to_json())
         assert clone == s
 

@@ -43,11 +43,15 @@ class TestGenomeConfig:
             GenomeConfig(conn_delete_prob=-0.1).validate()
 
     def test_rejects_unknown_activation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="warp"):
             GenomeConfig(activation_default="warp").validate()
+        with pytest.raises(ConfigError, match="warp"):
+            GenomeConfig(activation_options=["sigmoid", "warp"]).validate()
 
     def test_rejects_unknown_aggregation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="blend"):
+            GenomeConfig(aggregation_default="blend").validate()
+        with pytest.raises(ConfigError, match="blend"):
             GenomeConfig(aggregation_options=["sum", "blend"]).validate()
 
 

@@ -80,7 +80,7 @@ class TestFactory:
 
 class TestCanonicaliser:
     """One shared spelling canonicaliser for every layer (NoC factory,
-    soc backend options, platform specs, sweep axes)."""
+    platform specs, sweep axes)."""
 
     @pytest.mark.parametrize("spelling,expected", [
         ("p2p", "p2p"),
@@ -101,16 +101,14 @@ class TestCanonicaliser:
         with pytest.raises(ValueError, match="p2p"):
             canonical_noc_kind(bad)
 
-    def test_backends_reexport_is_the_same_table(self):
-        from repro.api.backends import NOC_KINDS as backend_kinds
-
-        assert backend_kinds == NOC_KINDS
-
     def test_soc_backend_accepts_long_spelling(self):
-        from repro.api import make_backend
+        from repro.api import ExperimentSpec, make_backend
 
-        backend = make_backend("soc", noc="point-to-point")
-        assert backend.noc == "p2p"
+        backend = make_backend("soc", platform={
+            "kind": "soc", "params": {"noc": "point-to-point"},
+        })
+        config = backend._resolve_config(ExperimentSpec("CartPole-v0"))
+        assert config.eve.noc == "p2p"
 
 
 def test_reset_stats():

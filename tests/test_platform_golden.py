@@ -5,14 +5,16 @@ The committed files pin behaviour captured on the *pre-redesign* code:
 * ``tests/golden/analytical_genesys_seed0.json`` — a fixed-seed
   ``analytical:GENESYS`` run's full metric trajectory (fitness,
   modelled runtime/energy) plus its DSE cache key.
-* ``tests/golden/hw_sweep_soc_4point.json`` — a 4-point ``hw.*``-axis
-  ``soc`` sweep's metrics *and* per-point cache keys.
+* ``tests/golden/hw_sweep_soc_4point.json`` — a 4-point ``soc`` sweep's
+  metrics *and* per-point cache keys.  Its metrics were recorded under
+  the pre-redesign ``hw.*`` axis spelling; the file now spells the axes
+  ``platform.*`` with the same metrics.
 
 Together they prove the unified-PlatformSpec registry is a pure
 refactor for pre-existing specs: identical modelled costs, identical
-evolution, identical cache keys (so warmed caches survive the
-migration), and that the new ``platform.*`` axes alias the old ``hw.*``
-axes bit-for-bit.
+evolution, identical cache keys for specs without a platform block (so
+warmed caches survive the migration), and that a ``platform.*`` sweep
+simulates the chips the old ``hw.*`` sweep did, bit for bit.
 
 Regenerate (only for an *intentional* cost-model change, in the same
 commit) by rerunning the producing snippets with the values in each
@@ -20,13 +22,14 @@ file's ``description``/``sweep`` blocks.
 """
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
 
 from repro.api import Experiment, ExperimentSpec
-from repro.dse import SweepRunner, SweepSpec, spec_key
+from repro.dse import (
+    SweepRunner, SweepSpec, evaluate_experiment_point, spec_key,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -78,43 +81,43 @@ class TestAnalyticalGenesysGolden:
 
 
 class TestHwAxisAliasGolden:
+    """The platform.* sweep that replaced the hw.* axes, pinned by
+    ``hw_sweep_soc_4point.json``."""
+
     def _run(self, sweep):
         return SweepRunner(sweep).run().rows
 
     def test_hw_sweep_metrics_and_keys_unchanged(self, hw_sweep_golden):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sweep = SweepSpec.from_dict(hw_sweep_golden["sweep"])
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "platform.eve_pes" in str(w.message)
-            for w in caught
-        ), "hw.* axes must warn and point at the platform.* spelling"
-        rows = self._run(sweep)
-        assert [r["key"] for r in rows] == hw_sweep_golden["spec_keys"], (
-            "hw.*-axis cache keys changed across the redesign"
-        )
+        """The platform.* sweep reproduces the metrics recorded under the
+        old hw.* spelling, under its own cache keys."""
+        rows = self._run(SweepSpec.from_dict(hw_sweep_golden["sweep"]))
+        assert [r["key"] for r in rows] == hw_sweep_golden["spec_keys"]
         for row, golden in zip(rows, hw_sweep_golden["rows"]):
             for key in _METRIC_KEYS:
                 assert row[key] == golden[key], (
-                    f"hw.* sweep {key} diverged at point "
-                    f"{golden['hw.eve_pes']}/{golden['hw.noc']}"
+                    f"platform.* sweep {key} diverged at point "
+                    f"{golden['platform.eve_pes']}/{golden['platform.noc']}"
                 )
 
     def test_platform_axes_alias_hw_axes_bit_for_bit(self, hw_sweep_golden):
-        """The migrated spelling evaluates the identical experiments."""
-        base = ExperimentSpec.from_dict(hw_sweep_golden["sweep"]["base"])
-        axes = {
-            f"platform.{name.split('.', 1)[1]}": values
-            for name, values in hw_sweep_golden["sweep"]["axes"].items()
-        }
-        rows = self._run(SweepSpec(base=base, axes=axes))
-        for row, golden in zip(rows, hw_sweep_golden["rows"]):
+        """Each chip the old hw.* axes named, written as the spec's own
+        platform block (no sweep expansion), evaluates the identical
+        experiment."""
+        base = hw_sweep_golden["sweep"]["base"]
+        for golden in hw_sweep_golden["rows"]:
+            spec = ExperimentSpec.from_dict({
+                **base,
+                "platform": {"kind": "soc", "params": {
+                    "eve_pes": golden["platform.eve_pes"],
+                    "noc": golden["platform.noc"],
+                }},
+            })
+            row = evaluate_experiment_point(spec.to_json())
             for key in _METRIC_KEYS:
                 assert row[key] == golden[key], (
-                    f"platform.* sweep {key} diverged from the hw.* "
-                    f"golden at point {golden['hw.eve_pes']}/"
-                    f"{golden['hw.noc']}"
+                    f"platform block {key} diverged from the hw.* golden "
+                    f"at point {golden['platform.eve_pes']}/"
+                    f"{golden['platform.noc']}"
                 )
 
     def test_platform_axis_points_carry_embedded_specs(self, hw_sweep_golden):

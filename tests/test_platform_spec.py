@@ -19,6 +19,7 @@ from repro.hw.noc import canonical_noc_kind
 from repro.platforms import (
     PLATFORM_KINDS,
     GenesysPlatform,
+    GenesysPlatformParams,
     PlatformSpec,
     PlatformSpecError,
     SoCPlatform,
@@ -189,7 +190,8 @@ class TestRegistry:
         from_dict = make_platform({"kind": "genesys", "name": "G",
                                    "params": {"num_eve_pes": 64}})
         assert isinstance(from_spec, GenesysPlatform)
-        assert from_spec.num_eve_pes == from_dict.num_eve_pes == 64
+        assert from_spec.params == from_dict.params
+        assert from_spec.params.num_eve_pes == 64
 
     def test_soc_kind_spec_resolves(self):
         platform = make_platform({"kind": "soc", "params": {"eve_pes": 8}})
@@ -212,14 +214,14 @@ class TestRegistry:
         register_platform("GENESYS_64", spec)
         try:
             assert "GENESYS_64" in platform_names()
-            assert make_platform("GENESYS_64").num_eve_pes == 64
+            assert make_platform("GENESYS_64").params.num_eve_pes == 64
             assert platform_spec("GENESYS_64").params.num_eve_pes == 64
             # override: latest wins
             register_platform(
                 "GENESYS_64",
                 PlatformSpec("genesys", params={"num_eve_pes": 128}),
             )
-            assert make_platform("GENESYS_64").num_eve_pes == 128
+            assert make_platform("GENESYS_64").params.num_eve_pes == 128
             # custom registrations never leak into the paper's Table III
             assert len(table3()) == 9
         finally:
@@ -227,7 +229,7 @@ class TestRegistry:
         assert "GENESYS_64" not in platform_names()
 
     def test_factory_registration(self):
-        sentinel = GenesysPlatform(num_eve_pes=2)
+        sentinel = GenesysPlatform("tiny", GenesysPlatformParams(num_eve_pes=2))
         register_platform("tiny", lambda: sentinel)
         try:
             assert make_platform("tiny") is sentinel
@@ -303,28 +305,20 @@ class TestEmbeddedPlatform:
         assert embedded.total_energy_j == named.total_energy_j
         assert embedded.best_fitness == named.best_fitness
 
-    def test_soc_platform_spec_matches_knob_options(self):
-        knobs = Experiment(ExperimentSpec(
+    def test_soc_design_point_precedence(self):
+        """The platform option, else spec.platform, else the paper's
+        design point."""
+        spec = ExperimentSpec(
             "CartPole-v0", backend="soc",
-            backend_options={"eve_pes": 8, "noc": "p2p"}, **SMALL,
-        )).run()
-        declarative = Experiment(ExperimentSpec(
-            "CartPole-v0", backend="soc",
-            platform={"kind": "soc", "params": {"eve_pes": 8, "noc": "p2p"}},
-            **SMALL,
-        )).run()
-        assert declarative.total_energy_j == knobs.total_energy_j
-        assert declarative.total_cycles == knobs.total_cycles
-        assert declarative.best_fitness == knobs.best_fitness
-
-    def test_backend_options_override_platform_spec(self):
-        backend = make_backend(
-            "soc",
-            platform={"kind": "soc", "params": {"eve_pes": 64}},
-            eve_pes=4,
+            platform={"kind": "soc", "params": {"eve_pes": 8}}, **SMALL,
         )
-        spec = ExperimentSpec("CartPole-v0", backend="soc", **SMALL)
-        assert backend._resolve_config(spec).eve.num_pes == 4
+        option = make_backend(
+            "soc", platform={"kind": "soc", "params": {"eve_pes": 64}}
+        )
+        assert option._resolve_config(spec).eve.num_pes == 64
+        assert make_backend("soc")._resolve_config(spec).eve.num_pes == 8
+        paper = make_backend("soc")._resolve_config(spec.replace(platform=None))
+        assert paper.eve.num_pes == 256
 
     def test_soc_backend_platform_by_name(self):
         backend = make_backend("soc", platform="soc")

@@ -6,17 +6,8 @@ from repro.core.trace import GenerationWorkload
 from repro.neat.genome import MutationCounts
 from repro.platforms import (
     all_platforms,
-    cpu_a,
-    cpu_b,
-    cpu_c,
-    cpu_d,
     footprint_comparison,
     footprint_ratios,
-    genesys,
-    gpu_a,
-    gpu_b,
-    gpu_c,
-    gpu_d,
     make_platform,
     table3,
 )
@@ -81,60 +72,61 @@ class TestRegistry:
 class TestCPUModels:
     def test_plp_speedup_is_3_5x(self, atari_workload):
         # Paper: "Parallel inference on CPU is 3.5 times faster".
-        serial = cpu_a().inference_cost(atari_workload).runtime_s
-        parallel = cpu_b().inference_cost(atari_workload).runtime_s
+        serial = make_platform("CPU_a").inference_cost(atari_workload).runtime_s
+        parallel = make_platform("CPU_b").inference_cost(atari_workload).runtime_s
         assert serial / parallel == pytest.approx(3.5)
 
     def test_evolution_identical_for_a_and_b(self, atari_workload):
         assert (
-            cpu_a().evolution_cost(atari_workload).runtime_s
-            == cpu_b().evolution_cost(atari_workload).runtime_s
+            make_platform("CPU_a").evolution_cost(atari_workload).runtime_s
+            == make_platform("CPU_b").evolution_cost(atari_workload).runtime_s
         )
 
     def test_embedded_slower_but_lower_power(self, atari_workload):
-        desktop = cpu_a().inference_cost(atari_workload)
-        embedded = cpu_c().inference_cost(atari_workload)
+        desktop = make_platform("CPU_a").inference_cost(atari_workload)
+        embedded = make_platform("CPU_c").inference_cost(atari_workload)
         assert embedded.runtime_s > desktop.runtime_s
         assert embedded.energy_j < desktop.energy_j  # 5 W vs 45 W
 
     def test_no_transfer_time(self, atari_workload):
-        assert cpu_a().inference_cost(atari_workload).transfer_fraction == 0.0
+        cost = make_platform("CPU_a").inference_cost(atari_workload)
+        assert cost.transfer_fraction == 0.0
 
 
 class TestGPUModels:
     def test_gpu_a_transfer_dominated(self, atari_workload):
         # Fig. 10(a): ~70% of GPU_a inference time is memory transfer.
-        frac = gpu_a().inference_cost(atari_workload).transfer_fraction
+        frac = make_platform("GPU_a").inference_cost(atari_workload).transfer_fraction
         assert 0.55 <= frac <= 0.85
 
     def test_gpu_b_transfer_share_below_gpu_a(self, atari_workload):
         # Fig. 10(a/b): batching the population drops the transfer share
         # from ~70% (GPU_a) to ~20% (GPU_b); scale-dependent, so assert the
         # ordering and a loose band.
-        frac_a = gpu_a().inference_cost(atari_workload).transfer_fraction
-        frac_b = gpu_b().inference_cost(atari_workload).transfer_fraction
+        frac_a = make_platform("GPU_a").inference_cost(atari_workload).transfer_fraction
+        frac_b = make_platform("GPU_b").inference_cost(atari_workload).transfer_fraction
         assert frac_b < 0.5 * frac_a
 
     def test_gpu_b_faster_than_gpu_a(self, atari_workload):
         assert (
-            gpu_b().inference_cost(atari_workload).runtime_s
-            < gpu_a().inference_cost(atari_workload).runtime_s
+            make_platform("GPU_b").inference_cost(atari_workload).runtime_s
+            < make_platform("GPU_a").inference_cost(atari_workload).runtime_s
         )
 
     def test_gpu_b_footprint_much_larger_than_gpu_a(self, atari_workload):
         # Fig. 10(d): sparse uncompacted tensors vs one genome's matrices.
-        a = gpu_a().memory_footprint_bytes(atari_workload)
-        b = gpu_b().memory_footprint_bytes(atari_workload)
+        a = make_platform("GPU_a").memory_footprint_bytes(atari_workload)
+        b = make_platform("GPU_b").memory_footprint_bytes(atari_workload)
         assert b > 100 * a
 
     def test_embedded_gpu_slower(self, atari_workload):
         assert (
-            gpu_c().inference_cost(atari_workload).runtime_s
-            > gpu_a().inference_cost(atari_workload).runtime_s
+            make_platform("GPU_c").inference_cost(atari_workload).runtime_s
+            > make_platform("GPU_a").inference_cost(atari_workload).runtime_s
         )
 
     def test_evolution_transfer_cost_positive(self, atari_workload):
-        cost = gpu_a().evolution_cost(atari_workload)
+        cost = make_platform("GPU_a").evolution_cost(atari_workload)
         assert cost.transfer_s > 0
         assert cost.compute_s > 0
 
@@ -145,9 +137,9 @@ class TestGenesysModel:
         # in inference" — accept one order either side.
         gpu_best = min(
             p.inference_cost(atari_workload).runtime_s
-            for p in (gpu_a(), gpu_b(), gpu_c(), gpu_d())
+            for p in map(make_platform, ("GPU_a", "GPU_b", "GPU_c", "GPU_d"))
         )
-        ours = genesys().inference_cost(atari_workload).runtime_s
+        ours = make_platform("GENESYS").inference_cost(atari_workload).runtime_s
         assert 10 <= gpu_best / ours <= 10_000
 
     def test_evolution_4_to_5_orders_vs_gpu_c(self, atari_workload):
@@ -156,20 +148,20 @@ class TestGenesysModel:
         import math
 
         ratio = (
-            gpu_c().evolution_cost(atari_workload).energy_j
-            / genesys().evolution_cost(atari_workload).energy_j
+            make_platform("GPU_c").evolution_cost(atari_workload).energy_j
+            / make_platform("GENESYS").evolution_cost(atari_workload).energy_j
         )
         assert 3.5 <= math.log10(ratio) <= 6.0
 
     def test_onchip_transfer_fraction_15pct(self, atari_workload):
         # Fig. 10(c): GENESYS spends ~15% of time on on-chip staging.
-        frac = genesys().inference_cost(atari_workload).transfer_fraction
+        frac = make_platform("GENESYS").inference_cost(atari_workload).transfer_fraction
         assert frac == pytest.approx(0.15, abs=0.02)
 
     def test_footprint_between_gpu_a_and_gpu_b(self, atari_workload):
         # Fig. 10(d): GPU_a << GENESYS << GPU_b.
         foot = footprint_comparison(
-            atari_workload, [gpu_a(), gpu_b(), genesys()]
+            atari_workload, list(map(make_platform, ("GPU_a", "GPU_b", "GENESYS")))
         )
         assert foot["GPU_a"] < foot["GENESYS"] < foot["GPU_b"]
         ratios = footprint_ratios(foot, "GENESYS")
@@ -178,13 +170,16 @@ class TestGenesysModel:
 
     def test_footprint_under_1mb(self, atari_workload):
         # Section III-D1: <1 MB per generation for all paper workloads.
-        assert genesys().memory_footprint_bytes(atari_workload) < 1 << 20
+        assert make_platform("GENESYS").memory_footprint_bytes(atari_workload) < 1 << 20
 
     def test_more_pes_faster_evolution(self, atari_workload):
-        from repro.platforms import GenesysPlatform
+        def genesys_with(pes):
+            return make_platform(
+                {"kind": "genesys", "params": {"num_eve_pes": pes}}
+            )
 
-        slow = GenesysPlatform(num_eve_pes=2).evolution_cost(atari_workload)
-        fast = GenesysPlatform(num_eve_pes=256).evolution_cost(atari_workload)
+        slow = genesys_with(2).evolution_cost(atari_workload)
+        fast = genesys_with(256).evolution_cost(atari_workload)
         assert fast.runtime_s < slow.runtime_s
 
 
@@ -194,15 +189,17 @@ class TestHeadlineClaim:
         state-of-the-art embedded and desktop CPU and GPU systems.'"""
         import math
 
-        g = genesys()
+        g = make_platform("GENESYS")
         for workload in (atari_workload, classic_workload):
             g_total = (
                 g.inference_cost(workload).energy_j
                 + g.evolution_cost(workload).energy_j
             )
             all_orders = []
-            for platform in (cpu_a(), cpu_b(), cpu_c(), cpu_d(),
-                             gpu_a(), gpu_b(), gpu_c(), gpu_d()):
+            for platform in map(make_platform, (
+                "CPU_a", "CPU_b", "CPU_c", "CPU_d",
+                "GPU_a", "GPU_b", "GPU_c", "GPU_d",
+            )):
                 p_total = (
                     platform.inference_cost(workload).energy_j
                     + platform.evolution_cost(workload).energy_j

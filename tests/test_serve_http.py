@@ -126,6 +126,15 @@ def test_submit_rejects_bad_bodies(served):
     assert excinfo.value.status == 400
 
 
+def test_submit_non_object_backend_options_is_400(served):
+    store, client = served
+    with pytest.raises(ServeClientError) as excinfo:
+        client.submit({**spec_dict(), "backend_options": "x"})
+    assert excinfo.value.status == 400
+    assert "backend_options" in str(excinfo.value)
+    assert not store.jobs_root.exists() or not any(store.jobs_root.iterdir())
+
+
 def test_unknown_job_and_route_are_404(served):
     _store, client = served
     for call in (

@@ -60,6 +60,17 @@ def test_submit_rejects_invalid_spec(store):
         store.submit({"env_id": "CartPole-v0", "no_such_field": 1})
 
 
+@pytest.mark.parametrize("fields", [
+    {"backend": "fpga"},
+    {"backend": "soc", "backend_options": {"bogus": 1}},
+])
+def test_submit_rejects_spec_no_backend_can_run(store, fields):
+    with pytest.raises(JobStoreError, match="invalid job spec"):
+        store.submit({"env_id": "CartPole-v0", **fields})
+    assert store.job_ids() == []
+    assert not store.jobs_root.exists() or not any(store.jobs_root.iterdir())
+
+
 def test_submit_rejects_bad_knobs(store):
     with pytest.raises(JobStoreError, match="checkpoint_every"):
         store.submit(small_spec(), checkpoint_every=0)

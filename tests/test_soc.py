@@ -76,9 +76,9 @@ def _soc_run(max_generations, fitness_threshold, pop_size=16, num_pes=8,
         "CartPole-v0", backend="soc", max_generations=max_generations,
         fitness_threshold=fitness_threshold, pop_size=pop_size, seed=seed,
         max_steps=max_steps,
+        platform={"kind": "soc", "params": {"eve_pes": num_pes}},
     )
-    config = GeneSysConfig(eve=EvEConfig(num_pes=num_pes))
-    return Experiment(spec, soc_config=config).run()
+    return Experiment(spec).run()
 
 
 def test_run_until_threshold():

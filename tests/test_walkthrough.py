@@ -95,10 +95,9 @@ def test_stop_criterion_target_fitness():
     spec = ExperimentSpec(
         "CartPole-v0", backend="soc", max_generations=10,
         fitness_threshold=5.0, pop_size=12, seed=1, max_steps=40,
+        platform={"kind": "soc", "params": {"eve_pes": 4}},
     )
-    result = Experiment(
-        spec, soc_config=GeneSysConfig(eve=EvEConfig(num_pes=4))
-    ).run()
+    result = Experiment(spec).run()
     assert result.converged
     assert result.champion.fitness >= 5.0
     assert result.generations == len(result.metrics) <= 10
