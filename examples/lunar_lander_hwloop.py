@@ -48,9 +48,9 @@ def main() -> None:
     for report in result.reports:
         rows.append([
             report.generation,
-            f"{report.best_fitness:.1f}",
-            f"{report.mean_fitness:.1f}",
-            report.num_species,
+            f"{report.stats.best_fitness:.1f}",
+            f"{report.stats.mean_fitness:.1f}",
+            report.stats.num_species,
             fmt_seconds(report.inference_seconds + report.evolution_seconds),
             fmt_joules(report.energy.total_energy_j),
         ])

@@ -55,12 +55,12 @@ def main() -> None:
     for report in hw.reports:
         rows.append([
             report.generation,
-            f"{report.best_fitness:.1f}",
-            report.num_genes,
+            f"{report.stats.best_fitness:.1f}",
+            report.stats.num_genes,
             fmt_seconds(report.inference_seconds),
             fmt_seconds(report.evolution_seconds),
             fmt_joules(report.energy.total_energy_j),
-            report.fittest_parent_reuse,
+            report.stats.fittest_parent_reuse,
         ])
     print(render_table(
         ["gen", "best fit", "genes", "ADAM time", "EvE time", "energy", "reuse"],

@@ -21,13 +21,11 @@ from .reporting import (
     write_csv,
     write_json,
 )
-from .reuse import ReuseStats, reuse_series, reuse_stats
 from .species_tracker import SpeciesHistory, SpeciesSnapshot, track_run
 
 __all__ = [
     "EnvCharacterisation",
     "FootprintReport",
-    "ReuseStats",
     "RunCharacterisation",
     "characterise_env",
     "fmt_bytes",
@@ -43,9 +41,7 @@ __all__ = [
     "render_distribution_table",
     "render_series",
     "render_table",
-    "reuse_series",
     "sparsity",
-    "reuse_stats",
     "SpeciesHistory",
     "SpeciesSnapshot",
     "summarize_distribution",

@@ -164,10 +164,6 @@ def render_distribution_table(
     return render_table(headers, rows, title=title)
 
 
-def log10_or_none(value: float) -> Optional[float]:
-    return math.log10(value) if value > 0 else None
-
-
 def orders_of_magnitude(a: float, b: float) -> float:
     """How many orders of magnitude larger a is than b."""
     if a <= 0 or b <= 0:

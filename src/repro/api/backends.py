@@ -316,15 +316,8 @@ class _SoftwareGenerations:
         stats = population.run_generation(fitness_function)
         env_steps = evaluator.totals.steps - prev_steps
         macs = evaluator.totals.macs - prev_macs
-        metrics = GenerationMetrics(
-            generation=stats.generation,
-            best_fitness=stats.best_fitness,
-            mean_fitness=stats.mean_fitness,
-            num_species=stats.num_species,
-            num_genes=stats.num_genes,
-            footprint_bytes=stats.memory_footprint_bytes,
-            env_steps=env_steps,
-            inference_macs=macs,
+        metrics = GenerationMetrics.from_stats(
+            stats, env_steps=env_steps, inference_macs=macs
         )
         if self.controller is not None:
             # Annotates the row with the stage it was evaluated under
@@ -376,7 +369,7 @@ class _SoftwareGenerations:
 class _SoCGenerations:
     """The chip model as a loop substrate: each generation is one
     :meth:`repro.core.GeneSysSoC.run_generation`, its stop value the
-    report's best fitness.  The population lives inside the chip model,
+    row's best fitness.  The population lives inside the chip model,
     so there is nothing to snapshot and nothing to resume from."""
 
     start = 0
@@ -402,20 +395,15 @@ class _SoCGenerations:
         if on_evaluation is not None:
             on_evaluation(report.generation, evaluated)
         cycles = report.inference_cycles + report.evolution_cycles
-        row = GenerationMetrics(
-            generation=report.generation,
-            best_fitness=report.best_fitness,
-            mean_fitness=report.mean_fitness,
-            num_species=report.num_species,
-            num_genes=report.num_genes,
-            footprint_bytes=report.footprint_bytes,
+        row = GenerationMetrics.from_stats(
+            report.stats,
             env_steps=report.env_steps,
             inference_macs=report.inference.macs,
             energy_j=report.energy.total_energy_j,
             cycles=cycles,
             runtime_s=cycles_to_seconds(cycles, soc.config.frequency_hz),
         )
-        return row, report.best_fitness, soc.generation
+        return row, row.best_fitness, soc.generation
 
     def between(self) -> None:
         pass

@@ -18,6 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.soc import GenerationReport, GeneSysSoC
     from ..neat.config import NEATConfig
     from ..neat.population import Population
+    from ..neat.statistics import GenerationStats
     from .spec import ExperimentSpec
 
 
@@ -47,6 +48,21 @@ class GenerationMetrics:
     scenario_stage: Optional[int] = None
     scenario_forgetting: Optional[float] = None
     scenario_recovery: Optional[int] = None
+
+    @classmethod
+    def from_stats(cls, stats: "GenerationStats", **measured) -> "GenerationMetrics":
+        """The row of one generation: its summary (:func:`repro.neat.
+        statistics.summarise_generation`) plus what the substrate
+        measured (``env_steps``, ``inference_macs``, energy, ...)."""
+        return cls(
+            generation=stats.generation,
+            best_fitness=stats.best_fitness,
+            mean_fitness=stats.mean_fitness,
+            num_species=stats.num_species,
+            num_genes=stats.num_genes,
+            footprint_bytes=stats.footprint_bytes,
+            **measured,
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         data = {

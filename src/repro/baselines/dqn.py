@@ -79,9 +79,6 @@ class QNetwork:
     def macs_per_forward(self) -> int:
         return sum(w.size for w in self.weights)
 
-    def parameter_bytes(self, dtype_bytes: int = 4) -> int:
-        return self.num_parameters * dtype_bytes
-
     def activation_bytes(self, batch_size: int, dtype_bytes: int = 4) -> int:
         return sum(batch_size * n * dtype_bytes for n in self.layer_sizes)
 

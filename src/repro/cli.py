@@ -114,12 +114,6 @@ def _spec_from_args(args: argparse.Namespace):
     from .api import ExperimentSpec
 
     backend = getattr(args, "backend", None)
-    if getattr(args, "hardware", False):
-        if backend is not None and backend != "soc":
-            raise SystemExit(
-                f"error: --hardware conflicts with --backend {backend}"
-            )
-        backend = "soc"
     platform = None
     if getattr(args, "platform", None) is not None:
         platform, platform_backend = _resolve_platform_flag(args.platform)
@@ -207,8 +201,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             name for name in _RESUME_CONFLICTS
             if getattr(args, name, None) is not None
         ]
-        if getattr(args, "hardware", False):
-            conflicts.append("hardware")
         if args.run_dir:
             conflicts.append("run_dir")
         if conflicts:
@@ -250,31 +242,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             result = Experiment(spec).run()
 
+    print(
+        f"[{result.backend}] {spec.env_id}: best fitness "
+        f"{result.best_fitness:.2f} after {result.generations} "
+        f"generations (converged={result.converged})"
+    )
     if spec.backend == "soc":
-        # Legacy "[hardware]" label kept for scripts that grep it.
-        print(
-            f"[hardware] {spec.env_id}: best fitness "
-            f"{result.best_fitness:.2f} after {result.generations} "
-            f"generations (converged={result.converged})"
-        )
         print(
             f"  chip time {fmt_seconds(result.total_runtime_s)}, "
             f"energy {fmt_joules(result.total_energy_j)}"
         )
     elif spec.backend == "software":
-        print(
-            f"[software] {spec.env_id}: best fitness "
-            f"{result.best_fitness:.2f} after {result.generations} "
-            f"generations (converged={result.converged})"
-        )
         conns, nodes = result.champion.size()
         print(f"  champion: {conns} enabled connections, {nodes} nodes")
     else:
-        print(
-            f"[{result.backend}] {spec.env_id}: best fitness "
-            f"{result.best_fitness:.2f} after {result.generations} "
-            f"generations (converged={result.converged})"
-        )
         print(
             f"  modelled platform time {fmt_seconds(result.total_runtime_s)}, "
             f"energy {fmt_joules(result.total_energy_j)}"
@@ -1153,9 +1134,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "JSON file — tunable physics overrides, "
                           "seeded perturbation wrappers, optional "
                           "curriculum (docs/scenarios.md)")
-    run.add_argument("--hardware", action="store_true",
-                     help="shorthand for --backend soc (EvE/ADAM "
-                          "hardware-in-the-loop path)")
     run.add_argument("--run-dir", metavar="DIR", dest="run_dir",
                      help="persist run artifacts (spec, metrics.jsonl, "
                           "checkpoints, champion) into DIR; the run "

@@ -20,7 +20,7 @@ match what the platform comparison (Fig. 9/10) reports for GENESYS.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs as telemetry
@@ -39,34 +39,32 @@ from ..hw.gene_encoding import PackedGene, decode_genome, encode_genome
 from ..hw.selector import GeneSelector
 from ..hw.sram import GenomeBuffer
 from ..neat.genome import Genome
+from ..neat.statistics import GenerationStats, summarise_generation
 from .config import GeneSysConfig
 
 
 @dataclass
 class GenerationReport:
-    """Everything measured while producing one generation."""
+    """Everything measured while producing one generation; ``stats`` is
+    its summary (fitness, genes, species, footprint, reuse)."""
 
     generation: int
-    best_fitness: float
-    mean_fitness: float
-    num_species: int
-    num_genes: int
-    footprint_bytes: int
+    stats: GenerationStats
     inference: InferenceStats
     evolution: EvolutionResult
     env_steps: int
     inference_cycles: int
     evolution_cycles: int
     energy: EnergyLedger
-    fittest_parent_reuse: int
+    frequency_hz: float
 
     @property
     def inference_seconds(self) -> float:
-        return cycles_to_seconds(self.inference_cycles)
+        return cycles_to_seconds(self.inference_cycles, self.frequency_hz)
 
     @property
     def evolution_seconds(self) -> float:
-        return cycles_to_seconds(self.evolution_cycles)
+        return cycles_to_seconds(self.evolution_cycles, self.frequency_hz)
 
 
 class GeneSysSoC:
@@ -204,7 +202,6 @@ class GeneSysSoC:
             if old_key not in new_population:
                 self.buffer.delete_genome(old_key)
         self.population = new_population
-        self._last_plan = outcome.plan
         return result
 
     # -- one full generation ----------------------------------------------------
@@ -213,24 +210,20 @@ class GeneSysSoC:
         if not self.population:
             self.initialise_population()
 
-        sram_before = self.buffer.stats.total_accesses
+        evaluated = self.population
         env_steps = self.evaluate_population()
         inference = self.adam.reset_stats()
-
-        fitnesses = {k: g.fitness for k, g in self.population.items()}
-        best_key = max(fitnesses, key=fitnesses.get)
-        best_fitness = fitnesses[best_key]
-        mean_fitness = sum(fitnesses.values()) / len(fitnesses)
-        if self.best_genome is None or self.best_genome.fitness < best_fitness:
-            self.best_genome = self.population[best_key].copy()
-        num_genes = sum(g.num_genes for g in self.population.values())
 
         with telemetry.span("soc.evolve", generation=self.generation):
             evolution = self.evolve_population()
         if evolution is None:
             evolution = EvolutionResult()
-        plan = getattr(self, "_last_plan", None)
-        reuse = plan.fittest_parent_reuse(fitnesses) if plan is not None else 0
+        selection = self._last_selection
+        stats = summarise_generation(
+            self.generation, evaluated, selection.num_species, selection.plan
+        )
+        if self.best_genome is None or self.best_genome.fitness < stats.best_fitness:
+            self.best_genome = evaluated[stats.best_key].copy()
 
         ledger = EnergyLedger(
             eve_pe_cycles=evolution.pe_stats.busy_cycles,
@@ -239,24 +232,20 @@ class GeneSysSoC:
             sram_writes=self.buffer.stats.writes,
             dram_accesses=self.buffer.stats.dram_reads + self.buffer.stats.dram_writes,
             noc_gene_hops=evolution.noc_stats.genes_delivered,
-            m0_cycles=self._last_selection.cpu_cycles + inference.vectorize_cycles,
+            m0_cycles=selection.cpu_cycles + inference.vectorize_cycles,
         )
         self.buffer.reset_stats()
 
         report = GenerationReport(
             generation=self.generation,
-            best_fitness=best_fitness,
-            mean_fitness=mean_fitness,
-            num_species=self._last_selection.num_species,
-            num_genes=num_genes,
-            footprint_bytes=self.buffer.bytes_used,
+            stats=stats,
             inference=inference,
             evolution=evolution,
             env_steps=env_steps,
             inference_cycles=inference.total_cycles,
             evolution_cycles=evolution.cycles,
             energy=ledger,
-            fittest_parent_reuse=reuse,
+            frequency_hz=self.config.frequency_hz,
         )
         self.reports.append(report)
         self.generation += 1

@@ -32,7 +32,7 @@ CACHE_FORMAT = 1
 
 #: The built-in experiment executor's identity in cache keys.  Bump when
 #: its metric semantics change.
-EXPERIMENT_EVALUATOR = "experiment-v1"
+EXPERIMENT_EVALUATOR = "experiment-v2"
 
 
 def canonical_json(payload: Any) -> str:

@@ -457,8 +457,3 @@ class DistributedSweepRunner:
                 row["cached"] = False
             seen.add(key)
         return result
-
-
-def worker_metrics_registry() -> "obs.MetricsRegistry":
-    """A fresh registry wired for one worker's ``/metrics`` endpoint."""
-    return obs.MetricsRegistry()

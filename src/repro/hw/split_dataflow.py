@@ -41,10 +41,6 @@ class SplitDataflowEstimate:
     waves: int
     pe_slots_wasted: int
 
-    @property
-    def total_child_cycles(self) -> int:
-        return self.child_latency_cycles + self.merge_overhead_cycles
-
 
 def child_latency(
     stream_length: int,

@@ -53,7 +53,7 @@ from .reproduction import (
 )
 from .species import Species, SpeciesSet
 from .stagnation import Stagnation
-from .statistics import GENE_BYTES, GenerationStats, StatisticsReporter
+from .statistics import GENE_BYTES, GenerationStats, summarise_generation
 
 __all__ = [
     "ACTIVATION_CODES",
@@ -84,11 +84,11 @@ __all__ = [
     "SpeciesConfig",
     "SpeciesSet",
     "Stagnation",
-    "StatisticsReporter",
     "compile_network",
     "creates_cycle",
     "feed_forward_layers",
     "gene_sort_key",
     "required_for_output",
     "sorted_genes",
+    "summarise_generation",
 ]

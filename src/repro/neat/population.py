@@ -18,7 +18,7 @@ from .genome import Genome
 from .innovation import InnovationTracker
 from .reproduction import Reproduction, ReproductionPlan
 from .species import SpeciesSet
-from .statistics import GenerationStats, StatisticsReporter
+from .statistics import GenerationStats, summarise_generation
 
 FitnessFunction = Callable[[List[Genome], NEATConfig], None]
 
@@ -38,7 +38,6 @@ class Population:
         self.innovations = InnovationTracker(next_node_id=config.genome.num_outputs)
         self.reproduction = Reproduction(config, self.innovations)
         self.species_set = SpeciesSet(config)
-        self.statistics = StatisticsReporter()
         self.generation = 0
         self.population: Dict[int, Genome] = self.reproduction.create_initial_population(
             self.rng
@@ -69,8 +68,12 @@ class Population:
         return sum(fitnesses) / len(fitnesses)
 
     def run_generation(self, fitness_function: FitnessFunction) -> GenerationStats:
-        """Evaluate the current population and breed the next one."""
-        genomes = list(self.population.values())
+        """Evaluate the current population and breed the next one.
+
+        Returns the summary of the generation just evaluated, taken after
+        its reproduction, so it covers that reproduction too."""
+        evaluated = self.population
+        genomes = list(evaluated.values())
         with obs.span(
             "evaluate", generation=self.generation, genomes=len(genomes)
         ):
@@ -81,32 +84,28 @@ class Population:
                 f"fitness function left genomes unevaluated: {missing[:5]}"
             )
 
-        best = max(self.population.values(), key=lambda g: g.fitness)
-        if (
-            self.best_genome is None
-            or self.best_genome.fitness is None
-            or best.fitness > self.best_genome.fitness
-        ):
-            self.best_genome = best.copy()
-
         self.species_set.adjust_fitnesses(self.generation)
-        stats = self.statistics.record(
-            self.generation, self.population, len(self.species_set), self.last_plan
-        )
-
+        num_species = len(self.species_set)
         with obs.span(
             "reproduce",
             generation=self.generation,
-            species=len(self.species_set),
+            species=num_species,
         ):
             self.innovations.new_generation()
-            new_population, plan = self.reproduction.reproduce(
+            self.population, self.last_plan = self.reproduction.reproduce(
                 self.species_set, self.generation, self.rng
             )
-            self.last_plan = plan
-            self.population = new_population
             self.generation += 1
             self.species_set.speciate(self.population, self.generation)
+        stats = summarise_generation(
+            self.generation - 1, evaluated, num_species, self.last_plan
+        )
+        if (
+            self.best_genome is None
+            or self.best_genome.fitness is None
+            or stats.best_fitness > self.best_genome.fitness
+        ):
+            self.best_genome = evaluated[stats.best_key].copy()
         return stats
 
     def run(

@@ -271,7 +271,6 @@ def population_from_state(
     from .population import Population
     from .reproduction import Reproduction
     from .species import SpeciesSet
-    from .statistics import StatisticsReporter
 
     if not isinstance(state, dict):
         raise DeserializationError("population state must be a JSON object")
@@ -299,7 +298,6 @@ def population_from_state(
         )
         population.reproduction = Reproduction(config, population.innovations)
         population.reproduction._next_genome_key = int(state["next_genome_key"])
-        population.statistics = StatisticsReporter()
         population.generation = int(state["generation"])
         genomes = [genome_from_dict(g) for g in state["genomes"]]
         population.population = {g.key: g for g in genomes}

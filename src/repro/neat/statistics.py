@@ -1,13 +1,14 @@
-"""Per-generation statistics collection.
+"""The one per-generation summary.
 
-Gathers every series the paper's characterisation plots need:
+Every substrate describes a generation with :func:`summarise_generation`,
+called right after the generation's reproduction, so a summary holds:
 
-* Fig. 4(a) — best/mean fitness per generation,
-* Fig. 4(b) — total gene count per generation,
-* Fig. 4(c) — fittest-parent reuse per generation,
-* Fig. 5(a) — crossover + mutation op counts per generation,
-* Fig. 5(b) — memory footprint (bytes) per generation,
-* Fig. 11(a) — node/connection gene composition.
+* Fig. 4(a) — best/mean fitness of the evaluated population,
+* Fig. 4(b) — its total gene count (and Fig. 11(a)'s node/connection
+  split),
+* Fig. 4(c) — how often its fittest parent was reused,
+* Fig. 5(a) — the crossover + mutation ops its reproduction performed,
+* Fig. 5(b) — its memory footprint in bytes.
 
 Footprints use the 64-bit-per-gene hardware encoding (Fig. 6): the paper's
 footprint metric is "the space required to store all the genes of all
@@ -16,8 +17,8 @@ genomes within a generation" (Section III-D1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from .genome import Genome, MutationCounts
 from .reproduction import ReproductionPlan
@@ -36,79 +37,47 @@ class GenerationStats:
     ops: MutationCounts
     fittest_parent_reuse: int
     population_size: int
+    #: Key of the evaluated genome with the best fitness (the first in
+    #: population order on a tie); ``None`` when none has a fitness.
+    best_key: Optional[int]
 
     @property
     def num_genes(self) -> int:
         return self.num_nodes + self.num_connections
 
     @property
-    def memory_footprint_bytes(self) -> int:
+    def footprint_bytes(self) -> int:
         """Bytes to store every gene of every genome this generation."""
         return self.num_genes * GENE_BYTES
 
 
-class StatisticsReporter:
-    """Accumulates :class:`GenerationStats` across a run."""
-
-    def __init__(self) -> None:
-        self.generations: List[GenerationStats] = []
-
-    def record(
-        self,
-        generation: int,
-        population: Dict[int, Genome],
-        num_species: int,
-        plan: Optional[ReproductionPlan],
-    ) -> GenerationStats:
-        fitnesses = {
-            key: genome.fitness
-            for key, genome in population.items()
-            if genome.fitness is not None
-        }
-        best_key = max(fitnesses, key=fitnesses.get) if fitnesses else None
-        best_fitness = fitnesses[best_key] if best_key is not None else float("-inf")
-        mean_fitness = sum(fitnesses.values()) / len(fitnesses) if fitnesses else 0.0
-        num_nodes = sum(len(g.nodes) for g in population.values())
-        num_connections = sum(len(g.connections) for g in population.values())
-        ops = plan.total_counts if plan is not None else MutationCounts()
-        reuse = plan.fittest_parent_reuse(fitnesses) if plan is not None else 0
-        stats = GenerationStats(
-            generation=generation,
-            best_fitness=best_fitness,
-            mean_fitness=mean_fitness,
-            num_species=num_species,
-            num_nodes=num_nodes,
-            num_connections=num_connections,
-            ops=ops,
-            fittest_parent_reuse=reuse,
-            population_size=len(population),
-        )
-        self.generations.append(stats)
-        return stats
-
-    # -- series accessors (one per figure) --------------------------------
-
-    def best_fitness_series(self) -> List[float]:
-        return [g.best_fitness for g in self.generations]
-
-    def mean_fitness_series(self) -> List[float]:
-        return [g.mean_fitness for g in self.generations]
-
-    def gene_count_series(self) -> List[int]:
-        return [g.num_genes for g in self.generations]
-
-    def ops_series(self) -> List[int]:
-        return [g.ops.total for g in self.generations]
-
-    def footprint_series(self) -> List[int]:
-        return [g.memory_footprint_bytes for g in self.generations]
-
-    def reuse_series(self) -> List[int]:
-        return [g.fittest_parent_reuse for g in self.generations]
-
-    def composition(self) -> Dict[str, int]:
-        """Final-generation node/connection split (Fig. 11a)."""
-        if not self.generations:
-            return {"nodes": 0, "connections": 0}
-        last = self.generations[-1]
-        return {"nodes": last.num_nodes, "connections": last.num_connections}
+def summarise_generation(
+    generation: int,
+    evaluated: Dict[int, Genome],
+    num_species: int,
+    plan: Optional[ReproductionPlan],
+) -> GenerationStats:
+    """Summarise generation ``generation``: the population it evaluated,
+    its species count and the reproduction ``plan`` it made (``None`` on
+    an extinction re-seed).  Fittest-parent reuse judges the plan's
+    parents by ``evaluated``'s fitnesses, which are theirs."""
+    fitnesses = {
+        key: genome.fitness
+        for key, genome in evaluated.items()
+        if genome.fitness is not None
+    }
+    best_key = max(fitnesses, key=fitnesses.get) if fitnesses else None
+    return GenerationStats(
+        generation=generation,
+        best_fitness=fitnesses[best_key] if best_key is not None else float("-inf"),
+        mean_fitness=sum(fitnesses.values()) / len(fitnesses) if fitnesses else 0.0,
+        num_species=num_species,
+        num_nodes=sum(len(g.nodes) for g in evaluated.values()),
+        num_connections=sum(len(g.connections) for g in evaluated.values()),
+        ops=plan.total_counts if plan is not None else MutationCounts(),
+        fittest_parent_reuse=(
+            plan.fittest_parent_reuse(fitnesses) if plan is not None else 0
+        ),
+        population_size=len(evaluated),
+        best_key=best_key,
+    )

@@ -180,11 +180,6 @@ class Scheduler:
 
     # -- queries ----------------------------------------------------------
 
-    @property
-    def active_jobs(self) -> List[str]:
-        """Ids of jobs with a live worker process in this scheduler."""
-        return sorted(self._procs)
-
     def _waiting(self, records: List[JobRecord]) -> List[JobRecord]:
         now = time.time()
         ready = [

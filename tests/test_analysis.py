@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.characterization import characterise_env, record_workload
 from repro.analysis.footprint import footprint_report, genes_to_bytes
-from repro.analysis.reuse import reuse_stats
 from repro.hw.sram import SRAMConfig
 from repro.neat.reproduction import ReproductionEvent, ReproductionPlan
 
@@ -70,6 +69,8 @@ class TestRecordWorkload:
 
 
 class TestReuse:
+    """Fig. 4(c)'s one rule, :meth:`ReproductionPlan.fittest_parent_reuse`."""
+
     def make_plan(self):
         plan = ReproductionPlan(generation=3)
         plan.events = [
@@ -81,17 +82,16 @@ class TestReuse:
         return plan
 
     def test_reuse_stats(self):
-        stats = reuse_stats(self.make_plan(), {1: 9.0, 2: 1.0, 3: 1.0, 4: 5.0, 5: 2.0})
-        assert stats.fittest_parent_reuse == 3
-        assert stats.max_parent_reuse == 3
-        assert stats.children == 4
-        assert stats.distinct_parents == 5
-        assert stats.read_savings_factor == pytest.approx(2 * 4 / 5)
+        plan = self.make_plan()
+        assert plan.parent_usage() == {1: 3, 2: 1, 3: 1, 4: 1, 5: 1}
+        fitnesses = {1: 9.0, 2: 1.0, 3: 1.0, 4: 5.0, 5: 2.0}
+        assert plan.fittest_parent_reuse(fitnesses) == 3
+        # a tie goes to the lower key; unknown fitness ranks lowest
+        assert plan.fittest_parent_reuse({4: 5.0, 5: 5.0}) == 1
+        assert plan.fittest_parent_reuse({}) == 3
 
     def test_empty_plan(self):
-        stats = reuse_stats(ReproductionPlan(generation=0), {})
-        assert stats.fittest_parent_reuse == 0
-        assert stats.read_savings_factor == 1.0
+        assert ReproductionPlan(generation=0).fittest_parent_reuse({}) == 0
 
 
 class TestFootprint:

@@ -25,13 +25,13 @@ def test_run_software(capsys):
 
 def test_run_hardware(capsys):
     code = main([
-        "run", "CartPole-v0", "--hardware", "--generations", "2",
+        "run", "CartPole-v0", "--backend", "soc", "--generations", "2",
         "--population", "12", "--max-steps", "40",
     ])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "[hardware] CartPole-v0" in out
-    assert "energy" in out
+    first, second = capsys.readouterr().out.splitlines()[:2]
+    assert first.startswith("[soc] CartPole-v0: best fitness ")
+    assert second.startswith("  chip time ") and "energy" in second
 
 
 def test_characterise(capsys):
@@ -110,7 +110,7 @@ def test_run_with_soc_platform_flag(capsys):
     ])
     assert code == 0
     out = capsys.readouterr().out
-    assert "[hardware] CartPole-v0" in out  # soc-kind picks the soc backend
+    assert "[soc] CartPole-v0" in out  # soc-kind picks the soc backend
 
 
 def test_run_with_platform_spec_file(tmp_path, capsys):
@@ -181,7 +181,7 @@ def test_run_backend_flag_soc(capsys):
     ])
     assert code == 0
     out = capsys.readouterr().out
-    assert "[hardware] CartPole-v0" in out
+    assert "[soc] CartPole-v0" in out
 
 
 def test_run_backend_analytical(capsys):
@@ -236,7 +236,7 @@ def test_run_spec_file_with_flag_override(tmp_path, capsys):
     ).save(path)
     assert main(["run", "--spec", str(path), "--backend", "soc"]) == 0
     out = capsys.readouterr().out
-    assert "[hardware] CartPole-v0" in out
+    assert "[soc] CartPole-v0" in out
 
 
 def test_run_save_spec_round_trips(tmp_path):
@@ -391,14 +391,6 @@ def test_soc_run_does_not_claim_parallel_workers(capsys):
     ])
     assert code == 0
     assert "workers" not in capsys.readouterr().out
-
-
-def test_hardware_conflicts_with_other_backend():
-    with pytest.raises(SystemExit):
-        main([
-            "run", "CartPole-v0", "--hardware", "--backend", "software",
-            "--generations", "1",
-        ])
 
 
 def test_bare_analytical_backend_clean_error(capsys):

@@ -104,7 +104,7 @@ class TestSoCEdgeCases:
         for _ in range(3):
             report = soc.run_generation()
         # MountainCar under a tiny cap gives every genome -20: flat.
-        assert report.mean_fitness == report.best_fitness
+        assert report.stats.mean_fitness == report.stats.best_fitness
 
 
 class TestADAMEdgeCases:

@@ -175,8 +175,8 @@ def test_soc_serial_and_batched_agree(env_id):
         )
         soc = GeneSysSoC(config, env_id, max_steps=60, vectorize=vectorize)
         return [
-            (r.best_fitness, r.mean_fitness, r.env_steps, astuple(r.inference),
-             r.energy.total_energy_j)
+            (r.stats.best_fitness, r.stats.mean_fitness, r.env_steps,
+             astuple(r.inference), r.energy.total_energy_j)
             for r in (soc.run_generation() for _ in range(4))
         ]
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.neat import Genome, InnovationTracker
+from repro.neat import Genome, InnovationTracker, Population
 from repro.neat.hyperneat import (
     HyperNEATDecoder,
     Substrate,
@@ -132,7 +132,7 @@ class TestDecoder:
 
 
 class TestEvolveHyperNEAT:
-    def test_end_to_end_improves(self):
+    def test_end_to_end_improves(self, monkeypatch):
         substrate = Substrate.grid(2, 1, num_hidden=2)
 
         def fitness(phenotype, config):
@@ -143,9 +143,17 @@ class TestEvolveHyperNEAT:
                 error += (net.activate(x)[0] - target[i]) ** 2
             return -error
 
+        rows = []
+        run_generation = Population.run_generation
+
+        def recorded(self, fitness_function):
+            rows.append(run_generation(self, fitness_function))
+            return rows[-1]
+
+        monkeypatch.setattr(Population, "run_generation", recorded)
         best, population, decoder = evolve_hyperneat(
             substrate, fitness, generations=5, pop_size=20, seed=1
         )
-        series = population.statistics.best_fitness_series()
+        series = [row.best_fitness for row in rows]
         assert best.fitness == max(series)
         assert series[-1] >= series[0]

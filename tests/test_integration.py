@@ -57,7 +57,7 @@ class TestSoftwareConvergence:
             max_steps=120,
             fitness_threshold=1e9,  # never stop early
         )
-        series = result.population.statistics.best_fitness_series()
+        series = [m.best_fitness for m in result.metrics]
         assert max(series) >= series[0]  # never worse than generation 0
         assert result.generations == 8
 

@@ -24,6 +24,11 @@ def size_fitness(genomes, config):
         genome.fitness = float(genome.num_genes)
 
 
+def run_rows(pop, fitness_fn, generations):
+    """Each generation's summary, as ``run_generation`` returns it."""
+    return [pop.run_generation(fitness_fn) for _ in range(generations)]
+
+
 def test_initial_population_size(config):
     pop = Population(config, seed=0)
     assert len(pop.population) == 20
@@ -70,20 +75,22 @@ def test_run_respects_generation_budget(config):
 
 def test_statistics_recorded_per_generation(config):
     pop = Population(config, seed=0)
-    pop.run(size_fitness, max_generations=4)
-    stats = pop.statistics.generations
-    assert len(stats) == 4
+    stats, plans = [], []
+    for _ in range(4):
+        stats.append(pop.run_generation(size_fitness))
+        plans.append(pop.last_plan)
+    assert [s.generation for s in stats] == [0, 1, 2, 3]
     assert all(s.population_size == 20 for s in stats)
-    assert stats[0].ops.total == 0  # no reproduction before generation 0
-    assert any(s.ops.total > 0 for s in stats[1:])
+    # each summary counts the reproduction its own generation performed
+    assert [s.ops for s in stats] == [plan.total_counts for plan in plans]
+    assert all(s.ops.total > 0 for s in stats)
 
 
 def test_gene_growth_under_size_pressure(config):
     config.genome.node_add_prob = 0.5
     config.genome.conn_add_prob = 0.5
     pop = Population(config, seed=1)
-    pop.run(size_fitness, max_generations=8)
-    series = pop.statistics.gene_count_series()
+    series = [s.num_genes for s in run_rows(pop, size_fitness, 8)]
     assert series[-1] > series[0]
 
 
@@ -106,8 +113,7 @@ def test_deterministic_given_seed(config):
     runs = []
     for _ in range(2):
         pop = Population(config, seed=42)
-        pop.run(size_fitness, max_generations=3)
-        runs.append(pop.statistics.gene_count_series())
+        runs.append([s.num_genes for s in run_rows(pop, size_fitness, 3)])
     assert runs[0] == runs[1]
 
 
@@ -116,6 +122,5 @@ def test_different_seeds_differ(config):
     results = []
     for seed in (1, 2):
         pop = Population(config, seed=seed)
-        pop.run(size_fitness, max_generations=5)
-        results.append(tuple(pop.statistics.gene_count_series()))
+        results.append([s.num_genes for s in run_rows(pop, size_fitness, 5)])
     assert results[0] != results[1]

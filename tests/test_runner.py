@@ -33,8 +33,8 @@ def test_software_run_records_statistics():
     result = run(
         "MountainCar-v0", max_generations=3, pop_size=20, seed=0, max_steps=100
     )
-    stats = result.population.statistics.generations
-    assert len(stats) == result.generations
+    generations = [m.generation for m in result.metrics]
+    assert generations == list(range(result.generations))
 
 
 def test_hardware_run_cartpole_converges():

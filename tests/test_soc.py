@@ -36,15 +36,15 @@ def test_evaluate_population_sets_fitness(soc):
 
 def test_run_generation_report_fields(soc):
     report = soc.run_generation()
-    assert report.generation == 0
-    assert report.best_fitness >= report.mean_fitness >= 1.0
-    assert report.num_genes > 0
+    assert report.generation == report.stats.generation == 0
+    assert report.stats.best_fitness >= report.stats.mean_fitness >= 1.0
+    assert report.stats.num_genes > 0
     assert report.env_steps > 0
     assert report.inference_cycles > 0
     assert report.evolution_cycles > 0
     assert report.energy.total_energy_j > 0
     assert report.inference.passes > 0
-    assert report.footprint_bytes == soc.buffer.bytes_used
+    assert report.stats.footprint_bytes == report.stats.num_genes * 8
 
 
 def test_generation_replaces_population(soc):
@@ -114,7 +114,7 @@ def test_zero_fitness_champion_not_displaced_by_a_worse_one(soc, monkeypatch):
     monkeypatch.setattr(soc, "evaluate_population", scored_evaluation)
     soc.run_generation()
     soc.run_generation()
-    assert [r.best_fitness for r in soc.reports] == [0.0, -1.0]
+    assert [r.stats.best_fitness for r in soc.reports] == [0.0, -1.0]
     assert soc.best_genome.fitness == 0.0
 
 
@@ -122,6 +122,15 @@ def test_seconds_properties(soc):
     report = soc.run_generation()
     assert report.inference_seconds == pytest.approx(report.inference_cycles / 200e6)
     assert report.evolution_seconds == pytest.approx(report.evolution_cycles / 200e6)
+    # A design point's own clock: the report's seconds are the row's runtime.
+    result = Experiment(ExperimentSpec(
+        "CartPole-v0", backend="soc", max_generations=1, pop_size=20,
+        platform={"kind": "soc", "params": {"frequency_hz": 4e8}},
+    )).run()
+    report, row = result.reports[0], result.metrics[0]
+    assert report.inference_seconds == report.inference_cycles / 4e8
+    assert report.inference_seconds + report.evolution_seconds == \
+        pytest.approx(row.runtime_s)
 
 
 def test_deterministic_given_seed():
@@ -129,7 +138,7 @@ def test_deterministic_given_seed():
     for _ in range(2):
         result = _soc_run(max_generations=3, fitness_threshold=1e9,
                           pop_size=12, num_pes=4, seed=5, max_steps=40)
-        results.append([r.best_fitness for r in result.reports])
+        results.append([r.stats.best_fitness for r in result.reports])
     assert results[0] == results[1]
 
 
@@ -152,9 +161,9 @@ class TestVectorizedEvaluation:
         for _ in range(generations):
             r = soc.run_generation()
             out.append((
-                r.best_fitness, r.mean_fitness, r.env_steps,
+                astuple(r.stats), r.env_steps,
                 astuple(r.inference), r.inference_cycles,
-                r.energy.total_energy_j, r.footprint_bytes, r.num_genes,
+                r.energy.total_energy_j,
             ))
         return out
 
@@ -191,7 +200,7 @@ class TestVectorizedEvaluation:
             config.seed = 3
             soc = GeneSysSoC(config, "CartPole-v0", vectorize=vectorize)
             return [
-                (r.best_fitness, r.mean_fitness, r.env_steps,
+                (astuple(r.stats), r.env_steps,
                  astuple(r.inference), astuple(r.energy), r.energy.total_energy_j)
                 for r in (soc.run_generation() for _ in range(11))
             ]

@@ -7,7 +7,7 @@ import pytest
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome, MutationCounts
 from repro.neat.reproduction import ReproductionEvent, ReproductionPlan
-from repro.neat.statistics import GENE_BYTES, StatisticsReporter
+from repro.neat.statistics import GENE_BYTES, summarise_generation
 
 
 @pytest.fixture
@@ -32,60 +32,50 @@ def make_plan():
 
 
 def test_record_basic_fields(population):
-    reporter = StatisticsReporter()
-    stats = reporter.record(0, population, num_species=2, plan=make_plan())
+    stats = summarise_generation(0, population, num_species=2, plan=make_plan())
     assert stats.best_fitness == 3.0
+    assert stats.best_key == 3
     assert stats.mean_fitness == pytest.approx(1.5)
     assert stats.num_species == 2
     assert stats.population_size == 4
 
 
 def test_gene_and_footprint_accounting(population):
-    reporter = StatisticsReporter()
-    stats = reporter.record(0, population, 1, None)
+    stats = summarise_generation(0, population, 1, None)
     expected_genes = sum(g.num_genes for g in population.values())
     assert stats.num_genes == expected_genes
-    assert stats.memory_footprint_bytes == expected_genes * GENE_BYTES
+    assert stats.footprint_bytes == expected_genes * GENE_BYTES
+    # no plan (an extinction re-seed): no ops, no reuse
+    assert stats.ops.total == 0
+    assert stats.fittest_parent_reuse == 0
 
 
 def test_ops_from_plan(population):
-    reporter = StatisticsReporter()
-    stats = reporter.record(0, population, 1, make_plan())
+    stats = summarise_generation(0, population, 1, make_plan())
     assert stats.ops.crossovers == 5
     assert stats.ops.total == 9
 
 
 def test_reuse_from_plan(population):
-    reporter = StatisticsReporter()
-    stats = reporter.record(0, population, 1, make_plan())
+    stats = summarise_generation(0, population, 1, make_plan())
     # fittest parent among users is genome 3
     assert stats.fittest_parent_reuse == 1
 
 
-def test_series_accessors(population):
-    reporter = StatisticsReporter()
-    for gen in range(3):
-        reporter.record(gen, population, 1, None)
-    assert len(reporter.best_fitness_series()) == 3
-    assert len(reporter.gene_count_series()) == 3
-    assert len(reporter.footprint_series()) == 3
-    assert len(reporter.ops_series()) == 3
-    assert len(reporter.reuse_series()) == 3
-
-
 def test_composition(population):
-    reporter = StatisticsReporter()
-    reporter.record(0, population, 1, None)
-    comp = reporter.composition()
-    assert comp["nodes"] == sum(len(g.nodes) for g in population.values())
-    assert comp["connections"] == sum(
+    stats = summarise_generation(0, population, 1, None)
+    assert stats.num_nodes == sum(len(g.nodes) for g in population.values())
+    assert stats.num_connections == sum(
         len(g.connections) for g in population.values()
     )
 
 
 def test_composition_empty():
-    reporter = StatisticsReporter()
-    assert reporter.composition() == {"nodes": 0, "connections": 0}
+    stats = summarise_generation(0, {}, 0, None)
+    assert (stats.num_nodes, stats.num_connections) == (0, 0)
+    assert stats.best_key is None
+    assert stats.best_fitness == float("-inf")
+    assert stats.mean_fitness == 0.0
 
 
 def test_mutation_counts_merge():

@@ -12,18 +12,22 @@ from repro.api import Experiment, ExperimentSpec
 from repro.envs import CANONICAL_IDS
 
 
-def run(env_id, **fields):
-    return Experiment(ExperimentSpec(env_id, **fields)).run()
+def run(env_id, on_evaluation=None, **fields):
+    return Experiment(ExperimentSpec(env_id, **fields)).run(
+        on_evaluation=on_evaluation
+    )
 
 
 @pytest.mark.parametrize("env_id", CANONICAL_IDS)
 def test_software_generation_on_every_env(env_id):
+    sizes = []
     result = run(
         env_id, max_generations=1, pop_size=8, seed=0, max_steps=15,
         fitness_threshold=1e9,
+        on_evaluation=lambda _gen, genomes: sizes.append(len(genomes)),
     )
-    stats = result.population.statistics.generations[-1]
-    assert stats.population_size == 8
+    stats = result.metrics[-1]
+    assert sizes == [8]
     assert stats.best_fitness >= stats.mean_fitness
 
 
@@ -47,9 +51,10 @@ def test_bipedal_box_actions_software_only():
     (ADAM's plan covers it too, but the hardware path is exercised above
     on Discrete spaces; here we pin the continuous-action translation.)
     """
-    result = run(
+    sizes = []
+    run(
         "BipedalWalker-v2", max_generations=1, pop_size=6, seed=0,
         max_steps=20, fitness_threshold=1e9,
+        on_evaluation=lambda _gen, genomes: sizes.append(len(genomes)),
     )
-    stats = result.population.statistics.generations[-1]
-    assert stats.population_size == 6
+    assert sizes == [6]

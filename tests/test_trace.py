@@ -22,10 +22,10 @@ def test_workloads_per_generation(trace):
         assert workload.mean_network_depth >= 1.0
 
 
-def test_first_generation_has_no_ops(trace):
-    # generation 0 is the initial population: no reproduction happened yet
-    assert trace.workloads[0].evolution_ops == 0
-    assert any(w.evolution_ops > 0 for w in trace.workloads[1:])
+def test_every_generation_counts_its_reproduction(trace):
+    # generation g's workload counts the ops of the reproduction that
+    # generation performed, so generation 0 (and the last) has ops too
+    assert all(w.evolution_ops > 0 for w in trace.workloads)
 
 
 def test_footprint_is_8_bytes_per_gene(trace):
@@ -44,14 +44,12 @@ def test_trace_lines_format(trace):
 
 
 def test_trace_lines_match_workload_ops(trace):
-    # Sum of per-line counts equals the per-generation op totals.
+    # Sum of per-line counts equals the per-generation op totals, at the
+    # same generation g for every g, including 0 and the last.
     per_gen = {}
     for line in trace.lines:
         per_gen[line.generation] = per_gen.get(line.generation, 0) + line.count
-    for w in trace.workloads[1:]:
-        # workload generation g records ops that created generation g
-        expected = w.ops.total
-        assert per_gen.get(w.generation - 1, 0) == expected
+    assert per_gen == {w.generation: w.ops.total for w in trace.workloads}
 
 
 def test_mean_workload(trace):
