@@ -1007,7 +1007,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         TELEMETRY_FILENAME,
         export_chrome_trace,
         phase_summary,
-        read_telemetry,
+        read_jsonl,
     )
 
     run_dir = Path(args.run_dir)
@@ -1027,7 +1027,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print("  open in https://ui.perfetto.dev or chrome://tracing")
         return 0
 
-    rows = read_telemetry(telemetry)
+    rows = read_jsonl(telemetry)
     summary = phase_summary(rows)
     if not summary:
         print(f"{telemetry} holds no span rows")

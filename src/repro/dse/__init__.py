@@ -62,7 +62,6 @@ from .distributed import (
     DistributedSweepRunner,
     SweepWorkQueue,
     default_work_dir,
-    read_events,
 )
 from .halving import (
     HalvingError,
@@ -117,7 +116,6 @@ __all__ = [
     "pareto_front",
     "parse_objectives",
     "point_key",
-    "read_events",
     "run_halving",
     "run_sweep",
     "spec_key",

@@ -4,9 +4,9 @@ Every sweep point is keyed by the SHA-256 of a canonical JSON payload
 (sorted keys, fixed separators), so the key is invariant to spec field
 ordering and stable across processes and machines — no pickling, no
 ``PYTHONHASHSEED`` sensitivity.  Records live one-per-file under a
-two-level fanout (``<root>/<key[:2]>/<key>.json``), written atomically
-(temp file + ``os.replace``) so concurrent sweeps sharing one cache
-directory never observe torn records.
+two-level fanout (``<root>/<key[:2]>/<key>.json``), each replaced whole
+by :func:`repro.obs.jsonl.write_atomic`, so concurrent sweeps sharing
+one cache directory never observe torn records.
 
 The default executor's metrics are a pure function of the *effective*
 :class:`repro.api.ExperimentSpec`, so its keys hash the spec alone —
@@ -20,11 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
 from ..api.spec import ExperimentSpec
+from ..obs.jsonl import write_atomic
 from .spec import SweepPoint, SweepSpec
 
 #: Bump when the record layout or key payload changes shape.
@@ -127,19 +127,7 @@ class SweepCache:
             record["axes"] = dict(point.axes)
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, json.dumps(record, sort_keys=True))
         return record
 
     def __len__(self) -> int:

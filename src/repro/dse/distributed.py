@@ -15,12 +15,12 @@ number of hosts drain one sweep together without a coordinator:
   winner, so a SIGKILL mid-point costs one ``stale_after`` delay, never
   a lost or doubly-evaluated point.
 * Workers append to a per-sweep **event ledger**
-  (``<work_dir>/events.jsonl``): ``claimed`` / ``reclaimed`` /
-  ``evaluated`` / ``released`` / ``failed``, one JSON object per line,
-  written with a single ``O_APPEND`` write so concurrent workers never
-  interleave.  The ledger is the audit trail (exactly-once means exactly
-  one ``evaluated`` event per key) and the source of truth for the
-  ``cached`` column when the finished sweep is collected.
+  (``<work_dir>/events.jsonl``, through :mod:`repro.obs.jsonl`):
+  ``claimed`` / ``reclaimed`` / ``evaluated`` / ``released`` /
+  ``failed``, one JSON object per line.  The ledger is the audit trail
+  (exactly-once means exactly one ``evaluated`` event per key) and the
+  source of truth for the ``cached`` column when the finished sweep is
+  collected.
 * :meth:`DistributedSweepRunner.collect` replays the finished sweep
   through the ordinary :class:`repro.dse.SweepRunner` — every point is a
   cache hit by then — and restores the serial run's ``cached`` flags
@@ -34,14 +34,14 @@ exports canonicalise column and key order.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from .. import obs
+from ..obs.jsonl import append_jsonl, read_jsonl
 from ..runs.artifacts import RunError
 from ..runs.locking import ClaimFile
 from .cache import EXPERIMENT_EVALUATOR, sweep_key
@@ -74,39 +74,6 @@ def default_work_dir(
     never share claim state.
     """
     return Path(str(cache_dir) + ".work") / sweep_key(sweep, evaluator)[:16]
-
-
-def _append_jsonl(path: Path, payload: Mapping[str, Any]) -> None:
-    """One atomic append: a single O_APPEND write per line."""
-    line = (json.dumps(payload, sort_keys=True) + "\n").encode()
-    fd = os.open(path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, line)
-    finally:
-        os.close(fd)
-
-
-def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Every well-formed ledger event, in append order.
-
-    A torn final line (a worker died mid-append) is skipped, matching
-    the telemetry reader's tolerance.
-    """
-    events: List[Dict[str, Any]] = []
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        return events
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(event, dict):
-            events.append(event)
-    return events
 
 
 class SweepWorkQueue:
@@ -147,10 +114,10 @@ class SweepWorkQueue:
             "ts": time.time(),
         }
         payload.update(extra)
-        _append_jsonl(self.events_path, payload)
+        append_jsonl(self.events_path, payload)
 
     def events(self) -> List[Dict[str, Any]]:
-        return read_events(self.events_path)
+        return read_jsonl(self.events_path)
 
     def evaluated_keys(self) -> Dict[str, int]:
         """key -> number of ``evaluated`` events (exactly-once audit)."""

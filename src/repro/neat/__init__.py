@@ -38,9 +38,7 @@ from .serialize import (
     genome_to_dict,
     load_genome,
     load_genome_with_config,
-    load_population,
     save_genome,
-    save_population,
 )
 from .compiled import CompileError, StackedPlans, compile_network
 from .network import FeedForwardNetwork, feed_forward_layers, required_for_output

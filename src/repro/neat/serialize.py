@@ -7,16 +7,17 @@ inference or hardware encoding, and checkpoint/resume long runs — the
 
 Two granularities ship here:
 
-* **Genome/population payloads** (:func:`save_genome`,
-  :func:`save_population`) — the champion/export format, enough to
-  reload networks for inference or hardware encoding.
+* **Genome payloads** (:func:`save_genome`) — the champion/export
+  format, enough to reload a network for inference or hardware
+  encoding.
 * **Full evolution state** (:func:`population_to_state`,
   :func:`population_from_state`) — everything
   :class:`repro.neat.Population` needs to continue a run bit-identically
   from a generation boundary: every genome, the speciation partition and
   its fitness histories, the innovation/genome-key counters, the Mersenne
   Twister state of the population RNG and the last reproduction plan.
-  :mod:`repro.runs` builds its on-disk checkpoint files on top of this.
+  :mod:`repro.runs` writes it as its checkpoint files
+  (:meth:`repro.runs.RunDir.write_checkpoint`).
 
 Both formats are versioned (``format`` field) and raise
 :class:`DeserializationError` for unknown versions, truncated files and
@@ -32,7 +33,8 @@ import random
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from .config import GenomeConfig, NEATConfig
+from ..obs.jsonl import write_atomic
+from .config import NEATConfig
 from .genes import ConnectionGene, NodeGene
 from .genome import Genome, MutationCounts
 from .reproduction import ReproductionEvent, ReproductionPlan
@@ -108,11 +110,12 @@ def genome_from_dict(data: Dict[str, Any]) -> Genome:
 
 def save_genome(genome: Genome, path: Union[str, Path],
                 config: Optional[NEATConfig] = None) -> None:
-    """Write a genome (optionally with its NEAT config) to a JSON file."""
+    """Write a genome (optionally with its NEAT config) to a JSON file,
+    replacing any previous one atomically."""
     payload: Dict[str, Any] = {"genome": genome_to_dict(genome)}
     if config is not None:
         payload["config"] = config.to_dict()
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def load_genome(path: Union[str, Path]) -> Genome:
@@ -127,30 +130,6 @@ def load_genome_with_config(path: Union[str, Path]):
     if "genome" not in payload or "config" not in payload:
         raise DeserializationError("file lacks genome and/or config")
     return genome_from_dict(payload["genome"]), NEATConfig.from_dict(payload["config"])
-
-
-def save_population(
-    genomes: List[Genome], path: Union[str, Path], generation: int = 0,
-    config: Optional[NEATConfig] = None,
-) -> None:
-    """Checkpoint a whole generation."""
-    payload: Dict[str, Any] = {
-        "format": FORMAT_VERSION,
-        "generation": generation,
-        "genomes": [genome_to_dict(g) for g in genomes],
-    }
-    if config is not None:
-        payload["config"] = config.to_dict()
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
-
-
-def load_population(path: Union[str, Path]):
-    """Returns (genomes, generation)."""
-    payload = _read(path)
-    if "genomes" not in payload:
-        raise DeserializationError("file does not contain a population")
-    genomes = [genome_from_dict(g) for g in payload["genomes"]]
-    return genomes, int(payload.get("generation", 0))
 
 
 def _read(path: Union[str, Path]) -> Dict[str, Any]:
@@ -339,15 +318,6 @@ def population_from_state(
             f"malformed population state: {exc}"
         ) from exc
     return population
-
-
-def save_population_state(
-    population: "Population", path: Union[str, Path]
-) -> None:
-    """Write a full evolution-state checkpoint to a JSON file."""
-    Path(path).write_text(
-        json.dumps(population_to_state(population), sort_keys=True)
-    )
 
 
 def load_population_state(path: Union[str, Path]) -> Dict[str, Any]:

@@ -17,13 +17,14 @@ The observability layer for every execution path — see
 * :class:`MetricsRegistry` + :func:`prometheus_text` — the scrapeable
   ``GET /metrics`` surface of the serve HTTP API and the data behind
   ``repro top``.
-* :class:`JsonlTail` — incremental JSONL following (byte-offset cursor,
-  torn-tail and truncation aware) for every poll loop.
+* :mod:`repro.obs.jsonl` — the one atomic write, JSONL append and JSONL
+  reader (:func:`read_jsonl`) of run, job, sweep and telemetry files,
+  plus :class:`JsonlTail`, the incremental follower every poll loop uses.
 """
 
 from .chrome import chrome_trace, export_chrome_trace, phase_summary
 from .fleet import prometheus_text, render_top, snapshot_fleet
-from .jsonl import JsonlTail
+from .jsonl import JsonlTail, read_jsonl
 from .metrics import (
     DEFAULT_BUCKETS,
     PROMETHEUS_CONTENT_TYPE,
@@ -43,7 +44,6 @@ from .tracer import (
     env_trace_enabled,
     incr,
     install,
-    read_telemetry,
     span,
     tracing,
     uninstall,
@@ -71,7 +71,7 @@ __all__ = [
     "install",
     "phase_summary",
     "prometheus_text",
-    "read_telemetry",
+    "read_jsonl",
     "render_top",
     "snapshot_fleet",
     "span",

@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Union
 
-from .tracer import read_telemetry
+from .jsonl import read_jsonl, write_atomic
 
 
 def chrome_trace(rows: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
@@ -67,8 +67,8 @@ def export_chrome_trace(
 ) -> int:
     """Write the Chrome trace for one telemetry file; returns the event
     count."""
-    trace = chrome_trace(read_telemetry(telemetry_path))
-    Path(out_path).write_text(json.dumps(trace, sort_keys=True) + "\n")
+    trace = chrome_trace(read_jsonl(telemetry_path))
+    write_atomic(out_path, json.dumps(trace, sort_keys=True) + "\n")
     return len(trace["traceEvents"])
 
 

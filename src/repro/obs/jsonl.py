@@ -1,28 +1,100 @@
-"""Incremental JSONL readers: follow a growing file without re-reading it.
+"""The one reader and writer of the repo's JSON files: run directories,
+serve jobs, sweep caches and ledgers, and telemetry all go through it.
 
-Every follower in the codebase used to re-read its whole JSONL file on
-each poll (``repro job --follow`` over ``metrics.jsonl``, the
-scheduler's generation sampler) — O(file) per poll, O(file^2) per run.
-:class:`JsonlTail` keeps a byte offset instead, mirroring the HTTP API's
-``?since=`` cursor semantics at the file layer:
+* :func:`write_atomic` replaces a whole file.  The text goes to a temp
+  file whose name is unique to the call (``<name>.tmp-<pid>-<thread>-
+  <ns>``, created exclusively), then is renamed over the target: a
+  reader sees the old file or the new one, never a mix, and two threads
+  or processes writing one file never share a temp.  A failed write
+  removes its temp and raises.
+* :func:`append_jsonl` appends one row in a single ``O_APPEND`` write,
+  so concurrent appenders interleave whole rows.  A writer killed
+  mid-row leaves a **torn tail** (no trailing newline); the next append
+  ends it with a newline first, so the fragment becomes one junk line
+  and the new row stays whole.
+* :func:`read_jsonl` returns every decodable object row.  Blank, torn
+  and junk lines are skipped; a missing file has no rows.
+* :class:`JsonlTail` follows a growing file by byte offset, mirroring
+  the HTTP API's ``?since=`` cursor semantics at the file layer:
 
-* only bytes past the offset are read on each :meth:`poll`;
-* a **torn tail** (an append caught mid-write: no trailing newline yet)
-  is left unconsumed — the offset stops at the last complete line and
-  the torn bytes are re-read whole on a later poll;
-* **truncation** (the file shrank — a resume rewound ``metrics.jsonl``
-  to its checkpoint boundary) resets the offset to zero so the rewritten
-  prefix is re-delivered; callers that de-duplicate (e.g. by generation
-  number, as ``--follow`` does) see each logical row once;
-* a missing file is not an error — it just has no rows yet.
+  - only bytes past the offset are read on each :meth:`~JsonlTail.poll`;
+  - a torn tail is left unconsumed — the offset stops at the last
+    complete line and the torn bytes are re-read whole on a later poll;
+  - **truncation** (the file shrank — a resume rewound ``metrics.jsonl``
+    to its checkpoint boundary) resets the offset to zero so the
+    rewritten prefix is re-delivered; callers that de-duplicate (e.g. by
+    generation number, as ``--follow`` does) see each logical row once;
+  - a missing file is not an error — it just has no rows yet.
+
+Nothing here calls ``fsync``: the guarantees hold when a process is
+killed, not when the machine loses power.  A writer killed between
+creating its temp and renaming it leaves the temp behind; no reader
+looks at it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
+import time
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Mapping, Union
+
+
+def write_atomic(path: Union[str, Path], text: str) -> None:
+    """Replace ``path`` with ``text`` all at once (see module docstring)."""
+    path = Path(path)
+    tmp = path.with_name(
+        f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
+        f"-{time.monotonic_ns()}"
+    )
+    # Opened outside the try: a temp this call did not create is not
+    # its to remove.
+    handle = open(tmp, "x")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def append_jsonl(path: Union[str, Path], row: Mapping[str, Any]) -> None:
+    """Append ``row`` as one sorted-key JSON line (see module docstring)."""
+    line = (json.dumps(row, sort_keys=True) + "\n").encode()
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o666)
+    try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            line = b"\n" + line  # end a torn tail first
+        os.write(fd, line)
+    finally:
+        os.close(fd)
+
+
+def read_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """Every decodable object row of ``path``, in file order."""
+    try:
+        blob = Path(path).read_bytes()
+    except FileNotFoundError:
+        return []
+    return _decode(blob)
+
+
+def _decode(blob: bytes) -> List[Dict[str, Any]]:
+    rows: List[Dict[str, Any]] = []
+    for line in blob.splitlines():
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except ValueError:  # torn or junk (undecodable JSON or bytes)
+            continue
+        if isinstance(row, dict):
+            rows.append(row)
+    return rows
 
 
 class JsonlTail:
@@ -39,9 +111,8 @@ class JsonlTail:
     def poll(self) -> List[Dict[str, Any]]:
         """Decoded rows appended since the last poll (possibly none).
 
-        Undecodable complete lines are skipped (the same tolerance every
-        JSONL reader here applies); an incomplete final line is left for
-        the next poll.
+        Complete lines decode as in :func:`read_jsonl`; an incomplete
+        final line is left for the next poll.
         """
         try:
             size = os.path.getsize(self.path)
@@ -60,15 +131,5 @@ class JsonlTail:
         end = blob.rfind(b"\n")
         if end < 0:
             return []  # torn tail only — wait for the newline
-        complete, self.offset = blob[: end + 1], self.offset + end + 1
-        rows: List[Dict[str, Any]] = []
-        for line in complete.splitlines():
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(row, dict):
-                rows.append(row)
-        return rows
+        self.offset += end + 1
+        return _decode(blob[: end + 1])

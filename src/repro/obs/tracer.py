@@ -16,11 +16,12 @@ gate (``benchmarks/bench_obs_overhead.py``).  Instrumentation therefore
 stays at generation/phase/chunk granularity, never per environment step.
 
 With a tracer installed, every finished span and every counter bump
-appends one JSON line to the tracer's path.  The sink opens in append
-mode per line and writes the line in a single ``write`` call, so
-concurrent writers — pool workers forked after the tracer was installed,
-the parent process, threads — interleave whole lines rather than bytes.
-Readers tolerate a torn tail the same way ``metrics.jsonl`` readers do.
+appends one JSON line to the tracer's path through
+:func:`repro.obs.jsonl.append_jsonl`, so concurrent writers — pool
+workers forked after the tracer was installed, the parent process,
+threads — interleave whole lines, and :func:`repro.obs.read_jsonl` reads
+the file back.  Attribute values JSON cannot encode are recorded as
+their ``str()``.
 
 Telemetry is strictly out-of-band: nothing in this module touches run
 artifacts, cache keys or checkpoints, and the byte-identity test in
@@ -54,6 +55,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Union
 
+from .jsonl import append_jsonl
+
 #: Truthy values accepted by the activation environment variables.
 TRACE_ENV_VAR = "REPRO_TRACE"
 TRACE_FILE_ENV_VAR = "REPRO_TRACE_FILE"
@@ -69,6 +72,11 @@ def env_trace_enabled(environ: Optional[Dict[str, str]] = None) -> bool:
         TRACE_ENV_VAR, ""
     )
     return value.strip().lower() not in _FALSY
+
+
+def _plain(attrs: Dict[str, Any]) -> Dict[str, Any]:
+    """``attrs`` with each value JSON cannot encode as its ``str()``."""
+    return json.loads(json.dumps(attrs, default=str))
 
 
 class _NullSpan:
@@ -128,7 +136,7 @@ class Span:
         if exc_type is not None:
             row["error"] = exc_type.__name__
         if self.attrs:
-            row["attrs"] = self.attrs
+            row["attrs"] = _plain(self.attrs)
         self._tracer.emit(row)
         return False  # never swallow exceptions
 
@@ -136,11 +144,11 @@ class Span:
 class Tracer:
     """Append JSON rows to one telemetry file.
 
-    The file handle is not kept open: each row opens/appends/closes, so
-    the tracer is fork-safe (children inherit the *path*, not a shared
-    file position) and several processes can feed one file.  Counter
-    totals are per-process — the cumulative ``total`` restarts in each
-    worker; cross-process aggregation sums the ``value`` deltas.
+    The tracer holds a path, not an open file, so it is fork-safe
+    (children inherit the *path*, not a shared file position) and
+    several processes can feed one file.  Counter totals are
+    per-process — the cumulative ``total`` restarts in each worker;
+    cross-process aggregation sums the ``value`` deltas.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -152,10 +160,8 @@ class Tracer:
         return f"Tracer({self.path!r})"
 
     def emit(self, row: Dict[str, Any]) -> None:
-        line = json.dumps(row, sort_keys=True, default=str) + "\n"
         with self._lock:
-            with open(self.path, "a") as handle:
-                handle.write(line)
+            append_jsonl(self.path, row)
 
     def span(self, name: str, **attrs: Any) -> Span:
         return Span(self, name, attrs)
@@ -173,7 +179,7 @@ class Tracer:
             "pid": os.getpid(),
         }
         if attrs:
-            row["attrs"] = attrs
+            row["attrs"] = _plain(attrs)
         self.emit(row)
 
 
@@ -225,23 +231,3 @@ def tracing(path: Union[str, Path]) -> Iterator[Tracer]:
     finally:
         _TRACER = previous
 
-
-def read_telemetry(path: Union[str, Path]) -> list:
-    """All rows of a ``telemetry.jsonl`` file, torn tail tolerated.
-
-    Concurrent multi-process writers make a torn (or interleaved) line
-    possible anywhere, so *any* undecodable line is skipped — telemetry
-    is diagnostic data, not a ledger.
-    """
-    path = Path(path)
-    if not path.exists():
-        return []
-    rows = []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        try:
-            rows.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
-    return rows

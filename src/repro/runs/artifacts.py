@@ -20,31 +20,31 @@ A run directory is the durable record of one experiment:
 
 :class:`RunDir` is the one place that knows this layout; everything else
 (:mod:`repro.runs.runner`, :mod:`repro.runs.report`, the CLI, the DSE
-sweep engine) goes through it.  All single-file writes are atomic
-(temp file + ``os.replace``) so an interrupted run never leaves a torn
-spec/checkpoint/champion; ``metrics.jsonl`` is append-only and a torn
-final line (the one failure mode appends have) is tolerated by the
-reader and rewound by resume.
+sweep engine) goes through it, and it writes through
+:mod:`repro.obs.jsonl`, so an interrupted run never leaves a torn
+spec/checkpoint/champion.  ``metrics.jsonl`` is append-only; its reader
+is strict (a torn final line is dropped, any other bad line raises) and
+resume rewinds it before appending again.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..api.spec import ExperimentSpec
 from ..neat.config import NEATConfig
+from ..obs.jsonl import append_jsonl, write_atomic
 from ..obs.tracer import TELEMETRY_FILENAME
 from ..neat.genome import Genome
 from ..neat.serialize import (
     DeserializationError,
-    genome_to_dict,
     load_genome,
     load_genome_with_config,
     load_population_state,
+    save_genome,
 )
 
 SPEC_FILENAME = "spec.json"
@@ -62,12 +62,6 @@ _CHECKPOINT_RE = re.compile(r"^gen-(\d+)\.json$")
 
 class RunError(RuntimeError):
     """Raised for malformed, missing or conflicting run artifacts."""
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 class RunDir:
@@ -127,7 +121,7 @@ class RunDir:
     # -- spec -------------------------------------------------------------
 
     def write_spec(self, spec: ExperimentSpec) -> None:
-        _atomic_write(self.spec_path, spec.to_json() + "\n")
+        write_atomic(self.spec_path, spec.to_json() + "\n")
 
     def load_spec(self) -> ExperimentSpec:
         if not self.spec_path.exists():
@@ -145,7 +139,7 @@ class RunDir:
         version) so a resume replays them without the caller having to
         remember what the original invocation used."""
         payload = {"format": RUN_FORMAT_VERSION, **fields}
-        _atomic_write(
+        write_atomic(
             self.meta_path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )
 
@@ -159,9 +153,7 @@ class RunDir:
     def append_metrics(self, row: Dict[str, Any]) -> None:
         """Append one generation's metrics (flushed immediately, so the
         file is current up to the moment of an interruption)."""
-        with open(self.metrics_path, "a") as handle:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
-            handle.flush()
+        append_jsonl(self.metrics_path, row)
 
     def read_metrics(self) -> List[Dict[str, Any]]:
         """All persisted metrics rows, in generation order.
@@ -198,7 +190,7 @@ class RunDir:
             if row.get("generation", 0) < before_generation
         ]
         text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-        _atomic_write(self.metrics_path, text)
+        write_atomic(self.metrics_path, text)
         return rows
 
     # -- checkpoints ------------------------------------------------------
@@ -206,7 +198,7 @@ class RunDir:
     def write_checkpoint(self, state: Dict[str, Any]) -> Path:
         path = self.checkpoint_path(int(state["generation"]))
         self.checkpoints_path.mkdir(parents=True, exist_ok=True)
-        _atomic_write(path, json.dumps(state, sort_keys=True))
+        write_atomic(path, json.dumps(state, sort_keys=True))
         return path
 
     def checkpoints(self) -> List[Tuple[int, Path]]:
@@ -249,13 +241,8 @@ class RunDir:
     ) -> None:
         """Persist the champion in the ``repro run --save`` file format
         (loadable by :func:`repro.neat.serialize.load_genome` and the
-        ``repro infer`` command), atomically."""
-        payload: Dict[str, Any] = {"genome": genome_to_dict(genome)}
-        if config is not None:
-            payload["config"] = config.to_dict()
-        _atomic_write(
-            self.champion_path, json.dumps(payload, indent=2, sort_keys=True)
-        )
+        ``repro infer`` command)."""
+        save_genome(genome, self.champion_path, config)
 
     def load_champion(self) -> Genome:
         if not self.champion_path.exists():
@@ -270,7 +257,7 @@ class RunDir:
     # -- result summary ---------------------------------------------------
 
     def write_result(self, summary: Dict[str, Any]) -> None:
-        _atomic_write(
+        write_atomic(
             self.result_path,
             json.dumps(summary, indent=2, sort_keys=True) + "\n",
         )

@@ -33,6 +33,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from ..obs.jsonl import write_atomic
 from .artifacts import RunError
 
 LOCK_FILENAME = "run.lock"
@@ -219,10 +220,7 @@ class ClaimFile:
         except FileExistsError:
             return False
         finally:
-            try:
-                tmp.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
+            tmp.unlink(missing_ok=True)
         self._held = True
         self._stop.clear()
         self._thread = threading.Thread(
@@ -268,9 +266,7 @@ class ClaimFile:
             return
         payload = self.read() or self._payload()
         payload["heartbeat_at"] = time.time()
-        tmp = self.path.with_name(self.path.name + f".hb-{os.getpid()}")
-        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        os.replace(tmp, self.path)
+        write_atomic(self.path, json.dumps(payload, sort_keys=True) + "\n")
 
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_interval):
@@ -287,10 +283,7 @@ class ClaimFile:
             self._thread.join(timeout=self.heartbeat_interval + 1)
             self._thread = None
         self._held = False
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        self.path.unlink(missing_ok=True)
 
     def __enter__(self) -> "ClaimFile":
         return self.acquire()

@@ -15,8 +15,8 @@ One serve root holds everything the scheduler and the HTTP API share:
 Everything is a file, so submission (``repro submit``), scheduling
 (:class:`repro.serve.Scheduler`) and serving (:class:`repro.serve.
 JobApiServer`) can live in different processes with no shared memory:
-``job.json`` writes are atomic (temp + ``os.replace``), state changes go
-through :meth:`JobStore.transition` which enforces the lifecycle
+every record and log goes through :mod:`repro.obs.jsonl`, state changes
+go through :meth:`JobStore.transition` which enforces the lifecycle
 
 ``queued -> running -> (preempted -> running)* -> done | failed``
 
@@ -30,15 +30,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from ..api.backends import UnknownBackendError
 from ..api.experiment import Experiment
 from ..api.spec import ExperimentSpec, SpecError
+from ..obs.jsonl import append_jsonl, read_jsonl, write_atomic
 from ..runs.artifacts import RunDir
 from ..runs.runner import DEFAULT_CHECKPOINT_EVERY
 
@@ -83,12 +83,6 @@ class JobStoreError(RuntimeError):
 
 class UnknownJobError(JobStoreError, KeyError):
     """Raised when a job id does not exist in the store."""
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 @dataclass
@@ -245,7 +239,7 @@ class JobStore:
 
     def save(self, record: JobRecord) -> None:
         record.updated_at = time.time()
-        _atomic_write(
+        write_atomic(
             self.record_path(record.id),
             json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n",
         )
@@ -308,22 +302,10 @@ class JobStore:
 
     def append_event(self, job_id: str, event: str, **fields: Any) -> None:
         row = {"ts": time.time(), "event": event, **fields}
-        with open(self.events_path(job_id), "a") as handle:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
-            handle.flush()
+        append_jsonl(self.events_path(job_id), row)
 
     def read_events(self, job_id: str) -> List[Dict[str, Any]]:
-        path = self.events_path(job_id)
-        if not path.exists():
-            return []
-        rows = []
-        for line in path.read_text().splitlines():
-            if line.strip():
-                try:
-                    rows.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue  # torn tail: same tolerance as metrics.jsonl
-        return rows
+        return read_jsonl(self.events_path(job_id))
 
     # -- preempt / cancel flags -------------------------------------------
 
@@ -340,19 +322,13 @@ class JobStore:
         return self._flag_path(job_id, PREEMPT_FLAG).exists()
 
     def clear_preempt(self, job_id: str) -> None:
-        try:
-            self._flag_path(job_id, PREEMPT_FLAG).unlink()
-        except FileNotFoundError:
-            pass
+        self._flag_path(job_id, PREEMPT_FLAG).unlink(missing_ok=True)
 
     def cancel_requested(self, job_id: str) -> bool:
         return self._flag_path(job_id, CANCEL_FLAG).exists()
 
     def clear_cancel(self, job_id: str) -> None:
-        try:
-            self._flag_path(job_id, CANCEL_FLAG).unlink()
-        except FileNotFoundError:
-            pass
+        self._flag_path(job_id, CANCEL_FLAG).unlink(missing_ok=True)
 
     def request_cancel(self, job_id: str) -> JobRecord:
         """Cancel a job: waiting jobs cancel immediately; a running job
@@ -373,7 +349,7 @@ class JobStore:
         return self.job_dir(job_id) / "error.txt"
 
     def write_worker_error(self, job_id: str, text: str) -> None:
-        _atomic_write(self.error_path(job_id), text)
+        write_atomic(self.error_path(job_id), text)
 
     def read_worker_error(self, job_id: str) -> Optional[str]:
         try:
@@ -384,10 +360,7 @@ class JobStore:
     def clear_worker_error(self, job_id: str) -> None:
         """Drop a previous attempt's ``error.txt`` so the error channel
         always belongs to the worker currently (or last) dispatched."""
-        try:
-            self.error_path(job_id).unlink()
-        except FileNotFoundError:
-            pass
+        self.error_path(job_id).unlink(missing_ok=True)
 
     # -- derived status ---------------------------------------------------
 

@@ -170,7 +170,7 @@ class TestSweepCache:
         cache.put(key, {"fitness": 2.0})
         path = cache.path_for(key)
         assert path.parent.name == key[:2]
-        assert not list(tmp_path.glob("**/*.tmp"))
+        assert not list(tmp_path.glob("**/*.tmp*"))
 
     def test_default_cache_dir_honours_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_DSE_CACHE", str(tmp_path / "override"))

@@ -29,9 +29,9 @@ from repro.dse import (
     SweepSpec,
     SweepWorkQueue,
     default_work_dir,
-    read_events,
     sweep_key,
 )
+from repro.obs import read_jsonl
 from repro.runs import ClaimFile
 
 BASE = ExperimentSpec("CartPole-v0", max_generations=1, pop_size=8, max_steps=20)
@@ -184,6 +184,18 @@ class TestEventLedger:
             handle.write('{"event": "evalu')  # writer died mid-append
         assert queue.evaluated_keys() == {"k1": 1}
 
+    def test_torn_tail_does_not_eat_the_next_event(self, tmp_path):
+        # collect() marks a point fresh only from its `evaluated` event.
+        queue = SweepWorkQueue(tmp_path / "work")
+        queue.log("claimed", "k1", "w1")
+        with open(queue.events_path, "a") as handle:
+            handle.write('{"event": "relea')  # writer died mid-append
+        queue.log("evaluated", "k1", "w2")
+        assert queue.evaluated_keys() == {"k1": 1}
+        assert [e["event"] for e in queue.events()] == [
+            "claimed", "evaluated",
+        ]
+
     def test_evaluated_keys_counts_duplicates(self, tmp_path):
         queue = SweepWorkQueue(tmp_path / "work")
         queue.log("evaluated", "k1", "w1")
@@ -192,7 +204,7 @@ class TestEventLedger:
         assert queue.evaluated_keys() == {"k1": 2, "k2": 1}
 
     def test_read_events_missing_file(self, tmp_path):
-        assert read_events(tmp_path / "nope.jsonl") == []
+        assert SweepWorkQueue(tmp_path / "nope").events() == []
 
 
 # -- drain / collect ---------------------------------------------------------
@@ -437,7 +449,7 @@ def test_sigkill_mid_point_is_reclaimed_and_byte_identical(tmp_path):
         deadline = time.time() + 60.0
         while time.time() < deadline:
             claimed = [
-                e for e in read_events(events_path)
+                e for e in read_jsonl(events_path)
                 if e["event"] == "claimed" and e["pid"] == proc.pid
             ]
             if claimed:

@@ -21,7 +21,7 @@ from repro.obs import (
     env_trace_enabled,
     export_chrome_trace,
     phase_summary,
-    read_telemetry,
+    read_jsonl,
 )
 from repro.runs import run_in_dir
 
@@ -52,7 +52,7 @@ def test_span_rows_carry_timing_pid_and_attrs(tmp_path):
     with obs.tracing(path):
         with obs.span("evaluate", generation=3) as sp:
             sp.set(genomes=150)
-    (row,) = read_telemetry(path)
+    (row,) = read_jsonl(path)
     assert row["type"] == "span"
     assert row["name"] == "evaluate"
     assert row["attrs"] == {"generation": 3, "genomes": 150}
@@ -67,7 +67,7 @@ def test_counter_totals_accumulate_per_process(tmp_path):
         obs.incr("dse.cache_hit")
         obs.incr("dse.cache_hit", 2)
         obs.incr("dse.cache_miss")
-    rows = read_telemetry(path)
+    rows = read_jsonl(path)
     hits = [r for r in rows if r["name"] == "dse.cache_hit"]
     assert [(r["value"], r["total"]) for r in hits] == [(1, 1), (2, 3)]
     (miss,) = [r for r in rows if r["name"] == "dse.cache_miss"]
@@ -80,8 +80,32 @@ def test_span_records_error_but_never_swallows_it(tmp_path):
         with pytest.raises(ValueError):
             with obs.span("boom"):
                 raise ValueError("no")
-    (row,) = read_telemetry(path)
+    (row,) = read_jsonl(path)
     assert row["error"] == "ValueError"
+
+
+def test_attrs_json_cannot_encode_are_recorded_as_str(tmp_path):
+    path = tmp_path / "telemetry.jsonl"
+    with obs.tracing(path):
+        with obs.span("load", path=tmp_path):
+            pass
+        obs.incr("dse.claim", kinds={"a"})
+    span_row, counter_row = read_jsonl(path)
+    assert span_row["attrs"] == {"path": str(tmp_path)}
+    assert counter_row["attrs"] == {"kinds": "{'a'}"}
+
+
+def test_torn_telemetry_tail_does_not_eat_the_next_row(tmp_path):
+    path = tmp_path / "telemetry.jsonl"
+    with obs.tracing(path):
+        obs.incr("dse.claim")
+        with open(path, "a") as handle:
+            handle.write('{"type": "span", "na')  # writer died mid-row
+        obs.incr("dse.claim")
+    rows = read_jsonl(path)
+    assert [(r["name"], r["total"]) for r in rows] == [
+        ("dse.claim", 1), ("dse.claim", 2),
+    ]
 
 
 def test_tracing_restores_the_previous_tracer(tmp_path):
@@ -108,9 +132,9 @@ def test_read_telemetry_tolerates_torn_and_junk_lines(tmp_path):
         + "not json\n"
         + '{"type": "span", "na'  # torn tail: append caught mid-write
     )
-    rows = read_telemetry(path)
+    rows = read_jsonl(path)
     assert [r["name"] for r in rows] == ["ok"]
-    assert read_telemetry(tmp_path / "absent.jsonl") == []
+    assert read_jsonl(tmp_path / "absent.jsonl") == []
 
 
 # -- JsonlTail: the incremental follower ------------------------------------
@@ -264,7 +288,7 @@ def test_traced_run_is_byte_identical_except_telemetry(tmp_path):
     del traced_tree[TELEMETRY_FILENAME]
     assert traced_tree == plain_tree  # every shared artifact, byte for byte
 
-    rows = read_telemetry(traced / TELEMETRY_FILENAME)
+    rows = read_jsonl(traced / TELEMETRY_FILENAME)
     names = {r["name"] for r in rows if r["type"] == "span"}
     assert {"run", "evaluate", "reproduce", "checkpoint"} <= names
     # One evaluate/reproduce span per generation, on one timeline.
@@ -295,9 +319,9 @@ def test_resumed_run_appends_to_the_same_telemetry(tmp_path):
         spec, target, checkpoint_every=2, trace=True,
         should_stop=lambda generation: generation >= 2,
     )
-    first = len(read_telemetry(target / TELEMETRY_FILENAME))
+    first = len(read_jsonl(target / TELEMETRY_FILENAME))
     assert first > 0
     resume_run(target, trace=True)
-    rows = read_telemetry(target / TELEMETRY_FILENAME)
+    rows = read_jsonl(target / TELEMETRY_FILENAME)
     assert len(rows) > first  # appended, never rewound: it's a log
     assert sum(1 for r in rows if r["name"] == "run") == 2

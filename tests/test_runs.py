@@ -1,6 +1,8 @@
 """Unit tests for the run-artifact subsystem (repro.runs)."""
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -55,6 +57,20 @@ class TestArtifacts:
         summary = rd.load_result()
         assert summary["generations"] == 5
         assert summary["spec"] == small_spec().to_dict()
+
+    def test_failed_checkpoint_write_raises_and_leaves_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        rd = RunDir(tmp_path / "run").create()
+
+        def disk_full(_src, _dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        with pytest.raises(OSError) as excinfo:
+            rd.write_checkpoint({"generation": 5})
+        assert excinfo.value.errno == errno.ENOSPC
+        assert list(rd.checkpoints_path.iterdir()) == []
 
     def test_metrics_rows_match_result(self, tmp_path):
         result = run_in_dir(small_spec(), tmp_path / "run")

@@ -13,9 +13,7 @@ from repro.neat.serialize import (
     genome_to_dict,
     load_genome,
     load_genome_with_config,
-    load_population,
     save_genome,
-    save_population,
 )
 
 
@@ -78,21 +76,6 @@ class TestFileRoundTrip:
         assert loaded_config.genome.num_inputs == 3
         assert loaded.key == genome.key
 
-    def test_population_checkpoint(self, config, tmp_path):
-        rng = random.Random(1)
-        genomes = []
-        for i in range(5):
-            g = Genome(i)
-            g.configure_new(config.genome, rng)
-            g.fitness = float(i)
-            genomes.append(g)
-        path = tmp_path / "gen12.json"
-        save_population(genomes, path, generation=12, config=config)
-        loaded, generation = load_population(path)
-        assert generation == 12
-        assert [g.key for g in loaded] == [0, 1, 2, 3, 4]
-        assert loaded[3].fitness == 3.0
-
 
 class TestFailureModes:
     def test_not_json(self, tmp_path):
@@ -118,12 +101,6 @@ class TestFailureModes:
         del data["nodes"][0]["bias"]
         with pytest.raises(DeserializationError):
             genome_from_dict(data)
-
-    def test_population_file_without_genomes(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": 1}))
-        with pytest.raises(DeserializationError):
-            load_population(path)
 
     def test_missing_config(self, genome, tmp_path):
         path = tmp_path / "nocfg.json"
@@ -197,14 +174,11 @@ class TestPopulationState:
             Population.from_state(state, foreign)
 
     def test_truncated_state_file(self, cartpole_config, tmp_path):
-        from repro.neat.serialize import (
-            load_population_state,
-            save_population_state,
-        )
+        from repro.neat.serialize import load_population_state
+        from repro.runs import RunDir
 
         population = self.make_population(cartpole_config)
-        path = tmp_path / "ckpt.json"
-        save_population_state(population, path)
+        path = RunDir(tmp_path).write_checkpoint(population.to_state())
         text = path.read_text()
         path.write_text(text[: len(text) // 2])  # simulate a torn write
         with pytest.raises(DeserializationError, match="not valid JSON"):

@@ -1,6 +1,8 @@
 """Unit tests for the repro.serve job store."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -180,3 +182,44 @@ def test_job_json_is_valid_json_on_disk(store):
     raw = json.loads(store.record_path(record.id).read_text())
     assert raw["state"] == QUEUED
     assert raw["format"] == 1
+
+
+def test_torn_events_tail_does_not_eat_the_next_event(store):
+    record = store.submit(small_spec())
+    with open(store.events_path(record.id), "a") as handle:
+        handle.write('{"event": "preem')  # writer died mid-append
+    store.append_event(record.id, "started")
+    events = [row["event"] for row in store.read_events(record.id)]
+    assert events == ["submitted", "started"]
+
+
+def test_threads_saving_one_job_never_tear_it(store):
+    # repro serve runs its HTTP threads and the scheduler loop in one
+    # process, and both rewrite job.json (e.g. a cancel during a
+    # dispatch): each write needs its own temp file.
+    record = store.submit(small_spec())
+    errors = []
+
+    def rewrite():
+        for _ in range(400):
+            try:
+                store.save(store.load(record.id))
+            except (OSError, JobStoreError) as exc:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=rewrite) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert store.load(record.id).state == QUEUED
+    assert sorted(p.name for p in store.job_dir(record.id).iterdir()) == [
+        "events.jsonl", "job.json",
+    ]
