@@ -72,7 +72,7 @@ def get_trace(env_id: str, pop_size: int = BENCH_POP,
     key = (env_id, pop_size, generations, max_steps, seed)
     if key not in _TRACE_CACHE:
         spec = bench_spec(env_id, pop_size, generations, max_steps, seed)
-        _TRACE_CACHE[key] = TraceRecorder.from_spec(spec).record(
+        _TRACE_CACHE[key] = TraceRecorder(spec).record(
             spec.max_generations
         )
     return _TRACE_CACHE[key]

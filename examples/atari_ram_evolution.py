@@ -17,6 +17,7 @@ Spec-driven equivalent:
 import sys
 
 from repro.analysis.reporting import fmt_bytes, render_table
+from repro.api import ExperimentSpec
 from repro.core import TraceRecorder
 from repro.envs import make
 
@@ -30,8 +31,8 @@ def main() -> None:
         env = make(env_id)
         print(f"evolving {env_id} "
               f"({env.num_observations} obs -> {env.num_actions} actions) ...")
-        recorder = TraceRecorder(env_id, pop_size=30, seed=0, max_steps=100)
-        trace = recorder.record(generations)
+        spec = ExperimentSpec(env_id, pop_size=30, seed=0, max_steps=100)
+        trace = TraceRecorder(spec).record(generations)
         w = trace.mean_workload()
         best = max(wl.generation for wl in trace.workloads)
         rows.append([

@@ -66,7 +66,7 @@ def main() -> None:
 
     # Compare against the embedded platforms for the same workload; the
     # analytical backends are driven by the same spec shape.
-    trace = TraceRecorder.from_spec(
+    trace = TraceRecorder(
         spec.replace(backend="software", fitness_threshold=None)
     ).record(min(3, generations))
     workload = trace.mean_workload()

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..core.trace import TraceRecorder, WorkloadTrace
+from ..api.spec import ExperimentSpec
+from ..core.trace import TraceRecorder
 from ..envs.registry import make
 from ..neat.population import meets_threshold
 
@@ -89,9 +90,6 @@ class EnvCharacterisation:
     def reuse_distribution(self) -> List[int]:
         return [r for run in self.runs for r in run.parent_reuse if r > 0]
 
-    def reuse_series(self) -> List[float]:
-        return _mean_across_runs([r.parent_reuse for r in self.runs])
-
     def composition(self) -> Dict[str, float]:
         """Final node/connection split averaged over runs (Fig. 11a)."""
         nodes = [r.num_nodes[-1] for r in self.runs if r.num_nodes]
@@ -100,9 +98,6 @@ class EnvCharacterisation:
             "nodes": sum(nodes) / len(nodes) if nodes else 0.0,
             "connections": sum(conns) / len(conns) if conns else 0.0,
         }
-
-    def convergence_generations(self) -> List[Optional[int]]:
-        return [r.converged_at for r in self.runs]
 
 
 def characterise_env(
@@ -127,10 +122,10 @@ def characterise_env(
     result = EnvCharacterisation(env_id=env_id)
     for run_index in range(runs):
         seed = base_seed + 1000 * run_index
-        trace = TraceRecorder(
+        trace = TraceRecorder(ExperimentSpec(
             env_id, pop_size=pop_size, episodes=episodes,
             max_steps=max_steps, seed=seed,
-        ).record(generations)
+        )).record(generations)
         best = [m.best_fitness for m in trace.metrics]
         workloads = trace.workloads
         result.runs.append(RunCharacterisation(
@@ -152,17 +147,3 @@ def characterise_env(
         ))
     return result
 
-
-def record_workload(
-    env_id: str,
-    generations: int = 5,
-    pop_size: int = 50,
-    episodes: int = 1,
-    max_steps: Optional[int] = None,
-    seed: int = 0,
-) -> WorkloadTrace:
-    """Convenience wrapper over :class:`TraceRecorder` (platform benches)."""
-    recorder = TraceRecorder(
-        env_id, pop_size=pop_size, episodes=episodes, max_steps=max_steps, seed=seed
-    )
-    return recorder.record(generations)

@@ -48,38 +48,3 @@ def describe_genome(genome: Genome, config: GenomeConfig) -> str:
     if pruned:
         lines.append(f"  pruned (no path to output): {sorted(pruned)}")
     return "\n".join(lines)
-
-
-def connection_matrix(genome: Genome, config: GenomeConfig) -> str:
-    """Dense adjacency rendering (rows = sources, cols = destinations).
-
-    '#' enabled connection, 'o' disabled, '.' absent.  Useful for seeing
-    the sparsity ADAM has to pack (Fig. 11a discussion).
-    """
-    sources = config.input_keys + sorted(genome.nodes)
-    dests = sorted(genome.nodes)
-    header = "        " + " ".join(f"{d:>4}" for d in dests)
-    rows = [header]
-    for src in sources:
-        cells = []
-        for dst in dests:
-            conn = genome.connections.get((src, dst))
-            if conn is None:
-                cells.append("   .")
-            elif conn.enabled:
-                cells.append("   #")
-            else:
-                cells.append("   o")
-        rows.append(f"{src:>7} " + " ".join(cells))
-    return "\n".join(rows)
-
-
-def sparsity(genome: Genome, config: GenomeConfig) -> float:
-    """Fraction of the dense source x dest grid actually connected."""
-    num_sources = len(config.input_keys) + len(genome.nodes)
-    num_dests = len(genome.nodes)
-    dense = num_sources * num_dests
-    if dense == 0:
-        return 0.0
-    enabled = sum(1 for c in genome.connections.values() if c.enabled)
-    return enabled / dense

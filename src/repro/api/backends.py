@@ -542,9 +542,11 @@ class SoCBackend:
 
     name = "soc"
 
-    def __init__(self, arg: Optional[str] = None,
-                 platform: Optional[Union[str, Mapping, PlatformSpec, SoCPlatform]] = None,
-                 vectorize: Optional[bool] = None) -> None:
+    def __init__(
+        self,
+        arg: Optional[str] = None,
+        platform: Optional[Union[str, Mapping, PlatformSpec, SoCPlatform]] = None,
+    ) -> None:
         if arg:
             raise UnknownBackendError(
                 f"the soc backend takes no ':{arg}' parameter"
@@ -557,10 +559,6 @@ class SoCBackend:
                     f"the soc backend needs a 'soc'-kind platform, but "
                     f"{platform!r} is {type(self.platform).__name__}"
                 )
-        # Population-batched evaluation is the default; the flag is an
-        # escape hatch (and the bench's serial baseline).  Both paths are
-        # bit-identical, so the choice never shows up in spec/cache keys.
-        self.vectorize = True if vectorize is None else bool(vectorize)
 
     def _resolve_config(self, spec: ExperimentSpec) -> GeneSysConfig:
         platform = self.platform or make_platform(
@@ -592,8 +590,7 @@ class SoCBackend:
             )
         config = self._resolve_config(spec)
         soc = GeneSysSoC(
-            config, spec.env_id, episodes=spec.episodes,
-            max_steps=spec.max_steps, vectorize=self.vectorize,
+            config, spec.env_id, episodes=spec.episodes, max_steps=spec.max_steps
         )
         result = _run_software_loop(
             spec, _SoCGenerations(soc), self.name, on_generation,

@@ -42,10 +42,10 @@ class ExperimentSpec:
     """Everything needed to reproduce one experiment, JSON-serialisable.
 
     ``backend`` is a registry key (``software``, ``soc``,
-    ``analytical:<platform>``); ``backend_options`` carries the backend
-    factory's JSON settings (e.g. the soc backend's ``vectorize``).  The
-    hardware design point is named only by the ``platform`` block, never
-    by an option.
+    ``analytical:<platform>``); ``backend_options`` carries only a
+    registered backend's own JSON settings (no built-in backend takes
+    any).  The hardware design point is named only by the ``platform``
+    block, never by an option.
     """
 
     env_id: str

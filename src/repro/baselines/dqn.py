@@ -37,13 +37,6 @@ class OpCounters:
     updates: int = 0
     forward_passes: int = 0
 
-    def merge(self, other: "OpCounters") -> None:
-        self.forward_macs += other.forward_macs
-        self.backward_macs += other.backward_macs
-        self.gradient_calcs += other.gradient_calcs
-        self.updates += other.updates
-        self.forward_passes += other.forward_passes
-
 
 class QNetwork:
     """Fully-connected Q-network with manual backprop (ReLU hidden)."""

@@ -39,13 +39,6 @@ class ESStats:
     inference_macs: int = 0
     parameter_updates: int = 0  # one per parameter per generation
 
-    def merge(self, other: "ESStats") -> None:
-        self.generations += other.generations
-        self.episodes += other.episodes
-        self.env_steps += other.env_steps
-        self.inference_macs += other.inference_macs
-        self.parameter_updates += other.parameter_updates
-
 
 class ESPolicy:
     """Fixed-topology MLP policy over a flat parameter vector."""

@@ -166,17 +166,3 @@ class ReinforceAgent:
             if target is not None and total >= target:
                 break
         return best
-
-    def greedy_episode(self, episode_seed: Optional[int] = None) -> float:
-        if episode_seed is not None:
-            self.env.seed(episode_seed)
-        obs = self.env.reset()
-        total = 0.0
-        limit = self.config.max_steps or self.env.max_episode_steps
-        for _ in range(limit):
-            probs, _ = self.policy.forward(obs.ravel())
-            obs, reward, done, _info = self.env.step(int(np.argmax(probs[0])))
-            total += reward
-            if done:
-                break
-        return total

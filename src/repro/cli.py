@@ -332,8 +332,7 @@ def _cmd_characterise(args: argparse.Namespace) -> int:
 
     spec = _spec_from_args(args)
     _require_software_backend(spec, "characterise")
-    recorder = TraceRecorder.from_spec(spec)
-    trace = recorder.record(spec.max_generations)
+    trace = TraceRecorder(spec).record(spec.max_generations)
     rows = []
     for w in trace.workloads:
         rows.append([
@@ -405,7 +404,7 @@ def _cmd_platforms(args: argparse.Namespace) -> int:
 
     spec = _spec_from_args(args)
     _require_software_backend(spec, "platforms")
-    trace = TraceRecorder.from_spec(spec).record(spec.max_generations)
+    trace = TraceRecorder(spec).record(spec.max_generations)
     workload = trace.mean_workload()
     rows = []
     for platform in all_platforms():

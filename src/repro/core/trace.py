@@ -15,7 +15,7 @@ produce both the per-op trace lines and the workload aggregates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List
 
 from ..envs.registry import make
 from ..neat.config import NEATConfig
@@ -26,6 +26,7 @@ from ..neat.statistics import GENE_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..api.result import GenerationMetrics
+    from ..api.spec import ExperimentSpec
 
 
 @dataclass
@@ -179,53 +180,24 @@ def _mean_depth(population, genome_config) -> float:
 
 
 class TraceRecorder:
-    """Runs software NEAT on an environment, recording the workload trace.
+    """Runs a spec's software NEAT (its scenario included), recording
+    the workload trace.
 
     This mirrors the paper's modified neat-python: the run is the real
     algorithm; the recorder only observes.
     """
 
-    def __init__(
-        self,
-        env_id: str,
-        pop_size: int = 150,
-        episodes: int = 1,
-        max_steps: Optional[int] = None,
-        seed: int = 0,
-        workers: int = 1,
-        vectorizer: str = "scalar",
-        fitness_threshold: Optional[float] = None,
-    ) -> None:
-        from ..api.spec import ExperimentSpec
-
-        env = make(env_id)
+    def __init__(self, spec: ExperimentSpec) -> None:
+        env = make(spec.env_id)
         # No solve-threshold fallback (unlike config_for_env): without a
         # threshold a trace covers its whole generation budget.
         self.config = NEATConfig.for_env(
             env.num_observations,
             max(2, env.num_actions),
-            pop_size=pop_size,
-            fitness_threshold=fitness_threshold,
-        )
-        self.spec = ExperimentSpec(
-            env_id, pop_size=pop_size, episodes=episodes,
-            max_steps=max_steps, seed=seed, workers=workers,
-            vectorizer=vectorizer, fitness_threshold=fitness_threshold,
-        )
-
-    @classmethod
-    def from_spec(cls, spec) -> "TraceRecorder":
-        """Build a recorder from an :class:`repro.api.ExperimentSpec`."""
-        return cls(
-            spec.env_id,
             pop_size=spec.pop_size,
-            episodes=spec.episodes,
-            max_steps=spec.max_steps,
-            seed=spec.seed,
-            workers=spec.workers,
-            vectorizer=spec.vectorizer,
             fitness_threshold=spec.fitness_threshold,
         )
+        self.spec = spec
 
     def record(self, generations: int) -> WorkloadTrace:
         """Run up to ``generations`` generations through the api

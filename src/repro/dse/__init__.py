@@ -23,7 +23,7 @@ sweeps, NoC ablations, cross-platform runtime/energy comparisons
   ``O_EXCL`` claim files with crash reclaim, an append-only event
   ledger, and a ``collect()`` whose outputs are byte-identical to a
   single-process run (CLI: ``repro dse --worker`` / ``--watch``).
-* :class:`SuccessiveHalvingScheduler` / :func:`run_halving` — early
+* :class:`SuccessiveHalvingScheduler` — early
   stopping: geometric ``max_generations`` rungs with Pareto-aware
   promotion, so dominated points stop early and no rung-frontier point
   is ever pruned (CLI: ``repro dse --halving fitness:max,energy_j:min``).
@@ -68,7 +68,6 @@ from .halving import (
     HalvingResult,
     SuccessiveHalvingScheduler,
     halving_budgets,
-    run_halving,
 )
 from .pareto import ObjectiveError, dominates, pareto_front, parse_objectives
 from .replay import EVE_REPLAY_EVALUATOR, eve_replay_evaluator
@@ -116,7 +115,6 @@ __all__ = [
     "pareto_front",
     "parse_objectives",
     "point_key",
-    "run_halving",
     "run_sweep",
     "spec_key",
     "sweep_key",

@@ -300,16 +300,3 @@ class SuccessiveHalvingScheduler:
                     result.states[row["point"]] = "survivor"
                 result.rows = sorted(rows, key=lambda row: row["point"])
         return result
-
-
-def run_halving(
-    sweep: Union[SweepSpec, str, Path],
-    objectives: Mapping[str, str],
-    **scheduler_kwargs: Any,
-) -> HalvingResult:
-    """Convenience: successive halving over a spec object or JSON file."""
-    if not isinstance(sweep, SweepSpec):
-        sweep = SweepSpec.load(sweep)
-    return SuccessiveHalvingScheduler(
-        sweep, objectives, **scheduler_kwargs
-    ).run()

@@ -197,12 +197,6 @@ class SweepSpec:
     def axis_names(self) -> List[str]:
         return list(self.axes)
 
-    def grid_size(self) -> int:
-        size = 1
-        for values in self.axes.values():
-            size *= len(values)
-        return size
-
     def _combinations(self) -> List[Tuple[Any, ...]]:
         names = self.axis_names
         if self.strategy == "grid":

@@ -16,7 +16,6 @@ from .batched import (
     LockstepEnvs,
     VectorizedCartPole,
     VectorizedMountainCar,
-    has_vectorized_env,
     make_batched,
     register_batched,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "actions_from_outputs_batch",
     "available",
     "derive_seed",
-    "has_vectorized_env",
     "make",
     "make_batched",
     "make_rng",

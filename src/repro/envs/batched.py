@@ -80,10 +80,6 @@ class BatchedEnv:
     def prune(self, keep: np.ndarray) -> None:
         raise NotImplementedError
 
-    @property
-    def num_lanes(self) -> int:
-        raise NotImplementedError
-
 
 class LockstepEnvs(BatchedEnv):
     """Generic fallback: one scalar environment per lane, stepped in Python.
@@ -137,10 +133,6 @@ class LockstepEnvs(BatchedEnv):
 
     def prune(self, keep: np.ndarray) -> None:
         self._live = [env for env, k in zip(self._live, keep) if k]
-
-    @property
-    def num_lanes(self) -> int:
-        return len(self._live)
 
 
 class _StateMatrixEnv(BatchedEnv):
@@ -200,10 +192,6 @@ class _StateMatrixEnv(BatchedEnv):
 
     def prune(self, keep: np.ndarray) -> None:
         self.state = np.compress(keep, self.state, axis=0)
-
-    @property
-    def num_lanes(self) -> int:
-        return len(self.state)
 
     # -- subclass hooks ---------------------------------------------------
 
@@ -293,11 +281,6 @@ _BATCHED_REGISTRY: Dict[str, Callable[[str], BatchedEnv]] = {
 def register_batched(env_id: str, factory: Callable[[str], BatchedEnv]) -> None:
     """Register a vectorized port for an environment id."""
     _BATCHED_REGISTRY[env_id] = factory
-
-
-def has_vectorized_env(env_id: str) -> bool:
-    """Whether ``env_id`` steps its physics in numpy (vs the lockstep fallback)."""
-    return env_id in _BATCHED_REGISTRY
 
 
 def make_batched(

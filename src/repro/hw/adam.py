@@ -78,11 +78,6 @@ class InferencePlan:
     def macs_per_pass(self) -> int:
         return sum(w.macs for w in self.waves)
 
-    @property
-    def weight_words(self) -> int:
-        """64-bit words of packed weights resident for this plan."""
-        return sum(w.dense_macs for w in self.waves)
-
 
 @dataclass
 class InferenceStats:
@@ -99,21 +94,6 @@ class InferenceStats:
     def total_cycles(self) -> int:
         """Array + CPU vectorize serial time (they alternate per wave)."""
         return self.array_cycles + self.vectorize_cycles
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of MAC-slots doing useful (nonzero) work."""
-        if self.dense_macs == 0:
-            return 0.0
-        return self.macs / self.dense_macs
-
-    def merge(self, other: "InferenceStats") -> None:
-        self.passes += other.passes
-        self.macs += other.macs
-        self.dense_macs += other.dense_macs
-        self.array_cycles += other.array_cycles
-        self.vectorize_cycles += other.vectorize_cycles
-        self.waves += other.waves
 
 
 def build_inference_plan(genome: Genome, config: GenomeConfig) -> InferencePlan:

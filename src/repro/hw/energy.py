@@ -70,16 +70,6 @@ class AreaBreakdown:
     def total_mm2(self) -> float:
         return self.eve_mm2 + self.adam_mm2 + self.sram_mm2 + self.m0_mm2 + self.noc_mm2
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "EvE": self.eve_mm2,
-            "ADAM": self.adam_mm2,
-            "SRAM": self.sram_mm2,
-            "M0": self.m0_mm2,
-            "NoC": self.noc_mm2,
-            "total": self.total_mm2,
-        }
-
 
 @dataclass
 class PowerBreakdown:
@@ -91,15 +81,6 @@ class PowerBreakdown:
     @property
     def total_mw(self) -> float:
         return self.eve_mw + self.adam_mw + self.sram_mw + self.m0_mw
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "EvE": self.eve_mw,
-            "ADAM": self.adam_mw,
-            "SRAM": self.sram_mw,
-            "M0": self.m0_mw,
-            "total": self.total_mw,
-        }
 
 
 def area_breakdown(
@@ -160,15 +141,6 @@ class EnergyLedger:
     noc_gene_hops: int = 0
     m0_cycles: int = 0
 
-    def merge(self, other: "EnergyLedger") -> None:
-        self.eve_pe_cycles += other.eve_pe_cycles
-        self.adam_macs += other.adam_macs
-        self.sram_reads += other.sram_reads
-        self.sram_writes += other.sram_writes
-        self.dram_accesses += other.dram_accesses
-        self.noc_gene_hops += other.noc_gene_hops
-        self.m0_cycles += other.m0_cycles
-
     @property
     def eve_energy_j(self) -> float:
         return self.eve_pe_cycles * EVE_OP_ENERGY_PJ * 1e-12
@@ -203,17 +175,6 @@ class EnergyLedger:
             + self.noc_energy_j
             + self.m0_energy_j
         )
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "EvE": self.eve_energy_j,
-            "ADAM": self.adam_energy_j,
-            "SRAM": self.sram_energy_j,
-            "DRAM": self.dram_energy_j,
-            "NoC": self.noc_energy_j,
-            "M0": self.m0_energy_j,
-            "total": self.total_energy_j,
-        }
 
 
 def cycles_to_seconds(cycles: int, frequency_hz: float = FREQUENCY_HZ) -> float:
@@ -256,11 +217,6 @@ class GatedPowerEstimate:
     def average_power_mw(self) -> float:
         idle = self.roofline_mw * self.gated_fraction
         return self.duty_cycle * self.roofline_mw + (1 - self.duty_cycle) * idle
-
-    @property
-    def energy_per_generation_j(self) -> float:
-        total = self.compute_seconds + self.interaction_seconds
-        return self.average_power_mw * 1e-3 * total
 
 
 def gated_power(

@@ -69,18 +69,6 @@ class EvolutionResult:
     pe_stats: PEStats = field(default_factory=PEStats)
     dropped_invalid_additions: int = 0
 
-    @property
-    def total_ops(self) -> int:
-        s = self.pe_stats
-        return (
-            s.crossovers
-            + s.perturbations
-            + s.node_additions
-            + s.node_deletions
-            + s.conn_additions
-            + s.conn_deletions
-        )
-
 
 def align_parent_streams(
     stream1: Sequence[PackedGene], stream2: Sequence[PackedGene]

@@ -316,8 +316,3 @@ def quantize_genome(genome: Genome, config: GenomeConfig) -> Genome:
     phenotype relative to the float software genome.
     """
     return decode_genome(encode_genome(genome, config), genome.key, config)
-
-
-def genome_stream_bytes(genome: Genome) -> int:
-    """On-chip bytes for one genome (the Fig. 5(b) footprint unit)."""
-    return genome.num_genes * GENE_WORD_BYTES

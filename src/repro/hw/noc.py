@@ -35,12 +35,6 @@ class NoCStats:
     def reads_per_cycle(self) -> float:
         return self.sram_reads / self.cycles if self.cycles else 0.0
 
-    def merge(self, other: "NoCStats") -> None:
-        self.cycles += other.cycles
-        self.sram_reads += other.sram_reads
-        self.genes_delivered += other.genes_delivered
-        self.multicast_hits += other.multicast_hits
-
 
 class BaseNoC:
     """Common interface: account one distribution cycle of demands."""

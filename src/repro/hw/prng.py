@@ -51,10 +51,6 @@ class XorWow:
         """The 8-bit per-cycle output port feeding the PEs."""
         return self.next_u32() & 0xFF
 
-    def next_unit(self) -> float:
-        """Uniform in [0, 1) from the 8-bit port (probability compares)."""
-        return self.next_byte() / 256.0
-
     def next_signed_byte(self) -> int:
         """Two's-complement interpretation of the 8-bit port, [-128, 127]."""
         byte = self.next_byte()

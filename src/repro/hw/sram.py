@@ -43,21 +43,6 @@ class SRAMStats:
     reads_per_bank: Dict[int, int] = field(default_factory=dict)
     writes_per_bank: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def total_accesses(self) -> int:
-        return self.reads + self.writes
-
-    def merge(self, other: "SRAMStats") -> None:
-        self.reads += other.reads
-        self.writes += other.writes
-        self.bank_conflicts += other.bank_conflicts
-        self.dram_reads += other.dram_reads
-        self.dram_writes += other.dram_writes
-        for bank, count in other.reads_per_bank.items():
-            self.reads_per_bank[bank] = self.reads_per_bank.get(bank, 0) + count
-        for bank, count in other.writes_per_bank.items():
-            self.writes_per_bank[bank] = self.writes_per_bank.get(bank, 0) + count
-
 
 class GenomeBuffer:
     """Stores packed genomes of the current generation, counting accesses.
@@ -82,10 +67,6 @@ class GenomeBuffer:
     @property
     def words_used(self) -> int:
         return self._words_used
-
-    @property
-    def bytes_used(self) -> int:
-        return self._words_used * self.config.word_bytes
 
     @property
     def overflowing(self) -> bool:
@@ -113,23 +94,6 @@ class GenomeBuffer:
             self.stats.writes_per_bank[bank] = (
                 self.stats.writes_per_bank.get(bank, 0) + 1
             )
-
-    def write_gene(self, genome_id: int, index: int, gene: PackedGene) -> None:
-        """Single-word write (incremental Gene Merge)."""
-        stream = self._genomes.setdefault(genome_id, [])
-        if genome_id not in self._base_bank:
-            self._base_bank[genome_id] = self._next_base
-            self._next_base = (self._next_base + 1) % self.config.num_banks
-        if index == len(stream):
-            stream.append(gene)
-            self._words_used += 1
-        elif index < len(stream):
-            stream[index] = gene
-        else:
-            raise IndexError(f"non-contiguous gene write at index {index}")
-        bank = self._bank_of(genome_id, index)
-        self.stats.writes += 1
-        self.stats.writes_per_bank[bank] = self.stats.writes_per_bank.get(bank, 0) + 1
 
     def read_genome(self, genome_id: int, count_each_word: bool = True) -> List[PackedGene]:
         """Read a full genome stream, counting one read per 64-bit word."""

@@ -11,7 +11,6 @@ from .backprop import (
     DifferentiableNetwork,
     TrainResult,
     UntrainableGenomeError,
-    finetune_genome,
 )
 from .hyperneat import (
     CPPN_ACTIVATIONS,
@@ -29,14 +28,13 @@ from .config import (
     ReproductionConfig,
     SpeciesConfig,
 )
-from .genes import BaseGene, ConnectionGene, NodeGene, gene_sort_key, sorted_genes
+from .genes import BaseGene, ConnectionGene, NodeGene
 from .genome import Genome, MutationCounts, creates_cycle
 from .innovation import InnovationTracker
 from .serialize import (
     DeserializationError,
     genome_from_dict,
     genome_to_dict,
-    load_genome,
     load_genome_with_config,
     save_genome,
 )
@@ -85,8 +83,6 @@ __all__ = [
     "compile_network",
     "creates_cycle",
     "feed_forward_layers",
-    "gene_sort_key",
     "required_for_output",
-    "sorted_genes",
     "summarise_generation",
 ]

@@ -202,17 +202,3 @@ class DifferentiableNetwork:
         for node_id, bias in self.biases.items():
             self.genome.nodes[node_id].bias = bias
         return self.genome
-
-
-def finetune_genome(
-    genome: Genome,
-    config: GenomeConfig,
-    samples: Sequence[Tuple[Sequence[float], Sequence[float]]],
-    epochs: int = 100,
-    learning_rate: float = 0.05,
-) -> TrainResult:
-    """Evolve-then-train in one call: SGD-tune ``genome`` in place."""
-    network = DifferentiableNetwork(genome, config)
-    result = network.train(samples, epochs=epochs, learning_rate=learning_rate)
-    network.write_back()
-    return result

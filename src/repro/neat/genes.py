@@ -33,7 +33,7 @@ as the oracle they are compared against bit for bit.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple, Union
+from typing import Tuple, Union
 
 from .config import GenomeConfig
 
@@ -297,18 +297,3 @@ class ConnectionGene(BaseGene):
 
     def __repr__(self) -> str:
         return f"ConnectionGene(key={self.key}, weight={self.weight:.3f}, enabled={self.enabled})"
-
-
-def gene_sort_key(gene: BaseGene) -> Tuple:
-    """Canonical in-memory ordering (Section IV-C5 "Genome organization"):
-
-    genes are stored in two logical clusters (nodes first, then
-    connections), each sorted ascending by id.
-    """
-    if isinstance(gene, NodeGene):
-        return (0, gene.key)
-    return (1, gene.key)
-
-
-def sorted_genes(genes: List[BaseGene]) -> List[BaseGene]:
-    return sorted(genes, key=gene_sort_key)

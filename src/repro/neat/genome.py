@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .config import GenomeConfig
-from .genes import BaseGene, ConnectionGene, NodeGene
+from .genes import ConnectionGene, NodeGene
 from .innovation import InnovationTracker
 
 ConnKey = Tuple[int, int]
@@ -415,17 +415,6 @@ class Genome:
     def num_genes(self) -> int:
         """Total gene count — the Fig. 4(b) metric."""
         return len(self.nodes) + len(self.connections)
-
-    def iter_genes_hw_order(self) -> Iterator[BaseGene]:
-        """Stream genes in hardware order (Section IV-C5).
-
-        "the node genes are streamed first ... Once the nodes are streamed,
-        connection genes are streamed"; within each cluster ids ascend.
-        """
-        for key in sorted(self.nodes):
-            yield self.nodes[key]
-        for key in sorted(self.connections):
-            yield self.connections[key]
 
     def validate(self, config: GenomeConfig) -> None:
         """Raise ``ValueError`` on structural invariant violations."""

@@ -29,11 +29,6 @@ class InnovationTracker:
     def next_node_id(self) -> int:
         return self._next_node_id
 
-    def reserve_through(self, node_id: int) -> None:
-        """Ensure future ids are strictly greater than ``node_id``."""
-        if node_id >= self._next_node_id:
-            self._next_node_id = node_id + 1
-
     def get_split_node_id(self, source: int, dest: int) -> int:
         """Node id for splitting connection (source, dest).
 

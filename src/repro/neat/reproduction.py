@@ -36,10 +36,6 @@ class ReproductionEvent:
     species_key: int
     counts: MutationCounts = field(default_factory=MutationCounts)
 
-    @property
-    def is_clone(self) -> bool:
-        return self.parent1_key == self.parent2_key
-
 
 @dataclass
 class ReproductionPlan:

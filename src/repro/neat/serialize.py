@@ -118,13 +118,6 @@ def save_genome(genome: Genome, path: Union[str, Path],
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
-def load_genome(path: Union[str, Path]) -> Genome:
-    payload = _read(path)
-    if "genome" not in payload:
-        raise DeserializationError("file does not contain a genome")
-    return genome_from_dict(payload["genome"])
-
-
 def load_genome_with_config(path: Union[str, Path]):
     payload = _read(path)
     if "genome" not in payload or "config" not in payload:

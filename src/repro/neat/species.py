@@ -136,8 +136,5 @@ class SpeciesSet:
             species.adjusted_fitness = bonus * mean_fitness / len(species.members)
             species.fitness_history.append(species.fitness)
 
-    def species_of(self, genome_key: int) -> Optional[int]:
-        return self.genome_to_species.get(genome_key)
-
     def __len__(self) -> int:
         return len(self.species)

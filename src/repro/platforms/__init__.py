@@ -25,7 +25,7 @@ from .base import PhaseCost, Platform
 from .cpu import A57_PARAMS, CPUPlatform, I7_PARAMS
 from .genesys import ONCHIP_TRANSFER_FRACTION, GenesysPlatform
 from .gpu import GPUPlatform, GTX1080_PARAMS, TEGRA_PARAMS
-from .memory_model import footprint_comparison, footprint_ratios
+from .memory_model import footprint_comparison
 from .registry import (
     all_platforms,
     build_platform,
@@ -77,7 +77,6 @@ __all__ = [
     "as_platform_spec",
     "build_platform",
     "footprint_comparison",
-    "footprint_ratios",
     "make_platform",
     "parse_adam_shape",
     "platform_names",

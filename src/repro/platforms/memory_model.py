@@ -19,11 +19,3 @@ def footprint_comparison(
 ) -> Dict[str, int]:
     """Bytes required on each platform for one generation's working set."""
     return {p.name: p.memory_footprint_bytes(workload) for p in platforms}
-
-
-def footprint_ratios(footprints: Dict[str, int], reference: str) -> Dict[str, float]:
-    """Each platform's footprint relative to ``reference``."""
-    base = footprints[reference]
-    if base <= 0:
-        raise ValueError(f"reference {reference!r} footprint is zero")
-    return {name: value / base for name, value in footprints.items()}

@@ -41,8 +41,6 @@ from ..obs.tracer import TELEMETRY_FILENAME
 from ..neat.genome import Genome
 from ..neat.serialize import (
     DeserializationError,
-    load_genome,
-    load_genome_with_config,
     load_population_state,
     save_genome,
 )
@@ -240,19 +238,9 @@ class RunDir:
         self, genome: Genome, config: Optional[NEATConfig] = None
     ) -> None:
         """Persist the champion in the ``repro run --save`` file format
-        (loadable by :func:`repro.neat.serialize.load_genome` and the
-        ``repro infer`` command)."""
+        (loadable by :func:`repro.neat.serialize.load_genome_with_config`
+        and the ``repro infer`` command)."""
         save_genome(genome, self.champion_path, config)
-
-    def load_champion(self) -> Genome:
-        if not self.champion_path.exists():
-            raise RunError(f"{self.path} holds no champion.json")
-        return load_genome(self.champion_path)
-
-    def load_champion_with_config(self):
-        if not self.champion_path.exists():
-            raise RunError(f"{self.path} holds no champion.json")
-        return load_genome_with_config(self.champion_path)
 
     # -- result summary ---------------------------------------------------
 

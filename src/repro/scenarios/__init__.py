@@ -20,7 +20,6 @@ from .spec import (
     ScenarioSpec,
     ScenarioSpecError,
     UnknownScenarioError,
-    as_scenario_spec,
     get_scenario,
     register_scenario,
     registered_scenarios,
@@ -49,7 +48,6 @@ __all__ = [
     "ObservationNoiseWrapper",
     "ParameterJitterWrapper",
     "PerturbationWrapper",
-    "as_scenario_spec",
     "build_batched_env",
     "build_env",
     "continual_report",

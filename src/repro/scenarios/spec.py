@@ -357,19 +357,6 @@ class ScenarioSpec:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-def as_scenario_spec(value: Any) -> ScenarioSpec:
-    """Coerce a ScenarioSpec, mapping, or registered name."""
-    if isinstance(value, ScenarioSpec):
-        return value
-    if isinstance(value, dict):
-        return ScenarioSpec.from_dict(value)
-    if isinstance(value, str):
-        return get_scenario(value)
-    raise ScenarioSpecError(
-        f"cannot interpret {value!r} as a scenario spec"
-    )
-
-
 # -- registry ---------------------------------------------------------------
 
 _SCENARIOS: Dict[str, ScenarioSpec] = {}

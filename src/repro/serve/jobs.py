@@ -6,6 +6,7 @@ One serve root holds everything the scheduler and the HTTP API share:
 <root>/jobs/
     job-000001/
         job.json        JobRecord — spec + scheduling state (atomic)
+        job.lock        flock held by each state transition
         events.jsonl    append-only job event log
         preempt         flag file: yield at the next checkpoint boundary
         cancel          flag file: stop and do not resume
@@ -16,7 +17,8 @@ Everything is a file, so submission (``repro submit``), scheduling
 (:class:`repro.serve.Scheduler`) and serving (:class:`repro.serve.
 JobApiServer`) can live in different processes with no shared memory:
 every record and log goes through :mod:`repro.obs.jsonl`, state changes
-go through :meth:`JobStore.transition` which enforces the lifecycle
+go through :meth:`JobStore.transition`, which holds the job's lock from
+reading the record to logging the event and enforces the lifecycle
 
 ``queued -> running -> (preempted -> running)* -> done | failed``
 
@@ -29,11 +31,14 @@ replayable after the fact.
 from __future__ import annotations
 
 import dataclasses
+import fcntl
 import json
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from ..api.backends import UnknownBackendError
 from ..api.experiment import Experiment
@@ -43,6 +48,7 @@ from ..runs.artifacts import RunDir
 from ..runs.runner import DEFAULT_CHECKPOINT_EVERY
 
 JOB_FILENAME = "job.json"
+LOCK_FILENAME = "job.lock"
 EVENTS_FILENAME = "events.jsonl"
 PREEMPT_FLAG = "preempt"
 CANCEL_FLAG = "cancel"
@@ -281,22 +287,41 @@ class JobStore:
         Extra keyword arguments update record fields; unknown keys are
         rejected by the dataclass.  The event (default: the new state
         name) records the transition with the updated fields attached.
+        Concurrent transitions of one job run one at a time, so each
+        sees the state the previous one saved.
         """
-        record = self.load(job_id)
-        if state not in JOB_STATES:
-            raise JobStoreError(f"unknown job state {state!r}")
-        if state not in _ALLOWED_TRANSITIONS[record.state]:
-            raise JobStoreError(
-                f"job {job_id} cannot go {record.state!r} -> {state!r}"
-            )
-        record.state = state
-        for key, value in updates.items():
-            if not hasattr(record, key):
-                raise JobStoreError(f"unknown job record field {key!r}")
-            setattr(record, key, value)
-        self.save(record)
-        self.append_event(job_id, event or state, state=state, **updates)
+        with self._locked(job_id):
+            record = self.load(job_id)
+            if state not in JOB_STATES:
+                raise JobStoreError(f"unknown job state {state!r}")
+            if state not in _ALLOWED_TRANSITIONS[record.state]:
+                raise JobStoreError(
+                    f"job {job_id} cannot go {record.state!r} -> {state!r}"
+                )
+            record.state = state
+            for key, value in updates.items():
+                if not hasattr(record, key):
+                    raise JobStoreError(f"unknown job record field {key!r}")
+                setattr(record, key, value)
+            self.save(record)
+            self.append_event(job_id, event or state, state=state, **updates)
         return record
+
+    @contextmanager
+    def _locked(self, job_id: str) -> Iterator[None]:
+        """Hold the job's lock file exclusively.  ``flock`` locks an open
+        file description, so it serialises the server's threads and any
+        other process on the same root alike; closing the file drops it."""
+        path = self.job_dir(job_id) / LOCK_FILENAME
+        try:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+        except FileNotFoundError:
+            raise UnknownJobError(f"unknown job {job_id!r} in {self.root}") from None
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)
 
     # -- events -----------------------------------------------------------
 

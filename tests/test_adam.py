@@ -63,12 +63,6 @@ class TestInferencePlan:
         with pytest.raises(UnsupportedGenomeError):
             build_inference_plan(genome, config)
 
-    def test_weight_words(self, config):
-        genome = make_genome(config, mutations=0)
-        plan = build_inference_plan(genome, config)
-        # single wave, 2 outputs x 4 inputs dense
-        assert plan.weight_words == 8
-
 
 class TestFunctionalEquivalence:
     @pytest.mark.parametrize("seed", range(8))
@@ -129,7 +123,7 @@ class TestStats:
         plan = build_inference_plan(genome, config)
         adam = ADAM()
         adam.run(plan, [0.5] * 4)
-        assert 0.0 <= adam.stats.utilization <= 1.0
+        assert 0 <= adam.stats.macs <= adam.stats.dense_macs
 
     def test_denser_genome_higher_utilization(self, config):
         """Fig. 11(a) discussion: more connection genes -> denser matrices
@@ -144,7 +138,7 @@ class TestStats:
         for name, genome in [("sparse", sparse), ("dense", dense)]:
             adam = ADAM()
             adam.run(build_inference_plan(genome, config), [1.0] * 4)
-            u[name] = adam.stats.utilization
+            u[name] = adam.stats.macs / adam.stats.dense_macs
         assert u["dense"] > u["sparse"]
 
     def test_reset_stats(self, config):
@@ -155,18 +149,6 @@ class TestStats:
         old = adam.reset_stats()
         assert old.passes == 1
         assert adam.stats.passes == 0
-
-    def test_stats_merge(self):
-        from repro.hw.adam import InferenceStats
-
-        a = InferenceStats(passes=1, macs=10, dense_macs=20, array_cycles=5,
-                           vectorize_cycles=3, waves=2)
-        b = InferenceStats(passes=2, macs=30, dense_macs=40, array_cycles=7,
-                           vectorize_cycles=1, waves=4)
-        a.merge(b)
-        assert a.passes == 3 and a.macs == 40
-        assert a.total_cycles == 16
-        assert a.utilization == pytest.approx(40 / 60)
 
 
 class TestStackedAdamEnvelope:

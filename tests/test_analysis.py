@@ -1,10 +1,8 @@
-"""Unit tests for the characterisation / reuse / footprint analyses."""
+"""Unit tests for the characterisation and reuse analyses."""
 
 import pytest
 
-from repro.analysis.characterization import characterise_env, record_workload
-from repro.analysis.footprint import footprint_report, genes_to_bytes
-from repro.hw.sram import SRAMConfig
+from repro.analysis.characterization import characterise_env
 from repro.neat.reproduction import ReproductionEvent, ReproductionPlan
 
 
@@ -46,9 +44,6 @@ class TestCharacterisation:
         comp = cartpole_char.composition()
         assert comp["nodes"] > 0 and comp["connections"] > 0
 
-    def test_convergence_tracked(self, cartpole_char):
-        assert len(cartpole_char.convergence_generations()) == 2
-
     def test_whole_budget_past_solve_threshold(self):
         # Acrobot's solve threshold (-100) is met from generation 0 when
         # episodes are capped at 20 steps; the runs still cover the budget.
@@ -56,16 +51,7 @@ class TestCharacterisation:
             "Acrobot-v1", runs=2, generations=3, pop_size=10, max_steps=20,
         )
         assert [r.generations for r in char.runs] == [3, 3]
-        assert char.convergence_generations() == [0, 0]
-
-
-class TestRecordWorkload:
-    def test_workloads(self):
-        trace = record_workload(
-            "MountainCar-v0", generations=2, pop_size=15, max_steps=50, seed=1
-        )
-        assert trace.generations == 2
-        assert trace.workloads[0].population == 15
+        assert [r.converged_at for r in char.runs] == [0, 0]
 
 
 class TestReuse:
@@ -93,24 +79,3 @@ class TestReuse:
     def test_empty_plan(self):
         assert ReproductionPlan(generation=0).fittest_parent_reuse({}) == 0
 
-
-class TestFootprint:
-    def test_genes_to_bytes(self):
-        assert genes_to_bytes(1000) == 8000
-
-    def test_report_fits_on_chip(self):
-        trace = record_workload(
-            "CartPole-v0", generations=2, pop_size=10, max_steps=40, seed=0
-        )
-        report = footprint_report("CartPole-v0", trace.workloads)
-        assert report.fits_on_chip
-        assert 0.0 < report.occupancy < 1.0
-        assert report.max_bytes >= report.mean_bytes
-
-    def test_report_overflow_detection(self):
-        trace = record_workload(
-            "CartPole-v0", generations=1, pop_size=10, max_steps=40, seed=0
-        )
-        tiny = SRAMConfig(num_banks=1, bank_depth=8)
-        report = footprint_report("CartPole-v0", trace.workloads, sram=tiny)
-        assert not report.fits_on_chip

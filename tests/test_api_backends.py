@@ -132,21 +132,6 @@ class TestSoCHardwareOptions:
         assert config.eve.scheduler == "round-robin"
         assert (config.adam.rows, config.adam.cols) == (16, 8)
 
-    def test_run_through_backend_options(self):
-        """The soc backend's one JSON option travels in backend_options;
-        its serial path gives the batched path's bits."""
-        spec = small_spec(backend="soc", max_generations=2)
-        serial = Experiment(
-            spec.replace(backend_options={"vectorize": False})
-        )
-        assert serial.backend.vectorize is False
-        batched = Experiment(spec).run()
-        result = serial.run()
-        assert [m.best_fitness for m in result.metrics] == \
-            [m.best_fitness for m in batched.metrics]
-        assert result.total_energy_j == batched.total_energy_j
-        assert result.total_cycles == batched.total_cycles
-
     def test_soc_runtime_respects_platform_frequency(self):
         """runtime_s must follow the design point's clock, not the module
         default."""
@@ -169,10 +154,11 @@ class TestSoCHardwareOptions:
         {"scheduler": "lifo"},
         {"adam_shape": "32"},
         {"adam_shape": "0x8"},
+        {"vectorize": False},
     ])
     def test_invalid_options_raise_spec_errors(self, options):
-        """The design-point knobs are not options: each fails with a
-        SpecError before the factory runs."""
+        """Neither the design-point knobs nor a serial/batched switch are
+        options: each fails with a SpecError before the factory runs."""
         from repro.api import SpecError
 
         with pytest.raises(SpecError):

@@ -6,11 +6,7 @@ import random
 import pytest
 
 from repro.neat import Genome, GenomeConfig, InnovationTracker
-from repro.neat.backprop import (
-    DifferentiableNetwork,
-    UntrainableGenomeError,
-    finetune_genome,
-)
+from repro.neat.backprop import DifferentiableNetwork, UntrainableGenomeError
 from repro.neat.network import FeedForwardNetwork
 
 
@@ -108,15 +104,18 @@ class TestTraining:
             for a in (-1.0, -0.5, 0.0, 0.5, 1.0)
             for b in (-1.0, 0.0, 1.0)
         ]
-        result = finetune_genome(genome, config, samples, epochs=150,
-                                 learning_rate=0.2)
+        result = DifferentiableNetwork(genome, config).train(
+            samples, epochs=150, learning_rate=0.2
+        )
         assert result.final_loss < 0.25 * result.initial_loss
 
     def test_write_back_updates_genome(self, config):
         genome = make_genome(config, hidden=1, seed=6)
         before = {k: c.weight for k, c in genome.connections.items()}
         samples = [([1.0, 1.0], [0.9])]
-        finetune_genome(genome, config, samples, epochs=30, learning_rate=0.3)
+        network = DifferentiableNetwork(genome, config)
+        network.train(samples, epochs=30, learning_rate=0.3)
+        network.write_back()
         after = {k: c.weight for k, c in genome.connections.items()}
         assert any(abs(after[k] - before[k]) > 1e-6
                    for k in before if genome.connections[k].enabled)
@@ -126,7 +125,9 @@ class TestTraining:
         from repro.hw import encode_genome, decode_genome
 
         genome = make_genome(config, hidden=2, seed=7)
-        finetune_genome(genome, config, [([0.5, 0.5], [0.1])], epochs=20)
+        network = DifferentiableNetwork(genome, config)
+        network.train([([0.5, 0.5], [0.1])], epochs=20)
+        network.write_back()
         genome.validate(config)
         decoded = decode_genome(encode_genome(genome, config), 0, config)
         decoded.validate(config)
@@ -140,5 +141,7 @@ class TestTraining:
     def test_topology_unchanged_by_training(self, config):
         genome = make_genome(config, hidden=2, seed=9)
         keys_before = (set(genome.nodes), set(genome.connections))
-        finetune_genome(genome, config, [([0.1, 0.2], [0.3])], epochs=10)
+        network = DifferentiableNetwork(genome, config)
+        network.train([([0.1, 0.2], [0.3])], epochs=10)
+        network.write_back()
         assert (set(genome.nodes), set(genome.connections)) == keys_before

@@ -13,7 +13,6 @@ from repro.envs.batched import (
     LockstepEnvs,
     VectorizedCartPole,
     VectorizedMountainCar,
-    has_vectorized_env,
     make_batched,
     register_batched,
 )
@@ -99,19 +98,18 @@ def test_lockstep_envs_reuse_instances_across_starts():
     batch = LockstepEnvs("CartPole-v0")
     batch.start([0, 1, 2])
     first = list(batch._envs)
-    batch.start([5, 6])
+    obs = batch.start([5, 6])
     assert batch._envs[:2] == first[:2]
-    assert batch.num_lanes == 2
+    assert len(obs) == 2
 
 
 def test_registry_dispatch():
-    assert has_vectorized_env("CartPole-v0")
-    assert has_vectorized_env("MountainCar-v0")
-    assert not has_vectorized_env("Acrobot-v1")
+    assert isinstance(make_batched("MountainCar-v0"), VectorizedMountainCar)
     assert isinstance(make_batched("CartPole-v0"), VectorizedCartPole)
     assert isinstance(make_batched("Acrobot-v1"), LockstepEnvs)
 
 
 def test_register_batched_custom():
-    register_batched("Acrobot-v1-test-alias", LockstepEnvs)
-    assert has_vectorized_env("Acrobot-v1-test-alias")
+    port = LockstepEnvs("Acrobot-v1")
+    register_batched("Acrobot-v1-test-alias", lambda env_id: port)
+    assert make_batched("Acrobot-v1-test-alias") is port

@@ -31,7 +31,6 @@ from repro.dse import (
     SweepSpec,
     halving_budgets,
     pareto_front,
-    run_halving,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -315,9 +314,9 @@ class TestGoldenSurvivors:
         points must reproduce the unpruned golden rows exactly — same
         metrics, same cache keys."""
         sweep = SweepSpec.from_dict(hw_sweep_golden["sweep"])
-        result = run_halving(
+        result = SuccessiveHalvingScheduler(
             sweep, {"fitness": "max", "energy_j": "min"}, reduction=2,
-        )
+        ).run()
         golden_by_point = {
             index: (row, key)
             for index, (row, key) in enumerate(

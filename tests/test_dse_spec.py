@@ -84,7 +84,7 @@ class TestExpansion:
     def test_grid_is_cartesian_product(self):
         s = sweep(axes={"seed": [0, 1, 2], "episodes": [1, 2]})
         points = s.expand()
-        assert len(points) == 6 == s.grid_size()
+        assert len(points) == 6
         combos = {(p.axes["seed"], p.axes["episodes"]) for p in points}
         assert combos == {(s_, e) for s_ in (0, 1, 2) for e in (1, 2)}
         assert [p.index for p in points] == list(range(6))

@@ -57,12 +57,6 @@ class TestSweeps:
         delta = p512.total_mw - p2.total_mw
         assert delta == pytest.approx(p512.eve_mw - p2.eve_mw)
 
-    def test_breakdown_dicts(self):
-        area = area_breakdown(64)
-        power = roofline_power(64)
-        assert area.as_dict()["total"] == pytest.approx(area.total_mm2)
-        assert power.as_dict()["total"] == pytest.approx(power.total_mw)
-
 
 class TestEnergyLedger:
     def test_zero_ledger(self):
@@ -93,18 +87,6 @@ class TestEnergyLedger:
         sram = EnergyLedger(sram_reads=100)
         dram = EnergyLedger(dram_accesses=100)
         assert dram.total_energy_j > 50 * sram.total_energy_j
-
-    def test_merge(self):
-        a = EnergyLedger(eve_pe_cycles=10, sram_reads=5)
-        b = EnergyLedger(eve_pe_cycles=20, sram_writes=7)
-        a.merge(b)
-        assert a.eve_pe_cycles == 30
-        assert a.sram_reads == 5 and a.sram_writes == 7
-
-    def test_as_dict_total(self):
-        ledger = EnergyLedger(adam_macs=100, sram_reads=10)
-        d = ledger.as_dict()
-        assert d["total"] == pytest.approx(ledger.total_energy_j)
 
 
 def test_cycles_to_seconds_at_200mhz():

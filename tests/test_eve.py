@@ -205,7 +205,6 @@ class TestEvolutionEngine:
         events = [ReproductionEvent(10 + i, 0, 1, 1) for i in range(4)]
         result = eve.reproduce_generation(buffer, events)
         assert result.pe_stats.crossovers > 0
-        assert result.total_ops >= result.pe_stats.crossovers
 
     def test_deterministic_for_seed(self, config):
         p1, p2 = make_parents(config)

@@ -38,12 +38,6 @@ def test_lower_compute_window_saves_energy_rate():
     assert fast_compute.average_power_mw < slow_compute.average_power_mw
 
 
-def test_energy_per_generation():
-    est = gated_power(0.002, 0.098, mode="clock")
-    expected = est.average_power_mw * 1e-3 * 0.1
-    assert est.energy_per_generation_j == pytest.approx(expected)
-
-
 def test_scales_with_pe_count():
     small = gated_power(0.001, 0.099, num_eve_pes=16)
     large = gated_power(0.001, 0.099, num_eve_pes=512)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.neat.config import GenomeConfig
-from repro.neat.genes import ConnectionGene, NodeGene, gene_sort_key, sorted_genes
+from repro.neat.genes import ConnectionGene, NodeGene
 
 
 @pytest.fixture
@@ -136,27 +136,3 @@ class TestConnectionGene:
         b = ConnectionGene((-1, 0), weight=0.0, enabled=False)
         expected = (1.0 + 1.0) * config.compatibility_weight_coefficient
         assert a.distance(b, config) == pytest.approx(expected)
-
-
-class TestOrdering:
-    def test_hw_order_nodes_before_connections(self):
-        genes = [
-            ConnectionGene((-1, 0)),
-            NodeGene(5),
-            NodeGene(0),
-            ConnectionGene((-2, 5)),
-        ]
-        ordered = sorted_genes(genes)
-        assert [type(g).__name__ for g in ordered] == [
-            "NodeGene",
-            "NodeGene",
-            "ConnectionGene",
-            "ConnectionGene",
-        ]
-        assert ordered[0].key == 0 and ordered[1].key == 5
-
-    def test_sort_key_ascending_ids(self):
-        assert gene_sort_key(NodeGene(1)) < gene_sort_key(NodeGene(2))
-        assert gene_sort_key(ConnectionGene((-1, 0))) < gene_sort_key(
-            ConnectionGene((0, 1))
-        )

@@ -270,15 +270,6 @@ class TestIntrospection:
     def test_num_genes(self, genome):
         assert genome.num_genes == 8
 
-    def test_hw_order(self, genome, config, rng, innovations):
-        for _ in range(10):
-            genome.mutate(config, rng, innovations)
-        stream = list(genome.iter_genes_hw_order())
-        node_part = [g for g in stream if not hasattr(g, "weight")]
-        conn_part = stream[len(node_part):]
-        assert [g.key for g in node_part] == sorted(g.key for g in node_part)
-        assert [g.key for g in conn_part] == sorted(g.key for g in conn_part)
-
     def test_validate_catches_dangling(self, genome, config):
         from repro.neat.genes import ConnectionGene
 

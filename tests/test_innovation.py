@@ -29,15 +29,3 @@ def test_fresh_node_id_increments():
     tracker = InnovationTracker(next_node_id=3)
     assert tracker.fresh_node_id() == 3
     assert tracker.fresh_node_id() == 4
-
-
-def test_reserve_through():
-    tracker = InnovationTracker(next_node_id=0)
-    tracker.reserve_through(10)
-    assert tracker.fresh_node_id() == 11
-
-
-def test_reserve_through_noop_when_lower():
-    tracker = InnovationTracker(next_node_id=20)
-    tracker.reserve_through(5)
-    assert tracker.next_node_id == 20

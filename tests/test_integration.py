@@ -142,18 +142,19 @@ class TestWorkloadClasses:
     def test_atari_class_heavier_than_classic(self):
         """Fig. 5(a): Atari workloads are ~2 orders heavier in ops and
         genes than classic control."""
-        classic = TraceRecorder(
+        classic = TraceRecorder(ExperimentSpec(
             "CartPole-v0", pop_size=20, seed=0, max_steps=40
-        ).record(3).mean_workload()
-        atari = TraceRecorder(
+        )).record(3).mean_workload()
+        atari = TraceRecorder(ExperimentSpec(
             "Alien-ram-v0", pop_size=20, seed=0, max_steps=40
-        ).record(3).mean_workload()
+        )).record(3).mean_workload()
         assert atari.total_genes > 10 * classic.total_genes
         assert atari.evolution_ops > 5 * classic.evolution_ops
 
     def test_all_suite_envs_trace(self):
         for env_id in EVALUATION_SUITE:
-            trace = TraceRecorder(env_id, pop_size=10, seed=0, max_steps=20).record(2)
+            spec = ExperimentSpec(env_id, pop_size=10, seed=0, max_steps=20)
+            trace = TraceRecorder(spec).record(2)
             assert trace.generations == 2
 
 
@@ -166,9 +167,10 @@ class TestSoCAccountingConsistency:
         ledger = report.energy
         assert ledger.adam_macs == report.inference.macs
         assert ledger.eve_pe_cycles == report.evolution.pe_stats.busy_cycles
-        assert ledger.total_energy_j == pytest.approx(
-            sum(v for k, v in ledger.as_dict().items() if k != "total")
-        )
+        assert ledger.total_energy_j == pytest.approx(sum(
+            getattr(ledger, f"{part}_energy_j")
+            for part in ("eve", "adam", "sram", "dram", "noc", "m0")
+        ))
 
     def test_sram_accesses_cover_reads_and_writes(self):
         neat = config_for_env("CartPole-v0", pop_size=12)

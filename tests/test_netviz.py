@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.analysis.netviz import connection_matrix, describe_genome, sparsity
+from repro.analysis.netviz import describe_genome
 from repro.neat import Genome, GenomeConfig, InnovationTracker
 
 
@@ -53,29 +53,3 @@ def test_describe_handles_unconnected(config):
     text = describe_genome(g, config)
     assert "layer 1" in text
 
-
-def test_matrix_symbols(genome, config):
-    next(iter(genome.connections.values())).enabled = False
-    matrix = connection_matrix(genome, config)
-    assert "#" in matrix  # enabled
-    assert "o" in matrix  # disabled
-    assert "." in matrix  # absent
-
-
-def test_sparsity_bounds(genome, config):
-    value = sparsity(genome, config)
-    assert 0.0 < value <= 1.0
-
-
-def test_sparsity_dense_initial(config):
-    g = Genome(0)
-    g.configure_new(config, random.Random(0))
-    # initial: 2 inputs x 1 output fully connected; dense grid is 3x1
-    assert sparsity(g, config) == pytest.approx(2 / 3)
-
-
-def test_sparsity_empty():
-    config = GenomeConfig(num_inputs=1, num_outputs=1, initial_connection="none")
-    g = Genome(0)
-    g.configure_new(config, random.Random(0))
-    assert sparsity(g, config) == 0.0

@@ -117,14 +117,3 @@ def test_reset_stats():
     old = noc.reset_stats()
     assert old.sram_reads == 1
     assert noc.stats.cycles == 0
-
-
-def test_stats_merge():
-    noc = PointToPointNoC()
-    noc.distribute_cycle(demands_distinct(3))
-    a = noc.reset_stats()
-    noc.distribute_cycle(demands_distinct(2))
-    b = noc.reset_stats()
-    a.merge(b)
-    assert a.sram_reads == 5
-    assert a.cycles == 2

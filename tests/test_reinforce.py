@@ -83,7 +83,7 @@ class TestReinforceAgent:
         )
         first_five = [agent.train_episode(episode_seed=e) for e in range(5)]
         agent.train(episodes=60)
-        last = [agent.greedy_episode(episode_seed=1000 + e) for e in range(5)]
+        last = agent.history[-5:]
         assert np.mean(last) >= np.mean(first_five) * 0.8  # no collapse
         assert np.mean(last) > 9.0  # visibly better than random flailing
 

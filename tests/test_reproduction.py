@@ -157,10 +157,6 @@ class TestReproductionPlanStats:
         reuse = plan.fittest_parent_reuse({1: 5.0, 2: 9.0})
         assert reuse == 2
 
-    def test_is_clone(self):
-        assert ReproductionEvent(1, 2, 2, 1).is_clone
-        assert not ReproductionEvent(1, 2, 3, 1).is_clone
-
 
 class TestExtinction:
     def test_reset_on_extinction(self, config):

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.api import ExperimentSpec, run_experiment
-from repro.neat.serialize import DeserializationError
+from repro.neat.serialize import DeserializationError, load_genome_with_config
 from repro.runs import (
     RunDir,
     RunError,
@@ -52,7 +52,7 @@ class TestArtifacts:
         assert rd.load_meta()["checkpoint_every"] == 2
         # Cadence checkpoints at 2 and 4, plus the final state at 5.
         assert [gen for gen, _ in rd.checkpoints()] == [2, 4, 5]
-        champion = rd.load_champion()
+        champion, _ = load_genome_with_config(rd.champion_path)
         assert champion.fitness == result.best_fitness
         summary = rd.load_result()
         assert summary["generations"] == 5
@@ -81,7 +81,9 @@ class TestArtifacts:
         from repro.neat.network import FeedForwardNetwork
 
         run_in_dir(small_spec(), tmp_path / "run")
-        genome, config = RunDir(tmp_path / "run").load_champion_with_config()
+        genome, config = load_genome_with_config(
+            RunDir(tmp_path / "run").champion_path
+        )
         network = FeedForwardNetwork.create(genome, config.genome)
         assert network.activate([0.0, 0.0, 0.0, 0.0])
 

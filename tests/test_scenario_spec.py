@@ -23,7 +23,6 @@ from repro.scenarios import (
     ScenarioSpec,
     ScenarioSpecError,
     UnknownScenarioError,
-    as_scenario_spec,
     get_scenario,
     register_scenario,
     registered_scenarios,
@@ -316,19 +315,11 @@ class TestRegistry:
             scenario = get_scenario("test-low-gravity")
             assert scenario.name == "test-low-gravity"
             assert scenario.params == {"gravity": 3.7}
-            assert as_scenario_spec("test-low-gravity") == scenario
         finally:
             unregister_scenario("test-low-gravity")
         assert "test-low-gravity" not in scenario_names()
         with pytest.raises(UnknownScenarioError):
             unregister_scenario("test-low-gravity")
-
-    def test_as_scenario_spec_coercions(self):
-        direct = ScenarioSpec(env_id="CartPole-v0")
-        assert as_scenario_spec(direct) is direct
-        assert as_scenario_spec({"env_id": "CartPole-v0"}) == direct
-        with pytest.raises(ScenarioSpecError):
-            as_scenario_spec(42)
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ class TestBatchedFallback:
             scalar_obs.append(env.reset().ravel())
         assert np.array_equal(batch_obs, np.stack(scalar_obs))
         for t in range(20):
-            actions = np.full(batched.num_lanes, t % 2)
+            actions = np.full(len(scalars), t % 2)
             b_obs, b_rew, b_done = batched.step(actions)
             s = [env.step(t % 2) for env in scalars]
             assert np.array_equal(b_obs, np.stack([o.ravel() for o, *_ in s]))

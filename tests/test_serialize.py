@@ -11,7 +11,6 @@ from repro.neat.serialize import (
     DeserializationError,
     genome_from_dict,
     genome_to_dict,
-    load_genome,
     load_genome_with_config,
     save_genome,
 )
@@ -63,10 +62,10 @@ class TestDictRoundTrip:
 
 
 class TestFileRoundTrip:
-    def test_save_load_genome(self, genome, tmp_path):
+    def test_save_load_genome(self, genome, config, tmp_path):
         path = tmp_path / "champion.json"
-        save_genome(genome, path)
-        loaded = load_genome(path)
+        save_genome(genome, path, config=config)
+        loaded, _ = load_genome_with_config(path)
         assert set(loaded.connections) == set(genome.connections)
 
     def test_save_with_config(self, genome, config, tmp_path):
@@ -82,13 +81,13 @@ class TestFailureModes:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(DeserializationError):
-            load_genome(path)
+            load_genome_with_config(path)
 
     def test_missing_genome_key(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"something": 1}))
         with pytest.raises(DeserializationError):
-            load_genome(path)
+            load_genome_with_config(path)
 
     def test_wrong_format_version(self, genome):
         data = genome_to_dict(genome)
@@ -212,8 +211,8 @@ class TestHardwareInterop:
         from repro.hw import encode_genome
 
         path = tmp_path / "g.json"
-        save_genome(genome, path)
-        loaded = load_genome(path)
+        save_genome(genome, path, config=config)
+        loaded, _ = load_genome_with_config(path)
         assert encode_genome(loaded, config.genome) == encode_genome(
             genome, config.genome
         )

@@ -83,6 +83,8 @@ def test_submit_rejects_bad_knobs(store):
 def test_load_unknown_job(store):
     with pytest.raises(UnknownJobError, match="job-000099"):
         store.load("job-000099")
+    with pytest.raises(UnknownJobError, match="job-000099"):
+        store.transition("job-000099", RUNNING)
 
 
 def test_transition_happy_path_and_events(store):
@@ -116,6 +118,56 @@ def test_transition_rejects_unknown_state_and_field(store):
         store.transition(record.id, "paused")
     with pytest.raises(JobStoreError, match="unknown job record field"):
         store.transition(record.id, RUNNING, nonsense=1)
+
+
+def test_racing_transitions_out_of_running_apply_one_after_the_other(
+    store, monkeypatch
+):
+    """A cancel racing a finish: the first transition is held inside its
+    save until the second has read the record (or, with the job locked,
+    for half a second).  Applied in turn, the second must see ``done``
+    and be refused, not overwrite it from a stale record."""
+    record = store.submit(small_spec())
+    store.transition(record.id, RUNNING)
+    first_saving = threading.Event()
+    second_loaded = threading.Event()
+    load, save = store.load, store.save
+
+    def held_save(job):
+        if threading.current_thread().name == "finish":
+            first_saving.set()
+            second_loaded.wait(timeout=0.5)
+        save(job)
+
+    def noted_load(job_id):
+        loaded = load(job_id)
+        if threading.current_thread().name == "cancel":
+            second_loaded.set()
+        return loaded
+
+    monkeypatch.setattr(store, "save", held_save)
+    monkeypatch.setattr(store, "load", noted_load)
+    outcomes = {}
+
+    def move(state):
+        try:
+            outcomes[state] = store.transition(record.id, state).state
+        except JobStoreError as exc:
+            outcomes[state] = exc
+
+    finish = threading.Thread(target=move, args=(DONE,), name="finish")
+    cancel = threading.Thread(target=move, args=(CANCELLED,), name="cancel")
+    finish.start()
+    assert first_saving.wait(timeout=30)
+    cancel.start()
+    for thread in (finish, cancel):
+        thread.join(timeout=30)
+    assert not finish.is_alive() and not cancel.is_alive()
+    assert outcomes[DONE] == DONE
+    assert isinstance(outcomes[CANCELLED], JobStoreError)
+    assert load(record.id).state == DONE
+    events = [row["event"] for row in store.read_events(record.id)]
+    assert events == ["submitted", "running", "done"]
 
 
 def test_preempt_and_cancel_flags(store):

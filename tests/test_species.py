@@ -117,5 +117,5 @@ def test_species_of(config, rng):
     species_set = SpeciesSet(config)
     species_set.speciate(population, 0)
     key = next(iter(population))
-    assert species_set.species_of(key) in species_set.species
-    assert species_set.species_of(9999) is None
+    assert species_set.genome_to_species[key] in species_set.species
+    assert 9999 not in species_set.genome_to_species

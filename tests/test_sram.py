@@ -53,16 +53,6 @@ class TestReadWrite:
         assert buffer.genome_length(1) == 4
         assert buffer.words_used == 4
 
-    def test_incremental_gene_write(self, buffer):
-        stream = make_stream(3)
-        for i, gene in enumerate(stream):
-            buffer.write_gene(2, i, gene)
-        assert buffer.read_genome(2) == stream
-
-    def test_non_contiguous_write_raises(self, buffer):
-        with pytest.raises(IndexError):
-            buffer.write_gene(1, 5, make_stream(1)[0])
-
     def test_delete_frees_space(self, buffer):
         buffer.write_genome(1, make_stream(10))
         buffer.delete_genome(1)
@@ -128,10 +118,6 @@ class TestOverflow:
         assert buffer.overflowing
         assert buffer.stats.dram_writes == 4  # words 9-12
 
-    def test_bytes_used(self, buffer):
-        buffer.write_genome(1, make_stream(10))
-        assert buffer.bytes_used == 80
-
 
 class TestStatsWindow:
     def test_reset_stats(self, buffer):
@@ -139,12 +125,3 @@ class TestStatsWindow:
         old = buffer.reset_stats()
         assert old.writes == 3
         assert buffer.stats.writes == 0
-
-    def test_merge(self, buffer):
-        buffer.write_genome(1, make_stream(3))
-        a = buffer.reset_stats()
-        buffer.read_genome(1)
-        b = buffer.reset_stats()
-        a.merge(b)
-        assert a.writes == 3 and a.reads == 3
-        assert a.total_accesses == 6

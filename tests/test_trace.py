@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro.api import Experiment, ExperimentSpec
 from repro.core.trace import GenerationWorkload, TraceRecorder
 from repro.neat.genome import MutationCounts
 
 
 @pytest.fixture(scope="module")
 def trace():
-    recorder = TraceRecorder("CartPole-v0", pop_size=20, seed=0, max_steps=60)
-    return recorder.record(4)
+    spec = ExperimentSpec("CartPole-v0", pop_size=20, seed=0, max_steps=60)
+    return TraceRecorder(spec).record(4)
 
 
 def test_workloads_per_generation(trace):
@@ -50,6 +51,22 @@ def test_trace_lines_match_workload_ops(trace):
     for line in trace.lines:
         per_gen[line.generation] = per_gen.get(line.generation, 0) + line.count
     assert per_gen == {w.generation: w.ops.total for w in trace.workloads}
+
+
+def test_recorder_runs_the_specs_scenario():
+    """A trace records the run its spec describes, scenario included:
+    per generation, the same env steps as the experiment itself."""
+    spec = ExperimentSpec(
+        "CartPole-v0", max_generations=3, pop_size=12, max_steps=40, seed=0,
+        scenario={"env_id": "CartPole-v0",
+                  "params": {"length": 0.1, "gravity": 30.0}},
+    )
+    trace = TraceRecorder(spec).record(spec.max_generations)
+    result = Experiment(spec).run()
+    assert len(result.metrics) == 3  # the solve threshold stayed out of reach
+    assert [w.env_steps for w in trace.workloads] == [
+        m.env_steps for m in result.metrics
+    ]
 
 
 def test_mean_workload(trace):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExperimentSpec
 from repro.core import GeneSysConfig, GeneSysSoC, config_for_env
 from repro.core.trace import TraceRecorder, WorkloadTrace
 from repro.envs import AcrobotEnv
@@ -11,8 +12,8 @@ from repro.hw import EvEConfig
 
 class TestTracePersistence:
     def test_save_load_round_trip(self, tmp_path):
-        recorder = TraceRecorder("CartPole-v0", pop_size=12, seed=0, max_steps=40)
-        trace = recorder.record(3)
+        spec = ExperimentSpec("CartPole-v0", pop_size=12, seed=0, max_steps=40)
+        trace = TraceRecorder(spec).record(3)
         path = tmp_path / "cartpole.trace"
         trace.save(path)
         loaded = WorkloadTrace.load(path)
@@ -24,8 +25,8 @@ class TestTracePersistence:
             )
 
     def test_file_format_matches_paper_fields(self, tmp_path):
-        recorder = TraceRecorder("CartPole-v0", pop_size=10, seed=0, max_steps=30)
-        trace = recorder.record(2)
+        spec = ExperimentSpec("CartPole-v0", pop_size=10, seed=0, max_steps=30)
+        trace = TraceRecorder(spec).record(2)
         path = tmp_path / "t.trace"
         trace.save(path)
         lines = path.read_text().splitlines()
