@@ -17,7 +17,6 @@ from .reporting import (
     render_table,
     summarize_distribution,
     write_csv,
-    write_json,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "render_table",
     "summarize_distribution",
     "write_csv",
-    "write_json",
 ]

@@ -9,7 +9,7 @@ the characterisation figures plot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..api.spec import ExperimentSpec
 from ..core.trace import TraceRecorder

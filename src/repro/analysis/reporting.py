@@ -8,10 +8,12 @@ against the paper directly (and diffed between runs).
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence, Union
+
+from ..obs.jsonl import write_atomic
 
 Number = Union[int, float]
 
@@ -21,20 +23,13 @@ def write_csv(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],
 ) -> None:
-    """Write one table to ``path`` as CSV (the machine twin of
-    :func:`render_table`)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(headers))
-        for row in rows:
-            writer.writerow(list(row))
-
-
-def write_json(path: Union[str, Path], payload: object) -> None:
-    """Write a JSON-serialisable payload with stable key order."""
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    """Replace ``path`` with one table as CSV (the machine twin of
+    :func:`render_table`), atomically."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(headers)
+    writer.writerows(rows)
+    write_atomic(path, text.getvalue())
 
 
 def fmt_si(value: float, unit: str = "") -> str:

@@ -9,7 +9,7 @@ substrate produced a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..neat.genome import Genome
@@ -65,28 +65,13 @@ class GenerationMetrics:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        data = {
-            "generation": self.generation,
-            "best_fitness": self.best_fitness,
-            "mean_fitness": self.mean_fitness,
-            "num_species": self.num_species,
-            "num_genes": self.num_genes,
-            "footprint_bytes": self.footprint_bytes,
-            "env_steps": self.env_steps,
-            "inference_macs": self.inference_macs,
-            "energy_j": self.energy_j,
-            "cycles": self.cycles,
-            "runtime_s": self.runtime_s,
+        # The scenario columns are left out when unset, so non-scenario
+        # metrics.jsonl rows stay byte-identical to every earlier release.
+        return {
+            f.name: value for f in fields(self)
+            if (value := getattr(self, f.name)) is not None
+            or not f.name.startswith("scenario_")
         }
-        # Emitted only on scenario runs, so non-scenario metrics.jsonl
-        # rows stay byte-identical to every earlier release.
-        if self.scenario_stage is not None:
-            data["scenario_stage"] = self.scenario_stage
-            if self.scenario_forgetting is not None:
-                data["scenario_forgetting"] = self.scenario_forgetting
-            if self.scenario_recovery is not None:
-                data["scenario_recovery"] = self.scenario_recovery
-        return data
 
 
 @dataclass

@@ -13,14 +13,13 @@ resume re-derives the whole experiment from it).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
 from ..envs.evaluate import VECTORIZERS
+from ..obs.jsonl import JsonRecord, reject_unknown
 from ..platforms.spec import (
     PlatformSpec,
     PlatformSpecError,
@@ -38,7 +37,7 @@ def is_integer(value: Any) -> bool:
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(JsonRecord):
     """Everything needed to reproduce one experiment, JSON-serialisable.
 
     ``backend`` is a registry key (``software``, ``soc``,
@@ -47,6 +46,9 @@ class ExperimentSpec:
     any).  The hardware design point is named only by the ``platform``
     block, never by an option.
     """
+
+    error = SpecError
+    label = "spec"
 
     env_id: str
     backend: str = "software"
@@ -170,13 +172,7 @@ class ExperimentSpec:
                     "use the software or analytical backends"
                 )
 
-    # -- derivation -------------------------------------------------------
-
-    def replace(self, **changes: Any) -> "ExperimentSpec":
-        """A copy of this spec with the given fields changed."""
-        return dataclasses.replace(self, **changes)
-
-    # -- dict / JSON round-trip -------------------------------------------
+    # -- dict round-trip (JSON: repro.obs.jsonl.JsonRecord) ---------------
 
     def to_dict(self) -> Dict[str, Any]:
         data = dataclasses.asdict(self)
@@ -195,28 +191,6 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise SpecError(f"unknown spec fields: {unknown}")
+        known = [f.name for f in dataclasses.fields(cls)]
+        reject_unknown(data, known, SpecError, "spec fields")
         return cls(**dict(data))
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"invalid spec JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise SpecError("spec JSON must be an object")
-        return cls.from_dict(data)
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "ExperimentSpec":
-        return cls.from_json(Path(path).read_text())

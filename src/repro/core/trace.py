@@ -23,6 +23,7 @@ from ..neat.genome import MutationCounts
 from ..neat.network import feed_forward_layers
 from ..neat.population import Population
 from ..neat.statistics import GENE_BYTES
+from ..obs.jsonl import write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..api.result import GenerationMetrics
@@ -100,12 +101,10 @@ class WorkloadTrace:
         genome id, the type of operation ... These traces serve as proxy
         for our workloads" (Section VI-A).
         """
-        from pathlib import Path
-
         out = [f"# workload trace: {self.env_id}",
                "# generation,genome_id,op,count"]
         out.extend(self.iter_lines())
-        Path(path).write_text("\n".join(out) + "\n")
+        write_atomic(path, "\n".join(out) + "\n")
 
     @classmethod
     def load(cls, path) -> "WorkloadTrace":

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .cli import build_parser
+from .obs.jsonl import write_atomic
 
 #: Help text renders at this terminal width, pinned for reproducibility.
 HELP_WIDTH = 80
@@ -105,7 +106,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{target} is up to date")
         return 0
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(rendered)
+    write_atomic(target, rendered)
     print(f"wrote {target}")
     return 0
 

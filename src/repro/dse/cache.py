@@ -1,12 +1,13 @@
 """Content-hash memoisation of sweep points on disk.
 
 Every sweep point is keyed by the SHA-256 of a canonical JSON payload
-(sorted keys, fixed separators), so the key is invariant to spec field
-ordering and stable across processes and machines — no pickling, no
-``PYTHONHASHSEED`` sensitivity.  Records live one-per-file under a
-two-level fanout (``<root>/<key[:2]>/<key>.json``), each replaced whole
-by :func:`repro.obs.jsonl.write_atomic`, so concurrent sweeps sharing
-one cache directory never observe torn records.
+(sorted keys, fixed separators: :func:`repro.obs.jsonl.content_key`), so
+the key is invariant to spec field ordering and stable across processes
+and machines — no pickling, no ``PYTHONHASHSEED`` sensitivity.  Records
+live one-per-file under a two-level fanout
+(``<root>/<key[:2]>/<key>.json``), each replaced whole by
+:func:`repro.obs.jsonl.write_atomic`, so concurrent sweeps sharing one
+cache directory never observe torn records.
 
 The default executor's metrics are a pure function of the *effective*
 :class:`repro.api.ExperimentSpec`, so its keys hash the spec alone —
@@ -17,14 +18,13 @@ the whole point, so their keys also hash the raw axis values.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
 from ..api.spec import ExperimentSpec
-from ..obs.jsonl import write_atomic
+from ..obs.jsonl import content_key, read_json, write_atomic
 from .spec import SweepPoint, SweepSpec
 
 #: Bump when the record layout or key payload changes shape.
@@ -35,19 +35,15 @@ CACHE_FORMAT = 1
 EXPERIMENT_EVALUATOR = "experiment-v2"
 
 
-def canonical_json(payload: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace variance."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def spec_key(
     spec: Union[ExperimentSpec, Mapping[str, Any]],
     evaluator: str = EXPERIMENT_EVALUATOR,
 ) -> str:
     """Content hash of an experiment spec (field-order invariant)."""
     data = spec.to_dict() if isinstance(spec, ExperimentSpec) else dict(spec)
-    payload = {"format": CACHE_FORMAT, "evaluator": evaluator, "spec": data}
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    return content_key(
+        {"format": CACHE_FORMAT, "evaluator": evaluator, "spec": data}
+    )
 
 
 def point_key(
@@ -58,13 +54,12 @@ def point_key(
     """Content hash identifying one sweep point's evaluation."""
     if not include_axes:
         return spec_key(point.spec, evaluator)
-    payload = {
+    return content_key({
         "format": CACHE_FORMAT,
         "evaluator": evaluator,
         "spec": point.spec.to_dict(),
         "axes": dict(point.axes),
-    }
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    })
 
 
 def sweep_key(sweep: "SweepSpec", evaluator: str = EXPERIMENT_EVALUATOR) -> str:
@@ -74,12 +69,11 @@ def sweep_key(sweep: "SweepSpec", evaluator: str = EXPERIMENT_EVALUATOR) -> str:
     ledger) on this, so workers handed the same sweep file land in the
     same queue and sweeps never share claim state by accident.
     """
-    payload = {
+    return content_key({
         "format": CACHE_FORMAT,
         "evaluator": evaluator,
         "sweep": sweep.to_dict(),
-    }
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    })
 
 
 def default_cache_dir() -> Path:
@@ -105,14 +99,11 @@ class SweepCache:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored record, or ``None`` on a miss (corrupt files count
         as misses and will simply be rewritten)."""
-        path = self.path_for(key)
         try:
-            record = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            record = read_json(self.path_for(key), ValueError)
+        except ValueError:
             return None
-        if not isinstance(record, dict) or record.get("format") != CACHE_FORMAT:
-            return None
-        return record
+        return record if record.get("format") == CACHE_FORMAT else None
 
     def put(self, key: str, metrics: Mapping[str, Any],
             point: Optional[SweepPoint] = None) -> Dict[str, Any]:

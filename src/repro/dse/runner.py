@@ -38,7 +38,8 @@ from typing import (
 )
 
 from .. import obs
-from ..analysis.reporting import write_csv, write_json
+from ..analysis.reporting import write_csv
+from ..obs.jsonl import write_json
 from .cache import EXPERIMENT_EVALUATOR, SweepCache, point_key
 from .pareto import ObjectiveError, pareto_front
 from .spec import SweepPoint, SweepSpec

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..api.spec import ExperimentSpec, SpecError, is_integer
+from ..obs.jsonl import JsonRecord, reject_unknown
 from ..platforms import (
     PLATFORM_KINDS,
     PlatformSpec,
@@ -114,7 +113,7 @@ class SweepPoint:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(JsonRecord):
     """A design-space study, JSON-serialisable.
 
     ``axes`` maps axis names to candidate-value lists.  An axis name is
@@ -136,6 +135,9 @@ class SweepSpec:
     every evaluated point a durable, resumable :mod:`repro.runs`
     directory.
     """
+
+    error = SweepSpecError
+    label = "sweep"
 
     base: ExperimentSpec
     axes: Dict[str, List[Any]] = field(default_factory=dict)
@@ -343,10 +345,7 @@ class SweepSpec:
             for i, combo in enumerate(self._combinations())
         ]
 
-    # -- dict / JSON round-trip -------------------------------------------
-
-    def replace(self, **changes: Any) -> "SweepSpec":
-        return dataclasses.replace(self, **changes)
+    # -- dict round-trip (JSON: repro.obs.jsonl.JsonRecord) ---------------
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -359,10 +358,8 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise SweepSpecError(f"unknown sweep fields: {unknown}")
+        known = [f.name for f in dataclasses.fields(cls)]
+        reject_unknown(data, known, SweepSpecError, "sweep fields")
         if "base" not in data:
             raise SweepSpecError("a sweep spec needs a 'base' experiment spec")
         base = data["base"]
@@ -371,23 +368,3 @@ class SweepSpec:
                 raise SweepSpecError("'base' must be an experiment-spec object")
             base = ExperimentSpec.from_dict(base)
         return cls(**{**dict(data), "base": base})
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SweepSpecError(f"invalid sweep JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise SweepSpecError("sweep JSON must be an object")
-        return cls.from_dict(data)
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "SweepSpec":
-        return cls.from_json(Path(path).read_text())

@@ -27,7 +27,6 @@ late steps only pay for live episodes.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Callable, Dict, List, Sequence, Tuple, Type
 
@@ -37,7 +36,7 @@ from .base import Environment
 from .cartpole import CartPoleEnv
 from .mountain_car import MountainCarEnv
 from .registry import make
-from .spaces import Box, Discrete, MultiBinary
+from .spaces import Discrete, MultiBinary
 
 #: step() result: (observations, rewards, dones) for the live lanes.
 BatchedStep = Tuple[np.ndarray, np.ndarray, np.ndarray]

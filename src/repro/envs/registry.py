@@ -7,7 +7,7 @@ case-insensitive so the exact label spelling from any paper figure works.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Type
+from typing import Dict, List, Optional, Type
 
 from .acrobot import AcrobotEnv
 from .atari_ram import AirRaidRamEnv, AlienRamEnv, AmidarRamEnv, AsterixRamEnv

@@ -19,7 +19,7 @@ Per-op energies follow from power / throughput at 200 MHz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 #: The paper's implementation parameters (Fig. 8a table).

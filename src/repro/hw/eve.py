@@ -40,7 +40,7 @@ from .gene_encoding import (
     split_key,
 )
 from .noc import BaseNoC, NoCStats, make_noc
-from .pe import CONFIG_LOAD_CYCLES, PIPELINE_DEPTH, PEConfig, PEStats, ProcessingElement
+from .pe import PEConfig, PEStats, ProcessingElement
 from .sram import GenomeBuffer
 
 AlignedPair = Tuple[PackedGene, Optional[PackedGene]]

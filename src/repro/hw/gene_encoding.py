@@ -29,7 +29,7 @@ negative input-node ids of the software representation round-trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List
 
 from ..neat.activations import ACTIVATION_CODES, ACTIVATION_NAMES
 from ..neat.aggregations import AGGREGATION_CODES, AGGREGATION_NAMES

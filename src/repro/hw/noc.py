@@ -17,8 +17,8 @@ SRAM reads are issued?
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 #: One in-flight demand: (pe_index, genome_id, word_index)
 Demand = Tuple[int, int, int]

@@ -13,7 +13,7 @@ conflicts, and DRAM spill traffic — the quantities behind Fig. 11(b)/(c).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .gene_encoding import GENE_WORD_BYTES, PackedGene
 

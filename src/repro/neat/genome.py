@@ -15,7 +15,7 @@ simulators (Section VI-A: "generate a trace of reproduction operations").
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .config import GenomeConfig

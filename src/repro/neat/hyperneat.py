@@ -18,8 +18,8 @@ ADAM / the software network unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from .config import GenomeConfig, NEATConfig
 from .genes import ConnectionGene, NodeGene

@@ -28,12 +28,11 @@ silently diverge, so it is rejected instead).
 
 from __future__ import annotations
 
-import json
 import random
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Union
 
-from ..obs.jsonl import write_atomic
+from ..obs.jsonl import read_json, write_json
 from .config import NEATConfig
 from .genes import ConnectionGene, NodeGene
 from .genome import Genome, MutationCounts
@@ -109,27 +108,18 @@ def genome_from_dict(data: Dict[str, Any]) -> Genome:
 
 
 def save_genome(genome: Genome, path: Union[str, Path],
-                config: Optional[NEATConfig] = None) -> None:
-    """Write a genome (optionally with its NEAT config) to a JSON file,
-    replacing any previous one atomically."""
-    payload: Dict[str, Any] = {"genome": genome_to_dict(genome)}
-    if config is not None:
-        payload["config"] = config.to_dict()
-    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
+                config: NEATConfig) -> None:
+    """Write a genome and its NEAT config to a JSON file, replacing any
+    previous one atomically."""
+    write_json(path, {"genome": genome_to_dict(genome),
+                      "config": config.to_dict()})
 
 
 def load_genome_with_config(path: Union[str, Path]):
-    payload = _read(path)
+    payload = read_json(path, DeserializationError)
     if "genome" not in payload or "config" not in payload:
         raise DeserializationError("file lacks genome and/or config")
     return genome_from_dict(payload["genome"]), NEATConfig.from_dict(payload["config"])
-
-
-def _read(path: Union[str, Path]) -> Dict[str, Any]:
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DeserializationError(f"not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +306,7 @@ def population_from_state(
 def load_population_state(path: Union[str, Path]) -> Dict[str, Any]:
     """Read a checkpoint payload (validated lazily by
     :func:`population_from_state`, which also needs the config)."""
-    payload = _read(path)
+    payload = read_json(path, DeserializationError)
     if "genomes" not in payload or "rng_state" not in payload:
         raise DeserializationError(
             "file does not contain a population-state checkpoint"

@@ -17,9 +17,11 @@ The observability layer for every execution path — see
 * :class:`MetricsRegistry` + :func:`prometheus_text` — the scrapeable
   ``GET /metrics`` surface of the serve HTTP API and the data behind
   ``repro top``.
-* :mod:`repro.obs.jsonl` — the one atomic write, JSONL append and JSONL
-  reader (:func:`read_jsonl`) of run, job, sweep and telemetry files,
-  plus :class:`JsonlTail`, the incremental follower every poll loop uses.
+* :mod:`repro.obs.jsonl` — the one writer of every file the repo keeps
+  and the reader of its JSON and JSONL documents (atomic write, JSON
+  documents, JSONL append and :func:`read_jsonl`), the spec records'
+  JSON codec, and :class:`JsonlTail`, the incremental follower every
+  poll loop uses.
 """
 
 from .chrome import chrome_trace, export_chrome_trace, phase_summary

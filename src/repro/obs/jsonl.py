@@ -1,5 +1,7 @@
-"""The one reader and writer of the repo's JSON files: run directories,
-serve jobs, sweep caches and ledgers, and telemetry all go through it.
+"""The one writer of the repo's files, the reader of its JSON and JSONL
+documents, and the one place that knows how a record becomes JSON text:
+run directories, serve jobs, sweep caches and ledgers, telemetry, the
+four spec records and the table and trace exports all go through it.
 
 * :func:`write_atomic` replaces a whole file.  The text goes to a temp
   file whose name is unique to the call (``<name>.tmp-<pid>-<thread>-
@@ -7,6 +9,16 @@ serve jobs, sweep caches and ledgers, and telemetry all go through it.
   reader sees the old file or the new one, never a mix, and two threads
   or processes writing one file never share a temp.  A failed write
   removes its temp and raises.
+* :func:`write_json` replaces a file with one indented, sorted-key JSON
+  document (trailing newline) through :func:`write_atomic`;
+  :func:`read_json` returns the JSON object a file holds, or raises the
+  caller's error class for anything else (missing, unreadable, not
+  JSON, not an object).
+* :class:`JsonRecord` is the JSON codec the spec records inherit:
+  ``replace``, ``to_json``/``from_json``, ``save``/``load`` and the
+  content hash (:func:`content_key`, SHA-256 of :func:`canonical_json`)
+  that keys the DSE cache.  :func:`reject_unknown` is the one check of
+  a record dict against its known fields.
 * :func:`append_jsonl` appends one row in a single ``O_APPEND`` write,
   so concurrent appenders interleave whole rows.  A writer killed
   mid-row leaves a **torn tail** (no trailing newline); the next append
@@ -34,12 +46,14 @@ looks at it.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Union
+from typing import Any, Dict, Iterable, List, Mapping, Union
 
 
 def write_atomic(path: Union[str, Path], text: str) -> None:
@@ -59,6 +73,95 @@ def write_atomic(path: Union[str, Path], text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: Union[str, Path], payload: Any) -> None:
+    """Replace ``path`` with ``payload`` as an indented, sorted-key JSON
+    document ending in a newline, atomically."""
+    write_atomic(path, _indented(payload) + "\n")
+
+
+def read_json(path: Union[str, Path], error: type) -> Dict[str, Any]:
+    """The JSON object in ``path``; raises ``error`` for anything else."""
+    try:
+        data = json.loads(Path(path).read_bytes())
+    except OSError as exc:
+        raise error(str(exc)) from exc
+    except ValueError as exc:  # undecodable JSON or bytes
+        raise error(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{path} does not hold a JSON object")
+    return data
+
+
+def _indented(payload: Any) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def canonical_json(payload: Any) -> str:
+    """Deterministic JSON: sorted keys, no whitespace variance."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def content_key(payload: Any) -> str:
+    """SHA-256 of ``payload``'s canonical JSON: equal payloads hash
+    alike whatever their key order, in any process or machine."""
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+def reject_unknown(
+    data: Mapping[str, Any], known: Iterable[str], error: type, what: str
+) -> None:
+    """Raise ``error`` ("unknown <what>: [...]; known: [...]") when
+    ``data`` has a key outside ``known``."""
+    known = sorted(known)
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise error(f"unknown {what}: {unknown}; known: {known}")
+
+
+class JsonRecord:
+    """The JSON codec of a frozen spec dataclass.
+
+    A subclass supplies ``to_dict``/``from_dict``, the exception class
+    ``error`` its JSON errors raise and the ``label`` their messages use
+    ("invalid <label> JSON", "<label> JSON must be an object").  Files
+    hold :func:`write_json`'s form of ``to_dict()``.
+    """
+
+    error: type
+    label: str
+
+    def replace(self, **changes: Any) -> Any:
+        """A copy with the given fields changed (validated again)."""
+        return dataclasses.replace(self, **changes)
+
+    def to_json(self) -> str:
+        return _indented(self.to_dict())
+
+    @classmethod
+    def from_json(cls, text: str) -> Any:
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise cls.error(f"invalid {cls.label} JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise cls.error(f"{cls.label} JSON must be an object")
+        return cls.from_dict(data)
+
+    def save(self, path: Union[str, Path]) -> None:
+        write_json(path, self.to_dict())
+
+    @classmethod
+    def load(cls, path: Union[str, Path]) -> Any:
+        return cls.from_json(Path(path).read_text())
+
+    def canonical_json(self) -> str:
+        return canonical_json(self.to_dict())
+
+    def content_key(self) -> str:
+        """Stable content hash of the record; feeds the DSE cache keys."""
+        return content_key(self.to_dict())
 
 
 def append_jsonl(path: Union[str, Path], row: Mapping[str, Any]) -> None:

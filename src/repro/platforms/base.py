@@ -15,7 +15,7 @@ not absolute milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from ..core.trace import GenerationWorkload
 

@@ -16,9 +16,9 @@ spanning both modelling fidelities of the paper:
     ``scheduler``, ``adam_shape``), resolvable into a
     :class:`repro.core.GeneSysConfig`.
 
-Specs canonicalise exactly like experiment specs (``to_dict`` →
-``json.dumps(sort_keys=True)``), so :meth:`PlatformSpec.content_key` is
-stable across processes and machines and safe to embed in the
+Specs share the experiment spec's JSON codec
+(:class:`repro.obs.jsonl.JsonRecord`), so :meth:`PlatformSpec.content_key`
+is stable across processes and machines and safe to embed in the
 :mod:`repro.dse` cache keys.  Validation is shared with the rest of the
 stack: NoC spellings go through :func:`repro.hw.noc.canonical_noc_kind`,
 schedulers through :data:`repro.hw.allocator.SCHEDULERS`.
@@ -27,16 +27,14 @@ schedulers through :data:`repro.hw.allocator.SCHEDULERS`.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Type, Union
 
 from ..hw.allocator import SCHEDULERS
 from ..hw.energy import FREQUENCY_HZ
-from ..hw.noc import NOC_KINDS, canonical_noc_kind
+from ..hw.noc import canonical_noc_kind
+from ..obs.jsonl import JsonRecord, reject_unknown
 
 
 class PlatformSpecError(ValueError):
@@ -222,13 +220,8 @@ def _coerce_params(kind: str, params: Any) -> ParamsType:
             f"params for kind {kind!r} must be a mapping or "
             f"{cls.__name__}, got {params!r}"
         )
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise PlatformSpecError(
-            f"unknown {kind} platform params: {unknown}; "
-            f"known: {sorted(known)}"
-        )
+    known = [f.name for f in dataclasses.fields(cls)]
+    reject_unknown(params, known, PlatformSpecError, f"{kind} platform params")
     try:
         return cls(**dict(params))
     except TypeError as exc:
@@ -236,7 +229,7 @@ def _coerce_params(kind: str, params: Any) -> ParamsType:
 
 
 @dataclass(frozen=True)
-class PlatformSpec:
+class PlatformSpec(JsonRecord):
     """One platform, declaratively: ``kind`` + typed params + legend name.
 
     ``name`` is the legend/registry identity (``CPU_a`` … ``GENESYS``,
@@ -245,6 +238,9 @@ class PlatformSpec:
     form), which is validated and coerced on construction — so a spec
     that exists is a spec that is valid.
     """
+
+    error = PlatformSpecError
+    label = "platform spec"
 
     kind: str
     name: Optional[str] = None
@@ -266,24 +262,17 @@ class PlatformSpec:
 
     # -- derivation -------------------------------------------------------
 
-    def replace(self, **changes: Any) -> "PlatformSpec":
-        """A copy of this spec with the given fields changed."""
-        return dataclasses.replace(self, **changes)
-
     def replace_params(self, **changes: Any) -> "PlatformSpec":
         """A copy with the given *parameter* fields changed (validated)."""
-        known = {f.name for f in dataclasses.fields(type(self.params))}
-        unknown = sorted(set(changes) - known)
-        if unknown:
-            raise PlatformSpecError(
-                f"unknown {self.kind} platform params: {unknown}; "
-                f"known: {sorted(known)}"
-            )
+        known = [f.name for f in dataclasses.fields(type(self.params))]
+        reject_unknown(
+            changes, known, PlatformSpecError, f"{self.kind} platform params"
+        )
         return dataclasses.replace(
             self, params=dataclasses.replace(self.params, **changes)
         )
 
-    # -- dict / JSON round-trip -------------------------------------------
+    # -- dict round-trip (JSON: repro.obs.jsonl.JsonRecord) ---------------
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -298,48 +287,11 @@ class PlatformSpec:
             raise PlatformSpecError(
                 f"a platform spec must be a mapping, got {data!r}"
             )
-        known = {"kind", "name", "params"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise PlatformSpecError(f"unknown platform spec fields: {unknown}")
+        known = ("kind", "name", "params")
+        reject_unknown(data, known, PlatformSpecError, "platform spec fields")
         if "kind" not in data:
             raise PlatformSpecError("a platform spec needs a 'kind'")
         return cls(**dict(data))
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PlatformSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise PlatformSpecError(f"invalid platform spec JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise PlatformSpecError("platform spec JSON must be an object")
-        return cls.from_dict(data)
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "PlatformSpec":
-        return cls.from_json(Path(path).read_text())
-
-    # -- identity ---------------------------------------------------------
-
-    def canonical_json(self) -> str:
-        """Deterministic JSON (sorted keys, fixed separators) — the same
-        canonicalisation :mod:`repro.dse.cache` applies to experiment
-        specs, so two specs with equal fields hash identically however
-        they were constructed."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def content_key(self) -> str:
-        """SHA-256 of the canonical JSON — stable across processes and
-        machines, usable directly in DSE cache keys."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
 def as_platform_spec(

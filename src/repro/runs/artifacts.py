@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..api.spec import ExperimentSpec
 from ..neat.config import NEATConfig
-from ..obs.jsonl import append_jsonl, write_atomic
+from ..obs.jsonl import append_jsonl, read_json, write_atomic, write_json
 from ..obs.tracer import TELEMETRY_FILENAME
 from ..neat.genome import Genome
 from ..neat.serialize import (
@@ -119,12 +119,12 @@ class RunDir:
     # -- spec -------------------------------------------------------------
 
     def write_spec(self, spec: ExperimentSpec) -> None:
-        write_atomic(self.spec_path, spec.to_json() + "\n")
+        spec.save(self.spec_path)
 
     def load_spec(self) -> ExperimentSpec:
         if not self.spec_path.exists():
             raise RunError(f"{self.path} is not a run directory (no spec.json)")
-        return ExperimentSpec.from_json(self.spec_path.read_text())
+        return ExperimentSpec.load(self.spec_path)
 
     # -- run metadata -----------------------------------------------------
 
@@ -136,15 +136,12 @@ class RunDir:
         """Persist run-level settings (checkpoint cadence, layout
         version) so a resume replays them without the caller having to
         remember what the original invocation used."""
-        payload = {"format": RUN_FORMAT_VERSION, **fields}
-        write_atomic(
-            self.meta_path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(self.meta_path, {"format": RUN_FORMAT_VERSION, **fields})
 
     def load_meta(self) -> Dict[str, Any]:
         if not self.meta_path.exists():
             return {}
-        return json.loads(self.meta_path.read_text())
+        return read_json(self.meta_path, RunError)
 
     # -- metrics ----------------------------------------------------------
 
@@ -234,9 +231,7 @@ class RunDir:
 
     # -- champion ---------------------------------------------------------
 
-    def write_champion(
-        self, genome: Genome, config: Optional[NEATConfig] = None
-    ) -> None:
+    def write_champion(self, genome: Genome, config: NEATConfig) -> None:
         """Persist the champion in the ``repro run --save`` file format
         (loadable by :func:`repro.neat.serialize.load_genome_with_config`
         and the ``repro infer`` command)."""
@@ -245,12 +240,9 @@ class RunDir:
     # -- result summary ---------------------------------------------------
 
     def write_result(self, summary: Dict[str, Any]) -> None:
-        write_atomic(
-            self.result_path,
-            json.dumps(summary, indent=2, sort_keys=True) + "\n",
-        )
+        write_json(self.result_path, summary)
 
     def load_result(self) -> Optional[Dict[str, Any]]:
         if not self.result_path.exists():
             return None
-        return json.loads(self.result_path.read_text())
+        return read_json(self.result_path, RunError)

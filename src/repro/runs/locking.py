@@ -33,7 +33,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from ..obs.jsonl import write_atomic
+from ..obs.jsonl import read_json, write_atomic
 from .artifacts import RunError
 
 LOCK_FILENAME = "run.lock"
@@ -74,14 +74,9 @@ def read_claim(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
     ``Path(path).exists()`` when they care.
     """
     try:
-        text = Path(path).read_text()
-    except (FileNotFoundError, IsADirectoryError):
+        return read_json(path, ValueError)
+    except ValueError:
         return None
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    return payload if isinstance(payload, dict) else None
 
 
 class ClaimFile:

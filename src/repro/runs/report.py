@@ -4,8 +4,8 @@
 ``spec.json`` + ``metrics.jsonl`` (+ ``result.json``/``champion.json``
 when present), so reporting on a finished — or still-running, or
 interrupted — run costs file reads only.  Exports ride the same
-CSV/JSON writers as the benchmark harness
-(:mod:`repro.analysis.reporting`).
+CSV writer as the benchmark harness (:mod:`repro.analysis.reporting`)
+and the one JSON document writer (:func:`repro.obs.jsonl.write_json`).
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from ..analysis.reporting import (
     fmt_joules,
     fmt_seconds,
     write_csv,
-    write_json,
 )
 from ..api.spec import ExperimentSpec
+from ..obs.jsonl import write_json
 from .artifacts import RunDir, RunError
 
 #: The per-generation columns every backend reports (fitness curve).

@@ -5,7 +5,7 @@ curriculum schedules — JSON-round-trippable, content-addressed, and
 byte-identical across checkpoint/resume.  See ``docs/scenarios.md``.
 """
 
-from .continual import continual_report, export_continual_csv
+from .continual import export_continual_csv
 from .curriculum import (
     CURRICULUM_MODES,
     CurriculumController,
@@ -50,7 +50,6 @@ __all__ = [
     "PerturbationWrapper",
     "build_batched_env",
     "build_env",
-    "continual_report",
     "env_factory",
     "export_continual_csv",
     "get_scenario",

@@ -9,10 +9,10 @@ CSV artifact the CI scenarios-smoke job uploads.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Union
 
+from ..analysis.reporting import write_csv
 from .curriculum import switch_report
 
 CSV_COLUMNS = (
@@ -24,21 +24,14 @@ CSV_COLUMNS = (
 )
 
 
-def continual_report(rows: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Per-switch forgetting/recovery rows (see ``switch_report``)."""
-    return switch_report(rows)
-
-
 def export_continual_csv(
     rows: Iterable[Dict[str, Any]], path: Union[str, Path]
 ) -> List[Dict[str, Any]]:
-    """Write the per-switch summary to ``path``; returns the rows."""
-    report = continual_report(rows)
+    """Write the per-switch summary (:func:`~repro.scenarios.curriculum.
+    switch_report`) to ``path``; returns the rows."""
+    report = switch_report(rows)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in report:
-            writer.writerow({key: row.get(key) for key in CSV_COLUMNS})
+    write_csv(path, CSV_COLUMNS,
+              ([row.get(key) for key in CSV_COLUMNS] for row in report))
     return report

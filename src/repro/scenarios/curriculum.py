@@ -28,6 +28,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..obs.jsonl import reject_unknown
 from .spec import (
     PerturbationSpec,
     ScenarioSpecError,
@@ -97,10 +98,8 @@ class CurriculumStage:
     def from_dict(cls, data: Dict[str, Any]) -> "CurriculumStage":
         if not isinstance(data, dict):
             raise ScenarioSpecError(f"stage must be a mapping, got {data!r}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ScenarioSpecError(f"unknown stage field(s): {unknown}")
+        known = [f.name for f in dataclasses.fields(cls)]
+        reject_unknown(data, known, ScenarioSpecError, "stage field(s)")
         return cls(**data)
 
 
@@ -216,10 +215,8 @@ class CurriculumSchedule:
     def from_dict(cls, data: Dict[str, Any]) -> "CurriculumSchedule":
         if not isinstance(data, dict):
             raise ScenarioSpecError(f"curriculum must be a mapping, got {data!r}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ScenarioSpecError(f"unknown curriculum field(s): {unknown}")
+        known = [f.name for f in dataclasses.fields(cls)]
+        reject_unknown(data, known, ScenarioSpecError, "curriculum field(s)")
         return cls(**data)
 
 

@@ -24,12 +24,11 @@ handful of built-in variants and accepts user ones.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
+
+from ..obs.jsonl import JsonRecord, reject_unknown
 
 
 class ScenarioSpecError(ValueError):
@@ -137,12 +136,8 @@ def _coerce_perturbation_params(kind: str, params: Any):
         raise ScenarioSpecError(
             f"perturbation params must be a mapping, got {params!r}"
         )
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise ScenarioSpecError(
-            f"unknown {kind} parameter(s) {unknown}; known: {sorted(known)}"
-        )
+    known = [f.name for f in dataclasses.fields(cls)]
+    reject_unknown(params, known, ScenarioSpecError, f"{kind} parameter(s)")
     return cls(**params)
 
 
@@ -168,9 +163,9 @@ class PerturbationSpec:
     def from_dict(cls, data: Dict[str, Any]) -> "PerturbationSpec":
         if not isinstance(data, dict):
             raise ScenarioSpecError(f"perturbation must be a mapping, got {data!r}")
-        unknown = sorted(set(data) - {"kind", "params"})
-        if unknown:
-            raise ScenarioSpecError(f"unknown perturbation field(s): {unknown}")
+        reject_unknown(
+            data, ("kind", "params"), ScenarioSpecError, "perturbation field(s)"
+        )
         if "kind" not in data:
             raise ScenarioSpecError("perturbation is missing 'kind'")
         return cls(kind=data["kind"], params=data.get("params"))
@@ -223,13 +218,16 @@ def _validate_env_params(env_id: str, params: Any, where: str) -> Dict[str, floa
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(JsonRecord):
     """A frozen, JSON-round-trippable environment variant.
 
     ``params`` override the base env's ``TUNABLE_PARAMS``;
     ``perturbations`` wrap it (outermost last); ``curriculum`` (optional)
     schedules stage overrides at generation boundaries.
     """
+
+    error = ScenarioSpecError
+    label = "scenario"
 
     env_id: str
     name: Optional[str] = None
@@ -271,9 +269,6 @@ class ScenarioSpec:
 
     # -- derived variants ---------------------------------------------------
 
-    def replace(self, **changes: Any) -> "ScenarioSpec":
-        return dataclasses.replace(self, **changes)
-
     def stage_count(self) -> int:
         return len(self.curriculum.stages) if self.curriculum else 1
 
@@ -305,7 +300,7 @@ class ScenarioSpec:
             curriculum=None,
         )
 
-    # -- serialization ------------------------------------------------------
+    # -- dict round-trip (JSON: repro.obs.jsonl.JsonRecord) -----------------
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"env_id": self.env_id}
@@ -323,38 +318,11 @@ class ScenarioSpec:
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
         if not isinstance(data, dict):
             raise ScenarioSpecError(f"scenario must be a mapping, got {data!r}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ScenarioSpecError(f"unknown scenario field(s): {unknown}")
+        known = [f.name for f in dataclasses.fields(cls)]
+        reject_unknown(data, known, ScenarioSpecError, "scenario field(s)")
         if "env_id" not in data:
             raise ScenarioSpecError("scenario is missing 'env_id'")
         return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioSpecError(f"invalid scenario JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "ScenarioSpec":
-        return cls.from_json(Path(path).read_text())
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def content_key(self) -> str:
-        """Stable content hash; feeds the DSE point cache."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
 # -- registry ---------------------------------------------------------------

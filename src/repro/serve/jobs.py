@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import fcntl
-import json
 import os
 import time
 from contextlib import contextmanager
@@ -43,7 +42,8 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 from ..api.backends import UnknownBackendError
 from ..api.experiment import Experiment
 from ..api.spec import ExperimentSpec, SpecError
-from ..obs.jsonl import append_jsonl, read_jsonl, write_atomic
+from ..obs.jsonl import (append_jsonl, read_json, read_jsonl, reject_unknown,
+                         write_atomic, write_json)
 from ..runs.artifacts import RunDir
 from ..runs.runner import DEFAULT_CHECKPOINT_EVERY
 
@@ -146,10 +146,8 @@ class JobRecord:
     def from_dict(cls, data: Mapping[str, Any]) -> "JobRecord":
         payload = dict(data)
         payload.pop("format", None)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise JobStoreError(f"unknown job record fields: {unknown}")
+        known = [f.name for f in dataclasses.fields(cls)]
+        reject_unknown(payload, known, JobStoreError, "job record fields")
         return cls(**payload)
 
 
@@ -245,22 +243,13 @@ class JobStore:
 
     def save(self, record: JobRecord) -> None:
         record.updated_at = time.time()
-        write_atomic(
-            self.record_path(record.id),
-            json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n",
-        )
+        write_json(self.record_path(record.id), record.to_dict())
 
     def load(self, job_id: str) -> JobRecord:
         path = self.record_path(job_id)
-        try:
-            data = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise UnknownJobError(
-                f"unknown job {job_id!r} in {self.root}"
-            ) from None
-        except json.JSONDecodeError as exc:
-            raise JobStoreError(f"corrupt job record {path}: {exc}") from exc
-        return JobRecord.from_dict(data)
+        if not path.exists():
+            raise UnknownJobError(f"unknown job {job_id!r} in {self.root}")
+        return JobRecord.from_dict(read_json(path, JobStoreError))
 
     def job_ids(self) -> List[str]:
         if not self.jobs_root.is_dir():
@@ -306,6 +295,13 @@ class JobStore:
             self.save(record)
             self.append_event(job_id, event or state, state=state, **updates)
         return record
+
+    def set_worker_pid(self, job_id: str, pid: int) -> None:
+        """Record the pid of the worker running a job (no state change)."""
+        with self._locked(job_id):
+            record = self.load(job_id)
+            record.worker_pid = pid
+            self.save(record)
 
     @contextmanager
     def _locked(self, job_id: str) -> Iterator[None]:

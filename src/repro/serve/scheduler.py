@@ -49,6 +49,7 @@ from .jobs import (
     WAITING_STATES,
     JobRecord,
     JobStore,
+    JobStoreError,
 )
 
 #: Default seconds without a lock heartbeat before a running job is
@@ -386,6 +387,13 @@ class Scheduler:
             if len(self._procs) >= self.workers:
                 break
             record = by_id[record.id]
+            event = "resumed" if record.state == PREEMPTED else "started"
+            try:
+                # Before the worker starts: a cancel that landed after
+                # the snapshot refuses this, and nothing has run.
+                self.store.transition(record.id, RUNNING, event=event)
+            except JobStoreError:
+                continue
             # The error channel must belong to the attempt being
             # launched — a lingering error.txt from an earlier crash
             # would misclassify this attempt's outcome at settle time.
@@ -396,13 +404,7 @@ class Scheduler:
                 name=f"repro-serve-{record.id}",
             )
             proc.start()
-            event = "resumed" if record.state == PREEMPTED else "started"
-            self.store.transition(
-                record.id,
-                RUNNING,
-                event=event,
-                worker_pid=proc.pid,
-            )
+            self.store.set_worker_pid(record.id, proc.pid)
             self._procs[record.id] = proc
             self._m_dispatches.inc()
             # Start the latency cursor past rows already on disk so a

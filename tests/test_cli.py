@@ -578,6 +578,37 @@ def test_report_not_a_run_dir_clean_error(tmp_path, capsys):
     assert "no spec.json" in capsys.readouterr().err
 
 
+# document -> (what it holds instead, the command that reads it)
+BAD_DOCUMENTS = {
+    "result.json": ('{"generations": 2, "conv', ["report", "{run}"]),
+    "run.json": ('{"format": 1, "checkpoint_', ["run", "--resume", "{run}"]),
+    "job.json": ("[]", ["job", "job-000001", "--root", "{root}"]),
+}
+
+
+@pytest.mark.parametrize("document", sorted(BAD_DOCUMENTS))
+def test_bad_document_clean_error(tmp_path, capsys, document):
+    """A torn or foreign run or job document fails as ``error:`` with
+    exit 2, not with a traceback."""
+    from repro.api import ExperimentSpec
+    from repro.runs import RunDir
+    from repro.serve import JobStore
+
+    spec = ExperimentSpec("CartPole-v0", max_generations=2, pop_size=10,
+                          max_steps=20)
+    run = RunDir(tmp_path / "run").create()
+    run.write_spec(spec)
+    run.write_meta(checkpoint_every=1)
+    store = JobStore(tmp_path / "root")
+    store.submit(spec)
+    text, argv = BAD_DOCUMENTS[document]
+    where = run.path if document != "job.json" else store.job_dir("job-000001")
+    (where / document).write_text(text)
+    assert main([arg.format(run=run.path, root=store.root) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and document in err
+
+
 def test_dse_runs_dir(tmp_path, capsys):
     sweep = _write_sweep(tmp_path, axes={"seed": [0]})
     runs_dir = tmp_path / "points"

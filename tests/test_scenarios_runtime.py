@@ -20,7 +20,6 @@ from repro.scenarios import (
     ScenarioSpec,
     build_batched_env,
     build_env,
-    continual_report,
     export_continual_csv,
     get_scenario,
     switch_report,
@@ -372,12 +371,14 @@ class TestContinualReport:
             "generation": 2, "from_stage": 0, "to_stage": 1,
             "max_forgetting": 40.0, "recovery_generations": 3,
         }
-        assert continual_report(self.ROWS) == [switch]
 
-    def test_unrecovered_switch_reports_none(self):
+    def test_unrecovered_switch_reports_none(self, tmp_path):
         rows = self.ROWS[:4]
         (switch,) = switch_report(rows)
         assert switch["recovery_generations"] is None
+        path = tmp_path / "continual.csv"
+        export_continual_csv(rows, path)
+        assert path.read_text().splitlines()[1] == "2,0,1,40.0,"
 
     def test_export_csv(self, tmp_path):
         path = tmp_path / "continual.csv"

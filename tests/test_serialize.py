@@ -103,7 +103,7 @@ class TestFailureModes:
 
     def test_missing_config(self, genome, tmp_path):
         path = tmp_path / "nocfg.json"
-        save_genome(genome, path)
+        path.write_text(json.dumps({"genome": genome_to_dict(genome)}))
         with pytest.raises(DeserializationError):
             load_genome_with_config(path)
 

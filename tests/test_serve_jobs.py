@@ -1,6 +1,7 @@
 """Unit tests for the repro.serve job store."""
 
 import json
+import multiprocessing
 import sys
 import threading
 
@@ -18,6 +19,7 @@ from repro.serve import (
     JobRecord,
     JobStore,
     JobStoreError,
+    Scheduler,
     UnknownJobError,
 )
 
@@ -168,6 +170,37 @@ def test_racing_transitions_out_of_running_apply_one_after_the_other(
     assert load(record.id).state == DONE
     events = [row["event"] for row in store.read_events(record.id)]
     assert events == ["submitted", "running", "done"]
+
+
+def test_cancel_after_the_dispatch_snapshot_starts_no_worker(store, monkeypatch):
+    """A cancel that lands between ``step()``'s last job snapshot and its
+    dispatch: the dispatch is refused before a worker starts, so
+    ``step()`` returns, the job stays cancelled and nothing runs it."""
+    record = store.submit(small_spec())
+    scheduler = Scheduler(store, workers=1)
+    list_jobs = store.list_jobs
+    snapshots = []
+
+    def list_then_cancel():
+        snapshots.append(list_jobs())
+        if len(snapshots) == 2:  # the snapshot the dispatch works from
+            store.request_cancel(record.id)
+        return snapshots[-1]
+
+    monkeypatch.setattr(store, "list_jobs", list_then_cancel)
+    try:
+        scheduler.step()
+    finally:  # stop a worker the dispatch should not have started
+        for proc in multiprocessing.active_children():
+            if proc.name == f"repro-serve-{record.id}":
+                proc.terminate()
+                proc.join()
+    assert len(snapshots) == 2
+    assert store.load(record.id).state == CANCELLED
+    assert scheduler._procs == {}
+    assert not store.run_dir(record.id).path.exists()
+    events = [row["event"] for row in store.read_events(record.id)]
+    assert events == ["submitted", "cancelled"]
 
 
 def test_preempt_and_cancel_flags(store):
