@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from ..envs.evaluate import VECTORIZERS
-from ..obs.jsonl import JsonRecord, reject_unknown
+from ..obs.jsonl import JsonRecord, check_fields
 from ..platforms.spec import (
     PlatformSpec,
     PlatformSpecError,
@@ -191,6 +191,5 @@ class ExperimentSpec(JsonRecord):
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        known = [f.name for f in dataclasses.fields(cls)]
-        reject_unknown(data, known, SpecError, "spec fields")
+        check_fields(data, cls, SpecError, "spec fields")
         return cls(**dict(data))

@@ -10,7 +10,7 @@ pairs with in steps 2-4 of the walkthrough.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -18,6 +18,18 @@ from .seeding import make_rng
 from .spaces import Space
 
 StepResult = Tuple[np.ndarray, float, bool, Dict[str, Any]]
+
+
+def check_tunable(env_name: str, names: Iterable[str], tunable: Iterable[str],
+                  error: type = ValueError) -> None:
+    """Raise ``error`` if a name in ``names`` is not one of an environment's
+    ``tunable`` parameters."""
+    unknown = sorted(set(names) - set(tunable))
+    if unknown:
+        raise error(
+            f"{env_name} has no tunable parameter(s) {unknown}; "
+            f"tunable: {sorted(tunable)}"
+        )
 
 
 class Environment:
@@ -54,12 +66,7 @@ class Environment:
 
     def configure(self, **params: float) -> None:
         """Override tunable physics/reward parameters on this instance."""
-        unknown = sorted(set(params) - set(self.TUNABLE_PARAMS))
-        if unknown:
-            raise ValueError(
-                f"{self.name} has no tunable parameter(s) {unknown}; "
-                f"tunable: {sorted(self.TUNABLE_PARAMS)}"
-            )
+        check_tunable(self.name, params, self.TUNABLE_PARAMS)
         for key, value in params.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(

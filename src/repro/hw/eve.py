@@ -26,24 +26,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..neat.reproduction import ReproductionEvent
 from .allocator import make_scheduler
 from .gene_encoding import (
+    CONN_KEY_BITS,
     DEST_SHIFT,
     GENE_TYPE_CONNECTION,
     GENE_TYPE_NODE,
     ID_MASK,
     ID_OFFSET,
     ID_SHIFT,
+    NODE_KEY_BITS,
     TYPE_MASK,
     PackedGene,
-    split_key,
 )
 from .noc import BaseNoC, NoCStats, make_noc
 from .pe import PEConfig, PEStats, ProcessingElement
 from .sram import GenomeBuffer
 
-AlignedPair = Tuple[PackedGene, Optional[PackedGene]]
+#: Bits of a split key (see :func:`align_parent_streams`); a wave's
+#: parent index is tagged on above them.
+_SPLIT_KEY_BITS = CONN_KEY_BITS.bit_length()
 
 
 @dataclass
@@ -71,20 +76,48 @@ class EvolutionResult:
 
 
 def align_parent_streams(
-    stream1: Sequence[PackedGene], stream2: Sequence[PackedGene]
-) -> List[AlignedPair]:
-    """Gene Split alignment: merge-join the two sorted parent streams.
+    parents: Sequence[Sequence[PackedGene]],
+    fitter: Sequence[int],
+    other: Sequence[int],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gene Split for a wave: align each child's two parent streams.
 
-    Homologous genes pair up; disjoint/excess genes of the *fitter* parent
-    (stream1) pass through alone; the less-fit parent's disjoint genes are
-    skipped, which is both the NEAT inheritance rule and what lets one PE
-    emit a child no longer than its fitter parent's stream.  The join runs
-    on the key bits of the words (NEAT's innovation keys, Stanley &
-    Miikkulainen 2002), see :func:`.gene_encoding.split_key`.
+    Child ``j`` is bred from ``parents[fitter[j]]``, the fitter parent,
+    and ``parents[other[j]]``.  Homologous genes pair up; disjoint/excess
+    genes of the fitter parent pass through alone; the less-fit parent's
+    disjoint genes are skipped, which is both the NEAT inheritance rule and
+    what lets one PE emit a child no longer than its fitter parent's
+    stream.  The join runs on the words' key bits (NEAT's innovation keys,
+    Stanley & Miikkulainen 2002), tagged in bit 0 by whether the word is a
+    node gene, as :meth:`PackedGene.key` tells nodes from everything else:
+    one sorted (parent, key) table serves every child, and where a stream
+    repeats a key its last gene is the homologue.
+
+    Returns four (children, longest fitter stream) tables: the fitter
+    parent's words, their homologues (``paired`` where there is one) and
+    whether an entry holds a gene (``present``); absent words are 0.
     """
-    index2: Dict[int, PackedGene] = {split_key(g.word): g for g in stream2}
-    get = index2.get
-    return [(gene, get(split_key(gene.word))) for gene in stream1]
+    fitter, other = np.asarray(fitter, dtype=np.int64), np.asarray(other, dtype=np.int64)
+    lengths = np.array([len(stream) for stream in parents], dtype=np.int64)
+    width = int(lengths[fitter].max())
+    starts = np.cumsum(lengths) - lengths
+    words = np.fromiter((gene.word for stream in parents for gene in stream),
+                        dtype=np.uint64, count=int(lengths.sum()))
+    is_node = (words & np.uint64(TYPE_MASK)) == GENE_TYPE_NODE
+    keys = np.where(is_node, words & np.uint64(NODE_KEY_BITS),
+                    (words & np.uint64(CONN_KEY_BITS)) | np.uint64(1)).astype(np.int64)
+    tagged = (np.repeat(np.arange(len(parents)), lengths) << _SPLIT_KEY_BITS) | keys
+    order = np.argsort(tagged, kind="stable")
+    table = tagged[order]
+    column = np.arange(width)
+    present = column < lengths[fitter][:, None]
+    index1 = np.where(present, starts[fitter][:, None] + column, 0)
+    query = (other[:, None] << _SPLIT_KEY_BITS) | keys[index1]
+    found = np.maximum(np.searchsorted(table, query, side="right") - 1, 0)
+    paired = present & (table[found] == query)
+    words1 = np.where(present, words[index1], np.uint64(0))
+    words2 = np.where(paired, words[order[found]], np.uint64(0))
+    return words1, words2, paired, present
 
 
 def _conn_key(word: int) -> Tuple[int, int]:
@@ -93,14 +126,6 @@ def _conn_key(word: int) -> Tuple[int, int]:
         ((word >> ID_SHIFT) & ID_MASK) - ID_OFFSET,
         ((word >> DEST_SHIFT) & ID_MASK) - ID_OFFSET,
     )
-
-
-def _connection_keys(stream: Sequence[PackedGene]) -> set:
-    """(source, dest) of every connection gene in a stream."""
-    return {
-        _conn_key(g.word) for g in stream
-        if g.word & TYPE_MASK == GENE_TYPE_CONNECTION
-    }
 
 
 class GeneMerge:
@@ -191,10 +216,7 @@ class EvolutionEngine:
 
     def __init__(self, config: Optional[EvEConfig] = None) -> None:
         self.config = config or EvEConfig()
-        self.pes = [
-            ProcessingElement(pe_index=i, seed=self.config.seed)
-            for i in range(self.config.num_pes)
-        ]
+        self.pes = ProcessingElement(self.config.num_pes, seed=self.config.seed)
         self.noc: BaseNoC = make_noc(self.config.noc)
         self._schedule = make_scheduler(self.config.scheduler)
 
@@ -230,6 +252,7 @@ class EvolutionEngine:
             result.elite_copy_cycles += len(stream)
         result.cycles = max(result.cycles, result.elite_copy_cycles)
 
+        result.pe_stats = self.pes.reset_stats()
         result.sram_reads = buffer.stats.reads - reads_before
         result.sram_writes = buffer.stats.writes - writes_before
         result.noc_stats = self.noc.reset_stats()
@@ -245,65 +268,64 @@ class EvolutionEngine:
         merge: GeneMerge,
         result: EvolutionResult,
     ) -> int:
-        """Execute one wave of up to num_pes children; returns makespan."""
-        aligned_streams: List[List[AlignedPair]] = []
-        parent_conn_keys: List[set] = []
-        active: List[Tuple[ProcessingElement, ReproductionEvent]] = []
-        for pe, event in zip(self.pes, wave):
-            fitness1 = buffer.get_fitness(event.parent1_key)
-            fitness2 = buffer.get_fitness(event.parent2_key)
-            stream1 = buffer.peek_genome(event.parent1_key)
-            stream2 = buffer.peek_genome(event.parent2_key)
-            # The fitter parent drives the alignment (disjoint inheritance).
-            if fitness2 > fitness1:
-                stream1, stream2 = stream2, stream1
-                event = ReproductionEvent(
-                    child_key=event.child_key,
-                    parent1_key=event.parent2_key,
-                    parent2_key=event.parent1_key,
-                    species_key=event.species_key,
-                )
-                fitness1, fitness2 = fitness2, fitness1
-            aligned_streams.append(align_parent_streams(stream1, stream2))
-            # The aligned stream carries only the fitter parent's genes, so
-            # only its connections are inherited; anything else the PE
-            # emits is an addition that Gene Merge must cycle-check.
-            parent_conn_keys.append(_connection_keys(stream1))
-            pe.begin_child(self.config.pe, fitness1, fitness2)
-            active.append((pe, event))
+        """Execute one wave of up to num_pes children; returns makespan.
 
-        # PEs share no state, so walking each PE's whole stream in turn
-        # yields what cycle-by-cycle interleaving would.
-        produced: List[List[PackedGene]] = []
-        for (pe, _event), stream in zip(active, aligned_streams):
-            process = pe.process_pair
-            genes: List[PackedGene] = []
-            for gene1, gene2 in stream:
-                genes += process(gene1, gene2)
-            produced.append(genes)
+        Child ``j`` runs on PE ``j``, all PEs in lockstep.  A PE whose pair
+        fails stops; once every stream has ended, the lowest-numbered
+        failed PE's error is raised, as a PE-by-PE walk would raise it.
+        """
+        # The fitter parent drives the alignment (disjoint inheritance).
+        slot_of: Dict[int, int] = {}
+        streams: List[List[PackedGene]] = []
+        fitter: List[int] = []
+        other: List[int] = []
+        for event in wave:
+            parent1, parent2 = event.parent1_key, event.parent2_key
+            if buffer.get_fitness(parent2) > buffer.get_fitness(parent1):
+                parent1, parent2 = parent2, parent1
+            for key, slots in ((parent1, fitter), (parent2, other)):
+                if key not in slot_of:
+                    slot_of[key] = len(streams)
+                    streams.append(buffer.peek_genome(key))
+                slots.append(slot_of[key])
+        words1, words2, paired, present = align_parent_streams(streams, fitter, other)
+        pes = self.pes
+        pes.begin_child(self.config.pe, words1, words2, paired, present)
+        width = words1.shape[1]
+        failed: Dict[int, Exception] = {}
+        for _ in range(width):
+            failed.update(pes.process_pair())
+        if failed:
+            raise failed[min(failed)]
 
-        # Cycle-by-cycle distribution: at cycle i every still-active PE
-        # demands word i of each parent stream; the NoC turns demands into
-        # SRAM reads (deduplicated when multicasting).
-        max_len = max((len(s) for s in aligned_streams), default=0)
-        for i in range(max_len):
-            demands = []
-            for (pe, event), stream in zip(active, aligned_streams):
-                if i < len(stream):
-                    demands.append((pe.pe_index, event.parent1_key, i))
-                    if stream[i][1] is not None:
-                        demands.append((pe.pe_index, event.parent2_key, i))
-            buffer.stats.reads += self.noc.distribute_cycle(demands)
+        # Distribution: at cycle i every PE still streaming demands word i
+        # of each parent stream it reads; the NoC turns demands into SRAM
+        # reads (deduplicated when multicasting).  A demand is named by its
+        # parent's slot and the word index, which is also the cycle.
+        word_index = np.arange(width)
+        demands = np.concatenate([
+            (np.asarray(fitter)[:, None] * width + word_index)[present],
+            (np.asarray(other)[:, None] * width + word_index)[paired],
+        ])
+        buffer.stats.reads += self.noc.distribute(demands, cycles=width)
 
-        makespan = 0
-        for slot, (pe, event) in enumerate(active):
-            child_cycles = pe.finish_child()
-            makespan = max(makespan, child_cycles)
-            stream = merge.merge(produced[slot], parent_conn_keys[slot])
+        cycles, produced = pes.finish_child()
+        # The aligned stream carries only the fitter parent's genes, so
+        # only its connections are inherited; anything else the PE emits
+        # is an addition that Gene Merge must cycle-check.  A child word a
+        # parent holds too keeps that parent's gene.
+        inherited: Dict[int, set] = {}
+        genes = {gene.word: gene for stream in streams for gene in stream}
+        for event, parent, words in zip(wave, fitter, produced):
+            if parent not in inherited:
+                inherited[parent] = {
+                    _conn_key(gene.word) for gene in streams[parent]
+                    if gene.word & TYPE_MASK == GENE_TYPE_CONNECTION
+                }
+            stream = merge.merge(
+                [genes.get(word) or PackedGene(word) for word in words],
+                inherited[parent],
+            )
             buffer.write_genome(event.child_key, stream)
             result.children[event.child_key] = stream
-            result.pe_stats.merge(pe.stats)
-            pe.stats = PEStats()
-        if not active:
-            return 0
-        return makespan
+        return int(cycles.max())

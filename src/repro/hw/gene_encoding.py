@@ -116,19 +116,6 @@ def _decode_id(bits: int) -> int:
     return (bits & ID_MASK) - ID_OFFSET
 
 
-def split_key(word: int) -> int:
-    """:meth:`PackedGene.key` of a gene word as one int.
-
-    The key bits, tagged in bit 0: clear for a node gene, set for any
-    other gene type (which, like ``PackedGene.key``, keys as a
-    connection).  Two words have equal keys exactly when their
-    ``PackedGene.key`` tuples are equal.
-    """
-    if word & TYPE_MASK == GENE_TYPE_NODE:
-        return word & NODE_KEY_BITS
-    return (word & CONN_KEY_BITS) | 1
-
-
 @dataclass(frozen=True)
 class PackedGene:
     """A 64-bit gene word plus convenience accessors."""

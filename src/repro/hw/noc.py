@@ -7,7 +7,7 @@ SRAM reads" (Fig. 11b).
 
 Both models answer the same question for each distribution cycle: given
 the set of (pe, parent_genome, word_index) demands in flight, how many
-SRAM reads are issued?
+SRAM reads are issued?  EvE accounts a whole wave's cycles in one call.
 
 * :class:`PointToPointNoC` — every consuming PE receives its own copy, so
   every demand is one read.
@@ -18,10 +18,8 @@ SRAM reads are issued?
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
-#: One in-flight demand: (pe_index, genome_id, word_index)
-Demand = Tuple[int, int, int]
+import numpy as np
 
 
 @dataclass
@@ -37,15 +35,27 @@ class NoCStats:
 
 
 class BaseNoC:
-    """Common interface: account one distribution cycle of demands."""
+    """Common interface: account distribution cycles of demands."""
 
     name = "base"
 
     def __init__(self) -> None:
         self.stats = NoCStats()
 
-    def distribute_cycle(self, demands: Sequence[Demand]) -> int:
-        """Account one cycle; returns SRAM reads issued this cycle."""
+    def distribute(self, demands, cycles: int = 1) -> int:
+        """Account ``cycles`` distribution cycles; returns SRAM reads issued.
+
+        ``demands`` has an entry (a key or a (genome, word) row) per PE's
+        demand, equal for demands of one genome word in one cycle.
+        """
+        reads = self._reads(demands)
+        self.stats.cycles += cycles
+        self.stats.sram_reads += reads
+        self.stats.genes_delivered += len(demands)
+        self.stats.multicast_hits += len(demands) - reads
+        return reads
+
+    def _reads(self, demands) -> int:
         raise NotImplementedError
 
     def reset_stats(self) -> NoCStats:
@@ -59,12 +69,8 @@ class PointToPointNoC(BaseNoC):
 
     name = "point-to-point"
 
-    def distribute_cycle(self, demands: Sequence[Demand]) -> int:
-        reads = len(demands)
-        self.stats.cycles += 1
-        self.stats.sram_reads += reads
-        self.stats.genes_delivered += len(demands)
-        return reads
+    def _reads(self, demands) -> int:
+        return len(demands)
 
 
 class MulticastTreeNoC(BaseNoC):
@@ -76,14 +82,8 @@ class MulticastTreeNoC(BaseNoC):
 
     name = "multicast-tree"
 
-    def distribute_cycle(self, demands: Sequence[Demand]) -> int:
-        distinct = {(genome_id, word_index) for _pe, genome_id, word_index in demands}
-        reads = len(distinct)
-        self.stats.cycles += 1
-        self.stats.sram_reads += reads
-        self.stats.genes_delivered += len(demands)
-        self.stats.multicast_hits += len(demands) - reads
-        return reads
+    def _reads(self, demands) -> int:
+        return len(np.unique(demands, axis=0))
 
 
 #: Canonical NoC kinds every layer agrees on — the SoC design point

@@ -5,86 +5,64 @@ use the XOR-WOW algorithm, also used within NVIDIA GPUs" (Section IV-C4).
 
 This is Marsaglia's xorwow (Journal of Statistical Software 2003), the
 exact generator cuRAND's ``XORWOW`` implements: a 5-word xorshift core
-with a Weyl-sequence counter added on output.  The hardware delivers one
-8-bit value per cycle; :meth:`next_byte` models that port, and the other
-helpers derive the comparison/perturbation values the PE stages consume.
+with a Weyl-sequence counter added on output, of which the hardware
+delivers the low 8 bits per cycle.  :func:`xorwow_bytes` steps one
+generator per PE lane (:mod:`.pe`), all lanes at once; ``XorWow`` in
+``tests/eve_reference.py`` steps one generator a byte at a time and is
+the reference these are tested against.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Sequence
+
+import numpy as np
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: Weyl counter increment, and its start (Marsaglia's choice).
+WEYL_STEP = 362437
 
 
-class XorWow:
-    """32-bit xorwow; deterministic for a given 5-word seed state."""
+def splitmix_states(seeds: Sequence[int]) -> np.ndarray:
+    """The 5-word xorshift states of ``seeds``, (5, n) ``uint32``.
 
-    def __init__(self, seed: int = 0xDEADBEEF) -> None:
-        self.seed(seed)
+    A splitmix64 expansion of each 64-bit seed, all seeds in one pass.
+    """
+    z = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
+    words = np.empty((5, len(z)), dtype=np.uint32)
+    for row in words:
+        z += np.uint64(0x9E3779B97F4A7C15)
+        mixed = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        mixed = (mixed ^ (mixed >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        row[:] = mixed ^ (mixed >> np.uint64(31))  # keeps the low 32 bits
+        row[row == 0] = 1  # avoid an all-zero xorshift state
+    return words
 
-    def seed(self, seed: int) -> None:
-        """Initialise the 5-word state via a splitmix-style expansion."""
-        state: List[int] = []
-        z = seed & 0xFFFFFFFFFFFFFFFF
-        for _ in range(5):
-            z = (z + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            mixed = z
-            mixed = ((mixed ^ (mixed >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-            mixed = ((mixed ^ (mixed >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-            word = (mixed ^ (mixed >> 31)) & _MASK32
-            state.append(word if word else 1)  # avoid an all-zero xorshift state
-        self._x, self._y, self._z, self._w, self._v = state
-        self._d = 362437  # Weyl counter increment start (Marsaglia's choice)
 
-    def next_u32(self) -> int:
-        """One xorwow step: period 2^192 - 2^32."""
-        t = self._x ^ ((self._x >> 2) & _MASK32)
-        self._x, self._y, self._z, self._w = self._y, self._z, self._w, self._v
-        v = self._v
-        v = (v ^ ((v << 4) & _MASK32)) ^ (t ^ ((t << 1) & _MASK32))
-        self._v = v & _MASK32
-        self._d = (self._d + 362437) & _MASK32
-        return (self._v + self._d) & _MASK32
-
-    def next_byte(self) -> int:
-        """The 8-bit per-cycle output port feeding the PEs."""
-        return self.next_u32() & 0xFF
-
-    def next_signed_byte(self) -> int:
-        """Two's-complement interpretation of the 8-bit port, [-128, 127]."""
-        byte = self.next_byte()
-        return byte - 256 if byte >= 128 else byte
-
-    def bytes(self, count: int) -> List[int]:
-        """The next ``count`` values of the 8-bit port, in one call.
-
-        The same sequence as ``count`` calls of :meth:`next_byte`, stepped
-        with the state held in locals.
-        """
-        # The state words stay below 2**32, so one mask over the xor drops
-        # what next_u32's per-term masks drop; the Weyl counter is reduced
-        # once at the end, as only its low byte is output.
-        x, y, z, w, v, d = self._x, self._y, self._z, self._w, self._v, self._d
-        out: List[int] = []
-        append = out.append
-        for _ in range(count):
-            t = x ^ (x >> 2)
-            x = y
-            y = z
-            z = w
-            w = v
-            v = (v ^ (v << 4) ^ t ^ (t << 1)) & _MASK32
-            d += 362437
-            append((v + d) & 0xFF)
-        self._x, self._y, self._z, self._w, self._v = x, y, z, w, v
-        self._d = d & _MASK32
-        return out
-
-    def stream(self) -> Iterator[int]:
-        while True:
-            yield self.next_byte()
-
-    @property
-    def state(self) -> tuple:
-        return (self._x, self._y, self._z, self._w, self._v, self._d)
+def xorwow_bytes(state: np.ndarray, count: int) -> np.ndarray:
+    """Step every generator of ``state`` ``count`` times, in place, and
+    return their 8-bit outputs, (n, count) ``uint8``.  ``state`` is (6, n)
+    ``uint32``, a generator per column: five xorshift words oldest first,
+    then the Weyl counter."""
+    n = state.shape[1]
+    # Row k + 5 is the word step k appends (rows 0-4: the start state).
+    seq = np.empty((count + 5, n), dtype=np.uint32)
+    seq[:5] = state[:5]
+    t = np.empty(n, dtype=np.uint32)
+    u = np.empty(n, dtype=np.uint32)
+    for k in range(count):
+        np.right_shift(seq[k], 2, out=t)
+        t ^= seq[k]
+        np.left_shift(t, 1, out=u)
+        t ^= u
+        np.left_shift(seq[k + 4], 4, out=u)
+        u ^= seq[k + 4]
+        np.bitwise_xor(u, t, out=seq[k + 5])
+    state[:5] = seq[count:]
+    steps = np.arange(1, count + 1, dtype=np.uint32) * np.uint32(WEYL_STEP)
+    out = seq[5:]
+    out += steps[:, None]
+    out += state[5]
+    state[5] += np.uint32(count * WEYL_STEP & _MASK32)
+    return out.astype(np.uint8).T

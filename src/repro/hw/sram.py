@@ -6,8 +6,9 @@ The implemented configuration matches Fig. 8(a): 48 banks x 4096 words of
 64 bits = 1.5 MB, backed by DRAM when a generation spills.
 
 The model is functional-plus-counting: it stores genome gene streams at
-bank-interleaved addresses and counts per-bank reads/writes, bank
-conflicts, and DRAM spill traffic — the quantities behind Fig. 11(b)/(c).
+bank-interleaved addresses and counts per-bank reads/writes and DRAM
+spill traffic — the quantities behind Fig. 11(b)/(c).  A genome's
+accesses are counted once per genome, bank by bank, not word by word.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class SRAMConfig:
 class SRAMStats:
     reads: int = 0
     writes: int = 0
-    bank_conflicts: int = 0
     dram_reads: int = 0
     dram_writes: int = 0
     reads_per_bank: Dict[int, int] = field(default_factory=dict)
@@ -76,37 +76,31 @@ class GenomeBuffer:
     # -- genome operations -----------------------------------------------------
 
     def write_genome(self, genome_id: int, stream: List[PackedGene]) -> None:
-        """Write a full genome stream (Gene Merge writeback, step 10)."""
+        """Write a full genome stream (Gene Merge writeback, step 10).
+
+        Words past the buffer's capacity spill to DRAM.
+        """
         previous = self._genomes.get(genome_id)
         if previous is not None:
             self._words_used -= len(previous)
         self._genomes[genome_id] = list(stream)
-        self._base_bank[genome_id] = self._next_base
+        base = self._base_bank[genome_id] = self._next_base
         self._next_base = (self._next_base + 1) % self.config.num_banks
+        on_chip = min(len(stream), max(0, self.config.capacity_words - self._words_used))
         self._words_used += len(stream)
-        spill = max(0, self._words_used - self.config.capacity_words)
-        for i in range(len(stream)):
-            if self._words_used - len(stream) + i >= self.config.capacity_words:
-                self.stats.dram_writes += 1
-                continue
-            bank = self._bank_of(genome_id, i)
-            self.stats.writes += 1
-            self.stats.writes_per_bank[bank] = (
-                self.stats.writes_per_bank.get(bank, 0) + 1
-            )
+        self.stats.dram_writes += len(stream) - on_chip
+        self.stats.writes += on_chip
+        self._count_banks(self.stats.writes_per_bank, base, on_chip)
 
-    def read_genome(self, genome_id: int, count_each_word: bool = True) -> List[PackedGene]:
+    def read_genome(self, genome_id: int) -> List[PackedGene]:
         """Read a full genome stream, counting one read per 64-bit word."""
         if genome_id not in self._genomes:
             raise KeyError(f"genome {genome_id} not resident in the genome buffer")
         stream = self._genomes[genome_id]
-        if count_each_word:
-            for i in range(len(stream)):
-                bank = self._bank_of(genome_id, i)
-                self.stats.reads += 1
-                self.stats.reads_per_bank[bank] = (
-                    self.stats.reads_per_bank.get(bank, 0) + 1
-                )
+        self.stats.reads += len(stream)
+        self._count_banks(
+            self.stats.reads_per_bank, self._base_bank[genome_id], len(stream)
+        )
         return list(stream)
 
     def peek_genome(self, genome_id: int) -> List[PackedGene]:
@@ -150,9 +144,14 @@ class GenomeBuffer:
 
     # -- internals --------------------------------------------------------------
 
-    def _bank_of(self, genome_id: int, word_index: int) -> int:
-        base = self._base_bank.get(genome_id, 0)
-        return (base + word_index) % self.config.num_banks
+    def _count_banks(self, per_bank: Dict[int, int], base: int, words: int) -> None:
+        """Count one access per word of ``words`` consecutive words whose
+        first lives in bank ``base`` (word i in bank ``(base + i) % banks``)."""
+        banks = self.config.num_banks
+        rounds, rest = divmod(words, banks)
+        for offset in range(min(words, banks)):
+            bank = (base + offset) % banks
+            per_bank[bank] = per_bank.get(bank, 0) + rounds + (offset < rest)
 
     def reset_stats(self) -> SRAMStats:
         """Return current stats and start a fresh counting window."""

@@ -18,7 +18,8 @@ four spec records and the table and trace exports all go through it.
   ``replace``, ``to_json``/``from_json``, ``save``/``load`` and the
   content hash (:func:`content_key`, SHA-256 of :func:`canonical_json`)
   that keys the DSE cache.  :func:`reject_unknown` is the one check of
-  a record dict against its known fields.
+  a record dict against its known fields (:func:`check_fields` adds the
+  missing ones of a dataclass record).
 * :func:`append_jsonl` appends one row in a single ``O_APPEND`` write,
   so concurrent appenders interleave whole rows.  A writer killed
   mid-row leaves a **torn tail** (no trailing newline); the next append
@@ -118,6 +119,18 @@ def reject_unknown(
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise error(f"unknown {what}: {unknown}; known: {known}")
+
+
+def check_fields(data: Mapping[str, Any], record: type, error: type, what: str) -> None:
+    """:func:`reject_unknown` against the dataclass ``record``'s fields,
+    and ``error`` ("missing <what>: [...]") if ``data`` lacks a field
+    that has no default."""
+    fields = dataclasses.fields(record)
+    reject_unknown(data, [f.name for f in fields], error, what)
+    missing = [f.name for f in fields if f.name not in data
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise error(f"missing {what}: {missing}")
 
 
 class JsonRecord:

@@ -195,6 +195,7 @@ def _coerce_perturbations(value: Any) -> Tuple[PerturbationSpec, ...]:
 def _validate_env_params(env_id: str, params: Any, where: str) -> Dict[str, float]:
     """Check ``params`` against the env's declared tunables."""
     from ..envs import make
+    from ..envs.base import check_tunable
 
     if params is None:
         params = {}
@@ -204,17 +205,8 @@ def _validate_env_params(env_id: str, params: Any, where: str) -> Dict[str, floa
         template = make(env_id)
     except KeyError as exc:
         raise ScenarioSpecError(str(exc.args[0]) if exc.args else str(exc)) from exc
-    tunable = template.tunable_params()
-    unknown = sorted(set(params) - set(tunable))
-    if unknown:
-        raise ScenarioSpecError(
-            f"{template.name} has no tunable parameter(s) {unknown}; "
-            f"tunable: {sorted(tunable)}"
-        )
-    out = {}
-    for key in params:
-        out[key] = _require_number(f"{where}.{key}", params[key])
-    return out
+    check_tunable(template.name, params, template.tunable_params(), ScenarioSpecError)
+    return {key: _require_number(f"{where}.{key}", value) for key, value in params.items()}
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..envs.base import Environment, StepResult
+from ..envs.base import Environment, StepResult, check_tunable
 from ..envs.seeding import derive_seed, make_rng
 
 #: per-kind base salts for the wrapper rng streams (arbitrary, frozen:
@@ -158,12 +158,7 @@ class ParameterJitterWrapper(PerturbationWrapper):
         self.scale = scale
         base = inner.params
         names = params or tuple(sorted(base))
-        unknown = sorted(set(names) - set(base))
-        if unknown:
-            raise ValueError(
-                f"{inner.name} has no tunable parameter(s) {unknown}; "
-                f"tunable: {sorted(base)}"
-            )
+        check_tunable(inner.name, names, base)
         #: the pre-jitter values; jitter is always relative to these.
         self._base = {name: base[name] for name in names}
 

@@ -42,7 +42,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 from ..api.backends import UnknownBackendError
 from ..api.experiment import Experiment
 from ..api.spec import ExperimentSpec, SpecError
-from ..obs.jsonl import (append_jsonl, read_json, read_jsonl, reject_unknown,
+from ..obs.jsonl import (append_jsonl, check_fields, read_json, read_jsonl,
                          write_atomic, write_json)
 from ..runs.artifacts import RunDir
 from ..runs.runner import DEFAULT_CHECKPOINT_EVERY
@@ -146,8 +146,7 @@ class JobRecord:
     def from_dict(cls, data: Mapping[str, Any]) -> "JobRecord":
         payload = dict(data)
         payload.pop("format", None)
-        known = [f.name for f in dataclasses.fields(cls)]
-        reject_unknown(payload, known, JobStoreError, "job record fields")
+        check_fields(payload, cls, JobStoreError, "job record fields")
         return cls(**payload)
 
 

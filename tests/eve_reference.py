@@ -3,8 +3,9 @@
 The EvE walk of ``repro.hw`` done object by object: every field goes
 through :class:`PackedGene`'s properties and is re-packed with
 ``pack_node`` / ``pack_connection``, the 8-bit thresholds are recomputed
-for every pair, each PRNG byte is one ``XorWow.next_byte`` call, and the
-engine runs its PEs cycle by cycle.  Tests compare the word-level
+for every pair, each PRNG byte is one ``XorWow.next_byte`` call (the
+generator stepped a byte at a time, defined here), and the engine runs
+its PEs cycle by cycle.  Tests compare the word-level
 Processing Element, Gene Split, Gene Merge, ``decode_genome`` and engine
 against it bit for bit; nothing under ``src/`` imports it.
 
@@ -15,10 +16,11 @@ key only the less-fit parent carries is cycle-checked.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.hw.allocator import make_scheduler
-from repro.hw.eve import AlignedPair, EvEConfig, EvolutionResult, _creates_cycle
+from repro.hw.eve import EvEConfig, EvolutionResult, _creates_cycle
 from repro.hw.gene_encoding import (
     FIXED_MAX,
     FIXED_MIN,
@@ -39,12 +41,60 @@ from repro.hw.pe import (
     PEConfig,
     PEStats,
 )
-from repro.hw.prng import XorWow
 from repro.hw.sram import GenomeBuffer
 from repro.neat.config import GenomeConfig
 from repro.neat.genes import ConnectionGene, NodeGene
 from repro.neat.genome import Genome
 from repro.neat.reproduction import ReproductionEvent
+
+AlignedPair = Tuple[PackedGene, Optional[PackedGene]]
+
+_MASK32 = 0xFFFFFFFF
+
+
+class XorWow:
+    """Marsaglia's 32-bit xorwow, one generator stepped one value at a
+    time; deterministic for a given 5-word seed state."""
+
+    def __init__(self, seed: int = 0xDEADBEEF) -> None:
+        self.seed(seed)
+
+    def seed(self, seed: int) -> None:
+        """Initialise the 5-word state via a splitmix-style expansion."""
+        state: List[int] = []
+        z = seed & 0xFFFFFFFFFFFFFFFF
+        for _ in range(5):
+            z = (z + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+            mixed = z
+            mixed = ((mixed ^ (mixed >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+            mixed = ((mixed ^ (mixed >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+            word = (mixed ^ (mixed >> 31)) & _MASK32
+            state.append(word if word else 1)  # avoid an all-zero xorshift state
+        self._x, self._y, self._z, self._w, self._v = state
+        self._d = 362437  # Weyl counter increment start (Marsaglia's choice)
+
+    def next_u32(self) -> int:
+        """One xorwow step: period 2^192 - 2^32."""
+        t = self._x ^ ((self._x >> 2) & _MASK32)
+        self._x, self._y, self._z, self._w = self._y, self._z, self._w, self._v
+        v = self._v
+        v = (v ^ ((v << 4) & _MASK32)) ^ (t ^ ((t << 1) & _MASK32))
+        self._v = v & _MASK32
+        self._d = (self._d + 362437) & _MASK32
+        return (self._v + self._d) & _MASK32
+
+    def next_byte(self) -> int:
+        """The 8-bit per-cycle output port feeding the PEs."""
+        return self.next_u32() & 0xFF
+
+    def next_signed_byte(self) -> int:
+        """Two's-complement interpretation of the 8-bit port, [-128, 127]."""
+        byte = self.next_byte()
+        return byte - 256 if byte >= 128 else byte
+
+    @property
+    def state(self) -> tuple:
+        return (self._x, self._y, self._z, self._w, self._v, self._d)
 
 
 class ReferencePE:
@@ -457,7 +507,7 @@ class ReferenceEvolutionEngine:
                 if gene2 is not None:
                     demands.append((pe.pe_index, event.parent2_key, i))
                 produced[slot].extend(pe.process_pair(gene1, gene2))
-            reads = self.noc.distribute_cycle(demands)
+            reads = self.noc.distribute([(genome, word) for _pe, genome, word in demands])
             buffer.stats.reads += reads
 
         makespan = 0
@@ -467,7 +517,10 @@ class ReferenceEvolutionEngine:
             stream = merge.merge(produced[slot], parent_conn_keys[slot])
             buffer.write_genome(event.child_key, stream)
             result.children[event.child_key] = stream
-            result.pe_stats.merge(pe.stats)
+            result.pe_stats = PEStats(*(
+                total + count
+                for total, count in zip(astuple(result.pe_stats), astuple(pe.stats))
+            ))
             pe.stats = PEStats()
         if not active:
             return 0

@@ -578,18 +578,26 @@ def test_report_not_a_run_dir_clean_error(tmp_path, capsys):
     assert "no spec.json" in capsys.readouterr().err
 
 
-# document -> (what it holds instead, the command that reads it)
+# case -> (document, what it holds instead, the command that reads it,
+#          what the error names)
 BAD_DOCUMENTS = {
-    "result.json": ('{"generations": 2, "conv', ["report", "{run}"]),
-    "run.json": ('{"format": 1, "checkpoint_', ["run", "--resume", "{run}"]),
-    "job.json": ("[]", ["job", "job-000001", "--root", "{root}"]),
+    "result.json": ("result.json", '{"generations": 2, "conv', ["report", "{run}"],
+                    "result.json"),
+    "run.json": ("run.json", '{"format": 1, "checkpoint_', ["run", "--resume", "{run}"],
+                 "run.json"),
+    "job.json": ("job.json", "[]", ["job", "job-000001", "--root", "{root}"],
+                 "job.json"),
+    "job.json-no-fields": ("job.json", "{}", ["job", "job-000001", "--root", "{root}"],
+                           "missing job record fields: ['id', 'spec']"),
+    "spec.json-no-fields": ("spec.json", "{}", ["run", "--spec", "{spec}"],
+                            "missing spec fields: ['env_id']"),
 }
 
 
-@pytest.mark.parametrize("document", sorted(BAD_DOCUMENTS))
-def test_bad_document_clean_error(tmp_path, capsys, document):
-    """A torn or foreign run or job document fails as ``error:`` with
-    exit 2, not with a traceback."""
+@pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+def test_bad_document_clean_error(tmp_path, capsys, case):
+    """A torn, foreign or incomplete run, job or spec document fails as
+    ``error:`` with exit 2, not with a traceback."""
     from repro.api import ExperimentSpec
     from repro.runs import RunDir
     from repro.serve import JobStore
@@ -601,12 +609,14 @@ def test_bad_document_clean_error(tmp_path, capsys, document):
     run.write_meta(checkpoint_every=1)
     store = JobStore(tmp_path / "root")
     store.submit(spec)
-    text, argv = BAD_DOCUMENTS[document]
-    where = run.path if document != "job.json" else store.job_dir("job-000001")
-    (where / document).write_text(text)
-    assert main([arg.format(run=run.path, root=store.root) for arg in argv]) == 2
+    document, text, argv, named = BAD_DOCUMENTS[case]
+    where = {"job.json": store.job_dir("job-000001"), "spec.json": tmp_path}
+    (where.get(document, run.path) / document).write_text(text)
+    argv = [arg.format(run=run.path, root=store.root, spec=tmp_path / "spec.json")
+            for arg in argv]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and document in err
+    assert err.startswith("error: ") and named in err
 
 
 def test_dse_runs_dir(tmp_path, capsys):

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro.hw.eve import EvEConfig, EvolutionEngine, GeneMerge, align_parent_streams
-from repro.hw.gene_encoding import decode_genome, encode_genome, pack_connection, pack_node
+from repro.hw.gene_encoding import (
+    PackedGene, decode_genome, encode_genome, pack_connection, pack_node,
+)
 from repro.hw.gene_encoding import NODE_TYPE_HIDDEN, NODE_TYPE_OUTPUT
 from repro.hw.pe import PEConfig
 from repro.hw.sram import GenomeBuffer
@@ -39,18 +41,27 @@ def load_buffer(config, parents):
     return buffer
 
 
+def aligned_pairs(stream1, stream2):
+    """Gene Split of one child: (fitter gene, homologue or None) pairs."""
+    words1, words2, paired, present = align_parent_streams([stream1, stream2], [0], [1])
+    return [
+        (PackedGene(int(w1)), PackedGene(int(w2)) if p else None)
+        for w1, w2, p in zip(words1[0][present[0]], words2[0][present[0]], paired[0][present[0]])
+    ]
+
+
 class TestAlignment:
     def test_homologous_paired(self, config):
         p1, _ = make_parents(config)
         stream = encode_genome(p1, config)
-        pairs = align_parent_streams(stream, stream)
+        pairs = aligned_pairs(stream, stream)
         assert all(g2 is not None and g1.key == g2.key for g1, g2 in pairs)
 
     def test_disjoint_from_fitter_only(self, config):
         p1, p2 = make_parents(config)
         s1 = encode_genome(p1, config)
         s2 = encode_genome(p2, config)
-        pairs = align_parent_streams(s1, s2)
+        pairs = aligned_pairs(s1, s2)
         assert len(pairs) == len(s1)
         keys2 = {g.key for g in s2}
         for g1, g2 in pairs:

@@ -89,20 +89,21 @@ class TestSchedulerAffectsOnlyPlacement:
                 decode_genome(stream, key, config).validate(config)
 
 
+def pe_bytes(num_pes, seed, count=32):
+    """The first ``count`` PRNG bytes of each PE of an array."""
+    from repro.hw.pe import ProcessingElement
+    from repro.hw.prng import xorwow_bytes
+
+    return xorwow_bytes(ProcessingElement(num_pes, seed=seed)._prng, count).tolist()
+
+
 class TestPEStreamIndependence:
     def test_different_pes_different_streams(self):
-        from repro.hw.pe import ProcessingElement
-
-        a = ProcessingElement(pe_index=0, seed=7)
-        b = ProcessingElement(pe_index=1, seed=7)
-        assert a.prng.bytes(32) != b.prng.bytes(32)
+        first, second = pe_bytes(2, seed=7)
+        assert first != second
 
     def test_same_pe_same_stream(self):
-        from repro.hw.pe import ProcessingElement
-
-        a = ProcessingElement(pe_index=3, seed=7)
-        b = ProcessingElement(pe_index=3, seed=7)
-        assert a.prng.bytes(32) == b.prng.bytes(32)
+        assert pe_bytes(4, seed=7)[3] == pe_bytes(8, seed=7)[3]
 
 
 class TestConservation:

@@ -12,25 +12,25 @@ from repro.hw.noc import (
 
 
 def demands_shared_parent(n_pes):
-    """n PEs all demanding word 3 of genome 7."""
-    return [(pe, 7, 3) for pe in range(n_pes)]
+    """n PEs all demanding word 3 of genome 7, as (genome, word) rows."""
+    return [(7, 3) for _pe in range(n_pes)]
 
 
 def demands_distinct(n_pes):
-    return [(pe, pe, 0) for pe in range(n_pes)]
+    return [(pe, 0) for pe in range(n_pes)]
 
 
 class TestPointToPoint:
     def test_one_read_per_pe(self):
         noc = PointToPointNoC()
-        assert noc.distribute_cycle(demands_shared_parent(8)) == 8
+        assert noc.distribute(demands_shared_parent(8)) == 8
         assert noc.stats.sram_reads == 8
         assert noc.stats.genes_delivered == 8
 
     def test_cycles_counted(self):
         noc = PointToPointNoC()
         for _ in range(5):
-            noc.distribute_cycle(demands_distinct(4))
+            noc.distribute(demands_distinct(4))
         assert noc.stats.cycles == 5
         assert noc.stats.reads_per_cycle == 4.0
 
@@ -38,18 +38,18 @@ class TestPointToPoint:
 class TestMulticastTree:
     def test_shared_word_single_read(self):
         noc = MulticastTreeNoC()
-        assert noc.distribute_cycle(demands_shared_parent(8)) == 1
+        assert noc.distribute(demands_shared_parent(8)) == 1
         assert noc.stats.multicast_hits == 7
 
     def test_distinct_words_no_savings(self):
         noc = MulticastTreeNoC()
-        assert noc.distribute_cycle(demands_distinct(8)) == 8
+        assert noc.distribute(demands_distinct(8)) == 8
         assert noc.stats.multicast_hits == 0
 
     def test_mixed(self):
         noc = MulticastTreeNoC()
-        demands = [(0, 1, 0), (1, 1, 0), (2, 2, 0)]
-        assert noc.distribute_cycle(demands) == 2
+        demands = [(1, 0), (1, 0), (2, 0)]
+        assert noc.distribute(demands) == 2
 
     def test_never_more_reads_than_p2p(self):
         p2p = PointToPointNoC()
@@ -58,12 +58,8 @@ class TestMulticastTree:
 
         rng = random.Random(0)
         for _ in range(100):
-            demands = [
-                (pe, rng.randrange(4), rng.randrange(10)) for pe in range(16)
-            ]
-            assert tree.distribute_cycle(list(demands)) <= p2p.distribute_cycle(
-                list(demands)
-            )
+            demands = [(rng.randrange(4), rng.randrange(10)) for _pe in range(16)]
+            assert tree.distribute(demands) <= p2p.distribute(demands)
 
 
 class TestFactory:
@@ -113,7 +109,7 @@ class TestCanonicaliser:
 
 def test_reset_stats():
     noc = MulticastTreeNoC()
-    noc.distribute_cycle(demands_shared_parent(4))
+    noc.distribute(demands_shared_parent(4))
     old = noc.reset_stats()
     assert old.sram_reads == 1
     assert noc.stats.cycles == 0

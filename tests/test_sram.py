@@ -1,6 +1,10 @@
 """Unit tests for the Genome Buffer SRAM model."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hw.gene_encoding import pack_connection
 from repro.hw.sram import GenomeBuffer, SRAMConfig
@@ -125,3 +129,69 @@ class TestStatsWindow:
         old = buffer.reset_stats()
         assert old.writes == 3
         assert buffer.stats.writes == 0
+
+
+class PerWordBuffer:
+    """The buffer's access accounting done word by word: each word of a
+    genome lives in bank ``(base + i) % banks`` and spills to DRAM once
+    the words before it fill the capacity."""
+
+    def __init__(self, config):
+        self.config = config
+        self.lengths, self.base = {}, {}
+        self.next_base = self.used = 0
+        self.reads = self.writes = self.dram_writes = 0
+        self.reads_per_bank, self.writes_per_bank = Counter(), Counter()
+
+    def write(self, genome, length):
+        self.used -= self.lengths.get(genome, 0)
+        self.lengths[genome] = length
+        self.base[genome] = self.next_base
+        self.next_base = (self.next_base + 1) % self.config.num_banks
+        self.used += length
+        for i in range(length):
+            if self.used - length + i >= self.config.capacity_words:
+                self.dram_writes += 1
+                continue
+            self.writes += 1
+            self.writes_per_bank[(self.base[genome] + i) % self.config.num_banks] += 1
+
+    def read(self, genome):
+        for i in range(self.lengths[genome]):
+            self.reads += 1
+            self.reads_per_bank[(self.base[genome] + i) % self.config.num_banks] += 1
+
+    def delete(self, genome):
+        self.used -= self.lengths.pop(genome)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    banks=st.integers(1, 6),
+    depth=st.integers(1, 6),
+    operations=st.lists(
+        st.tuples(st.sampled_from(["write", "read", "delete"]),
+                  st.integers(0, 4), st.integers(0, 40)),
+        max_size=25,
+    ),
+)
+def test_per_genome_accounting_matches_per_word(banks, depth, operations):
+    """Counting a genome's accesses bank by bank gives the per-word
+    counts, over random lengths, base banks and capacities (small ones
+    spill to DRAM)."""
+    config = SRAMConfig(num_banks=banks, bank_depth=depth)
+    buffer, reference = GenomeBuffer(config), PerWordBuffer(config)
+    for operation, genome, length in operations:
+        if operation == "write":
+            buffer.write_genome(genome, make_stream(length))
+            reference.write(genome, length)
+        elif genome in reference.lengths:
+            getattr(buffer, f"{operation}_genome")(genome)
+            getattr(reference, operation)(genome)
+        stats = buffer.stats
+        assert (stats.reads, stats.writes, stats.dram_writes) == (
+            reference.reads, reference.writes, reference.dram_writes
+        )
+        assert stats.reads_per_bank == reference.reads_per_bank
+        assert stats.writes_per_bank == reference.writes_per_bank
+        assert buffer.words_used == reference.used
