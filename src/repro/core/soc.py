@@ -20,7 +20,7 @@ match what the platform comparison (Fig. 9/10) reports for GENESYS.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs as telemetry
@@ -35,7 +35,7 @@ from ..hw.adam import (
 )
 from ..hw.energy import EnergyLedger, cycles_to_seconds
 from ..hw.eve import EvolutionEngine, EvolutionResult
-from ..hw.gene_encoding import PackedGene, decode_genome, encode_genome
+from ..hw.gene_encoding import GeneStream, decode_genome, encode_genome
 from ..hw.selector import GeneSelector
 from ..hw.sram import GenomeBuffer
 from ..neat.genome import Genome
@@ -91,15 +91,13 @@ class GeneSysSoC:
         self._executor = Executor(env_id, max_steps=max_steps)
         self.buffer = GenomeBuffer(config.sram)
         self.adam = ADAM(config.adam)
-        eve_config = config.eve
-        eve_config.pe = config.pe_config_from_neat()
-        self.eve = EvolutionEngine(eve_config)
+        self.eve = EvolutionEngine(replace(config.eve, pe=config.pe_config_from_neat()))
         self.selector = GeneSelector(config.neat, seed=config.seed)
         self.rng = random.Random(config.seed)
         self.population: Dict[int, Genome] = {}
         #: Gene Merge's writeback of each child and the genome
         #: :meth:`evolve_population` decoded from it.
-        self._decoded: Dict[int, Tuple[List[PackedGene], Genome]] = {}
+        self._decoded: Dict[int, Tuple[GeneStream, Genome]] = {}
         self.generation = 0
         self.best_genome: Optional[Genome] = None
         self.reports: List[GenerationReport] = []
@@ -169,9 +167,9 @@ class GeneSysSoC:
         """Read genome ``key`` from the buffer and return its decoded view."""
         stream = self.buffer.read_genome(key)
         decoded = self._decoded.get(key)
-        # List equality compares the gene words (by identity first, so an
-        # untouched stream costs no per-word Python call).
-        if decoded is not None and decoded[0] == stream:
+        # The buffer hands back the very tuple EvE wrote until the genome
+        # is written again.
+        if decoded is not None and decoded[0] is stream:
             return decoded[1]
         return decode_genome(stream, key, self.config.neat.genome)
 
@@ -230,7 +228,7 @@ class GeneSysSoC:
             adam_macs=inference.macs,
             sram_reads=self.buffer.stats.reads,
             sram_writes=self.buffer.stats.writes,
-            dram_accesses=self.buffer.stats.dram_reads + self.buffer.stats.dram_writes,
+            dram_accesses=self.buffer.stats.dram_writes,
             noc_gene_hops=evolution.noc_stats.genes_delivered,
             m0_cycles=selection.cpu_cycles + inference.vectorize_cycles,
         )

@@ -62,7 +62,6 @@ SCHEDULERS = {
 
 
 def make_scheduler(name: str):
-    key = name.lower().replace("_", "-")
-    if key not in SCHEDULERS:
+    if name not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {name!r}; use {sorted(SCHEDULERS)}")
-    return SCHEDULERS[key]
+    return SCHEDULERS[name]

@@ -24,6 +24,7 @@ sum of wave makespans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +41,7 @@ from .gene_encoding import (
     ID_SHIFT,
     NODE_KEY_BITS,
     TYPE_MASK,
-    PackedGene,
+    GeneStream,
 )
 from .noc import BaseNoC, NoCStats, make_noc
 from .pe import PEConfig, PEStats, ProcessingElement
@@ -64,7 +65,7 @@ class EvEConfig:
 class EvolutionResult:
     """Per-generation accounting of one EvE reproduction pass."""
 
-    children: Dict[int, List[PackedGene]] = field(default_factory=dict)
+    children: Dict[int, GeneStream] = field(default_factory=dict)
     cycles: int = 0
     elite_copy_cycles: int = 0
     waves: int = 0
@@ -76,7 +77,7 @@ class EvolutionResult:
 
 
 def align_parent_streams(
-    parents: Sequence[Sequence[PackedGene]],
+    parents: Sequence[GeneStream],
     fitter: Sequence[int],
     other: Sequence[int],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -89,9 +90,9 @@ def align_parent_streams(
     what lets one PE emit a child no longer than its fitter parent's
     stream.  The join runs on the words' key bits (NEAT's innovation keys,
     Stanley & Miikkulainen 2002), tagged in bit 0 by whether the word is a
-    node gene, as :meth:`PackedGene.key` tells nodes from everything else:
-    one sorted (parent, key) table serves every child, and where a stream
-    repeats a key its last gene is the homologue.
+    node gene, as :func:`~.gene_encoding.gene_key` tells nodes from
+    everything else: one sorted (parent, key) table serves every child, and
+    where a stream repeats a key its last gene is the homologue.
 
     Returns four (children, longest fitter stream) tables: the fitter
     parent's words, their homologues (``paired`` where there is one) and
@@ -101,8 +102,8 @@ def align_parent_streams(
     lengths = np.array([len(stream) for stream in parents], dtype=np.int64)
     width = int(lengths[fitter].max())
     starts = np.cumsum(lengths) - lengths
-    words = np.fromiter((gene.word for stream in parents for gene in stream),
-                        dtype=np.uint64, count=int(lengths.sum()))
+    words = np.fromiter(chain.from_iterable(parents), dtype=np.uint64,
+                        count=int(lengths.sum()))
     is_node = (words & np.uint64(TYPE_MASK)) == GENE_TYPE_NODE
     keys = np.where(is_node, words & np.uint64(NODE_KEY_BITS),
                     (words & np.uint64(CONN_KEY_BITS)) | np.uint64(1)).astype(np.int64)
@@ -134,11 +135,7 @@ class GeneMerge:
     def __init__(self) -> None:
         self.dropped_invalid = 0
 
-    def merge(
-        self,
-        produced: Sequence[PackedGene],
-        parent_conn_keys: set,
-    ) -> List[PackedGene]:
+    def merge(self, produced: Sequence[int], parent_conn_keys: set) -> GeneStream:
         """Canonicalise one child's produced genes.
 
         * dedup by key (first occurrence wins),
@@ -155,20 +152,19 @@ class GeneMerge:
         connections the child inherits; every other connection is an Add
         Gene addition and is cycle-checked.
         """
-        nodes: Dict[int, PackedGene] = {}
-        conns: Dict[Tuple[int, int], PackedGene] = {}
-        for gene in produced:
-            word = gene.word
+        nodes: Dict[int, int] = {}
+        conns: Dict[Tuple[int, int], int] = {}
+        for word in produced:
             if word & TYPE_MASK == GENE_TYPE_NODE:
-                nodes.setdefault(((word >> ID_SHIFT) & ID_MASK) - ID_OFFSET, gene)
+                nodes.setdefault(((word >> ID_SHIFT) & ID_MASK) - ID_OFFSET, word)
             else:
                 key = _conn_key(word)
                 if key not in conns:
-                    conns[key] = gene
+                    conns[key] = word
                 else:
                     self.dropped_invalid += 1
 
-        valid_conns: Dict[Tuple[int, int], PackedGene] = {}
+        valid_conns: Dict[Tuple[int, int], int] = {}
         added: List[Tuple[int, int]] = []
         for key in conns:
             src, dst = key
@@ -186,9 +182,10 @@ class GeneMerge:
                 continue
             valid_conns[key] = conns[key]
 
-        stream = [nodes[i] for i in sorted(nodes)]
-        stream.extend(valid_conns[k] for k in sorted(valid_conns))
-        return stream
+        return tuple(
+            [nodes[i] for i in sorted(nodes)]
+            + [valid_conns[k] for k in sorted(valid_conns)]
+        )
 
 
 def _creates_cycle(existing_keys, candidate: Tuple[int, int]) -> bool:
@@ -276,7 +273,7 @@ class EvolutionEngine:
         """
         # The fitter parent drives the alignment (disjoint inheritance).
         slot_of: Dict[int, int] = {}
-        streams: List[List[PackedGene]] = []
+        streams: List[GeneStream] = []
         fitter: List[int] = []
         other: List[int] = []
         for event in wave:
@@ -312,20 +309,15 @@ class EvolutionEngine:
         cycles, produced = pes.finish_child()
         # The aligned stream carries only the fitter parent's genes, so
         # only its connections are inherited; anything else the PE emits
-        # is an addition that Gene Merge must cycle-check.  A child word a
-        # parent holds too keeps that parent's gene.
+        # is an addition that Gene Merge must cycle-check.
         inherited: Dict[int, set] = {}
-        genes = {gene.word: gene for stream in streams for gene in stream}
         for event, parent, words in zip(wave, fitter, produced):
             if parent not in inherited:
                 inherited[parent] = {
-                    _conn_key(gene.word) for gene in streams[parent]
-                    if gene.word & TYPE_MASK == GENE_TYPE_CONNECTION
+                    _conn_key(word) for word in streams[parent]
+                    if word & TYPE_MASK == GENE_TYPE_CONNECTION
                 }
-            stream = merge.merge(
-                [genes.get(word) or PackedGene(word) for word in words],
-                inherited[parent],
-            )
+            stream = merge.merge(words, inherited[parent])
             buffer.write_genome(event.child_key, stream)
             result.children[event.child_key] = stream
         return int(cycles.max())

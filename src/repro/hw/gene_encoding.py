@@ -24,18 +24,29 @@ Scalar attributes are quantised to signed Q4.4 fixed point (range
 [-8, +7.9375], step 1/16) — this is the "Limit & Quantize" block of the
 perturbation engine (Fig. 7).  Node ids are stored offset by 32768 so the
 negative input-node ids of the software representation round-trip.
+
+A gene is its word, a plain ``int``, and a genome is a
+:data:`GeneStream`, the tuple of its words in stream order, from
+:func:`encode_genome` through the Genome Buffer, Gene Split, the PEs and
+Gene Merge to :func:`decode_genome`.  Every consumer reads a field by
+shift and mask with the offsets below; :func:`gene_key` spells out the
+key Gene Split aligns on.  Words are not range-checked in flight: none
+enters the model from outside the program, :func:`encode_genome` checks
+ids and clamps Q4.4 values, and the PEs check the ids they mint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, Tuple
 
 from ..neat.activations import ACTIVATION_CODES, ACTIVATION_NAMES
 from ..neat.aggregations import AGGREGATION_CODES, AGGREGATION_NAMES
 from ..neat.config import GenomeConfig
 from ..neat.genes import ConnectionGene, NodeGene
 from ..neat.genome import Genome
+
+#: A genome's gene words in stream order.
+GeneStream = Tuple[int, ...]
 
 GENE_WORD_BITS = 64
 GENE_WORD_BYTES = 8
@@ -50,10 +61,7 @@ NODE_TYPE_OUTPUT = 0b10
 ID_OFFSET = 1 << 15  # node ids stored as value + 32768 in a 16-bit field
 ID_MASK = 0xFFFF
 
-# Field offsets of the table above.  The EvE kernels (:mod:`.pe`,
-# :mod:`.eve`) and :func:`decode_genome` read and write gene words by
-# shift and mask with these rather than through :class:`PackedGene`'s
-# properties.
+# Field offsets of the table above.
 TYPE_MASK = 0b11
 ID_SHIFT = 2  # node id / connection source
 DEST_SHIFT = 18  # connection destination
@@ -63,7 +71,7 @@ RESPONSE_SHIFT = 42
 ENABLED_SHIFT = 42
 ACTIVATION_SHIFT = 50
 AGGREGATION_SHIFT = 54
-#: The bits :meth:`PackedGene.key` reads: a node's id, or a connection's
+#: The bits :func:`gene_key` reads: a node's id, or a connection's
 #: source and destination.
 NODE_KEY_BITS = ID_MASK << ID_SHIFT
 CONN_KEY_BITS = NODE_KEY_BITS | (ID_MASK << DEST_SHIFT)
@@ -94,15 +102,8 @@ def _encode_fixed(value: float) -> int:
     return quantize(value) & 0xFF
 
 
-def _decode_fixed(bits: int) -> float:
-    raw = bits & 0xFF
-    if raw >= 128:
-        raw -= 256
-    return dequantize(raw)
-
-
-#: ``_decode_fixed`` of every 8-bit field value.
-_FIXED_VALUES = tuple(_decode_fixed(bits) for bits in range(256))
+#: The Q4.4 value of every 8-bit field.
+_FIXED_VALUES = tuple(dequantize((bits ^ 0x80) - 0x80) for bits in range(256))
 
 
 def _encode_id(node_id: int) -> int:
@@ -112,93 +113,16 @@ def _encode_id(node_id: int) -> int:
     return shifted
 
 
-def _decode_id(bits: int) -> int:
-    return (bits & ID_MASK) - ID_OFFSET
+def _decode_id(word: int, shift: int) -> int:
+    return ((word >> shift) & ID_MASK) - ID_OFFSET
 
 
-@dataclass(frozen=True)
-class PackedGene:
-    """A 64-bit gene word plus convenience accessors."""
-
-    word: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.word < (1 << GENE_WORD_BITS):
-            raise GeneEncodingError("gene word outside 64 bits")
-
-    @property
-    def gene_type(self) -> int:
-        return self.word & TYPE_MASK
-
-    @property
-    def is_node(self) -> bool:
-        return self.gene_type == GENE_TYPE_NODE
-
-    @property
-    def is_connection(self) -> bool:
-        return self.gene_type == GENE_TYPE_CONNECTION
-
-    # -- node fields --------------------------------------------------------
-
-    @property
-    def node_id(self) -> int:
-        return _decode_id(self.word >> ID_SHIFT)
-
-    @property
-    def node_type(self) -> int:
-        return (self.word >> NODE_TYPE_SHIFT) & 0b11
-
-    @property
-    def bias(self) -> float:
-        return _decode_fixed(self.word >> VALUE_SHIFT)
-
-    @property
-    def response(self) -> float:
-        return _decode_fixed(self.word >> RESPONSE_SHIFT)
-
-    @property
-    def activation(self) -> str:
-        return ACTIVATION_NAMES[(self.word >> ACTIVATION_SHIFT) & 0xF]
-
-    @property
-    def aggregation(self) -> str:
-        return AGGREGATION_NAMES[(self.word >> AGGREGATION_SHIFT) & 0xF]
-
-    # -- connection fields ----------------------------------------------------
-
-    @property
-    def source(self) -> int:
-        return _decode_id(self.word >> ID_SHIFT)
-
-    @property
-    def dest(self) -> int:
-        return _decode_id(self.word >> DEST_SHIFT)
-
-    @property
-    def weight(self) -> float:
-        return _decode_fixed(self.word >> VALUE_SHIFT)
-
-    @property
-    def enabled(self) -> bool:
-        return bool((self.word >> ENABLED_SHIFT) & 0b1)
-
-    @property
-    def key(self):
-        """Gene alignment key used by the Gene Split block."""
-        if self.is_node:
-            return ("node", self.node_id)
-        return ("conn", self.source, self.dest)
-
-    def __repr__(self) -> str:
-        if self.is_node:
-            return (
-                f"PackedGene(node id={self.node_id} type={self.node_type} "
-                f"bias={self.bias:+.4f} response={self.response:+.4f})"
-            )
-        return (
-            f"PackedGene(conn {self.source}->{self.dest} "
-            f"weight={self.weight:+.4f} enabled={self.enabled})"
-        )
+def gene_key(word: int) -> tuple:
+    """The key Gene Split aligns a word on: ``("node", id)`` for a node
+    gene, ``("conn", source, dest)`` for any other type."""
+    if word & TYPE_MASK == GENE_TYPE_NODE:
+        return ("node", _decode_id(word, ID_SHIFT))
+    return ("conn", _decode_id(word, ID_SHIFT), _decode_id(word, DEST_SHIFT))
 
 
 def pack_node(
@@ -208,7 +132,7 @@ def pack_node(
     response: float,
     activation: str,
     aggregation: str,
-) -> PackedGene:
+) -> int:
     if activation not in ACTIVATION_CODES:
         raise GeneEncodingError(f"activation {activation!r} has no hardware code")
     if aggregation not in AGGREGATION_CODES:
@@ -222,46 +146,43 @@ def pack_node(
     word |= _encode_fixed(response) << RESPONSE_SHIFT
     word |= ACTIVATION_CODES[activation] << ACTIVATION_SHIFT
     word |= AGGREGATION_CODES[aggregation] << AGGREGATION_SHIFT
-    return PackedGene(word)
+    return word
 
 
-def pack_connection(source: int, dest: int, weight: float, enabled: bool) -> PackedGene:
+def pack_connection(source: int, dest: int, weight: float, enabled: bool) -> int:
     word = GENE_TYPE_CONNECTION
     word |= _encode_id(source) << ID_SHIFT
     word |= _encode_id(dest) << DEST_SHIFT
     word |= _encode_fixed(weight) << VALUE_SHIFT
     word |= (1 if enabled else 0) << ENABLED_SHIFT
-    return PackedGene(word)
+    return word
 
 
-def pack_node_gene(gene: NodeGene, config: GenomeConfig) -> PackedGene:
+def pack_node_gene(gene: NodeGene, config: GenomeConfig) -> int:
     node_type = NODE_TYPE_OUTPUT if gene.key in config.output_keys else NODE_TYPE_HIDDEN
     return pack_node(
         gene.key, node_type, gene.bias, gene.response, gene.activation, gene.aggregation
     )
 
 
-def pack_connection_gene(gene: ConnectionGene) -> PackedGene:
+def pack_connection_gene(gene: ConnectionGene) -> int:
     return pack_connection(gene.source, gene.dest, gene.weight, gene.enabled)
 
 
-def encode_genome(genome: Genome, config: GenomeConfig) -> List[PackedGene]:
+def encode_genome(genome: Genome, config: GenomeConfig) -> GeneStream:
     """Genome -> hardware gene stream (Section IV-C5 genome organisation).
 
     Two logical clusters — node genes then connection genes — each sorted
     ascending by id, exactly the order the Gene Split block streams.
     """
-    stream: List[PackedGene] = []
-    for key in sorted(genome.nodes):
-        stream.append(pack_node_gene(genome.nodes[key], config))
-    for key in sorted(genome.connections):
-        stream.append(pack_connection_gene(genome.connections[key]))
-    return stream
+    nodes, connections = genome.nodes, genome.connections
+    return tuple(
+        [pack_node_gene(nodes[key], config) for key in sorted(nodes)]
+        + [pack_connection_gene(connections[key]) for key in sorted(connections)]
+    )
 
 
-def decode_genome(
-    stream: Iterable[PackedGene], key: int, config: GenomeConfig
-) -> Genome:
+def decode_genome(stream: Iterable[int], key: int, config: GenomeConfig) -> Genome:
     """Hardware gene stream -> software genome (inverse of encode_genome).
 
     Fields are read straight off each word by shift and mask.
@@ -269,8 +190,7 @@ def decode_genome(
     genome = Genome(key)
     nodes = genome.nodes
     connections = genome.connections
-    for gene in stream:
-        word = gene.word
+    for word in stream:
         gene_type = word & TYPE_MASK
         if gene_type == GENE_TYPE_NODE:
             node_id = ((word >> ID_SHIFT) & ID_MASK) - ID_OFFSET

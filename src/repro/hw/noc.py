@@ -37,8 +37,6 @@ class NoCStats:
 class BaseNoC:
     """Common interface: account distribution cycles of demands."""
 
-    name = "base"
-
     def __init__(self) -> None:
         self.stats = NoCStats()
 
@@ -67,8 +65,6 @@ class BaseNoC:
 class PointToPointNoC(BaseNoC):
     """Dedicated bus per transfer: one SRAM read per consuming PE."""
 
-    name = "point-to-point"
-
     def _reads(self, demands) -> int:
         return len(demands)
 
@@ -80,58 +76,21 @@ class MulticastTreeNoC(BaseNoC):
     receive the same gene stream from a single read (Section III-D3).
     """
 
-    name = "multicast-tree"
-
     def _reads(self, demands) -> int:
         return len(np.unique(demands, axis=0))
 
 
-#: Canonical NoC kinds every layer agrees on — the SoC design point
-#: (:class:`repro.hw.eve.EvEConfig`), the ``soc`` backend's options, the
-#: DSE axes and :class:`repro.platforms.PlatformSpec` validation.
-NOC_KINDS = ("p2p", "multicast")
-
-#: Accepted spellings -> canonical kind.  The table is the single place
-#: spellings are recognised; anything else is rejected with the full
-#: list rather than fuzzily matched.
-_NOC_SPELLINGS = {
-    "p2p": "p2p",
-    "pointtopoint": "p2p",
-    "bus": "p2p",
-    "multicast": "multicast",
-    "multicasttree": "multicast",
-    "tree": "multicast",
+#: NoC kind -> model.  These names are the only spellings: the SoC design
+#: point (:class:`repro.hw.eve.EvEConfig`), platform specs and sweep axes
+#: all take them, checked by exact name like
+#: :data:`repro.hw.allocator.SCHEDULERS`.
+NOCS = {
+    "p2p": PointToPointNoC,
+    "multicast": MulticastTreeNoC,
 }
 
 
-def canonical_noc_kind(kind: str) -> str:
-    """Normalise a NoC-kind spelling to ``"p2p"`` or ``"multicast"``.
-
-    Case, ``-``/``_``/space separators and the long-form names
-    (``point-to-point``, ``multicast-tree``, ``bus``, ``tree``) are
-    accepted; any other spelling raises :class:`ValueError` naming the
-    canonical kinds.  Every layer that takes a NoC kind — ``make_noc``,
-    the ``soc`` backend, sweep axes, platform specs — validates through
-    this one function.
-    """
-    if not isinstance(kind, str):
-        raise ValueError(
-            f"NoC kind must be a string, got {kind!r}; "
-            f"canonical kinds: {list(NOC_KINDS)}"
-        )
-    key = kind.lower().replace("-", "").replace("_", "").replace(" ", "")
-    try:
-        return _NOC_SPELLINGS[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown NoC kind {kind!r}; canonical kinds: {list(NOC_KINDS)} "
-            f"(accepted spellings: {sorted(_NOC_SPELLINGS)})"
-        ) from None
-
-
 def make_noc(kind: str) -> BaseNoC:
-    """Factory keyed by :func:`canonical_noc_kind` (``p2p``/``multicast``)."""
-    canonical = canonical_noc_kind(kind)
-    if canonical == "p2p":
-        return PointToPointNoC()
-    return MulticastTreeNoC()
+    if kind not in NOCS:
+        raise ValueError(f"unknown NoC kind {kind!r}; use {sorted(NOCS)}")
+    return NOCS[kind]()

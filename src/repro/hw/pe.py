@@ -60,7 +60,7 @@ from .gene_encoding import (
     TYPE_MASK,
     VALUE_SHIFT,
     GeneEncodingError,
-    PackedGene,
+    gene_key,
     pack_connection,
     pack_node,
 )
@@ -102,10 +102,8 @@ _CONN_FIELDS = CONN_KEY_BITS | _VALUE_FIELD | _ENABLED_BIT
 _NEW_NODE_WORD = pack_node(
     -ID_OFFSET, NODE_TYPE_HIDDEN, 0.0, 1.0,
     DEFAULT_NODE_ACTIVATION, DEFAULT_NODE_AGGREGATION,
-).word
-_NEW_CONN_WORD = pack_connection(
-    -ID_OFFSET, -ID_OFFSET, DEFAULT_CONN_WEIGHT, True
-).word
+)
+_NEW_CONN_WORD = pack_connection(-ID_OFFSET, -ID_OFFSET, DEFAULT_CONN_WEIGHT, True)
 _INVALID_NODE_TYPE = 0b11  # Fig. 6 defines 00, 01 and 10
 
 
@@ -320,7 +318,7 @@ class ProcessingElement:
             for k in np.flatnonzero(wave.misaligned[i] & live):
                 failed[int(k)] = ValueError(
                     "gene split misalignment: {} vs {}".format(
-                        *(PackedGene(int(words[k])).key for words in genes))
+                        *(gene_key(int(words[k])) for words in genes))
                 )
             live &= ~wave.misaligned[i]
         crossed = wave.crossed[i] & live

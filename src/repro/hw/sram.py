@@ -5,18 +5,20 @@ given generation and is accessed by both ADAM and EvE" (Section IV-A).
 The implemented configuration matches Fig. 8(a): 48 banks x 4096 words of
 64 bits = 1.5 MB, backed by DRAM when a generation spills.
 
-The model is functional-plus-counting: it stores genome gene streams at
-bank-interleaved addresses and counts per-bank reads/writes and DRAM
-spill traffic — the quantities behind Fig. 11(b)/(c).  A genome's
-accesses are counted once per genome, bank by bank, not word by word.
+The model is functional-plus-counting: it holds each resident genome's
+gene stream and counts one SRAM access per 64-bit word read or written.
+A word past the buffer's capacity spills: it is charged to DRAM when it
+is written and as an SRAM read when it is read afterwards.  Fig. 11's
+replay evaluator, the energy ledger and the benchmarks use these totals;
+a genome's accesses are counted once per genome, not word by word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional
 
-from .gene_encoding import GENE_WORD_BYTES, PackedGene
+from .gene_encoding import GENE_WORD_BYTES, GeneStream
 
 
 @dataclass
@@ -38,28 +40,22 @@ class SRAMConfig:
 class SRAMStats:
     reads: int = 0
     writes: int = 0
-    dram_reads: int = 0
     dram_writes: int = 0
-    reads_per_bank: Dict[int, int] = field(default_factory=dict)
-    writes_per_bank: Dict[int, int] = field(default_factory=dict)
 
 
 class GenomeBuffer:
-    """Stores packed genomes of the current generation, counting accesses.
+    """Stores the gene streams of the current generation, counting accesses.
 
-    Genomes are laid out word-interleaved across banks (word *i* of a
-    genome lives in bank ``(base + i) % num_banks``) so streaming a genome
-    touches all banks round-robin — the layout that lets the 48 banks feed
-    parallel consumers without hot-spotting.
+    A resident stream is an immutable :data:`GeneStream`: the buffer keeps
+    the tuple it is given (a snapshot of any other sequence) and hands that
+    same tuple to every reader, so no caller can change a resident genome.
     """
 
     def __init__(self, config: Optional[SRAMConfig] = None) -> None:
         self.config = config or SRAMConfig()
         self.stats = SRAMStats()
-        self._genomes: Dict[int, List[PackedGene]] = {}
+        self._genomes: Dict[int, GeneStream] = {}
         self._fitness: Dict[int, float] = {}
-        self._base_bank: Dict[int, int] = {}
-        self._next_base = 0
         self._words_used = 0
 
     # -- capacity ------------------------------------------------------------
@@ -75,7 +71,7 @@ class GenomeBuffer:
 
     # -- genome operations -----------------------------------------------------
 
-    def write_genome(self, genome_id: int, stream: List[PackedGene]) -> None:
+    def write_genome(self, genome_id: int, stream: Iterable[int]) -> None:
         """Write a full genome stream (Gene Merge writeback, step 10).
 
         Words past the buffer's capacity spill to DRAM.
@@ -83,29 +79,23 @@ class GenomeBuffer:
         previous = self._genomes.get(genome_id)
         if previous is not None:
             self._words_used -= len(previous)
-        self._genomes[genome_id] = list(stream)
-        base = self._base_bank[genome_id] = self._next_base
-        self._next_base = (self._next_base + 1) % self.config.num_banks
+        self._genomes[genome_id] = stream = tuple(stream)
         on_chip = min(len(stream), max(0, self.config.capacity_words - self._words_used))
         self._words_used += len(stream)
         self.stats.dram_writes += len(stream) - on_chip
         self.stats.writes += on_chip
-        self._count_banks(self.stats.writes_per_bank, base, on_chip)
 
-    def read_genome(self, genome_id: int) -> List[PackedGene]:
+    def read_genome(self, genome_id: int) -> GeneStream:
         """Read a full genome stream, counting one read per 64-bit word."""
         if genome_id not in self._genomes:
             raise KeyError(f"genome {genome_id} not resident in the genome buffer")
         stream = self._genomes[genome_id]
         self.stats.reads += len(stream)
-        self._count_banks(
-            self.stats.reads_per_bank, self._base_bank[genome_id], len(stream)
-        )
-        return list(stream)
+        return stream
 
-    def peek_genome(self, genome_id: int) -> List[PackedGene]:
+    def peek_genome(self, genome_id: int) -> GeneStream:
         """Read without counting (testing / CPU bookkeeping)."""
-        return list(self._genomes[genome_id])
+        return self._genomes[genome_id]
 
     def genome_length(self, genome_id: int) -> int:
         return len(self._genomes[genome_id])
@@ -115,7 +105,6 @@ class GenomeBuffer:
         if stream is not None:
             self._words_used -= len(stream)
         self._fitness.pop(genome_id, None)
-        self._base_bank.pop(genome_id, None)
 
     def resident_genomes(self) -> List[int]:
         return sorted(self._genomes)
@@ -123,9 +112,7 @@ class GenomeBuffer:
     def clear(self) -> None:
         self._genomes.clear()
         self._fitness.clear()
-        self._base_bank.clear()
         self._words_used = 0
-        self._next_base = 0
 
     # -- fitness annotations (step 6: "The fitness value is augmented to
     # the genome that was just run in SRAM") ------------------------------
@@ -141,17 +128,6 @@ class GenomeBuffer:
 
     def fitnesses(self) -> Dict[int, float]:
         return dict(self._fitness)
-
-    # -- internals --------------------------------------------------------------
-
-    def _count_banks(self, per_bank: Dict[int, int], base: int, words: int) -> None:
-        """Count one access per word of ``words`` consecutive words whose
-        first lives in bank ``base`` (word i in bank ``(base + i) % banks``)."""
-        banks = self.config.num_banks
-        rounds, rest = divmod(words, banks)
-        for offset in range(min(words, banks)):
-            bank = (base + offset) % banks
-            per_bank[bank] = per_bank.get(bank, 0) + rounds + (offset < rest)
 
     def reset_stats(self) -> SRAMStats:
         """Return current stats and start a fresh counting window."""

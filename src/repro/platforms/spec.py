@@ -20,8 +20,9 @@ Specs share the experiment spec's JSON codec
 (:class:`repro.obs.jsonl.JsonRecord`), so :meth:`PlatformSpec.content_key`
 is stable across processes and machines and safe to embed in the
 :mod:`repro.dse` cache keys.  Validation is shared with the rest of the
-stack: NoC spellings go through :func:`repro.hw.noc.canonical_noc_kind`,
-schedulers through :data:`repro.hw.allocator.SCHEDULERS`.
+stack: NoC kinds and schedulers are checked by exact name against
+:data:`repro.hw.noc.NOCS` and :data:`repro.hw.allocator.SCHEDULERS`, the
+tables the simulator builds them from.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Type, Union
 
 from ..hw.allocator import SCHEDULERS
 from ..hw.energy import FREQUENCY_HZ
-from ..hw.noc import canonical_noc_kind
+from ..hw.noc import NOCS
 from ..obs.jsonl import JsonRecord, reject_unknown
 
 
@@ -174,15 +175,12 @@ class SoCPlatformParams:
     def __post_init__(self) -> None:
         _require_positive("eve_pes", self.eve_pes, kind=int)
         _require_positive("frequency_hz", self.frequency_hz)
-        try:
-            object.__setattr__(self, "noc", canonical_noc_kind(self.noc))
-        except ValueError as exc:
-            raise PlatformSpecError(str(exc)) from None
-        if self.scheduler not in SCHEDULERS:
-            raise PlatformSpecError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"use one of {sorted(SCHEDULERS)}"
-            )
+        for name, table in (("noc", NOCS), ("scheduler", SCHEDULERS)):
+            value = getattr(self, name)
+            if value not in table:
+                raise PlatformSpecError(
+                    f"unknown {name} {value!r}; use one of {sorted(table)}"
+                )
         rows, cols = parse_adam_shape(self.adam_shape)
         object.__setattr__(self, "adam_shape", f"{rows}x{cols}")
 

@@ -1,13 +1,16 @@
 """Object-level reference for the word-level EvE kernels.
 
 The EvE walk of ``repro.hw`` done object by object: every field goes
-through :class:`PackedGene`'s properties and is re-packed with
-``pack_node`` / ``pack_connection``, the 8-bit thresholds are recomputed
+through the properties of :class:`PackedGene`, a view of a gene word
+read off Fig. 6's bit table as written out here (not through
+``repro.hw.gene_encoding``'s shift constants), and is re-packed with
+``pack_node`` / ``pack_connection``; the 8-bit thresholds are recomputed
 for every pair, each PRNG byte is one ``XorWow.next_byte`` call (the
 generator stepped a byte at a time, defined here), and the engine runs
-its PEs cycle by cycle.  Tests compare the word-level
-Processing Element, Gene Split, Gene Merge, ``decode_genome`` and engine
-against it bit for bit; nothing under ``src/`` imports it.
+its PEs cycle by cycle.  Like ``repro.hw`` it takes and returns gene
+words, plain ints.  Tests compare the word-level Processing Element,
+Gene Split, Gene Merge, ``decode_genome`` and engine against it bit for
+bit; nothing under ``src/`` imports it.
 
 Like ``repro.hw``'s, its engine tells Gene Merge that only the fitter
 parent's connection keys are inherited, so an Add Gene connection whose
@@ -16,8 +19,8 @@ key only the less-fit parent carries is cycle-checked.
 
 from __future__ import annotations
 
-from dataclasses import astuple
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import astuple, dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.hw.allocator import make_scheduler
 from repro.hw.eve import EvEConfig, EvolutionResult, _creates_cycle
@@ -26,7 +29,6 @@ from repro.hw.gene_encoding import (
     FIXED_MIN,
     NODE_TYPE_HIDDEN,
     GeneEncodingError,
-    PackedGene,
     pack_connection,
     pack_node,
     quantize,
@@ -42,12 +44,114 @@ from repro.hw.pe import (
     PEStats,
 )
 from repro.hw.sram import GenomeBuffer
+from repro.neat.activations import ACTIVATION_NAMES
+from repro.neat.aggregations import AGGREGATION_NAMES
 from repro.neat.config import GenomeConfig
 from repro.neat.genes import ConnectionGene, NodeGene
 from repro.neat.genome import Genome
 from repro.neat.reproduction import ReproductionEvent
 
-AlignedPair = Tuple[PackedGene, Optional[PackedGene]]
+#: Fig. 6's bit table (LSB first): field -> (first bit, width).  Gene
+#: type 00 is a node, 01 a connection; ids are stored plus 32768; bias,
+#: response and weight are Q4.4 two's complement.
+NODE_FIELDS = {
+    "gene_type": (0, 2), "node_id": (2, 16), "node_type": (18, 2),
+    "bias": (34, 8), "response": (42, 8), "activation": (50, 4),
+    "aggregation": (54, 4),
+}
+CONN_FIELDS = {
+    "gene_type": (0, 2), "source": (2, 16), "dest": (18, 16),
+    "weight": (34, 8), "enabled": (42, 1),
+}
+
+
+@dataclass(frozen=True)
+class PackedGene:
+    """A 64-bit gene word seen field by field."""
+
+    word: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.word < 2**64:
+            raise GeneEncodingError("gene word outside 64 bits")
+
+    def _field(self, table: Dict[str, Tuple[int, int]], name: str) -> int:
+        first, width = table[name]
+        return (self.word >> first) % 2**width
+
+    def _id(self, table, name: str) -> int:
+        return self._field(table, name) - 2**15
+
+    def _q44(self, table, name: str) -> float:
+        raw = self._field(table, name)
+        return (raw - 256 if raw >= 128 else raw) / 16
+
+    @property
+    def gene_type(self) -> int:
+        return self._field(NODE_FIELDS, "gene_type")
+
+    @property
+    def is_node(self) -> bool:
+        return self.gene_type == 0b00
+
+    @property
+    def is_connection(self) -> bool:
+        return self.gene_type == 0b01
+
+    @property
+    def node_id(self) -> int:
+        return self._id(NODE_FIELDS, "node_id")
+
+    @property
+    def node_type(self) -> int:
+        return self._field(NODE_FIELDS, "node_type")
+
+    @property
+    def bias(self) -> float:
+        return self._q44(NODE_FIELDS, "bias")
+
+    @property
+    def response(self) -> float:
+        return self._q44(NODE_FIELDS, "response")
+
+    @property
+    def activation(self) -> str:
+        return ACTIVATION_NAMES[self._field(NODE_FIELDS, "activation")]
+
+    @property
+    def aggregation(self) -> str:
+        return AGGREGATION_NAMES[self._field(NODE_FIELDS, "aggregation")]
+
+    @property
+    def source(self) -> int:
+        return self._id(CONN_FIELDS, "source")
+
+    @property
+    def dest(self) -> int:
+        return self._id(CONN_FIELDS, "dest")
+
+    @property
+    def weight(self) -> float:
+        return self._q44(CONN_FIELDS, "weight")
+
+    @property
+    def enabled(self) -> bool:
+        return bool(self._field(CONN_FIELDS, "enabled"))
+
+    @property
+    def key(self) -> tuple:
+        """Gene alignment key used by the Gene Split block."""
+        if self.is_node:
+            return ("node", self.node_id)
+        return ("conn", self.source, self.dest)
+
+
+def view(stream: Iterable[int]) -> List[PackedGene]:
+    """A stream's words, each seen through :class:`PackedGene`."""
+    return [PackedGene(word) for word in stream]
+
+
+AlignedPair = Tuple[int, Optional[int]]
 
 _MASK32 = 0xFFFFFFFF
 
@@ -132,17 +236,17 @@ class ReferencePE:
         self._fitness2 = fitness2
         self._cycles = CONFIG_LOAD_CYCLES
 
-    def process_pair(
-        self, gene1: Optional[PackedGene], gene2: Optional[PackedGene]
-    ) -> List[PackedGene]:
+    def process_pair(self, word1: Optional[int], word2: Optional[int]) -> List[int]:
         """Push one aligned parent gene pair through all four stages.
 
-        ``gene2 is None`` for disjoint/excess genes inherited from the
-        fitter parent.  Returns 0..3 child genes (deletion yields none;
+        ``word2 is None`` for disjoint/excess genes inherited from the
+        fitter parent.  Returns 0..3 child words (deletion yields none;
         node addition yields a node plus two connections).
         """
-        if gene1 is None:
+        if word1 is None:
             raise ValueError("gene1 must be present (fitter parent's stream)")
+        gene1 = PackedGene(word1)
+        gene2 = None if word2 is None else PackedGene(word2)
         self._cycles += 1
         self.stats.busy_cycles += 1
         self.stats.genes_in += 1 if gene2 is None else 2
@@ -154,7 +258,7 @@ class ReferencePE:
             return []
         produced = self._add_stage(kept)
         self.stats.genes_out += len(produced)
-        return produced
+        return [gene.word for gene in produced]
 
     def finish_child(self) -> int:
         """Pipeline drain; returns total cycles spent on this child."""
@@ -188,20 +292,20 @@ class ReferencePE:
             return self.prng.next_byte() < bias
 
         if gene1.is_node:
-            return pack_node(
+            return PackedGene(pack_node(
                 gene1.node_id,
                 gene1.node_type,
                 gene1.bias if pick() else gene2.bias,
                 gene1.response if pick() else gene2.response,
                 gene1.activation if pick() else gene2.activation,
                 gene1.aggregation if pick() else gene2.aggregation,
-            )
-        return pack_connection(
+            ))
+        return PackedGene(pack_connection(
             gene1.source,
             gene1.dest,
             gene1.weight if pick() else gene2.weight,
             gene1.enabled if pick() else gene2.enabled,
-        )
+        ))
 
     # -- stage 2: perturbation ------------------------------------------------
 
@@ -221,14 +325,16 @@ class ReferencePE:
             self.stats.perturbations += int(hit1) + int(hit2)
             if not (hit1 or hit2):
                 return gene
-            return pack_node(
+            return PackedGene(pack_node(
                 gene.node_id, gene.node_type, bias, response,
                 gene.activation, gene.aggregation,
-            )
+            ))
         weight, hit = self._perturb_value(gene.weight)
         if hit:
             self.stats.perturbations += 1
-            return pack_connection(gene.source, gene.dest, weight, gene.enabled)
+            return PackedGene(
+                pack_connection(gene.source, gene.dest, weight, gene.enabled)
+            )
         return gene
 
     # -- stage 3: delete gene -----------------------------------------------------
@@ -282,7 +388,7 @@ class ReferencePE:
             upstream = pack_connection(gene.source, new_id, DEFAULT_CONN_WEIGHT, True)
             downstream = pack_connection(new_id, gene.dest, gene.weight, True)
             # The incoming connection gene is dropped (Section IV-C3).
-            return [node, upstream, downstream]
+            return view([node, upstream, downstream])
 
         # Connection addition: the two-cycle store-source / pair-with-next-
         # destination mechanism.
@@ -297,14 +403,14 @@ class ReferencePE:
             if source != gene.dest and source_valid:
                 new_conn = pack_connection(source, gene.dest, DEFAULT_CONN_WEIGHT, True)
                 self.stats.conn_additions += 1
-                produced.append(new_conn)
+                produced.append(PackedGene(new_conn))
         elif self.prng.next_byte() < threshold:
             self._pending_conn_source = gene.source
         return produced
 
 
 def reference_align_parent_streams(
-    stream1: Sequence[PackedGene], stream2: Sequence[PackedGene]
+    stream1: Sequence[int], stream2: Sequence[int]
 ) -> List[AlignedPair]:
     """Gene Split alignment: merge-join the two sorted parent streams.
 
@@ -313,8 +419,8 @@ def reference_align_parent_streams(
     skipped, which is both the NEAT inheritance rule and what lets one PE
     emit a child no longer than its fitter parent's stream.
     """
-    index2: Dict[tuple, PackedGene] = {g.key: g for g in stream2}
-    return [(gene, index2.get(gene.key)) for gene in stream1]
+    index2: Dict[tuple, int] = {g.key: g.word for g in view(stream2)}
+    return [(gene.word, index2.get(gene.key)) for gene in view(stream1)]
 
 
 class ReferenceGeneMerge:
@@ -323,11 +429,7 @@ class ReferenceGeneMerge:
     def __init__(self) -> None:
         self.dropped_invalid = 0
 
-    def merge(
-        self,
-        produced: Sequence[PackedGene],
-        parent_conn_keys: set,
-    ) -> List[PackedGene]:
+    def merge(self, produced: Sequence[int], parent_conn_keys: set) -> Tuple[int, ...]:
         """Canonicalise one child's produced genes.
 
         * dedup by key (first occurrence wins),
@@ -343,7 +445,7 @@ class ReferenceGeneMerge:
         nodes: Dict[int, PackedGene] = {}
         conns: Dict[Tuple[int, int], PackedGene] = {}
         order: List[Tuple[int, int]] = []
-        for gene in produced:
+        for gene in view(produced):
             if gene.is_node:
                 nodes.setdefault(gene.node_id, gene)
             else:
@@ -377,15 +479,15 @@ class ReferenceGeneMerge:
 
         stream = [nodes[i] for i in sorted(nodes)]
         stream.extend(valid_conns[k] for k in sorted(valid_conns))
-        return stream
+        return tuple(gene.word for gene in stream)
 
 
 def reference_decode_genome(
-    stream: Iterable[PackedGene], key: int, config: GenomeConfig
+    stream: Iterable[int], key: int, config: GenomeConfig
 ) -> Genome:
     """Hardware gene stream -> software genome (inverse of encode_genome)."""
     genome = Genome(key)
-    for gene in stream:
+    for gene in view(stream):
         if gene.is_node:
             genome.nodes[gene.node_id] = NodeGene(
                 gene.node_id,
@@ -487,7 +589,7 @@ class ReferenceEvolutionEngine:
             # Only the fitter parent's connections are inherited: the
             # aligned stream carries no other parent-2 gene.
             parent_conn_keys.append(
-                {(g.source, g.dest) for g in stream1 if g.is_connection}
+                {(g.source, g.dest) for g in view(stream1) if g.is_connection}
             )
             pe.begin_child(self.config.pe, fitness1, fitness2)
             active.append((pe, event))
@@ -496,7 +598,7 @@ class ReferenceEvolutionEngine:
         # demands word i of each parent stream; the NoC turns demands into
         # SRAM reads (deduplicated when multicasting).
         max_len = max((len(s) for s in aligned_streams), default=0)
-        produced: List[List[PackedGene]] = [[] for _ in active]
+        produced: List[List[int]] = [[] for _ in active]
         for i in range(max_len):
             demands = []
             for slot, ((pe, event), stream) in enumerate(zip(active, aligned_streams)):

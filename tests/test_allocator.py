@@ -74,8 +74,8 @@ class TestFactory:
     def test_lookup(self):
         assert make_scheduler("greedy") is greedy_reuse_schedule
         assert make_scheduler("round-robin") is round_robin_schedule
-        assert make_scheduler("round_robin") is round_robin_schedule
 
     def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_scheduler("random")
+        for name in ("random", "round_robin", "Greedy"):
+            with pytest.raises(ValueError, match="round-robin"):
+                make_scheduler(name)

@@ -3,10 +3,11 @@
 import random
 
 import pytest
+from eve_reference import PackedGene, view
 
 from repro.hw.eve import EvEConfig, EvolutionEngine, GeneMerge, align_parent_streams
 from repro.hw.gene_encoding import (
-    PackedGene, decode_genome, encode_genome, pack_connection, pack_node,
+    decode_genome, encode_genome, pack_connection, pack_node,
 )
 from repro.hw.gene_encoding import NODE_TYPE_HIDDEN, NODE_TYPE_OUTPUT
 from repro.hw.pe import PEConfig
@@ -63,7 +64,7 @@ class TestAlignment:
         s2 = encode_genome(p2, config)
         pairs = aligned_pairs(s1, s2)
         assert len(pairs) == len(s1)
-        keys2 = {g.key for g in s2}
+        keys2 = {g.key for g in view(s2)}
         for g1, g2 in pairs:
             if g1.key in keys2:
                 assert g2 is not None
@@ -80,7 +81,7 @@ class TestGeneMerge:
             pack_node(5, NODE_TYPE_HIDDEN, 0, 1, "tanh", "sum"),
             pack_connection(-1, 5, 1.0, True),
         ]
-        stream = merge.merge(produced, parent_conn_keys=set())
+        stream = view(merge.merge(produced, parent_conn_keys=set()))
         assert [g.is_node for g in stream] == [True, True, False, False]
         assert stream[0].node_id == 0 and stream[1].node_id == 5
 
@@ -90,7 +91,7 @@ class TestGeneMerge:
             pack_node(0, NODE_TYPE_OUTPUT, 0, 1, "tanh", "sum"),
             pack_connection(-1, 99, 1.0, True),  # node 99 does not exist
         ]
-        stream = merge.merge(produced, parent_conn_keys=set())
+        stream = view(merge.merge(produced, parent_conn_keys=set()))
         assert all(g.is_node for g in stream)
         assert merge.dropped_invalid == 1
 
@@ -103,7 +104,7 @@ class TestGeneMerge:
             pack_connection(5, 6, 1.0, True),
             pack_connection(6, 5, 1.0, True),  # new edge closing a cycle
         ]
-        stream = merge.merge(produced, parent_conn_keys=inherited)
+        stream = view(merge.merge(produced, parent_conn_keys=inherited))
         conn_keys = {(g.source, g.dest) for g in stream if g.is_connection}
         assert (5, 6) in conn_keys
         assert (6, 5) not in conn_keys
@@ -116,7 +117,7 @@ class TestGeneMerge:
             pack_connection(-1, 0, 1.0, True),
             pack_connection(-1, 0, 2.0, True),
         ]
-        stream = merge.merge(produced, parent_conn_keys={(-1, 0)})
+        stream = view(merge.merge(produced, parent_conn_keys={(-1, 0)}))
         conns = [g for g in stream if g.is_connection]
         assert len(conns) == 1
         assert conns[0].weight == 1.0  # first occurrence wins
@@ -225,7 +226,7 @@ class TestEvolutionEngine:
             eve = EvolutionEngine(EvEConfig(num_pes=4, seed=77))
             events = [ReproductionEvent(10 + i, 0, 1, 1) for i in range(4)]
             result = eve.reproduce_generation(buffer, events)
-            outs.append({k: tuple(g.word for g in v) for k, v in result.children.items()})
+            outs.append(result.children)
         assert outs[0] == outs[1]
 
 

@@ -2,8 +2,9 @@
 reference in ``eve_reference.py``.
 
 The PE lanes, Gene Split, Gene Merge and ``decode_genome`` read and write
-raw 64-bit gene words; the reference does the same work through
-``PackedGene`` properties and ``pack_node`` / ``pack_connection``, one PE
+raw 64-bit gene words by shift and mask; the reference does the same work
+through its own ``PackedGene`` field view (Fig. 6's bit table written out
+in ``eve_reference.py``) and ``pack_node`` / ``pack_connection``, one PE
 at a time.  Every child word, ``PEStats`` counter, cycle count, PRNG byte
 and SRAM/NoC counter must agree, on one lane and on many.
 """
@@ -17,19 +18,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eve_reference import (
+    PackedGene,
     ReferenceEvolutionEngine,
     ReferenceGeneMerge,
     ReferencePE,
     XorWow,
     reference_align_parent_streams,
     reference_decode_genome,
+    view,
 )
 from repro.hw.eve import EvEConfig, EvolutionEngine, GeneMerge, align_parent_streams
 from repro.hw.gene_encoding import (
     NODE_TYPE_HIDDEN,
     NODE_TYPE_INPUT,
     NODE_TYPE_OUTPUT,
-    PackedGene,
     decode_genome,
     encode_genome,
     pack_connection,
@@ -73,12 +75,12 @@ _NODE_NOISE = (0b11 << 18) | (((1 << 14) - 1) << 20) | (((1 << 6) - 1) << 58)
 _CONN_NOISE = 0b11 | (((1 << 21) - 1) << 43)
 
 
-def _dirty(gene, noise):
-    """A word that only a hand-built ``PackedGene`` can hold."""
-    if gene.is_node:
-        return PackedGene(gene.word | (noise & _NODE_NOISE))
-    word = (gene.word & ~0b11) | (1 + noise % 3)  # type 1, 2 or 3
-    return PackedGene(word | (noise & _CONN_NOISE & ~0b11))
+def _dirty(word, noise):
+    """A word that only a hand-built stream can hold."""
+    if PackedGene(word).is_node:
+        return word | (noise & _NODE_NOISE)
+    word = (word & ~0b11) | (1 + noise % 3)  # type 1, 2 or 3
+    return word | (noise & _CONN_NOISE & ~0b11)
 
 
 dirty_genes = st.builds(_dirty, node_genes | conn_genes, st.integers(0, 2**64 - 1))
@@ -107,7 +109,7 @@ def _outcome(call):
 
 
 def _stream_keys(stream):
-    return {(g.source, g.dest) for g in stream if g.is_connection}
+    return {(g.source, g.dest) for g in view(stream) if g.is_connection}
 
 
 # -- PRNG -------------------------------------------------------------------
@@ -145,16 +147,16 @@ def _tables(lanes):
     for k, pairs in enumerate(lanes):
         for i, (gene1, gene2) in enumerate(pairs):
             if gene1 is not None:
-                words1[k, i], present[k, i] = gene1.word, True
+                words1[k, i], present[k, i] = gene1, True
                 if gene2 is not None:
-                    words2[k, i], paired[k, i] = gene2.word, True
+                    words2[k, i], paired[k, i] = gene2, True
     return words1, words2, paired, present
 
 
 def _walk(pes, refs, lanes):
     """Run a loaded wave cycle by cycle against one ``ReferencePE`` per
     lane, each walking its pairs until it raises; returns each lane's
-    child genes and its error, if any."""
+    child words and its error, if any."""
     produced = [[] for _ in lanes]
     errors = [None] * len(lanes)
     for i in range(max((len(pairs) for pairs in lanes), default=0)):
@@ -178,7 +180,7 @@ def _walk(pes, refs, lanes):
     cycles, words = pes.finish_child()
     for k, ref in enumerate(refs[: len(lanes)]):
         assert cycles[k] == ref.finish_child()
-        assert words[k] == [gene.word for gene in produced[k]]
+        assert words[k] == produced[k]
     return produced, errors
 
 
@@ -385,7 +387,7 @@ def _serial_failure(buffer, events, config, seed):
 #: check at cycle 0: the lockstep walk meets PE 1's error first, the
 #: serial walk raises PE 0's.
 _TOP_NODE = pack_node(32767, NODE_TYPE_HIDDEN, 0.0, 0.0, "abs", "max")
-_INVALID_NODE = PackedGene(_NODE_0.word | 0b11 << 18)
+_INVALID_NODE = _NODE_0 | 0b11 << 18
 
 
 @settings(max_examples=80, deadline=None)

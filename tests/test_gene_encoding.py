@@ -1,8 +1,15 @@
-"""Unit tests for the 64-bit hardware gene encoding (Fig. 6)."""
+"""Unit tests for the 64-bit hardware gene encoding (Fig. 6).
+
+Packed words are read back through the test oracle's ``PackedGene``,
+which spells out Fig. 6's bit table on its own, so the shift-and-mask
+code of ``repro.hw.gene_encoding`` is checked against an independent
+reading of the layout.
+"""
 
 import random
 
 import pytest
+from eve_reference import PackedGene, view
 
 from repro.hw.gene_encoding import (
     FIXED_MAX_VALUE,
@@ -11,10 +18,10 @@ from repro.hw.gene_encoding import (
     GeneEncodingError,
     NODE_TYPE_HIDDEN,
     NODE_TYPE_OUTPUT,
-    PackedGene,
     decode_genome,
     dequantize,
     encode_genome,
+    gene_key,
     pack_connection,
     pack_node,
     quantize,
@@ -48,7 +55,7 @@ class TestQuantization:
 
 class TestNodePacking:
     def test_round_trip(self):
-        gene = pack_node(42, NODE_TYPE_HIDDEN, 1.25, -0.5, "relu", "sum")
+        gene = PackedGene(pack_node(42, NODE_TYPE_HIDDEN, 1.25, -0.5, "relu", "sum"))
         assert gene.is_node and not gene.is_connection
         assert gene.node_id == 42
         assert gene.node_type == NODE_TYPE_HIDDEN
@@ -58,8 +65,8 @@ class TestNodePacking:
         assert gene.aggregation == "sum"
 
     def test_word_fits_64_bits(self):
-        gene = pack_node(30000, NODE_TYPE_OUTPUT, 7.9375, -8.0, "tanh", "max")
-        assert 0 <= gene.word < (1 << GENE_WORD_BITS)
+        word = pack_node(30000, NODE_TYPE_OUTPUT, 7.9375, -8.0, "tanh", "max")
+        assert 0 <= word < (1 << GENE_WORD_BITS)
 
     def test_unknown_activation_raises(self):
         with pytest.raises(GeneEncodingError):
@@ -76,7 +83,7 @@ class TestNodePacking:
 
 class TestConnectionPacking:
     def test_round_trip(self):
-        gene = pack_connection(-3, 17, 2.5, True)
+        gene = PackedGene(pack_connection(-3, 17, 2.5, True))
         assert gene.is_connection
         assert gene.source == -3
         assert gene.dest == 17
@@ -84,18 +91,21 @@ class TestConnectionPacking:
         assert gene.enabled
 
     def test_negative_ids_round_trip(self):
-        gene = pack_connection(-128, -1, -1.0, False)
+        gene = PackedGene(pack_connection(-128, -1, -1.0, False))
         assert gene.source == -128
         assert gene.dest == -1
         assert not gene.enabled
 
     def test_weight_quantised(self):
-        gene = pack_connection(-1, 0, 0.51, True)
+        gene = PackedGene(pack_connection(-1, 0, 0.51, True))
         assert gene.weight == pytest.approx(0.5)
 
     def test_key(self):
-        assert pack_connection(-1, 0, 1.0, True).key == ("conn", -1, 0)
-        assert pack_node(4, NODE_TYPE_HIDDEN, 0, 1, "tanh", "sum").key == ("node", 4)
+        conn = pack_connection(-1, 0, 1.0, True)
+        node = pack_node(4, NODE_TYPE_HIDDEN, 0, 1, "tanh", "sum")
+        for key in (gene_key, lambda word: PackedGene(word).key):
+            assert key(conn) == ("conn", -1, 0)
+            assert key(node) == ("node", 4)
 
 
 class TestGenomeStream:
@@ -110,7 +120,7 @@ class TestGenomeStream:
 
     def test_stream_order_nodes_then_connections(self, config):
         genome = self.make_genome(config)
-        stream = encode_genome(genome, config)
+        stream = view(encode_genome(genome, config))
         node_part = [g for g in stream if g.is_node]
         conn_part = stream[len(node_part):]
         assert all(g.is_connection for g in conn_part)
@@ -140,8 +150,7 @@ class TestGenomeStream:
 
     def test_output_nodes_marked(self, config):
         genome = self.make_genome(config, mutations=0)
-        stream = encode_genome(genome, config)
-        for gene in stream:
+        for gene in view(encode_genome(genome, config)):
             if gene.is_node and gene.node_id in config.output_keys:
                 assert gene.node_type == NODE_TYPE_OUTPUT
 

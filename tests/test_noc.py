@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.hw.noc import (
-    NOC_KINDS,
-    MulticastTreeNoC,
-    PointToPointNoC,
-    canonical_noc_kind,
-    make_noc,
-)
+from repro.hw.noc import NOCS, MulticastTreeNoC, PointToPointNoC, make_noc
+from repro.platforms import PlatformSpec
 
 
 def demands_shared_parent(n_pes):
@@ -64,10 +59,10 @@ class TestMulticastTree:
 
 class TestFactory:
     def test_aliases(self):
-        assert isinstance(make_noc("p2p"), PointToPointNoC)
-        assert isinstance(make_noc("point-to-point"), PointToPointNoC)
-        assert isinstance(make_noc("multicast"), MulticastTreeNoC)
-        assert isinstance(make_noc("Multicast Tree"), MulticastTreeNoC)
+        """Each NoC kind has one spelling; no alias builds a model."""
+        for alias in ("P2P", "point-to-point", "bus", "Multicast Tree"):
+            with pytest.raises(ValueError):
+                make_noc(alias)
 
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
@@ -75,36 +70,21 @@ class TestFactory:
 
 
 class TestCanonicaliser:
-    """One shared spelling canonicaliser for every layer (NoC factory,
-    platform specs, sweep axes)."""
+    """The names in ``NOCS`` are the only NoC kinds any layer (NoC
+    factory, platform specs, sweep axes) accepts."""
 
     @pytest.mark.parametrize("spelling,expected", [
         ("p2p", "p2p"),
-        ("P2P", "p2p"),
-        ("point-to-point", "p2p"),
-        ("point to point", "p2p"),
-        ("bus", "p2p"),
         ("multicast", "multicast"),
-        ("Multicast-Tree", "multicast"),
-        ("tree", "multicast"),
     ])
     def test_accepted_spellings(self, spelling, expected):
-        assert canonical_noc_kind(spelling) == expected
-        assert expected in NOC_KINDS
+        assert isinstance(make_noc(spelling), NOCS[expected])
+        assert PlatformSpec("soc", params={"noc": spelling}).params.noc == expected
 
-    @pytest.mark.parametrize("bad", ["torus", "mesh", "", "p2p2", 3])
+    @pytest.mark.parametrize("bad", ["torus", "mesh", "", "p2p2", 3, "tree"])
     def test_rejected_spellings_name_the_kinds(self, bad):
-        with pytest.raises(ValueError, match="p2p"):
-            canonical_noc_kind(bad)
-
-    def test_soc_backend_accepts_long_spelling(self):
-        from repro.api import ExperimentSpec, make_backend
-
-        backend = make_backend("soc", platform={
-            "kind": "soc", "params": {"noc": "point-to-point"},
-        })
-        config = backend._resolve_config(ExperimentSpec("CartPole-v0"))
-        assert config.eve.noc == "p2p"
+        with pytest.raises(ValueError, match=r"use \['multicast', 'p2p'\]"):
+            make_noc(bad)
 
 
 def test_reset_stats():

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from eve_reference import PackedGene
 
 from repro.hw.gene_encoding import (
     NODE_TYPE_HIDDEN,
     NODE_TYPE_OUTPUT,
-    PackedGene,
     pack_connection,
     pack_node,
 )
@@ -32,7 +32,8 @@ def begin(pe, pairs, **config_kwargs):
 
 def stream(pe, pairs, **config_kwargs):
     """Stream ``pairs`` through PE 0 as one child; returns the child genes
-    of each pair, or raises the pair's error as the engine does."""
+    of each pair, seen through the oracle's field view, or raises the
+    pair's error as the engine does."""
     begin(pe, pairs, **config_kwargs)
     emitted = []
     for _ in pairs:
@@ -57,11 +58,11 @@ def stats(pe):
 
 
 def node(node_id, bias=0.0, node_type=NODE_TYPE_HIDDEN):
-    return pack_node(node_id, node_type, bias, 1.0, "tanh", "sum")
+    return PackedGene(pack_node(node_id, node_type, bias, 1.0, "tanh", "sum"))
 
 
 def conn(src, dst, weight=1.0, enabled=True):
-    return pack_connection(src, dst, weight, enabled)
+    return PackedGene(pack_connection(src, dst, weight, enabled))
 
 
 QUIET = dict(perturb_prob=0.0, node_delete_prob=0.0, conn_delete_prob=0.0,

@@ -15,7 +15,6 @@ from repro.api import (
     available_backends,
     make_backend,
 )
-from repro.hw.noc import canonical_noc_kind
 from repro.platforms import (
     PLATFORM_KINDS,
     GenesysPlatform,
@@ -60,6 +59,10 @@ class TestSpecValidation:
         {"adam_shape": "32"},
         {"adam_shape": "0x8"},
         {"frequency_hz": -1.0},
+        # NoC kinds and schedulers are checked by exact name.
+        {"noc": "Point-To-Point"},
+        {"noc": "bus"},
+        {"scheduler": "round_robin"},
     ])
     def test_invalid_soc_params(self, params):
         with pytest.raises((PlatformSpecError, ValueError)):
@@ -69,11 +72,6 @@ class TestSpecValidation:
     def test_non_finite_params_rejected(self, value):
         with pytest.raises(PlatformSpecError, match="finite"):
             PlatformSpec("soc", params={"frequency_hz": value})
-
-    def test_noc_spelling_canonicalised(self):
-        spec = PlatformSpec("soc", params={"noc": "Point-To-Point"})
-        assert spec.params.noc == "p2p"
-        assert spec.params.noc == canonical_noc_kind("bus")
 
     def test_adam_shape_normalised(self):
         spec = PlatformSpec("soc", params={"adam_shape": "16X8"})
@@ -141,8 +139,7 @@ class TestRoundTrip:
     @settings(max_examples=25, deadline=None)
     @given(
         eve_pes=st.integers(min_value=1, max_value=4096),
-        noc=st.sampled_from(["p2p", "P2P", "multicast", "multicast-tree",
-                             "point to point", "bus", "tree"]),
+        noc=st.sampled_from(["p2p", "multicast"]),
         scheduler=st.sampled_from(["greedy", "round-robin"]),
         rows=st.integers(min_value=1, max_value=128),
         cols=st.integers(min_value=1, max_value=128),
@@ -156,9 +153,6 @@ class TestRoundTrip:
         clone = PlatformSpec.from_json(spec.to_json())
         assert clone == spec
         assert clone.content_key() == spec.content_key()
-        # canonicalisation: every accepted spelling hashes like its kind
-        canonical = spec.replace_params(noc=canonical_noc_kind(noc))
-        assert canonical.content_key() == spec.content_key()
 
     @settings(max_examples=25, deadline=None)
     @given(num=st.integers(min_value=1, max_value=2048))

@@ -20,7 +20,7 @@ from repro.hw.gene_encoding import (
 )
 from repro.hw.noc import MulticastTreeNoC, PointToPointNoC
 from repro.hw.allocator import greedy_reuse_schedule, round_robin_schedule
-from eve_reference import XorWow
+from eve_reference import PackedGene, XorWow, view
 from repro.neat import Genome, GenomeConfig, InnovationTracker
 from repro.neat.genome import creates_cycle
 from repro.neat.reproduction import ReproductionEvent
@@ -62,7 +62,7 @@ attr_values = st.floats(min_value=-8.0, max_value=7.9375, allow_nan=False)
     response=attr_values,
 )
 def test_node_word_round_trip(node_id, bias, response):
-    gene = pack_node(node_id, NODE_TYPE_HIDDEN, bias, response, "tanh", "sum")
+    gene = PackedGene(pack_node(node_id, NODE_TYPE_HIDDEN, bias, response, "tanh", "sum"))
     assert gene.node_id == node_id
     assert abs(gene.bias - bias) <= 1 / 32 + 1e-12
     assert abs(gene.response - response) <= 1 / 32 + 1e-12
@@ -70,7 +70,7 @@ def test_node_word_round_trip(node_id, bias, response):
 
 @given(src=node_ids, dst=node_ids, weight=attr_values, enabled=st.booleans())
 def test_connection_word_round_trip(src, dst, weight, enabled):
-    gene = pack_connection(src, dst, weight, enabled)
+    gene = PackedGene(pack_connection(src, dst, weight, enabled))
     assert gene.source == src
     assert gene.dest == dst
     assert gene.enabled == enabled
@@ -266,10 +266,10 @@ def test_alignment_covers_fitter_parent_exactly(seed):
     s1 = encode_genome(p1, config)
     s2 = encode_genome(p2, config)
     words1, _words2, paired, present = align_parent_streams([s1, s2], [0], [1])
-    assert words1[0].tolist() == [g.word for g in s1]
+    assert words1[0].tolist() == list(s1)
     assert present[0].all()
-    keys2 = {g.key for g in s2}
-    assert paired[0].tolist() == [g.key in keys2 for g in s1]
+    keys2 = {g.key for g in view(s2)}
+    assert paired[0].tolist() == [g.key in keys2 for g in view(s1)]
 
 
 # ---------------------------------------------------------------------------

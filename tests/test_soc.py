@@ -1,6 +1,7 @@
 """Unit tests for the GeneSys SoC walkthrough loop."""
 
 import pytest
+from eve_reference import PackedGene
 
 from repro.api import Experiment, ExperimentSpec
 from repro.core import soc as soc_module
@@ -9,6 +10,7 @@ from repro.core.runner import config_for_env
 from repro.core.soc import GeneSysSoC
 from repro.hw.eve import EvEConfig
 from repro.hw.gene_encoding import decode_genome, pack_connection
+from repro.hw.pe import PEConfig
 from repro.hw.selector import SelectionOutcome
 
 
@@ -17,6 +19,18 @@ def soc():
     neat = config_for_env("CartPole-v0", pop_size=16)
     config = GeneSysConfig(neat=neat, eve=EvEConfig(num_pes=8), seed=0)
     return GeneSysSoC(config, "CartPole-v0", episodes=1, max_steps=60)
+
+
+def test_construction_leaves_the_callers_config_alone():
+    """The engine latches the NEAT-derived PE registers on a copy of the
+    caller's EvE config."""
+    neat = config_for_env("CartPole-v0", pop_size=16)
+    eve = EvEConfig(num_pes=8, pe=PEConfig(perturb_prob=0.9))
+    config = GeneSysConfig(neat=neat, eve=eve, seed=0)
+    soc = GeneSysSoC(config, "CartPole-v0")
+    assert eve.pe == PEConfig(perturb_prob=0.9)
+    assert soc.eve.config.pe == config.pe_config_from_neat()
+    assert soc.eve.config.num_pes == 8
 
 
 def test_initialise_population_loads_buffer(soc):
@@ -268,9 +282,9 @@ class TestSingleDecode:
     def test_stream_written_outside_eve_is_decoded(self, soc, monkeypatch):
         soc.run_generation()
         key = sorted(soc.population)[0]
-        stream = soc.buffer.peek_genome(key)
-        i = next(i for i, g in enumerate(stream) if g.is_connection)
-        gene = stream[i]
+        stream = list(soc.buffer.peek_genome(key))
+        i = next(i for i, word in enumerate(stream) if PackedGene(word).is_connection)
+        gene = PackedGene(stream[i])
         stream[i] = pack_connection(
             gene.source, gene.dest, gene.weight + 1.0, gene.enabled
         )

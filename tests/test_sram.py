@@ -1,7 +1,5 @@
 """Unit tests for the Genome Buffer SRAM model."""
 
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +29,7 @@ class TestReadWrite:
     def test_write_then_read(self, buffer):
         stream = make_stream(10)
         buffer.write_genome(1, stream)
-        assert buffer.read_genome(1) == stream
+        assert buffer.read_genome(1) == tuple(stream)
 
     def test_write_counts_words(self, buffer):
         buffer.write_genome(1, make_stream(10))
@@ -71,21 +69,23 @@ class TestReadWrite:
         assert buffer.words_used == 0
 
 
-class TestBanking:
-    def test_reads_spread_across_banks(self, buffer):
-        buffer.write_genome(1, make_stream(96))
-        buffer.read_genome(1)
-        # 96 words over 48 banks word-interleaved: 2 reads per bank.
-        assert len(buffer.stats.reads_per_bank) == 48
-        assert all(v == 2 for v in buffer.stats.reads_per_bank.values())
+class TestResidentStreams:
+    def test_no_caller_can_change_a_resident_genome(self, buffer):
+        stream = make_stream(5)
+        buffer.write_genome(1, stream)
+        stream[0] = pack_connection(-1, 99, 1.0, True)
+        stream.append(stream[0])
+        assert buffer.read_genome(1) == tuple(make_stream(5))
+        for read in (buffer.read_genome, buffer.peek_genome):
+            with pytest.raises(TypeError):
+                read(1)[0] = stream[0]
+        assert buffer.peek_genome(1) == tuple(make_stream(5))
 
-    def test_genomes_start_at_different_banks(self, buffer):
-        buffer.write_genome(1, make_stream(1))
-        buffer.write_genome(2, make_stream(1))
-        bank1 = next(iter(buffer.stats.writes_per_bank))
-        buffer.read_genome(1)
-        buffer.read_genome(2)
-        assert len(buffer.stats.reads_per_bank) == 2
+    def test_a_written_stream_is_read_back_as_is(self, buffer):
+        stream = tuple(make_stream(3))
+        buffer.write_genome(1, stream)
+        assert buffer.read_genome(1) is stream
+        assert buffer.peek_genome(1) is stream
 
 
 class TestFitness:
@@ -132,34 +132,28 @@ class TestStatsWindow:
 
 
 class PerWordBuffer:
-    """The buffer's access accounting done word by word: each word of a
-    genome lives in bank ``(base + i) % banks`` and spills to DRAM once
-    the words before it fill the capacity."""
+    """The buffer's access accounting done word by word: each word spills
+    to DRAM once the words before it fill the capacity."""
 
     def __init__(self, config):
         self.config = config
-        self.lengths, self.base = {}, {}
-        self.next_base = self.used = 0
+        self.lengths = {}
+        self.used = 0
         self.reads = self.writes = self.dram_writes = 0
-        self.reads_per_bank, self.writes_per_bank = Counter(), Counter()
 
     def write(self, genome, length):
         self.used -= self.lengths.get(genome, 0)
         self.lengths[genome] = length
-        self.base[genome] = self.next_base
-        self.next_base = (self.next_base + 1) % self.config.num_banks
         self.used += length
         for i in range(length):
             if self.used - length + i >= self.config.capacity_words:
                 self.dram_writes += 1
-                continue
-            self.writes += 1
-            self.writes_per_bank[(self.base[genome] + i) % self.config.num_banks] += 1
+            else:
+                self.writes += 1
 
     def read(self, genome):
-        for i in range(self.lengths[genome]):
+        for _ in range(self.lengths[genome]):
             self.reads += 1
-            self.reads_per_bank[(self.base[genome] + i) % self.config.num_banks] += 1
 
     def delete(self, genome):
         self.used -= self.lengths.pop(genome)
@@ -176,9 +170,9 @@ class PerWordBuffer:
     ),
 )
 def test_per_genome_accounting_matches_per_word(banks, depth, operations):
-    """Counting a genome's accesses bank by bank gives the per-word
-    counts, over random lengths, base banks and capacities (small ones
-    spill to DRAM)."""
+    """Counting a genome's accesses once per genome gives the per-word
+    counts, over random lengths and capacities (small ones spill to
+    DRAM)."""
     config = SRAMConfig(num_banks=banks, bank_depth=depth)
     buffer, reference = GenomeBuffer(config), PerWordBuffer(config)
     for operation, genome, length in operations:
@@ -192,6 +186,4 @@ def test_per_genome_accounting_matches_per_word(banks, depth, operations):
         assert (stats.reads, stats.writes, stats.dram_writes) == (
             reference.reads, reference.writes, reference.dram_writes
         )
-        assert stats.reads_per_bank == reference.reads_per_bank
-        assert stats.writes_per_bank == reference.writes_per_bank
         assert buffer.words_used == reference.used

@@ -6,6 +6,7 @@ audited against the paper text step by step.
 """
 
 import pytest
+from eve_reference import view
 
 from repro.api import Experiment, ExperimentSpec
 from repro.core import GeneSysConfig, GeneSysSoC, config_for_env
@@ -79,7 +80,8 @@ def test_children_ordered_in_two_sorted_clusters(soc):
     child EvE writes back."""
     soc.evaluate_population()
     result = soc.evolve_population()
-    for key, stream in result.children.items():
+    for key, words in result.children.items():
+        stream = view(words)
         node_part = [g for g in stream if g.is_node]
         conn_part = stream[len(node_part):]
         assert all(g.is_connection for g in conn_part)
