@@ -105,7 +105,7 @@ def test_compiled_forward_throughput(benchmark, emit):
     config, genomes = evolved_population()
     genome = max(genomes, key=lambda g: len(g.connections))
     network = FeedForwardNetwork.create(genome, config.genome)
-    stacked = StackedPlans([compile_network(genome, config.genome)])
+    stacked = StackedPlans([compile_network(genome, config.genome)], config.genome)
     rng = np.random.default_rng(0)
     batch = rng.uniform(-1.0, 1.0, size=(256, stacked.num_inputs))
 

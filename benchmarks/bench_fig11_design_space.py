@@ -105,9 +105,9 @@ def test_fig11c_pe_sweep(benchmark, emit):
     # ADAM inference runtime for the same generation (constant line):
     # every genome's plan charged for 40 forward passes.
     steps_per_genome = 40
-    plans = [build_inference_plan(g, config.genome) for g in population.values()]
+    stacked = build_inference_plan(list(population.values()), config.genome)
     adam = InferenceStats()
-    StackedAdamEnvelope(plans).charge(adam, [steps_per_genome] * len(plans))
+    StackedAdamEnvelope(stacked).charge(adam, [steps_per_genome] * len(stacked.compiled))
     adam_cycles = adam.total_cycles
 
     result = replay_sweep({"platform.eve_pes": PE_SWEEP, "platform.noc": ["multicast"]})

@@ -29,6 +29,7 @@ from ..envs.seeding import episode_seed
 from ..hw.adam import (
     ADAM,
     AdamNetwork,
+    InferencePlan,
     InferenceStats,
     StackedAdamEnvelope,
     build_inference_plan,
@@ -121,21 +122,22 @@ class GeneSysSoC:
         2-5, :class:`repro.envs.evaluate.Executor`).  A genome whose
         buffered stream is the one :meth:`evolve_population` decoded is
         not decoded again; any other stream (generation 0, an extinction
-        re-seed, one written into the buffer since) is.  Each resident is
-        compiled once, by :func:`build_inference_plan`.  With
-        ``vectorize`` the rollouts run those plans on lockstep lanes and
-        ADAM's counters are charged exactly through one
-        :class:`StackedAdamEnvelope` (per-pass costs are static per plan,
-        so cost = per-pass x steps in pure integer arithmetic).  Without
-        it the scalar walk drives each plan on ADAM itself, charging pass
-        by pass.  Both compute the same plans with the same arithmetic,
-        so they are bit-identical.
+        re-seed, one written into the buffer since) is.  With
+        ``vectorize`` step 1 is one :func:`build_inference_plan` call that
+        compiles the whole generation in the lanes' one pass; the
+        rollouts run those tables on lockstep lanes, and ADAM's counters
+        are charged exactly through one :class:`StackedAdamEnvelope` read
+        off the same tables (per-pass costs are static per plan, so cost
+        = per-pass x steps in pure integer arithmetic).  Without it each
+        resident is compiled by :meth:`InferencePlan.create` and the
+        scalar walk drives each plan on ADAM itself, charging pass by
+        pass.  Both compute the same plans with the same arithmetic, so
+        they are bit-identical.
         """
         genome_cfg = self.config.neat.genome
         keys = sorted(self.population)
         # Step 1: genomes are read from the buffer and mapped on ADAM.
         residents = [self._resident(key) for key in keys]
-        plans = [build_inference_plan(g, genome_cfg) for g in residents]
         seed, generation = self.config.seed, self.generation
         tasks = [
             (g, [episode_seed(seed, generation, g.key, e)
@@ -143,14 +145,13 @@ class GeneSysSoC:
             for g in residents
         ]
         if self.vectorize:
-            outcomes, _ = self._executor.lanes(
-                tasks, genome_cfg, plans=[plan.network for plan in plans]
-            )
-            with telemetry.span("soc.envelope_charge", genomes=len(plans)):
-                envelope = StackedAdamEnvelope(plans, self.adam.config)
+            stacked = build_inference_plan(residents, genome_cfg)
+            outcomes, _ = self._executor.lanes(tasks, genome_cfg, stacked)
+            with telemetry.span("soc.envelope_charge", genomes=len(residents)):
+                envelope = StackedAdamEnvelope(stacked, self.adam.config)
                 envelope.charge(self.adam.stats, [steps for _, _, steps, _ in outcomes])
         else:
-            plan_of = dict(zip(keys, plans))
+            plan_of = {g.key: InferencePlan.create(g, genome_cfg) for g in residents}
             outcomes = self._executor.scalar(
                 tasks, genome_cfg,
                 lambda genome, _config: AdamNetwork(self.adam, plan_of[genome.key]),
@@ -228,7 +229,7 @@ class GeneSysSoC:
             adam_macs=inference.macs,
             sram_reads=self.buffer.stats.reads,
             sram_writes=self.buffer.stats.writes,
-            dram_accesses=self.buffer.stats.dram_writes,
+            dram_accesses=self.buffer.stats.dram_reads + self.buffer.stats.dram_writes,
             noc_gene_hops=evolution.noc_stats.genes_delivered,
             m0_cycles=selection.cpu_cycles + inference.vectorize_cycles,
         )

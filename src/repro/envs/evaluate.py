@@ -12,11 +12,12 @@ to the genome.  One core serves every execution shape:
 * **lanes** — an :class:`Executor` runs tasks on the *scalar* walk
   (:func:`run_episode` over one network per genome) or on compiled
   lockstep *lanes* (:func:`run_episodes_batched` over
-  :class:`repro.neat.compiled.StackedPlans`, one lane per (genome,
-  episode) pair, with a per-genome scalar fallback for genomes the
-  lanes cannot run).  Both compute each genome's one compiled plan with
-  one arithmetic, so they give the same bits; either returns one
-  :data:`Outcome` per task, in task order.
+  :class:`repro.neat.compiled.StackedPlans`, the tasks' genomes
+  compiled in one pass, one lane per (genome, episode) pair, with a
+  per-genome scalar fallback for genomes the lanes cannot run).  Both
+  compute the same plan for each genome with one arithmetic, so they
+  give the same bits; either returns one :data:`Outcome` per task, in
+  task order.
 * **reduce** — :func:`reduce_outcomes` turns each outcome's rewards into
   the genome's fitness and accumulates :class:`EvaluationTotals`.
 
@@ -35,7 +36,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
-from ..neat.compiled import CompileError, StackedPlans, compile_network
+from ..neat.compiled import StackedPlans, compile_network
 from ..neat.config import GenomeConfig, NEATConfig
 from ..neat.genome import Genome
 from ..neat.network import FeedForwardNetwork
@@ -248,8 +249,8 @@ class Executor:
     """Runs :data:`Task` lists on one environment configuration.
 
     :meth:`scalar` walks each genome's network through
-    :func:`run_episode`, one episode per seed.  :meth:`lanes` stacks
-    the genomes' compiled plans and steps every (genome, episode) pair
+    :func:`run_episode`, one episode per seed.  :meth:`lanes` compiles
+    the genomes in one pass and steps every (genome, episode) pair
     as a lane of one batched environment; genomes the lanes cannot run
     take the scalar walk on the same seeds.  Both return one
     :data:`Outcome` per task, in task order, and agree exactly: they
@@ -323,29 +324,26 @@ class Executor:
         self,
         tasks: Sequence[Task],
         genome_config: GenomeConfig,
-        plans: Optional[Sequence[Optional[FeedForwardNetwork]]] = None,
-    ) -> Tuple[List[Outcome], List[Optional[FeedForwardNetwork]]]:
+        stacked: Optional[StackedPlans] = None,
+    ) -> Tuple[List[Outcome], StackedPlans]:
         """Every task's episodes as lockstep lanes of stacked plans.
 
-        ``plans`` holds each task's compiled plan when the caller has
-        them (:func:`compile_network` runs here otherwise).  Returns the
-        outcomes and the plans — ``None`` where the genome did not
-        compile and ran on the scalar walk instead.
+        ``stacked`` holds the tasks' genomes compiled in one pass, in task
+        order, when the caller has it (the pass runs here otherwise).
+        Returns the outcomes and the stacked plans; genomes the pass set
+        aside (:attr:`StackedPlans.fallback`) ran on the scalar walk.
         """
-        if plans is None:
-            plans = []
+        if stacked is None:
             with obs.span("compile", genomes=len(tasks)) as sp:
-                for genome, _seeds in tasks:
-                    try:
-                        plans.append(compile_network(genome, genome_config))
-                    except CompileError:
-                        plans.append(None)
-                sp.set(compiled=sum(1 for p in plans if p is not None))
+                stacked = StackedPlans(
+                    [compile_network(genome, genome_config) for genome, _seeds in tasks],
+                    genome_config,
+                )
+                sp.set(compiled=len(stacked.compiled))
 
         outcomes: List[Optional[Outcome]] = [None] * len(tasks)
-        compiled = [i for i, p in enumerate(plans) if p is not None]
+        compiled = stacked.compiled
         if compiled:
-            stacked = StackedPlans([plans[i] for i in compiled])
             lane_plans: List[int] = []
             lane_seeds: List[int] = []
             lane_macs: List[int] = []
@@ -376,13 +374,13 @@ class Executor:
                     sum(r.inference_macs for r in lane_results),
                 )
 
-        fallback = [i for i, p in enumerate(plans) if p is None]
+        fallback = list(stacked.fallback)
         if fallback:
             with obs.span("fallback", genomes=len(fallback)):
                 walked = self.scalar([tasks[i] for i in fallback], genome_config)
             for i, outcome in zip(fallback, walked):
                 outcomes[i] = outcome
-        return outcomes, plans
+        return outcomes, stacked
 
 
 def reduce_outcomes(
@@ -448,8 +446,8 @@ class FitnessEvaluator:
         self.totals = EvaluationTotals()
         #: Mean levelised depth of the last generation the numpy lanes
         #: compiled in full — the ``feed_forward_layers`` counts fall out
-        #: of compilation, so analytical cost models read this instead of
-        #: re-levelising every genome (None otherwise).
+        #: of the compile pass, so analytical cost models read this
+        #: instead of re-levelising every genome (None otherwise).
         self.last_mean_depth: Optional[float] = None
         # Episode seeds derive from the generation index, so a resumed
         # run must restart the counter where the checkpoint left off.
@@ -472,12 +470,10 @@ class FitnessEvaluator:
     def __call__(self, genomes: List[Genome], config: NEATConfig) -> None:
         tasks = self._tasks(genomes)
         if self.vectorizer == "numpy":
-            outcomes, plans = self.executor.lanes(tasks, config.genome)
-            depths = [len(p.layers) for p in plans if p is not None]
+            outcomes, stacked = self.executor.lanes(tasks, config.genome)
             self.last_mean_depth = (
-                sum(depths) / len(depths)
-                if depths and len(depths) == len(plans)
-                else None
+                None if stacked.fallback
+                else int(stacked.depths.sum()) / len(stacked.depths)
             )
         else:
             outcomes = self.executor.scalar(tasks, config.genome)

@@ -6,17 +6,22 @@ problem" on a systolic array of MAC units (32x32 in the paper's
 implementation).  The serial task of "picking the ready node values to
 create input vectors" — the *vectorize* routine — runs on the System CPU.
 
-The model here is functional plus cycle-accounted:
+The model here is functional plus cycle-accounted, in two shapes:
 
-* :func:`build_inference_plan` compiles the genome into the one plan
-  every engine runs (:func:`repro.neat.compiled.compile_network`) and
-  adds each wave's systolic shape: ``m`` vertices updated from ``k``
-  distinct sources, with ``macs`` nonzero weights.
-* :meth:`ADAM.run` takes a forward pass's values from the plan's scalar
-  walk (:meth:`repro.neat.FeedForwardNetwork.activate`), so it is
-  bit-identical to the software network and the numpy lanes by
-  construction, and charges systolic cycles, CPU vectorize cycles, MAC
-  counts and array utilisation wave by wave.
+* A generation at once.  :func:`build_inference_plan` is walkthrough step
+  1: it compiles every resident genome in the lanes' one array pass
+  (:class:`repro.neat.compiled.StackedPlans`), and
+  :class:`StackedAdamEnvelope` reads each (plan, wave)'s systolic shape
+  off those tables — ``m`` vertices updated from ``k`` distinct sources,
+  with ``macs`` nonzero weights — and charges a generation's passes in a
+  few array expressions.
+* One genome at a time.  :meth:`InferencePlan.create` compiles a genome
+  with :meth:`repro.neat.FeedForwardNetwork.create` and takes the same
+  shapes from its layers; :meth:`ADAM.run` takes a forward pass's values
+  from the plan's scalar walk, so it is bit-identical to the software
+  network and the numpy lanes by construction, and charges systolic
+  cycles, CPU vectorize cycles, MAC counts and array utilisation wave by
+  wave.
 
 Plans are built once per genome per generation and reused for every
 environment step ("the weight matrices do not change within a given
@@ -31,7 +36,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..neat.compiled import CompileError, compile_network
+from ..neat.activations import ACTIVATIONS
+from ..neat.compiled import StackedPlans, compile_network, unsupported
 from ..neat.config import GenomeConfig
 from ..neat.genome import Genome
 from ..neat.network import FeedForwardNetwork
@@ -69,7 +75,7 @@ class WavePlan:
 
 @dataclass
 class InferencePlan:
-    """Per-genome execution plan (built once per generation)."""
+    """One genome's plan on ADAM's scalar path."""
 
     network: FeedForwardNetwork
     waves: List[WavePlan]
@@ -77,6 +83,32 @@ class InferencePlan:
     @property
     def macs_per_pass(self) -> int:
         return sum(w.macs for w in self.waves)
+
+    @classmethod
+    def create(cls, genome: Genome, config: GenomeConfig) -> "InferencePlan":
+        """Compile ``genome`` and take each wave's packed shape.
+
+        Mirrors the vectorize routine: every wave's rows are the vertices
+        whose inputs are all ready; its columns are the distinct upstream
+        sources actually used, so the matrices are compact (the GPU_a
+        strategy the paper describes, done per wave).
+        """
+        network = FeedForwardNetwork.create(genome, config)
+        for layer in network.layers:
+            for activation, aggregation in zip(layer.activations, layer.aggregations):
+                if aggregation != "sum" or activation not in ACTIVATIONS:
+                    raise UnsupportedGenomeError(
+                        unsupported(genome.key, activation, aggregation)
+                    )
+        waves = [
+            WavePlan(
+                m=layer.num_nodes,
+                k=len({col for links in layer.links for col, _ in links}),
+                macs=sum(1 for links in layer.links for _, weight in links if weight != 0.0),
+            )
+            for layer in network.layers
+        ]
+        return cls(network=network, waves=waves)
 
 
 @dataclass
@@ -96,94 +128,90 @@ class InferenceStats:
         return self.array_cycles + self.vectorize_cycles
 
 
-def build_inference_plan(genome: Genome, config: GenomeConfig) -> InferencePlan:
-    """Compile the genome and take each wave's packed shape.
+def build_inference_plan(
+    genomes: Sequence[Genome], config: GenomeConfig
+) -> StackedPlans:
+    """Walkthrough step 1 for a generation: map every genome on ADAM.
 
-    Mirrors the vectorize routine: every wave's rows are the vertices
-    whose inputs are all ready; its columns are the distinct upstream
-    sources actually used, so the matrices are compact (the GPU_a
-    strategy the paper describes, done per wave).
+    The genomes are compiled in the lanes' one pass, so the tables the
+    lanes roll out are the ones :class:`StackedAdamEnvelope` costs.
+    Raises :class:`UnsupportedGenomeError` for the first genome with a
+    required node ADAM cannot pack.
     """
-    try:
-        network = compile_network(genome, config)
-    except CompileError as exc:
-        raise UnsupportedGenomeError(str(exc)) from None
-    waves = [
-        WavePlan(
-            m=layer.num_nodes,
-            k=len({col for links in layer.links for col, _ in links}),
-            macs=sum(1 for links in layer.links for _, weight in links if weight != 0.0),
-        )
-        for layer in network.layers
-    ]
-    return InferencePlan(network=network, waves=waves)
+    stacked = StackedPlans([compile_network(genome, config) for genome in genomes], config)
+    for reason in stacked.fallback.values():
+        raise UnsupportedGenomeError(reason)
+    return stacked
 
 
 class StackedAdamEnvelope:
-    """A population's inference plans stacked into one cost envelope.
+    """A generation's plans stacked into one cost envelope.
 
     The serial :meth:`ADAM.run` charges cycles wave by wave, once per
     forward pass per genome — a Python loop over every (genome, step,
     wave) triple.  Because the plans do not change within a generation,
-    every per-pass cost is static: this envelope stacks the population's
-    wave shapes into ``(genomes, depth)`` integer arrays and evaluates
-    the same systolic-tiling formula with numpy array ops, so a whole
-    generation is costed in a handful of vectorised expressions.
+    every per-pass cost is static: this envelope reads each (plan, wave)'s
+    shape off the lanes' tables into ``(plans, depth)`` integer arrays
+    and evaluates the same systolic-tiling formula with numpy array ops,
+    so a whole generation is costed in a handful of vectorised
+    expressions.  A wave's ``m`` is its code rows that hold a code, its
+    ``k`` the distinct columns its link rows read other than the zero
+    column, and its ``macs`` its nonzero weights (padding weighs
+    ``-0.0``).
 
     The arithmetic is integer end to end, therefore *exactly* equal to
     the serial accounting: ``charge(stats, passes)`` merges the same
     totals :meth:`ADAM.run` would have accumulated had it executed
-    ``passes[g]`` forward passes of genome ``g``.
+    ``passes[g]`` forward passes of plan ``g``.
     """
 
     def __init__(
-        self, plans: Sequence[InferencePlan], config: Optional[ADAMConfig] = None
+        self, stacked: StackedPlans, config: Optional[ADAMConfig] = None
     ) -> None:
         self.config = config or ADAMConfig()
-        self.plans = list(plans)
-        num = len(self.plans)
-        depth = max((len(p.waves) for p in self.plans), default=0)
-        shape = (num, max(1, depth))
+        ints, floats = stacked.ints, stacked.floats
+        zero_col = stacked.num_columns - 2
+        self.num_plans = ints.shape[1]
+        shape = (self.num_plans, max(1, len(stacked.waves)))
         m = np.zeros(shape, dtype=np.int64)  # vertices updated per wave
         k = np.zeros(shape, dtype=np.int64)  # distinct sources per wave
         macs = np.zeros(shape, dtype=np.int64)
-        dense = np.zeros(shape, dtype=np.int64)
-        for g, plan in enumerate(self.plans):
-            for l, wave in enumerate(plan.waves):
-                m[g, l] = wave.m
-                k[g, l] = wave.k
-                macs[g, l] = wave.macs
-                dense[g, l] = wave.dense_macs
+        for l, (links, _nodes, _slots, _targets, codes, _act) in enumerate(stacked.waves):
+            m[:, l] = np.count_nonzero(ints[codes] >= 0, axis=0)
+            sources = np.sort(ints[links], axis=0)
+            k[:, l] = (
+                1 + np.count_nonzero(sources[1:] != sources[:-1], axis=0)
+                - (sources[-1] == zero_col)
+            )
+            macs[:, l] = np.count_nonzero(floats[links], axis=0)
         rows, cols = self.config.rows, self.config.cols
         # Output-stationary tiling, identical to ADAM.systolic_cycles;
         # padded slots have m == k == 0 and so tile to zero cycles.
         row_tiles = -(-m // rows)
         col_tiles = -(-k // cols)
         wave_cycles = row_tiles * col_tiles * (np.minimum(cols, k) + rows)
-        #: Per genome: systolic array cycles for one forward pass.
+        #: Per plan: systolic array cycles for one forward pass.
         self.array_cycles_per_pass = wave_cycles.sum(axis=1)
-        #: Per genome: CPU vectorize cycles (one per packed element).
+        #: Per plan: CPU vectorize cycles (one per packed element).
         self.vectorize_cycles_per_pass = k.sum(axis=1)
         self.macs_per_pass = macs.sum(axis=1)
-        self.dense_macs_per_pass = dense.sum(axis=1)
-        self.waves_per_pass = np.array(
-            [len(p.waves) for p in self.plans], dtype=np.int64
-        )
+        self.dense_macs_per_pass = (m * np.maximum(1, k)).sum(axis=1)
+        self.waves_per_pass = stacked.depths.astype(np.int64)
 
     def __len__(self) -> int:
-        return len(self.plans)
+        return self.num_plans
 
     def charge(self, stats: InferenceStats, passes: Sequence[int]) -> None:
-        """Merge the cost of ``passes[g]`` forward passes per genome.
+        """Merge the cost of ``passes[g]`` forward passes per plan.
 
         Bit-identical to running :meth:`ADAM.run` that many times per
         plan: every counter is a per-pass integer scaled by an integer
         pass count.
         """
         p = np.asarray(passes, dtype=np.int64)
-        if p.shape != (len(self.plans),):
+        if p.shape != (self.num_plans,):
             raise ValueError(
-                f"expected {len(self.plans)} pass counts, got shape {p.shape}"
+                f"expected {self.num_plans} pass counts, got shape {p.shape}"
             )
         stats.passes += int(p.sum())
         stats.macs += int((self.macs_per_pass * p).sum())

@@ -7,10 +7,12 @@ The implemented configuration matches Fig. 8(a): 48 banks x 4096 words of
 
 The model is functional-plus-counting: it holds each resident genome's
 gene stream and counts one SRAM access per 64-bit word read or written.
-A word past the buffer's capacity spills: it is charged to DRAM when it
-is written and as an SRAM read when it is read afterwards.  Fig. 11's
-replay evaluator, the energy ledger and the benchmarks use these totals;
-a genome's accesses are counted once per genome, not word by word.
+A word past the buffer's capacity spills: it lives in DRAM, so it is
+charged to DRAM when it is written and again each time
+:meth:`GenomeBuffer.read_genome` reads it.  Gene Split's reads through the
+NoC are counted by EvE and stay SRAM reads.  Fig. 11's replay evaluator,
+the energy ledger and the benchmarks use these totals; a genome's
+accesses are counted once per genome, not word by word.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ class SRAMConfig:
 class SRAMStats:
     reads: int = 0
     writes: int = 0
+    dram_reads: int = 0
     dram_writes: int = 0
 
 
@@ -56,6 +59,8 @@ class GenomeBuffer:
         self.stats = SRAMStats()
         self._genomes: Dict[int, GeneStream] = {}
         self._fitness: Dict[int, float] = {}
+        #: Per genome, how many of its words spilled to DRAM when written.
+        self._spilled: Dict[int, int] = {}
         self._words_used = 0
 
     # -- capacity ------------------------------------------------------------
@@ -82,15 +87,20 @@ class GenomeBuffer:
         self._genomes[genome_id] = stream = tuple(stream)
         on_chip = min(len(stream), max(0, self.config.capacity_words - self._words_used))
         self._words_used += len(stream)
+        self._spilled[genome_id] = len(stream) - on_chip
         self.stats.dram_writes += len(stream) - on_chip
         self.stats.writes += on_chip
 
     def read_genome(self, genome_id: int) -> GeneStream:
-        """Read a full genome stream, counting one read per 64-bit word."""
+        """Read a full genome stream, counting one read per 64-bit word:
+        a DRAM read for each word that spilled when written, an SRAM read
+        for the others."""
         if genome_id not in self._genomes:
             raise KeyError(f"genome {genome_id} not resident in the genome buffer")
         stream = self._genomes[genome_id]
-        self.stats.reads += len(stream)
+        spilled = self._spilled[genome_id]
+        self.stats.reads += len(stream) - spilled
+        self.stats.dram_reads += spilled
         return stream
 
     def peek_genome(self, genome_id: int) -> GeneStream:
@@ -104,6 +114,7 @@ class GenomeBuffer:
         stream = self._genomes.pop(genome_id, None)
         if stream is not None:
             self._words_used -= len(stream)
+            del self._spilled[genome_id]
         self._fitness.pop(genome_id, None)
 
     def resident_genomes(self) -> List[int]:
@@ -112,6 +123,7 @@ class GenomeBuffer:
     def clear(self) -> None:
         self._genomes.clear()
         self._fitness.clear()
+        self._spilled.clear()
         self._words_used = 0
 
     # -- fitness annotations (step 6: "The fitness value is augmented to

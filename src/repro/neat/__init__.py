@@ -38,7 +38,7 @@ from .serialize import (
     load_genome_with_config,
     save_genome,
 )
-from .compiled import CompileError, StackedPlans, compile_network
+from .compiled import StackedPlans, compile_network
 from .network import FeedForwardNetwork, feed_forward_layers, required_for_output
 from .population import Population
 from .reproduction import (
@@ -57,7 +57,6 @@ __all__ = [
     "AGGREGATION_CODES",
     "AGGREGATION_NAMES",
     "BaseGene",
-    "CompileError",
     "CompleteExtinctionError",
     "ConfigError",
     "ConnectionGene",

@@ -1,18 +1,22 @@
-"""Feed-forward network evaluation of an evolved genome: the one plan.
+"""Feed-forward network evaluation of an evolved genome: the plan.
 
 A genome's enabled connections form an acyclic directed graph (Section
 III-C2 — "Inference on such topologies is basically processing an
 acyclic directed graph").  :func:`genome_levels` levelises it into waves
 of concurrently-updatable nodes, the System CPU's *vectorize routine*
 (Section IV-A), and :meth:`FeedForwardNetwork.create` compiles the waves
-into the one plan every engine runs:
+into one genome's plan for:
 
 * the scalar walk, :meth:`FeedForwardNetwork.activate`, one node at a
   time;
-* the lanes, :class:`repro.neat.compiled.StackedPlans`, which step many
-  (genome, episode) pairs per numpy call;
-* ADAM, :func:`repro.hw.adam.build_inference_plan`, which adds each
-  wave's systolic shape and takes its values from the scalar walk.
+* ADAM's scalar path, :meth:`repro.hw.adam.InferencePlan.create`, which
+  adds each wave's systolic shape and takes its values from the scalar
+  walk.
+
+The lanes, :class:`repro.neat.compiled.StackedPlans`, which step many
+(genome, episode) pairs per numpy call, compile a whole population in
+one array pass instead; it lays out the plans ``create`` would, table
+for table (``tests/test_compile_pass.py``).
 
 The arithmetic is part of the plan.  A node's value is ``acc = -0.0``,
 then ``acc += value[source] * weight`` over its links sorted by source
@@ -129,12 +133,12 @@ def feed_forward_layers(
 def genome_levels(
     genome: Genome, config: GenomeConfig
 ) -> Tuple[List[List[int]], Dict[int, List[Tuple[int, float]]]]:
-    """The one levelisation pass every compiler of a genome shares.
+    """The levelisation pass of the per-genome compiler.
 
     Returns ``(layers, incoming)``: the :func:`feed_forward_layers` waves
     of the genome's enabled connections, and its enabled in-links as
     ``dest -> [(source, weight), ...]`` in connection order.
-    :meth:`FeedForwardNetwork.create`, the one compiler, builds on it.
+    :meth:`FeedForwardNetwork.create` builds on it.
     """
     incoming: Dict[int, List[Tuple[int, float]]] = {}
     for (src, dst), conn in genome.connections.items():

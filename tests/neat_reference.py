@@ -9,19 +9,33 @@ genome is levelised by collecting its enabled keys, pruning them with
 :func:`required_for_output` and rescanning every pending node with
 ``all(...)`` on each round, before the in-link map is built a second
 time.  ``tests/test_neat_differential.py`` compares ``repro.neat``
-against these bit for bit, including the order of RNG draws; nothing
-under ``src/`` imports this module.
+against these bit for bit, including the order of RNG draws.
+
+:func:`stack_plans` is the lanes' compiler as it was before the one-pass
+population compiler: every genome compiled on its own by
+``FeedForwardNetwork.create``, checked node by node, and its plan packed
+into the tables wave by wave.  ``tests/test_compile_pass.py`` and
+``tests/test_neat_differential.py`` compare
+:class:`repro.neat.compiled.StackedPlans` against it, field by field
+(:func:`table_fields`).  Nothing under
+``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from repro.neat.activations import ACTIVATIONS
 from repro.neat.config import GenomeConfig
 from repro.neat.genes import ConnectionGene, NodeGene
 from repro.neat.genome import Genome, MutationCounts
 from repro.neat.innovation import InnovationTracker
+from repro.neat.network import FeedForwardNetwork
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:
@@ -313,3 +327,140 @@ def genome_levels(
         if conn.enabled:
             incoming.setdefault(dst, []).append((src, conn.weight))
     return layers, incoming
+
+
+# ---------------------------------------------------------------------------
+# population packing
+
+
+def _joined(lists) -> list:
+    return list(chain.from_iterable(lists))
+
+
+def stack_plans(genomes: Sequence[Genome], config: GenomeConfig) -> SimpleNamespace:
+    """The lanes' tables built genome by genome.
+
+    Each genome is compiled by ``FeedForwardNetwork.create`` (its error,
+    if any, is raised for the first genome in order) and set aside with
+    its reason when a node of its plan has an aggregation other than sum
+    or an activation outside the table.  The other plans are packed into
+    the tables wave by wave, and each wave's ADAM shape ``(m, k, macs)``
+    is read off the plan's layers.
+    """
+    plans, compiled, fallback = [], [], {}
+    for index, genome in enumerate(genomes):
+        plan = FeedForwardNetwork.create(genome, config)
+        bad = [
+            (activation, aggregation)
+            for layer in plan.layers
+            for activation, aggregation in zip(layer.activations, layer.aggregations)
+            if aggregation != "sum" or activation not in ACTIVATIONS
+        ]
+        if bad:
+            activation, aggregation = bad[0]
+            fallback[index] = (
+                f"genome {genome.key} uses activation {activation!r} with "
+                f"aggregation {aggregation!r}; lanes run the activation table "
+                "with sum aggregation only"
+            )
+        else:
+            plans.append(plan)
+            compiled.append(index)
+    out = SimpleNamespace(compiled=compiled, fallback=fallback)
+    out.macs = [p.num_macs for p in plans]
+    out.depths = [len(p.layers) for p in plans]
+    out.shapes = [
+        [
+            (layer.num_nodes,
+             len({col for links in layer.links for col, _ in links}),
+             sum(1 for links in layer.links for _, weight in links if weight != 0.0))
+            for layer in p.layers
+        ]
+        for p in plans
+    ]
+    num_io = config.num_inputs + config.num_outputs
+    zero_col = max([p.num_columns for p in plans], default=num_io)
+    out.num_columns = zero_col + 2
+
+    # Per wave: the plans reaching it, each with its layer there, and the
+    # wave's first row, fan-in and node count.
+    shapes = []
+    row = 0
+    for l in range(max(out.depths, default=0)):
+        members = [(g, p.layers[l]) for g, p in enumerate(plans) if l < len(p.layers)]
+        nodes = max(layer.num_nodes for _, layer in members)
+        fan = max([1] + [len(links) for _, layer in members for links in layer.links])
+        shapes.append((members, row, fan, nodes))
+        row += (fan + 2) * nodes
+    io_row = row
+    ints = np.empty((io_row + num_io, len(plans)), dtype=np.intp)
+    floats = np.zeros((io_row, len(plans)))
+    column_rows = np.ones(len(ints), dtype=bool)
+    ints[io_row:] = np.arange(num_io)[:, None]
+    act_index: Dict[str, int] = {}
+    for members, row, fan, nodes in shapes:
+        node_row = row + fan * nodes
+        code_row = node_row + nodes
+        ints[row:node_row] = zero_col
+        floats[row:node_row] = -0.0
+        ints[node_row:code_row] = zero_col + 1
+        ints[code_row : code_row + nodes] = -1
+        column_rows[code_row : code_row + nodes] = False
+        # One entry per (plan, node j), and one per link, whose fan slot s
+        # puts it on row ``row + s * nodes + j``.
+        layers = [layer for _, layer in members]
+        counts = np.array([layer.num_nodes for layer in layers], dtype=np.intp)
+        plan = np.repeat([g for g, _ in members], counts)
+        node = np.arange(len(plan)) - np.repeat(np.cumsum(counts) - counts, counts)
+        node_links = _joined(layer.links for layer in layers)
+        fans = np.fromiter(map(len, node_links), dtype=np.intp, count=len(node_links))
+        slot = np.arange(fans.sum()) - np.repeat(np.cumsum(fans) - fans, fans)
+        link_row = row + slot * nodes + np.repeat(node, fans)
+        link_plan = np.repeat(plan, fans)
+        pairs = np.array(_joined(node_links), dtype=np.float64).reshape(-1, 2)
+        ints[link_row, link_plan] = pairs[:, 0]
+        floats[link_row, link_plan] = pairs[:, 1]
+        ints[node_row + node, plan] = _joined(layer.node_cols for layer in layers)
+        floats[node_row + node, plan] = _joined(layer.bias for layer in layers)
+        ints[code_row + node, plan] = [
+            act_index.setdefault(name, len(act_index))
+            for name in _joined(layer.activations for layer in layers)
+        ]
+        floats[code_row + node, plan] = _joined(layer.response for layer in layers)
+    out.ints, out.floats, out.column_rows = ints, floats, column_rows
+    out.act_fns = [ACTIVATIONS[name][1] for name in act_index]
+    out.waves = []
+    for _, row, fan, nodes in shapes:
+        node_row = row + fan * nodes
+        codes = slice(node_row + nodes, node_row + 2 * nodes)
+        used = np.unique(ints[codes][ints[codes] >= 0])
+        out.waves.append((
+            slice(row, node_row),
+            nodes,
+            [slice(at, at + nodes) for at in range(nodes, fan * nodes, nodes)],
+            slice(node_row, node_row + nodes),
+            codes,
+            out.act_fns[used[0]] if len(used) == 1 else None,
+        ))
+    out.inputs = slice(io_row, io_row + config.num_inputs)
+    out.outputs = slice(out.inputs.stop, out.inputs.stop + config.num_outputs)
+    return out
+
+
+def table_fields(stacked) -> dict:
+    """What the lanes and ADAM's envelope read off a population's tables,
+    floats by bit pattern: comparable between
+    :class:`repro.neat.compiled.StackedPlans` and :func:`stack_plans`."""
+    return {
+        "compiled": list(stacked.compiled),
+        "fallback": dict(stacked.fallback),
+        "ints": (stacked.ints.shape, stacked.ints.tolist()),
+        "floats": (stacked.floats.shape, stacked.floats.view(np.int64).tolist()),
+        "column_rows": stacked.column_rows.tolist(),
+        "act_fns": list(stacked.act_fns),
+        "waves": list(stacked.waves),
+        "num_columns": stacked.num_columns,
+        "macs": [int(m) for m in stacked.macs],
+        "depths": [int(d) for d in stacked.depths],
+        "io": (stacked.inputs, stacked.outputs),
+    }

@@ -7,9 +7,13 @@ import pytest
 from repro.hw.adam import (
     ADAM,
     ADAMConfig,
+    InferencePlan,
+    InferenceStats,
+    StackedAdamEnvelope,
     UnsupportedGenomeError,
     build_inference_plan,
 )
+from repro.neat.compiled import StackedPlans, compile_network
 from repro.neat import Genome, GenomeConfig, InnovationTracker
 from repro.neat.network import FeedForwardNetwork
 
@@ -36,7 +40,7 @@ def make_genome(config, seed=0, mutations=30):
 class TestInferencePlan:
     def test_wave_structure(self, config):
         genome = make_genome(config)
-        plan = build_inference_plan(genome, config)
+        plan = InferencePlan.create(genome, config)
         assert plan.waves
         assert len(plan.waves) == len(plan.network.layers)
         seen = set(range(config.num_inputs))  # the input columns
@@ -54,14 +58,16 @@ class TestInferencePlan:
             conn.weight = 1.0
             if i == 0:
                 conn.enabled = False
-        plan = build_inference_plan(genome, config)
+        plan = InferencePlan.create(genome, config)
         assert plan.macs_per_pass == len(genome.connections) - 1
 
     def test_non_sum_aggregation_rejected(self, config):
         genome = make_genome(config, mutations=0)
         genome.nodes[0].aggregation = "max"
         with pytest.raises(UnsupportedGenomeError):
-            build_inference_plan(genome, config)
+            InferencePlan.create(genome, config)
+        with pytest.raises(UnsupportedGenomeError, match="aggregation 'max'"):
+            build_inference_plan([make_genome(config, seed=1), genome], config)
 
 
 class TestFunctionalEquivalence:
@@ -69,7 +75,7 @@ class TestFunctionalEquivalence:
     def test_matches_software_network(self, config, seed):
         genome = make_genome(config, seed=seed)
         net = FeedForwardNetwork.create(genome, config)
-        plan = build_inference_plan(genome, config)
+        plan = InferencePlan.create(genome, config)
         adam = ADAM()
         rng = random.Random(seed)
         for _ in range(5):
@@ -80,7 +86,7 @@ class TestFunctionalEquivalence:
 
     def test_wrong_input_count_raises(self, config):
         genome = make_genome(config)
-        plan = build_inference_plan(genome, config)
+        plan = InferencePlan.create(genome, config)
         with pytest.raises(ValueError):
             ADAM().run(plan, [1.0])
 
@@ -109,7 +115,7 @@ class TestSystolicCycles:
 class TestStats:
     def test_stats_accumulate(self, config):
         genome = make_genome(config)
-        plan = build_inference_plan(genome, config)
+        plan = InferencePlan.create(genome, config)
         adam = ADAM()
         adam.run(plan, [0.0] * 4)
         adam.run(plan, [1.0] * 4)
@@ -120,7 +126,7 @@ class TestStats:
 
     def test_utilization_bounds(self, config):
         genome = make_genome(config)
-        plan = build_inference_plan(genome, config)
+        plan = InferencePlan.create(genome, config)
         adam = ADAM()
         adam.run(plan, [0.5] * 4)
         assert 0 <= adam.stats.macs <= adam.stats.dense_macs
@@ -137,13 +143,13 @@ class TestStats:
         u = {}
         for name, genome in [("sparse", sparse), ("dense", dense)]:
             adam = ADAM()
-            adam.run(build_inference_plan(genome, config), [1.0] * 4)
+            adam.run(InferencePlan.create(genome, config), [1.0] * 4)
             u[name] = adam.stats.macs / adam.stats.dense_macs
         assert u["dense"] > u["sparse"]
 
     def test_reset_stats(self, config):
         genome = make_genome(config)
-        plan = build_inference_plan(genome, config)
+        plan = InferencePlan.create(genome, config)
         adam = ADAM()
         adam.run(plan, [0.0] * 4)
         old = adam.reset_stats()
@@ -159,11 +165,9 @@ class TestStackedAdamEnvelope:
     def test_charge_matches_serial_run_exactly(self, config):
         from dataclasses import astuple
 
-        from repro.hw.adam import StackedAdamEnvelope
-
         adam_config = ADAMConfig(rows=8, cols=8)
         genomes = [make_genome(config, seed=s, mutations=10 * s) for s in range(6)]
-        plans = [build_inference_plan(g, config) for g in genomes]
+        plans = [InferencePlan.create(g, config) for g in genomes]
         passes = [3, 0, 1, 7, 2, 5]
 
         serial = ADAM(adam_config)
@@ -171,18 +175,17 @@ class TestStackedAdamEnvelope:
             for _ in range(count):
                 serial.run(plan, [0.5, -1.0, 2.0, 0.0])
 
-        envelope = StackedAdamEnvelope(plans, adam_config)
+        envelope = StackedAdamEnvelope(build_inference_plan(genomes, config), adam_config)
         batched = ADAM(adam_config)
         envelope.charge(batched.stats, passes)
         assert astuple(batched.stats) == astuple(serial.stats)
 
     def test_per_pass_costs_match_systolic_formula(self, config):
-        from repro.hw.adam import StackedAdamEnvelope
-
         adam_config = ADAMConfig(rows=4, cols=4)
         adam = ADAM(adam_config)
-        plan = build_inference_plan(make_genome(config), config)
-        envelope = StackedAdamEnvelope([plan], adam_config)
+        genome = make_genome(config)
+        plan = InferencePlan.create(genome, config)
+        envelope = StackedAdamEnvelope(build_inference_plan([genome], config), adam_config)
         expected_array = sum(adam.systolic_cycles(w.m, w.k) for w in plan.waves)
         assert envelope.array_cycles_per_pass[0] == expected_array
         assert envelope.vectorize_cycles_per_pass[0] == sum(w.k for w in plan.waves)
@@ -190,16 +193,17 @@ class TestStackedAdamEnvelope:
         assert envelope.waves_per_pass[0] == len(plan.waves)
 
     def test_empty_and_ragged_populations(self, config):
-        from repro.hw.adam import InferenceStats, StackedAdamEnvelope
-
-        empty = StackedAdamEnvelope([])
+        # a population ADAM can pack none of costs nothing
+        unpackable = make_genome(config, mutations=0)
+        unpackable.nodes[0].aggregation = "max"
+        empty = StackedAdamEnvelope(StackedPlans([compile_network(unpackable, config)], config))
         stats = InferenceStats()
         empty.charge(stats, [])
         assert stats.passes == 0
         # ragged depths pad with zero-cost slots
-        shallow = build_inference_plan(make_genome(config, mutations=0), config)
-        deep = build_inference_plan(make_genome(config, seed=2), config)
-        envelope = StackedAdamEnvelope([shallow, deep])
+        shallow = make_genome(config, mutations=0)
+        deep = make_genome(config, seed=2)
+        envelope = StackedAdamEnvelope(build_inference_plan([shallow, deep], config))
         assert len(envelope) == 2
         with pytest.raises(ValueError, match="pass counts"):
             envelope.charge(InferenceStats(), [1])

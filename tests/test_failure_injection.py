@@ -12,7 +12,7 @@ from repro.hw import (
     SRAMConfig,
     encode_genome,
 )
-from repro.hw.adam import ADAM, build_inference_plan
+from repro.hw.adam import ADAM, InferencePlan
 from repro.neat import Genome, GenomeConfig, InnovationTracker, NEATConfig, Population
 from repro.neat.reproduction import ReproductionEvent
 
@@ -81,9 +81,22 @@ class TestSoCEdgeCases:
             seed=0,
         )
         soc = GeneSysSoC(config, "CartPole-v0", max_steps=30)
+        soc.initialise_population()
+        spill = sum(
+            soc.buffer.genome_length(key) for key in soc.buffer.resident_genomes()
+        ) - config.sram.capacity_words
+        assert spill > 0
+        windows = []
+        reset = soc.buffer.reset_stats
+        soc.buffer.reset_stats = lambda: windows.append(reset()) or windows[-1]
         report = soc.run_generation()
+        (stats,) = windows
         assert soc.buffer.overflowing
-        assert report.energy.dram_accesses > 0
+        # the spilled words were written to DRAM and read back from there
+        # when the generation was evaluated, and the ledger charges both
+        assert stats.dram_writes >= spill
+        assert stats.dram_reads >= spill
+        assert report.energy.dram_accesses == stats.dram_reads + stats.dram_writes
         assert report.energy.dram_energy_j > 0
 
     def test_fitness_function_exception_propagates(self):
@@ -112,14 +125,14 @@ class TestADAMEdgeCases:
         genome = make_genome(genome_config)
         for conn in genome.connections.values():
             conn.enabled = False
-        plan = build_inference_plan(genome, genome_config)
+        plan = InferencePlan.create(genome, genome_config)
         adam = ADAM()
         out = adam.run(plan, [1.0, 1.0])
         assert len(out) == 1
 
     def test_zero_inputs_everywhere(self, genome_config):
         genome = make_genome(genome_config)
-        plan = build_inference_plan(genome, genome_config)
+        plan = InferencePlan.create(genome, genome_config)
         out = ADAM().run(plan, [0.0, 0.0])
         assert len(out) == 1
 

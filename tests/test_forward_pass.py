@@ -22,7 +22,7 @@ from repro.core.config import GeneSysConfig
 from repro.core.runner import config_for_env
 from repro.core.soc import GeneSysSoC
 from repro.envs.evaluate import FitnessEvaluator
-from repro.hw.adam import ADAM, build_inference_plan
+from repro.hw.adam import ADAM, InferencePlan
 from repro.hw.eve import EvEConfig
 from repro.neat import Genome, GenomeConfig, InnovationTracker
 from repro.neat.activations import ACTIVATIONS
@@ -103,7 +103,7 @@ def test_walk_lanes_and_adam_agree_bit_for_bit(data):
 
     with np.errstate(all="ignore"):
         runner = StackedPlans(
-            [compile_network(g, CONFIG) for g in population]
+            [compile_network(g, CONFIG) for g in population], CONFIG
         ).lane_runner(range(lanes))
         before = runner.step(first)
         runner.prune(keep)
@@ -114,7 +114,7 @@ def test_walk_lanes_and_adam_agree_bit_for_bit(data):
         walk = FeedForwardNetwork.create(genome, CONFIG)
         expected = bits(walk.activate(first[i].tolist()))
         assert bits(before[i]) == expected
-        plan = build_inference_plan(genome, CONFIG)
+        plan = InferencePlan.create(genome, CONFIG)
         assert bits(adam.run(plan, first[i].tolist())) == expected
     for row, i in enumerate(np.flatnonzero(keep)):
         walk = FeedForwardNetwork.create(population[i], CONFIG)
@@ -132,9 +132,9 @@ def test_sums_start_from_negative_zero():
     inputs = [-0.0, 0.0, 0.0]
     expected = [(-0.0).hex()] * NUM_OUTPUTS
     assert bits(FeedForwardNetwork.create(genome, CONFIG).activate(inputs)) == expected
-    runner = StackedPlans([compile_network(genome, CONFIG)]).lane_runner([0])
+    runner = StackedPlans([compile_network(genome, CONFIG)], CONFIG).lane_runner([0])
     assert bits(runner.step(np.array([inputs]))[0]) == expected
-    assert bits(ADAM().run(build_inference_plan(genome, CONFIG), inputs)) == expected
+    assert bits(ADAM().run(InferencePlan.create(genome, CONFIG), inputs)) == expected
 
 
 def mixed_activation_config(env_id, pop_size):

@@ -14,7 +14,7 @@ from repro.envs import EVALUATION_SUITE, make
 from repro.hw import (
     ADAM,
     EvEConfig,
-    build_inference_plan,
+    InferencePlan,
     decode_genome,
     encode_genome,
     quantize_genome,
@@ -96,7 +96,7 @@ class TestHardwareFidelity:
         obs = env.reset()
         for genome in list(result.population.population.values())[:10]:
             net = FeedForwardNetwork.create(genome, config)
-            plan = build_inference_plan(genome, config)
+            plan = InferencePlan.create(genome, config)
             adam = ADAM()
             assert [x.hex() for x in adam.run(plan, obs.tolist())] == [
                 x.hex() for x in net.activate(obs.tolist())

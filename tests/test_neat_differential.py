@@ -7,9 +7,11 @@ crossover bias 0, 0.5 and 1, rates of 0 and 1, weights of ±0.0, NaN and
 :class:`MutationCounts`, equal RNG states after every operation and
 bit-equal distances in both argument orders.  Random graphs with cycles,
 self-loops, duplicate edges, edges into inputs and dangling sources must
-levelise identically or fail with the same error, and the one compiler
-must build what the reference prologue builds, wherever it is reached
-from.
+levelise identically or fail with the same error, and both compilers —
+the per-genome one, wherever it is reached from, and the lanes'
+population pass on a population of one — must build what the reference
+prologue builds (``tests/test_compile_pass.py`` checks the pass on
+whole populations).
 """
 
 from __future__ import annotations
@@ -250,11 +252,16 @@ def test_compilers_match_reference_prologue(case):
     genome, config = case
     cases = [
         lambda: plan_fields(FeedForwardNetwork.create(genome, config)),
-        lambda: plan_fields(compiled.compile_network(genome, config)),
-        lambda: wave_fields(adam.build_inference_plan(genome, config)),
+        lambda: wave_fields(adam.InferencePlan.create(genome, config)),
     ]
     for build in cases:
         got = outcome(build)
         with mock.patch.object(network, "genome_levels", ref.genome_levels):
             expected = outcome(build)
         assert got == expected
+
+    rows = [compiled.compile_network(genome, config)]
+    got = outcome(lambda: ref.table_fields(compiled.StackedPlans(rows, config)))
+    with mock.patch.object(network, "genome_levels", ref.genome_levels):
+        expected = outcome(lambda: ref.table_fields(ref.stack_plans([genome], config)))
+    assert got == expected

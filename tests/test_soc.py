@@ -251,9 +251,9 @@ class TestSingleDecode:
             decoded.append(key)
             return decode(stream, key, config)
 
-        def recording_plan(genome, config):
-            mapped[genome.key] = genome
-            return plan(genome, config)
+        def recording_plan(genomes, config):
+            mapped.update((genome.key, genome) for genome in genomes)
+            return plan(genomes, config)
 
         monkeypatch.setattr(soc_module, "decode_genome", counting_decode)
         monkeypatch.setattr(soc_module, "build_inference_plan", recording_plan)

@@ -133,30 +133,36 @@ class TestStatsWindow:
 
 class PerWordBuffer:
     """The buffer's access accounting done word by word: each word spills
-    to DRAM once the words before it fill the capacity."""
+    to DRAM once the words before it fill the capacity, and is read from
+    where it was written."""
 
     def __init__(self, config):
         self.config = config
-        self.lengths = {}
+        self.in_dram = {}  # per genome, per word: did it spill?
         self.used = 0
-        self.reads = self.writes = self.dram_writes = 0
+        self.reads = self.writes = self.dram_reads = self.dram_writes = 0
 
     def write(self, genome, length):
-        self.used -= self.lengths.get(genome, 0)
-        self.lengths[genome] = length
-        self.used += length
-        for i in range(length):
-            if self.used - length + i >= self.config.capacity_words:
+        self.used -= len(self.in_dram.get(genome, ()))
+        self.in_dram[genome] = []
+        for _ in range(length):
+            spilled = self.used >= self.config.capacity_words
+            self.in_dram[genome].append(spilled)
+            self.used += 1
+            if spilled:
                 self.dram_writes += 1
             else:
                 self.writes += 1
 
     def read(self, genome):
-        for _ in range(self.lengths[genome]):
-            self.reads += 1
+        for spilled in self.in_dram[genome]:
+            if spilled:
+                self.dram_reads += 1
+            else:
+                self.reads += 1
 
     def delete(self, genome):
-        self.used -= self.lengths.pop(genome)
+        self.used -= len(self.in_dram.pop(genome))
 
 
 @settings(max_examples=200, deadline=None)
@@ -179,11 +185,11 @@ def test_per_genome_accounting_matches_per_word(banks, depth, operations):
         if operation == "write":
             buffer.write_genome(genome, make_stream(length))
             reference.write(genome, length)
-        elif genome in reference.lengths:
+        elif genome in reference.in_dram:
             getattr(buffer, f"{operation}_genome")(genome)
             getattr(reference, operation)(genome)
         stats = buffer.stats
-        assert (stats.reads, stats.writes, stats.dram_writes) == (
-            reference.reads, reference.writes, reference.dram_writes
+        assert (stats.reads, stats.writes, stats.dram_reads, stats.dram_writes) == (
+            reference.reads, reference.writes, reference.dram_reads, reference.dram_writes
         )
         assert buffer.words_used == reference.used
