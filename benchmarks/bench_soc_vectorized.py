@@ -1,28 +1,37 @@
 """Population-vectorised SoC evaluation vs the serial walkthrough.
 
-The cycle-level SoC used to cost one generation by tracing every genome
-through :meth:`repro.hw.adam.ADAM.run` one env step at a time.  The
-vectorised path compiles the population into lockstep numpy lanes and
-charges the ADAM counters through one
-:class:`repro.hw.adam.StackedAdamEnvelope` (per-pass costs are static
-per plan, so cost = per-pass x steps in exact integer arithmetic).
+The cycle-level SoC used to cost one generation by walking every genome
+through ADAM one env step at a time; that walkthrough is now the test
+oracle ``neat_reference.SerialSoC`` in ``tests/``.  The soc compiles the
+population into lockstep numpy lanes and charges the ADAM counters
+through one :class:`repro.hw.adam.StackedAdamEnvelope` (per-pass costs
+are static per plan, so cost = per-pass x steps in exact integer
+arithmetic).
 
 Gate, mirroring ``bench_batched_inference.py``: one 150-genome CartPole
 generation — the paper's population size — must evaluate >= 5x faster
-vectorised *and* produce bit-identical fitnesses, ADAM counters and SRAM
-traffic.  The measurements are also written as a JSON artifact (path
-overridable via ``BENCH_SOC_VECTORIZED_JSON``) for CI upload.
+on the lanes than on the oracle *and* produce bit-identical fitnesses,
+ADAM counters and SRAM traffic.  The two sides are timed in alternation
+(serial, lanes, serial, lanes, ...), best of ``REPEATS`` each, so that a
+slow phase of the host hits both.  The measurements are also written as
+a JSON artifact (path overridable via ``BENCH_SOC_VECTORIZED_JSON``) for
+CI upload.
 """
 
 import json
 import os
+import sys
 import time
 from dataclasses import astuple
+from pathlib import Path
 
 from repro.core.config import GeneSysConfig
 from repro.core.runner import config_for_env
 from repro.core.soc import GeneSysSoC
 from repro.hw.eve import EvEConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from neat_reference import SerialSoC  # noqa: E402  (the oracle lives in tests/)
 
 ENV_ID = "CartPole-v0"
 POP_SIZE = 150  # the paper's population (Section III-D3)
@@ -42,7 +51,7 @@ def evolved_soc():
     topology."""
     neat = config_for_env(ENV_ID, pop_size=POP_SIZE)
     config = GeneSysConfig(neat=neat, eve=EvEConfig(num_pes=32), seed=0)
-    soc = GeneSysSoC(
+    soc = SerialSoC(
         config, ENV_ID, episodes=EPISODES, max_steps=MAX_STEPS
     )
     for _ in range(WARMUP_GENERATIONS):
@@ -50,41 +59,38 @@ def evolved_soc():
     return soc
 
 
-def _timed_evaluation(soc, vectorize):
-    """(fitnesses, inference stats, sram stats, best-of-N time) for one
+def _timed_evaluation(soc, evaluate_population):
+    """(fitnesses, inference stats, sram stats, seconds) for one
     generation evaluation.
 
     ``evaluate_population`` never advances the generation counter, so the
     derived episode seeds — and therefore the rollouts — are identical
-    on every repetition and across both paths.
+    on every repetition and on both sides.
     """
-    soc.vectorize = vectorize
-    best = float("inf")
-    observed = None
-    for _ in range(REPEATS):
-        soc.adam.reset_stats()
-        soc.buffer.reset_stats()
-        start = time.perf_counter()
-        soc.evaluate_population()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        observed = (
-            {k: g.fitness for k, g in soc.population.items()},
-            astuple(soc.adam.reset_stats()),
-            astuple(soc.buffer.reset_stats()),
-        )
-    return observed + (best,)
+    soc.adam.reset_stats()
+    soc.buffer.reset_stats()
+    start = time.perf_counter()
+    evaluate_population(soc)
+    elapsed = time.perf_counter() - start
+    return (
+        {k: g.fitness for k, g in soc.population.items()},
+        astuple(soc.adam.reset_stats()),
+        astuple(soc.buffer.reset_stats()),
+        elapsed,
+    )
 
 
 def test_vectorized_generation_speedup(emit):
     soc = evolved_soc()
 
-    serial_fit, serial_adam, serial_sram, serial_t = _timed_evaluation(
-        soc, vectorize=False
-    )
-    vec_fit, vec_adam, vec_sram, vec_t = _timed_evaluation(
-        soc, vectorize=True
-    )
+    serial_t = vec_t = float("inf")
+    for _ in range(REPEATS):
+        *serial, elapsed = _timed_evaluation(soc, SerialSoC.evaluate_population)
+        serial_t = min(serial_t, elapsed)
+        *vectorized, elapsed = _timed_evaluation(soc, GeneSysSoC.evaluate_population)
+        vec_t = min(vec_t, elapsed)
+    serial_fit, serial_adam, serial_sram = serial
+    vec_fit, vec_adam, vec_sram = vectorized
     speedup = serial_t / vec_t
 
     emit(

@@ -33,6 +33,7 @@ from ..envs.evaluate import (
     FitnessEvaluator,
     Outcome,
     Task,
+    episode_tasks,
     reduce_outcomes,
 )
 from ..neat.config import NEATConfig
@@ -113,7 +114,7 @@ class ParallelFitnessEvaluator(FitnessEvaluator):
 
     def __call__(self, genomes: List[Genome], config: NEATConfig) -> None:
         pool = self._ensure_pool(config.genome)
-        tasks = self._tasks(genomes)
+        tasks = episode_tasks(genomes, self.seed, self._generation, self.episodes)
         with obs.span(
             "parallel.map",
             workers=self.workers,

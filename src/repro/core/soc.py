@@ -5,7 +5,9 @@ Implements the walkthrough of Section IV-B.  One call to
 
 1.  map genomes from the Genome Buffer onto ADAM,
 2-5. roll out each genome against its environment instance, one packed
-    matrix-vector wave at a time, until the episode completes,
+    matrix-vector wave at a time, until the episode completes (a
+    generation's rollouts run as the compiled lockstep lanes, and ADAM
+    is charged once for all of them),
 6.  translate cumulative reward into fitness and augment it to the genome
     in SRAM,
 7.  run the Gene Selector (software thread) to pick parents,
@@ -24,16 +26,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs as telemetry
-from ..envs.evaluate import EvaluationTotals, Executor, reduce_outcomes
-from ..envs.seeding import episode_seed
-from ..hw.adam import (
-    ADAM,
-    AdamNetwork,
-    InferencePlan,
-    InferenceStats,
-    StackedAdamEnvelope,
-    build_inference_plan,
-)
+from ..envs.evaluate import EvaluationTotals, Executor, episode_tasks, reduce_outcomes
+from ..hw.adam import ADAM, InferenceStats, StackedAdamEnvelope, build_inference_plan
 from ..hw.energy import EnergyLedger, cycles_to_seconds
 from ..hw.eve import EvolutionEngine, EvolutionResult
 from ..hw.gene_encoding import GeneStream, decode_genome, encode_genome
@@ -77,18 +71,11 @@ class GeneSysSoC:
         env_id: str,
         episodes: int = 1,
         max_steps: Optional[int] = None,
-        vectorize: bool = True,
     ) -> None:
         self.config = config
         self.env_id = env_id
         self.episodes = episodes
         self.max_steps = max_steps
-        #: Population-batched evaluation: functional rollouts run as
-        #: lockstep numpy lanes (:mod:`repro.neat.compiled`) and the ADAM
-        #: counters are charged through one
-        #: :class:`repro.hw.adam.StackedAdamEnvelope` — bit-identical to
-        #: the serial per-genome walk, just vectorised.
-        self.vectorize = vectorize
         self._executor = Executor(env_id, max_steps=max_steps)
         self.buffer = GenomeBuffer(config.sram)
         self.adam = ADAM(config.adam)
@@ -117,45 +104,31 @@ class GeneSysSoC:
     def evaluate_population(self) -> int:
         """Run every genome against the environment; returns env steps.
 
-        Genomes are read from the Genome Buffer and mapped on ADAM (step
-        1), then rolled out through the shared evaluation core (steps
-        2-5, :class:`repro.envs.evaluate.Executor`).  A genome whose
-        buffered stream is the one :meth:`evolve_population` decoded is
-        not decoded again; any other stream (generation 0, an extinction
-        re-seed, one written into the buffer since) is.  With
-        ``vectorize`` step 1 is one :func:`build_inference_plan` call that
-        compiles the whole generation in the lanes' one pass; the
-        rollouts run those tables on lockstep lanes, and ADAM's counters
-        are charged exactly through one :class:`StackedAdamEnvelope` read
-        off the same tables (per-pass costs are static per plan, so cost
-        = per-pass x steps in pure integer arithmetic).  Without it each
-        resident is compiled by :meth:`InferencePlan.create` and the
-        scalar walk drives each plan on ADAM itself, charging pass by
-        pass.  Both compute the same plans with the same arithmetic, so
-        they are bit-identical.
+        Genomes are read from the Genome Buffer and the whole generation
+        is mapped on ADAM by one :func:`build_inference_plan` call, the
+        lanes' one compile pass (step 1).  A genome whose buffered stream
+        is the one :meth:`evolve_population` decoded is not decoded
+        again; any other stream (generation 0, an extinction re-seed, one
+        written into the buffer since) is.  The shared evaluation core
+        rolls those tables out on lockstep lanes (steps 2-5,
+        :meth:`repro.envs.evaluate.Executor.lanes`), and ADAM's counters
+        are charged through one :class:`StackedAdamEnvelope` read off the
+        same tables: per-pass costs are static per plan, so a
+        generation's cost is per-pass x steps in integer arithmetic.
+        ``tests/neat_reference.py`` keeps the walkthrough genome by
+        genome, charging ADAM pass by pass, as the oracle these counters
+        are pinned to.
         """
         genome_cfg = self.config.neat.genome
         keys = sorted(self.population)
         # Step 1: genomes are read from the buffer and mapped on ADAM.
         residents = [self._resident(key) for key in keys]
-        seed, generation = self.config.seed, self.generation
-        tasks = [
-            (g, [episode_seed(seed, generation, g.key, e)
-                 for e in range(self.episodes)])
-            for g in residents
-        ]
-        if self.vectorize:
-            stacked = build_inference_plan(residents, genome_cfg)
-            outcomes, _ = self._executor.lanes(tasks, genome_cfg, stacked)
-            with telemetry.span("soc.envelope_charge", genomes=len(residents)):
-                envelope = StackedAdamEnvelope(stacked, self.adam.config)
-                envelope.charge(self.adam.stats, [steps for _, _, steps, _ in outcomes])
-        else:
-            plan_of = {g.key: InferencePlan.create(g, genome_cfg) for g in residents}
-            outcomes = self._executor.scalar(
-                tasks, genome_cfg,
-                lambda genome, _config: AdamNetwork(self.adam, plan_of[genome.key]),
-            )
+        tasks = episode_tasks(residents, self.config.seed, self.generation, self.episodes)
+        stacked = build_inference_plan(residents, genome_cfg)
+        outcomes, _ = self._executor.lanes(tasks, genome_cfg, stacked)
+        with telemetry.span("soc.envelope_charge", genomes=len(residents)):
+            envelope = StackedAdamEnvelope(stacked, self.adam.config)
+            envelope.charge(self.adam.stats, [steps for _, _, steps, _ in outcomes])
         totals = EvaluationTotals()
         genomes = [self.population[key] for key in keys]
         reduce_outcomes(genomes, outcomes, totals)

@@ -6,9 +6,10 @@ translate output activations to actions, repeat until the episode
 completes, convert the cumulative reward into a fitness value attached
 to the genome.  One core serves every execution shape:
 
-* **seeds** — a *task* is ``(genome, episode_seeds)``; every episode
-  seed derives from ``(experiment seed, generation, genome key,
-  episode)``, so a task's outcome does not depend on where it runs.
+* **seeds** — a *task* is ``(genome, episode_seeds)``, built by
+  :func:`episode_tasks`; every episode seed derives from ``(experiment
+  seed, generation, genome key, episode)``, so a task's outcome does not
+  depend on where it runs.
 * **lanes** — an :class:`Executor` runs tasks on the *scalar* walk
   (:func:`run_episode` over one network per genome) or on compiled
   lockstep *lanes* (:func:`run_episodes_batched` over
@@ -23,15 +24,16 @@ to the genome.  One core serves every execution shape:
 
 :class:`FitnessEvaluator` runs the executor in-process;
 :class:`repro.api.ParallelFitnessEvaluator` ships the same executor to
-pool workers; :class:`repro.core.GeneSysSoC` runs it on genomes decoded
-from the Genome Buffer, with ADAM-backed networks on the scalar walk.
+pool workers; :class:`repro.core.GeneSysSoC` runs its lanes on the
+genomes decoded from the Genome Buffer, with the tables ADAM's cost
+envelope reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,10 +57,6 @@ Task = Tuple[Genome, Sequence[int]]
 #: One task's result: ``(genome_key, episode rewards, env steps,
 #: inference MACs)``.
 Outcome = Tuple[int, List[float], int, int]
-#: Builds the network the scalar walk drives for a genome
-#: (``activate``/``reset``/``num_macs``); defaults to
-#: :meth:`FeedForwardNetwork.create`.
-NetworkFactory = Callable[[Genome, GenomeConfig], Any]
 
 _NEG_INF = float("-inf")
 
@@ -245,6 +243,22 @@ def run_episodes_batched(
     ]
 
 
+def episode_tasks(
+    genomes: Sequence[Genome], seed: Optional[int], generation: int, episodes: int
+) -> List[Task]:
+    """Each genome's task: the seeds of its ``episodes`` episodes in
+    ``generation`` of the experiment seeded ``seed``.
+
+    The one derivation of the episode stream: the serial, pooled,
+    vectorized and soc evaluations all build their tasks here, so they
+    replay identical episodes.
+    """
+    return [
+        (genome, [episode_seed(seed, generation, genome.key, e) for e in range(episodes)])
+        for genome in genomes
+    ]
+
+
 class Executor:
     """Runs :data:`Task` lists on one environment configuration.
 
@@ -296,18 +310,12 @@ class Executor:
                 self._env_batch = make_batched(self.env_id)
         return self._env_batch
 
-    def scalar(
-        self,
-        tasks: Sequence[Task],
-        genome_config: GenomeConfig,
-        network: Optional[NetworkFactory] = None,
-    ) -> List[Outcome]:
+    def scalar(self, tasks: Sequence[Task], genome_config: GenomeConfig) -> List[Outcome]:
         """Every task's episodes on the scalar walk, genome by genome."""
-        create = network if network is not None else FeedForwardNetwork.create
         env = self.env
         outcomes: List[Outcome] = []
         for genome, seeds in tasks:
-            net = create(genome, genome_config)
+            net = FeedForwardNetwork.create(genome, genome_config)
             rewards: List[float] = []
             steps = 0
             macs = 0
@@ -453,22 +461,8 @@ class FitnessEvaluator:
         # run must restart the counter where the checkpoint left off.
         self._generation = start_generation
 
-    def _tasks(self, genomes: Sequence[Genome]) -> List[Task]:
-        # The one canonical derivation — serial, pooled and vectorized
-        # runs must see identical episode streams.
-        return [
-            (
-                genome,
-                [
-                    episode_seed(self.seed, self._generation, genome.key, episode)
-                    for episode in range(self.episodes)
-                ],
-            )
-            for genome in genomes
-        ]
-
     def __call__(self, genomes: List[Genome], config: NEATConfig) -> None:
-        tasks = self._tasks(genomes)
+        tasks = episode_tasks(genomes, self.seed, self._generation, self.episodes)
         if self.vectorizer == "numpy":
             outcomes, stacked = self.executor.lanes(tasks, config.genome)
             self.last_mean_depth = (

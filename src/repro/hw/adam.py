@@ -6,41 +6,35 @@ problem" on a systolic array of MAC units (32x32 in the paper's
 implementation).  The serial task of "picking the ready node values to
 create input vectors" — the *vectorize* routine — runs on the System CPU.
 
-The model here is functional plus cycle-accounted, in two shapes:
+The model here is functional plus cycle-accounted, a generation at a
+time.  :func:`build_inference_plan` is walkthrough step 1: it compiles
+every resident genome in the lanes' one array pass
+(:class:`repro.neat.compiled.StackedPlans`), and the lanes that roll
+those tables out give ADAM's forward-pass values.
+:class:`StackedAdamEnvelope` reads each (plan, wave)'s systolic shape off
+the same tables — ``m`` vertices updated from ``k`` distinct sources,
+with ``macs`` nonzero weights — and charges a generation's systolic
+cycles (:func:`systolic_cycles`), CPU vectorize cycles, MAC counts and
+array utilisation in a few array expressions.
 
-* A generation at once.  :func:`build_inference_plan` is walkthrough step
-  1: it compiles every resident genome in the lanes' one array pass
-  (:class:`repro.neat.compiled.StackedPlans`), and
-  :class:`StackedAdamEnvelope` reads each (plan, wave)'s systolic shape
-  off those tables — ``m`` vertices updated from ``k`` distinct sources,
-  with ``macs`` nonzero weights — and charges a generation's passes in a
-  few array expressions.
-* One genome at a time.  :meth:`InferencePlan.create` compiles a genome
-  with :meth:`repro.neat.FeedForwardNetwork.create` and takes the same
-  shapes from its layers; :meth:`ADAM.run` takes a forward pass's values
-  from the plan's scalar walk, so it is bit-identical to the software
-  network and the numpy lanes by construction, and charges systolic
-  cycles, CPU vectorize cycles, MAC counts and array utilisation wave by
-  wave.
-
-Plans are built once per genome per generation and reused for every
-environment step ("the weight matrices do not change within a given
-generation, and are reused for multiple inferences, while every new vertex
-evaluation requires a new input vector").
+Every pass of a plan costs the same, because "the weight matrices do not
+change within a given generation, and are reused for multiple
+inferences, while every new vertex evaluation requires a new input
+vector".  ``tests/neat_reference.py`` keeps the walkthrough genome by
+genome as a test oracle, charging ADAM pass by pass in plain integers,
+and the soc's counters are pinned to it bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..neat.activations import ACTIVATIONS
-from ..neat.compiled import StackedPlans, compile_network, unsupported
+from ..neat.compiled import StackedPlans, compile_network
 from ..neat.config import GenomeConfig
 from ..neat.genome import Genome
-from ..neat.network import FeedForwardNetwork
 
 
 class UnsupportedGenomeError(ValueError):
@@ -57,58 +51,16 @@ class ADAMConfig:
         return self.rows * self.cols
 
 
-@dataclass
-class WavePlan:
-    """One packed matrix-vector wave: ``m`` vertices from ``k`` sources."""
+def systolic_cycles(m, k, config: ADAMConfig):
+    """Cycles for an (m x k) @ (k,) product on the rows x cols array.
 
-    m: int
-    k: int
-    #: Nonzero weights: Q4.4-quantised genomes carry many zero weights,
-    #: and only the nonzero ones spend a MAC's energy.
-    macs: int
-
-    @property
-    def dense_macs(self) -> int:
-        """MAC slots of the packed ``m x max(1, k)`` matrix."""
-        return self.m * max(1, self.k)
-
-
-@dataclass
-class InferencePlan:
-    """One genome's plan on ADAM's scalar path."""
-
-    network: FeedForwardNetwork
-    waves: List[WavePlan]
-
-    @property
-    def macs_per_pass(self) -> int:
-        return sum(w.macs for w in self.waves)
-
-    @classmethod
-    def create(cls, genome: Genome, config: GenomeConfig) -> "InferencePlan":
-        """Compile ``genome`` and take each wave's packed shape.
-
-        Mirrors the vectorize routine: every wave's rows are the vertices
-        whose inputs are all ready; its columns are the distinct upstream
-        sources actually used, so the matrices are compact (the GPU_a
-        strategy the paper describes, done per wave).
-        """
-        network = FeedForwardNetwork.create(genome, config)
-        for layer in network.layers:
-            for activation, aggregation in zip(layer.activations, layer.aggregations):
-                if aggregation != "sum" or activation not in ACTIVATIONS:
-                    raise UnsupportedGenomeError(
-                        unsupported(genome.key, activation, aggregation)
-                    )
-        waves = [
-            WavePlan(
-                m=layer.num_nodes,
-                k=len({col for links in layer.links for col, _ in links}),
-                macs=sum(1 for links in layer.links for _, weight in links if weight != 0.0),
-            )
-            for layer in network.layers
-        ]
-        return cls(network=network, waves=waves)
+    Output-stationary tiling: each (rows x cols) tile streams its k-
+    slice and drains; fill/drain overhead is rows + cols per tile.
+    ``m`` and ``k`` are integers or integer arrays of one shape; an
+    empty wave (``m == k == 0``) tiles to zero cycles.
+    """
+    rows, cols = config.rows, config.cols
+    return -(-m // rows) * -(-k // cols) * (np.minimum(cols, k) + rows)
 
 
 @dataclass
@@ -147,22 +99,18 @@ def build_inference_plan(
 class StackedAdamEnvelope:
     """A generation's plans stacked into one cost envelope.
 
-    The serial :meth:`ADAM.run` charges cycles wave by wave, once per
-    forward pass per genome — a Python loop over every (genome, step,
-    wave) triple.  Because the plans do not change within a generation,
-    every per-pass cost is static: this envelope reads each (plan, wave)'s
-    shape off the lanes' tables into ``(plans, depth)`` integer arrays
-    and evaluates the same systolic-tiling formula with numpy array ops,
-    so a whole generation is costed in a handful of vectorised
-    expressions.  A wave's ``m`` is its code rows that hold a code, its
-    ``k`` the distinct columns its link rows read other than the zero
-    column, and its ``macs`` its nonzero weights (padding weighs
-    ``-0.0``).
+    Because the plans do not change within a generation, every per-pass
+    cost is static: this envelope reads each (plan, wave)'s shape off the
+    lanes' tables into ``(plans, depth)`` integer arrays and tiles them
+    with :func:`systolic_cycles`, so a whole generation is costed in a
+    handful of vectorised expressions.  A wave's ``m`` is its code rows
+    that hold a code, its ``k`` the distinct columns its link rows read
+    other than the zero column, and its ``macs`` its nonzero weights
+    (padding weighs ``-0.0``).
 
-    The arithmetic is integer end to end, therefore *exactly* equal to
-    the serial accounting: ``charge(stats, passes)`` merges the same
-    totals :meth:`ADAM.run` would have accumulated had it executed
-    ``passes[g]`` forward passes of plan ``g``.
+    The arithmetic is integer end to end: ``charge(stats, passes)``
+    merges exactly the totals that ``passes[g]`` forward passes of plan
+    ``g``, charged one by one, would accumulate.
     """
 
     def __init__(
@@ -184,14 +132,8 @@ class StackedAdamEnvelope:
                 - (sources[-1] == zero_col)
             )
             macs[:, l] = np.count_nonzero(floats[links], axis=0)
-        rows, cols = self.config.rows, self.config.cols
-        # Output-stationary tiling, identical to ADAM.systolic_cycles;
-        # padded slots have m == k == 0 and so tile to zero cycles.
-        row_tiles = -(-m // rows)
-        col_tiles = -(-k // cols)
-        wave_cycles = row_tiles * col_tiles * (np.minimum(cols, k) + rows)
         #: Per plan: systolic array cycles for one forward pass.
-        self.array_cycles_per_pass = wave_cycles.sum(axis=1)
+        self.array_cycles_per_pass = systolic_cycles(m, k, self.config).sum(axis=1)
         #: Per plan: CPU vectorize cycles (one per packed element).
         self.vectorize_cycles_per_pass = k.sum(axis=1)
         self.macs_per_pass = macs.sum(axis=1)
@@ -204,9 +146,8 @@ class StackedAdamEnvelope:
     def charge(self, stats: InferenceStats, passes: Sequence[int]) -> None:
         """Merge the cost of ``passes[g]`` forward passes per plan.
 
-        Bit-identical to running :meth:`ADAM.run` that many times per
-        plan: every counter is a per-pass integer scaled by an integer
-        pass count.
+        Every counter is a per-pass integer scaled by an integer pass
+        count, so the totals are exact.
         """
         p = np.asarray(passes, dtype=np.int64)
         if p.shape != (self.num_plans,):
@@ -222,63 +163,14 @@ class StackedAdamEnvelope:
 
 
 class ADAM:
-    """The systolic inference engine."""
+    """The systolic inference engine: its array shape and the counters a
+    generation's forward passes accumulate."""
 
     def __init__(self, config: Optional[ADAMConfig] = None) -> None:
         self.config = config or ADAMConfig()
         self.stats = InferenceStats()
 
-    def systolic_cycles(self, m: int, k: int) -> int:
-        """Cycles for an (m x k) @ (k,) product on the rows x cols array.
-
-        Output-stationary tiling: each (rows x cols) tile streams its k-
-        slice and drains; fill/drain overhead is rows + cols per tile.
-        """
-        rows, cols = self.config.rows, self.config.cols
-        row_tiles = (m + rows - 1) // rows
-        col_tiles = (k + cols - 1) // cols
-        return row_tiles * col_tiles * (min(cols, k) + rows)
-
-    def run(self, plan: InferencePlan, inputs: Sequence[float]) -> List[float]:
-        """One forward pass (walkthrough step 3).
-
-        The values come from the plan's scalar walk; each wave charges
-        the CPU packing its input vector (one cycle per element — "a task
-        with heavy serialization") and one firing of the systolic array.
-        """
-        outputs = plan.network.activate(inputs)
-        stats = self.stats
-        for wave in plan.waves:
-            stats.array_cycles += self.systolic_cycles(wave.m, wave.k)
-            stats.vectorize_cycles += wave.k
-            stats.macs += wave.macs
-            stats.dense_macs += wave.dense_macs
-            stats.waves += 1
-        stats.passes += 1
-        return outputs
-
     def reset_stats(self) -> InferenceStats:
         stats = self.stats
         self.stats = InferenceStats()
         return stats
-
-
-class AdamNetwork:
-    """One genome's plan mapped on an :class:`ADAM`, driven like a network.
-
-    Speaks the ``activate``/``reset``/``num_macs`` protocol of
-    :class:`repro.neat.network.FeedForwardNetwork`, so the scalar episode
-    loop (:func:`repro.envs.evaluate.run_episode`) runs genomes on the
-    accelerator model; every forward pass charges the engine's counters.
-    """
-
-    def __init__(self, adam: ADAM, plan: InferencePlan) -> None:
-        self.adam = adam
-        self.plan = plan
-        self.num_macs = plan.macs_per_pass
-
-    def activate(self, inputs: Sequence[float]) -> List[float]:
-        return self.adam.run(self.plan, inputs)
-
-    def reset(self) -> None:
-        """Nothing to clear: vertex values live for one pass only."""

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..neat.genome import creates_cycle
 from ..neat.reproduction import ReproductionEvent
 from .allocator import make_scheduler
 from .gene_encoding import (
@@ -177,7 +178,7 @@ class GeneMerge:
         # Newly added connections are admitted one by one, rejecting any
         # that would close a cycle over the connections kept so far.
         for key in added:
-            if _creates_cycle(valid_conns.keys(), key):
+            if creates_cycle(valid_conns.keys(), key):
                 self.dropped_invalid += 1
                 continue
             valid_conns[key] = conns[key]
@@ -186,26 +187,6 @@ class GeneMerge:
             [nodes[i] for i in sorted(nodes)]
             + [valid_conns[k] for k in sorted(valid_conns)]
         )
-
-
-def _creates_cycle(existing_keys, candidate: Tuple[int, int]) -> bool:
-    a, b = candidate
-    if a == b:
-        return True
-    adjacency: Dict[int, List[int]] = {}
-    for src, dst in existing_keys:
-        adjacency.setdefault(src, []).append(dst)
-    frontier = [b]
-    seen = {b}
-    while frontier:
-        node = frontier.pop()
-        if node == a:
-            return True
-        for nxt in adjacency.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return False
 
 
 class EvolutionEngine:

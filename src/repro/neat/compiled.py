@@ -18,8 +18,8 @@ numpy call per wave advances every in-flight episode of a generation.
 
 There are two compilers, chosen by execution shape:
 :meth:`repro.neat.network.FeedForwardNetwork.create` compiles one genome
-for the scalar walk and ADAM's scalar path, and the pass compiles a
-population for the lanes and ADAM's cost envelope.  They lay out the
+for the scalar walk, and the pass compiles a population for the lanes
+and ADAM's cost envelope.  They lay out the
 same plan: ``tests/test_compile_pass.py`` checks the tables against
 ``create``'s plans packed one by one.
 

@@ -5,18 +5,15 @@ III-C2 — "Inference on such topologies is basically processing an
 acyclic directed graph").  :func:`genome_levels` levelises it into waves
 of concurrently-updatable nodes, the System CPU's *vectorize routine*
 (Section IV-A), and :meth:`FeedForwardNetwork.create` compiles the waves
-into one genome's plan for:
-
-* the scalar walk, :meth:`FeedForwardNetwork.activate`, one node at a
-  time;
-* ADAM's scalar path, :meth:`repro.hw.adam.InferencePlan.create`, which
-  adds each wave's systolic shape and takes its values from the scalar
-  walk.
+into one genome's plan for the scalar walk,
+:meth:`FeedForwardNetwork.activate`, one node at a time.
 
 The lanes, :class:`repro.neat.compiled.StackedPlans`, which step many
 (genome, episode) pairs per numpy call, compile a whole population in
 one array pass instead; it lays out the plans ``create`` would, table
-for table (``tests/test_compile_pass.py``).
+for table (``tests/test_compile_pass.py``).  The soc runs ADAM on the
+lanes only; its genome-by-genome oracle in ``tests/neat_reference.py``
+drives ``create``'s plans on the scalar walk.
 
 The arithmetic is part of the plan.  A node's value is ``acc = -0.0``,
 then ``acc += value[source] * weight`` over its links sorted by source

@@ -23,7 +23,7 @@ from dataclasses import astuple, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.hw.allocator import make_scheduler
-from repro.hw.eve import EvEConfig, EvolutionResult, _creates_cycle
+from repro.hw.eve import EvEConfig, EvolutionResult
 from repro.hw.gene_encoding import (
     FIXED_MAX,
     FIXED_MIN,
@@ -48,7 +48,7 @@ from repro.neat.activations import ACTIVATION_NAMES
 from repro.neat.aggregations import AGGREGATION_NAMES
 from repro.neat.config import GenomeConfig
 from repro.neat.genes import ConnectionGene, NodeGene
-from repro.neat.genome import Genome
+from repro.neat.genome import Genome, creates_cycle
 from repro.neat.reproduction import ReproductionEvent
 
 #: Fig. 6's bit table (LSB first): field -> (first bit, width).  Gene
@@ -472,7 +472,7 @@ class ReferenceGeneMerge:
         # Newly added connections are admitted one by one, rejecting any
         # that would close a cycle over the connections kept so far.
         for key in added:
-            if _creates_cycle(valid_conns.keys(), key):
+            if creates_cycle(valid_conns.keys(), key):
                 self.dropped_invalid += 1
                 continue
             valid_conns[key] = conns[key]

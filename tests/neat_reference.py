@@ -17,8 +17,17 @@ population compiler: every genome compiled on its own by
 into the tables wave by wave.  ``tests/test_compile_pass.py`` and
 ``tests/test_neat_differential.py`` compare
 :class:`repro.neat.compiled.StackedPlans` against it, field by field
-(:func:`table_fields`).  Nothing under
-``src/`` imports this module.
+(:func:`table_fields`).
+
+:class:`SerialSoC` is the soc's walkthrough as it ran before the lanes
+were its only evaluation path: every resident genome compiled by
+``create``, rolled out on the scalar walk with ``run_episode``, and
+ADAM charged pass by pass with its own tiling arithmetic
+(:func:`pass_cost`).  ``tests/test_soc.py``, ``tests/test_adam.py``,
+``tests/test_forward_pass.py`` and ``benchmarks/bench_soc_vectorized.py``
+pin :class:`repro.core.soc.GeneSysSoC`'s lanes and ADAM envelope to it.
+
+Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -30,6 +39,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.soc import GeneSysSoC
+from repro.envs.evaluate import EvaluationTotals, episode_tasks, reduce_outcomes, run_episode
+from repro.hw.adam import ADAM, ADAMConfig, InferenceStats, UnsupportedGenomeError
 from repro.neat.activations import ACTIVATIONS
 from repro.neat.config import GenomeConfig
 from repro.neat.genes import ConnectionGene, NodeGene
@@ -337,6 +349,32 @@ def _joined(lists) -> list:
     return list(chain.from_iterable(lists))
 
 
+def lane_reason(plan: FeedForwardNetwork) -> Optional[str]:
+    """Why neither the lanes nor ADAM can run ``plan``: its first node
+    with an aggregation other than sum or an activation outside the
+    table (None when there is none)."""
+    for layer in plan.layers:
+        for activation, aggregation in zip(layer.activations, layer.aggregations):
+            if aggregation != "sum" or activation not in ACTIVATIONS:
+                return (
+                    f"genome {plan.genome_key} uses activation {activation!r} with "
+                    f"aggregation {aggregation!r}; lanes run the activation table "
+                    "with sum aggregation only"
+                )
+    return None
+
+
+def wave_shapes(plan: FeedForwardNetwork) -> List[Tuple[int, int, int]]:
+    """Each wave's ADAM shape ``(m, k, macs)``: the vertices it updates,
+    the distinct columns its links read and its nonzero weights."""
+    return [
+        (layer.num_nodes,
+         len({col for links in layer.links for col, _ in links}),
+         sum(1 for links in layer.links for _, weight in links if weight != 0.0))
+        for layer in plan.layers
+    ]
+
+
 def stack_plans(genomes: Sequence[Genome], config: GenomeConfig) -> SimpleNamespace:
     """The lanes' tables built genome by genome.
 
@@ -350,34 +388,16 @@ def stack_plans(genomes: Sequence[Genome], config: GenomeConfig) -> SimpleNamesp
     plans, compiled, fallback = [], [], {}
     for index, genome in enumerate(genomes):
         plan = FeedForwardNetwork.create(genome, config)
-        bad = [
-            (activation, aggregation)
-            for layer in plan.layers
-            for activation, aggregation in zip(layer.activations, layer.aggregations)
-            if aggregation != "sum" or activation not in ACTIVATIONS
-        ]
-        if bad:
-            activation, aggregation = bad[0]
-            fallback[index] = (
-                f"genome {genome.key} uses activation {activation!r} with "
-                f"aggregation {aggregation!r}; lanes run the activation table "
-                "with sum aggregation only"
-            )
+        reason = lane_reason(plan)
+        if reason is not None:
+            fallback[index] = reason
         else:
             plans.append(plan)
             compiled.append(index)
     out = SimpleNamespace(compiled=compiled, fallback=fallback)
     out.macs = [p.num_macs for p in plans]
     out.depths = [len(p.layers) for p in plans]
-    out.shapes = [
-        [
-            (layer.num_nodes,
-             len({col for links in layer.links for col, _ in links}),
-             sum(1 for links in layer.links for _, weight in links if weight != 0.0))
-            for layer in p.layers
-        ]
-        for p in plans
-    ]
+    out.shapes = [wave_shapes(p) for p in plans]
     num_io = config.num_inputs + config.num_outputs
     zero_col = max([p.num_columns for p in plans], default=num_io)
     out.num_columns = zero_col + 2
@@ -464,3 +484,111 @@ def table_fields(stacked) -> dict:
         "depths": [int(d) for d in stacked.depths],
         "io": (stacked.inputs, stacked.outputs),
     }
+
+
+# ---------------------------------------------------------------------------
+# the soc walkthrough, genome by genome
+
+
+def pass_cost(
+    shapes: Sequence[Tuple[int, int, int]], adam_config: ADAMConfig
+) -> Tuple[int, int, int, int, int]:
+    """One forward pass's ADAM charge ``(macs, dense_macs, array_cycles,
+    vectorize_cycles, waves)``, tiled wave by wave in plain integers.
+
+    Output-stationary tiling: an ``m x k`` wave takes ``ceil(m / rows) *
+    ceil(k / cols)`` tiles, each streaming ``min(cols, k)`` columns and
+    draining over ``rows`` cycles; the CPU packs ``k`` input elements.
+    """
+    rows, cols = adam_config.rows, adam_config.cols
+    macs = dense_macs = array_cycles = vectorize_cycles = 0
+    for m, k, wave_macs in shapes:
+        macs += wave_macs
+        dense_macs += m * max(1, k)
+        array_cycles += (m + rows - 1) // rows * ((k + cols - 1) // cols) * (min(cols, k) + rows)
+        vectorize_cycles += k
+    return macs, dense_macs, array_cycles, vectorize_cycles, len(shapes)
+
+
+def envelope_costs(envelope) -> List[Tuple[int, int, int, int, int]]:
+    """Each plan's per-pass charge in a
+    :class:`repro.hw.adam.StackedAdamEnvelope`, as :func:`pass_cost`
+    orders it."""
+    return list(zip(
+        envelope.macs_per_pass.tolist(),
+        envelope.dense_macs_per_pass.tolist(),
+        envelope.array_cycles_per_pass.tolist(),
+        envelope.vectorize_cycles_per_pass.tolist(),
+        envelope.waves_per_pass.tolist(),
+    ))
+
+
+def charge_pass(stats: InferenceStats, cost: Tuple[int, int, int, int, int]) -> None:
+    """Add one forward pass of :func:`pass_cost` ``cost`` to ``stats``."""
+    macs, dense_macs, array_cycles, vectorize_cycles, waves = cost
+    stats.passes += 1
+    stats.macs += macs
+    stats.dense_macs += dense_macs
+    stats.array_cycles += array_cycles
+    stats.vectorize_cycles += vectorize_cycles
+    stats.waves += waves
+
+
+class AdamWalk:
+    """``create``'s plan of one genome mapped on ADAM and driven like a
+    network by ``run_episode``: each forward pass returns the scalar
+    walk's values and charges one pass to the engine's counters.
+
+    Raises :class:`UnsupportedGenomeError` for a plan ADAM cannot pack.
+    """
+
+    def __init__(self, genome: Genome, config: GenomeConfig, adam: ADAM) -> None:
+        self.plan = FeedForwardNetwork.create(genome, config)
+        reason = lane_reason(self.plan)
+        if reason is not None:
+            raise UnsupportedGenomeError(reason)
+        self.cost = pass_cost(wave_shapes(self.plan), adam.config)
+        self.num_macs = self.cost[0]
+        self.stats = adam.stats
+
+    def activate(self, inputs: Sequence[float]) -> List[float]:
+        charge_pass(self.stats, self.cost)
+        return self.plan.activate(inputs)
+
+    def reset(self) -> None:
+        self.plan.reset()
+
+
+class SerialSoC(GeneSysSoC):
+    """:class:`repro.core.soc.GeneSysSoC` evaluating genome by genome:
+    the oracle its lanes and ADAM envelope are pinned to.
+
+    Each resident genome is read from the Genome Buffer as the soc reads
+    it, compiled by ``FeedForwardNetwork.create``, rolled out episode by
+    episode with ``run_episode`` on the scalar walk, and ADAM is charged
+    pass by pass (:class:`AdamWalk`).  Fitnesses, env steps, SRAM traffic
+    and every ADAM counter must equal the soc's bit for bit.
+    """
+
+    def evaluate_population(self) -> int:
+        genome_cfg = self.config.neat.genome
+        keys = sorted(self.population)
+        residents = [self._resident(key) for key in keys]
+        tasks = episode_tasks(residents, self.config.seed, self.generation, self.episodes)
+        walks = [AdamWalk(genome, genome_cfg, self.adam) for genome in residents]
+        env = self._executor.env
+        outcomes = []
+        for walk, (genome, seeds) in zip(walks, tasks):
+            rewards, steps = [], 0
+            for seed in seeds:
+                env.seed(seed)
+                episode = run_episode(walk, env, self.max_steps)
+                rewards.append(episode.total_reward)
+                steps += episode.steps
+            outcomes.append((genome.key, rewards, steps, walk.num_macs * steps))
+        totals = EvaluationTotals()
+        genomes = [self.population[key] for key in keys]
+        reduce_outcomes(genomes, outcomes, totals)
+        for genome in genomes:
+            self.buffer.set_fitness(genome.key, genome.fitness)
+        return totals.steps

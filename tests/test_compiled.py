@@ -3,8 +3,8 @@
 Covers the equivalence contracts of the one forward pass:
 
 * a lane's outputs are the scalar walk's bits on random genomes
-  (hypothesis), whatever the lane is stacked with and after pruning,
-* both are ADAM's bits on the same genome,
+  (hypothesis), whatever the lane is stacked with and after pruning
+  (on the soc, the lanes are ADAM's values),
 * ``FitnessEvaluator(vectorizer="numpy")`` assigns fitnesses identical
   to the scalar walk for vectorized and lockstep-fallback environments,
   falling back per-genome when compilation fails.
@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.envs.evaluate import FitnessEvaluator
-from repro.hw.adam import ADAM, InferencePlan
 from repro.neat import Genome, GenomeConfig, InnovationTracker
 from repro.neat.compiled import StackedPlans, compile_network
 from repro.neat.network import FeedForwardNetwork
@@ -122,9 +121,6 @@ def test_compiled_matches_network_and_adam(seed, num_inputs, num_outputs, steps,
 
     plan = compile_network(genome, config)
     assert bits(lane_outputs([plan], config, [inputs])[0]) == reference
-
-    adam = ADAM()
-    assert bits(adam.run(InferencePlan.create(genome, config), inputs)) == reference
 
 
 @settings(max_examples=15, deadline=None)

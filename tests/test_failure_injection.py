@@ -1,8 +1,10 @@
 """Failure-injection and edge-case tests across the stack."""
 
 import random
+from dataclasses import astuple
 
 import pytest
+from neat_reference import AdamWalk
 
 from repro.core import GeneSysConfig, GeneSysSoC, config_for_env
 from repro.hw import (
@@ -12,7 +14,7 @@ from repro.hw import (
     SRAMConfig,
     encode_genome,
 )
-from repro.hw.adam import ADAM, InferencePlan
+from repro.hw.adam import ADAM, InferenceStats, StackedAdamEnvelope, build_inference_plan
 from repro.neat import Genome, GenomeConfig, InnovationTracker, NEATConfig, Population
 from repro.neat.reproduction import ReproductionEvent
 
@@ -122,19 +124,19 @@ class TestSoCEdgeCases:
 
 class TestADAMEdgeCases:
     def test_no_connection_genome(self, genome_config):
+        """A genome with every link disabled still maps on ADAM: one
+        output vertex from no sources, which takes no MAC and no array
+        cycle, charged as the genome-by-genome oracle charges it."""
         genome = make_genome(genome_config)
         for conn in genome.connections.values():
             conn.enabled = False
-        plan = InferencePlan.create(genome, genome_config)
-        adam = ADAM()
-        out = adam.run(plan, [1.0, 1.0])
-        assert len(out) == 1
-
-    def test_zero_inputs_everywhere(self, genome_config):
-        genome = make_genome(genome_config)
-        plan = InferencePlan.create(genome, genome_config)
-        out = ADAM().run(plan, [0.0, 0.0])
-        assert len(out) == 1
+        stats = InferenceStats()
+        StackedAdamEnvelope(build_inference_plan([genome], genome_config)).charge(stats, [3])
+        walk = AdamWalk(genome, genome_config, ADAM())
+        for _ in range(3):
+            assert len(walk.activate([1.0, 1.0])) == 1
+        assert astuple(stats) == astuple(walk.stats)
+        assert (stats.macs, stats.dense_macs, stats.array_cycles, stats.waves) == (0, 3, 0, 3)
 
 
 class TestPopulationEdgeCases:

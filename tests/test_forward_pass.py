@@ -1,12 +1,13 @@
-"""One forward pass: the scalar walk, the lanes and ADAM agree bit for bit.
+"""One forward pass: the scalar walk and the lanes agree bit for bit.
 
 Every engine runs a genome's one compiled plan with one arithmetic (see
 :mod:`repro.neat.network`), so outputs must be equal by ``float.hex`` —
 not close — for genomes over every builtin activation with extreme
-weights, biases and responses, and for inputs including ``±0.0``.
-Fitnesses then agree across the scalar, numpy, pooled and soc execution
-shapes.  CI also runs this file with numpy's AVX-512 and AVX2 kernels
-disabled.
+weights, biases and responses, and for inputs including ``±0.0``.  The
+lanes are also what ADAM computes on the soc.  Fitnesses then agree
+across the scalar, numpy, pooled and soc execution shapes, the soc's
+against its genome-by-genome oracle (``neat_reference.SerialSoC``).  CI
+also runs this file with numpy's AVX-512 and AVX2 kernels disabled.
 """
 
 import random
@@ -16,13 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from neat_reference import SerialSoC
 
 from repro.api.parallel import ParallelFitnessEvaluator
 from repro.core.config import GeneSysConfig
 from repro.core.runner import config_for_env
 from repro.core.soc import GeneSysSoC
 from repro.envs.evaluate import FitnessEvaluator
-from repro.hw.adam import ADAM, InferencePlan
 from repro.hw.eve import EvEConfig
 from repro.neat import Genome, GenomeConfig, InnovationTracker
 from repro.neat.activations import ACTIVATIONS
@@ -109,13 +110,9 @@ def test_walk_lanes_and_adam_agree_bit_for_bit(data):
         runner.prune(keep)
         after = runner.step(second[keep])
 
-    adam = ADAM()
     for i, genome in enumerate(population):
         walk = FeedForwardNetwork.create(genome, CONFIG)
-        expected = bits(walk.activate(first[i].tolist()))
-        assert bits(before[i]) == expected
-        plan = InferencePlan.create(genome, CONFIG)
-        assert bits(adam.run(plan, first[i].tolist())) == expected
+        assert bits(before[i]) == bits(walk.activate(first[i].tolist()))
     for row, i in enumerate(np.flatnonzero(keep)):
         walk = FeedForwardNetwork.create(population[i], CONFIG)
         assert bits(after[row]) == bits(walk.activate(second[i].tolist()))
@@ -134,7 +131,6 @@ def test_sums_start_from_negative_zero():
     assert bits(FeedForwardNetwork.create(genome, CONFIG).activate(inputs)) == expected
     runner = StackedPlans([compile_network(genome, CONFIG)], CONFIG).lane_runner([0])
     assert bits(runner.step(np.array([inputs]))[0]) == expected
-    assert bits(ADAM().run(InferencePlan.create(genome, CONFIG), inputs)) == expected
 
 
 def mixed_activation_config(env_id, pop_size):
@@ -168,16 +164,16 @@ def test_fitnesses_agree_across_software_shapes(env_id):
 
 @pytest.mark.parametrize("env_id", ["CartPole-v0", "MountainCar-v0"])
 def test_soc_serial_and_batched_agree(env_id):
-    def reports(vectorize):
+    def reports(soc_class):
         config = GeneSysConfig(
             neat=mixed_activation_config(env_id, pop_size=24),
             eve=EvEConfig(num_pes=8), seed=2,
         )
-        soc = GeneSysSoC(config, env_id, max_steps=60, vectorize=vectorize)
+        soc = soc_class(config, env_id, max_steps=60)
         return [
             (r.stats.best_fitness, r.stats.mean_fitness, r.env_steps,
              astuple(r.inference), r.energy.total_energy_j)
             for r in (soc.run_generation() for _ in range(4))
         ]
 
-    assert reports(True) == reports(False)
+    assert reports(GeneSysSoC) == reports(SerialSoC)

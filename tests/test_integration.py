@@ -10,15 +10,8 @@ import pytest
 
 from repro.api import Experiment, ExperimentSpec
 from repro.core import GeneSysConfig, GeneSysSoC, TraceRecorder, config_for_env
-from repro.envs import EVALUATION_SUITE, make
-from repro.hw import (
-    ADAM,
-    EvEConfig,
-    InferencePlan,
-    decode_genome,
-    encode_genome,
-    quantize_genome,
-)
+from repro.envs import EVALUATION_SUITE
+from repro.hw import EvEConfig, decode_genome, encode_genome, quantize_genome
 from repro.neat.network import FeedForwardNetwork
 
 # Whole-system runs dominate suite wall time; the quick CI matrix skips
@@ -85,22 +78,6 @@ class TestHardwareFidelity:
             decoded = decode_genome(encode_genome(genome, config), genome.key, config)
             assert set(decoded.nodes) == set(genome.nodes)
             assert set(decoded.connections) == set(genome.connections)
-
-    def test_adam_equals_software_on_evolved_population(self):
-        result = run(
-            "CartPole-v0", max_generations=5, pop_size=20, seed=4, max_steps=60,
-            fitness_threshold=1e9,
-        )
-        config = result.population.config.genome
-        env = make("CartPole-v0", seed=0)
-        obs = env.reset()
-        for genome in list(result.population.population.values())[:10]:
-            net = FeedForwardNetwork.create(genome, config)
-            plan = InferencePlan.create(genome, config)
-            adam = ADAM()
-            assert [x.hex() for x in adam.run(plan, obs.tolist())] == [
-                x.hex() for x in net.activate(obs.tolist())
-            ]
 
     def test_quantised_genome_behaviour_close(self):
         """Q4.4 quantisation ('Limit & Quantize') perturbs the phenotype

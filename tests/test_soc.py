@@ -2,6 +2,7 @@
 
 import pytest
 from eve_reference import PackedGene
+from neat_reference import SerialSoC
 
 from repro.api import Experiment, ExperimentSpec
 from repro.core import soc as soc_module
@@ -157,20 +158,18 @@ def test_deterministic_given_seed():
 
 
 class TestVectorizedEvaluation:
-    """The population-batched evaluation path must be indistinguishable
-    from the serial per-genome walk — fitnesses, env steps, every ADAM
-    counter, and the whole energy ledger."""
+    """The soc's lanes and ADAM envelope must be indistinguishable from
+    the walkthrough genome by genome (``neat_reference.SerialSoC``):
+    fitnesses, env steps, every ADAM counter and the whole energy ledger,
+    at every generation."""
 
     @staticmethod
-    def _reports(env_id, vectorize, episodes=1, generations=6):
+    def _reports(env_id, soc_class, episodes=1, generations=6):
         from dataclasses import astuple
 
         neat = config_for_env(env_id, pop_size=14)
         config = GeneSysConfig(neat=neat, eve=EvEConfig(num_pes=8), seed=9)
-        soc = GeneSysSoC(
-            config, env_id, episodes=episodes, max_steps=40,
-            vectorize=vectorize,
-        )
+        soc = soc_class(config, env_id, episodes=episodes, max_steps=40)
         out = []
         for _ in range(generations):
             r = soc.run_generation()
@@ -183,19 +182,18 @@ class TestVectorizedEvaluation:
 
     @pytest.mark.parametrize("env_id", ["CartPole-v0", "MountainCar-v0"])
     def test_bit_identical_to_serial(self, env_id):
-        assert self._reports(env_id, True) == self._reports(env_id, False)
+        assert self._reports(env_id, GeneSysSoC) == self._reports(env_id, SerialSoC)
 
     def test_bit_identical_multi_episode(self):
-        assert self._reports("CartPole-v0", True, episodes=3) == \
-            self._reports("CartPole-v0", False, episodes=3)
+        assert self._reports("CartPole-v0", GeneSysSoC, episodes=3) == \
+            self._reports("CartPole-v0", SerialSoC, episodes=3)
 
     def test_env_steps_cover_every_episode(self):
-        """Regression: the serial path used to count only the last
+        """Regression: the serial walkthrough used to count only the last
         episode's steps per genome when episodes > 1."""
         neat = config_for_env("CartPole-v0", pop_size=8)
         config = GeneSysConfig(neat=neat, eve=EvEConfig(num_pes=8), seed=1)
-        soc = GeneSysSoC(config, "CartPole-v0", episodes=3, max_steps=25,
-                         vectorize=False)
+        soc = GeneSysSoC(config, "CartPole-v0", episodes=3, max_steps=25)
         soc.initialise_population()
         steps = soc.evaluate_population()
         # every episode runs at least one step, so 8 genomes x 3 episodes
@@ -208,21 +206,18 @@ class TestVectorizedEvaluation:
         serially but 17536 batched."""
         from dataclasses import astuple
 
-        def reports(vectorize):
+        def reports(soc_class):
             neat = config_for_env("CartPole-v0", pop_size=150)
             config = GeneSysConfig.paper_design_point(neat=neat)
             config.seed = 3
-            soc = GeneSysSoC(config, "CartPole-v0", vectorize=vectorize)
+            soc = soc_class(config, "CartPole-v0")
             return [
                 (astuple(r.stats), r.env_steps,
                  astuple(r.inference), astuple(r.energy), r.energy.total_energy_j)
                 for r in (soc.run_generation() for _ in range(11))
             ]
 
-        assert reports(True) == reports(False)
-
-    def test_vectorize_default_on(self, soc):
-        assert soc.vectorize is True
+        assert reports(GeneSysSoC) == reports(SerialSoC)
 
 
 def test_eve_children_stay_acyclic_on_seed_26():
