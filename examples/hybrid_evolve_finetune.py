@@ -15,10 +15,10 @@ This example does exactly that on a supervised regression task
    round trip back onto the GeneSys datapath.
 
 Usage:  python examples/hybrid_evolve_finetune.py
-The evolution stage is the spec-driven software loop; for gym-style
-workloads use `python -m repro run <env>` / `repro.api.run_experiment`
-(this example keeps a custom supervised fitness, passed as
-`fitness_transform`).
+The evolution stage is the NEAT library loop, `Population.run`, which
+takes this example's supervised fitness function directly; for
+gym-style workloads, where the environment's reward is the fitness, use
+`python -m repro run <env>` / `repro.api.run_experiment`.
 """
 
 import math

@@ -12,8 +12,9 @@ Public API tour:
 * :mod:`repro.hw` — cycle/energy models of the EvE evolution engine, the
   ADAM systolic inference engine, the banked genome SRAM and the NoC.
 * :mod:`repro.api` — the unified experiment API: :class:`ExperimentSpec`
-  (JSON-round-trippable), pluggable backends (``software``, ``soc``,
-  ``analytical:<platform>``) and parallel fitness evaluation.
+  (JSON-round-trippable, the whole experiment), three backends
+  (``software``, ``soc``, ``analytical:<platform>``) and parallel
+  fitness evaluation.
 * :mod:`repro.dse` — declarative design-space exploration: JSON sweep
   specs over experiment and hardware axes, incremental content-hash
   caching, Pareto analysis (``python -m repro dse``).

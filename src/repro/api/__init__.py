@@ -1,4 +1,4 @@
-"""Unified experiment API: one spec, pluggable backends, parallel evaluation.
+"""Unified experiment API: one spec, three backends, parallel evaluation.
 
 The paper's central claim is that *the same* evolutionary loop runs across
 many substrates — a software CPU baseline, the EvE/ADAM SoC, the Table III
@@ -7,12 +7,13 @@ changing (Section III-B).  This package is that claim as an API:
 
 * :class:`ExperimentSpec` — a frozen, JSON-round-trippable description of
   one experiment (workload + algorithm + backend + evaluation settings).
-* :class:`Experiment` — resolves a spec against a registered
-  :class:`Backend` and runs the closed loop.
-* :class:`Backend` — the substrate protocol.  Three implementations ship:
-  ``software`` (pure-software NEAT), ``soc`` (the EvE/ADAM hardware-in-
-  the-loop models) and ``analytical:<platform>`` (software evolution
-  costed through a Table III platform model).
+* :class:`Experiment` — resolves a spec, and nothing else, against one
+  of three backends and runs the closed loop: ``software``
+  (pure-software NEAT), ``soc`` (the EvE/ADAM hardware-in-the-loop
+  models) and ``analytical:<platform>`` (software evolution costed
+  through a Table III platform model).  The spec is the whole
+  experiment, so a run rebuilt from ``spec.json`` — resumed, served or
+  swept — is the same run.
 * :class:`RunResult` / :class:`GenerationMetrics` — the unified result
   every backend returns, with optional hardware reports and energy/cycle
   totals.
@@ -39,7 +40,6 @@ Quickstart::
 
 from .backends import (
     AnalyticalBackend,
-    Backend,
     EvaluationObserver,
     GenerationObserver,
     ResumeUnsupportedError,
@@ -50,7 +50,6 @@ from .backends import (
     UnknownBackendError,
     available_backends,
     make_backend,
-    register_backend,
 )
 from .experiment import Experiment, run_experiment
 from .parallel import ParallelFitnessEvaluator, build_evaluator
@@ -59,7 +58,6 @@ from .spec import ExperimentSpec, SpecError
 
 __all__ = [
     "AnalyticalBackend",
-    "Backend",
     "EvaluationObserver",
     "Experiment",
     "ExperimentSpec",
@@ -77,6 +75,5 @@ __all__ = [
     "available_backends",
     "build_evaluator",
     "make_backend",
-    "register_backend",
     "run_experiment",
 ]

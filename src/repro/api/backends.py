@@ -1,8 +1,8 @@
-"""Pluggable experiment backends and their string-keyed registry.
+"""The three experiment backends, one per evaluation substrate.
 
-A :class:`Backend` is a substrate that can run the paper's evolutionary
-loop for an :class:`repro.api.ExperimentSpec`.  Three ship here,
-mirroring the paper's three evaluation substrates:
+A backend runs the paper's evolutionary loop for an
+:class:`repro.api.ExperimentSpec`.  The spec's ``backend`` key picks
+one of three, mirroring the paper's three evaluation substrates:
 
 ``software``
     Pure-software NEAT — the CPU baseline path (Section III).
@@ -11,31 +11,29 @@ mirroring the paper's three evaluation substrates:
     on the System CPU, reproduction on the EvE PEs, inference on ADAM.
 ``analytical:<platform>``
     Software evolution costed through a platform model resolved from
-    the open :mod:`repro.platforms` registry (the Table III legend
-    names ``CPU_a`` … ``GPU_d``, ``GENESYS``, the ``soc`` design
-    point's analytical projection, and any custom registration); adds
-    modelled per-generation runtime and energy to the metrics.
+    the :mod:`repro.platforms` registry (the Table III legend names
+    ``CPU_a`` … ``GPU_d``, ``GENESYS``, the ``soc`` design point's
+    analytical projection, and any registered spec); adds modelled
+    per-generation runtime and energy to the metrics.
 
 Both hardware-substrate backends resolve their platform through the
 registry: ``analytical:<name>`` looks the name up, and an
-:class:`ExperimentSpec` with an embedded ``platform`` block hands the
-spec straight to the backend (``analytical`` cost models and the
-``soc`` cycle-level design point alike), so registering a platform is
-all it takes to run experiments on it.
+:class:`ExperimentSpec` with an embedded ``platform`` block hands it
+straight to the backend (``analytical`` cost models and the ``soc``
+cycle-level design point alike), so registering a platform spec is all
+it takes to run experiments on it.
 
-The registry is string-keyed like :mod:`repro.envs.registry`; the part
-after a ``:`` parameterises the backend (the platform legend name).
-All backends return one unified :class:`repro.api.RunResult` and accept
-``on_generation`` / ``on_evaluation`` observer callbacks so analysis code
-never reaches into :class:`repro.neat.Population` internals.
+The set is fixed: :func:`make_backend` dispatches over these three, so
+a spec names everything that shapes its run and a resumed, served or
+swept run rebuilt from ``spec.json`` is the same run.  All backends
+return one unified :class:`repro.api.RunResult` and accept
+``on_generation`` / ``on_evaluation`` observer callbacks so analysis
+code never reaches into :class:`repro.neat.Population` internals.
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import (
-    Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple, Union,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..core.config import GeneSysConfig
@@ -81,78 +79,6 @@ class UnknownBackendError(KeyError):
 
 class ResumeUnsupportedError(SpecError):
     """Raised when a backend is handed a resume state it cannot honour."""
-
-
-class Backend(Protocol):
-    """The substrate protocol: resolve a spec into a unified result.
-
-    ``on_state``, ``resume_state`` and ``should_stop`` are optional
-    capabilities: the software-loop backends (``software``,
-    ``analytical:*``) implement all three; the ``soc`` backend ignores
-    ``on_state`` (its population lives inside the chip model), rejects
-    ``resume_state`` and honours ``should_stop`` (a stopped chip run
-    simply ends early).
-    """
-
-    name: str
-
-    def run(
-        self,
-        spec: ExperimentSpec,
-        on_generation: Optional[GenerationObserver] = None,
-        on_evaluation: Optional[EvaluationObserver] = None,
-        on_state: Optional[StateObserver] = None,
-        resume_state: Optional[Dict] = None,
-        should_stop: Optional[ShouldStop] = None,
-        resume_metrics: Optional[Sequence[Dict]] = None,
-    ) -> RunResult:
-        ...  # pragma: no cover - protocol
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-
-_REGISTRY: Dict[str, Callable[..., Backend]] = {}
-
-
-def register_backend(name: str, factory: Callable[..., Backend]) -> None:
-    """Register a backend factory under a base name.
-
-    The factory is called as ``factory(arg=<suffix or None>, **options)``
-    where ``<suffix>`` is the part after ``:`` in the requested name.
-    """
-    _REGISTRY[name] = factory
-
-
-def make_backend(name: str, **options) -> Backend:
-    """Instantiate a backend by registry key, e.g. ``analytical:GENESYS``.
-
-    An option the factory does not take raises :class:`SpecError`
-    before the factory runs.
-    """
-    base, _, arg = name.partition(":")
-    if base not in _REGISTRY:
-        raise UnknownBackendError(
-            f"unknown backend {name!r}; known: {available_backends()}"
-        )
-    factory = _REGISTRY[base]
-    try:
-        inspect.signature(factory).bind(arg=arg or None, **options)
-    except TypeError as exc:
-        raise SpecError(f"invalid options for the {base} backend: {exc}") from None
-    return factory(arg=arg or None, **options)
-
-
-def available_backends() -> List[str]:
-    """Every resolvable backend key, with analytical platforms expanded."""
-    names: List[str] = []
-    for base in sorted(_REGISTRY):
-        if base == "analytical":
-            names.extend(f"analytical:{p}" for p in platform_names())
-        else:
-            names.append(base)
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +177,6 @@ class _SoftwareGenerations:
         self,
         spec: ExperimentSpec,
         config: NEATConfig,
-        fitness_transform: Optional[Callable[[float], float]] = None,
         on_workload: Optional[
             Callable[[GenerationMetrics, GenerationWorkload], None]
         ] = None,
@@ -260,7 +185,6 @@ class _SoftwareGenerations:
     ) -> None:
         self.spec = spec
         self.config = config
-        self.fitness_transform = fitness_transform
         self.on_workload = on_workload
         self.start_value: Optional[float] = None
         if resume_state is not None:
@@ -290,7 +214,6 @@ class _SoftwareGenerations:
             episodes=spec.episodes,
             max_steps=spec.max_steps,
             seed=spec.seed,
-            fitness_transform=self.fitness_transform,
             workers=spec.workers,
             vectorizer=spec.vectorizer,
             start_generation=generation,
@@ -423,14 +346,6 @@ class SoftwareBackend:
     #: Prices each generation's workload into its row (analytical only).
     _on_workload = None
 
-    def __init__(self, arg: Optional[str] = None,
-                 fitness_transform: Optional[Callable[[float], float]] = None) -> None:
-        if arg:
-            raise UnknownBackendError(
-                f"the software backend takes no ':{arg}' parameter"
-            )
-        self.fitness_transform = fitness_transform
-
     def run(
         self,
         spec: ExperimentSpec,
@@ -443,9 +358,8 @@ class SoftwareBackend:
     ) -> RunResult:
         config = config_for_env(spec.env_id, spec.pop_size, spec.fitness_threshold)
         substrate = _SoftwareGenerations(
-            spec, config, fitness_transform=self.fitness_transform,
-            on_workload=self._on_workload, resume_state=resume_state,
-            resume_metrics=resume_metrics,
+            spec, config, on_workload=self._on_workload,
+            resume_state=resume_state, resume_metrics=resume_metrics,
         )
         return _run_software_loop(
             spec, substrate, self.name, on_generation, on_evaluation,
@@ -453,14 +367,13 @@ class SoftwareBackend:
         )
 
 
-def _platform_option(
-    backend: str, platform: Union[str, Mapping, PlatformSpec, Platform]
-) -> Platform:
-    """Build the platform a backend's ``platform`` option names: a
-    registered name, a :class:`repro.platforms.PlatformSpec` or its dict
-    form, or an already-built :class:`repro.platforms.Platform`."""
-    if isinstance(platform, Platform):
-        return platform
+#: What names a backend's platform: a registered name, a
+#: :class:`repro.platforms.PlatformSpec` or its dict form.
+PlatformOption = Union[str, Mapping, PlatformSpec]
+
+
+def _platform_option(backend: str, platform: PlatformOption) -> Platform:
+    """Build the platform a backend's ``platform`` option names."""
     try:
         return make_platform(platform)
     except UnknownPlatformError as exc:
@@ -481,35 +394,15 @@ class AnalyticalBackend(SoftwareBackend):
     modelled runtime and energy a real deployment on that platform would
     exhibit (the per-generation bars of Fig. 9).
 
-    The platform resolves through the open registry
-    (:mod:`repro.platforms`): ``platform`` may be a registered name
-    (what ``'analytical:<name>'`` passes via ``arg``), a
-    :class:`repro.platforms.PlatformSpec`, its dict form, or an
-    already-built :class:`repro.platforms.Platform` — the path an
-    :class:`ExperimentSpec` with an embedded ``platform`` block takes.
+    ``platform`` resolves through the registry (:mod:`repro.platforms`):
+    a registered name (what ``'analytical:<name>'`` names), or the
+    :class:`repro.platforms.PlatformSpec` an :class:`ExperimentSpec`
+    embeds as its ``platform`` block.
     """
 
-    name = "analytical"
-
-    def __init__(self, arg: Optional[str] = None,
-                 platform: Optional[Union[str, Mapping, PlatformSpec, Platform]] = None,
-                 fitness_transform: Optional[Callable[[float], float]] = None) -> None:
-        if arg and platform is not None:
-            raise UnknownBackendError(
-                f"the analytical backend got both ':{arg}' and an "
-                "explicit platform; pass one"
-            )
-        platform = arg or platform
-        if platform is None:
-            raise UnknownBackendError(
-                "the analytical backend needs a platform — use "
-                "'analytical:<platform>' (or embed a platform spec) "
-                f"with one of: {platform_names()}"
-            )
+    def __init__(self, platform: PlatformOption) -> None:
         self.platform = _platform_option("analytical", platform)
-        self.platform_name = self.platform.name
-        self.fitness_transform = fitness_transform
-        self.name = f"analytical:{self.platform_name}"
+        self.name = f"analytical:{self.platform.name}"
 
     def _on_workload(
         self, metrics: GenerationMetrics, workload: GenerationWorkload
@@ -534,24 +427,16 @@ class SoCBackend:
 
     The hardware design point is a ``soc``-kind
     :class:`repro.platforms.PlatformSpec`: the ``platform`` option (a
-    spec, its dict form, a registered name or a
-    :class:`repro.platforms.SoCPlatform`; :class:`repro.api.Experiment`
-    passes the spec's embedded ``platform`` block), else
-    ``spec.platform``, else the paper's design point.
+    spec, its dict form or a registered name;
+    :class:`repro.api.Experiment` passes the spec's embedded
+    ``platform`` block), else ``spec.platform``, else the paper's design
+    point.
     """
 
     name = "soc"
 
-    def __init__(
-        self,
-        arg: Optional[str] = None,
-        platform: Optional[Union[str, Mapping, PlatformSpec, SoCPlatform]] = None,
-    ) -> None:
-        if arg:
-            raise UnknownBackendError(
-                f"the soc backend takes no ':{arg}' parameter"
-            )
-        self.platform: Optional[Platform] = None
+    def __init__(self, platform: Optional[PlatformOption] = None) -> None:
+        self.platform: Optional[SoCPlatform] = None
         if platform is not None:
             self.platform = _platform_option("soc", platform)
             if not isinstance(self.platform, SoCPlatform):
@@ -606,6 +491,49 @@ class SoCBackend:
         return result
 
 
-register_backend("software", SoftwareBackend)
-register_backend("soc", SoCBackend)
-register_backend("analytical", AnalyticalBackend)
+# ---------------------------------------------------------------------------
+# dispatch
+
+
+def make_backend(
+    name: str, platform: Optional[PlatformOption] = None
+) -> Union[SoftwareBackend, SoCBackend]:
+    """The backend a spec's ``backend`` key names: ``software``, ``soc``
+    or ``analytical:<platform>``.
+
+    ``platform`` is the spec's embedded platform block (or a registered
+    name): the cost model of a bare ``analytical`` backend, or the
+    ``soc`` design point.
+    """
+    base, _, arg = name.partition(":")
+    if base == "analytical":
+        if arg and platform is not None:
+            raise UnknownBackendError(
+                f"the analytical backend got both ':{arg}' and an "
+                "explicit platform; pass one"
+            )
+        if not arg and platform is None:
+            raise UnknownBackendError(
+                "the analytical backend needs a platform — use "
+                "'analytical:<platform>' (or embed a platform spec) "
+                f"with one of: {platform_names()}"
+            )
+        return AnalyticalBackend(arg or platform)
+    if base not in ("software", "soc"):
+        raise UnknownBackendError(
+            f"unknown backend {name!r}; known: {available_backends()}"
+        )
+    if arg:
+        raise UnknownBackendError(
+            f"the {base} backend takes no ':{arg}' parameter"
+        )
+    if base == "soc":
+        return SoCBackend(platform)
+    if platform is not None:
+        raise SpecError("the software backend takes no platform")
+    return SoftwareBackend()
+
+
+def available_backends() -> List[str]:
+    """Every resolvable backend key, with analytical platforms expanded."""
+    return [f"analytical:{p}" for p in platform_names()] + ["soc", "software"]

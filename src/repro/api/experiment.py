@@ -1,9 +1,11 @@
 """The experiment runner: resolve a spec against a backend and go.
 
 :class:`Experiment` is the single entry point the CLI, the examples, the
-benchmarks, :mod:`repro.runs` and :mod:`repro.dse` all share.  The one
-non-JSON argument, a fitness transform callable, is passed to the
-constructor; everything else lives on the spec.
+benchmarks, :mod:`repro.runs` and :mod:`repro.dse` all share.  It takes
+the spec alone: everything that shapes a run lives on the spec, so a
+run rebuilt from its ``spec.json`` (a resume, a serve worker, a sweep
+point) is the same run.  Observer callbacks watch a run; they do not
+change it.
 
 Durable, resumable runs layer on top of this module: pass ``run_dir``
 to :func:`run_experiment` (or use :func:`repro.runs.run_in_dir`
@@ -15,10 +17,9 @@ see :mod:`repro.runs`.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from .backends import (
-    Backend,
     EvaluationObserver,
     GenerationObserver,
     ShouldStop,
@@ -30,33 +31,11 @@ from .spec import ExperimentSpec
 
 
 class Experiment:
-    """One experiment: a spec plus the backend that will run it.
+    """One experiment: a spec plus the backend that will run it."""
 
-    Parameters
-    ----------
-    spec:
-        The :class:`ExperimentSpec` to run.
-    fitness_transform:
-        Optional callable applied to each genome's mean episode reward
-        before it becomes fitness (the paper's "only the fitness
-        function changes between workloads").
-    """
-
-    def __init__(
-        self,
-        spec: ExperimentSpec,
-        fitness_transform: Optional[Callable[[float], float]] = None,
-    ) -> None:
+    def __init__(self, spec: ExperimentSpec) -> None:
         self.spec = spec
-        options: Dict[str, Any] = dict(spec.backend_options)
-        if fitness_transform is not None:
-            options["fitness_transform"] = fitness_transform
-        # The spec's platform block reaches the built-in substrate
-        # factories as their 'platform' option; custom backends read
-        # spec.platform themselves in run().
-        if spec.backend.partition(":")[0] in ("analytical", "soc"):
-            options["platform"] = spec.platform
-        self.backend: Backend = make_backend(spec.backend, **options)
+        self.backend = make_backend(spec.backend, spec.platform)
 
     def run(
         self,
@@ -77,24 +56,11 @@ class Experiment:
         cooperatively at that boundary (``result.stopped_early`` marks
         such runs).  ``resume_metrics`` (the already-recorded metrics
         rows, generation order) lets a scenario run replay its
-        curriculum fold on resume.  All are forwarded only when set, so
-        backends registered before these capabilities existed keep
-        working unchanged.
+        curriculum fold on resume.
         """
-        extra: Dict[str, Any] = {}
-        if on_state is not None:
-            extra["on_state"] = on_state
-        if resume_state is not None:
-            extra["resume_state"] = resume_state
-        if should_stop is not None:
-            extra["should_stop"] = should_stop
-        if resume_metrics is not None:
-            extra["resume_metrics"] = resume_metrics
         return self.backend.run(
-            self.spec,
-            on_generation=on_generation,
-            on_evaluation=on_evaluation,
-            **extra,
+            self.spec, on_generation, on_evaluation, on_state,
+            resume_state, should_stop, resume_metrics,
         )
 
 
@@ -105,7 +71,6 @@ def run_experiment(
     run_dir: Optional[Union[str, Path]] = None,
     resume: Union[bool, str] = False,
     checkpoint_every: Optional[int] = None,
-    **experiment_kwargs,
 ) -> RunResult:
     """Convenience: run a spec object or a spec JSON file in one call.
 
@@ -121,20 +86,16 @@ def run_experiment(
     if run_dir is not None:
         from ..runs import run_in_dir
 
-        runs_kwargs: Dict[str, Any] = {}
-        if checkpoint_every is not None:
-            runs_kwargs["checkpoint_every"] = checkpoint_every
         return run_in_dir(
             spec,
             run_dir,
             resume=resume,
+            checkpoint_every=checkpoint_every,
             on_generation=on_generation,
             on_evaluation=on_evaluation,
-            **runs_kwargs,
-            **experiment_kwargs,
         )
     if resume:
         raise ValueError("resume requires run_dir (a directory to resume from)")
-    return Experiment(spec, **experiment_kwargs).run(
+    return Experiment(spec).run(
         on_generation=on_generation, on_evaluation=on_evaluation
     )

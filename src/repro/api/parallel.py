@@ -25,7 +25,7 @@ lockstep, so large populations batch *within* processes while sharding
 from __future__ import annotations
 
 import multiprocessing
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from .. import obs
 from ..envs.evaluate import (
@@ -52,11 +52,8 @@ def _init_worker(executor: Executor, genome_config) -> None:
 
 
 def _evaluate_genome(task: Task) -> Outcome:
-    """Roll one genome out over its pre-derived episode seeds.
-
-    The reduce happens in the parent, so non-picklable fitness
-    transforms keep working.
-    """
+    """Roll one genome out over its pre-derived episode seeds; the
+    parent reduces the outcomes."""
     return _WORKER_EXECUTOR.scalar([task], _WORKER_GENOME_CONFIG)[0]
 
 
@@ -131,7 +128,7 @@ class ParallelFitnessEvaluator(FitnessEvaluator):
                 ]
             else:
                 outcomes = pool.map(_evaluate_genome, tasks)
-        reduce_outcomes(genomes, outcomes, self.totals, self.fitness_transform)
+        reduce_outcomes(genomes, outcomes, self.totals)
         self._generation += 1
 
     def close(self) -> None:
@@ -166,7 +163,6 @@ def build_evaluator(
     episodes: int = 1,
     max_steps: Optional[int] = None,
     seed: Optional[int] = 0,
-    fitness_transform: Optional[Callable[[float], float]] = None,
     workers: int = 1,
     vectorizer: str = "scalar",
     start_generation: int = 0,
@@ -188,7 +184,6 @@ def build_evaluator(
         episodes=episodes,
         max_steps=max_steps,
         seed=seed,
-        fitness_transform=fitness_transform,
         start_generation=start_generation,
         scenario=scenario,
         vectorizer=vectorizer,

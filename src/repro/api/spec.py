@@ -40,11 +40,12 @@ def is_integer(value: Any) -> bool:
 class ExperimentSpec(JsonRecord):
     """Everything needed to reproduce one experiment, JSON-serialisable.
 
-    ``backend`` is a registry key (``software``, ``soc``,
-    ``analytical:<platform>``); ``backend_options`` carries only a
-    registered backend's own JSON settings (no built-in backend takes
-    any).  The hardware design point is named only by the ``platform``
-    block, never by an option.
+    ``backend`` names one of the three backends (``software``, ``soc``,
+    ``analytical:<platform>``).  The hardware design point is named only
+    by the ``platform`` block.  ``backend_options`` must stay empty: no
+    backend takes options, and the field remains only because stored
+    spec files, goldens and DSE cache keys hold ``"backend_options":
+    {}``.
     """
 
     error = SpecError
@@ -112,12 +113,13 @@ class ExperimentSpec(JsonRecord):
             raise SpecError(
                 f"backend_options must be an object, got {self.backend_options!r}"
             )
-        if "platform" in self.backend_options:
+        if self.backend_options:
             raise SpecError(
-                "backend_options cannot name a platform; embed it as the "
-                "spec's 'platform' block"
+                f"backend_options must be empty, got {dict(self.backend_options)!r}: "
+                "no backend takes options (a hardware design point is the "
+                "spec's 'platform' block)"
             )
-        object.__setattr__(self, "backend_options", dict(self.backend_options))
+        object.__setattr__(self, "backend_options", {})
         if self.platform is not None:
             try:
                 platform = as_platform_spec(self.platform)

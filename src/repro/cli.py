@@ -3,8 +3,8 @@
 Commands
 --------
 ``envs``                      list the environment suite (Table I)
-``backends``                  list the registered experiment backends
-``run [ENV]``                 evolve ENV on any registered backend
+``backends``                  list the experiment backend keys
+``run [ENV]``                 evolve ENV on any backend
 ``infer CHAMPION ENV``        roll out a saved champion
 ``characterise [ENV]``        Fig. 4/5-style workload characterisation
 ``platforms``                 the platform registry (``--json`` for the
@@ -72,26 +72,18 @@ _SPEC_DEFAULTS = {
 
 
 def _resolve_platform_flag(value: str):
-    """``--platform`` FILE-or-name -> (PlatformSpec | None, backend | None).
+    """``--platform`` FILE-or-name -> :class:`repro.platforms.PlatformSpec`.
 
-    A JSON file loads as a :class:`repro.platforms.PlatformSpec`; a
-    registered name resolves through the registry.  Spec-backed entries
-    embed on the experiment spec (the declarative path); factory-backed
-    custom registrations have no spec, so they run as the
-    ``analytical:<name>`` backend instead.
+    A JSON file loads as a PlatformSpec; a registered name resolves
+    through the registry.  Either embeds on the experiment spec.
     """
     from pathlib import Path
 
-    from .platforms import PlatformSpec, PlatformSpecError, platform_spec
+    from .platforms import PlatformSpec, platform_spec
 
     if Path(value).is_file():
-        pspec = PlatformSpec.load(value)
-    else:
-        try:
-            pspec = platform_spec(value)
-        except PlatformSpecError:
-            return None, f"analytical:{value}"  # factory-backed entry
-    return pspec, ("soc" if pspec.kind == "soc" else "analytical")
+        return PlatformSpec.load(value)
+    return platform_spec(value)
 
 
 def _resolve_scenario_flag(value: str):
@@ -116,18 +108,9 @@ def _spec_from_args(args: argparse.Namespace):
     backend = getattr(args, "backend", None)
     platform = None
     if getattr(args, "platform", None) is not None:
-        platform, platform_backend = _resolve_platform_flag(args.platform)
+        platform = _resolve_platform_flag(args.platform)
         if backend is None:
-            backend = platform_backend
-        elif platform is None and backend != platform_backend:
-            # Factory-backed platforms run only as their analytical
-            # backend; a conflicting explicit --backend would silently
-            # drop the platform request, so reject it instead.
-            raise SystemExit(
-                f"error: --platform {args.platform} runs as "
-                f"--backend {platform_backend}; it conflicts with "
-                f"--backend {backend}"
-            )
+            backend = "soc" if platform.kind == "soc" else "analytical"
     scenario = None
     if getattr(args, "scenario", None) is not None:
         scenario = _resolve_scenario_flag(args.scenario)
@@ -176,7 +159,7 @@ def _cmd_envs(_args: argparse.Namespace) -> int:
 def _cmd_backends(_args: argparse.Namespace) -> int:
     from .api import available_backends
 
-    print("Registered experiment backends:")
+    print("Experiment backends:")
     for name in available_backends():
         print(f"  {name}")
     return 0
@@ -375,19 +358,17 @@ def _cmd_platforms(args: argparse.Namespace) -> int:
         import json
 
         payload = {
-            name: (spec.to_dict() if spec is not None else None)
+            name: spec.to_dict()
             for name, spec in registered_platforms().items()
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
 
     if args.env is None and not args.spec:
-        rows = []
-        for name, spec in registered_platforms().items():
-            if spec is None:
-                rows.append([name, "custom", "(factory-backed cost model)"])
-            else:
-                rows.append([name, spec.kind, _params_summary(spec)])
+        rows = [
+            [name, spec.kind, _params_summary(spec)]
+            for name, spec in registered_platforms().items()
+        ]
         print(render_table(
             ["platform", "kind", "parameters"], rows,
             title="Platform registry (repro.platforms; Table III + soc)",
@@ -1085,7 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_envs
     )
     sub.add_parser(
-        "backends", help="list the registered experiment backends"
+        "backends", help="list the experiment backend keys"
     ).set_defaults(func=_cmd_backends)
 
     def add_workload_args(p: argparse.ArgumentParser,
@@ -1190,8 +1171,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_args(plat, whole_budget)
     plat.add_argument("--json", action="store_true",
                       help="print the registry as JSON (platform name -> "
-                           "PlatformSpec dict; null for factory-backed "
-                           "custom entries)")
+                           "PlatformSpec dict)")
     plat.set_defaults(func=_cmd_platforms)
 
     scen = sub.add_parser(
@@ -1216,7 +1196,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dse",
         help="run a declarative design-space sweep (repro.dse)",
         description="Expand a SweepSpec JSON file into experiment points, "
-                    "run them through the backend registry with on-disk "
+                    "run them through the experiment backends with on-disk "
                     "memoisation, and tabulate/export the results.  Axes "
                     "span experiment-spec fields and unified platform-"
                     "spec fields (platform.eve_pes, platform.noc, "

@@ -10,7 +10,7 @@ sweeps, NoC ablations, cross-platform runtime/energy comparisons
   ``platform.noc``, ``platform.scheduler``, ``platform.adam_shape``, …),
   expanded by ``grid`` or seeded ``random`` sampling.
 * :class:`SweepRunner` / :func:`run_sweep` — executes points through the
-  registered backends with process-pool parallelism across points
+  experiment backends with process-pool parallelism across points
   (``jobs=N``) and content-hash memoisation on disk, so re-running an
   edited sweep only evaluates the new points.
 * :class:`SweepResult` — the per-point metrics table (fitness,

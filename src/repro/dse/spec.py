@@ -301,9 +301,8 @@ class SweepSpec(JsonRecord):
         platform *kind* apply — a ``platform.eve_pes`` axis shapes the
         ``soc`` points of a mixed-backend sweep and leaves an
         ``analytical:CPU_a`` point's spec untouched, so the unaffected
-        points collapse to one evaluation in the cache.  Backends
-        without a platform notion (``software``, custom) are never
-        touched.
+        points collapse to one evaluation in the cache.  The
+        ``software`` backend has no platform and is never touched.
         """
         base_name, _, arg = spec.backend.partition(":")
         try:
@@ -313,10 +312,7 @@ class SweepSpec(JsonRecord):
                 if base_name == "soc":
                     target = PlatformSpec("soc")
                 elif base_name == "analytical" and arg:
-                    try:
-                        target = platform_spec(arg)
-                    except PlatformSpecError:
-                        return spec  # factory-backed: no declarative params
+                    target = platform_spec(arg)
                     new_backend = "analytical"
             if target is None:
                 return spec

@@ -17,7 +17,6 @@ from .batched import (
     VectorizedCartPole,
     VectorizedMountainCar,
     make_batched,
-    register_batched,
 )
 from .bipedal import BipedalWalkerEnv
 from .cartpole import CartPoleEnv
@@ -84,7 +83,6 @@ __all__ = [
     "make_batched",
     "make_rng",
     "register",
-    "register_batched",
     "run_episode",
     "run_episodes_batched",
     "unregister",

@@ -270,16 +270,11 @@ class VectorizedMountainCar(_StateMatrixEnv):
 
 
 #: Environment ids with a numpy physics port; everything else falls back
-#: to :class:`LockstepEnvs`.  Extend via :func:`register_batched`.
-_BATCHED_REGISTRY: Dict[str, Callable[[str], BatchedEnv]] = {
+#: to :class:`LockstepEnvs`.
+_VECTORIZED_PORTS: Dict[str, Type[_StateMatrixEnv]] = {
     "CartPole-v0": VectorizedCartPole,
     "MountainCar-v0": VectorizedMountainCar,
 }
-
-
-def register_batched(env_id: str, factory: Callable[[str], BatchedEnv]) -> None:
-    """Register a vectorized port for an environment id."""
-    _BATCHED_REGISTRY[env_id] = factory
 
 
 def make_batched(
@@ -297,12 +292,12 @@ def make_batched(
     which steps the factory's envs directly and is therefore
     bit-identical to the scalar path by construction.
     """
-    vectorized = _BATCHED_REGISTRY.get(env_id)
+    vectorized = _VECTORIZED_PORTS.get(env_id)
     if vectorized is not None:
         if factory is None:
             return vectorized(env_id)
         try:
             return vectorized(env_id, template=factory())
-        except (BatchedTemplateError, TypeError):
-            pass  # third-party ports without template support also fall back
+        except BatchedTemplateError:
+            pass
     return LockstepEnvs(env_id, factory=factory)

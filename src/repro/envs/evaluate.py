@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -395,23 +395,18 @@ def reduce_outcomes(
     genomes: Sequence[Genome],
     outcomes: Sequence[Outcome],
     totals: EvaluationTotals,
-    fitness_transform: Optional[Callable[[float], float]] = None,
 ) -> None:
     """Step 6: each genome's fitness is its mean episode reward.
 
-    ``genomes[i]`` receives ``outcomes[i]``'s fitness (after the
-    optional ``fitness_transform``) and the outcomes' episodes, steps
-    and MACs accumulate into ``totals``.
+    ``genomes[i]`` receives ``outcomes[i]``'s fitness and the outcomes'
+    episodes, steps and MACs accumulate into ``totals``.
     """
     for genome, (key, rewards, steps, macs) in zip(genomes, outcomes):
         if key != genome.key:  # executors keep task order; belt and braces
             raise RuntimeError(
                 f"evaluation order mismatch: {key} != {genome.key}"
             )
-        fitness = sum(rewards) / len(rewards)
-        if fitness_transform is not None:
-            fitness = fitness_transform(fitness)
-        genome.fitness = fitness
+        genome.fitness = sum(rewards) / len(rewards)
         totals.episodes += len(rewards)
         totals.steps += steps
         totals.macs += macs
@@ -423,8 +418,8 @@ class FitnessEvaluator:
     Evaluates each genome over ``episodes`` rollouts with per-genome
     derived seeds and assigns the mean cumulative reward as fitness
     (step 6: "The reward value is then translated into a fitness value").
-    A custom ``fitness_transform`` supports the paper's observation that
-    only the fitness function changes between workloads.
+    Each workload's fitness is its environment's reward, so the
+    environment id (and scenario) names it.
 
     ``vectorizer`` picks the executor path: ``"scalar"`` walks each
     network node by node, ``"numpy"`` rolls the population out on
@@ -437,7 +432,6 @@ class FitnessEvaluator:
         episodes: int = 1,
         max_steps: Optional[int] = None,
         seed: Optional[int] = 0,
-        fitness_transform: Optional[Callable[[float], float]] = None,
         start_generation: int = 0,
         scenario=None,
         vectorizer: str = "scalar",
@@ -448,7 +442,6 @@ class FitnessEvaluator:
             )
         self.episodes = episodes
         self.seed = seed
-        self.fitness_transform = fitness_transform
         self.vectorizer = vectorizer
         self.executor = Executor(env_id, max_steps=max_steps, scenario=scenario)
         self.totals = EvaluationTotals()
@@ -471,7 +464,7 @@ class FitnessEvaluator:
             )
         else:
             outcomes = self.executor.scalar(tasks, config.genome)
-        reduce_outcomes(genomes, outcomes, self.totals, self.fitness_transform)
+        reduce_outcomes(genomes, outcomes, self.totals)
         self._generation += 1
 
     def close(self) -> None:

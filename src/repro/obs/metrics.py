@@ -254,6 +254,33 @@ class MetricsRegistry:
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: How often a served thread checks for a shutdown request.
+#: ``serve_forever``'s default of 0.5 s made every stop block that long.
+SHUTDOWN_POLL_S = 0.05
+
+
+def serve_in_thread(server: ThreadingHTTPServer, name: str) -> threading.Thread:
+    """Serve ``server`` on a daemon thread (requests on daemon threads
+    too) that :func:`stop_server` ends within :data:`SHUTDOWN_POLL_S`."""
+    server.daemon_threads = True
+    thread = threading.Thread(
+        target=server.serve_forever, args=(SHUTDOWN_POLL_S,), name=name,
+        daemon=True,
+    )
+    thread.start()
+    return thread
+
+
+def stop_server(
+    server: ThreadingHTTPServer, thread: Optional[threading.Thread]
+) -> None:
+    """Stop the ``thread`` :func:`serve_in_thread` started (if any) and
+    free the server's port; safe to repeat."""
+    if thread is not None:
+        server.shutdown()
+        thread.join()
+    server.server_close()
+
 
 class MetricsServer:
     """A standalone ``GET /metrics`` endpoint for one registry.
@@ -304,22 +331,13 @@ class MetricsServer:
         self._server = ThreadingHTTPServer(
             (self.host, self._requested_port), Handler
         )
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True,
-            name="metrics-server",
-        )
-        self._thread.start()
+        self._thread = serve_in_thread(self._server, "metrics-server")
         return self
 
     def stop(self) -> None:
         if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+            stop_server(self._server, self._thread)
+            self._server = self._thread = None
 
     def __enter__(self) -> "MetricsServer":
         return self.start()

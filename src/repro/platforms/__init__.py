@@ -9,9 +9,9 @@ Two pieces compose here:
   for the DSE cache.
 * the open registry (:mod:`repro.platforms.registry`) — every Table III
   legend name and the ``soc`` design point as entries;
-  :func:`register_platform` adds custom platforms (specs or factories)
-  that immediately become ``analytical:<name>`` backends and CLI rows
-  without touching backend or sweep code.
+  :func:`register_platform` adds a custom platform spec that immediately
+  becomes an ``analytical:<name>`` backend and a CLI row without
+  touching backend or sweep code.
 
 ``make_platform`` accepts a registered name, a :class:`PlatformSpec`,
 or a raw spec dict; unknown names raise :class:`UnknownPlatformError`

@@ -1,13 +1,12 @@
 """The open, string-keyed platform registry.
 
-Mirrors :mod:`repro.api.backends`' backend registry and
-:mod:`repro.envs.registry`: every platform — the nine Table III legend
-names *and* the cycle-level ``soc`` design point — is one entry, and
-user code adds its own with :func:`register_platform` without touching
-backend or sweep code.  An entry is either a declarative
-:class:`repro.platforms.PlatformSpec` (built through its kind's model
-family) or, for fully custom cost models, a zero-argument factory
-returning a :class:`repro.platforms.Platform`.
+Mirrors :mod:`repro.envs.registry`: every platform — the nine Table III
+legend names *and* the cycle-level ``soc`` design point — is one entry,
+and user code adds its own with :func:`register_platform` without
+touching backend or sweep code.  An entry is a declarative
+:class:`repro.platforms.PlatformSpec`, built through its kind's model
+family, so every registered platform can be embedded in an experiment
+spec, swept by ``platform.*`` axes and dumped as JSON.
 
 :func:`make_platform` accepts a registered name, a spec, or a raw dict
 (the JSON form); unknown names raise :class:`UnknownPlatformError`
@@ -17,7 +16,7 @@ listing what is registered.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, List, Mapping, Union
 
 from .base import Platform
 from .cpu import A57_PARAMS, CPUPlatform, I7_PARAMS
@@ -31,8 +30,6 @@ from .spec import (
     UnknownPlatformError,
     as_platform_spec,
 )
-
-PlatformFactory = Callable[[], Platform]
 
 #: kind -> the model family built as ``model(spec.name, spec.params)``.
 _MODELS: Dict[str, Callable[[str, object], Platform]] = {
@@ -57,8 +54,7 @@ def build_platform(
 
 @dataclass(frozen=True)
 class _Entry:
-    spec: Optional[PlatformSpec]
-    factory: Optional[PlatformFactory]
+    spec: PlatformSpec
     table3: bool  # one of the paper's Table III legend rows?
 
 
@@ -67,32 +63,24 @@ _REGISTRY: Dict[str, _Entry] = {}
 
 def register_platform(
     name: str,
-    spec_or_factory: Union[PlatformSpec, Mapping[str, object], PlatformFactory],
+    spec: Union[PlatformSpec, Mapping[str, object]],
     *,
     table3: bool = False,
 ) -> None:
-    """Register (or override) a platform under a legend name.
+    """Register (or override) a platform spec (or its dict form) under a
+    legend name.
 
-    ``spec_or_factory`` is a :class:`PlatformSpec` (or its dict form) —
-    the declarative path — or a zero-argument callable returning a
-    :class:`Platform` for custom cost models.  Re-registering a name
-    replaces the entry (latest wins), which is how tests and notebooks
-    shadow a built-in with a variant.
+    Re-registering a name replaces the entry (latest wins), which is
+    how tests and notebooks shadow a built-in with a variant.
     """
     if not name or not isinstance(name, str):
         raise PlatformSpecError(
             f"platform name must be a non-empty string, got {name!r}"
         )
-    if callable(spec_or_factory) and not isinstance(
-        spec_or_factory, (PlatformSpec, Mapping)
-    ):
-        _REGISTRY[name] = _Entry(spec=None, factory=spec_or_factory,
-                                 table3=table3)
-        return
-    spec = as_platform_spec(spec_or_factory)
+    spec = as_platform_spec(spec)
     if spec.name != name:
         spec = spec.replace(name=name)
-    _REGISTRY[name] = _Entry(spec=spec, factory=None, table3=table3)
+    _REGISTRY[name] = _Entry(spec=spec, table3=table3)
 
 
 def unregister_platform(name: str) -> None:
@@ -114,15 +102,7 @@ def make_platform(
     that caught ``KeyError`` keep working).
     """
     if isinstance(spec_or_name, str):
-        entry = _REGISTRY.get(spec_or_name)
-        if entry is None:
-            raise UnknownPlatformError(
-                f"unknown platform {spec_or_name!r}; "
-                f"registered: {platform_names()}"
-            )
-        if entry.factory is not None:
-            return entry.factory()
-        return build_platform(entry.spec)
+        spec_or_name = platform_spec(spec_or_name)
     return build_platform(spec_or_name)
 
 
@@ -137,26 +117,17 @@ def all_platforms() -> List[Platform]:
 
 
 def platform_spec(name: str) -> PlatformSpec:
-    """The declarative spec behind a registered name.
-
-    Factory-backed (custom cost model) entries have no spec and raise
-    :class:`PlatformSpecError`.
-    """
+    """The declarative spec behind a registered name."""
     entry = _REGISTRY.get(name)
     if entry is None:
         raise UnknownPlatformError(
             f"unknown platform {name!r}; registered: {platform_names()}"
         )
-    if entry.spec is None:
-        raise PlatformSpecError(
-            f"platform {name!r} is factory-backed and has no declarative "
-            "spec"
-        )
     return entry.spec
 
 
-def registered_platforms() -> Dict[str, Optional[PlatformSpec]]:
-    """``name -> spec`` for every entry (``None`` for factory-backed)."""
+def registered_platforms() -> Dict[str, PlatformSpec]:
+    """``name -> spec`` for every entry, name-sorted."""
     return {name: _REGISTRY[name].spec for name in platform_names()}
 
 

@@ -160,7 +160,6 @@ def run_in_dir(
     should_stop: Optional[ShouldStop] = None,
     lock_stale_after: Optional[float] = None,
     trace: Optional[bool] = None,
-    **experiment_kwargs: Any,
 ) -> RunResult:
     """Run an experiment with durable artifacts in ``run_dir``.
 
@@ -221,7 +220,6 @@ def run_in_dir(
             on_evaluation=on_evaluation,
             on_state=on_state,
             should_stop=should_stop,
-            **experiment_kwargs,
         )
         if trace:
             with obs.tracing(rd.telemetry_path), obs.span(
@@ -242,7 +240,6 @@ def _run_in_locked_dir(
     on_evaluation: Optional[EvaluationObserver],
     on_state: Optional[StateObserver],
     should_stop: Optional[ShouldStop],
-    **experiment_kwargs: Any,
 ) -> RunResult:
     resume_state: Optional[Dict[str, Any]] = None
     prefix_rows: List[Dict[str, Any]] = []
@@ -304,19 +301,16 @@ def _run_in_locked_dir(
         if on_state is not None:
             on_state(population)
 
-    run_kwargs: Dict[str, Any] = {}
-    if spec.scenario is not None:
-        # Scenario runs replay the curriculum fold over the persisted
-        # rows so a resumed run re-enters the exact stage the
-        # uninterrupted run would be in at this boundary.
-        run_kwargs["resume_metrics"] = prefix_rows
-    result = Experiment(spec, **experiment_kwargs).run(
+    result = Experiment(spec).run(
         on_generation=generation_observer,
         on_evaluation=on_evaluation,
         on_state=state_observer,
         resume_state=resume_state,
         should_stop=should_stop,
-        **run_kwargs,
+        # A scenario run replays its curriculum fold over the persisted
+        # rows, so a resumed run re-enters the exact stage the
+        # uninterrupted run would be in at this boundary.
+        resume_metrics=prefix_rows,
     )
     if prefix_rows:
         prefix = [GenerationMetrics(**row) for row in prefix_rows]

@@ -44,6 +44,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
+from ..obs.metrics import serve_in_thread, stop_server
 from .jobs import JOB_STATES, JobStore, JobStoreError, UnknownJobError
 
 DEFAULT_HOST = "127.0.0.1"
@@ -281,7 +282,6 @@ class JobApiServer:
         self.httpd = ThreadingHTTPServer((host, port), _JobApiHandler)
         self.httpd.store = self.store  # type: ignore[attr-defined]
         self.httpd.registry = registry  # type: ignore[attr-defined]
-        self.httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -295,20 +295,12 @@ class JobApiServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "JobApiServer":
-        self._thread = threading.Thread(
-            target=self.httpd.serve_forever,
-            name="repro-serve-http",
-            daemon=True,
-        )
-        self._thread.start()
+        self._thread = serve_in_thread(self.httpd, "repro-serve-http")
         return self
 
     def shutdown(self) -> None:
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
+        stop_server(self.httpd, self._thread)
+        self._thread = None
 
     def __enter__(self) -> "JobApiServer":
         return self.start()

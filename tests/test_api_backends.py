@@ -9,7 +9,6 @@ from repro.api import (
     UnknownBackendError,
     available_backends,
     make_backend,
-    register_backend,
 )
 from repro.hw.energy import FREQUENCY_HZ
 
@@ -39,25 +38,6 @@ class TestRegistry:
     def test_software_rejects_parameter(self):
         with pytest.raises(UnknownBackendError):
             make_backend("software:fast")
-
-    def test_custom_backend_registration(self):
-        class EchoBackend:
-            name = "echo"
-
-            def __init__(self, arg=None, **options):
-                self.arg = arg
-
-            def run(self, spec, on_generation=None, on_evaluation=None):
-                return spec
-
-        register_backend("echo", EchoBackend)
-        try:
-            backend = make_backend("echo:hi")
-            assert backend.arg == "hi"
-        finally:
-            from repro.api import backends as backends_mod
-
-            del backends_mod._REGISTRY["echo"]
 
 
 class TestBackendsRun:
@@ -158,11 +138,11 @@ class TestSoCHardwareOptions:
     ])
     def test_invalid_options_raise_spec_errors(self, options):
         """Neither the design-point knobs nor a serial/batched switch are
-        options: each fails with a SpecError before the factory runs."""
+        options: the spec refuses each before any backend is built."""
         from repro.api import SpecError
 
-        with pytest.raises(SpecError):
-            make_backend("soc", **options)
+        with pytest.raises(SpecError, match="backend_options"):
+            small_spec(backend="soc", backend_options=options)
 
     def test_bare_analytical_requires_platform(self):
         with pytest.raises(UnknownBackendError, match="needs a platform"):

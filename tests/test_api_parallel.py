@@ -107,14 +107,6 @@ class TestDeterminism:
         assert pooled_totals.steps == serial_totals.steps
         assert pooled_totals.macs == serial_totals.macs
 
-    def test_fitness_transform_applies_in_parent(self):
-        with ParallelFitnessEvaluator(
-            "CartPole-v0", max_steps=30, seed=0, workers=2,
-            fitness_transform=lambda f: -f,
-        ) as evaluator:
-            fits, _ = _fitness_map(evaluator)
-        assert all(f <= 0 for f in fits.values())
-
 
 class TestLifecycle:
     def test_close_is_idempotent(self):

@@ -64,7 +64,6 @@ class TestRoundTrip:
             "LunarLander-v2", backend="soc",
             max_generations=7, pop_size=24, episodes=2, max_steps=123,
             seed=9, fitness_threshold=200.0, workers=3, vectorizer="numpy",
-            backend_options={"vectorize": False},
         )
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
@@ -93,10 +92,16 @@ class TestRoundTrip:
             ExperimentSpec.from_json("[1, 2]")
 
     def test_backend_options_copied(self):
-        options = {"vectorize": False}
+        options = {}
         spec = ExperimentSpec("CartPole-v0", backend="soc",
                               backend_options=options)
         options["vectorize"] = True
         data = spec.to_dict()
         data["backend_options"]["vectorize"] = True
-        assert spec.backend_options == {"vectorize": False}
+        assert spec.backend_options == {}
+
+    def test_non_empty_backend_options_rejected(self):
+        """No backend takes options, so the spec refuses one up front
+        instead of leaving it to fail when a backend is built."""
+        with pytest.raises(SpecError, match="backend_options"):
+            ExperimentSpec("CartPole-v0", backend_options={"vectorize": False})

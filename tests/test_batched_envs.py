@@ -14,7 +14,6 @@ from repro.envs.batched import (
     VectorizedCartPole,
     VectorizedMountainCar,
     make_batched,
-    register_batched,
 )
 from repro.envs.registry import make
 
@@ -109,7 +108,13 @@ def test_registry_dispatch():
     assert isinstance(make_batched("Acrobot-v1"), LockstepEnvs)
 
 
-def test_register_batched_custom():
-    port = LockstepEnvs("Acrobot-v1")
-    register_batched("Acrobot-v1-test-alias", lambda env_id: port)
-    assert make_batched("Acrobot-v1-test-alias") is port
+def test_port_errors_are_not_fallbacks(monkeypatch):
+    """Only a template the port cannot replay drops to the lockstep
+    fallback; any other error inside a port surfaces."""
+
+    def broken(self, env_id, template=None):
+        raise TypeError("bug inside the port")
+
+    monkeypatch.setattr(VectorizedCartPole, "__init__", broken)
+    with pytest.raises(TypeError, match="bug inside the port"):
+        make_batched("CartPole-v0", factory=lambda: make("CartPole-v0"))

@@ -131,25 +131,6 @@ def test_platforms_json_rejects_env(capsys):
         main(["platforms", "CartPole-v0", "--json"])
 
 
-def test_run_factory_platform_conflicting_backend_errors():
-    from repro.platforms import (
-        GenesysPlatform, GenesysPlatformParams, register_platform,
-        unregister_platform,
-    )
-
-    register_platform("FACTORY_ONLY", lambda: GenesysPlatform(
-        "FACTORY_ONLY", GenesysPlatformParams(num_eve_pes=2)
-    ))
-    try:
-        with pytest.raises(SystemExit, match="conflicts with"):
-            main([
-                "run", "CartPole-v0", "--backend", "soc",
-                "--platform", "FACTORY_ONLY", "--generations", "2",
-            ])
-    finally:
-        unregister_platform("FACTORY_ONLY")
-
-
 def test_run_unknown_platform_errors(capsys):
     code = main([
         "run", "CartPole-v0", "--platform", "TPU", "--generations", "2",

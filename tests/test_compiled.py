@@ -253,18 +253,3 @@ def test_batched_evaluator_falls_back_for_uncompilable_genomes():
     batched(genomes, config)
     assert [g.fitness for g in genomes] == expected
 
-
-def test_batched_evaluator_fitness_transform():
-    config, genomes = population_genomes("CartPole-v0", pop_size=6)
-    scalar = FitnessEvaluator(
-        "CartPole-v0", episodes=1, seed=1, max_steps=30,
-        fitness_transform=lambda f: -f,
-    )
-    scalar(genomes, config)
-    expected = [g.fitness for g in genomes]
-    batched = FitnessEvaluator(
-        "CartPole-v0", episodes=1, seed=1, max_steps=30,
-        fitness_transform=lambda f: -f, vectorizer="numpy",
-    )
-    batched(genomes, config)
-    assert [g.fitness for g in genomes] == expected

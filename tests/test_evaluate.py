@@ -231,13 +231,3 @@ class TestFitnessEvaluator:
             evaluator(genomes, config)
             fits.append([g.fitness for g in genomes])
         assert fits[0] == fits[1]
-
-    def test_fitness_transform(self):
-        config = NEATConfig.for_env(4, 2, pop_size=4)
-        pop = Population(config, seed=0)
-        evaluator = FitnessEvaluator(
-            "CartPole-v0", episodes=1, seed=0, fitness_transform=lambda f: -f
-        )
-        genomes = list(pop.population.values())
-        evaluator(genomes, config)
-        assert all(g.fitness <= 0 for g in genomes)

@@ -18,7 +18,6 @@ from repro.api import (
 from repro.platforms import (
     PLATFORM_KINDS,
     GenesysPlatform,
-    GenesysPlatformParams,
     PlatformSpec,
     PlatformSpecError,
     SoCPlatform,
@@ -222,16 +221,12 @@ class TestRegistry:
             unregister_platform("GENESYS_64")
         assert "GENESYS_64" not in platform_names()
 
-    def test_factory_registration(self):
-        sentinel = GenesysPlatform("tiny", GenesysPlatformParams(num_eve_pes=2))
-        register_platform("tiny", lambda: sentinel)
-        try:
-            assert make_platform("tiny") is sentinel
-            assert registered_platforms()["tiny"] is None
-            with pytest.raises(PlatformSpecError, match="factory-backed"):
-                platform_spec("tiny")
-        finally:
-            unregister_platform("tiny")
+    def test_registration_takes_a_spec_only(self):
+        """A registered platform is data: a spec or its dict form, so
+        every entry embeds in an experiment spec and dumps as JSON."""
+        with pytest.raises(PlatformSpecError, match="expected a PlatformSpec"):
+            register_platform("tiny", lambda: make_platform("GENESYS"))
+        assert "tiny" not in platform_names()
 
     def test_registered_name_becomes_analytical_backend(self):
         register_platform(

@@ -157,18 +157,35 @@ class TestResume:
         """Regression: a champion fitness of exactly 0.0 used to read as
         missing, so a run stopped by a 0.0 threshold reported
         converged=False and was never sealed."""
-        run_dir = tmp_path / "run"
-        spec = small_spec(fitness_threshold=0.0, pop_size=10, max_steps=20)
-        result = run_in_dir(spec, run_dir, fitness_transform=lambda r: 0.0)
-        assert result.generations == 1
-        assert result.converged
-        assert RunDir(run_dir).is_complete
-        assert RunDir(run_dir).load_result()["converged"] is True
-        # A resumed run that already met its threshold evolves no further.
-        replayed = []
-        again = resume_run(run_dir, on_generation=replayed.append)
-        assert replayed == []
-        assert again.generations == 1 and again.converged
+        from repro.envs import CartPoleEnv
+        from repro.envs.registry import register, unregister
+
+        class ZeroRewardCartPole(CartPoleEnv):
+            def _step(self, action):
+                state, _reward, done, info = super()._step(action)
+                return state, 0.0, done, info
+
+        register("ZeroRewardCartPole-v0", ZeroRewardCartPole)
+        try:
+            run_dir = tmp_path / "run"
+            spec = small_spec(
+                env_id="ZeroRewardCartPole-v0", fitness_threshold=0.0,
+                pop_size=10, max_steps=20,
+            )
+            result = run_in_dir(spec, run_dir)
+            assert result.champion.fitness == 0.0
+            assert result.generations == 1
+            assert result.converged
+            assert RunDir(run_dir).is_complete
+            assert RunDir(run_dir).load_result()["converged"] is True
+            # A resumed run that already met its threshold evolves no
+            # further.
+            replayed = []
+            again = resume_run(run_dir, on_generation=replayed.append)
+            assert replayed == []
+            assert again.generations == 1 and again.converged
+        finally:
+            unregister("ZeroRewardCartPole-v0")
 
     def test_resume_extends_generation_budget(self, tmp_path):
         run_dir = tmp_path / "run"

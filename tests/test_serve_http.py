@@ -1,6 +1,7 @@
 """HTTP API tests: routes, error codes, and the client round trip."""
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -30,6 +31,22 @@ def spec_dict(**overrides):
     )
     defaults.update(overrides)
     return ExperimentSpec(**defaults).to_dict()
+
+
+def test_shutdown_is_repeatable_and_needs_no_start(tmp_path):
+    """Shutting down twice is safe, and a server that never started
+    frees its port instead of waiting forever for a serve loop."""
+    store = JobStore(tmp_path / "root")
+    server = JobApiServer(store, port=0).start()
+    server.shutdown()
+    server.shutdown()
+
+    idle = JobApiServer(store, port=0)
+    stopper = threading.Thread(target=idle.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)
+    assert not stopper.is_alive()
+    assert idle.httpd.socket.fileno() == -1
 
 
 def test_healthz_counts_jobs_by_state(served):
