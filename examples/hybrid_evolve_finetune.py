@@ -18,7 +18,7 @@ Usage:  python examples/hybrid_evolve_finetune.py
 The evolution stage is the NEAT library loop, `Population.run`, which
 takes this example's supervised fitness function directly; for
 gym-style workloads, where the environment's reward is the fitness, use
-`python -m repro run <env>` / `repro.api.run_experiment`.
+`python -m repro run <env>` / `repro.api.Experiment`.
 """
 
 import math

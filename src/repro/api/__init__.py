@@ -24,10 +24,9 @@ changing (Section III-B).  This package is that claim as an API:
   inference plans (:mod:`repro.neat.compiled`) and steps every in-flight
   episode per numpy call — composable with ``workers`` (each worker
   batches its shard) and reproducing the scalar fitness trajectories.
-* ``run_dir=...`` on :func:`run_experiment` records the run durably and
-  makes it resumable (:mod:`repro.runs`): per-generation metrics,
-  periodic full-state checkpoints, champion — with resumed runs
-  bit-identical to uninterrupted ones.
+* :func:`repro.runs.run_in_dir` records a run durably and makes it
+  resumable: per-generation metrics, periodic full-state checkpoints,
+  champion — with resumed runs bit-identical to uninterrupted ones.
 
 Quickstart::
 
@@ -51,7 +50,7 @@ from .backends import (
     available_backends,
     make_backend,
 )
-from .experiment import Experiment, run_experiment
+from .experiment import Experiment
 from .parallel import ParallelFitnessEvaluator, build_evaluator
 from .result import GenerationMetrics, RunResult
 from .spec import ExperimentSpec, SpecError
@@ -75,5 +74,4 @@ __all__ = [
     "available_backends",
     "build_evaluator",
     "make_backend",
-    "run_experiment",
 ]

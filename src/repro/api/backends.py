@@ -10,18 +10,18 @@ one of three, mirroring the paper's three evaluation substrates:
     The EvE/ADAM hardware-in-the-loop SoC models (Section IV): selection
     on the System CPU, reproduction on the EvE PEs, inference on ADAM.
 ``analytical:<platform>``
-    Software evolution costed through a platform model resolved from
-    the :mod:`repro.platforms` registry (the Table III legend names
-    ``CPU_a`` … ``GPU_d``, ``GENESYS``, the ``soc`` design point's
-    analytical projection, and any registered spec); adds modelled
-    per-generation runtime and energy to the metrics.
+    Software evolution costed through a platform model named from the
+    fixed :mod:`repro.platforms` table (the Table III legend names
+    ``CPU_a`` … ``GPU_d``, ``GENESYS`` and the ``soc`` design point's
+    analytical projection); adds modelled per-generation runtime and
+    energy to the metrics.
 
-Both hardware-substrate backends resolve their platform through the
-registry: ``analytical:<name>`` looks the name up, and an
+Both hardware-substrate backends take their platform from the spec:
+``analytical:<name>`` looks the name up in the fixed table, and an
 :class:`ExperimentSpec` with an embedded ``platform`` block hands it
 straight to the backend (``analytical`` cost models and the ``soc``
-cycle-level design point alike), so registering a platform spec is all
-it takes to run experiments on it.
+cycle-level design point alike), so a custom platform is a spec's
+``platform`` block, carried by value.
 
 The set is fixed: :func:`make_backend` dispatches over these three, so
 a spec names everything that shapes its run and a resumed, served or
@@ -367,7 +367,7 @@ class SoftwareBackend:
         )
 
 
-#: What names a backend's platform: a registered name, a
+#: What names a backend's platform: a table name, a
 #: :class:`repro.platforms.PlatformSpec` or its dict form.
 PlatformOption = Union[str, Mapping, PlatformSpec]
 
@@ -386,7 +386,7 @@ def _platform_option(backend: str, platform: PlatformOption) -> Platform:
 
 
 class AnalyticalBackend(SoftwareBackend):
-    """Software evolution costed through a registered platform model.
+    """Software evolution costed through a platform model.
 
     The run (and therefore the champion) is the software backend's;
     each generation's workload aggregates are fed to the chosen
@@ -394,8 +394,8 @@ class AnalyticalBackend(SoftwareBackend):
     modelled runtime and energy a real deployment on that platform would
     exhibit (the per-generation bars of Fig. 9).
 
-    ``platform`` resolves through the registry (:mod:`repro.platforms`):
-    a registered name (what ``'analytical:<name>'`` names), or the
+    ``platform`` is a name in the :mod:`repro.platforms` table (what
+    ``'analytical:<name>'`` names), or the
     :class:`repro.platforms.PlatformSpec` an :class:`ExperimentSpec`
     embeds as its ``platform`` block.
     """
@@ -427,7 +427,7 @@ class SoCBackend:
 
     The hardware design point is a ``soc``-kind
     :class:`repro.platforms.PlatformSpec`: the ``platform`` option (a
-    spec, its dict form or a registered name;
+    spec, its dict form or a table name;
     :class:`repro.api.Experiment` passes the spec's embedded
     ``platform`` block), else ``spec.platform``, else the paper's design
     point.
@@ -501,7 +501,7 @@ def make_backend(
     """The backend a spec's ``backend`` key names: ``software``, ``soc``
     or ``analytical:<platform>``.
 
-    ``platform`` is the spec's embedded platform block (or a registered
+    ``platform`` is the spec's embedded platform block (or a table
     name): the cost model of a bare ``analytical`` backend, or the
     ``soc`` design point.
     """

@@ -7,17 +7,15 @@ run rebuilt from its ``spec.json`` (a resume, a serve worker, a sweep
 point) is the same run.  Observer callbacks watch a run; they do not
 change it.
 
-Durable, resumable runs layer on top of this module: pass ``run_dir``
-to :func:`run_experiment` (or use :func:`repro.runs.run_in_dir`
-directly) and the run persists ``spec.json``, per-generation
-``metrics.jsonl``, periodic full-state checkpoints and the champion —
-see :mod:`repro.runs`.
+Durable, resumable runs layer on top of this module:
+:func:`repro.runs.run_in_dir` runs a spec in a directory and persists
+``spec.json``, per-generation ``metrics.jsonl``, periodic full-state
+checkpoints and the champion — see :mod:`repro.runs`.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from .backends import (
     EvaluationObserver,
@@ -62,40 +60,3 @@ class Experiment:
             self.spec, on_generation, on_evaluation, on_state,
             resume_state, should_stop, resume_metrics,
         )
-
-
-def run_experiment(
-    spec: Union[ExperimentSpec, str, Path],
-    on_generation: Optional[GenerationObserver] = None,
-    on_evaluation: Optional[EvaluationObserver] = None,
-    run_dir: Optional[Union[str, Path]] = None,
-    resume: Union[bool, str] = False,
-    checkpoint_every: Optional[int] = None,
-) -> RunResult:
-    """Convenience: run a spec object or a spec JSON file in one call.
-
-    With ``run_dir`` the run persists its artifacts (spec, per-generation
-    metrics, periodic full-state checkpoints, champion) into that
-    directory and becomes resumable: ``resume=True`` continues it from
-    the last checkpoint, ``resume="auto"`` resumes when artifacts exist
-    and starts fresh otherwise.  See :mod:`repro.runs` for the layout
-    and the bit-identity guarantee.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        spec = ExperimentSpec.load(spec)
-    if run_dir is not None:
-        from ..runs import run_in_dir
-
-        return run_in_dir(
-            spec,
-            run_dir,
-            resume=resume,
-            checkpoint_every=checkpoint_every,
-            on_generation=on_generation,
-            on_evaluation=on_evaluation,
-        )
-    if resume:
-        raise ValueError("resume requires run_dir (a directory to resume from)")
-    return Experiment(spec).run(
-        on_generation=on_generation, on_evaluation=on_evaluation
-    )

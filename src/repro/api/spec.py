@@ -76,7 +76,7 @@ class ExperimentSpec(JsonRecord):
     #: Optional embedded :class:`repro.scenarios.ScenarioSpec` (or its
     #: dict form) describing the environment variant: tunable parameter
     #: overrides, adversarial perturbation wrappers, an optional
-    #: curriculum.  Must name the same environment as ``env_id``.
+    #: curriculum.  Its ``env_id`` must equal ``env_id`` exactly.
     #: Omitted from ``to_dict`` when unset, so pre-scenario specs and
     #: their DSE cache keys are unchanged.
     scenario: Optional[Any] = None
@@ -159,11 +159,7 @@ class ExperimentSpec(JsonRecord):
             except ScenarioSpecError as exc:
                 raise SpecError(f"invalid scenario spec: {exc}") from exc
             object.__setattr__(self, "scenario", scenario)
-
-            def _normalise(env_id: str) -> str:
-                return "".join(ch for ch in env_id.lower() if ch.isalnum())
-
-            if _normalise(scenario.env_id) != _normalise(self.env_id):
+            if scenario.env_id != self.env_id:
                 raise SpecError(
                     f"scenario env {scenario.env_id!r} does not match "
                     f"spec env {self.env_id!r}"

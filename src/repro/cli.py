@@ -7,9 +7,9 @@ Commands
 ``run [ENV]``                 evolve ENV on any backend
 ``infer CHAMPION ENV``        roll out a saved champion
 ``characterise [ENV]``        Fig. 4/5-style workload characterisation
-``platforms``                 the platform registry (``--json`` for the
+``platforms``                 the fixed platform table (``--json`` for the
                               machine-readable spec dump)
-``scenarios``                 the scenario registry (environment variants,
+``scenarios``                 the built-in scenarios (environment variants,
                               perturbations, curricula; ``--json`` dumps
                               the specs)
 ``platforms ENV``             Fig. 9-style platform runtime/energy matrix
@@ -74,8 +74,9 @@ _SPEC_DEFAULTS = {
 def _resolve_platform_flag(value: str):
     """``--platform`` FILE-or-name -> :class:`repro.platforms.PlatformSpec`.
 
-    A JSON file loads as a PlatformSpec; a registered name resolves
-    through the registry.  Either embeds on the experiment spec.
+    A JSON file loads as a PlatformSpec (a custom platform); anything
+    else is a name in the fixed platform table.  Either embeds on the
+    experiment spec by value.
     """
     from pathlib import Path
 
@@ -89,8 +90,9 @@ def _resolve_platform_flag(value: str):
 def _resolve_scenario_flag(value: str):
     """``--scenario`` FILE-or-name -> :class:`repro.scenarios.ScenarioSpec`.
 
-    A JSON file loads as a ScenarioSpec; anything else resolves through
-    the scenario registry (see ``repro scenarios``).
+    A JSON file loads as a ScenarioSpec (a custom scenario); anything
+    else is a name in the built-in scenario table (see ``repro
+    scenarios``).  Either embeds on the experiment spec by value.
     """
     from pathlib import Path
 
@@ -352,7 +354,7 @@ def _cmd_platforms(args: argparse.Namespace) -> int:
     if args.json:
         if args.env is not None or args.spec:
             raise SystemExit(
-                "error: --json prints the platform registry; it does not "
+                "error: --json prints the platform table; it does not "
                 "combine with an environment or --spec (drop one)"
             )
         import json
@@ -375,8 +377,9 @@ def _cmd_platforms(args: argparse.Namespace) -> int:
         ))
         print(
             "\nRun one with 'repro run ENV --platform NAME' or "
-            "'--backend analytical:NAME'; add your own with "
-            "repro.platforms.register_platform (see docs/platforms.md)."
+            "'--backend analytical:NAME'; for a custom platform pass "
+            "'--platform FILE' (a PlatformSpec JSON file) or embed one "
+            "in a spec (see docs/platforms.md)."
         )
         return 0
 
@@ -440,9 +443,9 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         title="Scenario registry (repro.scenarios)",
     ))
     print(
-        "\nRun one with 'repro run --scenario NAME' (or a ScenarioSpec "
-        "JSON file); add your own with "
-        "repro.scenarios.register_scenario (see docs/scenarios.md)."
+        "\nRun one with 'repro run ENV --scenario NAME'; for a custom "
+        "scenario pass '--scenario FILE' (a ScenarioSpec JSON file) or "
+        "embed one in a spec (see docs/scenarios.md)."
     )
     return 0
 
@@ -1075,8 +1078,8 @@ def build_parser() -> argparse.ArgumentParser:
         # Defaults are None so a --spec file only loses to flags the user
         # actually typed; fallbacks live in _SPEC_DEFAULTS.
         p.add_argument("env", nargs="?", default=None,
-                       help="environment id, e.g. CartPole-v0 "
-                            "(optional with --spec)")
+                       help="environment id, exactly as 'envs' lists "
+                            "it, e.g. CartPole-v0 (optional with --spec)")
         p.add_argument("--spec", metavar="FILE",
                        help="load an ExperimentSpec JSON file; explicit "
                             "flags override its fields")
@@ -1104,16 +1107,17 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="evolve an environment")
     add_workload_args(run)
     run.add_argument("--platform", metavar="NAME|FILE",
-                     help="run on a registered platform (see "
-                          "'platforms') or a PlatformSpec JSON file; "
-                          "picks --backend analytical (or soc for a "
-                          "soc-kind spec) unless one is given")
+                     help="run on a platform of the fixed table (see "
+                          "'platforms') or, for a custom one, a "
+                          "PlatformSpec JSON file; picks --backend "
+                          "analytical (or soc for a soc-kind spec) "
+                          "unless one is given")
     run.add_argument("--scenario", metavar="NAME|FILE",
-                     help="run an environment scenario: a registered "
-                          "name (see 'scenarios') or a ScenarioSpec "
-                          "JSON file — tunable physics overrides, "
-                          "seeded perturbation wrappers, optional "
-                          "curriculum (docs/scenarios.md)")
+                     help="run an environment scenario: a built-in "
+                          "name (see 'scenarios') or, for a custom one, "
+                          "a ScenarioSpec JSON file — tunable physics "
+                          "overrides, seeded perturbation wrappers, "
+                          "optional curriculum (docs/scenarios.md)")
     run.add_argument("--run-dir", metavar="DIR", dest="run_dir",
                      help="persist run artifacts (spec, metrics.jsonl, "
                           "checkpoints, champion) into DIR; the run "
@@ -1159,32 +1163,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     plat = sub.add_parser(
         "platforms",
-        help="platform registry / comparison",
-        description="With no environment: list the platform registry "
-                    "(Table III legend names, the cycle-level soc design "
-                    "point, and custom registrations); --json emits the "
+        help="platform table / comparison",
+        description="With no environment: list the fixed platform table "
+                    "(the nine Table III legend names and the "
+                    "cycle-level soc design point); --json emits the "
                     "machine-readable PlatformSpec dump.  With an "
                     "environment: the Fig. 9-style modelled "
-                    "runtime/energy matrix across every registered "
-                    "platform.",
+                    "runtime/energy matrix across every platform of the "
+                    "table.",
     )
     add_workload_args(plat, whole_budget)
     plat.add_argument("--json", action="store_true",
-                      help="print the registry as JSON (platform name -> "
+                      help="print the table as JSON (platform name -> "
                            "PlatformSpec dict)")
     plat.set_defaults(func=_cmd_platforms)
 
     scen = sub.add_parser(
         "scenarios",
-        help="list the scenario registry",
-        description="List the registered environment scenarios "
+        help="list the built-in scenarios",
+        description="List the built-in environment scenarios "
                     "(repro.scenarios): tunable-parameter variants, "
                     "seeded adversarial perturbations and curriculum "
                     "schedules, runnable with 'repro run --scenario "
                     "NAME' and sweepable with the scenario.* dse axes.",
     )
     scen.add_argument("--json", action="store_true",
-                      help="print the registry as JSON (scenario name -> "
+                      help="print the table as JSON (scenario name -> "
                            "ScenarioSpec dict)")
     scen.set_defaults(func=_cmd_scenarios)
 

@@ -5,7 +5,6 @@ from .runner import config_for_env
 from .soc import GenerationReport, GeneSysSoC
 from .trace import (
     GenerationWorkload,
-    TraceLine,
     TraceRecorder,
     WorkloadTrace,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "GeneSysSoC",
     "GenerationReport",
     "GenerationWorkload",
-    "TraceLine",
     "TraceRecorder",
     "WorkloadTrace",
     "config_for_env",

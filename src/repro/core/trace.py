@@ -1,46 +1,30 @@
-"""Reproduction-op traces and per-generation workload records.
+"""Workload traces: one aggregate record per generation of a run.
 
 Section VI-A methodology: "we ... modify the code to optimize for runtime
 and energy efficiency ... and to generate a trace of reproduction
-operations for the various workloads ... Each line on the trace captures
-the generation, the child gene and genome id, the type of operation -
-mutation or crossover, and the parameters changed ... These traces serve
-as proxy for our workloads when we evaluate EVE and ADAM implementations."
+operations for the various workloads ... These traces serve as proxy for
+our workloads when we evaluate EVE and ADAM implementations."
 
 :class:`GenerationWorkload` is the aggregate form every platform model
-consumes; :class:`TraceRecorder` instruments a software NEAT run to
-produce both the per-op trace lines and the workload aggregates.
+consumes: its ``ops`` count each reproduction op of the generation, the
+paper's per-child trace lines summed.  :class:`TraceRecorder` observes a
+software NEAT run and records one workload per generation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, List
+from typing import TYPE_CHECKING, List
 
 from ..envs.registry import make
 from ..neat.config import NEATConfig
 from ..neat.genome import MutationCounts
 from ..neat.network import feed_forward_layers
-from ..neat.population import Population
 from ..neat.statistics import GENE_BYTES
-from ..obs.jsonl import write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..api.result import GenerationMetrics
     from ..api.spec import ExperimentSpec
-
-
-@dataclass
-class TraceLine:
-    """One reproduction op, in the paper's trace format."""
-
-    generation: int
-    genome_id: int
-    op: str  # "crossover" | "perturb" | "add_node" | "del_node" | "add_conn" | "del_conn"
-    count: int
-
-    def format(self) -> str:
-        return f"{self.generation},{self.genome_id},{self.op},{self.count}"
 
 
 @dataclass
@@ -77,58 +61,13 @@ class GenerationWorkload:
 
 @dataclass
 class WorkloadTrace:
-    """A full run's workloads plus op trace lines."""
+    """A full run's per-generation workloads and metrics rows."""
 
     env_id: str
     workloads: List[GenerationWorkload] = field(default_factory=list)
-    lines: List[TraceLine] = field(default_factory=list)
     #: the run's per-generation metrics rows (best/mean fitness and the
-    #: rest); like the workloads, not persisted by :meth:`save`
+    #: rest)
     metrics: List["GenerationMetrics"] = field(default_factory=list)
-
-    def iter_lines(self) -> Iterator[str]:
-        for line in self.lines:
-            yield line.format()
-
-    @property
-    def generations(self) -> int:
-        return len(self.workloads)
-
-    def save(self, path) -> None:
-        """Write the op trace in the paper's line format, with a header.
-
-        "Each line on the trace captures the generation, the child ...
-        genome id, the type of operation ... These traces serve as proxy
-        for our workloads" (Section VI-A).
-        """
-        out = [f"# workload trace: {self.env_id}",
-               "# generation,genome_id,op,count"]
-        out.extend(self.iter_lines())
-        write_atomic(path, "\n".join(out) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "WorkloadTrace":
-        """Read back a trace file (op lines only; workload aggregates are
-        not persisted — re-record for those)."""
-        from pathlib import Path
-
-        trace = cls(env_id="unknown")
-        for raw in Path(path).read_text().splitlines():
-            if raw.startswith("# workload trace:"):
-                trace.env_id = raw.split(":", 1)[1].strip()
-                continue
-            if not raw or raw.startswith("#"):
-                continue
-            generation, genome_id, op, count = raw.split(",")
-            trace.lines.append(
-                TraceLine(
-                    generation=int(generation),
-                    genome_id=int(genome_id),
-                    op=op,
-                    count=int(count),
-                )
-            )
-        return trace
 
     def mean_workload(self) -> GenerationWorkload:
         """Average generation (used for the per-generation bars of Fig. 9)."""
@@ -201,38 +140,16 @@ class TraceRecorder:
     def record(self, generations: int) -> WorkloadTrace:
         """Run up to ``generations`` generations through the api
         generation loop, collecting each generation's metrics row and
-        workload and turning each reproduction plan into op lines."""
+        workload."""
         from ..api.backends import _run_software_loop, _SoftwareGenerations
 
         spec = self.spec.replace(max_generations=generations)
         trace = WorkloadTrace(env_id=spec.env_id)
-
-        def on_state(population: Population) -> None:
-            plan = population.last_plan
-            for event in plan.events:
-                counts = event.counts
-                for op, count in (
-                    ("crossover", counts.crossovers),
-                    ("perturb", counts.perturbations),
-                    ("add_node", counts.node_additions),
-                    ("del_node", counts.node_deletions),
-                    ("add_conn", counts.conn_additions),
-                    ("del_conn", counts.conn_deletions),
-                ):
-                    if count:
-                        trace.lines.append(TraceLine(
-                            generation=plan.generation,
-                            genome_id=event.child_key,
-                            op=op,
-                            count=count,
-                        ))
-
         substrate = _SoftwareGenerations(
             spec, self.config,
             on_workload=lambda _row, workload: trace.workloads.append(workload),
         )
         _run_software_loop(
-            spec, substrate, "software",
-            on_generation=trace.metrics.append, on_state=on_state,
+            spec, substrate, "software", on_generation=trace.metrics.append,
         )
         return trace

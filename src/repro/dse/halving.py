@@ -91,14 +91,6 @@ class HalvingResult:
     cache_dir: Optional[str] = None
 
     @property
-    def survivors(self) -> List[int]:
-        return sorted(
-            index
-            for index, state in self.states.items()
-            if state == "survivor"
-        )
-
-    @property
     def budget_fraction(self) -> float:
         """Scheduled generations as a fraction of the unpruned sweep's."""
         if self.full_generations == 0:
@@ -115,20 +107,6 @@ class HalvingResult:
         return SweepResult(
             sweep=self.sweep, rows=self.rows, cache_dir=self.cache_dir
         )
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "objectives": dict(self.objectives),
-            "reduction": self.reduction,
-            "budgets": list(self.budgets),
-            "rungs": [dict(r) for r in self.rungs],
-            "states": {str(k): v for k, v in sorted(self.states.items())},
-            "survivors": self.survivors,
-            "scheduled_generations": self.scheduled_generations,
-            "full_generations": self.full_generations,
-            "budget_fraction": self.budget_fraction,
-            "rows": self.rows,
-        }
 
 
 class SuccessiveHalvingScheduler:

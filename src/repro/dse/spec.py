@@ -14,7 +14,7 @@ into concrete :class:`SweepPoint`\\ s either as the full cartesian
 Platform axes parameterise the hardware substrates: on ``soc``-backend
 points they update (or create) the embedded ``soc``-kind platform spec;
 on ``analytical:<name>`` points they derive a variant of the named
-registry platform; on other backends they do not change the executed
+table platform; on other backends they do not change the executed
 experiment, so equivalent points collapse to one evaluation under the
 content-hash cache (:mod:`repro.dse.cache`).
 """
@@ -123,7 +123,7 @@ class SweepSpec(JsonRecord):
     ``platform.noc``, ``platform.scheduler``, ``platform.adam_shape``,
     …), which parameterises the ``soc``/``analytical`` substrates and
     leaves other backends unchanged, a scenario axis (``scenario.name``
-    sweeps registered environment scenarios — ``None`` meaning the
+    sweeps the built-in environment scenarios — ``None`` meaning the
     unmodified base env — and ``scenario.params.<key>`` sweeps one
     tunable environment parameter).  ``strategy`` is ``grid`` (full
     cartesian product, the default) or ``random`` (``samples`` draws
@@ -241,7 +241,7 @@ class SweepSpec(JsonRecord):
     ) -> ExperimentSpec:
         """Fold ``scenario.*`` axis values into the point's spec.
 
-        ``scenario.name`` swaps in a registered scenario wholesale
+        ``scenario.name`` swaps in a built-in scenario wholesale
         (``None`` drops the scenario block, giving the unmodified base
         environment); it applies before any ``scenario.params.<key>``
         axis, which then overrides one tunable parameter — creating a
@@ -297,7 +297,7 @@ class SweepSpec(JsonRecord):
         The embedded platform spec is updated when present; a ``soc``
         point without one gets the paper design point plus the swept
         fields; an ``analytical:<name>`` point derives a variant of the
-        named registry platform.  Only the fields of the point's
+        named table platform.  Only the fields of the point's
         platform *kind* apply — a ``platform.eve_pes`` axis shapes the
         ``soc`` points of a mixed-backend sweep and leaves an
         ``analytical:CPU_a`` point's spec untouched, so the unaffected

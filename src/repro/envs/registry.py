@@ -1,8 +1,10 @@
 """Environment registry: ``make("CartPole-v0")`` etc.
 
-Ids follow the OpenAI gym names the paper uses in its figures
-(e.g. "CartPole_v0", "Alien-ram-v0"); lookup is punctuation- and
-case-insensitive so the exact label spelling from any paper figure works.
+Ids follow the OpenAI gym names the paper uses (Table I), and lookup is
+exact: ``make("cartpole-v0")`` raises, listing the known ids, so an id
+in a spec names one environment in every process.  :func:`register`
+adds an environment class (code, which a spec cannot carry by value);
+tests use it, with :func:`unregister`, to substitute throwaway envs.
 """
 
 from __future__ import annotations
@@ -23,51 +25,33 @@ class UnknownEnvironmentError(KeyError):
 
 
 _REGISTRY: Dict[str, Type[Environment]] = {}
-#: normalised key -> the display spelling it was registered under.
-_DISPLAY: Dict[str, str] = {}
-
-
-def _normalise(env_id: str) -> str:
-    return "".join(ch for ch in env_id.lower() if ch.isalnum())
 
 
 def register(env_id: str, cls: Type[Environment]) -> None:
-    key = _normalise(env_id)
-    _REGISTRY[key] = cls
-    _DISPLAY[key] = env_id
+    _REGISTRY[env_id] = cls
 
 
 def unregister(env_id: str) -> None:
     """Remove a registered environment (mainly for test hygiene)."""
-    key = _normalise(env_id)
-    if key not in _REGISTRY:
+    if env_id not in _REGISTRY:
         raise UnknownEnvironmentError(f"unknown environment {env_id!r}")
-    del _REGISTRY[key]
-    _DISPLAY.pop(key, None)
+    del _REGISTRY[env_id]
 
 
 def make(env_id: str, seed: Optional[int] = None) -> Environment:
-    """Instantiate a registered environment by (fuzzy) id."""
-    key = _normalise(env_id)
-    if key not in _REGISTRY:
+    """Instantiate the environment registered under exactly ``env_id``."""
+    cls = _REGISTRY.get(env_id)
+    if cls is None:
         raise UnknownEnvironmentError(
             f"unknown environment {env_id!r}; known: {available()}"
         )
-    return _REGISTRY[key](seed=seed)
+    return cls(seed=seed)
 
 
 def available() -> List[str]:
-    """Every registered id: canonical paper spellings first, then extras."""
-    canonical_keys = {_normalise(env_id): env_id for env_id in CANONICAL_IDS}
-    listed = sorted(
-        env_id for key, env_id in canonical_keys.items() if key in _REGISTRY
-    )
-    listed += sorted(
-        display
-        for key, display in _DISPLAY.items()
-        if key not in canonical_keys
-    )
-    return listed
+    """Every registered id: canonical paper ids first, then extras."""
+    canonical = sorted(env_id for env_id in CANONICAL_IDS if env_id in _REGISTRY)
+    return canonical + sorted(set(_REGISTRY).difference(CANONICAL_IDS))
 
 
 #: Canonical ids as the paper spells them (Table I / figure axis labels).

@@ -7,15 +7,14 @@ Two pieces compose here:
   ``gpu``, ``genesys`` analytical models; ``soc`` the cycle-level
   EvE/ADAM design point) plus a typed parameter block, content-hashable
   for the DSE cache.
-* the open registry (:mod:`repro.platforms.registry`) — every Table III
-  legend name and the ``soc`` design point as entries;
-  :func:`register_platform` adds a custom platform spec that immediately
-  becomes an ``analytical:<name>`` backend and a CLI row without
-  touching backend or sweep code.
+* the fixed platform table (:mod:`repro.platforms.registry`) — every
+  Table III legend name and the ``soc`` design point, the same in every
+  process.  A custom platform is not added to it: it travels by value,
+  as a :class:`PlatformSpec` embedded in the experiment spec.
 
-``make_platform`` accepts a registered name, a :class:`PlatformSpec`,
-or a raw spec dict; unknown names raise :class:`UnknownPlatformError`
-(a ``KeyError`` subclass) listing what is registered.  Each model class
+``make_platform`` accepts a table name, a :class:`PlatformSpec`, or a
+raw spec dict; unknown names raise :class:`UnknownPlatformError` (a
+``KeyError`` subclass) listing the table's names.  Each model class
 (:class:`CPUPlatform`, :class:`GPUPlatform`, :class:`GenesysPlatform`,
 :class:`SoCPlatform`) is built as ``Model(name, params)`` from its
 kind's parameter block.
@@ -32,10 +31,8 @@ from .registry import (
     make_platform,
     platform_names,
     platform_spec,
-    register_platform,
     registered_platforms,
     table3,
-    unregister_platform,
 )
 from .soc_platform import SoCPlatform
 from .spec import (
@@ -81,8 +78,6 @@ __all__ = [
     "parse_adam_shape",
     "platform_names",
     "platform_spec",
-    "register_platform",
     "registered_platforms",
     "table3",
-    "unregister_platform",
 ]

@@ -1,6 +1,6 @@
 """Durable, resumable experiment execution.
 
-:func:`run_in_dir` is :func:`repro.api.run_experiment` with a memory: it
+:func:`run_in_dir` is ``Experiment(spec).run()`` with a memory: it
 streams every generation's metrics to ``metrics.jsonl``, snapshots the
 full evolution state every ``checkpoint_every`` generations (plus once
 at the end), keeps ``champion.json`` current, and stamps ``result.json``

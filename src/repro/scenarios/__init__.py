@@ -13,6 +13,7 @@ from .curriculum import (
     CurriculumStage,
     switch_report,
 )
+from .library import get_scenario, registered_scenarios, scenario_names
 from .runtime import build_batched_env, build_env, env_factory
 from .spec import (
     PERTURBATION_KINDS,
@@ -20,11 +21,6 @@ from .spec import (
     ScenarioSpec,
     ScenarioSpecError,
     UnknownScenarioError,
-    get_scenario,
-    register_scenario,
-    registered_scenarios,
-    scenario_names,
-    unregister_scenario,
 )
 from .wrappers import (
     ActionDropoutWrapper,
@@ -32,7 +28,6 @@ from .wrappers import (
     ParameterJitterWrapper,
     PerturbationWrapper,
 )
-from . import library  # noqa: F401  (registers the built-in scenarios)
 
 __all__ = [
     "CURRICULUM_MODES",
@@ -53,9 +48,7 @@ __all__ = [
     "env_factory",
     "export_continual_csv",
     "get_scenario",
-    "register_scenario",
     "registered_scenarios",
     "scenario_names",
     "switch_report",
-    "unregister_scenario",
 ]

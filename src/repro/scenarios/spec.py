@@ -6,7 +6,7 @@ fixed world.  A :class:`ScenarioSpec` makes the environment variant a
 first-class spec value, exactly like :class:`repro.platforms.PlatformSpec`
 made the hardware substrate one:
 
-* a base registered environment id,
+* a base environment id, spelled exactly as ``repro envs`` lists it,
 * typed physics/reward parameter overrides (pole length, gravity, force
   magnitude, reward shaping — whatever the env declares in
   ``TUNABLE_PARAMS``),
@@ -17,8 +17,9 @@ made the hardware substrate one:
 
 Specs are frozen, JSON-round-trippable, and hash to a ``content_key()``
 that feeds the DSE point cache, so sweeping ``scenario.*`` axes memoises
-like every other axis.  An open registry (``register_scenario``) ships a
-handful of built-in variants and accepts user ones.
+like every other axis.  :mod:`repro.scenarios.library` holds the six
+built-in variants as a fixed table; a custom scenario travels by value,
+as the ``scenario`` block of an experiment spec.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 from ..obs.jsonl import JsonRecord, reject_unknown
 
@@ -36,7 +37,7 @@ class ScenarioSpecError(ValueError):
 
 
 class UnknownScenarioError(KeyError):
-    """A scenario name absent from the registry."""
+    """A scenario name absent from the built-in table."""
 
 
 def _require_fraction(name: str, value: Any) -> float:
@@ -315,43 +316,3 @@ class ScenarioSpec(JsonRecord):
         if "env_id" not in data:
             raise ScenarioSpecError("scenario is missing 'env_id'")
         return cls(**data)
-
-
-# -- registry ---------------------------------------------------------------
-
-_SCENARIOS: Dict[str, ScenarioSpec] = {}
-
-
-def register_scenario(name: str, scenario: Union[ScenarioSpec, Dict[str, Any]]) -> None:
-    """Register a scenario under ``name`` (stored with ``name`` set)."""
-    if not isinstance(name, str) or not name:
-        raise ScenarioSpecError("scenario name must be a non-empty string")
-    if isinstance(scenario, dict):
-        scenario = ScenarioSpec.from_dict(scenario)
-    if not isinstance(scenario, ScenarioSpec):
-        raise ScenarioSpecError(f"cannot register {scenario!r} as a scenario")
-    _SCENARIOS[name] = scenario.replace(name=name)
-
-
-def unregister_scenario(name: str) -> None:
-    if name not in _SCENARIOS:
-        raise UnknownScenarioError(
-            f"unknown scenario {name!r}; known: {scenario_names()}"
-        )
-    del _SCENARIOS[name]
-
-
-def get_scenario(name: str) -> ScenarioSpec:
-    if name not in _SCENARIOS:
-        raise UnknownScenarioError(
-            f"unknown scenario {name!r}; known: {scenario_names()}"
-        )
-    return _SCENARIOS[name]
-
-
-def scenario_names() -> list:
-    return sorted(_SCENARIOS)
-
-
-def registered_scenarios() -> Dict[str, ScenarioSpec]:
-    return dict(_SCENARIOS)

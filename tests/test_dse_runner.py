@@ -2,11 +2,13 @@
 result shaping."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.api import ExperimentSpec
 from repro.dse import SweepRunner, SweepSpec, run_sweep
+from repro.platforms import I7_PARAMS, PlatformSpec
 
 BASE = ExperimentSpec("CartPole-v0", max_generations=1, pop_size=8, max_steps=20)
 
@@ -118,6 +120,29 @@ class TestMemoisation:
         assert result.cache_hits == 2
         fitnesses = {row["fitness"] for row in result.rows}
         assert len(fitnesses) == 1
+
+    def test_one_platform_name_two_contents_are_two_points(self, tmp_path):
+        """A custom platform travels by value: two sweeps whose base specs
+        embed a platform under one name but with different power share a
+        cache dir, yet each evaluates its own point and its own energy."""
+        results = [
+            run_sweep(
+                SweepSpec(
+                    base=BASE.replace(
+                        backend="analytical",
+                        platform=PlatformSpec(
+                            "cpu", "MyCPU", replace(I7_PARAMS, power_w=power_w)
+                        ),
+                    ),
+                    axes={"seed": [0]},
+                ),
+                cache_dir=tmp_path,
+            )
+            for power_w in (45.0, 4500.0)
+        ]
+        assert [r.evaluated for r in results] == [1, 1]
+        low, high = (r.rows[0]["energy_j"] for r in results)
+        assert high == pytest.approx(100 * low)
 
 
 class TestExecution:

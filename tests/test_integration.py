@@ -132,7 +132,7 @@ class TestWorkloadClasses:
         for env_id in EVALUATION_SUITE:
             spec = ExperimentSpec(env_id, pop_size=10, seed=0, max_steps=20)
             trace = TraceRecorder(spec).record(2)
-            assert trace.generations == 2
+            assert len(trace.workloads) == 2
 
 
 class TestSoCAccountingConsistency:

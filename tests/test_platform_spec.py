@@ -11,7 +11,6 @@ from repro.api import (
     Experiment,
     ExperimentSpec,
     SpecError,
-    UnknownBackendError,
     available_backends,
     make_backend,
 )
@@ -25,10 +24,8 @@ from repro.platforms import (
     make_platform,
     platform_names,
     platform_spec,
-    register_platform,
     registered_platforms,
     table3,
-    unregister_platform,
 )
 
 SMALL = dict(max_generations=2, pop_size=10, max_steps=30, seed=0)
@@ -198,52 +195,17 @@ class TestRegistry:
         with pytest.raises(KeyError):
             make_platform("TPU")
 
-    def test_unregister_unknown_raises(self):
-        with pytest.raises(UnknownPlatformError):
-            unregister_platform("never-registered")
-
-    def test_registration_override_and_views(self):
-        spec = PlatformSpec("genesys", params={"num_eve_pes": 64})
-        register_platform("GENESYS_64", spec)
-        try:
-            assert "GENESYS_64" in platform_names()
-            assert make_platform("GENESYS_64").params.num_eve_pes == 64
-            assert platform_spec("GENESYS_64").params.num_eve_pes == 64
-            # override: latest wins
-            register_platform(
-                "GENESYS_64",
-                PlatformSpec("genesys", params={"num_eve_pes": 128}),
-            )
-            assert make_platform("GENESYS_64").params.num_eve_pes == 128
-            # custom registrations never leak into the paper's Table III
-            assert len(table3()) == 9
-        finally:
-            unregister_platform("GENESYS_64")
-        assert "GENESYS_64" not in platform_names()
-
-    def test_registration_takes_a_spec_only(self):
-        """A registered platform is data: a spec or its dict form, so
-        every entry embeds in an experiment spec and dumps as JSON."""
-        with pytest.raises(PlatformSpecError, match="expected a PlatformSpec"):
-            register_platform("tiny", lambda: make_platform("GENESYS"))
-        assert "tiny" not in platform_names()
-
-    def test_registered_name_becomes_analytical_backend(self):
-        register_platform(
-            "GENESYS_quarter",
-            PlatformSpec("genesys", params={"num_eve_pes": 64}),
-        )
-        try:
-            assert "analytical:GENESYS_quarter" in available_backends()
-            result = Experiment(ExperimentSpec(
-                "CartPole-v0", backend="analytical:GENESYS_quarter", **SMALL
-            )).run()
-            assert result.backend == "analytical:GENESYS_quarter"
-            assert result.total_energy_j > 0
-        finally:
-            unregister_platform("GENESYS_quarter")
-        with pytest.raises(UnknownBackendError):
-            make_backend("analytical:GENESYS_quarter")
+    def test_table_is_fixed(self):
+        """The table is the nine Table III rows, in the paper's order,
+        plus soc, and each name is an analytical backend key."""
+        rows = ["CPU_a", "CPU_b", "CPU_c", "CPU_d",
+                "GPU_a", "GPU_b", "GPU_c", "GPU_d", "GENESYS"]
+        assert platform_names() == sorted(rows + ["soc"])
+        assert [row["Legend"] for row in table3()] == rows
+        assert platform_spec("GENESYS") is registered_platforms()["GENESYS"]
+        assert available_backends() == [
+            f"analytical:{name}" for name in platform_names()
+        ] + ["soc", "software"]
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,21 @@ def test_all_canonical_ids_instantiable():
         assert obs.shape[0] == env.num_observations
 
 
-def test_fuzzy_lookup_matches_paper_spellings():
-    # The paper's figure labels use several spellings of the same env.
-    for spelling in ("CartPole_v0", "cartpole-v0", "CartPole-v0", "Cartpole v0"):
-        assert type(make(spelling)).__name__ == "CartPoleEnv"
-    for spelling in ("Alien-ram-v0", "Alien RAM v0", "alien_ram_v0"):
-        assert type(make(spelling)).__name__ == "AlienRamEnv"
+def test_env_ids_match_exactly():
+    """An id names one environment in every process: another spelling
+    of a known id is an unknown id, whose error lists the known ones,
+    whether it reaches ``make`` directly or through a spec's run."""
+    from repro.api import Experiment, ExperimentSpec
+
+    for spelling in ("cartpole-v0", "CartPole_v0"):
+        with pytest.raises(UnknownEnvironmentError, match="'CartPole-v0'"):
+            make(spelling)
+    spec = ExperimentSpec(
+        "cartpole-v0", vectorizer="numpy", max_generations=1, pop_size=4,
+        max_steps=5,
+    )
+    with pytest.raises(UnknownEnvironmentError, match="'CartPole-v0'"):
+        Experiment(spec).run()
 
 
 def test_unknown_env_raises():

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.api import ExperimentSpec, run_experiment
+from repro.api import ExperimentSpec
 from repro.neat.serialize import DeserializationError, load_genome_with_config
 from repro.runs import (
     RunDir,
@@ -234,17 +234,6 @@ class TestResume:
                        on_generation=interrupt_at(3))
         resume_run(run_dir)  # no cadence passed: run.json supplies 2
         assert [g for g, _ in RunDir(run_dir).checkpoints()] == [2, 4, 5]
-
-    def test_run_experiment_run_dir_round_trip(self, tmp_path):
-        run_dir = tmp_path / "run"
-        result = run_experiment(small_spec(), run_dir=run_dir)
-        assert RunDir(run_dir).is_complete
-        again = run_experiment(small_spec(), run_dir=run_dir, resume=True)
-        assert again.best_fitness == result.best_fitness
-
-    def test_run_experiment_resume_needs_run_dir(self):
-        with pytest.raises(ValueError, match="resume requires run_dir"):
-            run_experiment(small_spec(), resume=True)
 
     def test_soc_backend_rejects_resume(self, tmp_path):
         from repro.api import ResumeUnsupportedError

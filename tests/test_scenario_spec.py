@@ -24,10 +24,8 @@ from repro.scenarios import (
     ScenarioSpecError,
     UnknownScenarioError,
     get_scenario,
-    register_scenario,
     registered_scenarios,
     scenario_names,
-    unregister_scenario,
 )
 
 SMALL = dict(max_generations=2, pop_size=10, max_steps=30, seed=0)
@@ -305,21 +303,14 @@ class TestRegistry:
         with pytest.raises(KeyError):  # back-compat catch class
             get_scenario("lava-floor")
 
-    def test_register_unregister(self):
-        register_scenario(
-            "test-low-gravity",
-            {"env_id": "CartPole-v0", "params": {"gravity": 3.7}},
-        )
-        try:
-            assert "test-low-gravity" in scenario_names()
-            scenario = get_scenario("test-low-gravity")
-            assert scenario.name == "test-low-gravity"
-            assert scenario.params == {"gravity": 3.7}
-        finally:
-            unregister_scenario("test-low-gravity")
-        assert "test-low-gravity" not in scenario_names()
-        with pytest.raises(UnknownScenarioError):
-            unregister_scenario("test-low-gravity")
+    def test_table_is_fixed(self):
+        """The six built-ins, in catalogue order, and nothing else."""
+        assert list(registered_scenarios()) == [
+            "cartpole-short-pole", "cartpole-long-pole", "cartpole-windy",
+            "cartpole-jittery", "cartpole-pole-curriculum",
+            "mountaincar-weak-engine",
+        ]
+        assert scenario_names() == sorted(registered_scenarios())
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +337,11 @@ class TestEmbeddedScenario:
                 **SMALL,
             )
 
-    def test_fuzzy_env_spellings_match(self):
-        spec = ExperimentSpec(
-            "cartpole_v0", scenario={"env_id": "CartPole-v0"}, **SMALL
-        )
-        assert spec.scenario.env_id == "CartPole-v0"
+    def test_env_ids_match_exactly(self):
+        with pytest.raises(SpecError, match="does not match"):
+            ExperimentSpec(
+                "cartpole_v0", scenario={"env_id": "CartPole-v0"}, **SMALL
+            )
 
     def test_soc_backend_rejected(self):
         with pytest.raises(SpecError, match="soc backend does not support"):

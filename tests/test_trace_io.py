@@ -1,40 +1,10 @@
-"""Tests for trace persistence and additional physics/extinction edges."""
+"""Tests for additional physics/extinction edges."""
 
 import numpy as np
-import pytest
 
-from repro.api import ExperimentSpec
 from repro.core import GeneSysConfig, GeneSysSoC, config_for_env
-from repro.core.trace import TraceRecorder, WorkloadTrace
 from repro.envs import AcrobotEnv
 from repro.hw import EvEConfig
-
-
-class TestTracePersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        spec = ExperimentSpec("CartPole-v0", pop_size=12, seed=0, max_steps=40)
-        trace = TraceRecorder(spec).record(3)
-        path = tmp_path / "cartpole.trace"
-        trace.save(path)
-        loaded = WorkloadTrace.load(path)
-        assert loaded.env_id == "CartPole-v0"
-        assert len(loaded.lines) == len(trace.lines)
-        for a, b in zip(loaded.lines, trace.lines):
-            assert (a.generation, a.genome_id, a.op, a.count) == (
-                b.generation, b.genome_id, b.op, b.count,
-            )
-
-    def test_file_format_matches_paper_fields(self, tmp_path):
-        spec = ExperimentSpec("CartPole-v0", pop_size=10, seed=0, max_steps=30)
-        trace = TraceRecorder(spec).record(2)
-        path = tmp_path / "t.trace"
-        trace.save(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# workload trace:")
-        # generation, genome id, op type, parameters-changed count
-        data = [l for l in lines if not l.startswith("#")]
-        assert data
-        assert all(len(l.split(",")) == 4 for l in data)
 
 
 class TestAcrobotPhysics:
