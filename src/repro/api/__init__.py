@@ -6,14 +6,17 @@ platform models — and many workloads, with only the fitness function
 changing (Section III-B).  This package is that claim as an API:
 
 * :class:`ExperimentSpec` — a frozen, JSON-round-trippable description of
-  one experiment (workload + algorithm + backend + evaluation settings).
+  one experiment (workload + algorithm + backend + evaluation settings),
+  checked against the fixed substrate and platform tables when it is
+  built or read (``available_backends`` lists the keys).
 * :class:`Experiment` — resolves a spec, and nothing else, against one
-  of three backends and runs the closed loop: ``software``
-  (pure-software NEAT), ``soc`` (the EvE/ADAM hardware-in-the-loop
-  models) and ``analytical:<platform>`` (software evolution costed
-  through a Table III platform model).  The spec is the whole
-  experiment, so a run rebuilt from ``spec.json`` — resumed, served or
-  swept — is the same run.
+  of three backends (``make_backend`` dispatches on the spec's
+  ``substrate``) and runs the closed loop: ``software`` (pure-software
+  NEAT), ``soc`` (the EvE/ADAM hardware-in-the-loop models) and
+  ``analytical:<platform>`` (software evolution costed through a Table
+  III platform model).  The spec is the whole experiment, so a run
+  rebuilt from ``spec.json`` — resumed, served or swept — is the same
+  run.
 * :class:`RunResult` / :class:`GenerationMetrics` — the unified result
   every backend returns, with optional hardware reports and energy/cycle
   totals.
@@ -46,14 +49,12 @@ from .backends import (
     SoCBackend,
     SoftwareBackend,
     StateObserver,
-    UnknownBackendError,
-    available_backends,
     make_backend,
 )
 from .experiment import Experiment
 from .parallel import ParallelFitnessEvaluator, build_evaluator
 from .result import GenerationMetrics, RunResult
-from .spec import ExperimentSpec, SpecError
+from .spec import ExperimentSpec, SpecError, available_backends
 
 __all__ = [
     "AnalyticalBackend",
@@ -70,7 +71,6 @@ __all__ = [
     "SoftwareBackend",
     "SpecError",
     "StateObserver",
-    "UnknownBackendError",
     "available_backends",
     "build_evaluator",
     "make_backend",

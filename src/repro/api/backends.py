@@ -16,24 +16,23 @@ one of three, mirroring the paper's three evaluation substrates:
     analytical projection); adds modelled per-generation runtime and
     energy to the metrics.
 
-Both hardware-substrate backends take their platform from the spec:
-``analytical:<name>`` looks the name up in the fixed table, and an
-:class:`ExperimentSpec` with an embedded ``platform`` block hands it
-straight to the backend (``analytical`` cost models and the ``soc``
-cycle-level design point alike), so a custom platform is a spec's
-``platform`` block, carried by value.
+Both hardware-substrate backends take their platform from the spec's
+:meth:`~repro.api.ExperimentSpec.design_point`, so a custom platform is
+a spec's ``platform`` block, carried by value.
 
-The set is fixed: :func:`make_backend` dispatches over these three, so
-a spec names everything that shapes its run and a resumed, served or
-swept run rebuilt from ``spec.json`` is the same run.  All backends
-return one unified :class:`repro.api.RunResult` and accept
-``on_generation`` / ``on_evaluation`` observer callbacks so analysis
-code never reaches into :class:`repro.neat.Population` internals.
+The set is fixed, and the spec checks its ``backend`` and ``platform``
+against it when it is built, so :func:`make_backend` only dispatches on
+``spec.substrate``: a spec names everything that shapes its run and a
+resumed, served or swept run rebuilt from ``spec.json`` is the same
+run.  All backends return one unified :class:`repro.api.RunResult` and
+accept ``on_generation`` / ``on_evaluation`` observer callbacks so
+analysis code never reaches into :class:`repro.neat.Population`
+internals.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..core.config import GeneSysConfig
@@ -44,15 +43,7 @@ from ..hw.energy import cycles_to_seconds
 from ..neat.config import NEATConfig
 from ..neat.genome import Genome
 from ..neat.population import Population, meets_threshold
-from ..platforms import (
-    Platform,
-    PlatformSpec,
-    PlatformSpecError,
-    SoCPlatform,
-    UnknownPlatformError,
-    make_platform,
-    platform_names,
-)
+from ..platforms import PlatformSpec, make_platform
 from .parallel import build_evaluator
 from .result import GenerationMetrics, RunResult
 from .spec import ExperimentSpec, SpecError
@@ -71,10 +62,6 @@ StateObserver = Callable[[Population], None]
 #: that boundary — the hook the :mod:`repro.serve` scheduler preempts
 #: through (yield at a checkpoint boundary, resume later, bit-identical).
 ShouldStop = Callable[[int], bool]
-
-
-class UnknownBackendError(KeyError):
-    pass
 
 
 class ResumeUnsupportedError(SpecError):
@@ -367,24 +354,6 @@ class SoftwareBackend:
         )
 
 
-#: What names a backend's platform: a table name, a
-#: :class:`repro.platforms.PlatformSpec` or its dict form.
-PlatformOption = Union[str, Mapping, PlatformSpec]
-
-
-def _platform_option(backend: str, platform: PlatformOption) -> Platform:
-    """Build the platform a backend's ``platform`` option names."""
-    try:
-        return make_platform(platform)
-    except UnknownPlatformError as exc:
-        raise UnknownBackendError(
-            f"unknown {backend} platform {platform!r}; "
-            f"known: {platform_names()}"
-        ) from exc
-    except PlatformSpecError as exc:
-        raise SpecError(f"invalid platform spec: {exc}") from exc
-
-
 class AnalyticalBackend(SoftwareBackend):
     """Software evolution costed through a platform model.
 
@@ -394,14 +363,14 @@ class AnalyticalBackend(SoftwareBackend):
     modelled runtime and energy a real deployment on that platform would
     exhibit (the per-generation bars of Fig. 9).
 
-    ``platform`` is a name in the :mod:`repro.platforms` table (what
-    ``'analytical:<name>'`` names), or the
-    :class:`repro.platforms.PlatformSpec` an :class:`ExperimentSpec`
-    embeds as its ``platform`` block.
+    ``platform`` is the spec's design point: a row of the
+    :mod:`repro.platforms` table (what ``'analytical:<name>'`` names),
+    or the :class:`repro.platforms.PlatformSpec` an
+    :class:`ExperimentSpec` embeds as its ``platform`` block.
     """
 
-    def __init__(self, platform: PlatformOption) -> None:
-        self.platform = _platform_option("analytical", platform)
+    def __init__(self, platform: PlatformSpec) -> None:
+        self.platform = make_platform(platform)
         self.name = f"analytical:{self.platform.name}"
 
     def _on_workload(
@@ -425,31 +394,15 @@ class SoCBackend:
     The SoC model is a serial chip simulation, so ``spec.workers`` does
     not apply here.
 
-    The hardware design point is a ``soc``-kind
-    :class:`repro.platforms.PlatformSpec`: the ``platform`` option (a
-    spec, its dict form or a table name;
-    :class:`repro.api.Experiment` passes the spec's embedded
-    ``platform`` block), else ``spec.platform``, else the paper's design
-    point.
+    The hardware design point is the spec's
+    :meth:`~repro.api.ExperimentSpec.design_point`: its ``soc``-kind
+    ``platform`` block, else the paper's design point.
     """
 
     name = "soc"
 
-    def __init__(self, platform: Optional[PlatformOption] = None) -> None:
-        self.platform: Optional[SoCPlatform] = None
-        if platform is not None:
-            self.platform = _platform_option("soc", platform)
-            if not isinstance(self.platform, SoCPlatform):
-                raise SpecError(
-                    f"the soc backend needs a 'soc'-kind platform, but "
-                    f"{platform!r} is {type(self.platform).__name__}"
-                )
-
     def _resolve_config(self, spec: ExperimentSpec) -> GeneSysConfig:
-        platform = self.platform or make_platform(
-            spec.platform or PlatformSpec("soc")
-        )
-        return platform.genesys_config(
+        return make_platform(spec.design_point()).genesys_config(
             neat=config_for_env(
                 spec.env_id, spec.pop_size, spec.fitness_threshold
             ),
@@ -495,45 +448,14 @@ class SoCBackend:
 # dispatch
 
 
-def make_backend(
-    name: str, platform: Optional[PlatformOption] = None
-) -> Union[SoftwareBackend, SoCBackend]:
-    """The backend a spec's ``backend`` key names: ``software``, ``soc``
-    or ``analytical:<platform>``.
+def make_backend(spec: ExperimentSpec) -> Union[SoftwareBackend, SoCBackend]:
+    """The backend that runs ``spec``, one per substrate.
 
-    ``platform`` is the spec's embedded platform block (or a table
-    name): the cost model of a bare ``analytical`` backend, or the
-    ``soc`` design point.
+    The spec checked its ``backend`` and ``platform`` against the fixed
+    tables when it was built, so this only dispatches.
     """
-    base, _, arg = name.partition(":")
-    if base == "analytical":
-        if arg and platform is not None:
-            raise UnknownBackendError(
-                f"the analytical backend got both ':{arg}' and an "
-                "explicit platform; pass one"
-            )
-        if not arg and platform is None:
-            raise UnknownBackendError(
-                "the analytical backend needs a platform — use "
-                "'analytical:<platform>' (or embed a platform spec) "
-                f"with one of: {platform_names()}"
-            )
-        return AnalyticalBackend(arg or platform)
-    if base not in ("software", "soc"):
-        raise UnknownBackendError(
-            f"unknown backend {name!r}; known: {available_backends()}"
-        )
-    if arg:
-        raise UnknownBackendError(
-            f"the {base} backend takes no ':{arg}' parameter"
-        )
-    if base == "soc":
-        return SoCBackend(platform)
-    if platform is not None:
-        raise SpecError("the software backend takes no platform")
+    if spec.substrate == "analytical":
+        return AnalyticalBackend(spec.design_point())
+    if spec.substrate == "soc":
+        return SoCBackend()
     return SoftwareBackend()
-
-
-def available_backends() -> List[str]:
-    """Every resolvable backend key, with analytical platforms expanded."""
-    return [f"analytical:{p}" for p in platform_names()] + ["soc", "software"]

@@ -33,7 +33,7 @@ class Experiment:
 
     def __init__(self, spec: ExperimentSpec) -> None:
         self.spec = spec
-        self.backend = make_backend(spec.backend, spec.platform)
+        self.backend = make_backend(spec)
 
     def run(
         self,

@@ -8,6 +8,10 @@ be passed over the CLI (``--spec FILE``), be sharded across machines
 without any pickling — and anchor durable run directories
 (:mod:`repro.runs` stores the producing spec as ``spec.json`` and a
 resume re-derives the whole experiment from it).
+
+A spec checks its ``backend`` and ``platform`` against the fixed tables
+once, when it is built or read; code downstream reads its ``substrate``
+and ``design_point()`` instead of parsing the backend string.
 """
 
 from __future__ import annotations
@@ -16,19 +20,31 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..envs.evaluate import VECTORIZERS
 from ..obs.jsonl import JsonRecord, check_fields
-from ..platforms.spec import (
+from ..platforms import (
     PlatformSpec,
     PlatformSpecError,
     as_platform_spec,
+    platform_names,
+    platform_spec,
 )
 
 
 class SpecError(ValueError):
     """Raised for invalid or inconsistent experiment specifications."""
+
+
+#: The substrates a ``backend`` key names.  Only ``analytical`` takes
+#: ``:<name>``, a key of the fixed platform table.
+SUBSTRATES = ("analytical", "soc", "software")
+
+
+def available_backends() -> List[str]:
+    """Every backend key that needs no embedded platform."""
+    return [f"analytical:{p}" for p in platform_names()] + ["soc", "software"]
 
 
 def is_integer(value: Any) -> bool:
@@ -41,11 +57,12 @@ class ExperimentSpec(JsonRecord):
     """Everything needed to reproduce one experiment, JSON-serialisable.
 
     ``backend`` names one of the three backends (``software``, ``soc``,
-    ``analytical:<platform>``).  The hardware design point is named only
-    by the ``platform`` block.  ``backend_options`` must stay empty: no
-    backend takes options, and the field remains only because stored
-    spec files, goldens and DSE cache keys hold ``"backend_options":
-    {}``.
+    ``analytical:<platform>``, or ``analytical`` with an embedded
+    ``platform`` block).  The hardware design point is named only by
+    the ``platform`` block or the ``analytical:<platform>`` table row.
+    ``backend_options`` must stay empty: no backend takes options, and
+    the field remains only because stored spec files, goldens and DSE
+    cache keys hold ``"backend_options": {}``.
     """
 
     error = SpecError
@@ -120,26 +137,43 @@ class ExperimentSpec(JsonRecord):
                 "spec's 'platform' block)"
             )
         object.__setattr__(self, "backend_options", {})
+        # The one check of backend and platform against the fixed tables.
+        substrate, colon, name = self.backend.partition(":")
+        if substrate not in SUBSTRATES or (colon and substrate != "analytical"):
+            raise SpecError(
+                f"unknown backend {self.backend!r}; known: "
+                f"{available_backends()}, or 'analytical' with a platform"
+            )
+        if colon and name not in platform_names():
+            raise SpecError(
+                f"unknown analytical platform {name!r}; known: "
+                f"{platform_names()}"
+            )
+        if self.platform is None and self.backend == "analytical":
+            raise SpecError(
+                "the analytical backend needs a platform: "
+                f"'analytical:<platform>' with one of {platform_names()}, "
+                "or an embedded platform spec"
+            )
         if self.platform is not None:
             try:
                 platform = as_platform_spec(self.platform)
             except PlatformSpecError as exc:
                 raise SpecError(f"invalid platform spec: {exc}") from exc
             object.__setattr__(self, "platform", platform)
-            base, _, arg = self.backend.partition(":")
-            if base == "software":
+            if substrate == "software":
                 raise SpecError(
                     "the software backend takes no platform; use "
                     "backend='analytical' or 'soc' with an embedded "
                     "platform spec"
                 )
-            if base == "analytical" and arg:
+            if colon:
                 raise SpecError(
                     f"backend {self.backend!r} already names a platform; "
                     "use backend='analytical' with the embedded platform "
                     "spec, or drop the embedded spec"
                 )
-            if base == "soc" and platform.kind != "soc":
+            if substrate == "soc" and platform.kind != "soc":
                 raise SpecError(
                     f"the soc backend needs a 'soc'-kind platform spec, "
                     f"got kind {platform.kind!r}"
@@ -164,11 +198,26 @@ class ExperimentSpec(JsonRecord):
                     f"scenario env {scenario.env_id!r} does not match "
                     f"spec env {self.env_id!r}"
                 )
-            if self.backend.partition(":")[0] == "soc":
+            if self.substrate == "soc":
                 raise SpecError(
                     "the soc backend does not support scenarios yet; "
                     "use the software or analytical backends"
                 )
+
+    # -- derived views ----------------------------------------------------
+
+    @property
+    def substrate(self) -> str:
+        """``software``, ``analytical`` or ``soc``."""
+        return self.backend.partition(":")[0]
+
+    def design_point(self) -> Optional[PlatformSpec]:
+        """The embedded ``platform`` block, else the table row
+        ``analytical:<name>`` names, else (``soc``) the paper's design
+        point; ``None`` on ``software``."""
+        if self.platform is not None or self.substrate == "software":
+            return self.platform
+        return platform_spec(self.backend.partition(":")[2] or "soc")
 
     # -- dict round-trip (JSON: repro.obs.jsonl.JsonRecord) ---------------
 

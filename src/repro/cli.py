@@ -36,7 +36,8 @@ an :class:`repro.api.ExperimentSpec`, or ``--spec FILE`` loads one from
 JSON (explicit flags override the file).  ``--backend`` selects the
 substrate (``software``, ``soc``, ``analytical:<platform>``) and
 ``--workers N`` parallelises fitness evaluation bit-identically to the
-serial path.
+serial path.  Every user error prints ``error: ...`` to stderr and
+exits 2.
 
 ``--run-dir DIR`` records the run durably (spec, per-generation
 ``metrics.jsonl``, periodic full-state checkpoints, champion) and
@@ -59,6 +60,12 @@ from .analysis.reporting import (
     fmt_seconds,
     render_table,
 )
+
+
+class UsageError(Exception):
+    """A command line that names no valid request; ``main`` prints it
+    as ``error: ...`` and exits 2, like every other user error."""
+
 
 #: Fallbacks applied when neither a flag nor a spec file sets the field.
 _SPEC_DEFAULTS = {
@@ -138,7 +145,7 @@ def _spec_from_args(args: argparse.Namespace):
         spec = ExperimentSpec.load(args.spec)
         return spec.replace(**overrides) if overrides else spec
     if "env_id" not in overrides:
-        raise SystemExit("error: an environment id or --spec FILE is required")
+        raise UsageError("an environment id or --spec FILE is required")
     return ExperimentSpec(**{**_SPEC_DEFAULTS, **overrides})
 
 
@@ -189,8 +196,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.run_dir:
             conflicts.append("run_dir")
         if conflicts:
-            raise SystemExit(
-                "error: --resume takes the spec from the run directory; "
+            raise UsageError(
+                "--resume takes the spec from the run directory; "
                 "only --generations may be overridden "
                 f"(conflicting: {', '.join(sorted(conflicts))})"
             )
@@ -220,8 +227,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 trace=True if args.trace else None,
             )
         elif args.trace:
-            raise SystemExit(
-                "error: --trace writes telemetry.jsonl into the run "
+            raise UsageError(
+                "--trace writes telemetry.jsonl into the run "
                 "directory; add --run-dir DIR (or --resume DIR)"
             )
         else:
@@ -232,12 +239,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{result.best_fitness:.2f} after {result.generations} "
         f"generations (converged={result.converged})"
     )
-    if spec.backend == "soc":
+    if spec.substrate == "soc":
         print(
             f"  chip time {fmt_seconds(result.total_runtime_s)}, "
             f"energy {fmt_joules(result.total_energy_j)}"
         )
-    elif spec.backend == "software":
+    elif spec.substrate == "software":
         conns, nodes = result.champion.size()
         print(f"  champion: {conns} enabled connections, {nodes} nodes")
     else:
@@ -245,13 +252,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"  modelled platform time {fmt_seconds(result.total_runtime_s)}, "
             f"energy {fmt_joules(result.total_energy_j)}"
         )
-    if spec.workers > 1 and spec.backend != "soc":
+    if spec.workers > 1 and spec.substrate != "soc":
         # The SoC model is a serial chip simulation; only the software
         # and analytical paths evaluate fitness in parallel.
         print(f"  fitness evaluated with {spec.workers} workers "
               f"(bit-identical to serial)")
     if spec.vectorizer == "numpy":
-        if spec.backend == "soc":
+        if spec.substrate == "soc":
             # The SoC model simulates ADAM's own packed matrix-vector
             # waves; the software vectorizer does not apply there.
             print("  note: --vectorizer numpy is ignored by the soc backend")
@@ -304,9 +311,9 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 def _require_software_backend(spec, command: str) -> None:
     """characterise/platforms instrument the software NEAT loop; other
     backends would be silently misleading, so reject them explicitly."""
-    if spec.backend != "software":
-        raise SystemExit(
-            f"error: '{command}' characterises the software path; "
+    if spec.substrate != "software":
+        raise UsageError(
+            f"'{command}' characterises the software path; "
             f"--backend {spec.backend} is not supported here "
             f"(use 'run --backend {spec.backend}' instead)"
         )
@@ -353,8 +360,8 @@ def _cmd_platforms(args: argparse.Namespace) -> int:
 
     if args.json:
         if args.env is not None or args.spec:
-            raise SystemExit(
-                "error: --json prints the platform table; it does not "
+            raise UsageError(
+                "--json prints the platform table; it does not "
                 "combine with an environment or --spec (drop one)"
             )
         import json
@@ -684,9 +691,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         ) if active
     ]
     if len(modes) > 1:
-        raise SystemExit(
-            f"error: {' and '.join(modes)} are mutually exclusive"
-        )
+        raise UsageError(f"{' and '.join(modes)} are mutually exclusive")
     cache_dir = None if args.no_cache else (
         args.cache_dir or default_cache_dir()
     )
@@ -740,8 +745,8 @@ def _serve_endpoint(args: argparse.Namespace):
     root = getattr(args, "root", None)
     url = getattr(args, "url", None)
     if (root is None) == (url is None):
-        raise SystemExit(
-            "error: exactly one of --root DIR (direct store access) or "
+        raise UsageError(
+            "exactly one of --root DIR (direct store access) or "
             "--url URL (HTTP API) is required"
         )
     if root is not None:
@@ -998,8 +1003,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         run_dir / TELEMETRY_FILENAME if run_dir.is_dir() else run_dir
     )
     if not telemetry.exists():
-        raise SystemExit(
-            f"error: {telemetry} not found — record one with "
+        raise FileNotFoundError(
+            f"{telemetry} not found — record one with "
             "'repro run --trace --run-dir DIR' (or REPRO_TRACE=1)"
         )
 
@@ -1469,7 +1474,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .obs import Tracer, install
 
         install(Tracer(trace_file))
-    from .api import SpecError, UnknownBackendError
+    from .api import SpecError
     from .dse import ObjectiveError
     from .envs.registry import UnknownEnvironmentError
     from .neat.serialize import DeserializationError
@@ -1481,7 +1486,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (
-        SpecError, UnknownBackendError, UnknownEnvironmentError,
+        UsageError, SpecError, UnknownEnvironmentError,
         ObjectiveError, RunError, DeserializationError,
         PlatformSpecError, UnknownPlatformError,
         ScenarioSpecError, UnknownScenarioError,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from .. import obs
 from .pareto import ObjectiveError, pareto_front
@@ -115,8 +115,8 @@ class SuccessiveHalvingScheduler:
     ``objectives`` uses the Pareto syntax (``{"fitness": "max",
     "energy_j": "min"}``); the first entry is the *primary* objective
     that ranks the top-``ceil(n/reduction)`` promotion slice.  Points
-    are re-budgeted per rung by replacing their spec's
-    ``max_generations``, so a sweep may not itself sweep that field.
+    are re-budgeted per rung (:func:`halving_budgets`) by replacing their
+    spec's ``max_generations``, so a sweep may not itself sweep that field.
     """
 
     def __init__(
@@ -125,7 +125,6 @@ class SuccessiveHalvingScheduler:
         objectives: Mapping[str, str],
         reduction: int = 3,
         min_generations: int = 1,
-        budgets: Optional[Sequence[int]] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         jobs: int = 1,
         evaluate: Optional[PointEvaluator] = None,
@@ -148,28 +147,12 @@ class SuccessiveHalvingScheduler:
                 "successive halving re-budgets max_generations per rung; "
                 "a sweep cannot also use it as an axis"
             )
-        final = sweep.base.max_generations
-        if budgets is None:
-            budgets = halving_budgets(final, reduction, min_generations)
-        else:
-            budgets = [int(b) for b in budgets]
-            if not budgets or any(b < 1 for b in budgets):
-                raise HalvingError("rung budgets must be positive integers")
-            if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
-                raise HalvingError("rung budgets must be strictly increasing")
-            if budgets[-1] != final:
-                raise HalvingError(
-                    f"the last rung budget must equal the sweep's "
-                    f"max_generations ({final}), got {budgets[-1]} — "
-                    "otherwise survivor metrics are not comparable with "
-                    "a full sweep's"
-                )
-        if reduction < 2:
-            raise HalvingError("reduction factor must be >= 2")
         self.sweep = sweep
         self.objectives = dict(objectives)
         self.reduction = reduction
-        self.budgets = list(budgets)
+        self.budgets = halving_budgets(
+            sweep.base.max_generations, reduction, min_generations
+        )
         self.cache_dir = cache_dir
         self.runner = SweepRunner(
             sweep,

@@ -14,9 +14,13 @@ into concrete :class:`SweepPoint`\\ s either as the full cartesian
 Platform axes parameterise the hardware substrates: on ``soc``-backend
 points they update (or create) the embedded ``soc``-kind platform spec;
 on ``analytical:<name>`` points they derive a variant of the named
-table platform; on other backends they do not change the executed
-experiment, so equivalent points collapse to one evaluation under the
-content-hash cache (:mod:`repro.dse.cache`).
+table platform (each point's
+:meth:`~repro.api.ExperimentSpec.design_point`); on other backends they
+do not change the executed experiment, so equivalent points collapse to
+one evaluation under the content-hash cache (:mod:`repro.dse.cache`).
+Each point's spec is checked when it is built, so ``expand()`` refuses a
+bad point (a misspelt backend or platform) with a :class:`SweepSpecError`
+naming it, before :class:`repro.dse.SweepRunner` runs any point.
 """
 
 from __future__ import annotations
@@ -30,12 +34,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..api.spec import ExperimentSpec, SpecError, is_integer
 from ..obs.jsonl import JsonRecord, reject_unknown
-from ..platforms import (
-    PLATFORM_KINDS,
-    PlatformSpec,
-    PlatformSpecError,
-    platform_spec,
-)
+from ..platforms import PLATFORM_KINDS, PlatformSpecError
 
 
 class SweepSpecError(SpecError):
@@ -294,26 +293,19 @@ class SweepSpec(JsonRecord):
     ) -> ExperimentSpec:
         """Fold ``platform.*`` axis values into the point's spec.
 
-        The embedded platform spec is updated when present; a ``soc``
-        point without one gets the paper design point plus the swept
-        fields; an ``analytical:<name>`` point derives a variant of the
-        named table platform.  Only the fields of the point's
+        The point's design point (:meth:`ExperimentSpec.design_point`)
+        takes the swept fields and is embedded: the platform block when
+        present, the paper design point on a ``soc`` point without one,
+        a variant of the named table platform on an
+        ``analytical:<name>`` point.  Only the fields of the point's
         platform *kind* apply — a ``platform.eve_pes`` axis shapes the
         ``soc`` points of a mixed-backend sweep and leaves an
         ``analytical:CPU_a`` point's spec untouched, so the unaffected
         points collapse to one evaluation in the cache.  The
         ``software`` backend has no platform and is never touched.
         """
-        base_name, _, arg = spec.backend.partition(":")
         try:
-            target: Optional[PlatformSpec] = spec.platform
-            new_backend = spec.backend
-            if target is None:
-                if base_name == "soc":
-                    target = PlatformSpec("soc")
-                elif base_name == "analytical" and arg:
-                    target = platform_spec(arg)
-                    new_backend = "analytical"
+            target = spec.design_point()
             if target is None:
                 return spec
             valid = {
@@ -324,10 +316,10 @@ class SweepSpec(JsonRecord):
             if not applicable:
                 return spec
             return spec.replace(
-                backend=new_backend,
+                backend=spec.substrate,
                 platform=target.replace_params(**applicable),
             )
-        except (PlatformSpecError, KeyError, SpecError) as exc:
+        except (PlatformSpecError, SpecError) as exc:
             message = exc.args[0] if exc.args else exc
             raise SweepSpecError(
                 f"point {dict(values)}: {message}"

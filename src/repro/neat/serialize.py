@@ -14,10 +14,11 @@ Two granularities ship here:
   :func:`population_from_state`) — everything
   :class:`repro.neat.Population` needs to continue a run bit-identically
   from a generation boundary: every genome, the speciation partition and
-  its fitness histories, the innovation/genome-key counters, the Mersenne
-  Twister state of the population RNG and the last reproduction plan.
-  :mod:`repro.runs` writes it as its checkpoint files
-  (:meth:`repro.runs.RunDir.write_checkpoint`).
+  its fitness histories, the innovation/genome-key counters and the
+  Mersenne Twister state of the population RNG: only what a resume
+  reads (the next generation replaces the last reproduction plan before
+  anything reads it, so it stays in memory).  :mod:`repro.runs` writes
+  it as its checkpoint files (:meth:`repro.runs.RunDir.write_checkpoint`).
 
 Both formats are versioned (``format`` field) and raise
 :class:`DeserializationError` for unknown versions, truncated files and
@@ -35,8 +36,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Union
 from ..obs.jsonl import read_json, write_json
 from .config import NEATConfig
 from .genes import ConnectionGene, NodeGene
-from .genome import Genome, MutationCounts
-from .reproduction import ReproductionEvent, ReproductionPlan
+from .genome import Genome
 from .species import Species
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -126,50 +126,6 @@ def load_genome_with_config(path: Union[str, Path]):
 # full evolution state (checkpoint/resume)
 
 
-def _plan_to_dict(plan: ReproductionPlan) -> Dict[str, Any]:
-    return {
-        "generation": plan.generation,
-        "elite_keys": [list(pair) for pair in plan.elite_keys],
-        "events": [
-            {
-                "child_key": e.child_key,
-                "parent1_key": e.parent1_key,
-                "parent2_key": e.parent2_key,
-                "species_key": e.species_key,
-                "counts": {
-                    "crossovers": e.counts.crossovers,
-                    "perturbations": e.counts.perturbations,
-                    "node_additions": e.counts.node_additions,
-                    "node_deletions": e.counts.node_deletions,
-                    "conn_additions": e.counts.conn_additions,
-                    "conn_deletions": e.counts.conn_deletions,
-                },
-            }
-            for e in plan.events
-        ],
-    }
-
-
-def _plan_from_dict(data: Dict[str, Any]) -> ReproductionPlan:
-    plan = ReproductionPlan(generation=int(data["generation"]))
-    plan.elite_keys = [
-        (int(old), int(new)) for old, new in data["elite_keys"]
-    ]
-    for entry in data["events"]:
-        plan.events.append(
-            ReproductionEvent(
-                child_key=int(entry["child_key"]),
-                parent1_key=int(entry["parent1_key"]),
-                parent2_key=int(entry["parent2_key"]),
-                species_key=int(entry["species_key"]),
-                counts=MutationCounts(**{
-                    k: int(v) for k, v in entry["counts"].items()
-                }),
-            )
-        )
-    return plan
-
-
 def population_to_state(population: "Population") -> Dict[str, Any]:
     """Snapshot a :class:`~repro.neat.population.Population` at a
     generation boundary (i.e. between ``run_generation`` calls).
@@ -211,10 +167,6 @@ def population_to_state(population: "Population") -> Dict[str, Any]:
             genome_to_dict(population.best_genome)
             if population.best_genome is not None else None
         ),
-        "last_plan": (
-            _plan_to_dict(population.last_plan)
-            if population.last_plan is not None else None
-        ),
     }
 
 
@@ -227,7 +179,8 @@ def population_from_state(
     ``config`` must be *the* config the snapshot was recorded under
     (normally re-derived from the experiment spec); a mismatch raises
     :class:`DeserializationError` because resuming under a foreign
-    config would silently diverge from the original run.
+    config would silently diverge from the original run.  An older
+    checkpoint's ``last_plan`` is ignored.
     """
     from .innovation import InnovationTracker
     from .population import Population
@@ -290,10 +243,7 @@ def population_from_state(
         population.best_genome = (
             genome_from_dict(best) if best is not None else None
         )
-        plan = state.get("last_plan")
-        population.last_plan = (
-            _plan_from_dict(plan) if plan is not None else None
-        )
+        population.last_plan = None
     except DeserializationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -14,8 +14,9 @@ that was never interrupted — across the serial, ``workers=N`` pooled and
 ``vectorizer="numpy"`` evaluation paths.  Three pieces compose to make
 that true:
 
-* checkpoints capture everything (:mod:`repro.neat.serialize` state
-  format: genomes, speciation, counters, RNG, last plan);
+* checkpoints capture everything a resume reads
+  (:mod:`repro.neat.serialize` state format: genomes, speciation,
+  counters, RNG);
 * the evaluator's episode-seed stream is a pure function of
   ``(experiment seed, generation, genome key, episode)``, so resuming at
   generation *k* replays exactly the seeds the uninterrupted run used;
@@ -245,7 +246,7 @@ def _run_in_locked_dir(
     prefix_rows: List[Dict[str, Any]] = []
     if resume:
         spec = _resolve_resume_spec(rd, spec)
-        if explicit_resume and spec.backend.partition(":")[0] == "soc":
+        if explicit_resume and spec.substrate == "soc":
             raise ResumeUnsupportedError(
                 f"{rd.path} was recorded by the soc backend, which keeps "
                 "no checkpoints (its population lives inside the serial "

@@ -13,6 +13,10 @@ One serve root holds everything the scheduler and the HTTP API share:
         run/            the repro.runs RunDir with the actual artifacts
 ```
 
+Submission builds the job's :class:`repro.api.ExperimentSpec`, which
+checks its backend and platform, so a spec no backend can run is
+refused before a job directory is claimed.
+
 Everything is a file, so submission (``repro submit``), scheduling
 (:class:`repro.serve.Scheduler`) and serving (:class:`repro.serve.
 JobApiServer`) can live in different processes with no shared memory:
@@ -39,8 +43,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
-from ..api.backends import UnknownBackendError
-from ..api.experiment import Experiment
 from ..api.spec import ExperimentSpec, SpecError
 from ..obs.jsonl import (append_jsonl, check_fields, read_json, read_jsonl,
                          write_atomic, write_json)
@@ -135,7 +137,7 @@ class JobRecord:
     def preemptible(self) -> bool:
         """Can this job yield and later resume?  The soc backend keeps
         no checkpoints, so preempting it would only forfeit work."""
-        return str(self.spec.get("backend", "software")).partition(":")[0] != "soc"
+        return self.spec_obj.substrate != "soc"
 
     def to_dict(self) -> Dict[str, Any]:
         data = dataclasses.asdict(self)
@@ -207,13 +209,6 @@ class JobStore:
                 spec = ExperimentSpec.from_dict(spec)
             except (SpecError, TypeError) as exc:
                 raise JobStoreError(f"invalid job spec: {exc}") from exc
-        try:
-            # Resolving the backend now keeps a job no backend can run
-            # out of the queue (and out of the scheduler's retries).
-            Experiment(spec)
-        except (SpecError, UnknownBackendError) as exc:
-            message = exc.args[0] if exc.args else exc
-            raise JobStoreError(f"invalid job spec: {message}") from exc
         if checkpoint_every is None:
             checkpoint_every = DEFAULT_CHECKPOINT_EVERY
         if checkpoint_every < 1:

@@ -6,7 +6,7 @@ from repro.api import (
     Experiment,
     ExperimentSpec,
     RunResult,
-    UnknownBackendError,
+    SpecError,
     available_backends,
     make_backend,
 )
@@ -28,16 +28,42 @@ class TestRegistry:
         assert "analytical:CPU_a" in names
 
     def test_unknown_backend(self):
-        with pytest.raises(UnknownBackendError, match="unknown backend"):
-            make_backend("fpga")
+        with pytest.raises(SpecError, match="unknown backend 'fpga'"):
+            ExperimentSpec("CartPole-v0", backend="fpga")
 
     def test_unknown_analytical_platform(self):
-        with pytest.raises(UnknownBackendError, match="unknown analytical"):
-            make_backend("analytical:TPU_z")
+        with pytest.raises(
+            SpecError, match="unknown analytical platform 'TPU_z'"
+        ):
+            ExperimentSpec("CartPole-v0", backend="analytical:TPU_z")
 
     def test_software_rejects_parameter(self):
-        with pytest.raises(UnknownBackendError):
-            make_backend("software:fast")
+        with pytest.raises(SpecError, match="unknown backend 'software:fast'"):
+            ExperimentSpec("CartPole-v0", backend="software:fast")
+
+    def test_soc_rejects_parameter(self):
+        """Only ``analytical`` takes ``:<name>``; a soc design point is
+        the spec's platform block."""
+        with pytest.raises(SpecError, match="unknown backend 'soc:x'"):
+            ExperimentSpec("CartPole-v0", backend="soc:x")
+
+    def test_load_refuses_a_bad_backend(self, tmp_path):
+        """A stored spec is checked the moment it is read, not when a
+        backend is built."""
+        path = tmp_path / "spec.json"
+        path.write_text('{"env_id": "CartPole-v0", "backend": "fpga"}')
+        with pytest.raises(SpecError, match="unknown backend 'fpga'"):
+            ExperimentSpec.load(path)
+
+    @pytest.mark.parametrize("backend, substrate", [
+        ("software", "software"),
+        ("soc", "soc"),
+        ("analytical:GENESYS", "analytical"),
+    ])
+    def test_make_backend_dispatches_on_substrate(self, backend, substrate):
+        spec = ExperimentSpec("CartPole-v0", backend=backend)
+        assert spec.substrate == substrate
+        assert make_backend(spec).name == backend
 
 
 class TestBackendsRun:
@@ -102,11 +128,11 @@ class TestSoCHardwareOptions:
     """The soc backend's design point is its ``platform`` option."""
 
     def test_options_reshape_the_design_point(self):
-        backend = make_backend("soc", platform={"kind": "soc", "params": {
+        spec = small_spec(backend="soc", platform={"kind": "soc", "params": {
             "eve_pes": 8, "noc": "p2p", "scheduler": "round-robin",
             "adam_shape": "16x8",
         }})
-        config = backend._resolve_config(small_spec(backend="soc"))
+        config = make_backend(spec)._resolve_config(spec)
         assert config.eve.num_pes == 8
         assert config.eve.noc == "p2p"
         assert config.eve.scheduler == "round-robin"
@@ -145,8 +171,8 @@ class TestSoCHardwareOptions:
             small_spec(backend="soc", backend_options=options)
 
     def test_bare_analytical_requires_platform(self):
-        with pytest.raises(UnknownBackendError, match="needs a platform"):
-            make_backend("analytical")
+        with pytest.raises(SpecError, match="needs a platform"):
+            small_spec(backend="analytical")
 
 
 class TestObservers:

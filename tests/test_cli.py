@@ -113,8 +113,10 @@ def test_run_with_platform_spec_file(tmp_path, capsys):
 
 
 def test_platforms_json_rejects_env(capsys):
-    with pytest.raises(SystemExit, match="--json"):
-        main(["platforms", "CartPole-v0", "--json"])
+    assert main(["platforms", "CartPole-v0", "--json"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --json prints the platform table"
+    )
 
 
 def test_run_unknown_platform_errors(capsys):
@@ -335,20 +337,24 @@ def test_vectorizer_matches_scalar_trajectory(capsys):
     assert scalar_fitness == numpy_fitness
 
 
-def test_characterise_rejects_non_software_backend():
-    with pytest.raises(SystemExit, match="characterises the software path"):
-        main([
-            "characterise", "CartPole-v0", "--backend", "soc",
-            "--generations", "1",
-        ])
+def test_characterise_rejects_non_software_backend(capsys):
+    assert main([
+        "characterise", "CartPole-v0", "--backend", "soc",
+        "--generations", "1",
+    ]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: 'characterise' characterises the software path"
+    )
 
 
-def test_platforms_rejects_non_software_backend():
-    with pytest.raises(SystemExit, match="characterises the software path"):
-        main([
-            "platforms", "CartPole-v0", "--backend", "analytical:CPU_a",
-            "--generations", "1",
-        ])
+def test_platforms_rejects_non_software_backend(capsys):
+    assert main([
+        "platforms", "CartPole-v0", "--backend", "analytical:CPU_a",
+        "--generations", "1",
+    ]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: 'platforms' characterises the software path"
+    )
 
 
 def test_soc_run_does_not_claim_parallel_workers(capsys):
@@ -509,13 +515,13 @@ def test_run_resume_rejects_spec_flags(tmp_path, capsys):
         "--max-steps", "20", "--run-dir", run_dir,
     ]) == 0
     capsys.readouterr()
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run", "--resume", run_dir, "--seed", "3"])
-    assert "only --generations" in str(excinfo.value)
+    assert main(["run", "--resume", run_dir, "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --resume takes the spec")
+    assert "only --generations" in err
     # Zero-valued flags are overrides too (0 must not read as "unset").
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run", "--resume", run_dir, "--seed", "0"])
-    assert "only --generations" in str(excinfo.value)
+    assert main(["run", "--resume", run_dir, "--seed", "0"]) == 2
+    assert "only --generations" in capsys.readouterr().err
 
 
 def test_run_resume_missing_dir_clean_error(tmp_path, capsys):
@@ -607,9 +613,33 @@ def test_unknown_command_exits():
         main(["warp"])
 
 
-def test_missing_env_argument_exits():
-    with pytest.raises(SystemExit):
-        main(["run"])
+def test_missing_env_argument_exits(capsys):
+    assert main(["run"]) == 2
+    assert capsys.readouterr().err == (
+        "error: an environment id or --spec FILE is required\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "cartpole-windy"],
+    ["jobs"],
+    ["trace", "/nonexistent"],
+])
+def test_usage_errors_exit_2(argv, capsys):
+    """A command line that names no valid request is a user error like
+    any other: ``error: ...`` on stderr and exit 2, not a bare exit 1."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_dse_modes_are_exclusive(tmp_path, capsys):
+    sweep = _write_sweep(tmp_path, axes={"seed": [0]})
+    assert main([
+        "dse", "--sweep", str(sweep), "--worker", "--watch",
+    ]) == 2
+    assert capsys.readouterr().err == (
+        "error: --worker and --watch are mutually exclusive\n"
+    )
 
 
 def test_parser_help_strings():
@@ -694,10 +724,10 @@ def test_job_cancel_via_cli(tmp_path, capsys):
 
 
 def test_serve_endpoint_flags_are_exclusive(tmp_path, capsys):
-    with pytest.raises(SystemExit, match="exactly one of"):
-        main(["jobs"])
-    with pytest.raises(SystemExit, match="exactly one of"):
-        main(["jobs", "--root", str(tmp_path), "--url", "http://x"])
+    assert main(["jobs"]) == 2
+    assert capsys.readouterr().err.startswith("error: exactly one of")
+    assert main(["jobs", "--root", str(tmp_path), "--url", "http://x"]) == 2
+    assert capsys.readouterr().err.startswith("error: exactly one of")
 
 
 def test_job_unknown_id_clean_error(tmp_path, capsys):
@@ -722,9 +752,10 @@ def test_submit_url_unreachable_clean_error(capsys):
 
 
 def test_run_trace_requires_a_run_dir(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run", "CartPole-v0", "--generations", "2", "--trace"])
-    assert "--run-dir" in str(excinfo.value)
+    assert main(["run", "CartPole-v0", "--generations", "2", "--trace"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --trace writes telemetry.jsonl")
+    assert "--run-dir" in err
 
 
 def test_run_trace_then_trace_command(tmp_path, capsys):
@@ -753,12 +784,13 @@ def test_run_trace_then_trace_command(tmp_path, capsys):
     assert trace["traceEvents"]
 
 
-def test_trace_missing_telemetry_clean_error(tmp_path):
+def test_trace_missing_telemetry_clean_error(tmp_path, capsys):
     (tmp_path / "run").mkdir()
-    with pytest.raises(SystemExit) as excinfo:
-        main(["trace", str(tmp_path / "run")])
-    assert "telemetry.jsonl" in str(excinfo.value)
-    assert "--trace" in str(excinfo.value)
+    assert main(["trace", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "telemetry.jsonl" in err
+    assert "--trace" in err
 
 
 def test_top_once_renders_the_fleet(tmp_path, capsys):

@@ -128,20 +128,6 @@ class TestValidation:
         with pytest.raises(ObjectiveError, match="direction"):
             SuccessiveHalvingScheduler(make_sweep(4), {"fitness": "up"})
 
-    def test_rejects_custom_budgets_not_ending_at_full(self):
-        with pytest.raises(HalvingError, match="last rung"):
-            SuccessiveHalvingScheduler(
-                make_sweep(4, max_generations=8), {"fitness": "max"},
-                budgets=[1, 2, 4],
-            )
-
-    def test_rejects_non_increasing_budgets(self):
-        with pytest.raises(HalvingError, match="increasing"):
-            SuccessiveHalvingScheduler(
-                make_sweep(4, max_generations=8), {"fitness": "max"},
-                budgets=[2, 2, 8],
-            )
-
 
 # -- hypothesis properties over whole runs ----------------------------------
 

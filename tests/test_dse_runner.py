@@ -7,7 +7,13 @@ from dataclasses import replace
 import pytest
 
 from repro.api import ExperimentSpec
-from repro.dse import SweepRunner, SweepSpec, run_sweep
+from repro.dse import (
+    SweepCache,
+    SweepRunner,
+    SweepSpec,
+    SweepSpecError,
+    run_sweep,
+)
 from repro.platforms import I7_PARAMS, PlatformSpec
 
 BASE = ExperimentSpec("CartPole-v0", max_generations=1, pop_size=8, max_steps=20)
@@ -100,6 +106,20 @@ class TestMemoisation:
         ).run()
         assert retry.cache_hits == 2  # seeds 0 and 1 survived the crash
         assert retry.evaluated == 1
+
+    def test_misspelt_platform_evaluates_no_point(self, tmp_path):
+        """Every point is checked before the first one runs, so a sweep
+        with a bad point evaluates nothing and caches nothing."""
+        sweep = SweepSpec(base=BASE, axes={
+            "seed": [0, 1], "backend": ["software", "analytical:TPU_z"],
+        })
+        landed = []
+        with pytest.raises(SweepSpecError, match="unknown analytical platform"):
+            SweepRunner(sweep, cache_dir=tmp_path).run(
+                progress=lambda *row: landed.append(row)
+            )
+        assert landed == []
+        assert len(SweepCache(tmp_path)) == 0
 
     def test_no_cache_dir_disables_persistence(self):
         sweep = SweepSpec(base=BASE, axes=self.AXES)

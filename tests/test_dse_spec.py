@@ -79,6 +79,18 @@ class TestValidation:
         with pytest.raises(SweepSpecError, match="pop_size"):
             bad.expand()
 
+    def test_misspelt_platform_reports_point(self):
+        """A backend the fixed tables do not hold is refused when the
+        sweep expands, naming its point."""
+        bad = sweep(axes={
+            "seed": [0, 1], "backend": ["software", "analytical:TPU_z"],
+        })
+        with pytest.raises(SweepSpecError, match=(
+            r"^point \{'seed': 0, 'backend': 'analytical:TPU_z'\}: "
+            r"unknown analytical platform 'TPU_z'"
+        )):
+            bad.expand()
+
 
 class TestExpansion:
     def test_grid_is_cartesian_product(self):

@@ -257,31 +257,28 @@ class TestEmbeddedPlatform:
         assert embedded.best_fitness == named.best_fitness
 
     def test_soc_design_point_precedence(self):
-        """The platform option, else spec.platform, else the paper's
-        design point."""
+        """spec.platform, else the paper's design point."""
         spec = ExperimentSpec(
             "CartPole-v0", backend="soc",
             platform={"kind": "soc", "params": {"eve_pes": 8}}, **SMALL,
         )
-        option = make_backend(
-            "soc", platform={"kind": "soc", "params": {"eve_pes": 64}}
-        )
-        assert option._resolve_config(spec).eve.num_pes == 64
-        assert make_backend("soc")._resolve_config(spec).eve.num_pes == 8
-        paper = make_backend("soc")._resolve_config(spec.replace(platform=None))
+        assert spec.design_point() is spec.platform
+        assert make_backend(spec)._resolve_config(spec).eve.num_pes == 8
+        bare = spec.replace(platform=None)
+        assert bare.design_point() == platform_spec("soc")
+        paper = make_backend(bare)._resolve_config(bare)
         assert paper.eve.num_pes == 256
 
-    def test_soc_backend_platform_by_name(self):
-        backend = make_backend("soc", platform="soc")
-        spec = ExperimentSpec("CartPole-v0", backend="soc", **SMALL)
-        assert backend._resolve_config(spec).eve.num_pes == 256
-
-    def test_soc_backend_rejects_analytical_platform(self):
-        with pytest.raises(SpecError, match="'soc'-kind"):
-            make_backend("soc", platform={"kind": "cpu", "params": {
-                "evolution_op_time_s": 1e-6, "mac_time_s": 1e-9,
-                "step_overhead_s": 1e-6, "power_w": 10.0,
-            }})
+    def test_design_point_of_each_substrate(self):
+        """The table row ``analytical:<name>`` names, the embedded block
+        of a bare ``analytical`` spec, and nothing on ``software``."""
+        named = ExperimentSpec("CartPole-v0", backend="analytical:CPU_b")
+        assert named.design_point() is platform_spec("CPU_b")
+        embedded = ExperimentSpec(
+            "CartPole-v0", backend="analytical", platform={"kind": "genesys"}
+        )
+        assert embedded.design_point() is embedded.platform
+        assert ExperimentSpec("CartPole-v0").design_point() is None
 
     def test_analytical_soc_projection(self):
         """'analytical:soc' is the SoC's workload-aggregate projection."""

@@ -142,7 +142,46 @@ class TestPopulationState:
             population.species_set.species
         )
         assert restored.best_genome.fitness == population.best_genome.fitness
-        assert len(restored.last_plan.events) == len(population.last_plan.events)
+
+    def test_state_holds_no_plan_and_old_states_still_resume(
+        self, cartpole_config
+    ):
+        """A checkpoint holds only what a resume reads: the next
+        generation replaces the last reproduction plan before anything
+        reads it.  A state that still carries one (the older format)
+        restores without it and continues byte-identically."""
+        from repro.envs.evaluate import FitnessEvaluator
+        from repro.neat.population import Population
+        from repro.neat.serialize import population_to_state
+
+        population = self.make_population(cartpole_config)
+        state = population_to_state(population)
+        assert "last_plan" not in state
+        plan = population.last_plan
+        old_state = dict(state, last_plan={
+            "generation": plan.generation,
+            "elite_keys": [list(pair) for pair in plan.elite_keys],
+            "events": [
+                {"child_key": e.child_key, "parent1_key": e.parent1_key,
+                 "parent2_key": e.parent2_key, "species_key": e.species_key,
+                 "counts": vars(e.counts)}
+                for e in plan.events
+            ],
+        })
+        restored = Population.from_state(
+            json.loads(json.dumps(old_state)), cartpole_config
+        )
+        assert restored.last_plan is None
+        for pop in (population, restored):
+            evaluator = FitnessEvaluator(
+                "CartPole-v0", max_steps=20, seed=0,
+                start_generation=pop.generation,
+            )
+            for _ in range(2):
+                pop.run_generation(evaluator)
+        assert json.dumps(population_to_state(restored)) == json.dumps(
+            population_to_state(population)
+        )
 
     def test_representatives_are_member_objects(self, cartpole_config):
         from repro.neat.population import Population

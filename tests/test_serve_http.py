@@ -134,13 +134,20 @@ def test_submit_and_list_round_trip(served):
 
 
 def test_submit_rejects_bad_bodies(served):
-    _store, client = served
+    store, client = served
     with pytest.raises(ServeClientError) as excinfo:
         client.submit({"env_id": ""})
     assert excinfo.value.status == 400
     with pytest.raises(ServeClientError) as excinfo:
         client._request("POST", "/jobs", {"no_spec": True})
     assert excinfo.value.status == 400
+    # The spec refuses a backend the fixed tables do not hold, before a
+    # job dir is claimed.
+    with pytest.raises(ServeClientError) as excinfo:
+        client.submit({**spec_dict(), "backend": "fpga"})
+    assert excinfo.value.status == 400
+    assert "unknown backend 'fpga'" in str(excinfo.value)
+    assert not store.jobs_root.exists() or not any(store.jobs_root.iterdir())
 
 
 def test_submit_non_object_backend_options_is_400(served):
