@@ -71,10 +71,9 @@ class ResumeUnsupportedError(SpecError):
 # ---------------------------------------------------------------------------
 # the generation loop
 
-#: One generation as a substrate reports it: the metrics row, the value
-#: the stop rule compares with the fitness threshold, and the number of
-#: completed generations (what ``should_stop`` is polled with).
-Generation = Tuple[GenerationMetrics, float, int]
+#: One generation as a substrate reports it: the metrics row and the
+#: number of completed generations (what ``should_stop`` is polled with).
+Generation = Tuple[GenerationMetrics, int]
 
 
 def _run_software_loop(
@@ -91,37 +90,39 @@ def _run_software_loop(
     A substrate supplies its generations: ``generation(index,
     on_evaluation)`` evaluates and breeds one, firing ``on_evaluation``
     with the evaluated genomes, and returns a :data:`Generation`.  It
-    also carries ``config`` (the threshold), ``start``/``start_value``
-    (a resumed run's completed generations and stop value; ``0``/``None``
-    on a fresh run), ``population`` (for ``on_state``; ``None`` when
-    there is nothing to snapshot), ``champion``, ``between()`` and
-    ``close()``.
+    also carries ``config`` (the threshold), ``start`` (a resumed run's
+    completed generations; ``0`` on a fresh run), ``population`` (for
+    ``on_state``; ``None`` when there is nothing to snapshot),
+    ``champion`` (the best genome so far, a resumed run's restored one
+    included), ``between()`` and ``close()``.
 
     After each generation, in order: ``on_generation``, ``on_state``,
-    the stop rule ("the system stops when the CPU detects that the
-    target fitness ... has been achieved", Section IV-B; ``converged``
-    applies it to the champion), ``should_stop`` (the :mod:`repro.serve`
+    the stop rule (the run stops after the first generation whose
+    champion meets the threshold: "the system stops when the CPU detects
+    that the target fitness ... has been achieved", Section IV-B; the
+    same test is ``converged``), ``should_stop`` (the :mod:`repro.serve`
     preemption hook; ``True`` ends the run ``stopped_early``), then the
     substrate's between-generation work.
     """
     threshold = substrate.config.fitness_threshold
     budget = range(substrate.start, spec.max_generations)
-    if meets_threshold(substrate.start_value, threshold):
-        # A resumed run that had already met the stop rule must not
-        # evolve further: the uninterrupted run stopped at that boundary.
+    restored = substrate.champion
+    if restored is not None and meets_threshold(restored.fitness, threshold):
+        # A resumed run whose champion already meets the threshold must
+        # not evolve further: the uninterrupted run stopped at that boundary.
         budget = range(0)
     metrics: List[GenerationMetrics] = []
     completed = substrate.start
     stopped = False
     try:
         for index in budget:
-            row, value, completed = substrate.generation(index, on_evaluation)
+            row, completed = substrate.generation(index, on_evaluation)
             metrics.append(row)
             if on_generation is not None:
                 on_generation(row)
             if on_state is not None and substrate.population is not None:
                 on_state(substrate.population)
-            if meets_threshold(value, threshold):
+            if meets_threshold(substrate.champion.fitness, threshold):
                 break
             if should_stop is not None and should_stop(completed):
                 stopped = True
@@ -149,7 +150,8 @@ class _SoftwareGenerations:
     """Software NEAT as a loop substrate: each generation is
     :meth:`repro.neat.Population.run_generation` through
     :func:`build_evaluator`, its row carries the evaluator's env-step
-    and MAC deltas, and its stop value is ``fitness_summary()``.
+    and MAC deltas, and its champion is the population's
+    ``best_genome``.
 
     ``config`` holds the caller's threshold; ``on_workload`` receives
     each row with its :class:`GenerationWorkload` before the loop's
@@ -173,10 +175,8 @@ class _SoftwareGenerations:
         self.spec = spec
         self.config = config
         self.on_workload = on_workload
-        self.start_value: Optional[float] = None
         if resume_state is not None:
             self.population = Population.from_state(resume_state, config)
-            self.start_value = self.population.fitness_summary()
         else:
             self.population = Population(config, seed=spec.seed)
         self.start = self.population.generation
@@ -254,7 +254,7 @@ class _SoftwareGenerations:
                 mean_network_depth=depth,
                 fittest_parent_reuse=stats.fittest_parent_reuse,
             ))
-        return metrics, population.fitness_summary(), population.generation
+        return metrics, population.generation
 
     def between(self) -> None:
         """Rebuild the evaluator on a new curriculum stage's environment.
@@ -278,12 +278,12 @@ class _SoftwareGenerations:
 
 class _SoCGenerations:
     """The chip model as a loop substrate: each generation is one
-    :meth:`repro.core.GeneSysSoC.run_generation`, its stop value the
-    row's best fitness.  The population lives inside the chip model,
-    so there is nothing to snapshot and nothing to resume from."""
+    :meth:`repro.core.GeneSysSoC.run_generation`, and its champion is
+    the chip model's ``best_genome``.  The population lives inside the
+    chip model, so there is nothing to snapshot and nothing to resume
+    from."""
 
     start = 0
-    start_value = None
     population = None
 
     def __init__(self, soc: GeneSysSoC) -> None:
@@ -313,7 +313,7 @@ class _SoCGenerations:
             cycles=cycles,
             runtime_s=cycles_to_seconds(cycles, soc.config.frequency_hz),
         )
-        return row, row.best_fitness, soc.generation
+        return row, soc.generation
 
     def between(self) -> None:
         pass

@@ -214,12 +214,3 @@ def decode_genome(stream: Iterable[int], key: int, config: GenomeConfig) -> Geno
         else:
             raise GeneEncodingError(f"unknown gene type {gene_type}")
     return genome
-
-
-def quantize_genome(genome: Genome, config: GenomeConfig) -> Genome:
-    """Round-trip a genome through the 64-bit encoding (Q4.4 attributes).
-
-    Useful for testing how much the hardware quantisation perturbs the
-    phenotype relative to the float software genome.
-    """
-    return decode_genome(encode_genome(genome, config), genome.key, config)

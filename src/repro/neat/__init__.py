@@ -7,19 +7,6 @@ characterisation (Figs. 4-5, 11a) can be regenerated.
 """
 
 from .activations import ACTIVATION_CODES, ACTIVATION_NAMES
-from .backprop import (
-    DifferentiableNetwork,
-    TrainResult,
-    UntrainableGenomeError,
-)
-from .hyperneat import (
-    CPPN_ACTIVATIONS,
-    HyperNEATDecoder,
-    Substrate,
-    SubstrateNode,
-    cppn_config,
-    evolve_hyperneat,
-)
 from .aggregations import AGGREGATION_CODES, AGGREGATION_NAMES
 from .config import (
     ConfigError,

@@ -197,7 +197,10 @@ class NEATConfig:
 
     pop_size: int = 150
     fitness_threshold: Optional[float] = None
-    # "max" matches the paper's target-fitness completion criterion.
+    # Only "max": the stop rule compares the champion's fitness with the
+    # threshold (the paper's target-fitness completion criterion).  Kept
+    # as a field because every stored checkpoint and champion config
+    # holds it, and a resume refuses a config that differs.
     fitness_criterion: str = "max"
     reset_on_extinction: bool = True
     genome: GenomeConfig = field(default_factory=GenomeConfig)
@@ -210,9 +213,10 @@ class NEATConfig:
     def validate(self) -> None:
         if self.pop_size < 2:
             raise ConfigError("pop_size must be >= 2")
-        if self.fitness_criterion not in ("max", "min", "mean"):
+        if self.fitness_criterion != "max":
             raise ConfigError(
-                f"fitness_criterion must be max/min/mean, got {self.fitness_criterion!r}"
+                f"fitness_criterion must be 'max' (the stop rule compares "
+                f"the champion's fitness), got {self.fitness_criterion!r}"
             )
         self.genome.validate()
         self.species.validate()
@@ -227,7 +231,6 @@ class NEATConfig:
         num_outputs: int,
         pop_size: int = 150,
         fitness_threshold: Optional[float] = None,
-        **genome_overrides: Any,
     ) -> "NEATConfig":
         """Build a config sized for an environment's observation/action spaces.
 
@@ -235,15 +238,10 @@ class NEATConfig:
         "changing only the fitness function between these different runs"
         (Section III-B).
         """
-        genome = GenomeConfig(num_inputs=num_inputs, num_outputs=num_outputs)
-        for key, value in genome_overrides.items():
-            if not hasattr(genome, key):
-                raise ConfigError(f"unknown genome config field {key!r}")
-            setattr(genome, key, value)
         return cls(
             pop_size=pop_size,
             fitness_threshold=fitness_threshold,
-            genome=genome,
+            genome=GenomeConfig(num_inputs=num_inputs, num_outputs=num_outputs),
         )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -1,10 +1,11 @@
-"""The NEAT outer loop (Fig. 3(b)).
+"""The NEAT population: Fig. 3(b)'s evaluate and reproduce steps.
 
-Generate initial population -> evaluate fitness -> check completion ->
-reproduce -> repeat.  The population object is deliberately agnostic to
-*how* fitness is computed: callers hand in a fitness function, matching
-the paper's framing where only the fitness function changes between
-workloads (Section III-B).
+:meth:`Population.run_generation` evaluates the current population and
+breeds the next; the generation loop around it, with the budget and the
+stop rule, is :mod:`repro.api`'s.  The population is deliberately
+agnostic to *how* fitness is computed: callers hand in a fitness
+function, matching the paper's framing where only the fitness function
+changes between workloads (Section III-B).
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ FitnessFunction = Callable[[List[Genome], NEATConfig], None]
 
 
 def meets_threshold(fitness: Optional[float], threshold: Optional[float]) -> bool:
-    """The stop and convergence rule.  A missing fitness or threshold
-    never meets it; 0.0 is a fitness like any other."""
+    """The stop rule, applied to the champion's fitness.  A missing
+    fitness or threshold never meets it; 0.0 is a fitness like any
+    other."""
     return threshold is not None and fitness is not None and fitness >= threshold
 
 
 class Population:
-    """Runs NEAT for a given config and fitness function."""
+    """One NEAT population under a config: each :meth:`run_generation`
+    evaluates it with a caller's fitness function and breeds the next,
+    and ``best_genome`` is the champion so far."""
 
     def __init__(self, config: NEATConfig, seed: Optional[int] = None) -> None:
         self.config = config
@@ -45,27 +49,6 @@ class Population:
         self.species_set.speciate(self.population, self.generation)
         self.best_genome: Optional[Genome] = None
         self.last_plan: Optional[ReproductionPlan] = None
-
-    # ------------------------------------------------------------------
-
-    def fitness_summary(self) -> float:
-        """Current population's fitness under ``config.fitness_criterion``.
-
-        This is the quantity the stop criterion compares against the
-        fitness threshold; exposing it lets external runners (the
-        :mod:`repro.api` backends) reproduce :meth:`run` exactly.
-        """
-        fitnesses = [
-            g.fitness for g in self.population.values() if g.fitness is not None
-        ]
-        if not fitnesses:
-            return float("-inf")
-        criterion = self.config.fitness_criterion
-        if criterion == "max":
-            return max(fitnesses)
-        if criterion == "min":
-            return min(fitnesses)
-        return sum(fitnesses) / len(fitnesses)
 
     def run_generation(self, fitness_function: FitnessFunction) -> GenerationStats:
         """Evaluate the current population and breed the next one.
@@ -108,40 +91,6 @@ class Population:
             self.best_genome = evaluated[stats.best_key].copy()
         return stats
 
-    def run(
-        self,
-        fitness_function: FitnessFunction,
-        max_generations: int = 100,
-        fitness_threshold: Optional[float] = None,
-    ) -> Genome:
-        """Run until the fitness threshold is met or the budget expires.
-
-        Returns the best genome observed (the paper's stop criterion:
-        "The system stops when the CPU detects that the target fitness for
-        that application has been achieved", Section IV-B).  This is the
-        loop for a caller-supplied fitness function (``evolve_hyperneat``);
-        environment-bound runs go through the :mod:`repro.api` loop.
-        """
-        threshold = (
-            fitness_threshold
-            if fitness_threshold is not None
-            else self.config.fitness_threshold
-        )
-        for _ in range(max_generations):
-            self.run_generation(fitness_function)
-            if meets_threshold(self.fitness_summary(), threshold):
-                break
-        if self.best_genome is None:
-            raise RuntimeError("no generations were evaluated")
-        return self.best_genome
-
-    @property
-    def converged(self) -> bool:
-        best = self.best_genome
-        return best is not None and meets_threshold(
-            best.fitness, self.config.fitness_threshold
-        )
-
     # ------------------------------------------------------------------
     # checkpoint / resume
 
@@ -150,8 +99,8 @@ class Population:
 
         The returned dict is JSON-serialisable and captures everything a
         bit-identical resume needs: genomes, speciation, innovation and
-        genome-key counters, the RNG state and the last reproduction
-        plan.  See :func:`repro.neat.serialize.population_to_state`.
+        genome-key counters, the RNG state and the champion.  See
+        :func:`repro.neat.serialize.population_to_state`.
         """
         from .serialize import population_to_state
 

@@ -114,14 +114,27 @@ class TestBackendsRun:
         text = json.dumps(result.summary())
         assert "best_fitness" in text
 
-    def test_fitness_threshold_stops_early(self):
-        unlimited = small_spec(max_generations=6, fitness_threshold=1e9)
-        result = Experiment(unlimited).run()
-        assert result.generations == 6
-        capped = small_spec(max_generations=6, fitness_threshold=5.0)
+    @pytest.mark.parametrize(
+        "backend, rows", [("software", 3), ("soc", 2)], ids=["software", "soc"]
+    )
+    def test_fitness_threshold_stops_early(self, backend, rows):
+        """Every substrate stops after the first generation whose
+        champion meets the threshold: one past the first row whose best
+        fitness does, with the rows of the same run left uncapped."""
+        unlimited = small_spec(
+            backend=backend, max_generations=6, fitness_threshold=1e9
+        )
+        full = Experiment(unlimited).run()
+        assert full.generations == 6 and not full.converged
+        capped = small_spec(
+            backend=backend, max_generations=6, fitness_threshold=30.0
+        )
         result = Experiment(capped).run()
-        assert result.generations < 6
-        assert result.converged
+        best = [m.best_fitness for m in full.metrics]
+        first = next(i for i, fitness in enumerate(best) if fitness >= 30.0)
+        assert result.generations == first + 1 == rows
+        assert [m.best_fitness for m in result.metrics] == best[:rows]
+        assert result.converged and not result.stopped_early
 
 
 class TestSoCHardwareOptions:

@@ -5,6 +5,7 @@ references drift from the code.  Each gets a gate here; the CI docs job
 runs this file plus ``python -m repro.docsgen --check``.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -20,12 +21,37 @@ REQUIRED_PAGES = [
 ]
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_FENCE_RE = re.compile(r"^```.*?^```", re.S | re.M)
+_CODE_RE = re.compile(r"`([^`\n]+)`")
+_NAME_RE = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
+_PATH_RE = re.compile(
+    r"(?<![\w./-])(?:src|tests|examples|benchmarks|perfbench|docs)/"
+    r"[^\s`'\",;)]*"
+)
 
 
 def markdown_files():
     return [REPO / "README.md", REPO / "PAPERS.md"] + sorted(
         DOCS.glob("*.md")
     )
+
+
+def resolves(dotted):
+    """Whether a dotted ``repro.`` name imports as a module, or as an
+    attribute chain on the longest prefix that imports."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
 
 
 class TestPagesExist:
@@ -60,6 +86,22 @@ class TestLinksResolve:
             if not resolved.exists():
                 broken.append(target)
         assert not broken, f"{md_file.name}: broken links {broken}"
+
+    @pytest.mark.parametrize(
+        "md_file", markdown_files(), ids=lambda p: p.name
+    )
+    def test_named_code_exists(self, md_file):
+        """Every backticked ``repro.`` name resolves and every backticked
+        repo path exists, so a doc cannot go on naming deleted code."""
+        missing = []
+        text = _FENCE_RE.sub("", md_file.read_text())  # inline code only
+        for span in _CODE_RE.findall(text):
+            missing += [n for n in _NAME_RE.findall(span) if not resolves(n)]
+            missing += [
+                path for path in _PATH_RE.findall(span)
+                if not (REPO / path.split("::", 1)[0]).exists()
+            ]
+        assert not missing, f"{md_file.name} names missing code: {missing}"
 
     def test_anchor_links_into_papers(self):
         """docs cite PAPERS.md entries via explicit anchors."""

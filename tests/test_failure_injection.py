@@ -148,7 +148,9 @@ class TestPopulationEdgeCases:
             for g in genomes:
                 g.fitness = 1.0
 
-        population.run(fitness, max_generations=3, fitness_threshold=1e9)
+        for _ in range(3):
+            population.run_generation(fitness)
+        assert population.generation == 3
         assert len(population.population) == 2
 
     def test_negative_fitness_environment(self):

@@ -25,7 +25,6 @@ from repro.hw.gene_encoding import (
     pack_connection,
     pack_node,
     quantize,
-    quantize_genome,
 )
 from repro.neat import Genome, GenomeConfig, InnovationTracker
 
@@ -156,13 +155,13 @@ class TestGenomeStream:
 
     def test_quantize_genome_valid(self, config):
         genome = self.make_genome(config)
-        quantized = quantize_genome(genome, config)
+        quantized = decode_genome(encode_genome(genome, config), genome.key, config)
         quantized.validate(config)
 
     def test_quantize_genome_idempotent(self, config):
         genome = self.make_genome(config)
-        q1 = quantize_genome(genome, config)
-        q2 = quantize_genome(q1, config)
+        q1 = decode_genome(encode_genome(genome, config), genome.key, config)
+        q2 = decode_genome(encode_genome(q1, config), q1.key, config)
         for key in q1.connections:
             assert q1.connections[key].weight == q2.connections[key].weight
 

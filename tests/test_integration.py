@@ -11,7 +11,7 @@ import pytest
 from repro.api import Experiment, ExperimentSpec
 from repro.core import GeneSysConfig, GeneSysSoC, TraceRecorder, config_for_env
 from repro.envs import EVALUATION_SUITE
-from repro.hw import EvEConfig, decode_genome, encode_genome, quantize_genome
+from repro.hw import EvEConfig, decode_genome, encode_genome
 from repro.neat.network import FeedForwardNetwork
 
 # Whole-system runs dominate suite wall time; the quick CI matrix skips
@@ -87,7 +87,7 @@ class TestHardwareFidelity:
         )
         config = result.population.config.genome
         genome = result.champion
-        quantised = quantize_genome(genome, config)
+        quantised = decode_genome(encode_genome(genome, config), genome.key, config)
         net_f = FeedForwardNetwork.create(genome, config)
         net_q = FeedForwardNetwork.create(quantised, config)
         rng = np.random.default_rng(0)

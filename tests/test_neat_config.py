@@ -90,23 +90,18 @@ class TestNEATConfig:
         with pytest.raises(ConfigError):
             NEATConfig(pop_size=1)
 
-    def test_rejects_bad_criterion(self):
-        with pytest.raises(ConfigError):
-            NEATConfig(fitness_criterion="best")
+    @pytest.mark.parametrize("criterion", ["best", "mean", "min"])
+    def test_rejects_bad_criterion(self, criterion):
+        """The stop rule compares the champion's fitness, so "max" is
+        the only criterion."""
+        with pytest.raises(ConfigError, match="compares the champion"):
+            NEATConfig(fitness_criterion=criterion)
 
     def test_for_env_sizes_io(self):
         cfg = NEATConfig.for_env(8, 4, pop_size=30)
         assert cfg.genome.num_inputs == 8
         assert cfg.genome.num_outputs == 4
         assert cfg.pop_size == 30
-
-    def test_for_env_genome_overrides(self):
-        cfg = NEATConfig.for_env(2, 2, node_add_prob=0.5)
-        assert cfg.genome.node_add_prob == 0.5
-
-    def test_for_env_rejects_unknown_override(self):
-        with pytest.raises(ConfigError):
-            NEATConfig.for_env(2, 2, warp_speed=1)
 
     def test_round_trip_dict(self):
         cfg = NEATConfig.for_env(4, 3, pop_size=42)

@@ -60,19 +60,6 @@ def test_best_genome_tracked(config):
     assert pop.best_genome.fitness >= 1
 
 
-def test_run_stops_at_threshold(config):
-    pop = Population(config, seed=0)
-    best = pop.run(constant_fitness(5.0), max_generations=50, fitness_threshold=4.0)
-    assert pop.generation == 1  # converged immediately
-    assert best.fitness == 5.0
-
-
-def test_run_respects_generation_budget(config):
-    pop = Population(config, seed=0)
-    pop.run(constant_fitness(0.0), max_generations=3, fitness_threshold=100.0)
-    assert pop.generation == 3
-
-
 def test_statistics_recorded_per_generation(config):
     pop = Population(config, seed=0)
     stats, plans = [], []
@@ -92,21 +79,6 @@ def test_gene_growth_under_size_pressure(config):
     pop = Population(config, seed=1)
     series = [s.num_genes for s in run_rows(pop, size_fitness, 8)]
     assert series[-1] > series[0]
-
-
-def test_fitness_criterion_mean(config):
-    config.fitness_criterion = "mean"
-    pop = Population(config, seed=0)
-    pop.run(constant_fitness(2.0), max_generations=2, fitness_threshold=1.0)
-    assert pop.generation == 1
-
-
-def test_converged_property(config):
-    config.fitness_threshold = 1.0
-    pop = Population(config, seed=0)
-    assert not pop.converged
-    pop.run(constant_fitness(5.0), max_generations=2)
-    assert pop.converged
 
 
 def test_deterministic_given_seed(config):
