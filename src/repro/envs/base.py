@@ -20,6 +20,11 @@ from .spaces import Space
 StepResult = Tuple[np.ndarray, float, bool, Dict[str, Any]]
 
 
+def clamp(x: float, low: float, high: float) -> float:
+    """``np.clip`` on one float for nonzero bounds; a NaN passes through."""
+    return min(max(x, low), high)
+
+
 def check_tunable(env_name: str, names: Iterable[str], tunable: Iterable[str],
                   error: type = ValueError) -> None:
     """Raise ``error`` if a name in ``names`` is not one of an environment's

@@ -14,11 +14,15 @@ Two implementations ship:
   path by construction.
 * Vectorized ports (:class:`VectorizedCartPole`,
   :class:`VectorizedMountainCar`) — the whole physics update is numpy
-  over the lane axis.  The arithmetic replays the scalar ``_step``
-  operation-for-operation (numpy elementwise float64 ops are IEEE-754
-  identical to Python float ops, and this platform's ``np.cos``/``np.sin``
-  agree bitwise with ``math.cos``/``math.sin``), so trajectories match
-  the scalar environments exactly.
+  over the lane axis.  The scalar ``_step`` computes on Python floats,
+  and the port replays it operation for operation (numpy elementwise
+  float64 ops are IEEE-754 identical to Python float ops), so
+  trajectories match the scalar environments exactly.  Both sides
+  spell a square as a product: libm's ``pow(v, 2.0)``, which a float's
+  ``** 2`` calls, can miss ``v * v`` in the last bit on some hosts.
+  ``np.cos``/``np.sin`` pick their kernels by SIMD level; their
+  agreement with ``math.cos``/``math.sin`` is tested at reduced SIMD
+  too (``tests/test_batched_envs.py``, ``tests/test_env_differential.py``).
 
 A lane is one episode: it is seeded once via :meth:`BatchedEnv.start`
 and never restarts.  Finished lanes are dropped with :meth:`prune` so
@@ -221,10 +225,11 @@ class VectorizedCartPole(_StateMatrixEnv):
         cos_theta = np.cos(theta)
         sin_theta = np.sin(theta)
         temp = (
-            force + c.POLE_MASS_LENGTH * theta_dot ** 2 * sin_theta
+            force + c.POLE_MASS_LENGTH * (theta_dot * theta_dot) * sin_theta
         ) / c.TOTAL_MASS
         theta_acc = (c.GRAVITY * sin_theta - cos_theta * temp) / (
-            c.LENGTH * (4.0 / 3.0 - c.MASS_POLE * cos_theta ** 2 / c.TOTAL_MASS)
+            c.LENGTH
+            * (4.0 / 3.0 - c.MASS_POLE * (cos_theta * cos_theta) / c.TOTAL_MASS)
         )
         x_acc = temp - c.POLE_MASS_LENGTH * theta_acc * cos_theta / c.TOTAL_MASS
         # x += TAU * x_dot, x_dot += TAU * x_acc, ...: one update of the

@@ -71,15 +71,18 @@ class CartPoleEnv(Environment):
         return self.state.copy()
 
     def _step(self, action: int) -> Tuple[np.ndarray, float, bool, Dict[str, Any]]:
-        x, x_dot, theta, theta_dot = self.state
+        # On Python floats; squares are products, as numpy's array ``** 2``
+        # is: libm's ``pow(v, 2.0)`` can miss ``v * v`` in the last bit.
+        x, x_dot, theta, theta_dot = self.state.tolist()
         force = self.FORCE_MAG if action == 1 else -self.FORCE_MAG
         cos_theta = math.cos(theta)
         sin_theta = math.sin(theta)
         temp = (
-            force + self.POLE_MASS_LENGTH * theta_dot ** 2 * sin_theta
+            force + self.POLE_MASS_LENGTH * (theta_dot * theta_dot) * sin_theta
         ) / self.TOTAL_MASS
         theta_acc = (self.GRAVITY * sin_theta - cos_theta * temp) / (
-            self.LENGTH * (4.0 / 3.0 - self.MASS_POLE * cos_theta ** 2 / self.TOTAL_MASS)
+            self.LENGTH
+            * (4.0 / 3.0 - self.MASS_POLE * (cos_theta * cos_theta) / self.TOTAL_MASS)
         )
         x_acc = temp - self.POLE_MASS_LENGTH * theta_acc * cos_theta / self.TOTAL_MASS
 
@@ -89,7 +92,7 @@ class CartPoleEnv(Environment):
         theta_dot += self.TAU * theta_acc
         self.state = np.array([x, x_dot, theta, theta_dot], dtype=np.float64)
 
-        done = bool(
+        done = (
             x < -self.X_THRESHOLD
             or x > self.X_THRESHOLD
             or theta < -self.THETA_THRESHOLD

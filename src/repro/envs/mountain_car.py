@@ -12,7 +12,7 @@ from typing import Any, Dict, Tuple
 
 import numpy as np
 
-from .base import Environment
+from .base import Environment, clamp
 from .spaces import Box, Discrete
 
 
@@ -54,14 +54,14 @@ class MountainCarEnv(Environment):
         return self.state.copy()
 
     def _step(self, action: int) -> Tuple[np.ndarray, float, bool, Dict[str, Any]]:
-        position, velocity = self.state
+        position, velocity = self.state.tolist()
         velocity += (action - 1) * self.FORCE + math.cos(3 * position) * (-self.GRAVITY)
-        velocity = float(np.clip(velocity, -self.MAX_SPEED, self.MAX_SPEED))
+        velocity = clamp(velocity, -self.MAX_SPEED, self.MAX_SPEED)
         position += velocity
-        position = float(np.clip(position, self.MIN_POSITION, self.MAX_POSITION))
+        position = clamp(position, self.MIN_POSITION, self.MAX_POSITION)
         if position <= self.MIN_POSITION and velocity < 0:
             velocity = 0.0
         self.state = np.array([position, velocity], dtype=np.float64)
-        done = bool(position >= self.GOAL_POSITION)
+        done = position >= self.GOAL_POSITION
         reward = self.REWARD_PER_STEP
         return self.state.copy(), reward, done, {}
