@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.reporting import fmt_bytes, fmt_seconds, render_table
 from repro.envs.registry import EVALUATION_SUITE
-from repro.platforms import footprint_comparison, make_platform
+from repro.platforms import make_platform
 
 GPU_A, GPU_B, GENESYS = map(make_platform, ("GPU_a", "GPU_b", "GENESYS"))
 
@@ -52,7 +52,8 @@ def test_fig10d_memory_footprint(benchmark, emit, evaluation_traces):
     checks = {}
     for env_id in ["MountainCar-v0", "Amidar-ram-v0"]:
         w = evaluation_traces[env_id].mean_workload()
-        foot = footprint_comparison(w, [GPU_A, GPU_B, GENESYS])
+        foot = {p.name: p.memory_footprint_bytes(w)
+                for p in (GPU_A, GPU_B, GENESYS)}
         rows.append([
             env_id,
             fmt_bytes(foot["GPU_a"]),
@@ -72,4 +73,5 @@ def test_fig10d_memory_footprint(benchmark, emit, evaluation_traces):
     assert amidar["GPU_a"] < amidar["GENESYS"] < amidar["GPU_b"]
 
     w = evaluation_traces["Amidar-ram-v0"].mean_workload()
-    benchmark(lambda: footprint_comparison(w, [GPU_A, GPU_B, GENESYS]))
+    benchmark(lambda: [p.memory_footprint_bytes(w)
+                       for p in (GPU_A, GPU_B, GENESYS)])

@@ -12,9 +12,9 @@ one of three, mirroring the paper's three evaluation substrates:
 ``analytical:<platform>``
     Software evolution costed through a platform model named from the
     fixed :mod:`repro.platforms` table (the Table III legend names
-    ``CPU_a`` … ``GPU_d``, ``GENESYS`` and the ``soc`` design point's
-    analytical projection); adds modelled per-generation runtime and
-    energy to the metrics.
+    ``CPU_a`` … ``GPU_d`` and ``GENESYS``, the chip's analytical
+    projection, which ``analytical:soc`` also names); adds modelled
+    per-generation runtime and energy to the metrics.
 
 Both hardware-substrate backends take their platform from the spec's
 :meth:`~repro.api.ExperimentSpec.design_point`, so a custom platform is

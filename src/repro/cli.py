@@ -1114,9 +1114,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--platform", metavar="NAME|FILE",
                      help="run on a platform of the fixed table (see "
                           "'platforms') or, for a custom one, a "
-                          "PlatformSpec JSON file; picks --backend "
-                          "analytical (or soc for a soc-kind spec) "
-                          "unless one is given")
+                          "PlatformSpec JSON file; unless --backend is "
+                          "given, a soc-kind platform (GENESYS, soc) "
+                          "picks soc and any other analytical")
     run.add_argument("--scenario", metavar="NAME|FILE",
                      help="run an environment scenario: a built-in "
                           "name (see 'scenarios') or, for a custom one, "
@@ -1170,8 +1170,8 @@ def build_parser() -> argparse.ArgumentParser:
         "platforms",
         help="platform table / comparison",
         description="With no environment: list the fixed platform table "
-                    "(the nine Table III legend names and the "
-                    "cycle-level soc design point); --json emits the "
+                    "(the nine Table III legend names and soc, the "
+                    "GENESYS chip under its kind's name); --json emits the "
                     "machine-readable PlatformSpec dump.  With an "
                     "environment: the Fig. 9-style modelled "
                     "runtime/energy matrix across every platform of the "

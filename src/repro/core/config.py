@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..hw.adam import ADAMConfig
 from ..hw.energy import FREQUENCY_HZ
@@ -15,7 +14,11 @@ from ..neat.config import NEATConfig
 
 @dataclass
 class GeneSysConfig:
-    """The full SoC: EvE + ADAM + Genome Buffer + System CPU settings."""
+    """The full SoC: EvE + ADAM + Genome Buffer + System CPU settings.
+
+    The defaults are the implemented 15 nm design point: 256 EvE PEs,
+    32x32 ADAM, 1.5 MB / 48-bank SRAM, 200 MHz (Section V).
+    """
 
     neat: NEATConfig = field(default_factory=NEATConfig)
     eve: EvEConfig = field(default_factory=EvEConfig)
@@ -23,17 +26,6 @@ class GeneSysConfig:
     sram: SRAMConfig = field(default_factory=SRAMConfig)
     frequency_hz: float = FREQUENCY_HZ
     seed: int = 0
-
-    @classmethod
-    def paper_design_point(cls, neat: Optional[NEATConfig] = None) -> "GeneSysConfig":
-        """The implemented 15 nm design point: 256 EvE PEs, 32x32 ADAM,
-        1.5 MB / 48-bank SRAM, 200 MHz (Section V)."""
-        return cls(
-            neat=neat or NEATConfig(),
-            eve=EvEConfig(num_pes=256, noc="multicast", scheduler="greedy"),
-            adam=ADAMConfig(rows=32, cols=32),
-            sram=SRAMConfig(num_banks=48, bank_depth=4096),
-        )
 
     def pe_config_from_neat(self) -> PEConfig:
         """Map NEAT mutation probabilities onto the PE's 8-bit registers.

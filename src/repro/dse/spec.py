@@ -299,10 +299,11 @@ class SweepSpec(JsonRecord):
         a variant of the named table platform on an
         ``analytical:<name>`` point.  Only the fields of the point's
         platform *kind* apply — a ``platform.eve_pes`` axis shapes the
-        ``soc`` points of a mixed-backend sweep and leaves an
-        ``analytical:CPU_a`` point's spec untouched, so the unaffected
-        points collapse to one evaluation in the cache.  The
-        ``software`` backend has no platform and is never touched.
+        ``soc`` and ``analytical:GENESYS`` points of a mixed-backend
+        sweep and leaves an ``analytical:CPU_a`` point's spec untouched,
+        so the unaffected points collapse to one evaluation in the
+        cache.  The ``software`` backend has no platform and is never
+        touched.
         """
         try:
             target = spec.design_point()

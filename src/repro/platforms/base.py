@@ -54,6 +54,13 @@ class Platform:
         raise NotImplementedError
 
     def memory_footprint_bytes(self, workload: GenerationWorkload) -> int:
+        """Bytes one generation's working set needs on this platform.
+
+        Fig. 10(d): "GENESYS stores entire population in memory, thus we
+        see 100x more footprint than GPU_a, which is expected as we have a
+        population size of 150.  GENESYS has 100x less footprint than
+        GPU_b as genomes rather than sparse-matrices are stored on chip."
+        """
         raise NotImplementedError
 
     def table3_row(self) -> Dict[str, str]:

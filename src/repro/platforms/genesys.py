@@ -1,10 +1,13 @@
-"""GENESYS platform model: the SoC as a Table III row.
+"""GENESYS platform model: the chip at one ``soc``-kind design point.
 
-Analytical counterpart of the cycle-level simulators in :mod:`repro.hw`,
-so the Fig. 9/10 platform sweeps can run from workload aggregates alone.
-Inference exploits PLP by batching the population's vertex updates per
-environment step onto the 32x32 array; evolution exploits PLP + GLP by
-spreading children over the EvE PEs in waves.
+One model serves both fidelities of the paper's chip.  As a Table III
+row it is the analytical counterpart of the cycle-level simulators in
+:mod:`repro.hw`, so the Fig. 9/10 platform sweeps can run from workload
+aggregates alone: inference exploits PLP by batching the population's
+vertex updates per environment step onto the ADAM array; evolution
+exploits PLP + GLP by spreading children over the EvE PEs in waves.  For
+the ``soc`` backend, :meth:`GenesysPlatform.genesys_config` resolves the
+same design point into the cycle-level :class:`repro.core.GeneSysConfig`.
 
 Energy is built from the same per-op constants as the detailed model
 (:mod:`repro.hw.energy`): MAC energy for ADAM, PE-cycle energy for EvE,
@@ -15,16 +18,21 @@ to/from the engines) accounts for ~15 % of runtime, matching Fig. 10(c).
 
 from __future__ import annotations
 
+from ..core.config import GeneSysConfig
 from ..core.trace import GenerationWorkload
+from ..hw.adam import ADAMConfig
 from ..hw.energy import (
     ADAM_MAC_ENERGY_PJ,
     EVE_OP_ENERGY_PJ,
     PAPER_TOTAL_POWER_MW,
     SRAM_ACCESS_ENERGY_PJ,
 )
+from ..hw.eve import EvEConfig
+from ..hw.pe import CONFIG_LOAD_CYCLES, PIPELINE_DEPTH
+from ..neat.config import NEATConfig
 from ..neat.statistics import GENE_BYTES
 from .base import PhaseCost, Platform
-from .spec import GenesysPlatformParams
+from .spec import SoCPlatformParams
 
 #: fraction of runtime spent staging data between SRAM and the engines
 ONCHIP_TRANSFER_FRACTION = 0.15
@@ -39,9 +47,28 @@ class GenesysPlatform(Platform):
     evolution_strategy = "PLP + GLP"
     platform_desc = "GENESYS"
 
-    def __init__(self, name: str, params: GenesysPlatformParams) -> None:
+    def __init__(self, name: str, params: SoCPlatformParams) -> None:
         self.name = name
         self.params = params
+
+    # -- the cycle-level design point -------------------------------------
+
+    def genesys_config(self, neat: NEATConfig, seed: int = 0) -> GeneSysConfig:
+        """The :class:`repro.core.GeneSysConfig` the cycle-level
+        :class:`repro.core.GeneSysSoC` runs at this design point; SRAM
+        geometry and PE registers keep their defaults."""
+        params = self.params
+        return GeneSysConfig(
+            neat=neat,
+            eve=EvEConfig(
+                num_pes=params.eve_pes,
+                noc=params.noc,
+                scheduler=params.scheduler,
+            ),
+            adam=ADAMConfig(rows=params.adam_rows, cols=params.adam_cols),
+            frequency_hz=params.frequency_hz,
+            seed=seed,
+        )
 
     # -- inference ------------------------------------------------------
 
@@ -71,12 +98,13 @@ class GenesysPlatform(Platform):
     # -- evolution --------------------------------------------------------
 
     def evolution_cost(self, workload: GenerationWorkload) -> PhaseCost:
-        num_pes = self.params.num_eve_pes
+        num_pes = self.params.eve_pes
         mean_genes = workload.mean_genome_genes
         children = max(1, workload.population)
         waves = -(-children // num_pes)  # ceil
-        # One gene pair per cycle per PE, 2-cycle config + 4-stage drain.
-        cycles = waves * (mean_genes + 6)
+        # One gene pair per cycle per PE, plus the config load and the
+        # pipeline drain, as the cycle-level PE counts them.
+        cycles = waves * (mean_genes + (CONFIG_LOAD_CYCLES + PIPELINE_DEPTH))
         compute = cycles / self.params.frequency_hz
         transfer = compute * ONCHIP_TRANSFER_FRACTION / (1 - ONCHIP_TRANSFER_FRACTION)
         runtime = compute + transfer

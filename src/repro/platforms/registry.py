@@ -2,12 +2,14 @@
 
 Every name a spec can give a platform (``analytical:<name>``, ``repro
 run --platform NAME``) is a key into one constant table: the nine Table
-III legend rows, in the paper's order, and the cycle-level ``soc``
-design point.  The table is the same in every process, so a name in a
-``spec.json`` means one platform wherever the spec runs.  A custom
-platform travels by value instead: a :class:`PlatformSpec` embedded in
-the experiment spec (or ``repro run --platform FILE``), which
-``spec.json``, resume and the DSE cache key carry by content.
+III legend rows, in the paper's order, and ``soc``.  ``GENESYS`` and
+``soc`` are the same ``soc``-kind design point, the paper's chip, under
+its legend name and its kind's name.  The table is the same in every
+process, so a name in a ``spec.json`` means one platform wherever the
+spec runs.  A custom platform travels by value instead: a
+:class:`PlatformSpec` embedded in the experiment spec (or ``repro run
+--platform FILE``), which ``spec.json``, resume and the DSE cache key
+carry by content.
 
 :func:`make_platform` accepts a table name, a spec, or a raw dict
 (the JSON form); unknown names raise :class:`UnknownPlatformError`
@@ -23,7 +25,6 @@ from .base import Platform
 from .cpu import A57_PARAMS, CPUPlatform, I7_PARAMS
 from .genesys import GenesysPlatform
 from .gpu import GPUPlatform, GTX1080_PARAMS, TEGRA_PARAMS
-from .soc_platform import SoCPlatform
 from .spec import (
     PLATFORM_KINDS,
     PlatformSpec,
@@ -35,17 +36,8 @@ from .spec import (
 _MODELS: Dict[str, Callable[[str, object], Platform]] = {
     "cpu": CPUPlatform,
     "gpu": GPUPlatform,
-    "genesys": GenesysPlatform,
-    "soc": SoCPlatform,
+    "soc": GenesysPlatform,
 }
-
-
-def build_platform(
-    spec: Union[PlatformSpec, Mapping[str, object]],
-) -> Platform:
-    """Instantiate the platform a spec (or its dict form) describes."""
-    spec = as_platform_spec(spec)
-    return _MODELS[spec.kind](spec.name, spec.params)
 
 
 #: The paper's Table III rows, in its order.
@@ -58,10 +50,10 @@ _TABLE3 = (
     PlatformSpec("gpu", "GPU_b", replace(GTX1080_PARAMS, batch_population=True)),
     PlatformSpec("gpu", "GPU_c", TEGRA_PARAMS),
     PlatformSpec("gpu", "GPU_d", replace(TEGRA_PARAMS, batch_population=True)),
-    PlatformSpec("genesys", "GENESYS"),
+    PlatformSpec("soc", "GENESYS"),
 )
 
-#: name -> spec: the Table III rows plus the cycle-level SoC.
+#: name -> spec: the Table III rows plus the chip under its kind's name.
 _PLATFORMS: Dict[str, PlatformSpec] = {
     spec.name: spec for spec in _TABLE3 + (PlatformSpec("soc"),)
 }
@@ -76,8 +68,10 @@ def make_platform(
     name in the table (a ``KeyError`` subclass).
     """
     if isinstance(spec_or_name, str):
-        spec_or_name = platform_spec(spec_or_name)
-    return build_platform(spec_or_name)
+        spec = platform_spec(spec_or_name)
+    else:
+        spec = as_platform_spec(spec_or_name)
+    return _MODELS[spec.kind](spec.name, spec.params)
 
 
 def platform_names() -> List[str]:
@@ -107,7 +101,7 @@ def registered_platforms() -> Dict[str, PlatformSpec]:
 
 def table3() -> List[Dict[str, str]]:
     """Rows of Table III (target system configurations), paper order."""
-    return [build_platform(spec).table3_row() for spec in _TABLE3]
+    return [make_platform(spec).table3_row() for spec in _TABLE3]
 
 
 assert set(PLATFORM_KINDS) == set(_MODELS), "kind/model tables diverged"

@@ -80,16 +80,19 @@ def test_platforms_json_dump_validates(capsys):
 
 
 def test_run_with_platform_flag(capsys):
-    code = main([
-        "run", "CartPole-v0", "--platform", "GENESYS",
-        "--generations", "2", "--population", "10", "--max-steps", "30",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "[analytical:GENESYS] CartPole-v0" in out
+    """An analytical-only table name picks analytical; GENESYS is the
+    chip, a soc-kind row, so it picks the cycle-level soc backend."""
+    for name, label in (("CPU_a", "analytical:CPU_a"), ("GENESYS", "soc")):
+        code = main([
+            "run", "CartPole-v0", "--platform", name,
+            "--generations", "2", "--population", "10", "--max-steps", "30",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"[{label}] CartPole-v0" in out
 
 
-def test_run_with_soc_platform_flag(capsys):
+def test_run_with_soc_kind_platform_flag(capsys):
     code = main([
         "run", "CartPole-v0", "--platform", "soc",
         "--generations", "2", "--population", "10", "--max-steps", "30",
@@ -103,9 +106,10 @@ def test_run_with_platform_spec_file(tmp_path, capsys):
     from repro.platforms import PlatformSpec
 
     path = tmp_path / "quarter.json"
-    PlatformSpec("genesys", "QUARTER", {"num_eve_pes": 64}).save(path)
+    PlatformSpec("soc", "QUARTER", {"eve_pes": 64}).save(path)
     code = main([
         "run", "CartPole-v0", "--platform", str(path),
+        "--backend", "analytical",
         "--generations", "2", "--population", "10", "--max-steps", "30",
     ])
     assert code == 0

@@ -6,6 +6,7 @@ runs this file plus ``python -m repro.docsgen --check``.
 """
 
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -22,6 +23,7 @@ REQUIRED_PAGES = [
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE_RE = re.compile(r"^```.*?^```", re.S | re.M)
+_FENCE_BODY_RE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
 _CODE_RE = re.compile(r"`([^`\n]+)`")
 _NAME_RE = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
 _PATH_RE = re.compile(
@@ -34,6 +36,27 @@ def markdown_files():
     return [REPO / "README.md", REPO / "PAPERS.md"] + sorted(
         DOCS.glob("*.md")
     )
+
+
+def json_examples():
+    """Every fenced block of README.md and docs/*.md that parses as a
+    JSON object, as a ``pytest.param`` with a ``page-N`` id (the page's
+    N-th such block)."""
+    examples = []
+    for md_file in [REPO / "README.md"] + sorted(DOCS.glob("*.md")):
+        blocks = []
+        for block in _FENCE_BODY_RE.finditer(md_file.read_text()):
+            try:
+                data = json.loads(block.group(1))
+            except ValueError:
+                continue  # code, or an annotated schema sketch
+            if isinstance(data, dict):
+                blocks.append(data)
+        examples += [
+            pytest.param(data, id=f"{md_file.name}-{n}")
+            for n, data in enumerate(blocks, 1)
+        ]
+    return examples
 
 
 def resolves(dotted):
@@ -115,6 +138,32 @@ class TestLinksResolve:
                         f"{md_file.name} cites PAPERS.md#{anchor}, "
                         f"which does not exist"
                     )
+
+
+class TestJsonExamples:
+    """A JSON example in the docs is a record a reader may save and
+    load, so each must load as the record it shows."""
+
+    @pytest.mark.parametrize("data", json_examples())
+    def test_example_loads_as_the_record_it_shows(self, data):
+        from repro.api import ExperimentSpec
+        from repro.dse import SweepSpec
+        from repro.platforms import PlatformSpec
+        from repro.scenarios import ScenarioSpec
+
+        if "base" in data and "axes" in data:
+            SweepSpec.from_dict(data)
+        elif "kind" in data:
+            PlatformSpec.from_dict(data)
+        elif "backend" in data:
+            ExperimentSpec.from_dict(data)
+        else:
+            assert "env_id" in data, f"a JSON example of no record: {data}"
+            ScenarioSpec.from_dict(data)
+
+    def test_examples_are_collected(self):
+        pages = {param.id.rsplit("-", 1)[0] for param in json_examples()}
+        assert {"platforms.md", "scenarios.md"} <= pages
 
 
 class TestPaperMap:

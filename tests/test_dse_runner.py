@@ -141,6 +141,21 @@ class TestMemoisation:
         fitnesses = {row["fitness"] for row in result.rows}
         assert len(fitnesses) == 1
 
+    def test_pe_axis_sizes_the_genesys_row(self):
+        """A PE axis shapes every analytical:GENESYS point: at population
+        30, 16 PEs take two EvE waves a generation where 64 and 256 take
+        one, so each point is its own evaluation and 16 PEs cost more."""
+        sweep = SweepSpec(
+            base=BASE.replace(backend="analytical:GENESYS", pop_size=30),
+            axes={"platform.eve_pes": [16, 64, 256]},
+        )
+        result = run_sweep(sweep)
+        assert result.evaluated == 3 and result.cache_hits == 0
+        runtime = {
+            row["platform.eve_pes"]: row["runtime_s"] for row in result.rows
+        }
+        assert runtime[16] > runtime[64] == runtime[256]
+
     def test_one_platform_name_two_contents_are_two_points(self, tmp_path):
         """A custom platform travels by value: two sweeps whose base specs
         embed a platform under one name but with different power share a

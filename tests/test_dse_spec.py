@@ -5,12 +5,15 @@ import warnings
 import pytest
 
 from repro.api import Experiment, ExperimentSpec, SpecError
+from repro.core.trace import GenerationWorkload
 from repro.dse import (
     PLATFORM_AXES,
     SPEC_AXES,
     SweepSpec,
     SweepSpecError,
 )
+from repro.neat.genome import MutationCounts
+from repro.platforms import PlatformSpec, make_platform
 
 BASE = ExperimentSpec("CartPole-v0", max_generations=2, pop_size=10, max_steps=30)
 
@@ -28,7 +31,7 @@ class TestValidation:
         assert "platform" not in SPEC_AXES
         for axis in ("platform.eve_pes", "platform.noc",
                      "platform.scheduler", "platform.adam_shape",
-                     "platform.num_eve_pes"):
+                     "platform.frequency_hz", "platform.power_w"):
             assert axis in PLATFORM_AXES
 
     def test_hw_axes_are_unknown(self):
@@ -127,7 +130,7 @@ class TestExpansion:
         with pytest.raises(SpecError, match="platform"):
             base.replace(backend_options={"platform": "soc"})
 
-    def test_platform_axes_embed_soc_platform_spec(self):
+    def test_platform_axes_embed_soc_kind_spec(self):
         s = sweep(axes={
             "backend": ["soc", "software"],
             "platform.eve_pes": [32],
@@ -160,20 +163,49 @@ class TestExpansion:
     def test_platform_axes_derive_analytical_variant(self):
         base = BASE.replace(backend="analytical:GENESYS")
         points = SweepSpec(
-            base=base, axes={"platform.num_eve_pes": [64, 256]}
+            base=base, axes={"platform.eve_pes": [64, 256]}
         ).expand()
-        assert [p.spec.platform.params.num_eve_pes for p in points] == [64, 256]
+        assert [p.spec.platform.params.eve_pes for p in points] == [64, 256]
         assert all(p.spec.backend == "analytical" for p in points)
         assert all(p.spec.platform.name == "GENESYS" for p in points)
 
     def test_platform_axes_filter_by_kind(self):
-        # eve_pes is a soc param, not a genesys one: the analytical
-        # point is untouched (and would collapse in the cache).
-        base = BASE.replace(backend="analytical:GENESYS")
+        # eve_pes is a soc param, not a cpu one: the CPU_a point is
+        # untouched (and would collapse in the cache) ...
+        cpu = BASE.replace(backend="analytical:CPU_a")
         (point,) = SweepSpec(
-            base=base, axes={"platform.eve_pes": [64]}
+            base=cpu, axes={"platform.eve_pes": [64]}
         ).expand()
-        assert point.spec == base
+        assert point.spec == cpu
+        # ... while GENESYS, a soc-kind row, becomes its 64-PE variant.
+        genesys = BASE.replace(backend="analytical:GENESYS")
+        (point,) = SweepSpec(
+            base=genesys, axes={"platform.eve_pes": [64]}
+        ).expand()
+        assert point.spec == genesys.replace(
+            backend="analytical",
+            platform=PlatformSpec("soc", "GENESYS", {"eve_pes": 64}),
+        )
+
+    def test_platform_axes_size_the_genesys_row(self):
+        """At population 30 the GENESYS row's evolution takes two EvE
+        waves on 16 PEs and one on 256, so the two points cost apart."""
+        base = BASE.replace(backend="analytical:GENESYS", pop_size=30)
+        points = SweepSpec(
+            base=base, axes={"platform.eve_pes": [16, 256]}
+        ).expand()
+        assert [p.spec.platform.params.eve_pes for p in points] == [16, 256]
+        workload = GenerationWorkload(
+            generation=0, population=30, total_nodes=90,
+            total_connections=150, ops=MutationCounts(), env_steps=600,
+            inference_macs=4_500, mean_network_depth=1.0,
+            fittest_parent_reuse=5,
+        )
+        two_waves, one_wave = (
+            make_platform(p.spec.design_point()).evolution_cost(workload)
+            for p in points
+        )
+        assert two_waves.runtime_s == 2 * one_wave.runtime_s
 
     def test_platform_axis_invalid_value_reports_point(self):
         base = BASE.replace(backend="soc")

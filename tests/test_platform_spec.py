@@ -14,12 +14,13 @@ from repro.api import (
     available_backends,
     make_backend,
 )
+from repro.core import GeneSysConfig
+from repro.neat import NEATConfig
 from repro.platforms import (
     PLATFORM_KINDS,
     GenesysPlatform,
     PlatformSpec,
     PlatformSpecError,
-    SoCPlatform,
     UnknownPlatformError,
     make_platform,
     platform_names,
@@ -45,7 +46,28 @@ class TestSpecValidation:
             PlatformSpec("soc", params={"warp": 9})
 
     def test_kinds_cover_both_fidelities(self):
-        assert set(PLATFORM_KINDS) == {"cpu", "gpu", "genesys", "soc"}
+        """cpu and gpu are analytical; one soc kind is the chip, costed
+        analytically (GENESYS) or simulated cycle by cycle."""
+        assert set(PLATFORM_KINDS) == {"cpu", "gpu", "soc"}
+
+    def test_genesys_kind_is_refused(self, tmp_path):
+        """The chip has one kind: a stored block of the retired
+        'genesys' kind is refused, and the error lists the kinds there
+        are."""
+        retired = dict(kind="genesys", name="GENESYS",
+                       params=dict(num_eve_pes=64))
+        kinds = r"known kinds: \['cpu', 'gpu', 'soc'\]"
+        with pytest.raises(PlatformSpecError, match=kinds):
+            PlatformSpec.from_dict(retired)
+        path = tmp_path / "platform.json"
+        path.write_text(json.dumps(retired))
+        with pytest.raises(PlatformSpecError, match=kinds):
+            PlatformSpec.load(path)
+        stored = ExperimentSpec("CartPole-v0", backend="analytical:GENESYS")
+        data = {**stored.to_dict(), "backend": "analytical",
+                "platform": retired}
+        with pytest.raises(SpecError, match=kinds):
+            ExperimentSpec.from_dict(data)
 
     @pytest.mark.parametrize("params", [
         {"eve_pes": 0},
@@ -75,12 +97,14 @@ class TestSpecValidation:
         assert (spec.params.adam_rows, spec.params.adam_cols) == (16, 8)
 
     def test_genesys_requires_positive_ints(self):
-        with pytest.raises(PlatformSpecError):
-            PlatformSpec("genesys", params={"num_eve_pes": -4})
+        for params in ({"eve_pes": -4}, {"eve_pes": 2.5},
+                       {"adam_shape": "0x32"}):
+            with pytest.raises(PlatformSpecError):
+                PlatformSpec("soc", "GENESYS", params)
 
     def test_name_defaults_to_kind(self):
         assert PlatformSpec("soc").name == "soc"
-        assert PlatformSpec("genesys", "G2").name == "G2"
+        assert PlatformSpec("soc", "G2").name == "G2"
 
     def test_replace_params_validates(self):
         spec = PlatformSpec("soc")
@@ -115,7 +139,7 @@ class TestRoundTrip:
 
     def test_save_load(self, tmp_path):
         path = tmp_path / "platform.json"
-        spec = PlatformSpec("genesys", "G64", {"num_eve_pes": 64})
+        spec = PlatformSpec("soc", "G64", {"eve_pes": 64})
         spec.save(path)
         assert PlatformSpec.load(path) == spec
 
@@ -153,7 +177,7 @@ class TestRoundTrip:
     @settings(max_examples=25, deadline=None)
     @given(num=st.integers(min_value=1, max_value=2048))
     def test_property_genesys_dict_round_trip(self, num):
-        spec = PlatformSpec("genesys", params={"num_eve_pes": num})
+        spec = PlatformSpec("soc", "GENESYS", {"eve_pes": num})
         assert PlatformSpec.from_dict(spec.to_dict()) == spec
 
 
@@ -169,24 +193,28 @@ class TestRegistry:
 
     def test_soc_is_first_class(self):
         platform = make_platform("soc")
-        assert isinstance(platform, SoCPlatform)
-        config = platform.genesys_config(seed=3)
+        assert isinstance(platform, GenesysPlatform)
+        neat = NEATConfig()
+        config = platform.genesys_config(neat, seed=3)
         assert config.eve.num_pes == 256
         assert config.seed == 3
+        # the soc defaults are the chip's: the GENESYS row resolves to
+        # the same config, GeneSysConfig's own defaults
+        assert config == GeneSysConfig(neat=neat, seed=3)
+        assert make_platform("GENESYS").genesys_config(neat, 3) == config
 
     def test_make_platform_accepts_spec_and_dict(self):
-        from_spec = make_platform(PlatformSpec("genesys", "G",
-                                               {"num_eve_pes": 64}))
-        from_dict = make_platform({"kind": "genesys", "name": "G",
-                                   "params": {"num_eve_pes": 64}})
+        from_spec = make_platform(PlatformSpec("soc", "G", {"eve_pes": 64}))
+        from_dict = make_platform({"kind": "soc", "name": "G",
+                                   "params": {"eve_pes": 64}})
         assert isinstance(from_spec, GenesysPlatform)
         assert from_spec.params == from_dict.params
-        assert from_spec.params.num_eve_pes == 64
+        assert from_spec.params.eve_pes == 64
 
     def test_soc_kind_spec_resolves(self):
         platform = make_platform({"kind": "soc", "params": {"eve_pes": 8}})
-        assert isinstance(platform, SoCPlatform)
-        assert platform.genesys_config().eve.num_pes == 8
+        assert isinstance(platform, GenesysPlatform)
+        assert platform.genesys_config(NEATConfig()).eve.num_pes == 8
 
     def test_unknown_name_error_lists_registered(self):
         with pytest.raises(UnknownPlatformError, match="CPU_a"):
@@ -203,6 +231,8 @@ class TestRegistry:
         assert platform_names() == sorted(rows + ["soc"])
         assert [row["Legend"] for row in table3()] == rows
         assert platform_spec("GENESYS") is registered_platforms()["GENESYS"]
+        # one chip: the Table III row is the soc design point, renamed
+        assert platform_spec("GENESYS") == PlatformSpec("soc", "GENESYS")
         assert available_backends() == [
             f"analytical:{name}" for name in platform_names()
         ] + ["soc", "software"]
@@ -222,27 +252,27 @@ class TestEmbeddedPlatform:
     def test_embedded_platform_round_trips(self):
         spec = ExperimentSpec(
             "CartPole-v0", backend="analytical",
-            platform={"kind": "genesys", "name": "GENESYS"}, **SMALL,
+            platform={"kind": "soc", "name": "GENESYS"}, **SMALL,
         )
         assert isinstance(spec.platform, PlatformSpec)
         clone = ExperimentSpec.from_json(spec.to_json())
         assert clone == spec
-        assert clone.to_dict()["platform"]["kind"] == "genesys"
+        assert clone.to_dict()["platform"]["kind"] == "soc"
 
     def test_software_backend_rejects_platform(self):
         with pytest.raises(SpecError, match="software backend takes no"):
-            ExperimentSpec("CartPole-v0", platform={"kind": "genesys"},
+            ExperimentSpec("CartPole-v0", platform={"kind": "soc"},
                            **SMALL)
 
     def test_analytical_suffix_conflicts_with_platform(self):
         with pytest.raises(SpecError, match="already names a platform"):
             ExperimentSpec("CartPole-v0", backend="analytical:GENESYS",
-                           platform={"kind": "genesys"}, **SMALL)
+                           platform={"kind": "soc"}, **SMALL)
 
     def test_soc_backend_needs_soc_kind(self):
         with pytest.raises(SpecError, match="'soc'-kind"):
             ExperimentSpec("CartPole-v0", backend="soc",
-                           platform={"kind": "genesys"}, **SMALL)
+                           platform=platform_spec("CPU_a"), **SMALL)
 
     def test_embedded_matches_named_analytical(self):
         named = Experiment(ExperimentSpec(
@@ -250,7 +280,7 @@ class TestEmbeddedPlatform:
         )).run()
         embedded = Experiment(ExperimentSpec(
             "CartPole-v0", backend="analytical",
-            platform={"kind": "genesys", "name": "GENESYS"}, **SMALL,
+            platform={"kind": "soc", "name": "GENESYS"}, **SMALL,
         )).run()
         assert embedded.backend == named.backend == "analytical:GENESYS"
         assert embedded.total_energy_j == named.total_energy_j
@@ -275,7 +305,7 @@ class TestEmbeddedPlatform:
         named = ExperimentSpec("CartPole-v0", backend="analytical:CPU_b")
         assert named.design_point() is platform_spec("CPU_b")
         embedded = ExperimentSpec(
-            "CartPole-v0", backend="analytical", platform={"kind": "genesys"}
+            "CartPole-v0", backend="analytical", platform={"kind": "soc"}
         )
         assert embedded.design_point() is embedded.platform
         assert ExperimentSpec("CartPole-v0").design_point() is None
@@ -295,20 +325,20 @@ class TestRunsIntegration:
 
         spec = ExperimentSpec(
             "CartPole-v0", backend="analytical",
-            platform={"kind": "genesys", "name": "GENESYS"},
+            platform={"kind": "soc", "name": "GENESYS"},
             max_generations=2, pop_size=10, max_steps=30, seed=0,
         )
         run_dir = tmp_path / "run"
         run_in_dir(spec, run_dir)
         stored = json.loads((run_dir / "spec.json").read_text())
-        assert stored["platform"]["kind"] == "genesys"
+        assert stored["platform"]["kind"] == "soc"
         reloaded = RunDir(run_dir).load_spec()
         assert reloaded.platform == spec.platform
         # a different platform block must be rejected on resume
         from repro.runs import RunError
 
         other = spec.replace(
-            platform=spec.platform.replace_params(num_eve_pes=8),
+            platform=spec.platform.replace_params(eve_pes=8),
             max_generations=4,
         )
         with pytest.raises(RunError, match="platform"):

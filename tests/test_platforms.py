@@ -4,12 +4,7 @@ import pytest
 
 from repro.core.trace import GenerationWorkload
 from repro.neat.genome import MutationCounts
-from repro.platforms import (
-    all_platforms,
-    footprint_comparison,
-    make_platform,
-    table3,
-)
+from repro.platforms import all_platforms, make_platform, table3
 
 
 @pytest.fixture
@@ -159,9 +154,10 @@ class TestGenesysModel:
 
     def test_footprint_between_gpu_a_and_gpu_b(self, atari_workload):
         # Fig. 10(d): GPU_a << GENESYS << GPU_b.
-        foot = footprint_comparison(
-            atari_workload, list(map(make_platform, ("GPU_a", "GPU_b", "GENESYS")))
-        )
+        foot = {
+            name: make_platform(name).memory_footprint_bytes(atari_workload)
+            for name in ("GPU_a", "GPU_b", "GENESYS")
+        }
         assert foot["GPU_a"] < foot["GENESYS"] < foot["GPU_b"]
         assert foot["GPU_a"] < 0.1 * foot["GENESYS"]
         assert foot["GPU_b"] > 10 * foot["GENESYS"]
@@ -173,7 +169,7 @@ class TestGenesysModel:
     def test_more_pes_faster_evolution(self, atari_workload):
         def genesys_with(pes):
             return make_platform(
-                {"kind": "genesys", "params": {"num_eve_pes": pes}}
+                {"kind": "soc", "name": "GENESYS", "params": {"eve_pes": pes}}
             )
 
         slow = genesys_with(2).evolution_cost(atari_workload)
